@@ -60,7 +60,7 @@ func main() {
 		shardWait   = flag.Duration("shard-timeout", 2*time.Second, "per-attempt shard call deadline")
 		shardTries  = flag.Int("shard-attempts", 3, "shard call attempts per query, first included")
 		shardHedge  = flag.Duration("shard-hedge-after", 250*time.Millisecond, "hedge a second shard attempt after this long (negative = no hedging)")
-		shardFanout = flag.Int("shard-fanout", 0, "concurrent shard calls per query, dispatched by ascending MinDist (0 = all shards at once)")
+		shardFanout = flag.Int("shard-fanout", 0, "cap on concurrent shard calls per query, dispatched by ascending MinDist (0 = no cap)")
 
 		admitWidth = flag.Int("admit-width", 0, "total pipeline width admitted concurrently (0 = 2×GOMAXPROCS, negative = unlimited)")
 		admitQueue = flag.Int("admit-queue", 0, "requests that may queue for admission before shedding 429 (0 = 16, negative = no queue)")

@@ -25,7 +25,7 @@ func (e *Engine) BSP(q Query, opts Options) (results []Result, stats *Stats, err
 		return nil, stats, err
 	}
 	defer e.releasePrep(pq)
-	hk := newTopK(q.K)
+	hk := newTopK(q.K, opts.Bound)
 	if pq.answerable && q.K > 0 {
 		if err := e.bspLoop(pq, opts, hk, stats); err != nil {
 			return nil, stats, err

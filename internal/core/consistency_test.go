@@ -414,7 +414,7 @@ func TestStatsPopulated(t *testing.T) {
 }
 
 func TestTopKHelper(t *testing.T) {
-	tk := newTopK(2)
+	tk := newTopK(2, nil)
 	if !math.IsInf(tk.theta(), 1) {
 		t.Error("theta should start at +Inf")
 	}

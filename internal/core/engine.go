@@ -448,9 +448,12 @@ func (e *Engine) prepare(q Query) (*prepQuery, error) {
 func (pq *prepQuery) numKeywords() int { return len(pq.terms) }
 
 // topK maintains the result queue Hk: a worst-first heap capped at k.
+// With a shared Bound (Options.Bound) it is one tile's view of a joint
+// Hk: theta is capped by the bound's θ and add publishes into it.
 type topK struct {
-	k     int
-	items resultHeap
+	k      int
+	items  resultHeap
+	shared *Bound
 }
 
 // resultHeap is a worst-first binary heap of Result with hand-rolled
@@ -514,15 +517,20 @@ func (h resultHeap) down(i, n int) {
 }
 
 //ksplint:ignore allocbound -- one heap per query, inside TestAllocBudget's budget
-func newTopK(k int) *topK { return &topK{k: k} }
+func newTopK(k int, shared *Bound) *topK { return &topK{k: k, shared: shared} }
 
 // theta returns the ranking score of the kth candidate, +Inf while fewer
-// than k candidates exist.
+// than k candidates exist. Under a shared bound it is additionally
+// capped just above the bound's θ: every caller compares strictly
+// (score < theta keeps, bound >= theta stops), so a place scoring
+// exactly the shared θ is still kept and only places that k offered
+// places strictly beat are dropped.
 func (t *topK) theta() float64 {
-	if len(t.items) < t.k {
-		return math.Inf(1)
+	th := math.Inf(1)
+	if len(t.items) >= t.k {
+		th = t.items[0].Score
 	}
-	return t.items[0].Score
+	return t.shared.limit(th)
 }
 
 // add inserts r, evicting the worst candidate beyond k.
@@ -530,6 +538,9 @@ func (t *topK) add(r Result) {
 	t.items.push(r)
 	if len(t.items) > t.k {
 		t.items.pop()
+	}
+	if t.shared != nil {
+		t.shared.Offer(r.Place, r.Score)
 	}
 }
 

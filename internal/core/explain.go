@@ -122,6 +122,12 @@ type ExplainShard struct {
 	Hedged   bool   `json:"hedged,omitempty"`
 	Micros   int64  `json:"micros,omitempty"`
 	Error    string `json:"error,omitempty"`
+	// GatedMicros is how long the dispatcher held the shard back so
+	// nearer tiles could establish θ first; ThetaAtStart is the gather's
+	// shared θ when the shard was dispatched or pruned (omitted while no
+	// threshold existed).
+	GatedMicros  int64   `json:"gatedMicros,omitempty"`
+	ThetaAtStart float64 `json:"thetaAtStart,omitempty"`
 }
 
 // ExplainReport is the full EXPLAIN document for one query.

@@ -9,14 +9,24 @@ import (
 	"ksp/internal/faultinject"
 )
 
-// atomicFloat64 is the pipeline's shared θ: written only by the
-// finalizer (after each top-k insertion), read by the producer and the
-// workers. θ only decreases, so any stale read is an upper bound on the
-// exact serial θ — the soundness hinge of DESIGN.md §8.
+// atomicFloat64 is a float64 with atomic load and store.
 type atomicFloat64 struct{ bits atomic.Uint64 }
 
 func (a *atomicFloat64) store(v float64) { a.bits.Store(math.Float64bits(v)) }
 func (a *atomicFloat64) load() float64   { return math.Float64frombits(a.bits.Load()) }
+
+// pipeTheta is the θ the pipeline's producer and workers read: the
+// finalizer's published Hk threshold (local, stored after each top-k
+// insertion), capped by the ceiling of the gather-wide Bound when the
+// query runs under one — that ceiling also drops between insertions, as
+// other tiles offer. Both only decrease, so any stale read is an upper
+// bound on the exact serial θ — the soundness hinge of DESIGN.md §8.
+type pipeTheta struct {
+	local  atomicFloat64
+	shared *Bound
+}
+
+func (p *pipeTheta) load() float64 { return p.shared.limit(p.local.load()) }
 
 // candidate is one place the algorithm considers, produced in the serial
 // algorithm's order. bound is the pop-time lower bound on the score of
@@ -47,7 +57,7 @@ type candSource interface {
 
 // sourceFactory builds a candSource writing its counters to st and
 // reading the pruning threshold from theta — hk.theta in a serial run,
-// the shared atomic in a parallel one.
+// the pipeline's pipeTheta in a parallel one.
 type sourceFactory func(st *Stats, theta func() float64) (candSource, error)
 
 // run evaluates one prepared query through the candidate pipeline,
@@ -152,8 +162,8 @@ func (e *Engine) runSerial(mk sourceFactory, pq *prepQuery, opts Options, hk *to
 //	            against the true Hk, and publishes θ to the atomic.
 func (e *Engine) runParallel(mk sourceFactory, pq *prepQuery, opts Options, hk *topK, stats *Stats, workers int, rule1, rule2 bool) error {
 	root := opts.Trace.Root()
-	theta := &atomicFloat64{}
-	theta.store(math.Inf(1))
+	theta := &pipeTheta{shared: opts.Bound}
+	theta.local.store(math.Inf(1))
 
 	prodStats := &Stats{}
 	src, err := mk(prodStats, theta.load)
@@ -344,7 +354,7 @@ func (e *Engine) runParallel(mk sourceFactory, pq *prepQuery, opts Options, hk *
 			// insertion check happens here, against the true Hk.
 			if f := e.Rank.Score(c.loose, c.dist); f < hk.theta() {
 				hk.add(Result{Place: c.place, Looseness: c.loose, Dist: c.dist, Score: f, Tree: c.tree})
-				theta.store(hk.theta())
+				theta.local.store(hk.theta())
 			}
 		}
 		return err
@@ -415,7 +425,7 @@ func (p *pipeFailure) get() error {
 // construction under the Rule-2 threshold from the shared θ. A panic —
 // a bug in the hot path or an injected fault — is captured into the
 // candidate and forwarded to the finalizer, failing only this query.
-func (e *Engine) evalCandidate(s *searcher, c *candidate, rule1, rule2 bool, theta *atomicFloat64, ws *Stats) {
+func (e *Engine) evalCandidate(s *searcher, c *candidate, rule1, rule2 bool, theta *pipeTheta, ws *Stats) {
 	defer func() {
 		if r := recover(); r != nil {
 			c.err = newPanicError("core.parallel.worker", r)

@@ -37,7 +37,7 @@ type searcher struct {
 	// construction, so a long BFS started under a stale threshold still
 	// benefits from results finalized since (DESIGN.md §8). liveDist is
 	// the current candidate's spatial distance, set per call.
-	liveTheta *atomicFloat64
+	liveTheta *pipeTheta
 	liveDist  float64
 
 	// curSpan is the trace span of the candidate currently being

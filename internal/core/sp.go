@@ -33,7 +33,7 @@ func (e *Engine) SP(q Query, opts Options) (results []Result, stats *Stats, err 
 		return nil, stats, err
 	}
 	defer e.releasePrep(pq)
-	hk := newTopK(q.K)
+	hk := newTopK(q.K, opts.Bound)
 	if pq.answerable && q.K > 0 {
 		if err := e.spLoop(pq, opts, hk, stats); err != nil {
 			return nil, stats, err

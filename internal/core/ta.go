@@ -15,7 +15,9 @@ import (
 // distance (R-tree nearest-neighbour search). Fagin's threshold algorithm
 // combines them: each sorted access completes the other attribute on the
 // fly, and search stops when the kth candidate's score reaches
-// τ = f(L_last, S_last).
+// τ = f(L_last, S_last). TA ignores Options.Bound, like it ignores
+// Options.Window: it is the comparison baseline, never a sharded tile's
+// fast path, and always returns its private top-k.
 func (e *Engine) TA(q Query, opts Options) (results []Result, stats *Stats, err error) {
 	start := time.Now()
 	stats = &Stats{}
@@ -30,7 +32,7 @@ func (e *Engine) TA(q Query, opts Options) (results []Result, stats *Stats, err 
 		return nil, stats, err
 	}
 	defer e.releasePrep(pq)
-	hk := newTopK(q.K)
+	hk := newTopK(q.K, nil)
 	if pq.answerable && q.K > 0 {
 		e.taLoop(pq, opts, hk, stats)
 	}

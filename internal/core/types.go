@@ -80,6 +80,15 @@ type Options struct {
 	// a parallel run). All span calls are nil-safe, so a nil Trace costs
 	// nothing. The caller owns the trace and calls Finish/JSON on it.
 	Trace *obs.Trace
+	// Bound, when non-nil, is a top-k threshold shared with other
+	// evaluations of the same query over disjoint place sets (the tiles
+	// of a scatter-gather): BSP/SPP/SP offer every place they admit to
+	// their top-k into it and treat its θ as a ceiling on their own, so
+	// places that k places elsewhere already beat are never constructed.
+	// The returned list is then this evaluation's share of the joint
+	// top-k rather than its private top-k. In-process only — set by the
+	// shard coordinator, by no CLI or HTTP surface. TA ignores it.
+	Bound *Bound
 }
 
 // workers resolves Options.Parallelism to a worker count.

@@ -25,6 +25,11 @@ type WideShard struct {
 	Attempts int    `json:"attempts,omitempty"`
 	Hedged   bool   `json:"hedged,omitempty"`
 	Micros   int64  `json:"micros,omitempty"`
+	// GatedMicros is how long the shard was held back for the nearer
+	// tiles' head start; ThetaAtStart the gather's θ when it was
+	// dispatched or pruned (omitted while +Inf).
+	GatedMicros  int64   `json:"gatedMicros,omitempty"`
+	ThetaAtStart float64 `json:"thetaAtStart,omitempty"`
 }
 
 // WideEvent is one query's canonical record: shape, plan, phase

@@ -128,8 +128,10 @@ func TestShardedSearchDegradedOnShardFailure(t *testing.T) {
 	cfg.BreakerThreshold = 100 // keep the breaker out of this test
 	srv, _ := shardedServer(t, ds, cfg, append(localShards(t, ds, 1), dead)...)
 
+	// k=3 over two qualifying places: the live tile never establishes θ,
+	// so the dead shard cannot be pruned and must be called.
 	var got SearchResponse
-	resp := getJSON(t, srv.URL+"/search?x=0&y=0&kw=roman,history&k=2", &got)
+	resp := getJSON(t, srv.URL+"/search?x=0&y=0&kw=roman,history&k=3", &got)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d, want 200 (sound partial)", resp.StatusCode)
 	}
@@ -157,6 +159,20 @@ func TestShardedSearchDegradedOnShardFailure(t *testing.T) {
 	}
 	if deadStatus == nil || deadStatus.State != shard.StateError || deadStatus.Error == "" {
 		t.Fatalf("dead shard status = %+v, want error state with detail", deadStatus)
+	}
+
+	// With k=2 the live tile establishes θ during its head start, the far
+	// dead shard is pruned unseen, and the answer is exact: a dead shard
+	// that provably holds nothing degrades nothing.
+	got = SearchResponse{}
+	getJSON(t, srv.URL+"/search?x=0&y=0&kw=roman,history&k=2", &got)
+	if got.Partial || got.Degraded || len(got.Results) != 2 {
+		t.Fatalf("k=2: partial=%v degraded=%v results=%+v, want the exact pair", got.Partial, got.Degraded, got.Results)
+	}
+	for _, st := range got.Shards {
+		if st.Shard == "dead" && (st.State != shard.StatePruned || st.ThetaAtStart == 0) {
+			t.Fatalf("k=2: dead shard status = %+v, want pruned under a finite θ", st)
+		}
 	}
 }
 
@@ -364,7 +380,12 @@ func TestHammerShardChaos(t *testing.T) {
 	faultinject.Deactivate()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		var got SearchResponse
+		// A breaker still open from the chaos answers 503, whose body spells
+		// "degraded" as a reason string; decode only what both shapes share.
+		var got struct {
+			Results []SearchResult `json:"results"`
+			Partial bool           `json:"partial"`
+		}
 		resp := getJSON(t, srv.URL+"/search?x=0&y=0&kw=roman,history&k=2", &got)
 		if resp.StatusCode == http.StatusOK && !got.Partial && len(got.Results) == 2 {
 			break
@@ -377,5 +398,54 @@ func TestHammerShardChaos(t *testing.T) {
 	up, total := s.Shards.Healthy()
 	if up != total {
 		t.Errorf("post-chaos Healthy() = %d/%d", up, total)
+	}
+}
+
+// The head start shows on every surface: the far tile's status row says
+// which θ it met and that it was held, EXPLAIN's dispatch table and the
+// slow-query wide event repeat exactly that row, and the gate histogram
+// counts the held call.
+func TestShardedGateObservability(t *testing.T) {
+	ds := fixtureDS(t)
+	s := New(ds)
+	s.EnableSlowLog(8, 0) // zero threshold: every query is retained
+	coord, err := shard.New(localShards(t, ds, 2), quietShardCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(coord.Close)
+	s.AttachShards(coord)
+	srv := httptest.NewServer(s)
+	t.Cleanup(srv.Close)
+
+	// k=1 from the origin: the Abbey's tile establishes θ = 2·√2, the
+	// Fort's tile (MinDist √50) waits for it and is then pruned.
+	var got SearchResponse
+	getJSON(t, srv.URL+"/search?x=0&y=0&kw=roman,history&k=1&explain=1", &got)
+	if len(got.Shards) != 2 || got.Explain == nil || len(got.Explain.Shards) != 2 {
+		t.Fatalf("response lacks the dispatch tables: shards=%+v explain=%+v", got.Shards, got.Explain)
+	}
+	near, far := got.Shards[0], got.Shards[1]
+	if near.State != shard.StateOK || near.GatedMicros != 0 || near.ThetaAtStart != 0 {
+		t.Errorf("nearest tile = %+v, want ok, never held, no θ at start", near)
+	}
+	if far.State != shard.StatePruned || far.ThetaAtStart != got.Results[0].Score {
+		t.Errorf("far tile = %+v, want pruned under θ = %v", far, got.Results[0].Score)
+	}
+	ex := got.Explain.Shards[1]
+	if ex.GatedMicros != far.GatedMicros || ex.ThetaAtStart != far.ThetaAtStart {
+		t.Errorf("EXPLAIN row %+v disagrees with status %+v", ex, far)
+	}
+
+	var slow DebugSlowResponse
+	getJSON(t, srv.URL+"/debug/slow", &slow)
+	if len(slow.Queries) != 1 || len(slow.Queries[0].Shards) != 2 {
+		t.Fatalf("slow log = %+v, want one event with two shard rows", slow.Queries)
+	}
+	if ws := slow.Queries[0].Shards[1]; ws.GatedMicros != far.GatedMicros || ws.ThetaAtStart != far.ThetaAtStart {
+		t.Errorf("wide-event row %+v disagrees with status %+v", ws, far)
+	}
+	if n := scrape(t, srv.URL)["ksp_shard_gate_wait_seconds_count"]; n != 1 {
+		t.Errorf("ksp_shard_gate_wait_seconds_count = %v, want 1 (the far tile)", n)
 	}
 }

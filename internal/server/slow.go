@@ -98,6 +98,9 @@ func (s *Server) noteWide(rec obs.QueryRecord, traceID string, window int, maxDi
 			Attempts: st.Attempts,
 			Hedged:   st.Hedged,
 			Micros:   st.Micros,
+
+			GatedMicros:  st.GatedMicros,
+			ThetaAtStart: st.ThetaAtStart,
 		})
 	}
 	//ksplint:ignore determinism -- wide-event wall-clock stamp; never feeds result ranking
@@ -120,6 +123,9 @@ func explainShards(statuses []shard.Status) []ksp.ExplainShard {
 			Hedged:   st.Hedged,
 			Micros:   st.Micros,
 			Error:    st.Error,
+
+			GatedMicros:  st.GatedMicros,
+			ThetaAtStart: st.ThetaAtStart,
 		})
 	}
 	return out

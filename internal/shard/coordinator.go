@@ -1,13 +1,15 @@
 package shard
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ksp"
@@ -26,7 +28,7 @@ const (
 	StateError = "error"
 	// StateOpen: the circuit breaker rejected the call without trying.
 	StateOpen = "open"
-	// StatePruned: the shard's MinDist could not beat the top-k
+	// StatePruned: the shard's MinDist floor lies above the top-k
 	// threshold established by nearer shards — exactness is unaffected.
 	StatePruned = "pruned"
 	// StateSkipped: the shard lies entirely beyond Request.MaxDist.
@@ -55,19 +57,27 @@ type Status struct {
 	MinDist float64 `json:"minDist"`
 	Order   int     `json:"order"`
 	Breaker string  `json:"breaker,omitempty"`
+	// GatedMicros is how long the dispatcher held this shard back to give
+	// nearer tiles a head start (0 for the nearest shard and whenever
+	// nothing was worth waiting for). ThetaAtStart is the gather's shared
+	// θ when the shard was dispatched — or pruned; omitted while no
+	// threshold existed (+Inf).
+	GatedMicros  int64   `json:"gatedMicros,omitempty"`
+	ThetaAtStart float64 `json:"thetaAtStart,omitempty"`
 }
 
 // Gather is a merged scatter-gather answer. When every dispatched shard
 // answered completely, Results is bit-identical to a single-shard run
 // over the union dataset (DESIGN.md §14); otherwise Partial is set,
-// Bound floors the score of every place the gather could not account
-// for, and each Result is Exact exactly when its score beats Bound.
+// Bound floors the score of every place a lost or partial shard did not
+// account for, and each Result is Exact exactly when its score beats
+// Bound.
 type Gather struct {
 	Results []Result
 	Partial bool
-	// Bound is the global Lemma-1 floor: min over failed shards'
-	// MinScore(MinDist) and partial shards' reported bounds. Meaningful
-	// only when Partial.
+	// Bound is the global Lemma-1 floor over the places a lost or partial
+	// shard did not account for: min over failed shards' MinScore(MinDist)
+	// and partial shards' reported bounds. Meaningful only when Partial.
 	Bound float64
 	// Degraded reports that at least one shard failed, was tripped, or
 	// answered partially — the machine-readable reason strings are in
@@ -105,10 +115,10 @@ type Config struct {
 	// HealthInterval paces the background health checker. 0 selects the
 	// default 2s, negative disables the checker.
 	HealthInterval time.Duration
-	// FanOut bounds concurrent shard calls per gather; shards dispatch
-	// in ascending MinDist order, so a small FanOut lets near shards
-	// establish θ before far shards are considered (enabling pruning).
-	// 0 dispatches all shards at once.
+	// FanOut bounds concurrent shard calls per gather (a resource cap:
+	// shards dispatch in ascending MinDist order and the next one waits
+	// for a free slot). 0 leaves the gather uncapped. It is not what makes
+	// the θ-prune effective — the head start of Search is.
 	FanOut int
 	// Seed fixes the retry-jitter sequence. Default 1.
 	Seed int64
@@ -175,6 +185,9 @@ type Coordinator struct {
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
+
+	// gateWait observes how long gated tiles were held (EnableMetrics).
+	gateWait atomic.Pointer[obs.Histogram]
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -344,10 +357,69 @@ type slot struct {
 	resp      *Response
 }
 
+// livePublisher marks a shard that offers into Request.Bound while it
+// evaluates (Local). Only such a shard can establish θ before it
+// returns, so only such a shard is worth holding farther tiles back for.
+type livePublisher interface{ publishesLive() }
+
+// headStart is the dispatcher's gate (DESIGN.md §14.2): it keeps the
+// tiles behind the nearest from running blind. Speculating before a
+// threshold exists is what made every tile a full private top-k; once θ
+// is established — or waiting for it stops being worthwhile — the rest
+// run concurrently under the live shared θ. Owned by the dispatch loop.
+type headStart struct {
+	established <-chan struct{}
+	delay       time.Duration
+	timer       *time.Timer // armed by the first wait
+	// liveDone receives one token per finished live-publishing call;
+	// live counts those still in flight.
+	liveDone chan struct{}
+	live     int
+	open     bool
+}
+
+// wait holds the next tile until the bound is established, no nearer
+// live-publishing tile is still in flight, the delay has passed since
+// the first wait, or ctx ends. It reports how long it held the tile, by
+// the given clock, and whether it held it at all.
+func (h *headStart) wait(ctx context.Context, now func() time.Time) (time.Duration, bool) {
+	if h.open || h.live == 0 {
+		return 0, false
+	}
+	start := now()
+	if h.timer == nil {
+		h.timer = time.NewTimer(h.delay)
+	}
+	for !h.open && h.live > 0 {
+		select {
+		case <-h.established:
+			h.open = true
+		case <-h.liveDone:
+			h.live--
+		case <-h.timer.C:
+			h.open = true
+		case <-ctx.Done():
+			h.open = true
+		}
+	}
+	return now().Sub(start), true
+}
+
+func (h *headStart) stop() {
+	if h.timer != nil {
+		h.timer.Stop()
+	}
+}
+
 // Search fans req out and merges the per-shard answers. It returns
 // ErrAllShardsFailed (with per-shard detail in the returned Gather)
 // when no shard produced any response, and ctx.Err() when the caller
 // gave up; every other degradation returns a sound partial Gather.
+//
+// The gather runs under one threshold: a fresh Bound travels to every
+// shard in the request, Local tiles evaluate under it and publish into
+// it as they go, and every completed response is offered into it as
+// well, so Remote peers and partial answers tighten it too.
 func (c *Coordinator) Search(ctx context.Context, req Request) (*Gather, error) {
 	if req.K < 1 {
 		return nil, &permanentError{err: errors.New("shard: K must be positive")}
@@ -370,14 +442,14 @@ func (c *Coordinator) Search(ctx context.Context, req Request) (*Gather, error) 
 		}
 		slots[i] = sl
 	}
-	// Dispatch in ascending MinDist order (ties by name for
-	// determinism): with a bounded FanOut, near shards establish θ
-	// before far shards are considered, making the θ-prune effective.
-	sort.Slice(slots, func(i, j int) bool {
-		if slots[i].minDist != slots[j].minDist {
-			return slots[i].minDist < slots[j].minDist
+	// Dispatch in ascending MinDist order (ties by name, a total order
+	// over the distinct shard names): the nearest tile is the likeliest
+	// to hold the answer, so it gets the head start.
+	slices.SortFunc(slots, func(a, b *slot) int {
+		if a.minDist != b.minDist {
+			return cmp.Compare(a.minDist, b.minDist)
 		}
-		return slots[i].status.Shard < slots[j].status.Shard
+		return cmp.Compare(a.status.Shard, b.status.Shard)
 	})
 	for i, sl := range slots {
 		sl.status.MinDist = sl.minDist
@@ -392,27 +464,12 @@ func (c *Coordinator) Search(ctx context.Context, req Request) (*Gather, error) 
 		req.TraceID = tr.ID()
 	}
 
-	var (
-		mu     sync.Mutex
-		merged []Result
-	)
-	// theta is the current kth-best merged score (+Inf below k results).
-	// Every merged result is a genuine (place, score) pair — partial
-	// shards too — so θ only over-estimates the final threshold and a
-	// MinScore(minDist) ≥ θ prune can never drop a top-k member.
-	theta := func() float64 {
-		mu.Lock()
-		defer mu.Unlock()
-		if len(merged) < req.K {
-			return math.Inf(1)
-		}
-		scores := make([]float64, len(merged))
-		for i, r := range merged {
-			scores[i] = r.Score
-		}
-		sort.Float64s(scores)
-		return scores[req.K-1]
-	}
+	// Every offer is a genuine (place, score) pair — partial shards' too —
+	// so the bound's θ only over-estimates the final threshold, and
+	// neither a tile discarding places above it nor a MinScore(minDist) > θ
+	// prune can drop a top-k member.
+	bound := ksp.NewBound(req.K)
+	req.Bound = bound
 
 	// Divide the request's pipeline width across the shards this gather
 	// will actually call: every shard runs the same exact algorithm, so
@@ -440,6 +497,15 @@ func (c *Coordinator) Search(ctx context.Context, req Request) (*Gather, error) 
 		fanOut = len(slots)
 	}
 	sem := make(chan struct{}, fanOut)
+	gate := headStart{
+		established: bound.Established(),
+		delay:       c.cfg.HedgeAfter,
+		liveDone:    make(chan struct{}, len(slots)), // one send per slot at most
+	}
+	if gate.delay <= 0 {
+		gate.delay = c.cfg.AttemptTimeout
+	}
+	defer gate.stop()
 	var wg sync.WaitGroup
 	for _, sl := range slots {
 		if req.MaxDist > 0 && sl.hasBounds && sl.minDist > req.MaxDist {
@@ -447,10 +513,25 @@ func (c *Coordinator) Search(ctx context.Context, req Request) (*Gather, error) 
 			continue
 		}
 		sem <- struct{}{} // dispatch-order admission: at most fanOut in flight
-		if th := theta(); c.cfg.Rank.MinScore(sl.minDist) >= th {
+		if held, ok := gate.wait(ctx, c.clock); ok {
+			sl.status.GatedMicros = held.Microseconds()
+			c.gateWait.Load().Observe(held.Seconds())
+		}
+		th := bound.Theta()
+		if !math.IsInf(th, 1) {
+			sl.status.ThetaAtStart = th
+		}
+		// Strictly above θ, like every comparison against the shared
+		// threshold: a place scoring exactly θ may still win the merge's
+		// (score, place) tie-break, so its tile must be heard.
+		if c.cfg.Rank.MinScore(sl.minDist) > th {
 			sl.status.State = StatePruned
 			<-sem
 			continue
+		}
+		_, live := sl.st.shard.(livePublisher)
+		if live {
+			gate.live++
 		}
 		wg.Add(1)
 		go func(sl *slot) {
@@ -458,22 +539,26 @@ func (c *Coordinator) Search(ctx context.Context, req Request) (*Gather, error) 
 			defer func() { <-sem }()
 			c.callShard(ctx, sl, req, span)
 			if sl.resp != nil {
-				mu.Lock()
-				merged = append(merged, sl.resp.Results...)
-				mu.Unlock()
+				for _, r := range sl.resp.Results {
+					bound.Offer(r.Place, r.Score)
+				}
+			}
+			if live {
+				gate.liveDone <- struct{}{}
 			}
 		}(sl)
 	}
 	wg.Wait()
 
-	return c.merge(ctx, req, slots, merged)
+	return c.merge(ctx, req, slots)
 }
 
 // merge assembles the Gather from the per-shard outcomes: global top-k
 // by the engine's (score, place) order, the composed Lemma-1 floor, and
 // per-shard statuses.
-func (c *Coordinator) merge(ctx context.Context, req Request, slots []*slot, merged []Result) (*Gather, error) {
+func (c *Coordinator) merge(ctx context.Context, req Request, slots []*slot) (*Gather, error) {
 	g := &Gather{Shards: make([]Status, len(slots))}
+	var merged []Result
 	bound := math.Inf(1)
 	responded := 0
 	var firstErr error
@@ -504,6 +589,7 @@ func (c *Coordinator) merge(ctx context.Context, req Request, slots []*slot, mer
 		}
 		if sl.resp != nil {
 			g.Stats.Add(&sl.resp.Stats)
+			merged = append(merged, sl.resp.Results...)
 		}
 	}
 	if responded == 0 && g.Degraded {
@@ -516,11 +602,13 @@ func (c *Coordinator) merge(ctx context.Context, req Request, slots []*slot, mer
 		return g, ErrAllShardsFailed
 	}
 
-	sort.Slice(merged, func(i, j int) bool {
-		if merged[i].Score != merged[j].Score {
-			return merged[i].Score < merged[j].Score
+	// (score, place) is a total order over the gathered results — no place
+	// sits in two tiles — so the unstable sort is deterministic.
+	slices.SortFunc(merged, func(a, b Result) int {
+		if a.Score != b.Score {
+			return cmp.Compare(a.Score, b.Score)
 		}
-		return merged[i].Place < merged[j].Place
+		return cmp.Compare(a.Place, b.Place)
 	})
 	if len(merged) > req.K {
 		merged = merged[:req.K]

@@ -6,8 +6,9 @@ package shard_test
 // scores, same order — across shard counts, window directives, parallel
 // widths, and cache settings. The proof sketch is that each shard runs
 // the identical engine over a place-subset of the same graph (looseness
-// is a graph property, unaffected by partitioning), so the global top-k
-// is a subset of the union of per-shard top-ks, and the merge re-imposes
+// is a graph property, unaffected by partitioning) and discards only
+// places that k offered places strictly beat, so the global top-k is a
+// subset of the union of the per-shard answers, and the merge re-imposes
 // the engine's (score, place) order.
 
 import (
@@ -15,6 +16,7 @@ import (
 	"context"
 	"fmt"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"ksp"
@@ -47,9 +49,9 @@ func quietConfig() shard.Config {
 	return shard.Config{HedgeAfter: -1, HealthInterval: -1}
 }
 
-// localCoordinator partitions ds into n tiles and builds a coordinator
-// of Local shards over them.
-func localCoordinator(t *testing.T, ds *ksp.Dataset, n int) *shard.Coordinator {
+// localMembers partitions ds into n tiles and wraps each as a Local
+// shard; wrap, when non-nil, substitutes a test double around tile i.
+func localMembers(t *testing.T, ds *ksp.Dataset, n int, wrap func(i int, l *shard.Local) shard.Shard) []shard.Shard {
 	t.Helper()
 	tiles, err := ds.PartitionSpatial(n)
 	if err != nil {
@@ -57,14 +59,31 @@ func localCoordinator(t *testing.T, ds *ksp.Dataset, n int) *shard.Coordinator {
 	}
 	members := make([]shard.Shard, len(tiles))
 	for i, tile := range tiles {
-		members[i] = shard.NewLocal(fmt.Sprintf("tile%d", i), tile)
+		l := shard.NewLocal(fmt.Sprintf("tile%d", i), tile)
+		members[i] = l
+		if wrap != nil {
+			members[i] = wrap(i, l)
+		}
 	}
-	c, err := shard.New(members, quietConfig())
+	return members
+}
+
+// coordinatorOf builds a coordinator that the test's cleanup closes.
+func coordinatorOf(t *testing.T, cfg shard.Config, members ...shard.Shard) *shard.Coordinator {
+	t.Helper()
+	c, err := shard.New(members, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
 	return c
+}
+
+// localCoordinator partitions ds into n tiles and builds a coordinator
+// of Local shards over them.
+func localCoordinator(t *testing.T, ds *ksp.Dataset, n int) *shard.Coordinator {
+	t.Helper()
+	return coordinatorOf(t, quietConfig(), localMembers(t, ds, n, nil)...)
 }
 
 // requireIdentical asserts the gather matches the single-engine answer
@@ -89,45 +108,127 @@ func requireIdentical(t *testing.T, label string, want []ksp.Result, g *shard.Ga
 	}
 }
 
+// shardCounts is the tile-count axis of the equivalence sweeps.
+var shardCounts = []int{1, 2, 4, 7}
+
+// sweepEquivalence checks one query, at one K and radius, against the
+// single engine over shardCount × window × parallel.
+func sweepEquivalence(t *testing.T, label string, ds *ksp.Dataset, coords map[int]*shard.Coordinator, query ksp.Query, maxDist float64) {
+	t.Helper()
+	for _, window := range []int{0, 4} {
+		for _, parallel := range []int{0, 3} {
+			want, _, err := ds.SearchWith(ksp.AlgoSP, query, ksp.Options{
+				Window: window, Parallelism: parallel, MaxDist: maxDist,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			req := shard.Request{
+				X: query.Loc.X, Y: query.Loc.Y, Keywords: query.Keywords, K: query.K,
+				Algo: ksp.AlgoSP, Window: window, Parallel: parallel, MaxDist: maxDist,
+			}
+			for _, n := range shardCounts {
+				cell := fmt.Sprintf("%s/k%d/r%g/w%d/p%d/shards%d", label, query.K, maxDist, window, parallel, n)
+				g, err := coords[n].Search(context.Background(), req)
+				if err != nil {
+					t.Fatalf("%s: %v", cell, err)
+				}
+				requireIdentical(t, cell, want, g)
+			}
+		}
+	}
+}
+
+// tieFixture is a small graph built to hurt the shared threshold: six
+// places on one coordinate with one document (score exactly 5 from the
+// origin for "roman history", on place IDs that STR cuts across tiles),
+// a seventh reaching the same score through another (looseness,
+// distance) pair (2 × 2.5), two strictly better places, and a dozen
+// worse ones. Any K from 3 to 9 cuts through the tie class.
+func tieFixture() string {
+	var b strings.Builder
+	place := func(name string, x, y float64, label string) {
+		fmt.Fprintf(&b, "<ex:%s> <ex:label> %q .\n", name, label)
+		fmt.Fprintf(&b, "<ex:%s> <ex:hasGeometry> \"POINT(%g %g)\"^^<http://www.opengis.net/ont/geosparql#wktLiteral> .\n", name, x, y)
+	}
+	place("near1", 1, 0, "roman history")
+	place("near2", 0, 2, "roman history")
+	for i := 0; i < 6; i++ {
+		place(fmt.Sprintf("clone%d", i), 3, 4, "roman history")
+	}
+	place("hop", 2.5, 0, "roman")
+	b.WriteString("<ex:hop> <ex:near> <ex:annex> .\n<ex:annex> <ex:label> \"history\" .\n")
+	for i := 0; i < 12; i++ {
+		place(fmt.Sprintf("far%d", i), 6+float64(i), 1+float64(i%3), "roman history")
+	}
+	return b.String()
+}
+
 // Multi-shard scatter-gather is bit-identical to single-shard
-// evaluation across shardCount × window × parallel × cache.
+// evaluation across shardCount × window × parallel × cache, at K = 1,
+// the serving default 5 and a K beyond the place count, with and
+// without a MaxDist radius — and on exact score ties straddling rank K,
+// where a tile must keep a place scoring exactly the shared θ for the
+// merge's (score, place) tie-break to decide as the single engine does.
 func TestShardedEquivalence(t *testing.T) {
 	for _, cacheEntries := range []int{0, -1} {
 		cacheEntries := cacheEntries
 		t.Run(fmt.Sprintf("cache=%d", cacheEntries), func(t *testing.T) {
 			ds, qg := buildDataset(t, cacheEntries)
 			coords := map[int]*shard.Coordinator{}
-			for _, n := range []int{1, 2, 4, 7} {
+			for _, n := range shardCounts {
 				coords[n] = localCoordinator(t, ds, n)
 			}
+			beyond := ds.Stats().Places + 10
 			for qi := 0; qi < 4; qi++ {
 				loc, kws := qg.Original(3)
-				query := ksp.Query{Loc: ksp.Point{X: loc.X, Y: loc.Y}, Keywords: kws, K: 5}
-				for _, window := range []int{0, 4} {
-					for _, parallel := range []int{0, 3} {
-						want, _, err := ds.SearchWith(ksp.AlgoSP, query, ksp.Options{
-							Window: window, Parallelism: parallel,
-						})
-						if err != nil {
-							t.Fatal(err)
-						}
-						req := shard.Request{
-							X: query.Loc.X, Y: query.Loc.Y, Keywords: kws, K: query.K,
-							Algo: ksp.AlgoSP, Window: window, Parallel: parallel,
-						}
-						for _, n := range []int{1, 2, 4, 7} {
-							label := fmt.Sprintf("q%d/w%d/p%d/shards%d", qi, window, parallel, n)
-							g, err := coords[n].Search(context.Background(), req)
-							if err != nil {
-								t.Fatalf("%s: %v", label, err)
-							}
-							requireIdentical(t, label, want, g)
-						}
-					}
+				query := ksp.Query{Loc: ksp.Point{X: loc.X, Y: loc.Y}, Keywords: kws}
+				label := fmt.Sprintf("q%d", qi)
+				for _, k := range []int{1, 5, beyond} {
+					query.K = k
+					sweepEquivalence(t, label, ds, coords, query, 0)
 				}
+				query.K = 5
+				sweepEquivalence(t, label, ds, coords, query, 0.2)
 			}
 		})
 	}
+	// Ties are pinned for SP only: its stream is ordered by (α-bound,
+	// place ID), so arrival order agrees with the merge's tie-break. The
+	// distance-ordered BSP/SPP streams break equal distances by R-tree
+	// heap order, in the single engine and in every tile alike.
+	t.Run("ties", func(t *testing.T) {
+		ds, err := ksp.Open(strings.NewReader(tieFixture()), ksp.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		coords := map[int]*shard.Coordinator{}
+		straddled := false
+		for _, n := range shardCounts {
+			coords[n] = localCoordinator(t, ds, n)
+			tiles, err := ds.PartitionSpatial(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			holding := 0
+			for _, tile := range tiles {
+				if near := tile.NearestPlaces(ksp.Point{X: 3, Y: 4}, 1); len(near) == 1 && near[0].Dist == 0 {
+					holding++
+				}
+			}
+			straddled = straddled || holding > 1
+		}
+		if !straddled {
+			t.Fatal("fixture lost its point: no partition splits the co-located places across tiles")
+		}
+		query := ksp.Query{Keywords: []string{"roman", "history"}}
+		for _, k := range []int{1, 2, 3, 4, 5, 8, 9, 10, 40} {
+			query.K = k
+			sweepEquivalence(t, "ties", ds, coords, query, 0)
+		}
+		query.K = 4
+		sweepEquivalence(t, "ties", ds, coords, query, 5) // the radius passes through the tie class
+	})
 }
 
 // The same property through Remote shards: each tile served by a real

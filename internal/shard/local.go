@@ -34,6 +34,10 @@ func (l *Local) Bounds() (ksp.Rect, bool) { return l.bounds, l.hasBounds }
 // section reads per-shard dataset sizes through it).
 func (l *Local) Dataset() *ksp.Dataset { return l.ds }
 
+// publishesLive implements livePublisher: the engine offers into
+// Request.Bound as it admits places, long before Search returns.
+func (l *Local) publishesLive() {}
+
 // Search implements Shard: one engine evaluation under the context's
 // deadline and cancellation. A deadline or cancellation that fires
 // mid-evaluation yields the engine's sound partial prefix, not an
@@ -45,6 +49,7 @@ func (l *Local) Search(ctx context.Context, req Request) (*Response, error) {
 		Parallelism:  req.Parallel,
 		Window:       req.Window,
 		Cancel:       ctx.Done(),
+		Bound:        req.Bound,
 	}
 	if dl, ok := ctx.Deadline(); ok {
 		opts.Deadline = time.Until(dl)

@@ -23,6 +23,9 @@ type shardMetrics struct {
 // through live read-through functions, so /metrics always reflects the
 // current state machine.
 func (c *Coordinator) EnableMetrics(reg *obs.Registry) {
+	c.gateWait.Store(reg.Histogram("ksp_shard_gate_wait_seconds",
+		"Time a shard call was held back so nearer tiles could establish the gather's threshold first.",
+		obs.DefLatencyBuckets))
 	for _, st := range c.shards {
 		st := st
 		name := obs.Label{Key: "shard", Value: st.shard.Name()}

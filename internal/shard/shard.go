@@ -6,8 +6,10 @@
 // implementations exist — Local wraps an in-process *ksp.Dataset
 // (typically one tile of Dataset.PartitionSpatial), Remote speaks the
 // internal/server /search wire format over HTTP — and the Coordinator
-// makes them interchangeable: it fans a query out to the shards whose
-// MBR MinDist beats the current top-k threshold, wraps every call in
+// makes them interchangeable: it runs a gather under one shared top-k
+// threshold (the nearest tile gets a head start to establish it, Local
+// tiles evaluate under it, shards whose MBR MinDist cannot beat it are
+// pruned unseen), wraps every call in
 // per-attempt deadlines, bounded jittered retries, a hedged second
 // attempt for stragglers and a per-shard circuit breaker, and merges
 // the per-shard top-ks so that multi-shard answers are bit-identical to
@@ -85,6 +87,11 @@ type Request struct {
 	// sets both from the caller's context — callers never do.
 	Trace   bool
 	TraceID string
+	// Bound is the gather's shared top-k threshold (ksp.Options.Bound).
+	// The coordinator creates one per Search and sets it — callers never
+	// do. It exists in-process only: Local evaluates under it, Remote
+	// cannot send it and its peer evaluates under a private θ.
+	Bound *ksp.Bound
 }
 
 // Result is one semantic place in a shard response, in wire form: the

@@ -64,6 +64,14 @@ type Stats = core.Stats
 // parallelism, cancellation).
 type Options = core.Options
 
+// Bound is a top-k threshold shared by several evaluations of one query
+// over disjoint place sets (Options.Bound) — how the tiles of a sharded
+// gather cooperate on a single θ.
+type Bound = core.Bound
+
+// NewBound returns an empty shared threshold for a top-k query.
+func NewBound(k int) *Bound { return core.NewBound(k) }
+
 // CacheStats summarizes the cross-query looseness cache.
 type CacheStats = core.CacheStats
 

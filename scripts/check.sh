@@ -31,4 +31,9 @@ go build ./...
 echo "== go test -race =="
 go test -race ./...
 go test -race -tags faultinject ./...
+echo "== benchmark module =="
+# benchmark/ is a module of its own (./... does not reach it): it must
+# at least compile and pass its smoke test against the code it measures.
+go vet -C benchmark .
+go test -C benchmark ./...
 echo "OK"
