@@ -5,12 +5,13 @@
 // α from p, the shortest such distance. WN(N) of an R-tree node N is the
 // term-wise minimum over the places below N. Both are stored as inverted
 // files keyed by term, so that a query only loads the posting lists of its
-// keywords (the paper's Section 5 "Storage" paragraph); a QueryView then
-// evaluates the α-bounds on looseness for places (Lemma 2) and nodes
-// (Lemma 4) in O(|q.ψ|) map lookups.
+// keywords (the paper's Section 5 "Storage" paragraph); a QueryView
+// scatters them into a dense per-query table, from which the α-bounds on
+// looseness for places (Lemma 2) and nodes (Lemma 4) are one read each.
 package alpha
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -46,7 +47,7 @@ type Index struct {
 	// NodeIdx: term -> postings of (R-tree node ID, dg(N,t)).
 	NodeIdx invindex.Index
 
-	// qvPool recycles QueryViews (and the flat arrays inside them)
+	// qvPool recycles QueryViews (and the dense tables inside them)
 	// across queries; the zero value is ready to use, so composite
 	// literals constructing Index keep working.
 	qvPool sync.Pool
@@ -163,134 +164,150 @@ func (ix *Index) ApproxBytes() int64 {
 	return (p + n) * 5
 }
 
-// flatPostings is the keyword-relevant slice of one inverted file in
-// flat form: per keyword i, ids[off[i]:off[i+1]] are the ID-sorted
-// entries of WN containing that keyword and w holds the parallel
-// distances. Replacing the per-keyword map[uint32]uint8 with two dense
-// arrays removes the per-query map builds, the per-probe hashing, and
-// every pointer the GC would otherwise scan.
-type flatPostings struct {
-	off []int32
-	ids []uint32
-	w   []uint8
+// maxTerms is the largest keyword count a QueryView can hold: a cell
+// counts the keywords within α of an entry in eight bits. Distances are
+// bytes, so the sixteen-bit distance sum next to it has room for all of
+// them (255 × 255 < 2^16). core.MaxKeywords is well inside.
+const maxTerms = 255
+
+// boundTable is the keyword-relevant slice of one inverted file,
+// scattered into a dense array indexed by entry ID (place vertex ID or
+// R-tree node ID), so that a bound is one indexed read instead of a
+// binary search per keyword. A cell whose epoch is not the table's is
+// stale, which lets a recycled table skip the O(|V|) clear (as core's
+// denseMQ and seenSet do); an ID beyond the table was never scattered,
+// so every keyword is absent.
+type boundTable struct {
+	cell  []boundCell
+	epoch uint32
 }
 
-func (f *flatPostings) reset() {
-	f.off = append(f.off[:0], 0)
-	f.ids = f.ids[:0]
-	f.w = f.w[:0]
+// boundCell is what Lemmas 2 and 4 need of one entry, in eight bytes:
+// how many query keywords lie within α of it and the sum of their
+// distances, under the epoch of the query that wrote them.
+type boundCell struct {
+	epoch  uint32
+	sum    uint16
+	within uint8
 }
 
-// add appends one keyword's posting list as the next segment. Posting
-// lists arrive ID-sorted and deduplicated from both index
-// representations; defensively, out-of-order input (possible only from
-// corrupt disk data) falls back to an insertion fix-up with last-wins
-// duplicate semantics — exactly what the map construction used to
-// produce.
-func (f *flatPostings) add(pl []invindex.Posting) {
-	segStart := int(f.off[len(f.off)-1])
+// reset invalidates every cell for the next query.
+func (t *boundTable) reset() {
+	t.epoch++
+	if t.epoch == 0 { // stamp wrap: clear once every 2^32 queries
+		clear(t.cell)
+		t.epoch = 1
+	}
+}
+
+// scatter adds one keyword's posting list to the table. Both index
+// representations produce strictly ID-ascending lists; anything else can
+// only come out of a damaged index file and would count one keyword twice
+// for an entry, lifting its bound above Lemma 2's value, so it is an
+// error. The check runs before any cell is written.
+func (t *boundTable) scatter(pl []invindex.Posting) error {
+	if len(pl) == 0 {
+		return nil
+	}
+	for i := 1; i < len(pl); i++ {
+		if pl[i].ID <= pl[i-1].ID {
+			return fmt.Errorf("entry %d follows entry %d", pl[i].ID, pl[i-1].ID)
+		}
+	}
+	if need := int(pl[len(pl)-1].ID) + 1; need > len(t.cell) {
+		// New cells carry epoch 0, which no live table has: stale.
+		t.cell = append(t.cell, make([]boundCell, need-len(t.cell))...)
+	}
 	for _, p := range pl {
-		if n := len(f.ids); n > segStart && p.ID <= f.ids[n-1] {
-			f.fixUp(p, segStart)
-			continue
+		c := &t.cell[p.ID]
+		if c.epoch != t.epoch {
+			*c = boundCell{epoch: t.epoch}
 		}
-		f.ids = append(f.ids, p.ID)
-		f.w = append(f.w, p.Weight)
+		c.within++
+		c.sum += uint16(p.Weight)
 	}
-	f.off = append(f.off, int32(len(f.ids)))
+	return nil
 }
 
-// fixUp inserts p into the current (still-open) segment starting at lo,
-// keeping it sorted and overwriting an existing entry with the same ID.
-func (f *flatPostings) fixUp(p invindex.Posting, lo int) {
-	i := lo
-	for i < len(f.ids) && f.ids[i] < p.ID {
-		i++
-	}
-	if i < len(f.ids) && f.ids[i] == p.ID {
-		f.w[i] = p.Weight // last wins, matching map semantics
-		return
-	}
-	f.ids = append(f.ids, 0)
-	f.w = append(f.w, 0)
-	copy(f.ids[i+1:], f.ids[i:])
-	copy(f.w[i+1:], f.w[i:])
-	f.ids[i] = p.ID
-	f.w[i] = p.Weight
-}
-
-// dist looks id up in keyword kw's segment via a branch-light binary
-// search: the loop halves a [lo, lo+n) window with one predictable
-// comparison per step (no three-way branch), then a single equality
-// check resolves the hit.
-func (f *flatPostings) dist(kw int, id uint32) (uint8, bool) {
-	lo, hi := int(f.off[kw]), int(f.off[kw+1])
-	n := hi - lo
-	if n == 0 {
-		return 0, false
-	}
-	for n > 1 {
-		half := n >> 1
-		if f.ids[lo+half] <= id {
-			lo += half
+// bound returns 1 + Σ dg over the keywords within α of id + absent for
+// each of the m keywords that is not. Every addend of the lemma is a
+// small non-negative integer, so summing them as integers and converting
+// once gives the same float64, bit for bit, as adding them one keyword at
+// a time.
+func (t *boundTable) bound(id uint32, m, absent int) float64 {
+	if int(id) < len(t.cell) {
+		if c := t.cell[id]; c.epoch == t.epoch {
+			return float64(1 + int(c.sum) + (m-int(c.within))*absent)
 		}
-		n -= half
 	}
-	if f.ids[lo] == id {
-		return f.w[lo], true
-	}
-	return 0, false
+	return float64(1 + m*absent)
 }
 
 // QueryView holds the keyword-relevant slice of the neighbourhoods for
-// one query as flat sorted posting arrays (see flatPostings). Obtain
-// one from LoadQuery and return it with Release when the query
-// finishes; a released view must not be used again.
+// one query as two dense tables (see boundTable). Obtain one from
+// LoadQuery and return it with Release when the query finishes; a
+// released view must not be used again.
 type QueryView struct {
 	alpha int
 	m     int
-	place flatPostings
-	node  flatPostings
+	place boundTable
+	node  boundTable
 
 	owner *Index             // pool to return to; nil after Release
 	buf   []invindex.Posting // pooled read scratch for LoadQuery
 }
 
-// LoadQuery fetches the posting lists of the query keywords. The order of
-// terms fixes the keyword positions in the view. Views come from a pool
-// on the Index, so the warm path reuses the flat arrays instead of
-// building maps.
+// LoadQuery fetches the posting lists of the query keywords and scatters
+// them into the view's tables. A term listed twice counts as two
+// keywords. Views come from a pool on the Index, so the warm path reuses
+// the tables.
 func (ix *Index) LoadQuery(terms []uint32) (*QueryView, error) {
 	qv, _ := ix.qvPool.Get().(*QueryView)
 	if qv == nil {
 		qv = &QueryView{} //ksplint:ignore allocbound -- pool-miss refill; qvPool amortizes it across queries
 	}
 	qv.owner = ix
-	qv.alpha = ix.Alpha
-	qv.m = len(terms)
-	qv.place.reset()
-	qv.node.reset()
-	var err error
-	for _, t := range terms {
-		qv.buf, err = ix.PlaceIdx.Postings(t, qv.buf[:0])
-		if err != nil {
-			qv.Release()
-			return nil, err
-		}
-		qv.place.add(qv.buf)
-
-		qv.buf, err = ix.NodeIdx.Postings(t, qv.buf[:0])
-		if err != nil {
-			qv.Release()
-			return nil, err
-		}
-		qv.node.add(qv.buf)
+	if err := qv.fill(ix, terms); err != nil {
+		qv.Release()
+		return nil, err
 	}
 	return qv, nil
 }
 
+// fill points the view at a new keyword set: one epoch bump per table
+// drops whatever an earlier query left there, then each keyword's two
+// posting lists are read and scattered.
+func (qv *QueryView) fill(ix *Index, terms []uint32) error {
+	if len(terms) > maxTerms {
+		return fmt.Errorf("alpha: %d query terms, at most %d", len(terms), maxTerms)
+	}
+	qv.alpha = ix.Alpha
+	qv.m = len(terms)
+	qv.place.reset()
+	qv.node.reset()
+	for _, t := range terms {
+		if err := qv.scatterFrom(ix.PlaceIdx, &qv.place, t); err != nil {
+			return fmt.Errorf("alpha: place postings of term %d: %w", t, err)
+		}
+		if err := qv.scatterFrom(ix.NodeIdx, &qv.node, t); err != nil {
+			return fmt.Errorf("alpha: node postings of term %d: %w", t, err)
+		}
+	}
+	return nil
+}
+
+// scatterFrom reads term's posting list from src through the view's
+// scratch and scatters it into tab.
+func (qv *QueryView) scatterFrom(src invindex.Index, tab *boundTable, term uint32) error {
+	var err error
+	if qv.buf, err = src.Postings(term, qv.buf[:0]); err != nil {
+		return err
+	}
+	return tab.scatter(qv.buf)
+}
+
 // Release returns the view to its index's pool. Callers must drop every
-// reference: the arrays are reused by later LoadQuery calls. Safe to
+// reference: the tables are reused by later LoadQuery calls. Safe to
 // call more than once; only the first has effect.
 func (qv *QueryView) Release() {
 	if qv == nil || qv.owner == nil {
@@ -302,31 +319,12 @@ func (qv *QueryView) Release() {
 }
 
 // PlaceBound returns LαB(Tp) (Lemma 2): 1 + Σ dg over keywords found in
-// WN(p) + (α+1) for each keyword absent from it. The keyword loop and
-// the accumulation order are identical to the original map-based
-// implementation — every addend is a small non-negative integer, so the
-// float sums are bit-identical — and the lookups allocate nothing.
+// WN(p) + (α+1) for each keyword absent from it.
 func (qv *QueryView) PlaceBound(p uint32) float64 {
-	lb := 1.0
-	for i := 0; i < qv.m; i++ {
-		if d, ok := qv.place.dist(i, p); ok {
-			lb += float64(d)
-		} else {
-			lb += float64(qv.alpha + 1)
-		}
-	}
-	return lb
+	return qv.place.bound(p, qv.m, qv.alpha+1)
 }
 
 // NodeBound returns LαB(TN) (Lemma 4) for R-tree node nodeID.
 func (qv *QueryView) NodeBound(nodeID uint32) float64 {
-	lb := 1.0
-	for i := 0; i < qv.m; i++ {
-		if d, ok := qv.node.dist(i, nodeID); ok {
-			lb += float64(d)
-		} else {
-			lb += float64(qv.alpha + 1)
-		}
-	}
-	return lb
+	return qv.node.bound(nodeID, qv.m, qv.alpha+1)
 }

@@ -102,10 +102,11 @@ func randomGraph(t testing.TB, seed int64, n int) (*rdf.Graph, *rtree.RTree) {
 	return g, rtree.Bulk(items, 8)
 }
 
-// The tentpole property: flat QueryView bounds are bit-identical to the
-// map-based implementation across datasets × α × keyword sets, probed
-// at every place, every tree node, and out-of-index IDs. Float equality
-// here is exact (==), not approximate.
+// The tentpole property: the dense-table QueryView bounds are
+// bit-identical to the map-based implementation across datasets × α ×
+// keyword sets (repeated terms included), probed at every vertex, every
+// tree node, and IDs beyond both tables. Float equality here is exact
+// (==), not approximate.
 func TestFlatBoundsBitIdenticalToMaps(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		for _, alphaRadius := range []int{1, 3} {
@@ -113,7 +114,7 @@ func TestFlatBoundsBitIdenticalToMaps(t *testing.T) {
 			ix := Build(g, tree, alphaRadius, rdf.Outgoing)
 			rng := rand.New(rand.NewSource(seed * 1000))
 			for trial := 0; trial < 20; trial++ {
-				m := 1 + rng.Intn(4)
+				m := 1 + rng.Intn(6)
 				terms := make([]uint32, m)
 				for i := range terms {
 					// Mix known terms and IDs beyond the vocabulary.
@@ -124,7 +125,11 @@ func TestFlatBoundsBitIdenticalToMaps(t *testing.T) {
 					t.Fatal(err)
 				}
 				mv := loadMapView(t, ix, terms)
-				for _, p := range g.Places() {
+				vertices := []uint32{999999, ^uint32(0)}
+				for v := 0; v < g.NumVertices()+4; v++ {
+					vertices = append(vertices, uint32(v))
+				}
+				for _, p := range vertices {
 					if got, want := qv.PlaceBound(p), mv.placeBound(p); got != want {
 						t.Fatalf("seed %d α=%d terms %v: PlaceBound(%d) = %v, map %v",
 							seed, alphaRadius, terms, p, got, want)
@@ -146,37 +151,132 @@ func TestFlatBoundsBitIdenticalToMaps(t *testing.T) {
 	}
 }
 
+// checkView compares every bound of qv with the map reference for terms.
+func checkView(t *testing.T, label string, ix *Index, g *rdf.Graph, qv *QueryView, terms []uint32) {
+	t.Helper()
+	mv := loadMapView(t, ix, terms)
+	for v := uint32(0); int(v) < g.NumVertices(); v++ {
+		if got, want := qv.PlaceBound(v), mv.placeBound(v); got != want {
+			t.Fatalf("%s: terms %v: PlaceBound(%d) = %v, want %v", label, terms, v, got, want)
+		}
+		if got, want := qv.NodeBound(v), mv.nodeBound(v); got != want {
+			t.Fatalf("%s: terms %v: NodeBound(%d) = %v, want %v", label, terms, v, got, want)
+		}
+	}
+}
+
 // Released views must come back from the pool with correct contents for
-// the new keyword set — stale segments from a previous query must never
-// leak into bounds.
+// the new keyword set — cells a previous query wrote must never leak
+// into bounds.
 func TestQueryViewPoolReuse(t *testing.T) {
 	g, tree := randomGraph(t, 7, 300)
 	ix := Build(g, tree, 2, rdf.Outgoing)
 	rng := rand.New(rand.NewSource(99))
-	for round := 0; round < 50; round++ {
-		m := 1 + rng.Intn(5)
-		terms := make([]uint32, m)
+	randomTerms := func() []uint32 {
+		terms := make([]uint32, 1+rng.Intn(5))
 		for i := range terms {
 			terms[i] = uint32(rng.Intn(70))
 		}
+		return terms
+	}
+	for round := 0; round < 50; round++ {
+		terms := randomTerms()
 		qv, err := ix.LoadQuery(terms)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mv := loadMapView(t, ix, terms)
-		for _, p := range g.Places()[:10] {
-			if got, want := qv.PlaceBound(p), mv.placeBound(p); got != want {
-				t.Fatalf("round %d: PlaceBound(%d) = %v, want %v", round, p, got, want)
+		checkView(t, fmt.Sprintf("round %d", round), ix, g, qv, terms)
+		qv.Release()
+		qv.Release() // double release must be a no-op
+	}
+
+	// The pool hands views back at its own discretion, so the recycling
+	// itself is pinned on one view filled over and over: keyword counts
+	// change between fills, a fill with no known term leaves every cell
+	// stale, and the epoch stamp wraps on the way.
+	qv := &QueryView{}
+	fill := func(label string, terms []uint32) {
+		t.Helper()
+		if err := qv.fill(ix, terms); err != nil {
+			t.Fatal(err)
+		}
+		checkView(t, label, ix, g, qv, terms)
+	}
+	for round := 0; round < 20; round++ {
+		fill(fmt.Sprintf("refill %d", round), randomTerms())
+	}
+	fill("no known term", []uint32{5000, 5001})
+	qv.place.epoch, qv.node.epoch = ^uint32(0)-1, ^uint32(0)-1
+	for round := 0; round < 4; round++ {
+		fill(fmt.Sprintf("epoch wrap %d", round), randomTerms())
+	}
+	if qv.place.epoch != 3 || qv.node.epoch != 3 {
+		t.Errorf("epochs after the wrap = %d, %d, want 3 (cleared once, then counting on)", qv.place.epoch, qv.node.epoch)
+	}
+}
+
+// listIndex is an inverted file that serves its lists exactly as given,
+// sorted or not — what a damaged index file looks like from above.
+type listIndex map[uint32][]invindex.Posting
+
+func (l listIndex) Postings(term uint32, dst []invindex.Posting) ([]invindex.Posting, error) {
+	return append(dst, l[term]...), nil
+}
+func (l listIndex) NumTerms() int { return len(l) }
+func (l listIndex) NumPostings() int64 {
+	var n int64
+	for _, pl := range l {
+		n += int64(len(pl))
+	}
+	return n
+}
+
+// A posting list that is not strictly ID-ascending would count one
+// keyword twice for an entry (or skip the order the scatter relies on)
+// and could lift a bound above Lemma 2's value. LoadQuery must refuse it,
+// for either inverted file, and the view it was loading into must come
+// back clean.
+func TestLoadQueryRejectsUnsortedPostings(t *testing.T) {
+	good := []invindex.Posting{{ID: 2, Weight: 1}, {ID: 5, Weight: 2}, {ID: 9, Weight: 0}}
+	lists := listIndex{
+		0: good,
+		1: {{ID: 2, Weight: 1}, {ID: 5, Weight: 2}, {ID: 5, Weight: 1}}, // duplicated entry
+		2: {{ID: 2, Weight: 1}, {ID: 9, Weight: 2}, {ID: 5, Weight: 1}}, // out of order
+	}
+	for _, c := range []struct {
+		ix    *Index
+		bound func(*QueryView, uint32) float64
+	}{
+		{&Index{Alpha: 2, PlaceIdx: lists, NodeIdx: listIndex{}}, (*QueryView).PlaceBound},
+		{&Index{Alpha: 2, PlaceIdx: listIndex{}, NodeIdx: lists}, (*QueryView).NodeBound},
+	} {
+		for _, bad := range []uint32{1, 2} {
+			if qv, err := c.ix.LoadQuery([]uint32{0, bad}); err == nil {
+				qv.Release()
+				t.Errorf("LoadQuery accepted the damaged list of term %d", bad)
+			}
+		}
+		// Whatever the failed loads scattered before failing is gone.
+		qv, err := c.ix.LoadQuery([]uint32{0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id, want := range map[uint32]float64{2: 2, 5: 3, 9: 1, 3: 4, 100: 4} {
+			if got := c.bound(qv, id); got != want {
+				t.Errorf("bound(%d) = %v after a rejected load, want %v", id, got, want)
 			}
 		}
 		qv.Release()
-		qv.Release() // double release must be a no-op
+	}
+
+	if _, err := (&Index{Alpha: 2, PlaceIdx: lists, NodeIdx: listIndex{}}).LoadQuery(make([]uint32, maxTerms+1)); err == nil {
+		t.Errorf("LoadQuery accepted %d terms", maxTerms+1)
 	}
 }
 
 // PlaceBound and NodeBound must allocate nothing, and a warm
 // LoadQuery/Release cycle must stay allocation-free too (pooled view,
-// pooled scratch, reused flat arrays).
+// pooled scratch, reused tables).
 func TestBoundsZeroAllocWarm(t *testing.T) {
 	g, tree := randomGraph(t, 13, 400)
 	ix := Build(g, tree, 3, rdf.Outgoing)

@@ -204,7 +204,7 @@ func DefaultConfig(module string) Config {
 		MmapBoundaryPackages: []string{module},
 		PoolTypes: []PoolProtocol{
 			// The α query view: owner-pointer guard makes double-Release
-			// a documented no-op, but a released view's flat arrays are
+			// a documented no-op, but a released view's dense tables are
 			// already being refilled by someone else's LoadQuery.
 			{Type: module + "/internal/alpha.QueryView", Release: "Release", Idempotent: true},
 		},

@@ -15,9 +15,10 @@ import (
 //
 //   - exact: the true looseness (possibly +Inf for a place that cannot
 //     reach every keyword). An exact hit replaces the BFS entirely.
-//   - lower bound: the dynamic bound LB(Tp) reached when a previous
-//     construction was aborted by Pruning Rule 2. The bound is a
-//     graph-determined fact (Lemma 1: the true looseness is >= LB no
+//   - lower bound: the dynamic bound LB(Tp) = 1 + Σfound + (d+1)·|B|
+//     reached when a previous construction was aborted by Pruning Rule 2
+//     at the pop of a depth-d vertex (see getSemanticPlace). The bound is
+//     a graph-determined fact (Lemma 1: the true looseness is >= LB no
 //     matter which threshold caused the abort), so a later query may
 //     prune without a BFS whenever its own threshold lw <= LB.
 type looseCache struct {

@@ -73,7 +73,7 @@ func (e *Engine) EnableMetrics(reg *obs.Registry) {
 	m.tqsp = reg.Counter("ksp_engine_tqsp_computations_total",
 		"TQSP constructions (GETSEMANTICPLACE invocations).")
 	m.bfsVisits = reg.Counter("ksp_engine_bfs_vertex_visits_total",
-		"Vertices touched during TQSP construction.")
+		"Vertices expanded (popped) during TQSP construction.")
 	m.reach = reg.Counter("ksp_engine_reach_queries_total",
 		"Keyword reachability probes (Pruning Rule 1 input).")
 	for i := range m.prune {

@@ -86,8 +86,16 @@ const liveThetaEvery = 64
 
 // getSemanticPlace constructs the TQSP rooted at p (Algorithm 2) and, when
 // lw is finite, applies the dynamic-bound abort of Pruning Rule 2
-// (Algorithm 3): as soon as LB(Tp) = 1 + Σfound + d(p,v)·|B| reaches the
-// looseness threshold lw, construction stops.
+// (Algorithm 3). A vertex is tested against Mq.ψ when the BFS discovers
+// it — the root up front, every other vertex as it is stamped visited and
+// queued — not when it is popped. At the pop of a depth-d vertex every
+// vertex at distance <= d has therefore been discovered and matched, so
+// each keyword still open lies at distance >= d+1 and
+// LB(Tp) = 1 + Σfound + (d+1)·|B| is a lower bound on the looseness
+// (Lemma 1); construction stops as soon as it reaches lw, and stops with
+// the exact looseness the moment B empties. Queue order is discovery
+// order, so each keyword is matched at the same vertex, with the same
+// parent links, as a pop-time match would (DESIGN.md §5.1).
 //
 // It returns the looseness (or +Inf when no qualified semantic place is
 // rooted at p, or when Rule 2 fired) and, if requested, the materialized
@@ -101,6 +109,7 @@ func (s *searcher) getSemanticPlace(p uint32, lw float64) (float64, *Tree) {
 	g := s.e.G
 	dir := s.e.Dir
 	sc := s.scratch
+	mq := s.pq.mq
 
 	sc.epoch++
 	if sc.epoch == 0 {
@@ -109,6 +118,10 @@ func (s *searcher) getSemanticPlace(p uint32, lw float64) (float64, *Tree) {
 		}
 		sc.epoch = 1
 	}
+
+	// Locals, so the inner loop keeps them in registers: the compiler
+	// cannot rule out that a store to visited aliases a field.
+	visited, epoch, collect := sc.visited, sc.epoch, s.collect
 
 	b := s.pq.full // undiscovered keywords
 	foundSum := 0.0
@@ -123,7 +136,20 @@ func (s *searcher) getSemanticPlace(p uint32, lw float64) (float64, *Tree) {
 		}
 		sc.parent[p] = p
 	}
+	if mask := mq.get(p) & b; mask != 0 {
+		b &^= mask
+		if s.collect {
+			//ksplint:ignore allocbound -- result materialization (s.collect only)
+			matched = append(matched, matchRec{v: p, mask: mask})
+		}
+		if b == 0 && 1 >= lw {
+			// The root alone covers q.ψ, so L(Tp) = 1 exactly — and that
+			// already reaches the threshold.
+			return s.abortRule2(tq, q, 1)
+		}
+	}
 
+bfs:
 	for head := 0; head < len(q) && b != 0; head++ {
 		cur := q[head]
 		s.stats.BFSVertexVisits++
@@ -136,45 +162,42 @@ func (s *searcher) getSemanticPlace(p uint32, lw float64) (float64, *Tree) {
 			}
 		}
 
-		// Pruning Rule 2 (Lemma 1): every undiscovered keyword lies at
-		// distance >= d(p, cur).
-		lb := 1 + foundSum + float64(cur.dist)*float64(popcount(b))
+		// Pruning Rule 2 (Lemma 1): everything at distance <= d(p, cur)
+		// is already matched, so every open keyword lies one hop further
+		// at least.
+		next := cur.dist + 1
+		lb := 1 + foundSum + float64(next)*float64(popcount(b))
 		if lb >= lw {
-			s.stats.PrunedDynamicBound++
-			sc.queue = q
-			s.lastLB, s.lastExact = lb, false
-			tq.SetStr("outcome", "pruned-rule2")
-			return math.Inf(1), nil
+			return s.abortRule2(tq, q, lb)
 		}
 
-		if mask := s.pq.mq.get(cur.v) & b; mask != 0 {
-			foundSum += float64(popcount(mask)) * float64(cur.dist)
-			b &^= mask
-			if s.collect {
-				matched = append(matched, matchRec{v: cur.v, mask: mask})
-			}
-			if b == 0 {
-				break
-			}
+		var nbrs [2][]uint32
+		if dir != rdf.Incoming {
+			nbrs[0] = g.Out(cur.v)
 		}
-
-		push := func(w uint32) {
-			if sc.visited[w] != sc.epoch {
-				sc.visited[w] = sc.epoch
-				if s.collect {
+		if dir != rdf.Outgoing {
+			nbrs[1] = g.In(cur.v)
+		}
+		for _, ws := range nbrs {
+			for _, w := range ws {
+				if visited[w] == epoch {
+					continue
+				}
+				visited[w] = epoch
+				if collect {
 					sc.parent[w] = cur.v
 				}
-				q = append(q, bfsEnt{v: w, dist: cur.dist + 1})
-			}
-		}
-		if dir == rdf.Outgoing || dir == rdf.Undirected {
-			for _, w := range g.Out(cur.v) {
-				push(w)
-			}
-		}
-		if dir == rdf.Incoming || dir == rdf.Undirected {
-			for _, w := range g.In(cur.v) {
-				push(w)
+				q = append(q, bfsEnt{v: w, dist: next})
+				if mask := mq.get(w) & b; mask != 0 {
+					foundSum += float64(popcount(mask)) * float64(next)
+					b &^= mask
+					if collect {
+						matched = append(matched, matchRec{v: w, mask: mask})
+					}
+					if b == 0 {
+						break bfs
+					}
+				}
 			}
 		}
 	}
@@ -193,6 +216,17 @@ func (s *searcher) getSemanticPlace(p uint32, lw float64) (float64, *Tree) {
 		return loose, nil
 	}
 	return loose, s.buildTree(p, matched)
+}
+
+// abortRule2 ends a construction whose dynamic bound lb reached the
+// looseness threshold, handing the (possibly grown) queue back to the
+// scratch.
+func (s *searcher) abortRule2(tq *obs.Span, q []bfsEnt, lb float64) (float64, *Tree) {
+	s.stats.PrunedDynamicBound++
+	s.scratch.queue = q
+	s.lastLB, s.lastExact = lb, false
+	tq.SetStr("outcome", "pruned-rule2")
+	return math.Inf(1), nil
 }
 
 type matchRec struct {

@@ -160,7 +160,11 @@ type Stats struct {
 	// PrunedAlphaPlaces / PrunedAlphaNodes count Rules 3 and 4 prunings.
 	PrunedAlphaPlaces int64
 	PrunedAlphaNodes  int64
-	// BFSVertexVisits counts vertices touched during TQSP construction.
+	// BFSVertexVisits counts the vertices TQSP construction expanded:
+	// popped from the BFS queue to have their neighbours discovered (and,
+	// in the loose stream behind TA and keyword search, the (keyword,
+	// vertex) pairs its backward BFS reached). A vertex that is discovered
+	// and matched but never popped is not counted.
 	BFSVertexVisits int64
 	// CacheHits counts looseness-cache hits that returned an exact
 	// L(Tp) and skipped the BFS entirely; CacheBoundHits counts hits on

@@ -7,8 +7,12 @@ import "sort"
 // concurrent use.
 type Index struct {
 	comp []uint32
-	lin  [][]uint32 // per component: sorted ranks of landmarks reaching it
-	lout [][]uint32 // per component: sorted ranks of landmarks it reaches
+	// Per component c, lin[linOff[c]:linOff[c+1]] are the sorted ranks of
+	// the landmarks reaching c and lout[loutOff[c]:loutOff[c+1]] those of
+	// the landmarks c reaches: two blobs and two offset tables, not one
+	// slice header and one allocation per component.
+	lin, lout       []uint32
+	linOff, loutOff []uint32
 }
 
 // Build constructs the index from adjacency lists (out[v] are the
@@ -34,11 +38,10 @@ func Build(out [][]uint32) *Index {
 		rank[v] = uint32(r)
 	}
 
-	ix := &Index{
-		comp: scc.comp,
-		lin:  make([][]uint32, n),
-		lout: make([][]uint32, n),
-	}
+	// Labels grow by appending while the landmarks are processed; they are
+	// flattened once all are known.
+	lin := make([][]uint32, n)
+	lout := make([][]uint32, n)
 
 	// Pruned BFS per landmark in rank order.
 	visited := make([]uint32, n)
@@ -52,10 +55,10 @@ func Build(out [][]uint32) *Index {
 		visited[lm] = epoch
 		for head := 0; head < len(queue); head++ {
 			w := queue[head]
-			if ix.covered(lm, w) {
+			if intersects(lout[lm], lin[w]) {
 				continue // already answerable; prune subtree
 			}
-			ix.lin[w] = append(ix.lin[w], r)
+			lin[w] = append(lin[w], r)
 			for _, x := range dagOut[w] {
 				if visited[x] != epoch {
 					visited[x] = epoch
@@ -69,10 +72,10 @@ func Build(out [][]uint32) *Index {
 		visited[lm] = epoch
 		for head := 0; head < len(queue); head++ {
 			w := queue[head]
-			if w != lm && ix.covered(w, lm) {
+			if w != lm && intersects(lout[w], lin[lm]) {
 				continue
 			}
-			ix.lout[w] = append(ix.lout[w], r)
+			lout[w] = append(lout[w], r)
 			for _, x := range dagIn[w] {
 				if visited[x] != epoch {
 					visited[x] = epoch
@@ -81,13 +84,32 @@ func Build(out [][]uint32) *Index {
 			}
 		}
 	}
+	ix := &Index{comp: scc.comp}
+	ix.lin, ix.linOff = flatten(lin)
+	ix.lout, ix.loutOff = flatten(lout)
 	return ix
 }
 
-// covered reports whether the current labels already answer "u reaches w".
-// Labels are appended in increasing rank order, so they stay sorted.
-func (ix *Index) covered(u, w uint32) bool {
-	a, b := ix.lout[u], ix.lin[w]
+// flatten concatenates the per-component labels into one blob plus the
+// offsets that delimit them.
+func flatten(labels [][]uint32) (blob, off []uint32) {
+	total := 0
+	for _, l := range labels {
+		total += len(l)
+	}
+	blob = make([]uint32, 0, total)
+	off = make([]uint32, len(labels)+1)
+	for c, l := range labels {
+		blob = append(blob, l...)
+		off[c+1] = uint32(len(blob))
+	}
+	return blob, off
+}
+
+// intersects reports whether two rank-sorted labels share a landmark:
+// with a = Lout(u) and b = Lin(w), whether the labels answer "u reaches
+// w". Labels are appended in increasing rank order, so they are sorted.
+func intersects(a, b []uint32) bool {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
@@ -109,22 +131,17 @@ func (ix *Index) Reachable(u, v uint32) bool {
 	if cu == cv {
 		return true
 	}
-	return ix.covered(cu, cv)
+	return intersects(ix.lout[ix.loutOff[cu]:ix.loutOff[cu+1]], ix.lin[ix.linOff[cv]:ix.linOff[cv+1]])
 }
 
 // NumComponents returns the number of SCCs.
-func (ix *Index) NumComponents() int { return len(ix.lin) }
+func (ix *Index) NumComponents() int { return len(ix.linOff) - 1 }
 
 // LabelEntries returns the total label size (index-size statistic).
-func (ix *Index) LabelEntries() int64 {
-	var n int64
-	for i := range ix.lin {
-		n += int64(len(ix.lin[i]) + len(ix.lout[i]))
-	}
-	return n
-}
+func (ix *Index) LabelEntries() int64 { return int64(len(ix.lin) + len(ix.lout)) }
 
-// MemSize estimates the index footprint in bytes.
+// MemSize estimates the index footprint in bytes: component map, label
+// blobs and offset tables, four bytes an entry each.
 func (ix *Index) MemSize() int64 {
-	return int64(len(ix.comp))*4 + ix.LabelEntries()*4 + int64(len(ix.lin)+len(ix.lout))*24
+	return 4 * (int64(len(ix.comp)) + ix.LabelEntries() + int64(len(ix.linOff)+len(ix.loutOff)))
 }

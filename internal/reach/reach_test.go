@@ -80,6 +80,41 @@ func TestReachableChainAndCycle(t *testing.T) {
 	}
 }
 
+// The labels live in two blobs delimited by offset tables; the size
+// statistics must describe exactly that layout.
+func TestFlatLabelAccounting(t *testing.T) {
+	out := [][]uint32{{1}, {2}, {0, 3}, {4}, nil, nil} // cycle 0-1-2, tail 3-4, isolated 5
+	ix := Build(out)
+	if got := ix.NumComponents(); got != 4 {
+		t.Errorf("NumComponents = %d, want 4", got)
+	}
+	for name, l := range map[string]struct{ blob, off []uint32 }{
+		"lin": {ix.lin, ix.linOff}, "lout": {ix.lout, ix.loutOff},
+	} {
+		if len(l.off) != ix.NumComponents()+1 || l.off[0] != 0 || int(l.off[len(l.off)-1]) != len(l.blob) {
+			t.Errorf("%s: offsets %v do not delimit a blob of %d entries", name, l.off, len(l.blob))
+		}
+		for c := 1; c < len(l.off); c++ {
+			label := l.blob[l.off[c-1]:l.off[c]]
+			if len(label) == 0 {
+				t.Errorf("%s: component %d has no label (every component is at least its own landmark's)", name, c-1)
+			}
+			for i := 1; i < len(label); i++ {
+				if label[i] <= label[i-1] {
+					t.Errorf("%s: label of component %d not rank-sorted: %v", name, c-1, label)
+				}
+			}
+		}
+	}
+	entries := int64(len(ix.lin) + len(ix.lout))
+	if got := ix.LabelEntries(); got != entries {
+		t.Errorf("LabelEntries = %d, want %d", got, entries)
+	}
+	if got, want := ix.MemSize(), 4*(int64(len(out))+entries+2*5); got != want {
+		t.Errorf("MemSize = %d, want %d", got, want)
+	}
+}
+
 func randomDigraph(rng *rand.Rand, n, m int) [][]uint32 {
 	out := make([][]uint32, n)
 	for i := 0; i < m; i++ {

@@ -31,6 +31,13 @@ go build ./...
 echo "== go test -race =="
 go test -race ./...
 go test -race -tags faultinject ./...
+echo "== TQSP kernel + alpha table guards (race-free) =="
+# The race run above already covers the differential tests and the BFS
+# work guard; the warm zero-allocation half of TestBoundsZeroAllocWarm
+# holds only without the race detector, so the set runs once more plain,
+# exactly as CI's bench-guard job does.
+go test -run 'TestDiscoveryTimeBFSMatchesPopTime|TestBFSWorkGuard' ./internal/core/
+go test ./internal/alpha/
 echo "== benchmark module =="
 # benchmark/ is a module of its own (./... does not reach it): it must
 # at least compile and pass its smoke test against the code it measures.
