@@ -32,7 +32,7 @@ func main() {
 		kw       = flag.String("kw", "", "comma-separated query keywords")
 		k        = flag.Int("k", 5, "number of places to retrieve")
 		algoName = flag.String("algo", "SP", "algorithm: BSP | SPP | SP | TA")
-		alphaR   = flag.Int("alpha", 3, "α radius of the word-neighbourhood index (0 disables)")
+		alphaR   = flag.Int("alpha", 3, "α radius of the word-neighbourhood index (0 disables, at most 255)")
 		dirName  = flag.String("dir", "out", "tree direction: out | undirected")
 		workload = flag.String("workload", "", "run every query in this file instead of -at/-kw")
 		trees    = flag.Bool("trees", false, "print the semantic-place trees")

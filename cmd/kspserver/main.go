@@ -46,7 +46,7 @@ func main() {
 		snapshot = flag.String("snapshot", "", "snapshot produced by Dataset.Save (faster startup)")
 		mmap     = flag.Bool("mmap", false, "serve documents and α postings straight from the snapshot file via a read-only memory mapping (requires -snapshot; falls back to positioned reads where mmap is unavailable)")
 		addr     = flag.String("addr", ":8080", "listen address")
-		alphaR   = flag.Int("alpha", 3, "α radius (N-Triples loading only)")
+		alphaR   = flag.Int("alpha", 3, "α radius, at most 255 (N-Triples loading only)")
 		maxK     = flag.Int("maxk", 100, "largest k a request may ask for")
 		timeout  = flag.Duration("timeout", 10*time.Second, "per-query evaluation cap")
 		parallel = flag.Int("parallel", 0, "default pipeline workers per query (0 = serial; requests may override with ?parallel=, capped at GOMAXPROCS)")

@@ -232,7 +232,8 @@ func TestAlphaSizeGrowsWithAlpha(t *testing.T) {
 }
 
 // The parallel build must be deterministic: identical posting lists on
-// every run (the sort in invindex finalization erases worker scheduling).
+// every run (runs are stored by place and the counting sort walks the
+// places in ID order, so worker scheduling leaves no trace).
 func TestBuildDeterministic(t *testing.T) {
 	f := paperdata.Figure1()
 	items := make([]rtree.Item, 0, 2)

@@ -1,0 +1,348 @@
+package alpha
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"path/filepath"
+	"runtime"
+	"slices"
+	"testing"
+
+	"ksp/internal/gen"
+	"ksp/internal/invindex"
+	"ksp/internal/rdf"
+	"ksp/internal/rtree"
+)
+
+// diffGraph builds a random graph for the differential tests: cycles,
+// self-loops, multi-edges (two predicates between the same pair),
+// vertices with empty documents, places without out-edges, and — when
+// unusedTerms > 0 — a vocabulary whose trailing terms occur nowhere.
+// About one vertex in placeEvery is a place.
+func diffGraph(seed int64, n, placeEvery, unusedTerms int) *rdf.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	b := rdf.NewBuilder()
+	for i := 0; i < n; i++ {
+		v := b.AddBareVertex(fmt.Sprintf("v%d", i))
+		for j := rng.Intn(4); j > 0; j-- { // a quarter of the documents stay empty
+			// A few frequent terms and a tail spread over several termChunks.
+			w := rng.Intn(3 * termChunk)
+			if rng.Intn(2) == 0 {
+				w = int(rng.ExpFloat64() * 20)
+			}
+			b.AddTermID(v, b.Vocab.ID(fmt.Sprintf("w%d", w)))
+		}
+		if placeEvery > 0 && i%placeEvery == 0 {
+			b.SetLocation(v, geoPoint(rng.Float64()*100, rng.Float64()*100))
+			if rng.Intn(3) == 0 {
+				continue // a place that only has in-edges
+			}
+		}
+		for j := rng.Intn(3); j > 0 && i > 0; j-- {
+			w := uint32(rng.Intn(n))
+			if int(w) >= i {
+				w = uint32(rng.Intn(i))
+			}
+			b.AddEdge(v, w, "p")
+			switch rng.Intn(6) {
+			case 0:
+				b.AddEdge(v, w, "q") // multi-edge
+			case 1:
+				b.AddEdge(w, v, "q") // two-cycle
+			case 2:
+				b.AddEdge(v, v, "p") // self-loop
+			}
+		}
+	}
+	for i := 0; i < unusedTerms; i++ {
+		b.Vocab.ID(fmt.Sprintf("unused%d", i))
+	}
+	return b.Build()
+}
+
+func bulkTree(g *rdf.Graph, places []uint32, fanout int) *rtree.RTree {
+	items := make([]rtree.Item, len(places))
+	for i, p := range places {
+		items[i] = rtree.Item{ID: p, Loc: g.Loc(p)}
+	}
+	return rtree.Bulk(items, fanout)
+}
+
+// sameIndex demands that both inverted files of got equal want's, term
+// for term, over the whole vocabulary.
+func sameIndex(t *testing.T, label string, got, want *Index, numTerms int) {
+	t.Helper()
+	if got.Alpha != want.Alpha || got.Dir != want.Dir {
+		t.Fatalf("%s: alpha/dir %d/%v, want %d/%v", label, got.Alpha, got.Dir, want.Alpha, want.Dir)
+	}
+	files := []struct {
+		name      string
+		got, want invindex.Index
+	}{{"place", got.PlaceIdx, want.PlaceIdx}, {"node", got.NodeIdx, want.NodeIdx}}
+	for _, f := range files {
+		if f.got.NumTerms() != numTerms || f.want.NumTerms() != numTerms {
+			t.Fatalf("%s: %s NumTerms %d (reference %d), want the vocabulary's %d", label, f.name, f.got.NumTerms(), f.want.NumTerms(), numTerms)
+		}
+		if f.got.NumPostings() != f.want.NumPostings() {
+			t.Fatalf("%s: %s NumPostings %d, want %d", label, f.name, f.got.NumPostings(), f.want.NumPostings())
+		}
+		for term := 0; term < numTerms; term++ {
+			g, err := f.got.Postings(uint32(term), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := f.want.Postings(uint32(term), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(g, w) {
+				t.Fatalf("%s: %s postings of term %d:\n got %v\nwant %v", label, f.name, term, g, w)
+			}
+		}
+	}
+}
+
+// withProcs runs f at GOMAXPROCS 1 and 4: the build must not depend on
+// how many workers share it.
+func withProcs(t *testing.T, f func(t *testing.T)) {
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			f(t)
+		})
+	}
+}
+
+var diffDirs = []rdf.Direction{rdf.Outgoing, rdf.Incoming, rdf.Undirected}
+
+// The build's exactness contract: the map-free build produces the index
+// the map-based reference produces, list for list.
+func TestBuildMatchesReference(t *testing.T) {
+	// 480 vertices, 120 places: fan-out 128 keeps them in the root leaf,
+	// 16 gives leaves under a root, 4 a tree of height 4.
+	fanouts := []struct{ m, minHeight, maxHeight int }{{128, 1, 1}, {16, 2, 2}, {4, 3, 99}}
+	withProcs(t, func(t *testing.T) {
+		for seed := int64(1); seed <= 3; seed++ {
+			g := diffGraph(seed, 480, 4, int(seed)-1)
+			for _, fo := range fanouts {
+				tree := bulkTree(g, g.Places(), fo.m)
+				if h := tree.Height(); h < fo.minHeight || h > fo.maxHeight {
+					t.Fatalf("fan-out %d: height %d, want %d..%d", fo.m, h, fo.minHeight, fo.maxHeight)
+				}
+				for _, dir := range diffDirs {
+					for _, a := range []int{1, 2, 3, 5} {
+						label := fmt.Sprintf("seed=%d fanout=%d dir=%v alpha=%d", seed, fo.m, dir, a)
+						if g.Vocab.Len() <= termChunk {
+							t.Fatalf("vocabulary of %d terms fits one termChunk of %d: chunk borders go untested", g.Vocab.Len(), termChunk)
+						}
+						want := referenceBuild(g, tree, a, dir, g.Places())
+						sameIndex(t, label, Build(g, tree, a, dir), want, g.Vocab.Len())
+					}
+				}
+			}
+		}
+	})
+}
+
+// strTiles cuts the places into n tiles the way PartitionSpatial does;
+// within a tile the places are in STR order, not ascending.
+func strTiles(g *rdf.Graph, n int) [][]uint32 {
+	places := g.Places()
+	items := make([]rtree.Item, len(places))
+	for i, p := range places {
+		items[i] = rtree.Item{ID: p, Loc: g.Loc(p)}
+	}
+	per := (len(items) + n - 1) / n
+	rtree.STRSort(items, per)
+	tiles := make([][]uint32, n)
+	for i := range tiles {
+		lo, hi := min(i*per, len(items)), min((i+1)*per, len(items))
+		for _, it := range items[lo:hi] {
+			tiles[i] = append(tiles[i], it.ID)
+		}
+	}
+	return tiles
+}
+
+// BuildFor on a strict subset handed over in STR order, as
+// PartitionSpatial hands its tiles over.
+func TestBuildForSubsetMatchesReference(t *testing.T) {
+	withProcs(t, func(t *testing.T) {
+		g := diffGraph(5, 480, 4, 2)
+		unsorted := 0
+		for ti, tile := range strTiles(g, 3) {
+			if !slices.IsSorted(tile) {
+				unsorted++
+			}
+			for _, dir := range diffDirs {
+				for _, a := range []int{1, 3} {
+					tree := bulkTree(g, tile, 8)
+					label := fmt.Sprintf("tile=%d dir=%v alpha=%d", ti, dir, a)
+					sameIndex(t, label, BuildFor(g, tree, a, dir, tile), referenceBuild(g, tree, a, dir, tile), g.Vocab.Len())
+				}
+			}
+		}
+		if unsorted == 0 {
+			t.Fatal("every tile came out ascending: the test no longer covers STR order")
+		}
+	})
+}
+
+func TestBuildDegenerateMatchesReference(t *testing.T) {
+	withProcs(t, func(t *testing.T) {
+		cases := map[string]*rdf.Graph{
+			"zero places": diffGraph(7, 60, 0, 3),
+			"one place":   diffGraph(8, 60, 1000, 3),
+			"no vertices": rdf.NewBuilder().Build(),
+		}
+		for name, g := range cases {
+			for _, dir := range diffDirs {
+				for _, a := range []int{0, 1, 3} {
+					tree := bulkTree(g, g.Places(), 8)
+					label := fmt.Sprintf("%s dir=%v alpha=%d", name, dir, a)
+					sameIndex(t, label, Build(g, tree, a, dir), referenceBuild(g, tree, a, dir, g.Places()), g.Vocab.Len())
+				}
+			}
+		}
+	})
+}
+
+// A tile's index restricted from the parent's equals the one BuildFor
+// searches for again, on STR tilings, also when the parent's place file
+// is read from disk.
+func TestRestrictMatchesBuildFor(t *testing.T) {
+	withProcs(t, func(t *testing.T) {
+		g := diffGraph(9, 480, 4, 2)
+		for _, dir := range diffDirs {
+			parent := Build(g, bulkTree(g, g.Places(), 8), 3, dir)
+			path := filepath.Join(t.TempDir(), "place.idx")
+			if err := parent.PlaceIdx.(*invindex.MemIndex).WriteFile(path); err != nil {
+				t.Fatal(err)
+			}
+			disk, err := invindex.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			onDisk := &Index{Alpha: parent.Alpha, Dir: parent.Dir, PlaceIdx: disk, NodeIdx: parent.NodeIdx}
+			for _, n := range []int{2, 4, 7} {
+				for ti, tile := range strTiles(g, n) {
+					want := BuildFor(g, bulkTree(g, tile, 8), 3, dir, tile)
+					for name, from := range map[string]*Index{"memory": parent, "disk": onDisk} {
+						got, err := from.Restrict(bulkTree(g, tile, 8))
+						if err != nil {
+							t.Fatal(err)
+						}
+						sameIndex(t, fmt.Sprintf("dir=%v n=%d tile=%d parent=%s", dir, n, ti, name), got, want, g.Vocab.Len())
+					}
+				}
+			}
+			if err := disk.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+}
+
+// patchedIndex serves one term's list from its own fields — an error, or
+// a list as damaged as the test likes — and everything else from Index.
+type patchedIndex struct {
+	invindex.Index
+	term uint32
+	list []invindex.Posting
+	err  error
+}
+
+func (p patchedIndex) Postings(term uint32, dst []invindex.Posting) ([]invindex.Posting, error) {
+	if term == p.term {
+		return append(dst, p.list...), p.err
+	}
+	return p.Index.Postings(term, dst)
+}
+
+// A parent whose lists cannot be read, or are not ascending, is an error
+// of Restrict, not a wrong tile.
+func TestRestrictSurfacesDamage(t *testing.T) {
+	withProcs(t, func(t *testing.T) {
+		g := diffGraph(10, 480, 4, 0)
+		tree := bulkTree(g, g.Places(), 8)
+		parent := Build(g, tree, 2, rdf.Outgoing)
+		restrict := func(p patchedIndex) error {
+			p.Index = parent.PlaceIdx
+			_, err := (&Index{Alpha: 2, PlaceIdx: p, NodeIdx: parent.NodeIdx}).Restrict(tree)
+			return err
+		}
+
+		errRead := errors.New("read failed")
+		if err := restrict(patchedIndex{term: 17, err: errRead}); !errors.Is(err, errRead) {
+			t.Errorf("read failure: got %v, want it to wrap %v", err, errRead)
+		}
+		p0, p1 := g.Places()[0], g.Places()[1]
+		if err := restrict(patchedIndex{term: 3, list: []invindex.Posting{{ID: p1, Weight: 1}, {ID: p0, Weight: 2}}}); err == nil {
+			t.Error("an out-of-order parent list was restricted without error")
+		}
+		if err := restrict(patchedIndex{term: 3, list: []invindex.Posting{{ID: p0, Weight: 1}, {ID: p0, Weight: 2}}}); err == nil {
+			t.Error("a parent list with a duplicated place was restricted without error")
+		}
+	})
+}
+
+func TestCheckRadius(t *testing.T) {
+	for r, ok := range map[int]bool{-1: false, 0: true, 3: true, 255: true, 256: false, 300: false} {
+		if err := CheckRadius(r); (err == nil) != ok {
+			t.Errorf("CheckRadius(%d) = %v, want ok=%v", r, err, ok)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Build at radius 300 did not panic: distances would wrap modulo 256")
+		}
+	}()
+	g := diffGraph(1, 20, 4, 0)
+	Build(g, bulkTree(g, g.Places(), 8), 300, rdf.Outgoing)
+}
+
+// TestBuildAllocGuard is the build's allocation gate, in the style of
+// TestBFSWorkGuard: counts repeat, wall clock does not. On the Yago-like
+// fixture Build may allocate at most three times the bytes of the index
+// it returns (the map-based build allocated about ten times) and a number
+// of objects in the order of places + terms, not of postings.
+func TestBuildAllocGuard(t *testing.T) {
+	g := gen.Generate(gen.YagoConfig(6000, 7))
+	tree := bulkTree(g, g.Places(), rtree.DefaultMaxEntries)
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	ix := Build(g, tree, 3, rdf.Outgoing)
+	runtime.ReadMemStats(&after)
+
+	size := ix.PlaceIdx.(*invindex.MemIndex).MemSize() + ix.NodeIdx.(*invindex.MemIndex).MemSize()
+	bytes := int64(after.TotalAlloc - before.TotalAlloc)
+	objects := int64(after.Mallocs - before.Mallocs)
+	places, nodes := ix.NumPostings()
+	t.Logf("index %d bytes (%d + %d postings); build allocated %d bytes (%.2f x) in %d objects; %d places, %d terms",
+		size, places, nodes, bytes, float64(bytes)/float64(size), objects, len(g.Places()), g.Vocab.Len())
+	if bytes > 3*size {
+		t.Errorf("build allocated %d bytes, more than 3 x the %d of the index", bytes, size)
+	}
+	if limit := int64(len(g.Places()) + g.Vocab.Len()); objects > limit {
+		t.Errorf("build allocated %d objects, more than places + terms = %d", objects, limit)
+	}
+	if postings := places + nodes; objects > postings/10 {
+		t.Errorf("build allocated %d objects for %d postings: that is O(postings)", objects, postings)
+	}
+}
+
+func benchBuild(b *testing.B, build func(*rdf.Graph, *rtree.RTree, int, rdf.Direction, []uint32) *Index) {
+	g := gen.Generate(gen.YagoConfig(12000, 2))
+	tree := bulkTree(g, g.Places(), rtree.DefaultMaxEntries)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		build(g, tree, 3, rdf.Outgoing, g.Places())
+	}
+}
+
+func BenchmarkBuild(b *testing.B)          { benchBuild(b, BuildFor) }
+func BenchmarkBuildReference(b *testing.B) { benchBuild(b, referenceBuild) }

@@ -1,0 +1,116 @@
+package alpha
+
+import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+
+	"ksp/internal/invindex"
+	"ksp/internal/rdf"
+	"ksp/internal/rtree"
+)
+
+// The build BuildFor replaced, kept as the reference the differential
+// tests compare against: one map per place, every one kept alive, one more
+// per R-tree node merged bottom-up, and an invindex.Builder that sorts and
+// de-duplicates what it was handed.
+
+// ReferenceBuildFor lets the external test package reach the reference.
+var ReferenceBuildFor = referenceBuild
+
+// placeWN computes the α-radius word neighbourhood of one place
+// (Definition 5): term -> min graph distance within radius α.
+func placeWN(g *rdf.Graph, bfs *rdf.BFSState, p uint32, dir rdf.Direction, alphaRadius int) map[uint32]uint8 {
+	wn := make(map[uint32]uint8)
+	bfs.Run(p, dir, alphaRadius, func(v uint32, dist int) bool {
+		for _, t := range g.Doc(v) {
+			if old, ok := wn[t]; !ok || uint8(dist) < old {
+				wn[t] = uint8(dist)
+			}
+		}
+		return true
+	})
+	return wn
+}
+
+func referenceBuild(g *rdf.Graph, tree *rtree.RTree, alphaRadius int, dir rdf.Direction, places []uint32) *Index {
+	placeB := invindex.NewBuilder()
+	nodeB := invindex.NewBuilder()
+	placeB.Reserve(g.Vocab.Len())
+	nodeB.Reserve(g.Vocab.Len())
+
+	// Per-place neighbourhoods, one worker per CPU, each with its own
+	// BFS scratch.
+	wns := make([]map[uint32]uint8, len(places))
+	workers := runtime.GOMAXPROCS(0)
+	if workers > len(places) {
+		workers = len(places)
+	}
+	if workers > 1 {
+		var next int64 = -1
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				bfs := rdf.NewBFSState(g)
+				for {
+					i := int(atomic.AddInt64(&next, 1))
+					if i >= len(places) {
+						return
+					}
+					wns[i] = placeWN(g, bfs, places[i], dir, alphaRadius)
+				}
+			}()
+		}
+		wg.Wait()
+	} else if len(places) > 0 {
+		bfs := rdf.NewBFSState(g)
+		for i, p := range places {
+			wns[i] = placeWN(g, bfs, p, dir, alphaRadius)
+		}
+	}
+	placeWNByID := make(map[uint32]map[uint32]uint8, len(places))
+	for i, p := range places {
+		placeWNByID[p] = wns[i]
+		for t, d := range wns[i] {
+			placeB.Add(t, p, d)
+		}
+	}
+
+	// Bottom-up aggregation over the R-tree.
+	var walk func(n *rtree.Node) map[uint32]uint8
+	walk = func(n *rtree.Node) map[uint32]uint8 {
+		wn := make(map[uint32]uint8)
+		merge := func(src map[uint32]uint8) {
+			for t, d := range src {
+				if old, ok := wn[t]; !ok || d < old {
+					wn[t] = d
+				}
+			}
+		}
+		if n.Leaf {
+			for _, it := range n.Items {
+				merge(placeWNByID[it.ID])
+			}
+		} else {
+			for _, ch := range n.Children {
+				merge(walk(ch))
+			}
+		}
+		for t, d := range wn {
+			nodeB.Add(t, n.ID, d)
+		}
+		return wn
+	}
+	if tree.Len() > 0 {
+		walk(tree.Root())
+	}
+
+	return &Index{
+		Alpha:    alphaRadius,
+		Dir:      dir,
+		PlaceIdx: placeB.Build(),
+		NodeIdx:  nodeB.Build(),
+	}
+}

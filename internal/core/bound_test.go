@@ -120,7 +120,14 @@ func TestEnginesCooperateUnderBound(t *testing.T) {
 	full.EnableReach()
 	full.EnableAlpha(3)
 	places := g.Places()
-	halves := []*Engine{full.Subset(places[:len(places)/2]), full.Subset(places[len(places)/2:])}
+	var halves []*Engine
+	for _, half := range [][]uint32{places[:len(places)/2], places[len(places)/2:]} {
+		e, err := full.Subset(half)
+		if err != nil {
+			t.Fatal(err)
+		}
+		halves = append(halves, e)
+	}
 	qg := gen.NewQueryGen(g, rdf.Outgoing, 932)
 
 	for qi := 0; qi < 6; qi++ {

@@ -277,7 +277,9 @@ func (e *Engine) UseDiskDocIndexMode(path string, useMmap bool) (*invindex.DiskI
 	return disk, nil
 }
 
-// EnableAlpha builds the α-radius word neighbourhoods (Section 5).
+// EnableAlpha builds the α-radius word neighbourhoods (Section 5). It
+// panics, as alpha.Build does, on a radius alpha.CheckRadius rejects;
+// callers holding a user's value check it first (ksp.Config does).
 func (e *Engine) EnableAlpha(alphaRadius int) {
 	e.Alpha = alpha.Build(e.G, e.Tree, alphaRadius, e.Dir)
 }
@@ -292,6 +294,7 @@ func (e *Engine) SetAlpha(ix *alpha.Index) { e.Alpha = ix }
 // α-radius index with a different radius. All other (immutable) indexes
 // are shared — this is how the α-sweep experiment (Figure 6) avoids
 // rebuilding the R-tree, document index and reachability labels per α.
+// It panics where EnableAlpha does.
 func (e *Engine) WithAlpha(alphaRadius int) *Engine {
 	clone := *e
 	clone.Alpha = alpha.Build(e.G, e.Tree, alphaRadius, e.Dir)

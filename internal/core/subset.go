@@ -1,7 +1,8 @@
 package core
 
 import (
-	"ksp/internal/alpha"
+	"fmt"
+
 	"ksp/internal/rtree"
 )
 
@@ -9,8 +10,11 @@ import (
 // universe is restricted to places — the building block of spatial
 // sharding: semantic structure stays global (TQSPs may reach vertices
 // owned by other shards), only the GETNEXT stream is partitioned. The
-// R-tree and, when the receiver has one, the α-radius index are rebuilt
-// over the subset; everything graph-wide — document index, reachability
+// R-tree is rebuilt over the subset and, when the receiver has an
+// α-radius index, the subset's is restricted from it (alpha.Index.Restrict:
+// no BFS runs again; reading the receiver's lists can fail when they are
+// disk-resident, and that is the error returned); everything graph-wide —
+// document index, reachability
 // labels, looseness cache, scratch pools, metrics, scheduler and window
 // lifetime totals — is shared with the receiver, so per-shard queries
 // keep feeding the same observability counters.
@@ -18,7 +22,7 @@ import (
 // The grid source is dropped: Options.UseGrid is a whole-dataset
 // spatial-index ablation, not a sharding mode, and a query using it on a
 // subset engine fails like any grid-less engine.
-func (e *Engine) Subset(places []uint32) *Engine {
+func (e *Engine) Subset(places []uint32) (*Engine, error) {
 	clone := *e
 	items := make([]rtree.Item, len(places))
 	for i, p := range places {
@@ -28,10 +32,13 @@ func (e *Engine) Subset(places []uint32) *Engine {
 	clone.Grid = nil
 	if e.Alpha != nil {
 		// Node postings must line up with the new tree's node IDs, so the
-		// α index is rebuilt per shard; BuildFor scopes the BFS work to
-		// the shard's own places, keeping the total across shards equal
-		// to one full build.
-		clone.Alpha = alpha.BuildFor(e.G, clone.Tree, e.Alpha.Alpha, e.Dir, places)
+		// shard gets an index of its own; WN(p) of its places is already
+		// in the receiver's place file.
+		ix, err := e.Alpha.Restrict(clone.Tree)
+		if err != nil {
+			return nil, fmt.Errorf("core: restricting the α index to %d places: %w", len(places), err)
+		}
+		clone.Alpha = ix
 	}
 	if e.metrics != nil {
 		// The receiver's EnableMetrics hooked its own tree; the rebuilt
@@ -39,5 +46,5 @@ func (e *Engine) Subset(places []uint32) *Engine {
 		m := e.metrics
 		clone.Tree.OnNodeAccess = func() { m.rtree.Inc() }
 	}
-	return &clone
+	return &clone, nil
 }

@@ -14,12 +14,13 @@ package invindex
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"os"
-	"sort"
+	"slices"
 
 	"ksp/internal/mmapfile"
 )
@@ -102,34 +103,65 @@ func (b *Builder) Add(term uint32, id uint32, weight uint8) {
 	b.total++
 }
 
-// Build sorts every posting list by ID (keeping, for duplicate IDs, the
-// smallest weight) and returns an in-memory index.
+// Build returns an in-memory index whose posting lists are sorted by ID,
+// keeping for duplicate IDs the smallest weight. A list that was added
+// strictly ascending — every list FromGraph makes, and every list Merge
+// makes from ID-disjoint parts — is already final and is neither sorted
+// nor scanned for duplicates.
 func (b *Builder) Build() *MemIndex {
-	for t, pl := range b.lists {
-		sort.Slice(pl, func(i, j int) bool {
-			if pl[i].ID != pl[j].ID {
-				return pl[i].ID < pl[j].ID
-			}
-			return pl[i].Weight < pl[j].Weight
-		})
-		k := 0
-		for i, p := range pl {
-			if i > 0 && p.ID == pl[i-1].ID {
-				continue // keep first (smallest weight)
-			}
-			pl[k] = p
-			k++
-		}
-		b.lists[t] = pl[:k]
-	}
 	var total int64
-	for _, pl := range b.lists {
-		total += int64(len(pl))
+	for t, pl := range b.lists {
+		if !strictlyAscending(pl) {
+			slices.SortFunc(pl, func(x, y Posting) int {
+				if c := cmp.Compare(x.ID, y.ID); c != 0 {
+					return c
+				}
+				return cmp.Compare(x.Weight, y.Weight)
+			})
+			k := 0
+			for i, p := range pl {
+				if i > 0 && p.ID == pl[i-1].ID {
+					continue // keep first (smallest weight)
+				}
+				pl[k] = p
+				k++
+			}
+			b.lists[t] = pl[:k]
+		}
+		total += int64(len(b.lists[t]))
 	}
 	mi := &MemIndex{lists: b.lists, total: total}
 	b.lists = nil
 	b.total = 0
 	return mi
+}
+
+// strictlyAscending reports whether every posting's ID exceeds the one
+// before it: sorted, and free of duplicates.
+func strictlyAscending(pl []Posting) bool {
+	for i := 1; i < len(pl); i++ {
+		if pl[i].ID <= pl[i-1].ID {
+			return false
+		}
+	}
+	return true
+}
+
+// FromSorted wraps posting lists that were produced in order: lists[t] is
+// term t's, typically a sub-slice of an array shared with its neighbours.
+// The index keeps the lists as they are — no copy, no sort — and the
+// caller must not write to them again. This is the one place such a list
+// is validated: every list must be strictly ID-ascending, checked in one
+// linear pass; anything else is an error.
+func FromSorted(lists [][]Posting) (*MemIndex, error) {
+	var total int64
+	for t, pl := range lists {
+		if !strictlyAscending(pl) {
+			return nil, fmt.Errorf("invindex: term %d: posting list is not strictly ascending by ID", t)
+		}
+		total += int64(len(pl))
+	}
+	return &MemIndex{lists: lists, total: total}, nil
 }
 
 // MemIndex is the in-memory representation.
@@ -163,10 +195,15 @@ func (m *MemIndex) NonEmptyTerms() int64 {
 	return n
 }
 
-// MemSize estimates the in-memory footprint in bytes.
+// MemSize returns the in-memory footprint in bytes: a slice header per
+// term plus eight bytes per posting slot a list holds on to — its
+// capacity, so the room append left in a Builder's list counts, and a
+// FromSorted list cut to its length has none to spare.
 func (m *MemIndex) MemSize() int64 {
 	sz := int64(len(m.lists)) * 24
-	sz += m.total * 8
+	for _, pl := range m.lists {
+		sz += int64(cap(pl)) * 8
+	}
 	return sz
 }
 

@@ -342,6 +342,11 @@ func readSnapshot(h *sectionReader, cr *crcReader, disk *diskLoad) (*Snapshot, e
 	if err := h.end("alpha metadata"); err != nil {
 		return nil, err
 	}
+	if err := alpha.CheckRadius(s.AlphaRadius); err != nil {
+		// A radius whose distances cannot fit their byte: written by a
+		// build that wrapped them, or not written by Save at all.
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
 	s.Graph = b.Build()
 	if disk != nil {
 		if err := s.Graph.AttachExternalDocs(docLens, disk.src, docBase, disk.cacheEntries); err != nil {

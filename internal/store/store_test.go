@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -223,5 +224,27 @@ func TestAlphaIndexNilWithoutAlpha(t *testing.T) {
 	got := roundTrip(t, &Snapshot{Graph: f.G})
 	if got.AlphaIndex() != nil {
 		t.Error("AlphaIndex should be nil when none persisted")
+	}
+}
+
+// A snapshot that claims an α whose distances cannot fit their byte was
+// written by a build that wrapped them (or not by Save): it is refused
+// as corrupt, not served.
+func TestReadRejectsAlphaRadiusBeyondByte(t *testing.T) {
+	f := paperdata.Figure1()
+	e := core.NewEngine(f.G, rdf.Outgoing)
+	e.EnableAlpha(2)
+	var buf bytes.Buffer
+	err := Write(&buf, &Snapshot{
+		Graph:       f.G,
+		AlphaRadius: 300,
+		AlphaPlace:  e.Alpha.PlaceIdx,
+		AlphaNode:   e.Alpha.NodeIdx,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Read(&buf); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Read of an α = 300 snapshot: got %v, want ErrCorrupt", err)
 	}
 }

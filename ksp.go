@@ -31,6 +31,7 @@ import (
 	"sort"
 	"sync"
 
+	"ksp/internal/alpha"
 	"ksp/internal/core"
 	"ksp/internal/geo"
 	"ksp/internal/invindex"
@@ -208,7 +209,8 @@ type Config struct {
 	// Direction of semantic-tree growth; Outgoing matches the paper.
 	Direction Direction
 	// AlphaRadius is the α of the word-neighbourhood index; 0 disables it
-	// (and with it AlgoSP). The paper recommends α = 3.
+	// (and with it AlgoSP). The paper recommends α = 3. Values above 255
+	// are a construction error: a distance is stored in one byte.
 	AlphaRadius int
 	// Reachability enables the keyword reachability index behind Pruning
 	// Rule 1 (required by AlgoSPP).
@@ -248,6 +250,19 @@ type Config struct {
 	Stemming bool
 }
 
+// validate refuses what no index can be built for. AlphaRadius above
+// alpha.MaxRadius is the one such setting: distances are stored in a
+// byte, and a larger α would wrap them and lift the Lemma 2/4 bounds
+// above the true looseness — wrong answers, not slow ones.
+func (c Config) validate() error {
+	if c.AlphaRadius > 0 {
+		if err := alpha.CheckRadius(c.AlphaRadius); err != nil {
+			return fmt.Errorf("ksp: Config.AlphaRadius: %w", err)
+		}
+	}
+	return nil
+}
+
 func (c Config) analyzer() text.Analyzer {
 	return text.Analyzer{RemoveStopwords: c.RemoveStopwords, Stemming: c.Stemming}
 }
@@ -280,6 +295,9 @@ func (d *Dataset) Close() error {
 
 // Open parses N-Triples from r and indexes the data.
 func Open(r io.Reader, cfg Config) (*Dataset, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err // before the parse, not after it
+	}
 	b := rdf.NewBuilder()
 	b.Analyzer = cfg.analyzer()
 	if _, err := nt.Load(r, b); err != nil {
@@ -310,6 +328,9 @@ func finish(b *rdf.Builder, cfg Config) (*Dataset, error) {
 // callable from outside the module, since the graph type lives in an
 // internal package.
 func NewDatasetFromGraph(g *rdf.Graph, cfg Config) (*Dataset, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	e := core.NewEngine(g, cfg.Direction)
 	if cfg.Ranking != nil {
 		e.Rank = cfg.Ranking
@@ -463,6 +484,9 @@ func LoadSnapshotDisk(path string, cfg Config) (*Dataset, error) {
 // cheap indexes are rebuilt, the α index comes from the snapshot when
 // present, and the traversal direction always follows the snapshot.
 func datasetFromSnapshot(snap *store.Snapshot, cfg Config) (*Dataset, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	cfg.Direction = snap.Dir
 	g := snap.Graph
 	e := core.NewEngine(g, cfg.Direction)

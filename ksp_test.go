@@ -3,6 +3,7 @@ package ksp
 import (
 	"errors"
 	"math"
+	"os"
 	"strings"
 	"testing"
 )
@@ -506,5 +507,70 @@ func TestNonFiniteCoordinatesRejected(t *testing.T) {
 	_, _, err := ds.SearchWith(AlgoSP, Query{Loc: Point{}, Keywords: []string{"roman"}, K: 1}, Options{MaxDist: nan})
 	if !errors.Is(err, ErrBadCoordinate) {
 		t.Errorf("NaN MaxDist: err = %v, want ErrBadCoordinate", err)
+	}
+}
+
+// α is stored in one byte per posting: above 255 distances would wrap
+// modulo 256 and the bounds built on them could exceed the true
+// looseness. Every constructor must refuse it instead of building a
+// wrong index, whether or not the snapshot it loads carries its own α.
+func TestAlphaRadiusAbove255Refused(t *testing.T) {
+	bad := DefaultConfig()
+	bad.AlphaRadius = 300
+	wantErr := func(name string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "AlphaRadius") {
+			t.Errorf("%s with AlphaRadius 300: got %v, want a Config.AlphaRadius error", name, err)
+		}
+	}
+
+	_, err := Open(strings.NewReader(figure1NT), bad)
+	wantErr("Open", err)
+	ntPath := t.TempDir() + "/fixture.nt"
+	if err := os.WriteFile(ntPath, []byte(figure1NT), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	_, err = OpenFile(ntPath, bad)
+	wantErr("OpenFile", err)
+	_, err = NewDatasetFromGraph(openFixture(t, DefaultConfig()).g, bad)
+	wantErr("NewDatasetFromGraph", err)
+	b := NewBuilder()
+	b.AddPlace("ex:p", Point{X: 1, Y: 1})
+	_, err = b.Build(bad)
+	wantErr("Builder.Build", err)
+
+	// One snapshot with an α index (which would override the config's)
+	// and one without (which would build it).
+	for name, cfg := range map[string]Config{"with alpha": DefaultConfig(), "without alpha": {Direction: Outgoing}} {
+		path := t.TempDir() + "/fixture.snap"
+		if err := openFixture(t, cfg).Save(path); err != nil {
+			t.Fatal(err)
+		}
+		_, err = LoadSnapshot(path, bad)
+		wantErr("LoadSnapshot "+name, err)
+		_, err = LoadSnapshotDisk(path, bad)
+		wantErr("LoadSnapshotDisk "+name, err)
+	}
+
+	// The largest α that fits is served, and is exact.
+	ok := DefaultConfig()
+	ok.AlphaRadius = 255
+	ds := openFixture(t, ok)
+	q := Query{Loc: Point{X: 43.51, Y: 4.75}, Keywords: []string{"ancient", "roman", "catholic", "history"}, K: 2}
+	want, _, err := ds.SearchWith(AlgoBSP, q, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := ds.SearchWith(AlgoSP, q, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("SP at alpha 255 returned %d results, BSP %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Place != want[i].Place || got[i].Score != want[i].Score {
+			t.Errorf("result %d: SP at alpha 255 %+v, BSP %+v", i, got[i], want[i])
+		}
 	}
 }

@@ -65,7 +65,11 @@ func (d *Dataset) PartitionSpatial(n int) ([]*Dataset, error) {
 		for j, it := range items[start:end] {
 			run[j] = it.ID
 		}
-		shards[i] = &Dataset{g: d.g, engine: d.engine.Subset(run), cfg: d.cfg}
+		e, err := d.engine.Subset(run)
+		if err != nil {
+			return nil, err
+		}
+		shards[i] = &Dataset{g: d.g, engine: e, cfg: d.cfg}
 	}
 	return shards, nil
 }

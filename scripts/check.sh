@@ -31,11 +31,13 @@ go build ./...
 echo "== go test -race =="
 go test -race ./...
 go test -race -tags faultinject ./...
-echo "== TQSP kernel + alpha table guards (race-free) =="
-# The race run above already covers the differential tests and the BFS
-# work guard; the warm zero-allocation half of TestBoundsZeroAllocWarm
-# holds only without the race detector, so the set runs once more plain,
-# exactly as CI's bench-guard job does.
+echo "== TQSP kernel + alpha table + alpha build guards (race-free) =="
+# The race run above already covers the differential tests (TQSP kernel,
+# α table, and the map-free α build against its map-based reference),
+# the BFS work guard and the α build's allocation guard; the warm
+# zero-allocation half of TestBoundsZeroAllocWarm holds only without the
+# race detector, so the set runs once more plain, exactly as CI's
+# bench-guard job does.
 go test -run 'TestDiscoveryTimeBFSMatchesPopTime|TestBFSWorkGuard' ./internal/core/
 go test ./internal/alpha/
 echo "== benchmark module =="
