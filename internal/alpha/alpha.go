@@ -3,11 +3,14 @@
 //
 // WN(p) of a place p holds, for every term reachable within graph distance
 // α from p, the shortest such distance. WN(N) of an R-tree node N is the
-// term-wise minimum over the places below N. Both are stored as inverted
-// files keyed by term, so that a query only loads the posting lists of its
-// keywords (the paper's Section 5 "Storage" paragraph); a QueryView
-// scatters them into a dense per-query table, from which the α-bounds on
-// looseness for places (Lemma 2) and nodes (Lemma 4) are one read each.
+// term-wise minimum over the places below N. Both are inverted files keyed
+// by term, so that a query only touches the entries of its keywords (the
+// paper's Section 5 "Storage" paragraph). In memory a file is a File: a
+// frequent term is a column of one nibble per entry, which a QueryView
+// borrows and reads in place; the posting list of any other term — and
+// every list of a disk-resident file — it scatters into a dense per-query
+// table. The α-bounds on looseness for places (Lemma 2) and nodes
+// (Lemma 4) are one table read plus one nibble per borrowed column.
 package alpha
 
 import (
@@ -28,6 +31,8 @@ type Index struct {
 	PlaceIdx invindex.Index
 	// NodeIdx: term -> postings of (R-tree node ID, dg(N,t)).
 	NodeIdx invindex.Index
+	// Build, Restrict and Pack make both a *File; a disk-resident snapshot
+	// leaves them *invindex.DiskIndex.
 
 	// qvPool recycles QueryViews (and the dense tables inside them)
 	// across queries; the zero value is ready to use, so composite
@@ -39,6 +44,18 @@ type Index struct {
 // Table 6 size statistic.
 func (ix *Index) NumPostings() (places, nodes int64) {
 	return ix.PlaceIdx.NumPostings(), ix.NodeIdx.NumPostings()
+}
+
+// MemSize returns the bytes the index holds resident, File.MemSize of its
+// two files; a file that is not in memory counts nothing.
+func (ix *Index) MemSize() int64 {
+	return columnsOf(ix.PlaceIdx).MemSize() + columnsOf(ix.NodeIdx).MemSize()
+}
+
+// OnDisk reports whether an inverted file of the index is fetched from
+// disk per query instead of held in memory.
+func (ix *Index) OnDisk() bool {
+	return invindex.OnDisk(ix.PlaceIdx) || invindex.OnDisk(ix.NodeIdx)
 }
 
 // ApproxBytes estimates storage for Table 6: five bytes per posting (4-byte
@@ -54,13 +71,13 @@ func (ix *Index) ApproxBytes() int64 {
 // them (255 × 255 < 2^16). core.MaxKeywords is well inside.
 const maxTerms = 255
 
-// boundTable is the keyword-relevant slice of one inverted file,
-// scattered into a dense array indexed by entry ID (place vertex ID or
-// R-tree node ID), so that a bound is one indexed read instead of a
-// binary search per keyword. A cell whose epoch is not the table's is
-// stale, which lets a recycled table skip the O(|V|) clear (as core's
-// denseMQ and seenSet do); an ID beyond the table was never scattered,
-// so every keyword is absent.
+// boundTable holds the posting lists of a query's keywords, of one
+// inverted file, scattered into a dense array indexed by entry ID (place
+// vertex ID or R-tree node ID), so that a bound is one indexed read
+// instead of a binary search per keyword. A cell whose epoch is not the
+// table's is stale, which lets a recycled table skip the O(|V|) clear (as
+// core's denseMQ and seenSet do); an ID beyond the table was never
+// scattered, so every keyword is absent.
 type boundTable struct {
 	cell  []boundCell
 	epoch uint32
@@ -84,8 +101,8 @@ func (t *boundTable) reset() {
 	}
 }
 
-// scatter adds one keyword's posting list to the table. Both index
-// representations produce strictly ID-ascending lists; anything else can
+// scatter adds one keyword's posting list to the table. Every index
+// representation produces strictly ID-ascending lists; anything else can
 // only come out of a damaged index file and would count one keyword twice
 // for an entry, lifting its bound above Lemma 2's value, so it is an
 // error. The check runs before any cell is written.
@@ -113,38 +130,90 @@ func (t *boundTable) scatter(pl []invindex.Posting) error {
 	return nil
 }
 
-// bound returns 1 + Σ dg over the keywords within α of id + absent for
-// each of the m keywords that is not. Every addend of the lemma is a
-// small non-negative integer, so summing them as integers and converting
-// once gives the same float64, bit for bit, as adding them one keyword at
-// a time.
-func (t *boundTable) bound(id uint32, m, absent int) float64 {
-	if int(id) < len(t.cell) {
-		if c := t.cell[id]; c.epoch == t.epoch {
-			return float64(1 + int(c.sum) + (m-int(c.within))*absent)
-		}
-	}
-	return float64(1 + m*absent)
+// fileView is what one query needs of one inverted file: the columns of
+// its keywords that the file keeps as columns, borrowed, and a table of
+// the others' lists.
+type fileView struct {
+	boundTable
+	file *File    // whose columns cols are; nil while none is borrowed
+	cols [][]byte // one per keyword kept as a column, in no order
 }
 
-// QueryView holds the keyword-relevant slice of the neighbourhoods for
-// one query as two dense tables (see boundTable). Obtain one from
-// LoadQuery and return it with Release when the query finishes; a
-// released view must not be used again.
+// reset drops what an earlier query left: the borrowed columns, and by an
+// epoch bump every table cell.
+func (v *fileView) reset() {
+	v.boundTable.reset()
+	v.dropColumns()
+}
+
+// dropColumns forgets the borrowed columns, so that a pooled view does
+// not keep an index alive.
+func (v *fileView) dropColumns() {
+	v.file = nil
+	clear(v.cols)
+	v.cols = v.cols[:0]
+}
+
+// load adds the keyword term of src: its column where src offers one,
+// else its list, fetched through buf, which is returned.
+func (v *fileView) load(src invindex.Index, term uint32, buf []invindex.Posting) ([]invindex.Posting, error) {
+	f := columnsOf(src)
+	if col := f.column(term); col != nil {
+		v.file = f
+		v.cols = append(v.cols, col)
+		return buf, nil
+	}
+	buf, err := src.Postings(term, buf[:0])
+	if err != nil {
+		return buf, err
+	}
+	return buf, v.scatter(buf)
+}
+
+// bound returns 1 + Σ dg over the keywords within α of id + absent for
+// each of the m keywords that is not. Every addend of the lemma is a
+// small non-negative integer — a table cell's sum, a nibble less one — so
+// summing them as integers and converting once gives the same float64,
+// bit for bit, as adding them one keyword at a time, whichever keyword
+// came from a column and whichever from a list.
+func (v *fileView) bound(id uint32, m, absent int) float64 {
+	sum, within := 0, 0
+	if int(id) < len(v.cell) {
+		if c := v.cell[id]; c.epoch == v.epoch {
+			sum, within = int(c.sum), int(c.within)
+		}
+	}
+	if len(v.cols) > 0 {
+		if o := v.file.ordinal(id); o != noOrd {
+			at, shift := o>>1, (o&1)<<2
+			for _, col := range v.cols {
+				if d := col[at] >> shift & 15; d != 0 {
+					sum += int(d) - 1
+					within++
+				}
+			}
+		}
+	}
+	return float64(1 + sum + (m-within)*absent)
+}
+
+// QueryView holds what the bounds of one query read: per inverted file a
+// fileView. Obtain one from LoadQuery and return it with Release when the
+// query finishes; a released view must not be used again.
 type QueryView struct {
 	alpha int
 	m     int
-	place boundTable
-	node  boundTable
+	place fileView
+	node  fileView
 
 	owner *Index             // pool to return to; nil after Release
 	buf   []invindex.Posting // pooled read scratch for LoadQuery
 }
 
-// LoadQuery fetches the posting lists of the query keywords and scatters
-// them into the view's tables. A term listed twice counts as two
-// keywords. Views come from a pool on the Index, so the warm path reuses
-// the tables.
+// LoadQuery borrows the columns of the query keywords and fetches and
+// scatters the posting lists of those that have none. A term listed
+// twice counts as two keywords. Views come from a pool on the Index, so
+// the warm path reuses the tables.
 func (ix *Index) LoadQuery(terms []uint32) (*QueryView, error) {
 	qv, _ := ix.qvPool.Get().(*QueryView)
 	if qv == nil {
@@ -158,9 +227,9 @@ func (ix *Index) LoadQuery(terms []uint32) (*QueryView, error) {
 	return qv, nil
 }
 
-// fill points the view at a new keyword set: one epoch bump per table
-// drops whatever an earlier query left there, then each keyword's two
-// posting lists are read and scattered.
+// fill points the view at a new keyword set: a reset per file drops
+// whatever an earlier query left there, then each keyword is loaded from
+// both files.
 func (qv *QueryView) fill(ix *Index, terms []uint32) error {
 	if len(terms) > maxTerms {
 		return fmt.Errorf("alpha: %d query terms, at most %d", len(terms), maxTerms)
@@ -170,35 +239,29 @@ func (qv *QueryView) fill(ix *Index, terms []uint32) error {
 	qv.place.reset()
 	qv.node.reset()
 	for _, t := range terms {
-		if err := qv.scatterFrom(ix.PlaceIdx, &qv.place, t); err != nil {
+		var err error
+		if qv.buf, err = qv.place.load(ix.PlaceIdx, t, qv.buf); err != nil {
 			return fmt.Errorf("alpha: place postings of term %d: %w", t, err)
 		}
-		if err := qv.scatterFrom(ix.NodeIdx, &qv.node, t); err != nil {
+		if qv.buf, err = qv.node.load(ix.NodeIdx, t, qv.buf); err != nil {
 			return fmt.Errorf("alpha: node postings of term %d: %w", t, err)
 		}
 	}
 	return nil
 }
 
-// scatterFrom reads term's posting list from src through the view's
-// scratch and scatters it into tab.
-func (qv *QueryView) scatterFrom(src invindex.Index, tab *boundTable, term uint32) error {
-	var err error
-	if qv.buf, err = src.Postings(term, qv.buf[:0]); err != nil {
-		return err
-	}
-	return tab.scatter(qv.buf)
-}
-
-// Release returns the view to its index's pool. Callers must drop every
-// reference: the tables are reused by later LoadQuery calls. Safe to
-// call more than once; only the first has effect.
+// Release returns the view to its index's pool, without the columns it
+// borrowed. Callers must drop every reference: the tables are reused by
+// later LoadQuery calls. Safe to call more than once; only the first has
+// effect.
 func (qv *QueryView) Release() {
 	if qv == nil || qv.owner == nil {
 		return
 	}
 	ix := qv.owner
 	qv.owner = nil
+	qv.place.dropColumns()
+	qv.node.dropColumns()
 	ix.qvPool.Put(qv)
 }
 

@@ -44,71 +44,175 @@ func Build(g *rdf.Graph, tree *rtree.RTree, alphaRadius int, dir rdf.Direction) 
 //  1. Per place, a depth-α BFS offers every term of every vertex it
 //     reaches to a minTable over the vocabulary — one per worker, dropped
 //     by an epoch bump — and the place's neighbourhood leaves it as one
-//     compact (term, distance) run. BFS reaches vertices in non-decreasing
-//     distance, so the first offer of a term is already its minimum (the
-//     table compares anyway): the run is WN(p) of Definition 5. Runs are
-//     stored by place, so which worker made one does not matter.
+//     compact run of terms grouped by distance (wnRun). BFS reaches
+//     vertices in non-decreasing distance, so the first offer of a term is
+//     already its minimum, and the terms leave the table in the order of
+//     their distances (newRun panics should that ever not hold): the run
+//     is WN(p) of Definition 5. Runs are stored by place, so which worker
+//     made one does not matter.
 //  2. The place inverted file is a counting sort of the runs: count per
-//     term, prefix-sum, then fill walking the places in ascending vertex
-//     ID, which writes every posting list strictly ascending into one
-//     array of exact size. Nothing is appended, sorted or de-duplicated.
+//     term, which is also where each term's form is decided (File),
+//     prefix-sum over the terms that stay lists, then fill walking the
+//     places in ascending vertex ID, which sets a nibble of the term's
+//     column or writes the next posting of its strictly ascending list,
+//     either into storage of exact size. Nothing is appended, sorted,
+//     de-duplicated or packed afterwards.
 //  3. The node inverted file is derived from the place file term by term
-//     (deriveLists): WN(N) is by Definition 6 the term-wise minimum over
-//     the places below N, so term t's node list is its place list folded
-//     up the tree. Index.Restrict shares this step.
+//     (derive): WN(N) is by Definition 6 the term-wise minimum over the
+//     places below N, so term t's node entries are its place entries
+//     folded up the tree. Index.Restrict shares this step.
 func BuildFor(g *rdf.Graph, tree *rtree.RTree, alphaRadius int, dir rdf.Direction, places []uint32) *Index {
 	if err := CheckRadius(alphaRadius); err != nil {
 		panic(err)
 	}
-	place := placeLists(g, alphaRadius, dir, places)
-	lend := func() listReader {
-		return func(term uint32) ([]invindex.Posting, error) { return place[term], nil }
+	place := placeFile(g, alphaRadius, dir, places)
+	lend := func() termReader {
+		return func(term uint32) (termRep, error) { return place.terms[term], nil }
 	}
-	_, node, err := deriveLists(len(place), lend, newTreeShape(tree), false)
+	_, node, err := derive(len(place.terms), alphaRadius, lend, &place.universe, newTreeShape(tree, &place.universe), false)
 	if err != nil {
 		panic(err) // lend cannot fail
 	}
-	ix, err := newIndex(alphaRadius, dir, place, node)
-	if err != nil {
-		panic(err) // both files are ascending by construction
-	}
-	return ix
+	return &Index{Alpha: alphaRadius, Dir: dir, PlaceIdx: place, NodeIdx: node}
 }
 
 // Restrict returns the index of the places tree holds, all of which must
-// be places of ix: each term's place list is ix's filtered by membership,
-// which keeps it ascending, and the node file is derived from the result
-// over tree exactly as BuildFor derives it. No BFS runs — WN(p) does not
-// depend on which other places are indexed with p. The lists are read
+// be places of ix. A term's entries are ix's at those places — a column of
+// ix is gathered at the tile's ordinals, a list filtered by membership,
+// which keeps it ascending; neither walks more than the tile or the list
+// — and the node file is derived from the result over tree exactly as
+// BuildFor derives it. No BFS runs: WN(p) does not depend on which other
+// places are indexed with p. What ix does not hold as a File is read
 // through invindex.Index, so ix may be disk-resident; a read error or a
 // damaged list is returned.
 func (ix *Index) Restrict(tree *rtree.RTree) (*Index, error) {
-	read := func() listReader {
-		var buf []invindex.Posting
-		return func(term uint32) ([]invindex.Posting, error) {
-			var err error
-			buf, err = ix.PlaceIdx.Postings(term, buf[:0])
-			return buf, err
+	u := placeUniverse(sortedSet(treePlaces(tree)))
+	from := columnsOf(ix.PlaceIdx)
+	// at[o] is where ix keeps the tile's o-th place, and one entry more
+	// evens the count out: a gathered byte is written whole.
+	var at []uint32
+	if from != nil {
+		at = make([]uint32, 2*u.stride())
+		for o := range at {
+			at[o] = noOrd
+			if o < u.n {
+				at[o] = from.ordinal(u.ids[o])
+			}
 		}
 	}
-	place, node, err := deriveLists(ix.PlaceIdx.NumTerms(), read, newTreeShape(tree), true)
+	// gathered returns the nibble ix keeps at a, empty where it keeps none.
+	gathered := func(src []byte, a uint32) uint8 {
+		if a == noOrd {
+			return 0
+		}
+		return nibble(src, a)
+	}
+	read := func() termReader {
+		var list []invindex.Posting
+		col := make([]byte, u.stride())
+		return func(term uint32) (termRep, error) {
+			if src := from.column(term); src != nil {
+				for i := range col {
+					col[i] = gathered(src, at[2*i]) | gathered(src, at[2*i+1])<<4
+				}
+				return termRep{col: col}, nil
+			}
+			var err error
+			if list, err = ix.PlaceIdx.Postings(term, list[:0]); err != nil {
+				return termRep{}, err
+			}
+			kept, err := keepInside(list, &u, ix.Alpha)
+			return termRep{list: kept}, err
+		}
+	}
+	place, node, err := derive(ix.PlaceIdx.NumTerms(), ix.Alpha, read, &u, newTreeShape(tree, &u), true)
 	if err != nil {
 		return nil, err
 	}
-	return newIndex(ix.Alpha, ix.Dir, place, node)
+	return &Index{Alpha: ix.Alpha, Dir: ix.Dir, PlaceIdx: place, NodeIdx: node}, nil
 }
 
-// newIndex wraps finished lists; invindex checks that they ascend.
-func newIndex(alphaRadius int, dir rdf.Direction, place, node [][]invindex.Posting) (*Index, error) {
-	placeIdx, err := invindex.FromSorted(place)
-	if err != nil {
-		return nil, fmt.Errorf("alpha: place file: %w", err)
+// keepInside checks that pl, a list from outside, ascends strictly and
+// holds no distance beyond radius, and cuts it down in place to the
+// entries whose ID u has.
+func keepInside(pl []invindex.Posting, u *universe, radius int) ([]invindex.Posting, error) {
+	kept := pl[:0]
+	for i, p := range pl {
+		if i > 0 && p.ID <= pl[i-1].ID {
+			return nil, fmt.Errorf("entry %d follows entry %d", p.ID, pl[i-1].ID)
+		}
+		if int(p.Weight) > radius {
+			return nil, fmt.Errorf("entry %d at distance %d, beyond the radius %d", p.ID, p.Weight, radius)
+		}
+		if u.ordinal(p.ID) != noOrd {
+			kept = append(kept, p)
+		}
 	}
-	nodeIdx, err := invindex.FromSorted(node)
+	return kept, nil
+}
+
+// PackPlaces reads the place file of an index of the given radius through
+// src, term by term, and returns it as a File over places, the vertex IDs
+// of the indexed places in any order. A read error, a list that does not
+// ascend strictly, a distance beyond the radius and an entry that is not
+// one of places are errors.
+func PackPlaces(src invindex.Index, alphaRadius int, places []uint32) (*File, error) {
+	return pack(src, alphaRadius, placeUniverse(sortedSet(places)))
+}
+
+// PackNodes is PackPlaces for the node file, which ranges over the node
+// IDs up to the largest src mentions.
+func PackNodes(src invindex.Index, alphaRadius int) (*File, error) {
+	n, err := idSpace(src)
 	if err != nil {
-		return nil, fmt.Errorf("alpha: node file: %w", err)
+		return nil, err
 	}
-	return &Index{Alpha: alphaRadius, Dir: dir, PlaceIdx: placeIdx, NodeIdx: nodeIdx}, nil
+	return pack(src, alphaRadius, universe{n: n})
+}
+
+func pack(src invindex.Index, alphaRadius int, u universe) (*File, error) {
+	read := func() termReader {
+		var list []invindex.Posting
+		return func(term uint32) (termRep, error) {
+			var err error
+			if list, err = src.Postings(term, list[:0]); err != nil {
+				return termRep{}, err
+			}
+			kept, err := keepInside(list, &u, alphaRadius)
+			if err == nil && len(kept) != len(list) {
+				err = fmt.Errorf("%d entries outside the ID space of the file", len(list)-len(kept))
+			}
+			return termRep{list: kept}, err
+		}
+	}
+	f, _, err := derive(src.NumTerms(), alphaRadius, read, &u, nil, true)
+	return f, err
+}
+
+// idSpace returns one more than the largest ID in src's lists, each of
+// which ends with its largest.
+func idSpace(src invindex.Index) (int, error) {
+	n := 0
+	var list []invindex.Posting
+	for t := 0; t < src.NumTerms(); t++ {
+		var err error
+		if list, err = src.Postings(uint32(t), list[:0]); err != nil {
+			return 0, fmt.Errorf("alpha: postings of term %d: %w", t, err)
+		}
+		if k := len(list); k > 0 {
+			n = max(n, int(list[k-1].ID)+1)
+		}
+	}
+	return n, nil
+}
+
+// sortedSet returns ids ascending, each once, leaving ids as it is:
+// PartitionSpatial hands its tiles over, and a tree holds its places, in
+// STR order.
+func sortedSet(ids []uint32) []uint32 {
+	ids = slices.Clone(ids)
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }
 
 // minTable keeps the smallest distance offered per key of a dense key
@@ -175,26 +279,81 @@ func (m *minTable) appendSorted(dst []invindex.Posting) []invindex.Posting {
 	return dst
 }
 
-// termDist is one entry of a place's neighbourhood run.
-type termDist struct {
-	term uint32
-	dist uint8
+// wnRun is one place's neighbourhood in four bytes an entry: its terms,
+// those at distance 0 first, then those at 1 and so on, after radius+1
+// words that say where in the terms each distance ends.
+type wnRun []uint32
+
+// newRun takes the neighbourhood wn holds out of it, into arena. BFS
+// reaches vertices in non-decreasing distance, so the terms were first
+// offered — and stand in wn.touched — grouped by their minimum already:
+// one pass copies them and notes where each distance ends.
+func newRun(wn *minTable, radius int, arena *runArena) wnRun {
+	run := arena.alloc(radius + 1 + len(wn.touched))
+	ends, terms := run[:radius+1], run[radius+1:]
+	d := 0
+	for j, t := range wn.touched {
+		m := int(wn.cell[t].min)
+		if m < d {
+			panic(fmt.Sprintf("alpha: term %d offered at distance %d after one at %d: the BFS left level order", t, m, d))
+		}
+		for ; d < m; d++ {
+			ends[d] = uint32(j)
+		}
+		terms[j] = t
+	}
+	for ; d <= radius; d++ {
+		ends[d] = uint32(len(terms))
+	}
+	return run
 }
 
-// placeLists runs steps 1 and 2 of BuildFor and returns the place
-// posting list of every term of the vocabulary.
-func placeLists(g *rdf.Graph, alphaRadius int, dir rdf.Direction, places []uint32) [][]invindex.Posting {
-	numTerms := g.Vocab.Len()
-	// PartitionSpatial hands its tiles over in STR order; the fill below
-	// needs ascending IDs, each once.
-	order := slices.Clone(places)
-	slices.Sort(order)
-	order = slices.Compact(order)
+// terms returns the terms of the run, whatever their distance.
+func (r wnRun) terms(radius int) []uint32 { return r[radius+1:] }
 
-	runs := make([][]termDist, len(order))
+// each calls do for every entry of the run.
+func (r wnRun) each(radius int, do func(term uint32, dist uint8)) {
+	terms, lo := r[radius+1:], uint32(0)
+	for d, hi := range r[:radius+1] {
+		for _, t := range terms[lo:hi] {
+			do(t, uint8(d))
+		}
+		lo = hi
+	}
+}
+
+// runArena hands out runs from blocks a worker fills one after the other:
+// a few allocations a worker instead of one a place.
+type runArena []uint32
+
+// arenaBlock is how many words a runArena block holds, unless one run
+// needs more.
+const arenaBlock = 1 << 16
+
+// alloc returns n zeroed words.
+func (a *runArena) alloc(n int) wnRun {
+	if cap(*a)-len(*a) < n {
+		*a = make([]uint32, 0, max(n, arenaBlock))
+	}
+	lo, hi := len(*a), len(*a)+n
+	*a = (*a)[:hi]
+	return wnRun((*a)[lo:hi:hi])
+}
+
+// placeFile runs steps 1 and 2 of BuildFor and returns the place file
+// over the whole vocabulary.
+func placeFile(g *rdf.Graph, alphaRadius int, dir rdf.Direction, places []uint32) *File {
+	numTerms := g.Vocab.Len()
+	// The fill below needs ascending IDs, each once; a place's position in
+	// that order is its ordinal in the file.
+	order := sortedSet(places)
+	f := &File{universe: placeUniverse(order), terms: make([]termRep, numTerms)}
+
+	runs := make([]wnRun, len(order))
 	parallel(len(order), 1, func() func(lo, hi int) {
 		bfs := rdf.NewBFSState(g)
 		wn := newMinTable(numTerms)
+		var arena runArena
 		visit := func(v uint32, dist int) bool {
 			for _, t := range g.Doc(v) {
 				wn.offer(t, uint8(dist))
@@ -205,20 +364,17 @@ func placeLists(g *rdf.Graph, alphaRadius int, dir rdf.Direction, places []uint3
 			for i := lo; i < hi; i++ {
 				wn.reset()
 				bfs.Run(order[i], dir, alphaRadius, visit)
-				run := make([]termDist, len(wn.touched))
-				for j, t := range wn.touched {
-					run[j] = termDist{term: t, dist: wn.cell[t].min}
-				}
-				runs[i] = run
+				runs[i] = newRun(wn, alphaRadius, &arena)
 			}
 		}
 	})
 
 	// Counting sort, one block of per consecutive places per worker:
-	// next[b][t] first counts block b's postings of term t and then, after
-	// a prefix sum over (t, b), is where block b writes its next one. Places
-	// ascend within a block and from block to block, so every list does.
-	per := max(1, (len(order)+runtime.GOMAXPROCS(0)-1)/runtime.GOMAXPROCS(0))
+	// next[b][t] first counts block b's entries of term t and then, for a
+	// term that stays a list, after a prefix sum over (t, b), is where
+	// block b writes its next posting. Places ascend within a block and
+	// from block to block, so every list does.
+	per := blockLen(len(order), runtime.GOMAXPROCS(0))
 	blocks := (len(order) + per - 1) / per
 	eachBlock := func(do func(b, i int)) {
 		parallel(len(order), per, func() func(lo, hi int) {
@@ -234,61 +390,100 @@ func placeLists(g *rdf.Graph, alphaRadius int, dir rdf.Direction, places []uint3
 		next[b] = make([]int, numTerms)
 	}
 	eachBlock(func(b, i int) {
-		for _, e := range runs[i] {
-			next[b][e.term]++
+		for _, t := range runs[i].terms(alphaRadius) {
+			next[b][t]++
 		}
 	})
-	off := make([]int, numTerms+1)
-	for t := 0; t < numTerms; t++ {
-		n := off[t]
+	// Every term's length is known here, and with it its form: the fill
+	// writes into the storage the term keeps.
+	count := func(t int) (n int) {
 		for b := range next {
-			n, next[b][t] = n+next[b][t], n
+			n += next[b][t]
 		}
-		off[t+1] = n
+		return n
 	}
-	post := make([]invindex.Posting, off[numTerms])
+	columns, listed := 0, 0
+	for t := 0; t < numTerms; t++ {
+		n := count(t)
+		f.total += int64(n)
+		if f.columnFor(n, alphaRadius) {
+			columns++
+		} else {
+			listed += n
+		}
+	}
+	// slot[t] is where term t's column begins in cols, -1 for a list: the
+	// fill looks a term up once per entry, and this table stays in cache.
+	stride := f.stride()
+	cols := make([]byte, columns*stride)
+	post := make([]invindex.Posting, listed)
+	slot := make([]int, numTerms)
+	for t, col, at := 0, 0, 0; t < numTerms; t++ {
+		if f.columnFor(count(t), alphaRadius) {
+			slot[t], col = col, col+stride
+			f.terms[t].col = cols[slot[t]:col:col]
+			continue
+		}
+		slot[t] = -1
+		lo := at
+		for b := range next {
+			at, next[b][t] = at+next[b][t], at
+		}
+		if at > lo {
+			f.terms[t].list = post[lo:at:at]
+		}
+	}
 	eachBlock(func(b, i int) {
-		for _, e := range runs[i] {
-			post[next[b][e.term]] = invindex.Posting{ID: order[i], Weight: e.dist}
-			next[b][e.term]++
-		}
+		runs[i].each(alphaRadius, func(t uint32, d uint8) {
+			if at := slot[t]; at >= 0 {
+				setNibble(cols[at:], uint32(i), d+1)
+				return
+			}
+			post[next[b][t]] = invindex.Posting{ID: order[i], Weight: d}
+			next[b][t]++
+		})
 	})
-	return cut(make([][]invindex.Posting, numTerms), post, off[1:])
+	return f
 }
 
-// cut makes lists[i] the part of post that ends at ends[i] and begins
-// where the one before ended, with no capacity to spare; an empty list
-// stays nil.
-func cut(lists [][]invindex.Posting, post []invindex.Posting, ends []int) [][]invindex.Posting {
-	lo := 0
-	for i, hi := range ends {
-		if hi > lo {
-			lists[i] = post[lo:hi:hi]
-		}
-		lo = hi
-	}
-	return lists
+// blockLen returns how many consecutive places each of at most workers
+// blocks takes to cover n places. It is even: two places share a byte of
+// a column, and two workers must not write the same byte.
+func blockLen(n, workers int) int {
+	per := max(1, (n+workers-1)/workers)
+	return per + per&1
 }
 
-// noNode marks the root's parent, an unused node ID and a vertex that is
-// not a place of the tree.
+// noNode marks the root's parent, an unused node ID and a place the tree
+// does not hold.
 const noNode = ^uint32(0)
 
-// treeShape is what folding place lists into node lists needs of an
+// treeShape is what folding place entries into node entries needs of an
 // R-tree: the leaf holding each place and every node's parent, as arrays
 // (a few hundred nodes, read by every worker, written by none).
 type treeShape struct {
-	leafOf []uint32 // by place vertex ID
+	leafOf []uint32 // by place ordinal
 	parent []uint32 // by node ID
 }
 
-func newTreeShape(tree *rtree.RTree) *treeShape {
-	sh := &treeShape{}
+// newTreeShape reads tree's shape; u numbers its places.
+func newTreeShape(tree *rtree.RTree, u *universe) *treeShape {
+	sh := &treeShape{leafOf: make([]uint32, u.n)}
+	for o := range sh.leafOf {
+		sh.leafOf[o] = noNode
+	}
 	var walk func(n *rtree.Node, parent uint32)
 	walk = func(n *rtree.Node, parent uint32) {
-		sh.parent = growSet(sh.parent, n.ID, parent)
+		for int(n.ID) >= len(sh.parent) {
+			sh.parent = append(sh.parent, noNode)
+		}
+		sh.parent[n.ID] = parent
 		for _, it := range n.Items {
-			sh.leafOf = growSet(sh.leafOf, it.ID, n.ID)
+			o := u.ordinal(it.ID)
+			if o == noOrd {
+				panic(fmt.Sprintf("alpha: the tree holds vertex %d, which is not one of the places to index", it.ID))
+			}
+			sh.leafOf[o] = n.ID
 		}
 		for _, ch := range n.Children {
 			walk(ch, n.ID)
@@ -298,109 +493,115 @@ func newTreeShape(tree *rtree.RTree) *treeShape {
 	return sh
 }
 
-// growSet sets s[i] = v, first extending s with noNode up to index i.
-func growSet(s []uint32, i, v uint32) []uint32 {
-	for int(i) >= len(s) {
-		s = append(s, noNode)
+// treePlaces returns the places tree holds, in the order of its leaves.
+func treePlaces(tree *rtree.RTree) []uint32 {
+	ids := make([]uint32, 0, tree.Len())
+	var walk func(n *rtree.Node)
+	walk = func(n *rtree.Node) {
+		for _, it := range n.Items {
+			ids = append(ids, it.ID)
+		}
+		for _, ch := range n.Children {
+			walk(ch)
+		}
 	}
-	s[i] = v
-	return s
+	walk(tree.Root())
+	return ids
 }
 
-// fold offers every posting of one term's place list whose place the tree
-// holds to its leaf and up the parent chain, stopping where a node already
-// has a distance as small (its ancestors then have one too). Afterwards
-// agg holds the term's WN(N) entry for every node N with one. When keep
-// is set the postings folded are appended to kept, which is returned.
-func (sh *treeShape) fold(agg *minTable, pl, kept []invindex.Posting, keep bool) []invindex.Posting {
+// fold offers every entry of one term's place file to the entry's leaf
+// and up the parent chain, stopping where a node already has a distance
+// as small (its ancestors then have one too). Afterwards agg holds the
+// term's WN(N) entry for every node N with one.
+func (sh *treeShape) fold(agg *minTable, u *universe, e termRep) {
 	agg.reset()
-	for _, p := range pl {
-		if int(p.ID) >= len(sh.leafOf) || sh.leafOf[p.ID] == noNode {
-			continue
-		}
-		if keep {
-			kept = append(kept, p)
-		}
-		for nd := sh.leafOf[p.ID]; nd != noNode && agg.offer(nd, p.Weight); nd = sh.parent[nd] {
+	offer := func(o uint32, d uint8) {
+		for nd := sh.leafOf[o]; nd != noNode && agg.offer(nd, d); nd = sh.parent[nd] {
 		}
 	}
-	return kept
+	if e.col != nil {
+		eachNibble(e.col, offer)
+		return
+	}
+	for _, p := range e.list {
+		offer(u.ordinal(p.ID), p.Weight)
+	}
 }
 
-// listReader lends one term's place list, valid until the reader's next
-// call. deriveLists takes a reader per worker, so one may keep a buffer.
-type listReader func(term uint32) ([]invindex.Posting, error)
+// termReader lends one term's entries over the place universe, as a
+// column or as a list, valid until the reader's next call. derive takes a
+// reader per worker, so one may keep buffers.
+type termReader func(term uint32) (termRep, error)
 
-// termChunk is how many consecutive terms a worker of deriveLists takes
-// at a time. List lengths are skewed, so the term range is dealt out in
-// pieces instead of cut once per worker; each piece's lists share one
-// allocation, which the runtime rounds up to whole pages, so the pieces
-// are not made smaller than balance needs.
+// termChunk is how many consecutive terms a worker of derive takes at a
+// time. Term lengths are skewed, so the term range is dealt out in pieces
+// instead of cut once per worker; each piece's columns share one
+// allocation and its lists another, which the runtime rounds up to whole
+// pages, so the pieces are not made smaller than balance needs.
 const termChunk = 256
 
-// chunkLists collects the lists of one chunk of terms, one after the
-// other, in a buffer its worker reuses.
-type chunkLists struct {
-	post []invindex.Posting
-	ends []int
-}
-
-func (c *chunkLists) reset() { c.post, c.ends = c.post[:0], c.ends[:0] }
-
-// endList closes the list that the postings appended since the last call
-// make up.
-func (c *chunkLists) endList() { c.ends = append(c.ends, len(c.post)) }
-
-// cutInto copies the chunk into one allocation of exact size and makes
-// lists, which has one slot per endList call, its sub-slices.
-func (c *chunkLists) cutInto(lists [][]invindex.Posting) {
-	cut(lists, append(make([]invindex.Posting, 0, len(c.post)), c.post...), c.ends)
-}
-
-// deriveLists reads every term's place list through a reader and returns
-// the node lists over sh (step 3 of BuildFor) and, when keepPlaces is
-// set, the place lists restricted to the places of sh. Terms are
-// independent and each needs O(nodes) scratch, so the term range is dealt
-// out to the workers in chunks; the lists of a chunk — node IDs ascending
-// — share one allocation of exact size. The first read error ends it.
-func deriveLists(numTerms int, newReader func() listReader, sh *treeShape, keepPlaces bool) (place, node [][]invindex.Posting, err error) {
-	if keepPlaces {
-		place = make([][]invindex.Posting, numTerms)
+// derive reads every term's entries over u through a reader and returns
+// the node file over sh (step 3 of BuildFor), when sh is not nil, and the
+// file of the entries themselves, when keep is set. Terms are independent
+// and each needs O(nodes) scratch, so the term range is dealt out to the
+// workers in chunks (chunk). The first read error ends it.
+func derive(numTerms, radius int, newReader func() termReader, u *universe, sh *treeShape, keep bool) (kept, node *File, err error) {
+	if keep {
+		kept = &File{universe: *u, terms: make([]termRep, numTerms)}
 	}
-	node = make([][]invindex.Posting, numTerms)
+	if sh != nil {
+		node = &File{universe: universe{n: len(sh.parent)}, terms: make([]termRep, numTerms)}
+	}
+	var keptTotal, nodeTotal atomic.Int64
 	var failed atomic.Pointer[error]
 	parallel(numTerms, termChunk, func() func(lo, hi int) {
 		read := newReader()
-		agg := newMinTable(len(sh.parent))
-		var places, nodes chunkLists
+		entries := chunk{u: u, radius: radius}
+		var agg *minTable
+		var nodes chunk
+		if sh != nil {
+			agg = newMinTable(node.n)
+			nodes = chunk{u: &node.universe, radius: radius}
+		}
 		return func(lo, hi int) {
-			places.reset()
+			entries.reset()
 			nodes.reset()
 			for t := lo; t < hi; t++ {
 				if failed.Load() != nil {
 					return
 				}
-				pl, err := read(uint32(t))
+				e, err := read(uint32(t))
 				if err != nil {
-					wrapped := fmt.Errorf("alpha: place postings of term %d: %w", t, err)
+					wrapped := fmt.Errorf("alpha: postings of term %d: %w", t, err)
 					failed.CompareAndSwap(nil, &wrapped)
 					return
 				}
-				places.post = sh.fold(agg, pl, places.post, keepPlaces)
-				places.endList()
-				nodes.post = agg.appendSorted(nodes.post)
-				nodes.endList()
+				if keep {
+					entries.add(e)
+				}
+				if sh != nil {
+					sh.fold(agg, u, e)
+					nodes.addMins(agg)
+				}
 			}
-			if keepPlaces {
-				places.cutInto(place[lo:hi])
+			if keep {
+				keptTotal.Add(entries.cutInto(kept.terms[lo:hi]))
 			}
-			nodes.cutInto(node[lo:hi])
+			if sh != nil {
+				nodeTotal.Add(nodes.cutInto(node.terms[lo:hi]))
+			}
 		}
 	})
 	if e := failed.Load(); e != nil {
 		return nil, nil, *e
 	}
-	return place, node, nil
+	if keep {
+		kept.total = keptTotal.Load()
+	}
+	if sh != nil {
+		node.total = nodeTotal.Load()
+	}
+	return kept, node, nil
 }
 
 // parallel covers [0, n) with calls work(lo, hi) on consecutive pieces of

@@ -69,8 +69,45 @@ func bulkTree(g *rdf.Graph, places []uint32, fanout int) *rtree.RTree {
 	return rtree.Bulk(items, fanout)
 }
 
+// chainLen is how far the chain of columnGraph reaches.
+const chainLen = 16
+
+// columnGraph builds a graph that pins where a term becomes a column: n
+// places whose documents hold "in<k>" in exactly the k places of highest
+// vertex ID, for every k up to 12 — so with n = 127 (a column is 64 bytes)
+// "in8" is the longest list and "in9" the shortest column, the last place
+// sits in a byte of its own, and with n = 1 the universe is one entry —
+// and, reached from every place, a chain c1 → … → c16 with "far<k>" on ck:
+// within α a column of distance k, the nibble 15 at α = 14, and at α = 15
+// a list like everything else.
+func columnGraph(n int) *rdf.Graph {
+	rng := rand.New(rand.NewSource(int64(n)))
+	b := rdf.NewBuilder()
+	chain := make([]uint32, chainLen+1)
+	for k := 1; k <= chainLen; k++ {
+		chain[k] = b.AddBareVertex(fmt.Sprintf("c%d", k))
+		b.AddTermID(chain[k], b.Vocab.ID(fmt.Sprintf("far%d", k)))
+		if k > 1 {
+			b.AddEdge(chain[k-1], chain[k], "next")
+		}
+	}
+	for i := 0; i < n; i++ {
+		v := b.AddBareVertex(fmt.Sprintf("p%d", i))
+		b.SetLocation(v, geoPoint(rng.Float64()*100, rng.Float64()*100))
+		b.AddEdge(v, chain[1], "to")
+		for k := 1; k <= 12; k++ {
+			if n-i <= k {
+				b.AddTermID(v, b.Vocab.ID(fmt.Sprintf("in%d", k)))
+			}
+		}
+	}
+	return b.Build()
+}
+
 // sameIndex demands that both inverted files of got equal want's, term
-// for term, over the whole vocabulary.
+// for term and read through Postings, over the whole vocabulary, and that
+// got keeps each term in the form its length alone decides: a column iff
+// that is smaller than the list and α fits a nibble.
 func sameIndex(t *testing.T, label string, got, want *Index, numTerms int) {
 	t.Helper()
 	if got.Alpha != want.Alpha || got.Dir != want.Dir {
@@ -99,8 +136,27 @@ func sameIndex(t *testing.T, label string, got, want *Index, numTerms int) {
 			if !slices.Equal(g, w) {
 				t.Fatalf("%s: %s postings of term %d:\n got %v\nwant %v", label, f.name, term, g, w)
 			}
+			file := f.got.(*File)
+			wantColumn := got.Alpha <= 14 && (file.n+1)/2 < 8*len(w)
+			if isColumn := file.column(uint32(term)) != nil; isColumn != wantColumn {
+				t.Fatalf("%s: %s term %d with %d of %d entries: column = %v, want %v", label, f.name, term, len(w), file.n, isColumn, wantColumn)
+			}
 		}
 	}
+}
+
+// forms counts the terms of an inverted file kept as columns and as
+// non-empty lists.
+func forms(ix invindex.Index) (columns, lists int) {
+	for _, r := range ix.(*File).terms {
+		switch {
+		case r.col != nil:
+			columns++
+		case len(r.list) > 0:
+			lists++
+		}
+	}
+	return columns, lists
 }
 
 // withProcs runs f at GOMAXPROCS 1 and 4: the build must not depend on
@@ -138,6 +194,52 @@ func TestBuildMatchesReference(t *testing.T) {
 						}
 						want := referenceBuild(g, tree, a, dir, g.Places())
 						sameIndex(t, label, Build(g, tree, a, dir), want, g.Vocab.Len())
+					}
+				}
+			}
+		}
+		// Where a list becomes a column, on either side of the line: 127
+		// places leave the last in a byte of its own, and one place is a
+		// universe of one. 130 give four workers 33 places each and 3 give
+		// them one each, which the fill must round to even blocks: two
+		// workers writing nibbles of one byte is what the race detector
+		// reports here (with 3 places every time — no other write shares
+		// the word).
+		for _, n := range []int{1, 3, 127, 130} {
+			g := columnGraph(n)
+			tree := bulkTree(g, g.Places(), 4)
+			term := func(w string) uint32 {
+				id, ok := g.Vocab.Lookup(w)
+				if !ok {
+					t.Fatalf("no term %q", w)
+				}
+				return id
+			}
+			for _, a := range []int{1, 14, 15} {
+				label := fmt.Sprintf("columnGraph(%d) alpha=%d", n, a)
+				ix := Build(g, tree, a, rdf.Outgoing)
+				sameIndex(t, label, ix, referenceBuild(g, tree, a, rdf.Outgoing, g.Places()), g.Vocab.Len())
+				place := ix.PlaceIdx.(*File)
+				columns, lists := forms(place)
+				nodeColumns, _ := forms(ix.NodeIdx)
+				switch {
+				case a == 15:
+					if columns+nodeColumns != 0 || lists == 0 {
+						t.Errorf("%s: %d place and %d node columns, %d place lists: a distance of 15 does not fit a nibble", label, columns, nodeColumns, lists)
+					}
+				case n == 127:
+					if place.column(term("in8")) != nil || place.column(term("in9")) == nil {
+						t.Errorf("%s: in8 column = %v, in9 column = %v, want the line between them", label, place.column(term("in8")) != nil, place.column(term("in9")) != nil)
+					}
+					if col := place.column(term("far1")); len(col) != 64 || col[63] != 2 {
+						t.Errorf("%s: last byte of far1's column = %v, want the last place's nibble alone", label, col)
+					}
+					if a == 14 && nibble(place.column(term("far14")), 0) != 15 {
+						t.Errorf("%s: far14 is not stored as nibble 15", label)
+					}
+				case n == 1:
+					if col := place.column(term("in1")); len(col) != 1 || col[0] != 1 {
+						t.Errorf("%s: in1's column = %v, want the one nibble of a universe of one", label, col)
 					}
 				}
 			}
@@ -186,6 +288,16 @@ func TestBuildForSubsetMatchesReference(t *testing.T) {
 		if unsorted == 0 {
 			t.Fatal("every tile came out ascending: the test no longer covers STR order")
 		}
+		// Tiles of the column fixture: the line between list and column
+		// moves with the tile's size (43, 42 and 42 places).
+		g = columnGraph(127)
+		for ti, tile := range strTiles(g, 3) {
+			for _, a := range []int{1, 14, 15} {
+				tree := bulkTree(g, tile, 4)
+				label := fmt.Sprintf("columnGraph tile=%d alpha=%d", ti, a)
+				sameIndex(t, label, BuildFor(g, tree, a, rdf.Outgoing, tile), referenceBuild(g, tree, a, rdf.Outgoing, tile), g.Vocab.Len())
+			}
+		}
 	})
 }
 
@@ -198,7 +310,7 @@ func TestBuildDegenerateMatchesReference(t *testing.T) {
 		}
 		for name, g := range cases {
 			for _, dir := range diffDirs {
-				for _, a := range []int{0, 1, 3} {
+				for _, a := range []int{0, 1, 3, MaxRadius} {
 					tree := bulkTree(g, g.Places(), 8)
 					label := fmt.Sprintf("%s dir=%v alpha=%d", name, dir, a)
 					sameIndex(t, label, Build(g, tree, a, dir), referenceBuild(g, tree, a, dir, g.Places()), g.Vocab.Len())
@@ -208,37 +320,66 @@ func TestBuildDegenerateMatchesReference(t *testing.T) {
 	})
 }
 
-// A tile's index restricted from the parent's equals the one BuildFor
-// searches for again, on STR tilings, also when the parent's place file
-// is read from disk.
+// A tile's index restricted from the parent's equals the one the
+// reference builds for the tile, term for term and form for form, on STR
+// tilings, also when the parent's place file is read from disk — where
+// every term arrives as a list — and on the column fixture, whose tiles
+// turn parent lists into columns ("in9" to "in12" sit in one corner) and
+// parent columns into lists.
 func TestRestrictMatchesBuildFor(t *testing.T) {
 	withProcs(t, func(t *testing.T) {
-		g := diffGraph(9, 480, 4, 2)
-		for _, dir := range diffDirs {
-			parent := Build(g, bulkTree(g, g.Places(), 8), 3, dir)
-			path := filepath.Join(t.TempDir(), "place.idx")
-			if err := parent.PlaceIdx.(*invindex.MemIndex).WriteFile(path); err != nil {
-				t.Fatal(err)
-			}
-			disk, err := invindex.Open(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			onDisk := &Index{Alpha: parent.Alpha, Dir: parent.Dir, PlaceIdx: disk, NodeIdx: parent.NodeIdx}
-			for _, n := range []int{2, 4, 7} {
-				for ti, tile := range strTiles(g, n) {
-					want := BuildFor(g, bulkTree(g, tile, 8), 3, dir, tile)
-					for name, from := range map[string]*Index{"memory": parent, "disk": onDisk} {
-						got, err := from.Restrict(bulkTree(g, tile, 8))
-						if err != nil {
-							t.Fatal(err)
+		type fixture struct {
+			name   string
+			g      *rdf.Graph
+			alphas []int
+			dirs   []rdf.Direction
+		}
+		for _, fx := range []fixture{
+			{"diffGraph", diffGraph(9, 480, 4, 2), []int{3}, diffDirs},
+			{"columnGraph", columnGraph(127), []int{1, 14, 15}, []rdf.Direction{rdf.Outgoing}},
+		} {
+			g := fx.g
+			for _, dir := range fx.dirs {
+				for _, a := range fx.alphas {
+					parent := Build(g, bulkTree(g, g.Places(), 8), a, dir)
+					path := filepath.Join(t.TempDir(), "place.idx")
+					if err := invindex.WriteFile(path, parent.PlaceIdx); err != nil {
+						t.Fatal(err)
+					}
+					disk, err := invindex.Open(path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					onDisk := &Index{Alpha: parent.Alpha, Dir: parent.Dir, PlaceIdx: disk, NodeIdx: parent.NodeIdx}
+					toColumn, toList := 0, 0 // terms that change form from parent to tile
+					for _, n := range []int{2, 4, 7} {
+						for ti, tile := range strTiles(g, n) {
+							want := referenceBuild(g, bulkTree(g, tile, 8), a, dir, tile)
+							for name, from := range map[string]*Index{"memory": parent, "disk": onDisk} {
+								got, err := from.Restrict(bulkTree(g, tile, 8))
+								if err != nil {
+									t.Fatal(err)
+								}
+								sameIndex(t, fmt.Sprintf("%s dir=%v alpha=%d n=%d tile=%d parent=%s", fx.name, dir, a, n, ti, name), got, want, g.Vocab.Len())
+								for term, r := range got.PlaceIdx.(*File).terms {
+									was := parent.PlaceIdx.(*File).terms[term]
+									switch {
+									case r.col != nil && was.col == nil:
+										toColumn++
+									case len(r.list) > 0 && was.col != nil:
+										toList++
+									}
+								}
+							}
 						}
-						sameIndex(t, fmt.Sprintf("dir=%v n=%d tile=%d parent=%s", dir, n, ti, name), got, want, g.Vocab.Len())
+					}
+					if a <= 14 && (toColumn == 0 || toList == 0) {
+						t.Errorf("%s dir=%v alpha=%d: %d parent lists became tile columns and %d parent columns tile lists: the test no longer covers both", fx.name, dir, a, toColumn, toList)
+					}
+					if err := disk.Close(); err != nil {
+						t.Fatal(err)
 					}
 				}
-			}
-			if err := disk.Close(); err != nil {
-				t.Fatal(err)
 			}
 		}
 	})
@@ -287,6 +428,25 @@ func TestRestrictSurfacesDamage(t *testing.T) {
 	})
 }
 
+// The fill's blocks start on even ordinals, whatever the place and worker
+// counts, and there are never more of them than workers: a column byte
+// holds two places, and only one worker may write it. (The race detector
+// sees the violation in TestBuildMatchesReference only when two workers
+// happen to take neighbouring blocks.)
+func TestFillBlocksStartOnEvenOrdinals(t *testing.T) {
+	for workers := 1; workers <= 9; workers++ {
+		for n := 0; n <= 300; n++ {
+			per := blockLen(n, workers)
+			if per < 1 || per%2 != 0 {
+				t.Fatalf("blockLen(%d, %d) = %d, want even and positive", n, workers, per)
+			}
+			if blocks := (n + per - 1) / per; blocks > workers {
+				t.Fatalf("blockLen(%d, %d) = %d cuts %d blocks", n, workers, per, blocks)
+			}
+		}
+	}
+}
+
 func TestCheckRadius(t *testing.T) {
 	for r, ok := range map[int]bool{-1: false, 0: true, 3: true, 255: true, 256: false, 300: false} {
 		if err := CheckRadius(r); (err == nil) != ok {
@@ -305,8 +465,10 @@ func TestCheckRadius(t *testing.T) {
 // TestBuildAllocGuard is the build's allocation gate, in the style of
 // TestBFSWorkGuard: counts repeat, wall clock does not. On the Yago-like
 // fixture Build may allocate at most three times the bytes of the index
-// it returns (the map-based build allocated about ten times) and a number
-// of objects in the order of places + terms, not of postings.
+// it returns (the map-based build allocated about ten times those of an
+// index of lists alone) and a number of objects in the order of places +
+// terms, not of postings; and the index it returns takes at most half the
+// bytes it would with every term a list.
 func TestBuildAllocGuard(t *testing.T) {
 	g := gen.Generate(gen.YagoConfig(6000, 7))
 	tree := bulkTree(g, g.Places(), rtree.DefaultMaxEntries)
@@ -317,12 +479,17 @@ func TestBuildAllocGuard(t *testing.T) {
 	ix := Build(g, tree, 3, rdf.Outgoing)
 	runtime.ReadMemStats(&after)
 
-	size := ix.PlaceIdx.(*invindex.MemIndex).MemSize() + ix.NodeIdx.(*invindex.MemIndex).MemSize()
+	size := ix.MemSize()
 	bytes := int64(after.TotalAlloc - before.TotalAlloc)
 	objects := int64(after.Mallocs - before.Mallocs)
 	places, nodes := ix.NumPostings()
-	t.Logf("index %d bytes (%d + %d postings); build allocated %d bytes (%.2f x) in %d objects; %d places, %d terms",
-		size, places, nodes, bytes, float64(bytes)/float64(size), objects, len(g.Places()), g.Vocab.Len())
+	// What invindex.MemIndex.MemSize says of the same two files.
+	lists := 2*24*int64(g.Vocab.Len()) + 8*(places+nodes)
+	t.Logf("index %d bytes, %.2f x the %d of lists alone (%d + %d postings); build allocated %d bytes (%.2f x) in %d objects; %d places, %d terms",
+		size, float64(size)/float64(lists), lists, places, nodes, bytes, float64(bytes)/float64(size), objects, len(g.Places()), g.Vocab.Len())
+	if 2*size > lists {
+		t.Errorf("the index takes %d bytes, more than half the %d of lists alone", size, lists)
+	}
 	if bytes > 3*size {
 		t.Errorf("build allocated %d bytes, more than 3 x the %d of the index", bytes, size)
 	}
@@ -346,3 +513,23 @@ func benchBuild(b *testing.B, build func(*rdf.Graph, *rtree.RTree, int, rdf.Dire
 
 func BenchmarkBuild(b *testing.B)          { benchBuild(b, BuildFor) }
 func BenchmarkBuildReference(b *testing.B) { benchBuild(b, referenceBuild) }
+
+// BenchmarkRestrict cuts the Yago-like index into the four tiles
+// PartitionSpatial makes of it.
+func BenchmarkRestrict(b *testing.B) {
+	g := gen.Generate(gen.YagoConfig(12000, 2))
+	parent := Build(g, bulkTree(g, g.Places(), rtree.DefaultMaxEntries), 3, rdf.Outgoing)
+	var trees []*rtree.RTree
+	for _, tile := range strTiles(g, 4) {
+		trees = append(trees, bulkTree(g, tile, rtree.DefaultMaxEntries))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, tree := range trees {
+			if _, err := parent.Restrict(tree); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

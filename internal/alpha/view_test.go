@@ -76,7 +76,10 @@ func (mv *mapView) nodeBound(n uint32) float64 {
 }
 
 // randomGraph builds a synthetic graph with places, edges and skewed
-// term documents, plus its R-tree.
+// term documents — sixty frequent terms, which the index keeps as columns,
+// and a tail of rare ones, which stay lists — plus its R-tree, of fan-out
+// 4: from about 1,000 vertices on it has enough nodes for a rare term to
+// stay a list in the node file too.
 func randomGraph(t testing.TB, seed int64, n int) (*rdf.Graph, *rtree.RTree) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -85,6 +88,9 @@ func randomGraph(t testing.TB, seed int64, n int) (*rdf.Graph, *rtree.RTree) {
 		v := b.AddBareVertex(fmt.Sprintf("v%d", i))
 		for j := 0; j <= rng.Intn(4); j++ {
 			b.AddTermID(v, b.Vocab.ID(fmt.Sprintf("w%d", rng.Intn(60))))
+		}
+		if rng.Intn(6) == 0 {
+			b.AddTermID(v, b.Vocab.ID(fmt.Sprintf("rare%d", rng.Intn(200))))
 		}
 		if i > 0 {
 			b.AddEdge(uint32(rng.Intn(i)), v, "p")
@@ -99,20 +105,72 @@ func randomGraph(t testing.TB, seed int64, n int) (*rdf.Graph, *rtree.RTree) {
 	for _, p := range g.Places() {
 		items = append(items, rtree.Item{ID: p, Loc: g.Loc(p)})
 	}
-	return g, rtree.Bulk(items, 8)
+	return g, rtree.Bulk(items, 4)
+}
+
+// termsByForm splits the vocabulary into the terms both files keep as
+// columns, those both keep as non-empty lists, and those kept one way in
+// one file and the other way in the other.
+func termsByForm(t *testing.T, ix *Index) (columns, lists, split []uint32) {
+	t.Helper()
+	place, node := ix.PlaceIdx.(*File), ix.NodeIdx.(*File)
+	for term := range place.terms {
+		p, n := place.terms[term], node.terms[term]
+		switch {
+		case p.col != nil && n.col != nil:
+			columns = append(columns, uint32(term))
+		case len(p.list) > 0 && len(n.list) > 0:
+			lists = append(lists, uint32(term))
+		case p.col != nil || n.col != nil:
+			split = append(split, uint32(term))
+		}
+	}
+	if len(columns) < 2 || len(lists) < 2 {
+		t.Fatalf("%d terms are columns and %d are lists in both files: the fixture no longer mixes the two forms", len(columns), len(lists))
+	}
+	return columns, lists, split
+}
+
+// formQueries returns keyword sets that pin how a view combines the two
+// forms: all columns, all lists, both mixed, a column and a list each
+// listed twice, terms kept differently by the two files, and terms no
+// file knows among the others.
+func formQueries(t *testing.T, ix *Index, rng *rand.Rand) [][]uint32 {
+	columns, lists, split := termsByForm(t, ix)
+	pick := func(from []uint32) uint32 { return from[rng.Intn(len(from))] }
+	c1, c2, l1, l2 := pick(columns), pick(columns), pick(lists), pick(lists)
+	qs := [][]uint32{
+		{c1, c2},
+		{l1, l2},
+		{c1, l1, c2, l2},
+		{l1, c1},
+		{c1, c1, l1, l1},
+		{c1, 100000, l1, ^uint32(0)},
+	}
+	if len(split) > 0 {
+		qs = append(qs, []uint32{pick(split), c1, l1})
+	}
+	return qs
 }
 
 // The tentpole property: the dense-table QueryView bounds are
 // bit-identical to the map-based implementation across datasets × α ×
 // keyword sets (repeated terms included), probed at every vertex, every
-// tree node, and IDs beyond both tables. Float equality here is exact
-// (==), not approximate.
+// tree node, and IDs beyond both tables and both universes. The keyword
+// sets mix terms the index keeps as columns, which the view reads in
+// place, with terms it keeps as lists, which the view scatters
+// (formQueries); at α = 15 every term is a list. Float equality here is
+// exact (==), not approximate.
 func TestFlatBoundsBitIdenticalToMaps(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
-		for _, alphaRadius := range []int{1, 3} {
-			g, tree := randomGraph(t, seed, 300)
+		for _, alphaRadius := range []int{1, 3, 15} {
+			g, tree := randomGraph(t, seed, 1200)
 			ix := Build(g, tree, alphaRadius, rdf.Outgoing)
 			rng := rand.New(rand.NewSource(seed * 1000))
+			var queries [][]uint32
+			if alphaRadius <= 14 {
+				queries = formQueries(t, ix, rng)
+			}
 			for trial := 0; trial < 20; trial++ {
 				m := 1 + rng.Intn(6)
 				terms := make([]uint32, m)
@@ -120,6 +178,9 @@ func TestFlatBoundsBitIdenticalToMaps(t *testing.T) {
 					// Mix known terms and IDs beyond the vocabulary.
 					terms[i] = uint32(rng.Intn(70))
 				}
+				queries = append(queries, terms)
+			}
+			for _, terms := range queries {
 				qv, err := ix.LoadQuery(terms)
 				if err != nil {
 					t.Fatal(err)
@@ -169,7 +230,7 @@ func checkView(t *testing.T, label string, ix *Index, g *rdf.Graph, qv *QueryVie
 // the new keyword set — cells a previous query wrote must never leak
 // into bounds.
 func TestQueryViewPoolReuse(t *testing.T) {
-	g, tree := randomGraph(t, 7, 300)
+	g, tree := randomGraph(t, 7, 1200)
 	ix := Build(g, tree, 2, rdf.Outgoing)
 	rng := rand.New(rand.NewSource(99))
 	randomTerms := func() []uint32 {
@@ -206,6 +267,34 @@ func TestQueryViewPoolReuse(t *testing.T) {
 		fill(fmt.Sprintf("refill %d", round), randomTerms())
 	}
 	fill("no known term", []uint32{5000, 5001})
+	// From columns to lists and back: a refill must not read a column the
+	// fill before it borrowed, nor a cell it scattered, and borrows exactly
+	// the columns of its own keywords.
+	columns, lists, _ := termsByForm(t, ix)
+	for round, terms := range [][]uint32{columns, lists, columns[:1], {lists[0], columns[0]}, lists[:1], {}, columns} {
+		fill(fmt.Sprintf("forms %d", round), terms)
+		want := 0
+		for _, term := range terms {
+			if ix.PlaceIdx.(*File).column(term) != nil {
+				want++
+			}
+		}
+		if got := len(qv.place.cols); got != want {
+			t.Errorf("forms %d: the view borrows %d place columns, its keywords have %d", round, got, want)
+		}
+	}
+	// Release hands the columns back: a pooled view must not keep the
+	// index it last served alive.
+	qv.owner = ix
+	qv.Release()
+	if len(qv.place.cols)+len(qv.node.cols) != 0 || qv.place.file != nil || qv.node.file != nil {
+		t.Errorf("a released view still holds %d place and %d node columns", len(qv.place.cols), len(qv.node.cols))
+	}
+	for _, col := range append(qv.place.cols[:cap(qv.place.cols)], qv.node.cols[:cap(qv.node.cols)]...) {
+		if col != nil {
+			t.Fatal("a released view still points at a column beyond its length")
+		}
+	}
 	qv.place.epoch, qv.node.epoch = ^uint32(0)-1, ^uint32(0)-1
 	for round := 0; round < 4; round++ {
 		fill(fmt.Sprintf("epoch wrap %d", round), randomTerms())

@@ -192,6 +192,9 @@ func DefaultConfig(module string) Config {
 			// Shared or LRU-cache-owned term slice; valid until the
 			// next Doc call evicts it (DESIGN.md §16).
 			module + "/internal/rdf.Graph.Doc",
+			// The index's own list, or one decoded onto the Lender's
+			// scratch; valid until Lender.Reset.
+			module + "/internal/invindex.Lender.Borrow",
 		},
 		MmapOwnerPackages: []string{
 			// These packages own the mmapped file (they hold it and call

@@ -73,6 +73,42 @@ type enginePools struct {
 	// on a size change.
 	termSeen sync.Pool // *seenSet
 	vertSeen sync.Pool // *seenSet
+	// frontier recycles SP's priority queue, which a query grows to a few
+	// thousand entries; lender the scratch prepare decodes document
+	// postings into when the document index is not in memory.
+	frontier sync.Pool // *spHeap
+	lender   sync.Pool // *invindex.Lender
+}
+
+// getFrontier returns an empty SP queue.
+func (p *enginePools) getFrontier() *spHeap {
+	h, _ := p.frontier.Get().(*spHeap)
+	if h == nil {
+		h = new(spHeap)
+	}
+	return h
+}
+
+// putFrontier takes h back, emptied: an entry left in it would keep an
+// R-tree subtree reachable from the pool.
+func (p *enginePools) putFrontier(h *spHeap) {
+	clear(*h)
+	*h = (*h)[:0]
+	p.frontier.Put(h)
+}
+
+func (p *enginePools) getLender() *invindex.Lender {
+	l, _ := p.lender.Get().(*invindex.Lender)
+	if l == nil {
+		l = new(invindex.Lender)
+	}
+	return l
+}
+
+// putLender ends the loans l made and takes it back.
+func (p *enginePools) putLender(l *invindex.Lender) {
+	l.Reset()
+	p.lender.Put(l)
 }
 
 func (p *enginePools) getMQ(n int) *denseMQ {
@@ -266,7 +302,7 @@ func (e *Engine) UseDiskDocIndexMode(path string, useMmap bool) (*invindex.DiskI
 	if !ok {
 		return nil, fmt.Errorf("core: document index already replaced")
 	}
-	if err := mem.WriteFile(path); err != nil {
+	if err := invindex.WriteFile(path, mem); err != nil {
 		return nil, err
 	}
 	disk, err := invindex.OpenFile(path, useMmap)
@@ -303,16 +339,17 @@ func (e *Engine) WithAlpha(alphaRadius int) *Engine {
 
 // prepQuery is a resolved query: deduped keyword term IDs ordered by
 // ascending document frequency (the paper prioritizes infrequent keywords
-// in Rule 1), the dense map Mq.ψ from vertices to keyword masks, and the
-// raw posting lists. Read-only once prepare returns, so the workers of a
-// parallel evaluation share it freely; the engine recycles mq via
-// releasePrep.
+// in Rule 1), those frequencies, and the dense map Mq.ψ from vertices to
+// keyword masks. The posting lists themselves are only borrowed while
+// prepare scatters them into Mq.ψ. Read-only once prepare returns, so the
+// workers of a parallel evaluation share it freely; the engine recycles
+// mq via releasePrep.
 type prepQuery struct {
-	loc      Query
-	terms    []uint32
-	postings [][]invindex.Posting
-	mq       *denseMQ
-	full     uint64
+	loc   Query
+	terms []uint32
+	df    []int // df[i] is the document frequency of terms[i]
+	mq    *denseMQ
+	full  uint64
 	// sig is the canonical (sorted, packed) term-set signature keying the
 	// looseness cache; empty when the cache is disabled.
 	sig string
@@ -405,16 +442,21 @@ func (e *Engine) prepare(q Query) (*prepQuery, error) {
 	if !pq.answerable {
 		return pq, nil
 	}
-	pq.postings = make([][]invindex.Posting, len(pq.terms))
+	// The keywords' posting lists are borrowed, not copied: they are read
+	// once, into Mq.ψ, before prepare returns.
+	ln := e.pools.getLender()
+	defer e.pools.putLender(ln)
+	var lists [MaxKeywords][]invindex.Posting
+	pq.df = make([]int, len(pq.terms))
 	for i, t := range pq.terms {
-		pl, err := e.Doc.Postings(t, nil)
+		pl, err := ln.Borrow(e.Doc, t)
 		if err != nil {
 			return nil, err
 		}
 		if len(pl) == 0 {
 			pq.answerable = false
 		}
-		pq.postings[i] = pl
+		lists[i], pq.df[i] = pl, len(pl)
 	}
 	if !pq.answerable {
 		return pq, nil
@@ -424,20 +466,19 @@ func (e *Engine) prepare(q Query) (*prepQuery, error) {
 	for i := range order {
 		order[i] = i
 	}
-	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(len(pq.postings[a]), len(pq.postings[b])) })
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(pq.df[a], pq.df[b]) })
 	terms := make([]uint32, len(order))
-	posts := make([][]invindex.Posting, len(order))
+	df := make([]int, len(order))
 	for i, o := range order {
-		terms[i] = pq.terms[o]
-		posts[i] = pq.postings[o]
+		terms[i], df[i] = pq.terms[o], pq.df[o]
 	}
-	pq.terms, pq.postings = terms, posts
+	pq.terms, pq.df = terms, df
 
 	pq.full = (uint64(1) << uint(len(pq.terms))) - 1
 	pq.mq = e.pools.getMQ(e.G.NumVertices())
-	for i, pl := range pq.postings {
+	for i, o := range order {
 		bit := uint64(1) << uint(i)
-		for _, p := range pl {
+		for _, p := range lists[o] {
 			pq.mq.or(p.ID, bit)
 		}
 	}

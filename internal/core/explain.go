@@ -214,8 +214,8 @@ func (e *Engine) explainKeywords(q Query) (kws []ExplainKeyword, answerable bool
 	kws = make([]ExplainKeyword, len(pq.terms))
 	for i, t := range pq.terms {
 		df := 0
-		if i < len(pq.postings) {
-			df = len(pq.postings[i])
+		if i < len(pq.df) {
+			df = pq.df[i]
 		}
 		kws[i] = ExplainKeyword{Term: e.G.Vocab.Term(t), DocFrequency: df}
 	}

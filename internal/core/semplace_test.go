@@ -249,7 +249,7 @@ func replaySP(t *testing.T, e *Engine, q Query, st *Stats, construct func(pq *pr
 		t.Fatal(err)
 	}
 	var mk sourceFactory = func(st *Stats, theta func() float64) (candSource, error) {
-		src := &spSource{e: e, qv: qv, theta: theta, qloc: q.Loc, stats: st}
+		src := &spSource{e: e, qv: qv, theta: theta, qloc: q.Loc, stats: st, pqueue: e.pools.getFrontier()}
 		root := e.Tree.Root()
 		d := root.Rect.MinDist(q.Loc)
 		src.pqueue.push(spEntry{bound: e.Rank.Score(qv.NodeBound(root.ID), d), dist: d, node: root})

@@ -105,7 +105,7 @@ type spSource struct {
 	qloc    geo.Point
 	maxDist float64
 	stats   *Stats
-	pqueue  spHeap
+	pqueue  *spHeap // from the engine's pool; close hands it back
 }
 
 func (s *spSource) next() (candidate, bool) {
@@ -158,7 +158,14 @@ func (s *spSource) next() (candidate, bool) {
 	return candidate{}, false
 }
 
-func (s *spSource) close() {}
+// close hands the queue back to the engine's pool. Both evaluation loops
+// call it once, after the last next, on every way out.
+func (s *spSource) close() {
+	if s.pqueue != nil {
+		s.e.pools.putFrontier(s.pqueue)
+		s.pqueue = nil
+	}
+}
 
 // fillWindow pops up to w places in ascending α-bound order. The resume
 // bound is the head of the priority queue, which lower-bounds every
@@ -177,5 +184,5 @@ func (s *spSource) fillWindow(w int, buf []windowCand) ([]windowCand, float64) {
 	if s.pqueue.Len() == 0 {
 		return buf, math.Inf(1)
 	}
-	return buf, s.pqueue[0].bound
+	return buf, (*s.pqueue)[0].bound
 }

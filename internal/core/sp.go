@@ -130,7 +130,7 @@ func (e *Engine) spLoop(pq *prepQuery, opts Options, hk *topK, stats *Stats) err
 	}
 	qloc := pq.loc.Loc
 	mk := func(st *Stats, theta func() float64) (candSource, error) {
-		src := &spSource{e: e, qv: qv, theta: theta, qloc: qloc, maxDist: opts.MaxDist, stats: st}
+		src := &spSource{e: e, qv: qv, theta: theta, qloc: qloc, maxDist: opts.MaxDist, stats: st, pqueue: e.pools.getFrontier()}
 		if e.Tree.Len() > 0 {
 			root := e.Tree.Root()
 			d := root.Rect.MinDist(qloc)

@@ -3,6 +3,7 @@ package core
 import (
 	"container/heap"
 	"math"
+	"math/bits"
 	"time"
 
 	"ksp/internal/rdf"
@@ -198,11 +199,14 @@ func newLooseStream(e *Engine, pq *prepQuery, stats *Stats) *looseStream {
 	}
 	for i := 0; i < m; i++ {
 		ls.visited[i] = make([]bool, n)
-		for _, post := range pq.postings[i] {
-			if !ls.visited[i][post.ID] {
-				ls.visited[i][post.ID] = true
-				ls.frontiers[i] = append(ls.frontiers[i], post.ID)
-			}
+	}
+	// Keyword i starts from the vertices that hold it: Mq.ψ read back in
+	// ascending vertex ID, the order of its posting list.
+	for v := uint32(0); int(v) < n; v++ {
+		for mask := pq.mq.get(v); mask != 0; mask &= mask - 1 {
+			i := bits.TrailingZeros64(mask)
+			ls.visited[i][v] = true
+			ls.frontiers[i] = append(ls.frontiers[i], v)
 		}
 	}
 	// Round 0: the posting vertices themselves (distance 0).

@@ -45,6 +45,34 @@ type Index interface {
 	NumPostings() int64
 }
 
+// A Lender hands out posting lists without copying them where it can: a
+// MemIndex lends its own slice, any other representation is decoded onto
+// the Lender's scratch. Every list borrowed stays valid, and must be left
+// unwritten, until Reset; a pooled Lender keeps the scratch warm, so
+// steady-state borrowing allocates nothing.
+type Lender struct {
+	scratch []Posting
+}
+
+// Borrow returns the posting list of term in ix.
+func (l *Lender) Borrow(ix Index, term uint32) ([]Posting, error) {
+	if m, ok := ix.(*MemIndex); ok {
+		if int(term) >= len(m.lists) {
+			return nil, nil
+		}
+		return m.lists[term], nil
+	}
+	// Growing the scratch leaves the lists lent before in the array they
+	// were decoded into: still valid.
+	lo := len(l.scratch)
+	var err error
+	l.scratch, err = ix.Postings(term, l.scratch)
+	return l.scratch[lo:len(l.scratch):len(l.scratch)], err
+}
+
+// Reset ends every loan and keeps the scratch for the next ones.
+func (l *Lender) Reset() { l.scratch = l.scratch[:0] }
+
 // AvgPostingLen returns the average posting-list length over terms that
 // have at least one posting — the keyword-frequency statistic the paper
 // reports for DBpedia (56.46) and Yago (7.83). Both built-in
@@ -147,23 +175,6 @@ func strictlyAscending(pl []Posting) bool {
 	return true
 }
 
-// FromSorted wraps posting lists that were produced in order: lists[t] is
-// term t's, typically a sub-slice of an array shared with its neighbours.
-// The index keeps the lists as they are — no copy, no sort — and the
-// caller must not write to them again. This is the one place such a list
-// is validated: every list must be strictly ID-ascending, checked in one
-// linear pass; anything else is an error.
-func FromSorted(lists [][]Posting) (*MemIndex, error) {
-	var total int64
-	for t, pl := range lists {
-		if !strictlyAscending(pl) {
-			return nil, fmt.Errorf("invindex: term %d: posting list is not strictly ascending by ID", t)
-		}
-		total += int64(len(pl))
-	}
-	return &MemIndex{lists: lists, total: total}, nil
-}
-
 // MemIndex is the in-memory representation.
 type MemIndex struct {
 	lists [][]Posting
@@ -197,8 +208,7 @@ func (m *MemIndex) NonEmptyTerms() int64 {
 
 // MemSize returns the in-memory footprint in bytes: a slice header per
 // term plus eight bytes per posting slot a list holds on to — its
-// capacity, so the room append left in a Builder's list counts, and a
-// FromSorted list cut to its length has none to spare.
+// capacity, so the room append left in a Builder's list counts.
 func (m *MemIndex) MemSize() int64 {
 	sz := int64(len(m.lists)) * 24
 	for _, pl := range m.lists {
@@ -219,68 +229,65 @@ const (
 	version = 1
 )
 
-// WriteFile serializes the index to path.
-func (m *MemIndex) WriteFile(path string) error {
+// WriteFile serializes ix to path.
+func WriteFile(path string, ix Index) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	//ksplint:ignore droppederr -- error-path cleanup; the success path returns the second Close's error
 	defer f.Close()
-	if err := m.Write(f); err != nil {
+	if err := Write(f, ix); err != nil {
 		return err
 	}
 	return f.Close()
 }
 
-// Write serializes the index to w.
-func (m *MemIndex) Write(w io.Writer) error {
+// Write serializes ix to w, whatever its representation: every list is
+// read through Postings, once to size the offset table and once to
+// encode it, into one reused buffer, so nothing but the table is held.
+func Write(w io.Writer, ix Index) error {
 	bw := bufio.NewWriter(w)
+	numTerms := ix.NumTerms()
 	var hdr [12]byte
 	binary.LittleEndian.PutUint32(hdr[0:], magic)
 	binary.LittleEndian.PutUint32(hdr[4:], version)
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(m.lists)))
+	binary.LittleEndian.PutUint32(hdr[8:], uint32(numTerms))
 	if _, err := bw.Write(hdr[:]); err != nil {
 		return err
 	}
-	// Compute offsets.
-	offsets := make([]uint64, len(m.lists)+1)
+	var pl []Posting
+	var err error
 	var scratch [binary.MaxVarintLen64]byte
-	encLen := func(pl []Posting) uint64 {
-		n := uint64(binary.PutUvarint(scratch[:], uint64(len(pl))))
+	offBytes := make([]byte, 8*(numTerms+1))
+	var off uint64
+	for t := 0; t < numTerms; t++ {
+		if pl, err = ix.Postings(uint32(t), pl[:0]); err != nil {
+			return err
+		}
+		off += uint64(binary.PutUvarint(scratch[:], uint64(len(pl))))
 		prev := uint32(0)
-		for i, p := range pl {
-			delta := p.ID - prev
-			if i == 0 {
-				delta = p.ID
-			}
-			n += uint64(binary.PutUvarint(scratch[:], uint64(delta)))
+		for _, p := range pl {
+			off += uint64(binary.PutUvarint(scratch[:], uint64(p.ID-prev)))
 			prev = p.ID
 		}
-		return n + uint64(len(pl)) // weights
-	}
-	for t, pl := range m.lists {
-		offsets[t+1] = offsets[t] + encLen(pl)
-	}
-	offBytes := make([]byte, 8*(len(offsets)))
-	for i, o := range offsets {
-		binary.LittleEndian.PutUint64(offBytes[8*i:], o)
+		off += uint64(len(pl)) // weights
+		binary.LittleEndian.PutUint64(offBytes[8*(t+1):], off)
 	}
 	if _, err := bw.Write(offBytes); err != nil {
 		return err
 	}
-	for _, pl := range m.lists {
+	for t := 0; t < numTerms; t++ {
+		if pl, err = ix.Postings(uint32(t), pl[:0]); err != nil {
+			return err
+		}
 		n := binary.PutUvarint(scratch[:], uint64(len(pl)))
 		if _, err := bw.Write(scratch[:n]); err != nil {
 			return err
 		}
 		prev := uint32(0)
-		for i, p := range pl {
-			delta := p.ID - prev
-			if i == 0 {
-				delta = p.ID
-			}
-			n := binary.PutUvarint(scratch[:], uint64(delta))
+		for _, p := range pl {
+			n := binary.PutUvarint(scratch[:], uint64(p.ID-prev))
 			if _, err := bw.Write(scratch[:n]); err != nil {
 				return err
 			}
@@ -295,32 +302,23 @@ func (m *MemIndex) Write(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadFrom decodes an index previously serialized with Write from a
-// sequential stream, materializing it in memory. (Open, by contrast, maps
-// a file for on-demand posting reads.)
-func ReadFrom(r io.Reader) (*MemIndex, error) {
+// ReadFrom reads an index previously serialized with Write from a
+// sequential stream into memory and serves it from those bytes: as with
+// Open only the offset table is decoded, and a list is decoded when it
+// is asked for. A caller that wants the lists in another shape (the
+// snapshot loader packs the α files) reads them once through Postings and
+// drops the encoding.
+func ReadFrom(r io.Reader) (*DiskIndex, error) {
 	offsets, err := readOffsets(r)
 	if err != nil {
 		return nil, err
 	}
-	numTerms := len(offsets) - 1
-	data, err := readFullCapped(r, int64(offsets[numTerms]))
+	data, err := readFullCapped(r, int64(offsets[len(offsets)-1]))
 	if err != nil {
 		return nil, fmt.Errorf("invindex: reading postings: %w", err)
 	}
-	m := &MemIndex{lists: make([][]Posting, numTerms)}
-	for t := 0; t < numTerms; t++ {
-		if offsets[t] == offsets[t+1] {
-			continue
-		}
-		pl, err := decodeList(data[offsets[t]:offsets[t+1]], nil)
-		if err != nil {
-			return nil, fmt.Errorf("invindex: term %d: %w", t, err)
-		}
-		m.lists[t] = pl
-		m.total += int64(len(pl))
-	}
-	return m, nil
+	// The bytes held are the posting area alone: dataBase stays 0.
+	return &DiskIndex{src: mmapfile.FromBytes(data), offsets: offsets, total: -1}, nil
 }
 
 // readOffsets consumes the fixed header plus the offset table — the
@@ -404,10 +402,11 @@ func readFullCapped(r io.Reader, n int64) ([]byte, error) {
 
 // DiskIndex reads posting lists on demand from an index encoding on
 // disk — either a standalone file produced by WriteFile or a section
-// embedded in a larger file (NewView). Only the offset table is
-// memory-resident; posting lists are fetched per call, matching the
-// paper's disk-resident inverted-index setting. In mmap mode fetches
-// decode straight out of the mapping with no per-call buffer.
+// embedded in a larger file (NewView) — or from one ReadFrom holds in
+// memory. Only the offset table is decoded up front; posting lists are
+// fetched per call, matching the paper's disk-resident inverted-index
+// setting. In mmap mode fetches decode straight out of the mapping with
+// no per-call buffer.
 type DiskIndex struct {
 	src      *mmapfile.File
 	offsets  []uint64
@@ -468,6 +467,13 @@ func (d *DiskIndex) Close() error {
 
 // Mapped reports whether posting reads are served from a memory mapping.
 func (d *DiskIndex) Mapped() bool { return d.src.Mapped() }
+
+// OnDisk reports whether ix fetches its lists from an encoding per call
+// (a DiskIndex) instead of holding them ready in memory.
+func OnDisk(ix Index) bool {
+	_, ok := ix.(*DiskIndex)
+	return ok
+}
 
 // NumTerms implements Index.
 func (d *DiskIndex) NumTerms() int { return len(d.offsets) - 1 }

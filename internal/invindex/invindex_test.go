@@ -100,7 +100,7 @@ func TestDiskRoundTrip(t *testing.T) {
 	mem := b.Build()
 
 	path := filepath.Join(t.TempDir(), "ix.bin")
-	if err := mem.WriteFile(path); err != nil {
+	if err := WriteFile(path, mem); err != nil {
 		t.Fatal(err)
 	}
 	disk, err := Open(path)
@@ -140,7 +140,7 @@ func TestDiskRoundTripProperty(t *testing.T) {
 		}
 		mem := b.Build()
 		path := filepath.Join(t.TempDir(), "p.bin")
-		if err := mem.WriteFile(path); err != nil {
+		if err := WriteFile(path, mem); err != nil {
 			return false
 		}
 		disk, err := Open(path)
@@ -172,7 +172,7 @@ func TestReadFromMatchesOpen(t *testing.T) {
 	}
 	mem := b.Build()
 	path := filepath.Join(t.TempDir(), "rf.bin")
-	if err := mem.WriteFile(path); err != nil {
+	if err := WriteFile(path, mem); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(path)
@@ -227,7 +227,7 @@ func TestTruncatedFile(t *testing.T) {
 	}
 	mem := b.Build()
 	path := filepath.Join(t.TempDir(), "full.bin")
-	if err := mem.WriteFile(path); err != nil {
+	if err := WriteFile(path, mem); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -331,7 +331,7 @@ func BenchmarkPostingsDisk(b *testing.B) {
 	}
 	mem := bld.Build()
 	path := filepath.Join(b.TempDir(), "bench.bin")
-	if err := mem.WriteFile(path); err != nil {
+	if err := WriteFile(path, mem); err != nil {
 		b.Fatal(err)
 	}
 	disk, err := Open(path)

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ksp/internal/mmapfile"
@@ -27,7 +28,7 @@ func randomMem(t testing.TB, seed int64, n int) *MemIndex {
 func TestMmapMatchesPreadAndMem(t *testing.T) {
 	mem := randomMem(t, 11, 8000)
 	path := filepath.Join(t.TempDir(), "ix.bin")
-	if err := mem.WriteFile(path); err != nil {
+	if err := WriteFile(path, mem); err != nil {
 		t.Fatal(err)
 	}
 	pread, err := OpenFile(path, false)
@@ -72,7 +73,7 @@ func TestNonEmptyTerms(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		mem := randomMem(t, seed, 500)
 		path := filepath.Join(t.TempDir(), "ne.bin")
-		if err := mem.WriteFile(path); err != nil {
+		if err := WriteFile(path, mem); err != nil {
 			t.Fatal(err)
 		}
 		disk, err := Open(path)
@@ -108,7 +109,7 @@ func TestNonEmptyTerms(t *testing.T) {
 func TestScanAndView(t *testing.T) {
 	mem := randomMem(t, 21, 3000)
 	var enc bytes.Buffer
-	if err := mem.Write(&enc); err != nil {
+	if err := Write(&enc, mem); err != nil {
 		t.Fatal(err)
 	}
 	prefix := []byte("0123456789abcdef")
@@ -158,5 +159,106 @@ func TestScanAndView(t *testing.T) {
 		if err := src.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// Write goes through Postings, so every representation serializes to the
+// same bytes; ReadFrom serves the encoding it read without a file, and is
+// — like every DiskIndex — what OnDisk says is not held ready in memory.
+func TestWriteAnyRepresentation(t *testing.T) {
+	mem := randomMem(t, 31, 2000)
+	var want bytes.Buffer
+	if err := Write(&want, mem); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "any.idx")
+	if err := WriteFile(path, mem); err != nil {
+		t.Fatal(err)
+	}
+	disk, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
+	read, err := ReadFrom(bytes.NewReader(want.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, ix := range map[string]Index{"disk": disk, "read from a stream": read} {
+		var got bytes.Buffer
+		if err := Write(&got, ix); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("%s: Write gave %d bytes that differ from the in-memory index's %d", name, got.Len(), want.Len())
+		}
+		if !OnDisk(ix) {
+			t.Errorf("%s: OnDisk = false", name)
+		}
+	}
+	if OnDisk(mem) {
+		t.Error("OnDisk(MemIndex) = true")
+	}
+	if err := read.Close(); err != nil {
+		t.Errorf("Close of an index read from a stream: %v", err)
+	}
+}
+
+// A Lender lends a MemIndex's own lists and decodes any other index onto
+// its scratch; loans stay valid side by side until Reset, after which the
+// scratch is reused instead of grown.
+func TestLenderBorrow(t *testing.T) {
+	mem := randomMem(t, 41, 2000)
+	path := filepath.Join(t.TempDir(), "lend.idx")
+	if err := WriteFile(path, mem); err != nil {
+		t.Fatal(err)
+	}
+	disk, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
+
+	var ln Lender
+	for term := 0; term < mem.NumTerms()+2; term++ {
+		own, _ := mem.Postings(uint32(term), nil)
+		lent, err := ln.Borrow(mem, uint32(term))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(lent, own) {
+			t.Fatalf("term %d: lent %v, want %v", term, lent, own)
+		}
+		if len(lent) > 0 && &lent[0] != &mem.lists[term][0] {
+			t.Fatalf("term %d: a MemIndex list was copied, not lent", term)
+		}
+	}
+	if len(ln.scratch) != 0 {
+		t.Errorf("lending from a MemIndex used %d postings of scratch", len(ln.scratch))
+	}
+
+	for round := 0; round < 2; round++ {
+		var loans [][]Posting
+		for term := 0; term < 8; term++ {
+			lent, err := ln.Borrow(disk, uint32(term))
+			if err != nil {
+				t.Fatal(err)
+			}
+			loans = append(loans, lent)
+		}
+		for term, lent := range loans { // all still intact
+			want, _ := mem.Postings(uint32(term), nil)
+			if !slices.Equal(lent, want) {
+				t.Fatalf("round %d term %d: loan %v, want %v", round, term, lent, want)
+			}
+		}
+		ln.Reset()
+	}
+	before := cap(ln.scratch)
+	if _, err := ln.Borrow(disk, 0); err != nil {
+		t.Fatal(err)
+	}
+	if cap(ln.scratch) != before {
+		t.Errorf("scratch regrown after Reset: capacity %d, then %d", before, cap(ln.scratch))
 	}
 }

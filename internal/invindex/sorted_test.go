@@ -8,53 +8,6 @@ import (
 	"testing"
 )
 
-// FromSorted serves the lists it is handed, as they are, and its MemSize
-// is exactly their bytes when they have no capacity to spare.
-func TestFromSorted(t *testing.T) {
-	post := []Posting{{ID: 2, Weight: 1}, {ID: 5, Weight: 0}, {ID: 9, Weight: 3}, {ID: 4, Weight: 2}}
-	ix, err := FromSorted([][]Posting{post[0:3:3], nil, post[3:4:4], nil})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ix.NumTerms() != 4 || ix.NumPostings() != 4 || ix.NonEmptyTerms() != 2 {
-		t.Errorf("NumTerms/NumPostings/NonEmptyTerms = %d/%d/%d, want 4/4/2", ix.NumTerms(), ix.NumPostings(), ix.NonEmptyTerms())
-	}
-	for term, want := range [][]Posting{post[0:3], nil, post[3:4], nil, nil} {
-		got, err := ix.Postings(uint32(term), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(got, want) {
-			t.Errorf("Postings(%d) = %v, want %v", term, got, want)
-		}
-	}
-	if got, want := ix.MemSize(), int64(4*24+4*8); got != want {
-		t.Errorf("MemSize = %d, want %d: four slice headers and four postings", got, want)
-	}
-	// A list with room to spare holds on to the room.
-	roomy, err := FromSorted([][]Posting{post[0:1]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := roomy.MemSize(), int64(24+4*8); got != want {
-		t.Errorf("MemSize with spare capacity = %d, want %d", got, want)
-	}
-}
-
-// "Validate once, where the list is made": a list that is not strictly
-// ID-ascending never becomes an index.
-func TestFromSortedRejectsUnsorted(t *testing.T) {
-	good := []Posting{{ID: 1}, {ID: 2}}
-	for name, bad := range map[string][]Posting{
-		"duplicated":   {{ID: 2, Weight: 1}, {ID: 5, Weight: 2}, {ID: 5, Weight: 3}},
-		"out of order": {{ID: 2, Weight: 1}, {ID: 9, Weight: 0}, {ID: 5, Weight: 2}},
-	} {
-		if _, err := FromSorted([][]Posting{good, bad}); err == nil {
-			t.Errorf("%s list accepted", name)
-		}
-	}
-}
-
 // referenceBuild is Build before it learned to leave sorted lists alone:
 // every list sorted by (ID, weight), first of each ID kept.
 func referenceBuild(lists [][]Posting) [][]Posting {

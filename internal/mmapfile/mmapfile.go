@@ -56,6 +56,13 @@ func OpenMode(path string, useMmap bool) (*File, error) {
 	return m, nil
 }
 
+// FromBytes serves data, which the caller must not write to again, as a
+// file that is already in memory: Range hands out sub-slices of it and
+// Close has nothing to release.
+func FromBytes(data []byte) *File {
+	return &File{size: int64(len(data)), data: data[:len(data):len(data)]}
+}
+
 // Mapped reports whether the file is served through a memory mapping.
 func (m *File) Mapped() bool { return m.data != nil }
 
@@ -98,6 +105,9 @@ func (m *File) Range(off, n int64) ([]byte, error) {
 // Close unmaps (when mapped) and closes the file. Slices returned by
 // Range in mapped mode are invalid afterwards.
 func (m *File) Close() error {
+	if m.f == nil { // FromBytes
+		return nil
+	}
 	var unmapErr error
 	if m.data != nil {
 		unmapErr = munmap(m.data)

@@ -23,8 +23,8 @@ func fixtureSnapshot(t testing.TB) *Snapshot {
 		Graph:       g,
 		AlphaRadius: 2,
 		Dir:         rdf.Outgoing,
-		AlphaPlace:  e.Alpha.PlaceIdx.(*invindex.MemIndex),
-		AlphaNode:   e.Alpha.NodeIdx.(*invindex.MemIndex),
+		AlphaPlace:  e.Alpha.PlaceIdx,
+		AlphaNode:   e.Alpha.NodeIdx,
 	}
 }
 
@@ -91,6 +91,53 @@ func TestReadCorruptIsNamedError(t *testing.T) {
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("vocabulary corruption: got %v, want ErrCorrupt", err)
 	}
+}
+
+// Read packs the α files as it decodes them, which is where a list that
+// no build can have written is seen: an entry that is not a place, a
+// distance beyond the radius, an entry out of order. Each is ErrCorrupt
+// whether or not a CRC covers it, never a panic and never a wrong bound.
+func TestReadRejectsImpossibleAlphaLists(t *testing.T) {
+	good := fixtureSnapshot(t)
+	places := good.Graph.Places()
+	notPlace := uint32(0)
+	for good.Graph.IsPlace(notPlace) {
+		notPlace++
+	}
+	file := func(entries ...invindex.Posting) invindex.Index {
+		b := invindex.NewBuilder()
+		b.Reserve(good.Graph.Vocab.Len())
+		for _, p := range entries {
+			b.Add(3, p.ID, p.Weight)
+		}
+		return b.Build()
+	}
+	for name, s := range map[string]*Snapshot{
+		"an entry that is not a place": {AlphaPlace: file(invindex.Posting{ID: places[0], Weight: 1}, invindex.Posting{ID: notPlace, Weight: 1}), AlphaNode: good.AlphaNode},
+		"a place distance beyond α":    {AlphaPlace: file(invindex.Posting{ID: places[0], Weight: 3}), AlphaNode: good.AlphaNode},
+		"a node distance beyond α":     {AlphaPlace: good.AlphaPlace, AlphaNode: file(invindex.Posting{ID: 0, Weight: 200})},
+		"entries out of order":         {AlphaPlace: outOfOrder{good.AlphaPlace, places}, AlphaNode: good.AlphaNode},
+	} {
+		s.Graph, s.AlphaRadius, s.Dir = good.Graph, good.AlphaRadius, good.Dir
+		for _, version := range []uint32{1, snapVersion} {
+			if _, err := Read(bytes.NewReader(encode(t, s, version))); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s, format version %d: got %v, want ErrCorrupt", name, version, err)
+			}
+		}
+	}
+}
+
+// outOfOrder serves term 3 as two places in descending order.
+type outOfOrder struct {
+	invindex.Index
+	places []uint32
+}
+
+func (o outOfOrder) Postings(term uint32, dst []invindex.Posting) ([]invindex.Posting, error) {
+	if term == 3 {
+		return append(dst, invindex.Posting{ID: o.places[1]}, invindex.Posting{ID: o.places[0]}), nil
+	}
+	return o.Index.Postings(term, dst)
 }
 
 // FuzzRead asserts the loader never panics or over-allocates on

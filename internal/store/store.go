@@ -59,8 +59,8 @@ type Snapshot struct {
 	Graph *rdf.Graph
 	// AlphaRadius and Dir describe the persisted α index; AlphaPlace /
 	// AlphaNode are its two inverted files. AlphaRadius == 0 means no α
-	// index was persisted. Read materializes both as *invindex.MemIndex;
-	// OpenDisk leaves them as views over the snapshot file.
+	// index was persisted. Read packs both into an *alpha.File; OpenDisk
+	// leaves them as views over the snapshot file.
 	AlphaRadius int
 	Dir         rdf.Direction
 	AlphaPlace  invindex.Index
@@ -79,6 +79,9 @@ func Write(w io.Writer, s *Snapshot) error { return writeVersion(w, s, snapVersi
 // writeVersion writes the given format version; version 1 (no CRC
 // trailers) exists so tests can prove old snapshots still load.
 func writeVersion(w io.Writer, s *Snapshot, version uint32) error {
+	if s.DiskResident() {
+		return errors.New("store: cannot serialize a disk-resident snapshot; load it with Read first")
+	}
 	bw := bufio.NewWriterSize(w, 1<<20)
 	cw := &crcWriter{w: bw, crc: crc32.NewIEEE(), on: version >= 2}
 	h := newSectionWriter(cw)
@@ -165,24 +168,15 @@ func writeVersion(w io.Writer, s *Snapshot, version uint32) error {
 		return h.err
 	}
 	if s.AlphaRadius > 0 {
-		place, okP := s.AlphaPlace.(*invindex.MemIndex)
-		node, okN := s.AlphaNode.(*invindex.MemIndex)
-		if !okP || !okN {
-			return errors.New("store: cannot serialize a disk-resident snapshot; load it with Read first")
-		}
-		// The index serializers write through cw, so the trailers cover
-		// their bytes too.
-		if err := place.Write(cw); err != nil {
-			return err
-		}
-		if err := cw.trailer(); err != nil {
-			return err
-		}
-		if err := node.Write(cw); err != nil {
-			return err
-		}
-		if err := cw.trailer(); err != nil {
-			return err
+		// The index serializer writes through cw, so the trailers cover
+		// its bytes too.
+		for _, ix := range []invindex.Index{s.AlphaPlace, s.AlphaNode} {
+			if err := invindex.Write(cw, ix); err != nil {
+				return err
+			}
+			if err := cw.trailer(); err != nil {
+				return err
+			}
 		}
 	}
 	return bw.Flush()
@@ -356,20 +350,19 @@ func readSnapshot(h *sectionReader, cr *crcReader, disk *diskLoad) (*Snapshot, e
 	}
 	if s.AlphaRadius > 0 {
 		if disk == nil {
-			var err error
-			s.AlphaPlace, err = invindex.ReadFrom(cr)
+			place, err := readEncoded(cr, "α place index")
 			if err != nil {
-				return nil, alphaErr("α place index", err)
-			}
-			if err := cr.verify("α place index"); err != nil {
 				return nil, err
 			}
-			s.AlphaNode, err = invindex.ReadFrom(cr)
-			if err != nil {
-				return nil, alphaErr("α node index", err)
+			if s.AlphaPlace, err = alpha.PackPlaces(place, s.AlphaRadius, s.Graph.Places()); err != nil {
+				return nil, fmt.Errorf("%w: α place index: %v", ErrCorrupt, err)
 			}
-			if err := cr.verify("α node index"); err != nil {
+			node, err := readEncoded(cr, "α node index")
+			if err != nil {
 				return nil, err
+			}
+			if s.AlphaNode, err = alpha.PackNodes(node, s.AlphaRadius); err != nil {
+				return nil, fmt.Errorf("%w: α node index: %v", ErrCorrupt, err)
 			}
 		} else {
 			// Scan past each index through the CRC reader (full integrity
@@ -396,6 +389,17 @@ func readSnapshot(h *sectionReader, cr *crcReader, disk *diskLoad) (*Snapshot, e
 		}
 	}
 	return s, nil
+}
+
+// readEncoded reads one α inverted file and its CRC trailer from cr. The
+// encoding stays as it is, checked against the trailer: the caller packs
+// its lists (alpha.PackPlaces, alpha.PackNodes) and drops it.
+func readEncoded(cr *crcReader, section string) (invindex.Index, error) {
+	enc, err := invindex.ReadFrom(cr)
+	if err != nil {
+		return nil, alphaErr(section, err)
+	}
+	return enc, cr.verify(section)
 }
 
 // alphaErr wraps an α-index decoding failure, folding stream truncation

@@ -9,7 +9,6 @@ import (
 
 	"ksp/internal/core"
 	"ksp/internal/gen"
-	"ksp/internal/invindex"
 	"ksp/internal/paperdata"
 	"ksp/internal/rdf"
 	"ksp/internal/rtree"
@@ -84,8 +83,8 @@ func TestSnapshotWithAlpha(t *testing.T) {
 		Graph:       g,
 		AlphaRadius: 2,
 		Dir:         rdf.Outgoing,
-		AlphaPlace:  e.Alpha.PlaceIdx.(*invindex.MemIndex),
-		AlphaNode:   e.Alpha.NodeIdx.(*invindex.MemIndex),
+		AlphaPlace:  e.Alpha.PlaceIdx,
+		AlphaNode:   e.Alpha.NodeIdx,
 	}
 	got := roundTrip(t, snap)
 	if got.AlphaRadius != 2 || got.Dir != rdf.Outgoing {
@@ -162,8 +161,8 @@ func TestSnapshotQueryEquivalence(t *testing.T) {
 		Graph:       g,
 		AlphaRadius: 3,
 		Dir:         rdf.Outgoing,
-		AlphaPlace:  orig.Alpha.PlaceIdx.(*invindex.MemIndex),
-		AlphaNode:   orig.Alpha.NodeIdx.(*invindex.MemIndex),
+		AlphaPlace:  orig.Alpha.PlaceIdx,
+		AlphaNode:   orig.Alpha.NodeIdx,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -431,14 +431,12 @@ func (d *Dataset) AlphaRadius() int {
 func (d *Dataset) Save(path string) error {
 	snap := &store.Snapshot{Graph: d.g, Dir: d.cfg.Direction}
 	if a := d.engine.Alpha; a != nil {
-		place, ok1 := a.PlaceIdx.(*invindex.MemIndex)
-		node, ok2 := a.NodeIdx.(*invindex.MemIndex)
-		if !ok1 || !ok2 {
+		if a.OnDisk() {
 			return fmt.Errorf("ksp: α index is not memory-resident; cannot snapshot")
 		}
 		snap.AlphaRadius = a.Alpha
-		snap.AlphaPlace = place
-		snap.AlphaNode = node
+		snap.AlphaPlace = a.PlaceIdx
+		snap.AlphaNode = a.NodeIdx
 	}
 	return store.SaveFile(path, snap)
 }
@@ -686,9 +684,7 @@ func (d *Dataset) Stats() DatasetStats {
 		DocsOnDisk: d.g.DocsOnDisk(),
 	}
 	if a := d.engine.Alpha; a != nil {
-		if _, ok := a.PlaceIdx.(*invindex.MemIndex); !ok {
-			st.AlphaOnDisk = true
-		}
+		st.AlphaOnDisk = a.OnDisk()
 	}
 	if d.g.DocsMapped() || (d.snap != nil && d.snap.Mapped()) {
 		st.MemoryMapped = true

@@ -1,6 +1,7 @@
 package ksp
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"os"
@@ -255,6 +256,40 @@ func TestSaveAndLoadSnapshot(t *testing.T) {
 	}
 	if restored.Stats() != ds.Stats() {
 		t.Fatalf("stats changed: %+v vs %+v", restored.Stats(), ds.Stats())
+	}
+	// Where the α index lives is asked of the index: built or loaded into
+	// memory it is not on disk and can be saved again, byte for byte;
+	// opened disk-resident it is on disk and Save refuses.
+	if ds.Stats().AlphaOnDisk || restored.Stats().AlphaOnDisk {
+		t.Errorf("AlphaOnDisk = %v built, %v loaded, want false for both", ds.Stats().AlphaOnDisk, restored.Stats().AlphaOnDisk)
+	}
+	again := t.TempDir() + "/again.snap"
+	if err := restored.Save(again); err != nil {
+		t.Fatalf("Save of a loaded dataset: %v", err)
+	}
+	first, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := os.ReadFile(again)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, second) {
+		t.Errorf("a snapshot saved, loaded and saved again changed: %d bytes, then %d", len(first), len(second))
+	}
+	onDisk, err := LoadSnapshotDisk(path, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := onDisk.Stats(); !st.AlphaOnDisk || !st.DocsOnDisk {
+		t.Errorf("disk-resident stats = %+v, want AlphaOnDisk and DocsOnDisk", st)
+	}
+	if err := onDisk.Save(t.TempDir() + "/refused.snap"); err == nil {
+		t.Error("Save of a disk-resident dataset succeeded")
+	}
+	if err := onDisk.Close(); err != nil {
+		t.Error(err)
 	}
 	q := Query{Loc: Point{X: 43.51, Y: 4.75}, Keywords: []string{"ancient", "roman", "catholic", "history"}, K: 2}
 	want, err := ds.Search(q)

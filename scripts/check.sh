@@ -33,11 +33,14 @@ go test -race ./...
 go test -race -tags faultinject ./...
 echo "== TQSP kernel + alpha table + alpha build guards (race-free) =="
 # The race run above already covers the differential tests (TQSP kernel,
-# α table, and the map-free α build against its map-based reference),
-# the BFS work guard and the α build's allocation guard; the warm
-# zero-allocation half of TestBoundsZeroAllocWarm holds only without the
-# race detector, so the set runs once more plain, exactly as CI's
-# bench-guard job does.
+# α table with keywords mixed from columns and lists, and the map-free α
+# build of the column-or-list files against its map-based reference —
+# TestBuildMatchesReference and siblings at GOMAXPROCS 1 and 4, which is
+# where two workers writing nibbles of one byte would be reported, next to
+# TestFillBlocksStartOnEvenOrdinals), the BFS work guard and the α build's
+# allocation guard; the warm zero-allocation half of
+# TestBoundsZeroAllocWarm holds only without the race detector, so the set
+# runs once more plain, exactly as CI's bench-guard job does.
 go test -run 'TestDiscoveryTimeBFSMatchesPopTime|TestBFSWorkGuard' ./internal/core/
 go test ./internal/alpha/
 echo "== benchmark module =="
