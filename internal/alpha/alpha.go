@@ -76,7 +76,7 @@ const maxTerms = 255
 // vertex ID or R-tree node ID), so that a bound is one indexed read
 // instead of a binary search per keyword. A cell whose epoch is not the
 // table's is stale, which lets a recycled table skip the O(|V|) clear (as
-// core's denseMQ and seenSet do); an ID beyond the table was never
+// core's seenSet does); an ID beyond the table was never
 // scattered, so every keyword is absent.
 type boundTable struct {
 	cell  []boundCell

@@ -483,8 +483,8 @@ func TestBuildAllocGuard(t *testing.T) {
 	bytes := int64(after.TotalAlloc - before.TotalAlloc)
 	objects := int64(after.Mallocs - before.Mallocs)
 	places, nodes := ix.NumPostings()
-	// What invindex.MemIndex.MemSize says of the same two files.
-	lists := 2*24*int64(g.Vocab.Len()) + 8*(places+nodes)
+	// What invindex.MemIndex.MemSize says of the same two files as lists.
+	lists := 2*8*int64(g.Vocab.Len()+1) + 8*(places+nodes)
 	t.Logf("index %d bytes, %.2f x the %d of lists alone (%d + %d postings); build allocated %d bytes (%.2f x) in %d objects; %d places, %d terms",
 		size, float64(size)/float64(lists), lists, places, nodes, bytes, float64(bytes)/float64(size), objects, len(g.Places()), g.Vocab.Len())
 	if 2*size > lists {

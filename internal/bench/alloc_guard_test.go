@@ -13,14 +13,17 @@ import (
 // QueryView scratch, flat URI table, boxing-free spHeap) this workload
 // allocated ~1052.9 objects and ~332 KB per query; with the SP frontier
 // pooled, the keywords' document postings borrowed and their α columns
-// read in place it sits at 41 allocs and ~3.7 KB. The budgets below leave
-// headroom for CI noise, a pool the collector emptied mid-run (the
-// frontier regrows to ~100 KB once) and incidental growth, but fail hard
-// if interface boxing, per-query map construction or a per-query copy of
-// a posting list sneaks back into the hot path.
+// read in place it sits at 41.4 allocs and ~3.7 KB (3,702 bytes); Mq.ψ as
+// per-keyword bitsets, pooled before and after, left both figures where
+// they were. The budgets below leave headroom for CI noise, a pool the
+// collector emptied mid-run (the frontier regrows to ~100 KB once, the BFS
+// scratch to ~32 KB; a refilled Mq.ψ is a few KB of scratch bitsets, no
+// longer 12 bytes per vertex) and incidental growth, but fail hard if
+// interface boxing, per-query map construction or a per-query copy of a
+// posting list sneaks back into the hot path.
 const (
-	allocBudgetPerQuery = 200   // current steady state ≈ 41
-	bytesBudgetPerQuery = 32000 // current steady state ≈ 3.7 KB
+	allocBudgetPerQuery = 200   // current steady state ≈ 41.4
+	bytesBudgetPerQuery = 16000 // current steady state ≈ 3.7 KB
 )
 
 func TestAllocBudget(t *testing.T) {

@@ -40,7 +40,7 @@ type Engine struct {
 	Dir  rdf.Direction
 	Rank Ranking
 
-	// pools recycles per-query scratch (dense Mq.ψ arrays, BFS state)
+	// pools recycles per-query scratch (Mq.ψ bitsets, BFS state)
 	// across queries and across the workers of one parallel query. A
 	// pointer so WithAlpha clones share it (the graph, and hence every
 	// scratch size, is identical).
@@ -114,7 +114,7 @@ func (p *enginePools) putLender(l *invindex.Lender) {
 func (p *enginePools) getMQ(n int) *denseMQ {
 	d, _ := p.mq.Get().(*denseMQ)
 	if d == nil {
-		d = &denseMQ{} //ksplint:ignore allocbound -- pool-miss refill; amortized across queries
+		d = &denseMQ{} //ksplint:ignore allocbound -- pool-miss refill; its scratch bitsets are amortized across queries
 	}
 	d.reset(n)
 	return d
@@ -122,6 +122,7 @@ func (p *enginePools) getMQ(n int) *denseMQ {
 
 func (p *enginePools) putMQ(d *denseMQ) {
 	if d != nil {
+		d.reset(0)
 		p.mq.Put(d)
 	}
 }
@@ -181,54 +182,62 @@ func (s *seenSet) reset(n int) {
 func (s *seenSet) has(id uint32) bool { return s.stamp[id] == s.epoch }
 func (s *seenSet) add(id uint32)      { s.stamp[id] = s.epoch }
 
-// denseMQ is the map Mq.ψ (Table 2) materialized as epoch-stamped dense
-// arrays indexed by vertex ID: the TQSP hot loop replaces a hash lookup
-// per visited vertex with two array reads, and the epoch stamp lets the
-// arrays be recycled across queries without clearing.
+// denseMQ is the map Mq.ψ (Table 2) held as one bitset over vertex IDs
+// per query keyword: bit v of bits[i] is set iff v's document holds
+// keyword i. A keyword the document index keeps as a bitset is borrowed
+// in place; any other has its postings set into one of the pooled scratch
+// bitsets, zeroed first. Either way keyword i's bitset holds exactly the
+// vertices of its posting list, so every mask reads as a scatter of the
+// lists would have made it.
 type denseMQ struct {
-	mask  []uint64
-	stamp []uint32
-	epoch uint32
-	count int
+	bits    [MaxKeywords][]uint64
+	m       int
+	nw      int // words per bitset: ⌈|V|/64⌉
+	scratch [MaxKeywords][]uint64
 }
 
+// reset readies d for a query over n vertices. It drops the bitsets the
+// last query borrowed, so a pooled denseMQ pins no index memory, and keeps
+// its own scratch.
 func (d *denseMQ) reset(n int) {
-	if len(d.mask) != n {
-		d.mask = make([]uint64, n)
-		d.stamp = make([]uint32, n)
-		d.epoch = 0
-	}
-	d.epoch++
-	if d.epoch == 0 { // stamp wrap: clear once every 2^32 queries
-		for i := range d.stamp {
-			d.stamp[i] = 0
-		}
-		d.epoch = 1
-	}
-	d.count = 0
+	clear(d.bits[:d.m])
+	d.m, d.nw = 0, (n+63)/64
 }
 
-// or merges bit into v's keyword mask.
-func (d *denseMQ) or(v uint32, bit uint64) {
-	if d.stamp[v] != d.epoch {
-		d.stamp[v] = d.epoch
-		d.mask[v] = bit
-		d.count++
-		return
+// borrow makes set, a document-index bitset, keyword m's.
+func (d *denseMQ) borrow(set []uint64) {
+	d.bits[d.m] = set
+	d.m++
+}
+
+// scatter makes the vertices of pl keyword m's, in scratch.
+func (d *denseMQ) scatter(pl []invindex.Posting) {
+	s := d.scratch[d.m]
+	if len(s) != d.nw {
+		s = make([]uint64, d.nw)
+		d.scratch[d.m] = s
+	} else {
+		clear(s)
 	}
-	d.mask[v] |= bit
+	for _, p := range pl {
+		s[p.ID>>6] |= 1 << (p.ID & 63)
+	}
+	d.borrow(s)
+}
+
+// match returns the keywords among open that v's document holds.
+func (d *denseMQ) match(v uint32, open uint64) uint64 {
+	w, sh := v>>6, v&63
+	var mask uint64
+	for o := open; o != 0; o &= o - 1 {
+		i := bits.TrailingZeros64(o)
+		mask |= (d.bits[i][w] >> sh & 1) << i
+	}
+	return mask
 }
 
 // get returns v's keyword mask (zero when v matches no query keyword).
-func (d *denseMQ) get(v uint32) uint64 {
-	if d.stamp[v] == d.epoch {
-		return d.mask[v]
-	}
-	return 0
-}
-
-// size returns the number of vertices matching at least one keyword.
-func (d *denseMQ) size() int { return d.count }
+func (d *denseMQ) get(v uint32) uint64 { return d.match(v, 1<<d.m-1) }
 
 // spatialSource abstracts GETNEXT: an incremental nearest-place stream.
 // Both the R-tree browser and the grid browser satisfy it.
@@ -339,9 +348,9 @@ func (e *Engine) WithAlpha(alphaRadius int) *Engine {
 
 // prepQuery is a resolved query: deduped keyword term IDs ordered by
 // ascending document frequency (the paper prioritizes infrequent keywords
-// in Rule 1), those frequencies, and the dense map Mq.ψ from vertices to
-// keyword masks. The posting lists themselves are only borrowed while
-// prepare scatters them into Mq.ψ. Read-only once prepare returns, so the
+// in Rule 1), those frequencies, and the map Mq.ψ from vertices to keyword
+// masks, one bitset per keyword. Posting lists are only borrowed while
+// prepare sets them into Mq.ψ. Read-only once prepare returns, so the
 // workers of a parallel evaluation share it freely; the engine recycles
 // mq via releasePrep.
 type prepQuery struct {
@@ -442,13 +451,19 @@ func (e *Engine) prepare(q Query) (*prepQuery, error) {
 	if !pq.answerable {
 		return pq, nil
 	}
-	// The keywords' posting lists are borrowed, not copied: they are read
-	// once, into Mq.ψ, before prepare returns.
+	// Each keyword is borrowed, never copied: as the document index's own
+	// bitset where it holds one, else as a posting list that is read once,
+	// into a scratch bitset, before prepare returns.
 	ln := e.pools.getLender()
 	defer e.pools.putLender(ln)
+	var sets [MaxKeywords][]uint64
 	var lists [MaxKeywords][]invindex.Posting
 	pq.df = make([]int, len(pq.terms))
 	for i, t := range pq.terms {
+		if set, df := invindex.Bitset(e.Doc, t); set != nil {
+			sets[i], pq.df[i] = set, df
+			continue
+		}
 		pl, err := ln.Borrow(e.Doc, t)
 		if err != nil {
 			return nil, err
@@ -476,10 +491,11 @@ func (e *Engine) prepare(q Query) (*prepQuery, error) {
 
 	pq.full = (uint64(1) << uint(len(pq.terms))) - 1
 	pq.mq = e.pools.getMQ(e.G.NumVertices())
-	for i, o := range order {
-		bit := uint64(1) << uint(i)
-		for _, p := range lists[o] {
-			pq.mq.or(p.ID, bit)
+	for _, o := range order {
+		if sets[o] != nil {
+			pq.mq.borrow(sets[o])
+		} else {
+			pq.mq.scatter(lists[o])
 		}
 	}
 	if e.loose != nil {

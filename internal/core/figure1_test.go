@@ -201,8 +201,14 @@ func TestPrepareMqMatchesTable2(t *testing.T) {
 		f.V8: {"ancient", "history"},
 		f.P2: {"catholic", "roman"},
 	}
-	if pq.mq.size() != len(wantVertices) {
-		t.Errorf("Mq has %d vertices, want %d", pq.mq.size(), len(wantVertices))
+	size := 0
+	for v := uint32(0); int(v) < f.G.NumVertices(); v++ {
+		if pq.mq.get(v) != 0 {
+			size++
+		}
+	}
+	if size != len(wantVertices) {
+		t.Errorf("Mq has %d vertices, want %d", size, len(wantVertices))
 	}
 	// Build keyword-position lookup.
 	pos := map[string]int{}

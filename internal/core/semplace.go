@@ -136,7 +136,7 @@ func (s *searcher) getSemanticPlace(p uint32, lw float64) (float64, *Tree) {
 		}
 		sc.parent[p] = p
 	}
-	if mask := mq.get(p) & b; mask != 0 {
+	if mask := mq.match(p, b); mask != 0 {
 		b &^= mask
 		if s.collect {
 			//ksplint:ignore allocbound -- result materialization (s.collect only)
@@ -188,7 +188,7 @@ bfs:
 					sc.parent[w] = cur.v
 				}
 				q = append(q, bfsEnt{v: w, dist: next})
-				if mask := mq.get(w) & b; mask != 0 {
+				if mask := mq.match(w, b); mask != 0 {
 					foundSum += float64(popcount(mask)) * float64(next)
 					b &^= mask
 					if collect {

@@ -283,9 +283,20 @@ func replaySP(t *testing.T, e *Engine, q Query, st *Stats, construct func(pq *pr
 // paper's §6.1 query generator, SP must expand at most half the vertices
 // the pop-time Algorithm 2/3 expands for the very same constructions.
 // Counts repeat exactly, so there is no noise to absorb: at the time of
-// writing the ratio is 0.26 (9 849 → 2 593 expansions per query).
+// writing the ratio is 0.26 (9 849 → 2 593 expansions per query) on the
+// 6,000-vertex fixture. The replay also logs how much the constructions
+// of one query overlap — Σ expansions over the vertices expanded at least
+// once — the figure a bit-parallel BFS over a window's survivors would
+// live on (ROADMAP item 4(a)), on the 6,000-vertex fixture and on the
+// benchmark's 12,000-vertex one.
 func TestBFSWorkGuard(t *testing.T) {
-	g := gen.Generate(gen.YagoConfig(6000, 7))
+	for _, n := range []int{6000, 12000} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) { bfsWorkGuard(t, n) })
+	}
+}
+
+func bfsWorkGuard(t *testing.T, n int) {
+	g := gen.Generate(gen.YagoConfig(n, 7))
 	e := NewEngine(g, rdf.Outgoing)
 	e.EnableReach()
 	e.EnableAlpha(3)
@@ -293,6 +304,7 @@ func TestBFSWorkGuard(t *testing.T) {
 	ref := newPopTimeBFS(g)
 
 	var engine, replayed, popTime Stats
+	var overlap []float64 // per query: Σ expansions / distinct vertices expanded
 	for qi := 0; qi < 100; qi++ {
 		loc, kws := qg.Original(5)
 		q := Query{Loc: loc, Keywords: kws, K: 5}
@@ -303,14 +315,25 @@ func TestBFSWorkGuard(t *testing.T) {
 		engine.Add(stats)
 
 		// The replay over the engine's own kernel must repeat the
-		// engine's counts, or it is not replaying SP.
+		// engine's counts, or it is not replaying SP. A construction
+		// expands its queue's vertices in order, so the first
+		// BFSVertexVisits of them are the ones it expanded.
+		expanded := map[uint32]bool{}
+		before := replayed.BFSVertexVisits
 		got := replaySP(t, e, q, &replayed, func(pq *prepQuery, p uint32, lw float64) float64 {
 			s := newSearcher(e, pq, &replayed, false)
 			defer s.release()
+			visits := replayed.BFSVertexVisits
 			loose, _ := s.getSemanticPlace(p, lw)
+			for _, ent := range s.scratch.queue[:replayed.BFSVertexVisits-visits] {
+				expanded[ent.v] = true
+			}
 			return loose
 		})
 		sameResults(t, "replay", got, want)
+		if len(expanded) > 0 {
+			overlap = append(overlap, float64(replayed.BFSVertexVisits-before)/float64(len(expanded)))
+		}
 
 		got = replaySP(t, e, q, &popTime, func(pq *prepQuery, p uint32, lw float64) float64 {
 			res := ref.run(e, pq, p, lw, false)
@@ -345,4 +368,12 @@ func TestBFSWorkGuard(t *testing.T) {
 	if ratio > budget {
 		t.Errorf("SP expands %.2f× the vertices of the pop-time reference, budget %.1f×", ratio, budget)
 	}
+	slices.Sort(overlap)
+	mean := 0.0
+	for _, o := range overlap {
+		mean += o
+	}
+	mean /= float64(len(overlap))
+	t.Logf("overlap, Σ expansions / distinct vertices expanded per query, over %d queries: mean %.3f×, median %.3f×, p90 %.3f×, max %.3f×",
+		len(overlap), mean, overlap[len(overlap)/2], overlap[len(overlap)*9/10], overlap[len(overlap)-1])
 }

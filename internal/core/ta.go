@@ -200,13 +200,15 @@ func newLooseStream(e *Engine, pq *prepQuery, stats *Stats) *looseStream {
 	for i := 0; i < m; i++ {
 		ls.visited[i] = make([]bool, n)
 	}
-	// Keyword i starts from the vertices that hold it: Mq.ψ read back in
-	// ascending vertex ID, the order of its posting list.
-	for v := uint32(0); int(v) < n; v++ {
-		for mask := pq.mq.get(v); mask != 0; mask &= mask - 1 {
-			i := bits.TrailingZeros64(mask)
-			ls.visited[i][v] = true
-			ls.frontiers[i] = append(ls.frontiers[i], v)
+	// Keyword i starts from the vertices that hold it: its Mq.ψ bitset
+	// read back in ascending vertex ID, the order of its posting list.
+	for i := 0; i < m; i++ {
+		for w, word := range pq.mq.bits[i] {
+			for ; word != 0; word &= word - 1 {
+				v := uint32(w<<6 | bits.TrailingZeros64(word))
+				ls.visited[i][v] = true
+				ls.frontiers[i] = append(ls.frontiers[i], v)
+			}
 		}
 	}
 	// Round 0: the posting vertices themselves (distance 0).

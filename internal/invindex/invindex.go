@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
 	"slices"
 
@@ -46,10 +47,12 @@ type Index interface {
 }
 
 // A Lender hands out posting lists without copying them where it can: a
-// MemIndex lends its own slice, any other representation is decoded onto
-// the Lender's scratch. Every list borrowed stays valid, and must be left
-// unwritten, until Reset; a pooled Lender keeps the scratch warm, so
-// steady-state borrowing allocates nothing.
+// MemIndex lends its own slice for a term it keeps as a list, any other
+// term or representation is decoded onto the Lender's scratch. Every list
+// borrowed stays valid, and must be left unwritten, until Reset; a pooled
+// Lender keeps the scratch warm, so steady-state borrowing allocates
+// nothing. A term a MemIndex keeps as a bitset is better read as one, in
+// place: see Bitset.
 type Lender struct {
 	scratch []Posting
 }
@@ -57,10 +60,9 @@ type Lender struct {
 // Borrow returns the posting list of term in ix.
 func (l *Lender) Borrow(ix Index, term uint32) ([]Posting, error) {
 	if m, ok := ix.(*MemIndex); ok {
-		if int(term) >= len(m.lists) {
-			return nil, nil
+		if list, set, _ := m.term(term); set == nil {
+			return list, nil
 		}
-		return m.lists[term], nil
 	}
 	// Growing the scratch leaves the lists lent before in the array they
 	// were decoded into: still valid.
@@ -72,6 +74,19 @@ func (l *Lender) Borrow(ix Index, term uint32) ([]Posting, error) {
 
 // Reset ends every loan and keeps the scratch for the next ones.
 func (l *Lender) Reset() { l.scratch = l.scratch[:0] }
+
+// Bitset returns term's bitset over IDs — bit v%64 of word v/64 is set
+// iff ID v holds the term — and its population, when ix holds the term in
+// that form: a MemIndex's own words, immutable and valid as long as ix.
+// For a term held as a list, an unknown term, or an index that holds
+// lists only, it returns (nil, 0).
+func Bitset(ix Index, term uint32) ([]uint64, int) {
+	if m, ok := ix.(*MemIndex); ok {
+		_, set, df := m.term(term)
+		return set, df
+	}
+	return nil, 0
+}
 
 // AvgPostingLen returns the average posting-list length over terms that
 // have at least one posting — the keyword-frequency statistic the paper
@@ -133,10 +148,12 @@ func (b *Builder) Add(term uint32, id uint32, weight uint8) {
 
 // Build returns an in-memory index whose posting lists are sorted by ID,
 // keeping for duplicate IDs the smallest weight. A list that was added
-// strictly ascending — every list FromGraph makes, and every list Merge
-// makes from ID-disjoint parts — is already final and is neither sorted
-// nor scanned for duplicates.
+// strictly ascending — every list Merge makes from ID-disjoint parts — is
+// already final and is neither sorted nor scanned for duplicates. Every
+// term of the result is held as a list: a Builder does not know the ID
+// universe a bitset would span.
 func (b *Builder) Build() *MemIndex {
+	off := make([]uint64, len(b.lists)+1)
 	var total int64
 	for t, pl := range b.lists {
 		if !strictlyAscending(pl) {
@@ -157,11 +174,15 @@ func (b *Builder) Build() *MemIndex {
 			b.lists[t] = pl[:k]
 		}
 		total += int64(len(b.lists[t]))
+		off[t+1] = uint64(total)
 	}
-	mi := &MemIndex{lists: b.lists, total: total}
+	posts := make([]Posting, 0, total)
+	for _, pl := range b.lists {
+		posts = append(posts, pl...)
+	}
 	b.lists = nil
 	b.total = 0
-	return mi
+	return &MemIndex{off: off, posts: posts, total: total}
 }
 
 // strictlyAscending reports whether every posting's ID exceeds the one
@@ -175,22 +196,65 @@ func strictlyAscending(pl []Posting) bool {
 	return true
 }
 
-// MemIndex is the in-memory representation.
+// MemIndex is the in-memory representation. It holds each term in one of
+// two forms: a strictly ascending posting list, or a bitset of nw words
+// over the ID universe. FromGraph chooses by size alone — a bitset iff
+// 64·df > |V|, when it is smaller than the eight-byte postings it replaces
+// — and Builder.Build, which knows no universe, makes lists only. The
+// lists lie back to back in one posting arena and the bitsets in one word
+// arena, both addressed from a single offset table, so a term costs eight
+// bytes of table whatever its form.
 type MemIndex struct {
-	lists [][]Posting
+	// off[t] packs two running counts at the start of term t: the
+	// postings of the list-form terms before t (the low listBits bits) and
+	// the number of bitset-form terms before t (the bits above). Term t is
+	// a bitset iff the second count steps from off[t] to off[t+1];
+	// len(off) is the number of terms plus one.
+	off   []uint64
+	posts []Posting
+	words []uint64 // bitset k is words[k*nw : (k+1)*nw]
+	df    []uint32 // df[k] is the population of bitset k
+	nw    int
 	total int64
 }
 
-// Postings implements Index.
-func (m *MemIndex) Postings(term uint32, dst []Posting) ([]Posting, error) {
-	if int(term) >= len(m.lists) {
-		return dst, nil
+const (
+	listBits = 40
+	listMask = 1<<listBits - 1
+	// maxBitsets is how many bitset-form terms the table's high bits
+	// count; beyond it (an average document of 2^18 terms) a term stays a
+	// list.
+	maxBitsets = 1<<(64-listBits) - 1
+)
+
+// term returns term t as the index holds it: its list (set nil), or its
+// bitset and population (list nil). An unknown term is an empty list.
+func (m *MemIndex) term(t uint32) (list []Posting, set []uint64, df int) {
+	if int(t) >= m.NumTerms() {
+		return nil, nil, 0
 	}
-	return append(dst, m.lists[term]...), nil
+	a, b := m.off[t], m.off[t+1]
+	if k := int(a >> listBits); int(b>>listBits) != k {
+		return nil, m.words[k*m.nw : (k+1)*m.nw : (k+1)*m.nw], int(m.df[k])
+	}
+	list = m.posts[a&listMask : b&listMask : b&listMask]
+	return list, nil, len(list)
+}
+
+// Postings implements Index. A bitset is read back in ascending ID order,
+// with weight 0 — the document index's weight.
+func (m *MemIndex) Postings(term uint32, dst []Posting) ([]Posting, error) {
+	list, set, _ := m.term(term)
+	for w, word := range set {
+		for ; word != 0; word &= word - 1 {
+			dst = append(dst, Posting{ID: uint32(w<<6 | bits.TrailingZeros64(word))})
+		}
+	}
+	return append(dst, list...), nil
 }
 
 // NumTerms implements Index.
-func (m *MemIndex) NumTerms() int { return len(m.lists) }
+func (m *MemIndex) NumTerms() int { return max(len(m.off)-1, 0) }
 
 // NumPostings implements Index.
 func (m *MemIndex) NumPostings() int64 { return m.total }
@@ -198,23 +262,18 @@ func (m *MemIndex) NumPostings() int64 { return m.total }
 // NonEmptyTerms returns the number of terms with at least one posting.
 func (m *MemIndex) NonEmptyTerms() int64 {
 	var n int64
-	for _, pl := range m.lists {
-		if len(pl) > 0 {
+	for t := 1; t < len(m.off); t++ {
+		if m.off[t] != m.off[t-1] {
 			n++
 		}
 	}
 	return n
 }
 
-// MemSize returns the in-memory footprint in bytes: a slice header per
-// term plus eight bytes per posting slot a list holds on to — its
-// capacity, so the room append left in a Builder's list counts.
+// MemSize returns the in-memory footprint in bytes: the offset table, the
+// two arenas and the bitsets' populations.
 func (m *MemIndex) MemSize() int64 {
-	sz := int64(len(m.lists)) * 24
-	for _, pl := range m.lists {
-		sz += int64(cap(pl)) * 8
-	}
-	return sz
+	return 8*int64(cap(m.off)) + 8*int64(cap(m.posts)) + 8*int64(cap(m.words)) + 4*int64(cap(m.df))
 }
 
 // --- Disk format ---

@@ -30,7 +30,7 @@ func referenceBuild(lists [][]Posting) [][]Posting {
 }
 
 // Build gives the same lists whether or not a list arrived sorted: the
-// ascending ones (every list FromGraph and a disjoint Merge make) skip
+// ascending ones (every list a disjoint Merge makes) skip
 // the sort, the others — shuffled, with duplicate IDs under different
 // weights — still get it.
 func TestBuildSkipsSortOnlyWhereSorted(t *testing.T) {

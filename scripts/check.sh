@@ -31,7 +31,7 @@ go build ./...
 echo "== go test -race =="
 go test -race ./...
 go test -race -tags faultinject ./...
-echo "== TQSP kernel + alpha table + alpha build guards (race-free) =="
+echo "== TQSP kernel + Mq bitsets + alpha table + alpha build guards (race-free) =="
 # The race run above already covers the differential tests (TQSP kernel,
 # α table with keywords mixed from columns and lists, and the map-free α
 # build of the column-or-list files against its map-based reference —
@@ -40,8 +40,12 @@ echo "== TQSP kernel + alpha table + alpha build guards (race-free) =="
 # TestFillBlocksStartOnEvenOrdinals), the BFS work guard and the α build's
 # allocation guard; the warm zero-allocation half of
 # TestBoundsZeroAllocWarm holds only without the race detector, so the set
-# runs once more plain, exactly as CI's bench-guard job does.
-go test -run 'TestDiscoveryTimeBFSMatchesPopTime|TestBFSWorkGuard' ./internal/core/
+# runs once more plain, exactly as CI's bench-guard job does. The Mq.ψ
+# bitset tests (the masks against the posting lists, pool reuse across
+# list and bitset keywords, the hybrid document index against an all-list
+# build) ride along, as they do in CI, plain here and under -race above.
+go test -run 'TestDiscoveryTimeBFSMatchesPopTime|TestBFSWorkGuard|TestMqMatchesPostings|TestDenseMQRecycling' ./internal/core/
+go test -run 'TestFromGraphMatchesAllListBuild|TestLenderBorrow' ./internal/invindex/
 go test ./internal/alpha/
 echo "== benchmark module =="
 # benchmark/ is a module of its own (./... does not reach it): it must
