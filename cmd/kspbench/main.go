@@ -19,7 +19,6 @@ import (
 	"log"
 	"os"
 	"runtime"
-	"strconv"
 	"strings"
 	"time"
 
@@ -30,11 +29,8 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("kspbench: ")
-	var expVal string
-	flag.StringVar(&expVal, "exp", "all", "experiment id (see -list), comma-separated ids, or 'all'")
-	flag.StringVar(&expVal, "experiment", "all", "alias for -exp")
 	var (
-		exp      = &expVal
+		exp      = flag.String("exp", "all", "experiment id (see -list), comma-separated ids, or 'all'")
 		scale    = flag.Int("scale", 20000, "vertices per synthetic dataset")
 		queries  = flag.Int("queries", 20, "queries per setting (the paper uses 100)")
 		seed     = flag.Int64("seed", 1, "random seed")
@@ -42,15 +38,6 @@ func main() {
 		csvDir   = flag.String("csv", "", "also write each report as CSV into this directory")
 		jsonOut  = flag.String("json", "", "write all reports plus run metadata as one JSON document to this file ('-' = stdout)")
 		list     = flag.Bool("list", false, "list experiment ids and exit")
-
-		loadQPS    = flag.String("load-qps", "", "comma-separated offered-QPS ladder for the load experiment (default 25,50,100)")
-		loadDur    = flag.Duration("load-duration", 0, "arrival window per load rate (default 3s)")
-		loadPar    = flag.Int("load-parallel", 0, "per-request pipeline width for the load experiment (default 4)")
-		loadWin    = flag.Int("load-window", 0, "scheduler window directive for the load experiment (0 = adaptive)")
-		loadShards = flag.Int("load-shards", 0, "serve the load experiment through N local spatial shards (0/1 = single engine)")
-
-		traceQ   = flag.Bool("trace-queries", false, "attach (and discard) a span trace to every query, measuring the ?trace=1 configuration")
-		explainQ = flag.Bool("explain-queries", false, "assemble (and discard) an EXPLAIN report after every query, measuring the ?explain=1 configuration")
 	)
 	flag.Parse()
 
@@ -63,21 +50,6 @@ func main() {
 
 	s := bench.NewSuite(*scale, *queries, *seed, os.Stdout)
 	s.BSPDeadline = *deadline
-	if *loadQPS != "" {
-		for _, part := range strings.Split(*loadQPS, ",") {
-			v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-			if err != nil || v <= 0 {
-				log.Fatalf("-load-qps: bad rate %q", part)
-			}
-			s.LoadQPS = append(s.LoadQPS, v)
-		}
-	}
-	s.LoadDuration = *loadDur
-	s.LoadParallel = *loadPar
-	s.LoadWindow = *loadWin
-	s.LoadShards = *loadShards
-	s.TraceQueries = *traceQ
-	s.ExplainQueries = *explainQ
 	// The registry rides along for -json: the document then carries the
 	// run's cumulative engine counters next to the report tables.
 	reg := obs.NewRegistry()
@@ -129,9 +101,6 @@ func main() {
 			GOMAXPROCS:  runtime.GOMAXPROCS(0),
 			NumCPU:      runtime.NumCPU(),
 			Experiments: ids,
-
-			TraceQueries:   *traceQ,
-			ExplainQueries: *explainQ,
 		}
 		w := os.Stdout
 		var f *os.File

@@ -7,13 +7,13 @@ import (
 	"strings"
 )
 
-// MetricNameCheck pins the metric-name conventions every dashboard and
-// the committed bench baselines (BENCH_PR1/PR4.json) depend on: names
-// registered on the obs Registry must be lowercase snake_case string
-// literals carrying the Config.MetricPrefix ("ksp_"), counters must end
-// in "_total", histograms in a unit suffix ("_seconds"/"_bytes"), and
-// gauges must not masquerade as counters. Renaming a shipped metric is
-// a breaking change; this check makes sure new ones are born right.
+// MetricNameCheck pins the metric-name conventions every dashboard
+// depends on: names registered on the obs Registry must be lowercase
+// snake_case string literals carrying the Config.MetricPrefix ("ksp_"),
+// counters must end in "_total", histograms in a unit suffix
+// ("_seconds"/"_bytes"), and gauges must not masquerade as counters.
+// Renaming a shipped metric breaks the dashboards built on it; this
+// check makes sure new ones are born right.
 var MetricNameCheck = &Analyzer{
 	Name: "metricname",
 	Doc:  "obs registry metric names: literal, prefixed, unit-suffixed by kind",

@@ -2,29 +2,22 @@ package bench
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"ksp/internal/core"
 )
 
-// smallSuite keeps the experiment tests quick (including the open-loop
-// load experiment, which otherwise offers its default QPS ladder for
-// seconds per rate).
-func smallSuite(t testing.TB) *Suite {
-	var buf bytes.Buffer
-	s := NewSuite(1500, 3, 42, &buf)
-	s.LoadQPS = []float64{30}
-	s.LoadDuration = 400 * time.Millisecond
-	s.LoadParallel = 2
-	return s
+// smallSuite keeps the experiment tests quick.
+func smallSuite() *Suite {
+	return NewSuite(1500, 3, 42, io.Discard)
 }
 
 func TestAllExperimentsProduceReports(t *testing.T) {
-	s := smallSuite(t)
+	s := smallSuite()
 	for _, id := range ExperimentIDs() {
 		reports, err := s.Experiment(id)
 		if err != nil {
@@ -59,7 +52,7 @@ func TestRunAllPrints(t *testing.T) {
 }
 
 func TestCSVExport(t *testing.T) {
-	s := smallSuite(t)
+	s := smallSuite()
 	reports, err := s.Experiment("table4")
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +79,7 @@ func TestCSVExport(t *testing.T) {
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	s := smallSuite(t)
+	s := smallSuite()
 	if err := s.Run("fig99"); err == nil {
 		t.Fatal("expected error for unknown experiment")
 	}

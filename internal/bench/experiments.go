@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"ksp/internal/alpha"
@@ -31,7 +30,7 @@ func ExperimentIDs() []string {
 	return []string{
 		"table4", "table5", "table6", "table7",
 		"fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
-		"ablation", "freq", "parallel", "window", "multicore", "load", "memory",
+		"ablation", "freq",
 	}
 }
 
@@ -88,16 +87,6 @@ func (s *Suite) Experiment(id string) ([]*Report, error) {
 		return s.ablation()
 	case "freq":
 		return s.freq()
-	case "parallel":
-		return s.parallel()
-	case "window":
-		return s.window()
-	case "multicore":
-		return s.multicore()
-	case "load":
-		return s.load()
-	case "memory":
-		return s.memory()
 	default:
 		return nil, fmt.Errorf("bench: unknown experiment %q (have %v)", id, ExperimentIDs())
 	}
@@ -544,146 +533,6 @@ func (s *Suite) freq() ([]*Report, error) {
 			}
 			r.AddRow(band.name, ms(mBSP.total()), ms(mSPP.total()), ms(mSP.total()),
 				Cell(mSPP.TQSP), Cell(mSP.TQSP))
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-// --- Parallel pipeline and cross-query looseness cache (repo extension) ---
-
-// parallelWorkers are the pipeline widths the speedup sweep measures.
-var parallelWorkers = []int{2, 4, 8}
-
-// parallel measures (a) wall-clock speedup of the parallel TQSP pipeline
-// over the serial loop for SPP and SP, and (b) the effect of the
-// cross-query looseness cache on a repeated-keyword workload. Results at
-// every worker count are bit-identical to serial (enforced by the
-// equivalence tests in internal/core), so only time and counters vary.
-func (s *Suite) parallel() ([]*Report, error) {
-	hostNote := fmt.Sprintf("host: GOMAXPROCS=%d, NumCPU=%d — speedup is bounded by available cores; on a single-core host the pipeline degenerates to serial order plus scheduling overhead",
-		runtime.GOMAXPROCS(0), runtime.NumCPU())
-
-	speed := &Report{ID: "parallel", Title: "Parallel pipeline wall-clock (ms) vs workers",
-		Header: []string{"data", "algo", "serial", "par=2", "par=4", "par=8", "best speedup"},
-		Notes: []string{
-			hostNote,
-			"answers are bit-identical to serial at every width; TQSP construction dominates, so speedup tracks how many candidates survive the spatial bound",
-		}}
-	for _, name := range []string{DBpediaLike, YagoLike} {
-		d := s.Data(name)
-		qs := d.workload(classO, s.Queries, defaultM, defaultK)
-		for _, a := range []algoRunner{runSPP, runSP} {
-			serial, err := s.runWorkload(d.base, a, qs, core.Options{})
-			if err != nil {
-				return nil, err
-			}
-			row := []string{name, a.name, ms(serial.Wall)}
-			best := 1.0
-			for _, w := range parallelWorkers {
-				m, err := s.runWorkload(d.base, a, qs, core.Options{Parallelism: w})
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, ms(m.Wall))
-				if m.Wall > 0 {
-					if sp := float64(serial.Wall) / float64(m.Wall); sp > best {
-						best = sp
-					}
-				}
-			}
-			speed.AddRow(append(row, fmt.Sprintf("%.2fx", best))...)
-		}
-	}
-
-	// Repeated-keyword workload: a small pool of keyword sets queried
-	// from many locations. The cache key is (place, term set) — location
-	// and k independent — so the second pass reuses the first pass's
-	// exact loosenesses and Rule-2 lower bounds.
-	cacheRep := &Report{ID: "parallel", Title: "Cross-query looseness cache on a repeated-keyword workload (SP)",
-		Header: []string{"data", "pass", "wall (ms)", "TQSP", "exact hits", "bound hits", "misses", "hit rate"},
-		Notes: []string{
-			"pass 2 repeats the same keyword sets at fresh locations against a warm cache; exact L(Tp) entries skip TQSP construction entirely",
-			"TQSP counts only constructed trees, so the warm pass's drop mirrors the exact-hit count",
-		}}
-	const keywordPool = 4
-	for _, name := range []string{DBpediaLike, YagoLike} {
-		d := s.Data(name)
-		pool := d.workload(classO, keywordPool, defaultM, defaultK)
-		locs := d.workload(classO, s.Queries, defaultM, defaultK)
-		qs := make([]core.Query, s.Queries)
-		for i := range qs {
-			qs[i] = core.Query{Loc: locs[i].Loc, Keywords: pool[i%len(pool)].Keywords, K: defaultK}
-		}
-		// A shallow engine copy keeps the cache out of the shared
-		// benchmark engine (all indexes and pools are shared pointers).
-		cached := *d.base
-		cached.EnableLoosenessCache(0)
-		for pass := 1; pass <= 2; pass++ {
-			m, err := s.runWorkload(&cached, runSP, qs, core.Options{})
-			if err != nil {
-				return nil, err
-			}
-			lookups := m.CacheHits + m.CacheBoundHits + m.CacheMisses
-			rate := 0.0
-			if lookups > 0 {
-				rate = float64(m.CacheHits+m.CacheBoundHits) / float64(lookups)
-			}
-			cacheRep.AddRow(name, fmt.Sprintf("%d (%s)", pass, map[int]string{1: "cold", 2: "warm"}[pass]),
-				ms(m.Wall), Cell(m.TQSP),
-				fmt.Sprint(m.CacheHits), fmt.Sprint(m.CacheBoundHits), fmt.Sprint(m.CacheMisses),
-				fmt.Sprintf("%.2f", rate))
-		}
-	}
-	return []*Report{speed, cacheRep}, nil
-}
-
-// --- Windowed candidate scheduling (repo extension) ---
-
-// windowValues are the window directives the sweep measures: the classic
-// one-at-a-time loop (1), fixed batches, and the adaptive policy (0).
-var windowValues = []int{1, 4, 16, 64, 0}
-
-func windowName(w int) string {
-	if w == 0 {
-		return "adaptive"
-	}
-	return fmt.Sprint(w)
-}
-
-// window sweeps the candidate-window directive for SPP and SP at k=10,
-// where the window has headroom to screen candidates before their TQSP
-// constructions. Results are bit-identical at every directive (enforced
-// by the equivalence tests in internal/core); the sweep shows what the
-// batching buys: fewer TQSP constructions and BFS visits per query.
-func (s *Suite) window() ([]*Report, error) {
-	const windowK = 10
-	var out []*Report
-	for _, name := range []string{DBpediaLike, YagoLike} {
-		d := s.Data(name)
-		qs := d.workload(classO, s.Queries, defaultM, windowK)
-		r := &Report{ID: "window", Title: "Windowed candidate scheduling on " + name + " (k=10)",
-			Header: []string{"algo", "window", "wall (ms)", "TQSP", "BFS visits", "node accesses", "killed"},
-			Notes: []string{
-				"window=1 is the seed one-place-at-a-time loop; adaptive resizes W from batch kill rates",
-				"killed = candidates screened out before any TQSP work (fill-time screens + deferred θ drops)",
-				"answers are bit-identical across directives; only the evaluation order and counters change",
-			}}
-		for _, a := range []algoRunner{runSPP, runSP} {
-			for _, w := range windowValues {
-				// One discarded warmup pass per cell: the sweep's later rows
-				// otherwise measure against a warmer allocator and colder
-				// caches than the first, drowning the directive's own effect.
-				if _, err := s.runWorkload(d.base, a, qs, core.Options{Window: w}); err != nil {
-					return nil, err
-				}
-				m, err := s.runWorkload(d.base, a, qs, core.Options{Window: w})
-				if err != nil {
-					return nil, err
-				}
-				r.AddRow(a.name, windowName(w), ms(m.Wall),
-					Cell(m.TQSP), Cell(m.BFS), Cell(m.NodeAccess), fmt.Sprint(m.WindowKilled))
-			}
 		}
 		out = append(out, r)
 	}

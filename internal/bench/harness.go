@@ -38,24 +38,6 @@ type Suite struct {
 	// report tables. Set before the first experiment.
 	Metrics *obs.Registry
 
-	// Load-harness knobs (the "load" experiment); zero values select
-	// defaults in loadDefaults.
-	LoadQPS      []float64
-	LoadDuration time.Duration
-	LoadParallel int
-	LoadWindow   int
-	// LoadShards > 1 runs the load experiment through a scatter-gather
-	// coordinator over that many local spatial shards.
-	LoadShards int
-
-	// TraceQueries attaches a span trace to every workload query (and
-	// discards it), so a run measures evaluation with capture overhead
-	// included — the ?trace=1 serving configuration.
-	TraceQueries bool
-	// ExplainQueries assembles (and discards) an EXPLAIN report after
-	// every workload query, measuring the ?explain=1 configuration.
-	ExplainQueries bool
-
 	data map[string]*benchData
 }
 
@@ -73,7 +55,6 @@ func NewSuite(scale, queries int, seed int64, out io.Writer) *Suite {
 
 // benchData is one dataset with its engines (cached per α).
 type benchData struct {
-	name    string
 	g       *rdf.Graph
 	qg      *gen.QueryGen
 	base    *core.Engine // α = 3, reach enabled
@@ -110,7 +91,6 @@ func (s *Suite) Data(name string) *benchData {
 		e.EnableMetrics(s.Metrics)
 	}
 	d := &benchData{
-		name:    name,
 		g:       g,
 		qg:      gen.NewQueryGen(g, rdf.Outgoing, s.Seed+17),
 		base:    e,
@@ -185,19 +165,9 @@ var (
 type measured struct {
 	Semantic   time.Duration // mean per query
 	Other      time.Duration // mean per query
-	Wall       time.Duration // mean per query, measured around the call
 	TQSP       float64       // mean per query
 	NodeAccess float64
-	BFS        float64       // mean BFS vertex visits per query
 	Results    []core.Result // concatenated results (for figure 8)
-	TimedOut   int
-	// Looseness-cache counters, summed over the workload.
-	CacheHits, CacheBoundHits, CacheMisses int64
-	// Window-scheduler kills (screen + deferred), summed over the workload.
-	WindowKilled int64
-	// Work-stealing scheduler counters, summed over the workload.
-	Steals, OwnPops int64
-	WorkerIdle      time.Duration
 }
 
 func (m measured) total() time.Duration { return m.Semantic + m.Other }
@@ -209,29 +179,13 @@ func (s *Suite) runWorkload(e *core.Engine, a algoRunner, qs []core.Query, opts 
 	}
 	var agg core.Stats
 	var out measured
-	var wall time.Duration
 	for _, q := range qs {
-		if s.TraceQueries {
-			opts.Trace = obs.NewTrace("bench:" + a.name)
-		}
-		start := time.Now()
 		res, stats, err := a.run(e, q, opts)
-		if s.TraceQueries {
-			opts.Trace.Finish()
-			opts.Trace = nil
-		}
-		if err == nil && s.ExplainQueries {
-			e.Explain(a.name, q, opts, stats, len(res))
-		}
-		wall += time.Since(start)
 		if err != nil {
 			return out, fmt.Errorf("%s: %w", a.name, err)
 		}
 		agg.Add(stats)
 		out.Results = append(out.Results, res...)
-		if stats.TimedOut {
-			out.TimedOut++
-		}
 	}
 	n := len(qs)
 	if n == 0 {
@@ -239,17 +193,8 @@ func (s *Suite) runWorkload(e *core.Engine, a algoRunner, qs []core.Query, opts 
 	}
 	out.Semantic = agg.SemanticTime / time.Duration(n)
 	out.Other = agg.OtherTime / time.Duration(n)
-	out.Wall = wall / time.Duration(n)
 	out.TQSP = float64(agg.TQSPComputations) / float64(n)
 	out.NodeAccess = float64(agg.RTreeNodeAccesses) / float64(n)
-	out.BFS = float64(agg.BFSVertexVisits) / float64(n)
-	out.WindowKilled = agg.WindowScreenKilled + agg.WindowDeferredKilled
-	out.CacheHits = agg.CacheHits
-	out.CacheBoundHits = agg.CacheBoundHits
-	out.CacheMisses = agg.CacheMisses
-	out.Steals = agg.Steals
-	out.OwnPops = agg.OwnPops
-	out.WorkerIdle = agg.WorkerIdle
 	return out, nil
 }
 

@@ -21,12 +21,6 @@ type Report struct {
 	Rows   [][]string `json:"rows"`
 	// Notes carry the paper-shape expectation the numbers should match.
 	Notes []string `json:"notes,omitempty"`
-	// Load carries the machine-readable cells behind the "load"
-	// experiment's rows, so JSON baselines keep exact latency quantiles.
-	Load []LoadResult `json:"load,omitempty"`
-	// Memory carries the machine-readable cells behind the "memory"
-	// experiment's rows (per-mode footprint and per-query allocation).
-	Memory []MemoryResult `json:"memory,omitempty"`
 }
 
 // AddRow appends a formatted row.
@@ -104,7 +98,7 @@ func SaveCSVs(dir string, reports []*Report) ([]string, error) {
 }
 
 // RunMeta records the configuration a JSON report set was produced
-// under, so baselines checked into the repo carry their own provenance.
+// under, so a saved document carries its own provenance.
 type RunMeta struct {
 	Tool        string   `json:"tool"`
 	Generated   string   `json:"generated,omitempty"` // RFC 3339
@@ -117,11 +111,6 @@ type RunMeta struct {
 	GOMAXPROCS  int      `json:"gomaxprocs"`
 	NumCPU      int      `json:"numCPU"`
 	Experiments []string `json:"experiments"`
-	// TraceQueries / ExplainQueries record whether the run measured with
-	// per-query span capture or EXPLAIN assembly enabled, so baselines
-	// with diagnostics overhead are never compared against ones without.
-	TraceQueries   bool `json:"traceQueries,omitempty"`
-	ExplainQueries bool `json:"explainQueries,omitempty"`
 }
 
 // jsonDoc is the top-level shape WriteJSON emits.

@@ -107,7 +107,7 @@ func (e *Engine) EnableMetrics(reg *obs.Registry) {
 		windowCandsHelp, obs.Label{Key: "verdict", Value: "screen-killed"})
 	m.windowCands[2] = reg.Counter("ksp_engine_window_candidates_total",
 		windowCandsHelp, obs.Label{Key: "verdict", Value: "deferred-killed"})
-	//ksplint:ignore metricname -- dimensionless batch-size histogram, shipped in BENCH_PR4.json; renaming breaks the baseline
+	//ksplint:ignore metricname -- dimensionless batch-size histogram, already shipped; renaming it breaks dashboards
 	m.windowSize = reg.Histogram("ksp_engine_window_size",
 		"Batch size of each window fill (adaptive W trajectory).",
 		[]float64{1, 2, 4, 8, 16, 32, 64})

@@ -11,8 +11,9 @@ import (
 )
 
 // TestShardWorkGuard is the regression gate for the gather's shared
-// threshold and head start, in the style of TestWindowGuard: on a
-// Yago-like graph under the paper's §6.1 query generator, four tiles
+// threshold and head start, a count gate like
+// TestWindowReducesConstructions: on a Yago-like graph under the paper's
+// §6.1 query generator, four tiles
 // together may construct at most 1.5× the TQSPs, and visit at most 1.5×
 // the BFS vertices, of the single engine answering the same queries.
 // Four private top-ks cost 4.4× / 4.1× here, the shared bound without

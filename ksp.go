@@ -323,7 +323,7 @@ func finish(b *rdf.Builder, cfg Config) (*Dataset, error) {
 
 // NewDatasetFromGraph indexes an already-built graph into a Dataset,
 // applying cfg exactly like Open does after parsing. It exists for
-// in-module tooling — the bench suite's load harness feeds synthetic
+// in-module tooling — the served benchmark and tests feed synthetic
 // graphs (internal/gen) straight into a live server — and is not
 // callable from outside the module, since the graph type lives in an
 // internal package.

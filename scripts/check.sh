@@ -9,7 +9,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 echo "== gofmt =="
-unformatted=$(gofmt -l cmd internal examples ksp.go)
+unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
     echo "gofmt needed on:" >&2
     echo "$unformatted" >&2
@@ -43,8 +43,9 @@ echo "== TQSP kernel + Mq bitsets + alpha table + alpha build guards (race-free)
 # runs once more plain, exactly as CI's bench-guard job does. The Mq.ψ
 # bitset tests (the masks against the posting lists, pool reuse across
 # list and bitset keywords, the hybrid document index against an all-list
-# build) ride along, as they do in CI, plain here and under -race above.
-go test -run 'TestDiscoveryTimeBFSMatchesPopTime|TestBFSWorkGuard|TestMqMatchesPostings|TestDenseMQRecycling' ./internal/core/
+# build) ride along, as they do in CI, plain here and under -race above,
+# and so does the window scheduler's TQSP-count guard.
+go test -run 'TestDiscoveryTimeBFSMatchesPopTime|TestBFSWorkGuard|TestMqMatchesPostings|TestDenseMQRecycling|TestWindowReducesConstructions' ./internal/core/
 go test -run 'TestFromGraphMatchesAllListBuild|TestLenderBorrow' ./internal/invindex/
 go test ./internal/alpha/
 echo "== benchmark module =="
