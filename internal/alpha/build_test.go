@@ -1,9 +1,12 @@
 package alpha
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
@@ -11,6 +14,7 @@ import (
 
 	"ksp/internal/gen"
 	"ksp/internal/invindex"
+	"ksp/internal/mmapfile"
 	"ksp/internal/rdf"
 	"ksp/internal/rtree"
 )
@@ -342,20 +346,16 @@ func TestRestrictMatchesBuildFor(t *testing.T) {
 			for _, dir := range fx.dirs {
 				for _, a := range fx.alphas {
 					parent := Build(g, bulkTree(g, g.Places(), 8), a, dir)
-					path := filepath.Join(t.TempDir(), "place.idx")
-					if err := invindex.WriteFile(path, parent.PlaceIdx); err != nil {
-						t.Fatal(err)
+					parents := map[string]*Index{"memory": parent}
+					for _, useMmap := range []bool{false, true} {
+						disk := diskView(t, parent.PlaceIdx, useMmap)
+						parents[fmt.Sprintf("disk mmap=%v", useMmap)] = &Index{Alpha: parent.Alpha, Dir: parent.Dir, PlaceIdx: disk, NodeIdx: parent.NodeIdx}
 					}
-					disk, err := invindex.Open(path)
-					if err != nil {
-						t.Fatal(err)
-					}
-					onDisk := &Index{Alpha: parent.Alpha, Dir: parent.Dir, PlaceIdx: disk, NodeIdx: parent.NodeIdx}
 					toColumn, toList := 0, 0 // terms that change form from parent to tile
 					for _, n := range []int{2, 4, 7} {
 						for ti, tile := range strTiles(g, n) {
 							want := referenceBuild(g, bulkTree(g, tile, 8), a, dir, tile)
-							for name, from := range map[string]*Index{"memory": parent, "disk": onDisk} {
+							for name, from := range parents {
 								got, err := from.Restrict(bulkTree(g, tile, 8))
 								if err != nil {
 									t.Fatal(err)
@@ -376,13 +376,35 @@ func TestRestrictMatchesBuildFor(t *testing.T) {
 					if a <= 14 && (toColumn == 0 || toList == 0) {
 						t.Errorf("%s dir=%v alpha=%d: %d parent lists became tile columns and %d parent columns tile lists: the test no longer covers both", fx.name, dir, a, toColumn, toList)
 					}
-					if err := disk.Close(); err != nil {
-						t.Fatal(err)
-					}
 				}
 			}
 		}
 	})
+}
+
+// diskView serves ix the way a disk-resident snapshot serves its α
+// sections: written with invindex.Write, opened with mmapfile.OpenMode,
+// scanned and viewed. The file closes when the test ends.
+func diskView(t *testing.T, ix invindex.Index, useMmap bool) *invindex.DiskIndex {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "place.idx")
+	var enc bytes.Buffer
+	if err := invindex.Write(&enc, ix); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, enc.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	src, err := mmapfile.OpenMode(path, useMmap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { src.Close() })
+	offsets, err := invindex.Scan(io.NewSectionReader(src, 0, src.Size()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return invindex.NewView(src, 0, offsets)
 }
 
 // patchedIndex serves one term's list from its own fields — an error, or

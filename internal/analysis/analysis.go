@@ -189,20 +189,12 @@ func DefaultConfig(module string) Config {
 		MmapSources: []string{
 			// Zero-copy view of the mapping; valid until File.Close.
 			module + "/internal/mmapfile.File.Range",
-			// Shared or LRU-cache-owned term slice; valid until the
-			// next Doc call evicts it (DESIGN.md §16).
-			module + "/internal/rdf.Graph.Doc",
-			// The index's own list, or one decoded onto the Lender's
-			// scratch; valid until Lender.Reset.
-			module + "/internal/invindex.Lender.Borrow",
 		},
 		MmapOwnerPackages: []string{
-			// These packages own the mmapped file (they hold it and call
-			// Close), so retaining views inside their structs is their
-			// documented job; mmaplife polices their CONSUMERS.
+			// The package owns the mapping (it holds it and unmaps it on
+			// Close), so retaining views inside its structs is its
+			// documented job; mmaplife polices its CONSUMERS.
 			module + "/internal/mmapfile",
-			module + "/internal/invindex",
-			module + "/internal/rdf",
 		},
 		MmapBoundaryPackages: []string{module},
 		PoolTypes: []PoolProtocol{

@@ -7,9 +7,8 @@ import (
 )
 
 // MmapLifeCheck tracks slices derived from the configured zero-copy
-// sources (Config.MmapSources: mmapfile.File.Range views valid until
-// Close, rdf.Graph.Doc cache-owned documents valid until the next
-// call) through each function with the taint engine, and reports the
+// sources (Config.MmapSources: mmapfile.File.Range views, valid until
+// Close) through each function with the taint engine, and reports the
 // escapes that outlive the borrow:
 //
 //   - stores into struct fields or package-level variables (including

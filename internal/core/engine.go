@@ -28,7 +28,7 @@ const MaxKeywords = 64
 type Engine struct {
 	G    *rdf.Graph
 	Tree *rtree.RTree
-	Doc  invindex.Index
+	Doc  *invindex.MemIndex
 	// Reach enables Pruning Rule 1 (required by SPP and used by SP).
 	Reach *reach.KeywordIndex
 	// Alpha enables the α-radius bounds (required by SP).
@@ -74,10 +74,8 @@ type enginePools struct {
 	termSeen sync.Pool // *seenSet
 	vertSeen sync.Pool // *seenSet
 	// frontier recycles SP's priority queue, which a query grows to a few
-	// thousand entries; lender the scratch prepare decodes document
-	// postings into when the document index is not in memory.
+	// thousand entries.
 	frontier sync.Pool // *spHeap
-	lender   sync.Pool // *invindex.Lender
 }
 
 // getFrontier returns an empty SP queue.
@@ -95,20 +93,6 @@ func (p *enginePools) putFrontier(h *spHeap) {
 	clear(*h)
 	*h = (*h)[:0]
 	p.frontier.Put(h)
-}
-
-func (p *enginePools) getLender() *invindex.Lender {
-	l, _ := p.lender.Get().(*invindex.Lender)
-	if l == nil {
-		l = new(invindex.Lender)
-	}
-	return l
-}
-
-// putLender ends the loans l made and takes it back.
-func (p *enginePools) putLender(l *invindex.Lender) {
-	l.Reset()
-	p.lender.Put(l)
 }
 
 func (p *enginePools) getMQ(n int) *denseMQ {
@@ -294,34 +278,6 @@ func (e *Engine) EnableReach() {
 	e.Reach = reach.NewKeywordIndex(e.G, e.Dir)
 }
 
-// UseDiskDocIndex spills the document inverted index to path and serves
-// posting lists from disk per query — the paper's production setting
-// ("we choose to follow the setting of commercial search engines, where
-// the inverted index is disk-resident"). The caller owns the file's
-// lifetime; Close the returned index when the engine is discarded.
-func (e *Engine) UseDiskDocIndex(path string) (*invindex.DiskIndex, error) {
-	return e.UseDiskDocIndexMode(path, false)
-}
-
-// UseDiskDocIndexMode is UseDiskDocIndex with a choice of I/O mode:
-// useMmap serves posting lists through a read-only memory mapping
-// (falling back to pread where mapping is unavailable).
-func (e *Engine) UseDiskDocIndexMode(path string, useMmap bool) (*invindex.DiskIndex, error) {
-	mem, ok := e.Doc.(*invindex.MemIndex)
-	if !ok {
-		return nil, fmt.Errorf("core: document index already replaced")
-	}
-	if err := invindex.WriteFile(path, mem); err != nil {
-		return nil, err
-	}
-	disk, err := invindex.OpenFile(path, useMmap)
-	if err != nil {
-		return nil, err
-	}
-	e.Doc = disk
-	return disk, nil
-}
-
 // EnableAlpha builds the α-radius word neighbourhoods (Section 5). It
 // panics, as alpha.Build does, on a radius alpha.CheckRadius rejects;
 // callers holding a user's value check it first (ksp.Config does).
@@ -451,27 +407,17 @@ func (e *Engine) prepare(q Query) (*prepQuery, error) {
 	if !pq.answerable {
 		return pq, nil
 	}
-	// Each keyword is borrowed, never copied: as the document index's own
-	// bitset where it holds one, else as a posting list that is read once,
-	// into a scratch bitset, before prepare returns.
-	ln := e.pools.getLender()
-	defer e.pools.putLender(ln)
+	// Each keyword is read in place, never copied: as the document index's
+	// own bitset where it holds one, else as its posting list, set into a
+	// scratch bitset before prepare returns.
 	var sets [MaxKeywords][]uint64
 	var lists [MaxKeywords][]invindex.Posting
 	pq.df = make([]int, len(pq.terms))
 	for i, t := range pq.terms {
-		if set, df := invindex.Bitset(e.Doc, t); set != nil {
-			sets[i], pq.df[i] = set, df
-			continue
-		}
-		pl, err := ln.Borrow(e.Doc, t)
-		if err != nil {
-			return nil, err
-		}
-		if len(pl) == 0 {
+		lists[i], sets[i], pq.df[i] = e.Doc.Term(t)
+		if pq.df[i] == 0 {
 			pq.answerable = false
 		}
-		lists[i], pq.df[i] = pl, len(pl)
 	}
 	if !pq.answerable {
 		return pq, nil

@@ -68,7 +68,7 @@ func (e *Engine) EnableLoosenessCache(capacity int) {
 		capacity = DefaultLoosenessCacheEntries
 	}
 	e.loose = &looseCache{
-		c: lru.NewSharded[looseKey, looseEntry](looseCacheShards, int64(capacity), nil, looseHash),
+		c: lru.NewSharded[looseKey, looseEntry](looseCacheShards, capacity, looseHash),
 	}
 }
 

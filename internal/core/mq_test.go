@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"testing"
 
 	"ksp/internal/geo"
@@ -91,9 +90,9 @@ func checkMq(t *testing.T, label string, rng *rand.Rand, e *Engine, kws []string
 
 // The bitset Mq.ψ must equal the map the keywords' posting lists give,
 // whether a keyword's bitset is the document index's own or a scratch one
-// its list was set into, and an engine whose document index is on disk
-// (every keyword a list) must answer exactly as one whose frequent terms
-// are bitsets.
+// its list was set into, and an engine whose document index a Builder
+// made (every keyword a list) must answer exactly as one whose frequent
+// terms are bitsets.
 func TestMqMatchesPostings(t *testing.T) {
 	for _, n := range []int{640, 1000} { // 64·⌊n/64⌋ = n, and a partial last word
 		rng := rand.New(rand.NewSource(int64(n)))
@@ -101,19 +100,25 @@ func TestMqMatchesPostings(t *testing.T) {
 		e := NewEngine(g, rdf.Outgoing)
 		e.EnableReach()
 		e.EnableAlpha(2)
-		disk := NewEngine(g, rdf.Outgoing)
-		disk.EnableReach()
-		disk.EnableAlpha(2)
-		di, err := disk.UseDiskDocIndex(filepath.Join(t.TempDir(), "doc.idx"))
-		if err != nil {
-			t.Fatal(err)
+		lists := NewEngine(g, rdf.Outgoing)
+		lists.EnableReach()
+		lists.EnableAlpha(2)
+		ref := invindex.NewBuilder()
+		ref.Reserve(g.Vocab.Len())
+		for v := uint32(0); int(v) < n; v++ {
+			for _, term := range g.Doc(v) {
+				ref.Add(term, v, 0)
+			}
 		}
-		defer di.Close()
+		lists.Doc = ref.Build()
 
 		for word, dense := range map[string]bool{"lo": false, "hi": true} {
 			id, _ := g.Vocab.Lookup(word)
-			if set, _ := invindex.Bitset(e.Doc, id); (set != nil) != dense {
+			if _, set, _ := e.Doc.Term(id); (set != nil) != dense {
 				t.Fatalf("n %d: %q held as a bitset = %v, want %v", n, word, set != nil, dense)
+			}
+			if _, set, _ := lists.Doc.Term(id); set != nil {
+				t.Fatalf("n %d: the reference index holds %q as a bitset", n, word)
 			}
 		}
 
@@ -134,13 +139,13 @@ func TestMqMatchesPostings(t *testing.T) {
 		for _, kws := range sets {
 			label := fmt.Sprintf("n %d kws %v", n, kws)
 			terms := checkMq(t, label, rng, e, kws)
-			diskTerms := checkMq(t, label+" (disk)", rng, disk, kws)
-			if fmt.Sprint(terms) != fmt.Sprint(diskTerms) {
-				t.Fatalf("%s: keyword order %v, on disk %v", label, terms, diskTerms)
+			listTerms := checkMq(t, label+" (lists)", rng, lists, kws)
+			if fmt.Sprint(terms) != fmt.Sprint(listTerms) {
+				t.Fatalf("%s: keyword order %v, all lists %v", label, terms, listTerms)
 			}
 			q := Query{Loc: geo.Point{X: rng.Float64(), Y: rng.Float64()}, Keywords: kws, K: 3}
 			for _, a := range allAlgos {
-				want, _, err := a.run(disk, q, Options{})
+				want, _, err := a.run(lists, q, Options{})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -63,7 +61,6 @@ func TestFromGraphMatchesAllListBuild(t *testing.T) {
 				ix.NumTerms(), ix.NumPostings(), ix.NonEmptyTerms(), want.NumTerms(), want.NumPostings(), want.NonEmptyTerms())
 		}
 		sets := 0
-		var ln Lender
 		for term := uint32(0); int(term) < want.NumTerms()+1; term++ {
 			wl, _ := want.Postings(term, nil)
 			got, _ := ix.Postings(term, nil)
@@ -73,7 +70,7 @@ func TestFromGraphMatchesAllListBuild(t *testing.T) {
 			if !strictlyAscending(got) {
 				t.Fatalf("n %d term %d: Postings not strictly ascending: %v", n, term, got)
 			}
-			set, df := Bitset(ix, term)
+			list, set, df := ix.Term(term)
 			if dense := 64*len(wl) > n; (set != nil) != dense {
 				t.Fatalf("n %d term %d: df %d held as a bitset = %v, want %v", n, term, len(wl), set != nil, dense)
 			}
@@ -83,10 +80,10 @@ func TestFromGraphMatchesAllListBuild(t *testing.T) {
 					t.Fatalf("n %d term %d: bitset of %d words with df %d, want %d words, df %d", n, term, len(set), df, (n+63)/64, len(wl))
 				}
 			}
-			if lent, err := ln.Borrow(ix, term); err != nil || len(lent) != len(wl) || len(wl) > 0 && !reflect.DeepEqual(lent, wl) {
-				t.Fatalf("n %d term %d: Borrow %v (%v), want %v", n, term, lent, err, wl)
+			if set == nil && (df != len(wl) || len(wl) > 0 && !reflect.DeepEqual(list, wl)) {
+				t.Fatalf("n %d term %d: Term list %v (df %d), want %v", n, term, list, df, wl)
 			}
-			if set, _ := Bitset(want, term); set != nil {
+			if _, set, _ := want.Term(term); set != nil {
 				t.Fatalf("n %d term %d: a Builder index holds a bitset", n, term)
 			}
 		}
@@ -94,24 +91,15 @@ func TestFromGraphMatchesAllListBuild(t *testing.T) {
 			t.Fatalf("n %d: no term held as a bitset", n)
 		}
 
-		dir := t.TempDir()
-		a, b := filepath.Join(dir, "hybrid.idx"), filepath.Join(dir, "lists.idx")
-		if err := WriteFile(a, ix); err != nil {
+		var ab, bb bytes.Buffer
+		if err := Write(&ab, ix); err != nil {
 			t.Fatal(err)
 		}
-		if err := WriteFile(b, want); err != nil {
+		if err := Write(&bb, want); err != nil {
 			t.Fatal(err)
 		}
-		ab, err := os.ReadFile(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bb, err := os.ReadFile(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(ab, bb) {
-			t.Fatalf("n %d: WriteFile of the FromGraph index differs from the all-list one (%d vs %d bytes)", n, len(ab), len(bb))
+		if !bytes.Equal(ab.Bytes(), bb.Bytes()) {
+			t.Fatalf("n %d: Write of the FromGraph index differs from the all-list one (%d vs %d bytes)", n, ab.Len(), bb.Len())
 		}
 		if ix.MemSize() >= want.MemSize() && sets > 0 {
 			t.Errorf("n %d: the index takes %d bytes, the all-list one %d", n, ix.MemSize(), want.MemSize())

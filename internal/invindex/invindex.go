@@ -7,9 +7,10 @@
 // commercial search engines, where the inverted index is disk-resident;
 // for each query only a small portion of the index is relevant"), the
 // index has two interchangeable representations: a fully in-memory one and
-// a disk-resident one whose posting lists are fetched per query. Large
-// indexes can be built as parts and merged (the paper does exactly this
-// for the DBpedia α-radius index, which exceeds main memory).
+// one that decodes a posting list per call from an encoding — a section of
+// a disk-resident snapshot. Large indexes can be built as parts and merged
+// (the paper does exactly this for the DBpedia α-radius index, which
+// exceeds main memory).
 package invindex
 
 import (
@@ -20,7 +21,6 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
-	"os"
 	"slices"
 
 	"ksp/internal/mmapfile"
@@ -44,48 +44,6 @@ type Index interface {
 	NumTerms() int
 	// NumPostings returns the total number of postings.
 	NumPostings() int64
-}
-
-// A Lender hands out posting lists without copying them where it can: a
-// MemIndex lends its own slice for a term it keeps as a list, any other
-// term or representation is decoded onto the Lender's scratch. Every list
-// borrowed stays valid, and must be left unwritten, until Reset; a pooled
-// Lender keeps the scratch warm, so steady-state borrowing allocates
-// nothing. A term a MemIndex keeps as a bitset is better read as one, in
-// place: see Bitset.
-type Lender struct {
-	scratch []Posting
-}
-
-// Borrow returns the posting list of term in ix.
-func (l *Lender) Borrow(ix Index, term uint32) ([]Posting, error) {
-	if m, ok := ix.(*MemIndex); ok {
-		if list, set, _ := m.term(term); set == nil {
-			return list, nil
-		}
-	}
-	// Growing the scratch leaves the lists lent before in the array they
-	// were decoded into: still valid.
-	lo := len(l.scratch)
-	var err error
-	l.scratch, err = ix.Postings(term, l.scratch)
-	return l.scratch[lo:len(l.scratch):len(l.scratch)], err
-}
-
-// Reset ends every loan and keeps the scratch for the next ones.
-func (l *Lender) Reset() { l.scratch = l.scratch[:0] }
-
-// Bitset returns term's bitset over IDs — bit v%64 of word v/64 is set
-// iff ID v holds the term — and its population, when ix holds the term in
-// that form: a MemIndex's own words, immutable and valid as long as ix.
-// For a term held as a list, an unknown term, or an index that holds
-// lists only, it returns (nil, 0).
-func Bitset(ix Index, term uint32) ([]uint64, int) {
-	if m, ok := ix.(*MemIndex); ok {
-		_, set, df := m.term(term)
-		return set, df
-	}
-	return nil, 0
 }
 
 // AvgPostingLen returns the average posting-list length over terms that
@@ -227,9 +185,12 @@ const (
 	maxBitsets = 1<<(64-listBits) - 1
 )
 
-// term returns term t as the index holds it: its list (set nil), or its
-// bitset and population (list nil). An unknown term is an empty list.
-func (m *MemIndex) term(t uint32) (list []Posting, set []uint64, df int) {
+// Term returns term t as the index holds it, in place: its list (set
+// nil), or its bitset over IDs — bit v%64 of word v/64 is set iff ID v
+// holds the term — and that bitset's population (list nil). An unknown
+// term is an empty list. Both are the index's own immutable memory,
+// valid as long as m.
+func (m *MemIndex) Term(t uint32) (list []Posting, set []uint64, df int) {
 	if int(t) >= m.NumTerms() {
 		return nil, nil, 0
 	}
@@ -244,7 +205,7 @@ func (m *MemIndex) term(t uint32) (list []Posting, set []uint64, df int) {
 // Postings implements Index. A bitset is read back in ascending ID order,
 // with weight 0 — the document index's weight.
 func (m *MemIndex) Postings(term uint32, dst []Posting) ([]Posting, error) {
-	list, set, _ := m.term(term)
+	list, set, _ := m.Term(term)
 	for w, word := range set {
 		for ; word != 0; word &= word - 1 {
 			dst = append(dst, Posting{ID: uint32(w<<6 | bits.TrailingZeros64(word))})
@@ -287,20 +248,6 @@ const (
 	magic   = 0x6B535069 // "kSPi"
 	version = 1
 )
-
-// WriteFile serializes ix to path.
-func WriteFile(path string, ix Index) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	//ksplint:ignore droppederr -- error-path cleanup; the success path returns the second Close's error
-	defer f.Close()
-	if err := Write(f, ix); err != nil {
-		return err
-	}
-	return f.Close()
-}
 
 // Write serializes ix to w, whatever its representation: every list is
 // read through Postings, once to size the offset table and once to
@@ -362,11 +309,10 @@ func Write(w io.Writer, ix Index) error {
 }
 
 // ReadFrom reads an index previously serialized with Write from a
-// sequential stream into memory and serves it from those bytes: as with
-// Open only the offset table is decoded, and a list is decoded when it
-// is asked for. A caller that wants the lists in another shape (the
-// snapshot loader packs the α files) reads them once through Postings and
-// drops the encoding.
+// sequential stream into memory and serves it from those bytes: only the
+// offset table is decoded, and a list is decoded when it is asked for. A
+// caller that wants the lists in another shape (the snapshot loader packs
+// the α files) reads them once through Postings and drops the encoding.
 func ReadFrom(r io.Reader) (*DiskIndex, error) {
 	offsets, err := readOffsets(r)
 	if err != nil {
@@ -459,9 +405,8 @@ func readFullCapped(r io.Reader, n int64) ([]byte, error) {
 	return buf, nil
 }
 
-// DiskIndex reads posting lists on demand from an index encoding on
-// disk — either a standalone file produced by WriteFile or a section
-// embedded in a larger file (NewView) — or from one ReadFrom holds in
+// DiskIndex reads posting lists on demand from an index encoding: a
+// section embedded in a larger file (NewView), or one ReadFrom holds in
 // memory. Only the offset table is decoded up front; posting lists are
 // fetched per call, matching the paper's disk-resident inverted-index
 // setting. In mmap mode fetches decode straight out of the mapping with
@@ -471,42 +416,13 @@ type DiskIndex struct {
 	offsets  []uint64
 	dataBase int64 // absolute offset of the posting area in src
 	total    int64
-	owns     bool // whether Close should close src
-}
-
-// Open opens an index file for querying through pread calls.
-func Open(path string) (*DiskIndex, error) { return OpenFile(path, false) }
-
-// OpenMmap opens an index file for querying through a memory mapping
-// (falling back to pread on platforms without mmap).
-func OpenMmap(path string) (*DiskIndex, error) { return OpenFile(path, true) }
-
-// OpenFile opens an index file in the chosen I/O mode.
-func OpenFile(path string, useMmap bool) (*DiskIndex, error) {
-	src, err := mmapfile.OpenMode(path, useMmap)
-	if err != nil {
-		return nil, err
-	}
-	offsets, err := readOffsets(io.NewSectionReader(src, 0, src.Size()))
-	if err != nil {
-		//ksplint:ignore droppederr -- error-path cleanup; the open error already wins
-		src.Close()
-		return nil, err
-	}
-	d := newView(src, 0, offsets)
-	d.owns = true
-	return d, nil
 }
 
 // NewView serves postings from an index encoding embedded in src at
 // base (the offset of the index magic). offsets must be the table
-// returned by Scan (or readOffsets) over the same bytes. The view does
-// not own src: Close is a no-op and the caller manages src's lifetime.
+// returned by Scan over the same bytes. The view does not own src: the
+// caller manages src's lifetime.
 func NewView(src *mmapfile.File, base int64, offsets []uint64) *DiskIndex {
-	return newView(src, base, offsets)
-}
-
-func newView(src *mmapfile.File, base int64, offsets []uint64) *DiskIndex {
 	return &DiskIndex{
 		src:      src,
 		offsets:  offsets,
@@ -514,18 +430,6 @@ func newView(src *mmapfile.File, base int64, offsets []uint64) *DiskIndex {
 		total:    -1, // NumPostings computes on first use
 	}
 }
-
-// Close releases the underlying file when this index owns it (opened
-// via Open/OpenFile); for views over a shared file it is a no-op.
-func (d *DiskIndex) Close() error {
-	if !d.owns {
-		return nil
-	}
-	return d.src.Close()
-}
-
-// Mapped reports whether posting reads are served from a memory mapping.
-func (d *DiskIndex) Mapped() bool { return d.src.Mapped() }
 
 // OnDisk reports whether ix fetches its lists from an encoding per call
 // (a DiskIndex) instead of holding them ready in memory.
@@ -536,10 +440,6 @@ func OnDisk(ix Index) bool {
 
 // NumTerms implements Index.
 func (d *DiskIndex) NumTerms() int { return len(d.offsets) - 1 }
-
-// FileSize returns the size on disk of the file backing the index. For
-// embedded views this is the containing file's size.
-func (d *DiskIndex) FileSize() int64 { return d.src.Size() }
 
 // NonEmptyTerms returns the number of terms with at least one posting,
 // read off the resident offset table: an empty list encodes to exactly

@@ -1,13 +1,16 @@
 package invindex
 
 import (
+	"bytes"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"ksp/internal/mmapfile"
 	"ksp/internal/paperdata"
 )
 
@@ -98,35 +101,24 @@ func TestDiskRoundTrip(t *testing.T) {
 		b.Add(uint32(rng.Intn(200)), uint32(rng.Intn(10000)), uint8(rng.Intn(6)))
 	}
 	mem := b.Build()
-
-	path := filepath.Join(t.TempDir(), "ix.bin")
-	if err := WriteFile(path, mem); err != nil {
-		t.Fatal(err)
-	}
-	disk, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer disk.Close()
-
-	if disk.NumTerms() != mem.NumTerms() {
-		t.Fatalf("NumTerms: disk %d mem %d", disk.NumTerms(), mem.NumTerms())
-	}
-	if disk.NumPostings() != mem.NumPostings() {
-		t.Fatalf("NumPostings: disk %d mem %d", disk.NumPostings(), mem.NumPostings())
-	}
-	for term := 0; term < mem.NumTerms(); term++ {
-		want, _ := mem.Postings(uint32(term), nil)
-		got, err := disk.Postings(uint32(term), nil)
-		if err != nil {
-			t.Fatalf("term %d: %v", term, err)
+	for _, useMmap := range []bool{false, true} {
+		disk := openView(t, mem, useMmap)
+		if disk.NumTerms() != mem.NumTerms() {
+			t.Fatalf("mmap=%v: NumTerms: disk %d mem %d", useMmap, disk.NumTerms(), mem.NumTerms())
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("term %d: disk %v, mem %v", term, got, want)
+		if disk.NumPostings() != mem.NumPostings() {
+			t.Fatalf("mmap=%v: NumPostings: disk %d mem %d", useMmap, disk.NumPostings(), mem.NumPostings())
 		}
-	}
-	if disk.FileSize() <= 0 {
-		t.Error("FileSize should be positive")
+		for term := 0; term < mem.NumTerms(); term++ {
+			want, _ := mem.Postings(uint32(term), nil)
+			got, err := disk.Postings(uint32(term), nil)
+			if err != nil {
+				t.Fatalf("mmap=%v: term %d: %v", useMmap, term, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("mmap=%v: term %d: disk %v, mem %v", useMmap, term, got, want)
+			}
+		}
 	}
 }
 
@@ -139,15 +131,7 @@ func TestDiskRoundTripProperty(t *testing.T) {
 			b.Add(uint32(rng.Intn(50)), rng.Uint32(), uint8(rng.Intn(256)))
 		}
 		mem := b.Build()
-		path := filepath.Join(t.TempDir(), "p.bin")
-		if err := WriteFile(path, mem); err != nil {
-			return false
-		}
-		disk, err := Open(path)
-		if err != nil {
-			return false
-		}
-		defer disk.Close()
+		disk := openView(t, mem, seed%2 == 0)
 		for term := 0; term < mem.NumTerms(); term++ {
 			want, _ := mem.Postings(uint32(term), nil)
 			got, err := disk.Postings(uint32(term), nil)
@@ -163,7 +147,7 @@ func TestDiskRoundTripProperty(t *testing.T) {
 }
 
 // ReadFrom (the sequential decoder used by snapshots) must agree with the
-// random-access DiskIndex on the same bytes.
+// random-access view of the same bytes.
 func TestReadFromMatchesOpen(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	b := NewBuilder()
@@ -171,16 +155,11 @@ func TestReadFromMatchesOpen(t *testing.T) {
 		b.Add(uint32(rng.Intn(80)), uint32(rng.Intn(5000)), uint8(rng.Intn(4)))
 	}
 	mem := b.Build()
-	path := filepath.Join(t.TempDir(), "rf.bin")
-	if err := WriteFile(path, mem); err != nil {
+	var enc bytes.Buffer
+	if err := Write(&enc, mem); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamed, err := ReadFrom(f)
-	f.Close()
+	streamed, err := ReadFrom(&enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,73 +174,74 @@ func TestReadFromMatchesOpen(t *testing.T) {
 		}
 	}
 	// AvgPostingLen agrees across representations.
-	disk, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer disk.Close()
-	if AvgPostingLen(disk) != AvgPostingLen(mem) {
-		t.Errorf("AvgPostingLen differs: %v vs %v", AvgPostingLen(disk), AvgPostingLen(mem))
+	disk := openView(t, mem, false)
+	if AvgPostingLen(disk) != AvgPostingLen(mem) || AvgPostingLen(streamed) != AvgPostingLen(mem) {
+		t.Errorf("AvgPostingLen differs: view %v, stream %v, mem %v", AvgPostingLen(disk), AvgPostingLen(streamed), AvgPostingLen(mem))
 	}
 }
 
 func TestOpenRejectsGarbage(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.bin")
-	if err := os.WriteFile(path, []byte("this is not an index"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(path); err == nil {
-		t.Fatal("expected error for corrupt file")
-	}
-	if _, err := Open(filepath.Join(t.TempDir(), "missing.bin")); err == nil {
-		t.Fatal("expected error for missing file")
+	for _, data := range []string{"this is not an index", ""} {
+		if _, err := Scan(strings.NewReader(data)); err == nil {
+			t.Fatalf("Scan(%q) succeeded", data)
+		}
+		if _, err := ReadFrom(strings.NewReader(data)); err == nil {
+			t.Fatalf("ReadFrom(%q) succeeded", data)
+		}
 	}
 }
 
-// Failure injection: a truncated index file must surface errors, never
+// Failure injection: a truncated encoding must surface errors, never
 // panic or return silently wrong postings.
 func TestTruncatedFile(t *testing.T) {
 	b := NewBuilder()
 	for i := uint32(0); i < 50; i++ {
 		b.Add(i%5, i*100, uint8(i%3))
 	}
-	mem := b.Build()
-	path := filepath.Join(t.TempDir(), "full.bin")
-	if err := WriteFile(path, mem); err != nil {
+	var enc bytes.Buffer
+	if err := Write(&enc, b.Build()); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(path)
+	data := enc.Bytes()
+	offsets, err := Scan(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Cut inside the posting area: Open succeeds (header + offsets are
-	// intact) but reads past the cut must error.
+	// Cut inside the posting area: streaming the encoding fails, and a
+	// view over the cut file errors on the reads past the cut.
 	cut := len(data) - 8
-	trunc := filepath.Join(t.TempDir(), "trunc.bin")
-	if err := os.WriteFile(trunc, data[:cut], 0o644); err != nil {
+	if _, err := Scan(bytes.NewReader(data[:cut])); err == nil {
+		t.Error("Scan of an encoding cut in its posting area succeeded")
+	}
+	if _, err := ReadFrom(bytes.NewReader(data[:cut])); err == nil {
+		t.Error("ReadFrom of an encoding cut in its posting area succeeded")
+	}
+	path := filepath.Join(t.TempDir(), "trunc.bin")
+	if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	d, err := Open(trunc)
-	if err != nil {
-		t.Skip("truncation hit the offset table; nothing to probe")
-	}
-	defer d.Close()
-	sawErr := false
-	for term := 0; term < d.NumTerms(); term++ {
-		if _, err := d.Postings(uint32(term), nil); err != nil {
-			sawErr = true
+	for _, useMmap := range []bool{false, true} {
+		src, err := mmapfile.OpenMode(path, useMmap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := NewView(src, 0, offsets)
+		sawErr := false
+		for term := 0; term < d.NumTerms(); term++ {
+			if _, err := d.Postings(uint32(term), nil); err != nil {
+				sawErr = true
+			}
+		}
+		if !sawErr {
+			t.Errorf("mmap=%v: expected at least one read error from the truncated file", useMmap)
+		}
+		if err := src.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if !sawErr {
-		t.Error("expected at least one read error from the truncated file")
-	}
-	// Cut inside the offset table: Open itself must fail.
-	headOnly := filepath.Join(t.TempDir(), "head.bin")
-	if err := os.WriteFile(headOnly, data[:14], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(headOnly); err == nil {
-		t.Error("expected Open to fail on a cut offset table")
+	// Cut inside the offset table: Scan itself must fail.
+	if _, err := Scan(bytes.NewReader(data[:14])); err == nil {
+		t.Error("expected Scan to fail on a cut offset table")
 	}
 }
 
@@ -329,17 +309,9 @@ func BenchmarkPostingsDisk(b *testing.B) {
 	for i := 0; i < 200000; i++ {
 		bld.Add(uint32(rng.Intn(1000)), uint32(rng.Intn(1000000)), 0)
 	}
-	mem := bld.Build()
-	path := filepath.Join(b.TempDir(), "bench.bin")
-	if err := WriteFile(path, mem); err != nil {
-		b.Fatal(err)
-	}
-	disk, err := Open(path)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer disk.Close()
+	disk := openView(b, bld.Build(), false)
 	var buf []Posting
+	var err error
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf, err = disk.Postings(uint32(i%1000), buf[:0])

@@ -2,15 +2,43 @@ package invindex
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
-	"slices"
 	"testing"
 
 	"ksp/internal/mmapfile"
 )
+
+// openView writes ix with Write to a file and serves it back the way a
+// disk-resident snapshot serves its α sections: mmapfile.OpenMode, then
+// Scan, then NewView. The file closes when the test ends.
+func openView(t testing.TB, ix Index, useMmap bool) *DiskIndex {
+	t.Helper()
+	var enc bytes.Buffer
+	if err := Write(&enc, ix); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "ix.bin")
+	if err := os.WriteFile(path, enc.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	src, err := mmapfile.OpenMode(path, useMmap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { src.Close() })
+	if !useMmap && src.Mapped() {
+		t.Fatal("pread file reports mapped")
+	}
+	offsets, err := Scan(io.NewSectionReader(src, 0, src.Size()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewView(src, 0, offsets)
+}
 
 func randomMem(t testing.TB, seed int64, n int) *MemIndex {
 	t.Helper()
@@ -27,23 +55,7 @@ func randomMem(t testing.TB, seed int64, n int) *MemIndex {
 // posting-for-posting on every term.
 func TestMmapMatchesPreadAndMem(t *testing.T) {
 	mem := randomMem(t, 11, 8000)
-	path := filepath.Join(t.TempDir(), "ix.bin")
-	if err := WriteFile(path, mem); err != nil {
-		t.Fatal(err)
-	}
-	pread, err := OpenFile(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pread.Close()
-	mapped, err := OpenMmap(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mapped.Close()
-	if pread.Mapped() {
-		t.Fatal("pread index reports mapped")
-	}
+	pread, mapped := openView(t, mem, false), openView(t, mem, true)
 	if mapped.NumTerms() != mem.NumTerms() || pread.NumTerms() != mem.NumTerms() {
 		t.Fatalf("NumTerms: mem %d pread %d mmap %d", mem.NumTerms(), pread.NumTerms(), mapped.NumTerms())
 	}
@@ -72,14 +84,7 @@ func TestMmapMatchesPreadAndMem(t *testing.T) {
 func TestNonEmptyTerms(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		mem := randomMem(t, seed, 500)
-		path := filepath.Join(t.TempDir(), "ne.bin")
-		if err := WriteFile(path, mem); err != nil {
-			t.Fatal(err)
-		}
-		disk, err := Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
+		disk := openView(t, mem, seed%2 == 0)
 		var want int64
 		var buf []Posting
 		for term := 0; term < mem.NumTerms(); term++ {
@@ -96,9 +101,6 @@ func TestNonEmptyTerms(t *testing.T) {
 		}
 		if a, b := AvgPostingLen(disk), AvgPostingLen(mem); a != b {
 			t.Errorf("seed %d: AvgPostingLen disk %v mem %v", seed, a, b)
-		}
-		if err := disk.Close(); err != nil {
-			t.Fatal(err)
 		}
 	}
 }
@@ -149,13 +151,6 @@ func TestScanAndView(t *testing.T) {
 		if view.NumPostings() != mem.NumPostings() {
 			t.Fatalf("view NumPostings = %d, want %d", view.NumPostings(), mem.NumPostings())
 		}
-		// Views never own the source: Close must not close src.
-		if err := view.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := src.Range(0, int64(len(prefix))); err != nil {
-			t.Fatalf("src unusable after view close: %v", err)
-		}
 		if err := src.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -171,15 +166,7 @@ func TestWriteAnyRepresentation(t *testing.T) {
 	if err := Write(&want, mem); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "any.idx")
-	if err := WriteFile(path, mem); err != nil {
-		t.Fatal(err)
-	}
-	disk, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer disk.Close()
+	disk := openView(t, mem, false)
 	read, err := ReadFrom(bytes.NewReader(want.Bytes()))
 	if err != nil {
 		t.Fatal(err)
@@ -198,67 +185,5 @@ func TestWriteAnyRepresentation(t *testing.T) {
 	}
 	if OnDisk(mem) {
 		t.Error("OnDisk(MemIndex) = true")
-	}
-	if err := read.Close(); err != nil {
-		t.Errorf("Close of an index read from a stream: %v", err)
-	}
-}
-
-// A Lender lends a MemIndex's own lists and decodes any other index onto
-// its scratch; loans stay valid side by side until Reset, after which the
-// scratch is reused instead of grown.
-func TestLenderBorrow(t *testing.T) {
-	mem := randomMem(t, 41, 2000)
-	path := filepath.Join(t.TempDir(), "lend.idx")
-	if err := WriteFile(path, mem); err != nil {
-		t.Fatal(err)
-	}
-	disk, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer disk.Close()
-
-	var ln Lender
-	for term := 0; term < mem.NumTerms()+2; term++ {
-		own, _ := mem.Postings(uint32(term), nil)
-		lent, err := ln.Borrow(mem, uint32(term))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(lent, own) {
-			t.Fatalf("term %d: lent %v, want %v", term, lent, own)
-		}
-		if own, _, _ := mem.term(uint32(term)); len(lent) > 0 && &lent[0] != &own[0] {
-			t.Fatalf("term %d: a MemIndex list was copied, not lent", term)
-		}
-	}
-	if len(ln.scratch) != 0 {
-		t.Errorf("lending from a MemIndex used %d postings of scratch", len(ln.scratch))
-	}
-
-	for round := 0; round < 2; round++ {
-		var loans [][]Posting
-		for term := 0; term < 8; term++ {
-			lent, err := ln.Borrow(disk, uint32(term))
-			if err != nil {
-				t.Fatal(err)
-			}
-			loans = append(loans, lent)
-		}
-		for term, lent := range loans { // all still intact
-			want, _ := mem.Postings(uint32(term), nil)
-			if !slices.Equal(lent, want) {
-				t.Fatalf("round %d term %d: loan %v, want %v", round, term, lent, want)
-			}
-		}
-		ln.Reset()
-	}
-	before := cap(ln.scratch)
-	if _, err := ln.Borrow(disk, 0); err != nil {
-		t.Fatal(err)
-	}
-	if cap(ln.scratch) != before {
-		t.Errorf("scratch regrown after Reset: capacity %d, then %d", before, cap(ln.scratch))
 	}
 }

@@ -1,35 +1,24 @@
-// Package lru provides a small generic LRU cache, used by the
-// disk-resident document store (rdf.Graph.SpillDocs) to keep hot vertex
-// documents in memory while the bulk lives on disk — the direction the
-// paper points to for larger-than-memory data (footnote 1 and Section 8)
-// — and by the engine-level looseness cache (core.Engine), which reuses
-// TQSP looseness values across queries sharing a keyword set.
+// Package lru provides a small generic LRU cache behind the engine-level
+// looseness cache (core.Engine), which reuses TQSP looseness values
+// across queries sharing a keyword set.
 package lru
 
 import "sync/atomic"
 
-// Cache is a fixed-budget least-recently-used cache. The budget is a
-// cost total: with the default unit cost (New) it is an entry count;
-// NewSized attaches a per-entry cost function so unevenly sized values
-// (e.g. documents) are accounted by size. Not safe for concurrent use —
-// callers wrap it in a mutex or use Sharded — with one carve-out:
-// PeekTouch may run concurrently with other PeekTouch calls (Sharded's
-// shared-lock read path).
+// Cache is a fixed-capacity least-recently-used cache. Not safe for
+// concurrent use — callers wrap it in a mutex or use Sharded — with one
+// carve-out: PeekTouch may run concurrently with other PeekTouch calls
+// (Sharded's shared-lock read path).
 type Cache[K comparable, V any] struct {
-	budget  int64
-	used    int64
-	cost    func(K, V) int64
-	entries map[K]*node[K, V]
-	head    *node[K, V] // most recent
-	tail    *node[K, V] // least recent
-	hits    int64
-	misses  int64
+	capacity int
+	entries  map[K]*node[K, V]
+	head     *node[K, V] // most recent
+	tail     *node[K, V] // least recent
 }
 
 type node[K comparable, V any] struct {
 	key        K
 	value      V
-	cost       int64
 	prev, next *node[K, V]
 	// touched is the CLOCK reference bit set by PeekTouch (atomically,
 	// so readers need no exclusive lock) and consumed by eviction: a
@@ -42,39 +31,10 @@ func New[K comparable, V any](capacity int) *Cache[K, V] {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return NewSized[K, V](int64(capacity), nil)
+	return &Cache[K, V]{capacity: capacity, entries: make(map[K]*node[K, V])}
 }
 
-// NewSized returns a cache whose entries' costs may total at most
-// budget. A nil cost function charges 1 per entry, making budget an
-// entry count. An entry is always admitted even when its cost alone
-// exceeds the budget (it then evicts everything else); eviction restores
-// the invariant used <= budget whenever more than one entry remains.
-func NewSized[K comparable, V any](budget int64, cost func(K, V) int64) *Cache[K, V] {
-	if budget < 1 {
-		budget = 1
-	}
-	return &Cache[K, V]{
-		budget:  budget,
-		cost:    cost,
-		entries: make(map[K]*node[K, V]),
-	}
-}
-
-// Get returns the cached value and marks it most recently used.
-func (c *Cache[K, V]) Get(key K) (V, bool) {
-	n, ok := c.entries[key]
-	if !ok {
-		c.misses++
-		var zero V
-		return zero, false
-	}
-	c.hits++
-	c.moveToFront(n)
-	return n.value, true
-}
-
-// Peek returns the cached value without touching recency or stats.
+// Peek returns the cached value without touching recency.
 func (c *Cache[K, V]) Peek(key K) (V, bool) {
 	n, ok := c.entries[key]
 	if !ok {
@@ -85,12 +45,12 @@ func (c *Cache[K, V]) Peek(key K) (V, bool) {
 }
 
 // PeekTouch returns the cached value and marks the entry recently used
-// without mutating the recency list or stats: the mark is an atomic
-// reference bit the next eviction scan consumes (second chance), so any
-// number of PeekTouch calls may run concurrently under a shared lock.
-// Callers that need hit/miss accounting keep it externally (Sharded's
-// atomic counters). Entries never read through PeekTouch or Get evict
-// in exact LRU order, as before.
+// without mutating the recency list: the mark is an atomic reference bit
+// the next eviction scan consumes (second chance), so any number of
+// PeekTouch calls may run concurrently under a shared lock. Callers that
+// need hit/miss accounting keep it themselves (Sharded's atomic
+// counters). Entries never read through PeekTouch evict in exact LRU
+// order.
 func (c *Cache[K, V]) PeekTouch(key K) (V, bool) {
 	n, ok := c.entries[key]
 	if !ok {
@@ -102,27 +62,17 @@ func (c *Cache[K, V]) PeekTouch(key K) (V, bool) {
 }
 
 // Put inserts or refreshes a value, evicting least recently used
-// entries while the cost total exceeds the budget.
+// entries while more than capacity remain.
 func (c *Cache[K, V]) Put(key K, value V) {
-	cost := int64(1)
-	if c.cost != nil {
-		cost = c.cost(key, value)
-		if cost < 0 {
-			cost = 0
-		}
-	}
 	if n, ok := c.entries[key]; ok {
-		c.used += cost - n.cost
 		n.value = value
-		n.cost = cost
 		c.moveToFront(n)
 	} else {
-		n := &node[K, V]{key: key, value: value, cost: cost}
+		n := &node[K, V]{key: key, value: value}
 		c.entries[key] = n
 		c.pushFront(n)
-		c.used += cost
 	}
-	for c.used > c.budget && len(c.entries) > 1 {
+	for len(c.entries) > c.capacity {
 		lru := c.tail
 		// Second chance: a tail entry read via PeekTouch since it last
 		// passed here rotates to the front instead of evicting. Each
@@ -134,18 +84,11 @@ func (c *Cache[K, V]) Put(key K, value V) {
 		}
 		c.unlink(lru)
 		delete(c.entries, lru.key)
-		c.used -= lru.cost
 	}
 }
 
 // Len returns the number of cached entries.
 func (c *Cache[K, V]) Len() int { return len(c.entries) }
-
-// Used returns the current cost total (the entry count under unit cost).
-func (c *Cache[K, V]) Used() int64 { return c.used }
-
-// Stats returns hit and miss counts.
-func (c *Cache[K, V]) Stats() (hits, misses int64) { return c.hits, c.misses }
 
 func (c *Cache[K, V]) pushFront(n *node[K, V]) {
 	n.prev = nil

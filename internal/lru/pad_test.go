@@ -25,7 +25,7 @@ func TestShardPadding(t *testing.T) {
 		t.Fatalf("shardHeader mirror = %d bytes, real fields = %d; realign the mirror", mirror, real)
 	}
 
-	s := NewSharded[int, int](4, 64, nil, intHash)
+	s := NewSharded[int, int](4, 64, intHash)
 	const line = 64
 	for i := 1; i < len(s.shards); i++ {
 		prev := uintptr(unsafe.Pointer(&s.shards[i-1]))
@@ -64,17 +64,5 @@ func TestPeekTouchSecondChance(t *testing.T) {
 	c.Put(5, "five")
 	if _, ok := c.Peek(1); ok {
 		t.Fatal("reference bit was not consumed by the eviction scan")
-	}
-}
-
-// TestPeekTouchNoStats verifies PeekTouch leaves the single-threaded
-// stats untouched (Sharded accounts hits/misses itself, atomically).
-func TestPeekTouchNoStats(t *testing.T) {
-	c := New[int, int](2)
-	c.Put(1, 10)
-	c.PeekTouch(1)
-	c.PeekTouch(99)
-	if h, m := c.Stats(); h != 0 || m != 0 {
-		t.Fatalf("PeekTouch should not count in stats: %d/%d", h, m)
 	}
 }

@@ -48,20 +48,16 @@ type shard[K comparable, V any] struct {
 }
 
 // NewSharded returns a Sharded cache of the given shard count (rounded
-// up to a power of two, minimum 1) whose shards' budgets sum to budget.
-// cost follows NewSized semantics; hash routes keys to shards.
-func NewSharded[K comparable, V any](shards int, budget int64, cost func(K, V) int64, hash func(K) uint32) *Sharded[K, V] {
+// up to a power of two, minimum 1) whose shards' capacities sum to
+// capacity; hash routes keys to shards.
+func NewSharded[K comparable, V any](shards, capacity int, hash func(K) uint32) *Sharded[K, V] {
 	n := 1
 	for n < shards {
 		n <<= 1
 	}
-	per := budget / int64(n)
-	if per < 1 {
-		per = 1
-	}
 	s := &Sharded[K, V]{shards: make([]shard[K, V], n), hash: hash}
 	for i := range s.shards {
-		s.shards[i].c = NewSized[K, V](per, cost)
+		s.shards[i].c = New[K, V](capacity / n)
 	}
 	return s
 }

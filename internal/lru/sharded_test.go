@@ -6,46 +6,6 @@ import (
 	"testing"
 )
 
-func TestSizedEvictsByCost(t *testing.T) {
-	// Budget 10, cost = value: entries evict by cost total, not count.
-	c := NewSized[int, int](10, func(_ int, v int) int64 { return int64(v) })
-	c.Put(1, 4)
-	c.Put(2, 4)
-	if c.Used() != 8 || c.Len() != 2 {
-		t.Fatalf("used=%d len=%d", c.Used(), c.Len())
-	}
-	c.Put(3, 4) // 12 > 10: evicts LRU (key 1)
-	if _, ok := c.Peek(1); ok {
-		t.Fatal("1 should be evicted by cost pressure")
-	}
-	if c.Used() != 8 || c.Len() != 2 {
-		t.Fatalf("after evict: used=%d len=%d", c.Used(), c.Len())
-	}
-	// Refreshing a key re-charges its new cost.
-	c.Put(2, 1)
-	if c.Used() != 5 {
-		t.Fatalf("refresh: used=%d, want 5", c.Used())
-	}
-	// An oversized entry is admitted alone.
-	c.Put(9, 100)
-	if _, ok := c.Peek(9); !ok {
-		t.Fatal("oversized entry should be admitted")
-	}
-	if c.Len() != 1 {
-		t.Fatalf("oversized entry should evict the rest, len=%d", c.Len())
-	}
-}
-
-func TestSizedUnitCostMatchesCapacity(t *testing.T) {
-	c := NewSized[int, int](3, nil)
-	for i := 0; i < 5; i++ {
-		c.Put(i, i)
-	}
-	if c.Len() != 3 || c.Used() != 3 {
-		t.Fatalf("len=%d used=%d", c.Len(), c.Used())
-	}
-}
-
 func TestPeekDoesNotTouch(t *testing.T) {
 	c := New[int, int](2)
 	c.Put(1, 1)
@@ -55,16 +15,12 @@ func TestPeekDoesNotTouch(t *testing.T) {
 	if _, ok := c.Peek(1); ok {
 		t.Fatal("Peek should not refresh recency")
 	}
-	h, m := c.Stats()
-	if h != 0 || m != 0 {
-		t.Fatalf("Peek should not count in stats: %d/%d", h, m)
-	}
 }
 
 func intHash(k int) uint32 { return uint32(k) * 2654435761 }
 
 func TestShardedBasic(t *testing.T) {
-	s := NewSharded[int, string](4, 64, nil, intHash)
+	s := NewSharded[int, string](4, 64, intHash)
 	s.Put(1, "one")
 	if v, ok := s.Get(1); !ok || v != "one" {
 		t.Fatalf("Get = %q,%v", v, ok)
@@ -82,7 +38,7 @@ func TestShardedBasic(t *testing.T) {
 }
 
 func TestShardedUpdateMerge(t *testing.T) {
-	s := NewSharded[int, int](2, 32, nil, intHash)
+	s := NewSharded[int, int](2, 32, intHash)
 	max := func(v int) func(int, bool) (int, bool) {
 		return func(old int, ok bool) (int, bool) {
 			if ok && old >= v {
@@ -103,19 +59,19 @@ func TestShardedUpdateMerge(t *testing.T) {
 }
 
 func TestShardedShardCountRounding(t *testing.T) {
-	s := NewSharded[int, int](3, 100, nil, intHash) // rounds to 4 shards
+	s := NewSharded[int, int](3, 100, intHash) // rounds to 4 shards
 	if len(s.shards) != 4 {
 		t.Fatalf("shards = %d, want 4", len(s.shards))
 	}
-	if s.shards[0].c.budget != 25 {
-		t.Fatalf("per-shard budget = %d, want 25", s.shards[0].c.budget)
+	if s.shards[0].c.capacity != 25 {
+		t.Fatalf("per-shard capacity = %d, want 25", s.shards[0].c.capacity)
 	}
 }
 
 // Concurrent stress: values for a key are always one that was Put for
 // that key (run under -race for the memory-model check).
 func TestShardedConcurrent(t *testing.T) {
-	s := NewSharded[int, int](8, 128, nil, intHash)
+	s := NewSharded[int, int](8, 128, intHash)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

@@ -1,120 +1,27 @@
 package rdf
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
-	"os"
-	"sync"
-	"sync/atomic"
 
-	"ksp/internal/lru"
 	"ksp/internal/mmapfile"
 )
-
-// docFile serves vertex documents from disk with an LRU cache in front —
-// the out-of-core representation the paper points to for data beyond main
-// memory (footnote 1 / Section 8). Only the offset table (4 bytes per
-// vertex) stays resident. The backing file is either a spill file this
-// graph wrote (flat term array, owned and deleted on close) or a region
-// of an externally managed file such as a snapshot (counted per-vertex
-// layout, not owned); either serves through mmapfile, so reads are
-// zero-copy when the file is mapped.
-type docFile struct {
-	src  *mmapfile.File
-	base int64 // file offset where the term area begins
-	// counted selects the snapshot layout — per vertex, a u32 term count
-	// followed by the terms — over the spill layout's flat term array.
-	counted bool
-	owns    bool   // close (and delete) src on CloseDocFile
-	name    string // path for deletion when owned
-	mu      sync.Mutex
-	cache   *lru.Cache[uint32, []uint32]
-	reads   int64
-}
-
-// DefaultDocCacheEntries is the default LRU budget of SpillDocs, in
-// short-document units (see docCost).
-const DefaultDocCacheEntries = 1 << 16
-
-// docCost charges a document by size — one unit per 16 terms (min 1) —
-// so a cache budget expressed in entries bounds memory even when a few
-// vertices carry very large documents.
-func docCost(_ uint32, doc []uint32) int64 { return 1 + int64(len(doc))/16 }
-
-// SpillDocs moves the vertex documents to a file at path, keeping an LRU
-// cache of cacheEntries hot documents (<= 0 selects the default). Doc and
-// HasTerm keep working transparently; the in-memory term array is
-// released. Queries are unaffected — the engine matches keywords through
-// the inverted index — while Describe-style lookups page from disk.
-//
-// The caller owns the file's lifetime; it is removed with CloseDocFile or
-// by the process exiting.
-func (g *Graph) SpillDocs(path string, cacheEntries int) error {
-	return g.SpillDocsMode(path, cacheEntries, false)
-}
-
-// SpillDocsMode is SpillDocs with an explicit I/O mode: with useMmap the
-// spill file serves through a read-only memory mapping (falling back to
-// pread on platforms without mmap support).
-func (g *Graph) SpillDocsMode(path string, cacheEntries int, useMmap bool) error {
-	if g.docTerms == nil && g.spill != nil {
-		return fmt.Errorf("rdf: documents already spilled")
-	}
-	if cacheEntries <= 0 {
-		cacheEntries = DefaultDocCacheEntries
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriterSize(f, 1<<20)
-	var buf [4]byte
-	for _, t := range g.docTerms {
-		binary.LittleEndian.PutUint32(buf[:], t)
-		if _, err := bw.Write(buf[:]); err != nil {
-			//ksplint:ignore droppederr -- error-path cleanup; the write error already wins
-			f.Close()
-			return err
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		//ksplint:ignore droppederr -- error-path cleanup; the flush error already wins
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	src, err := mmapfile.OpenMode(path, useMmap)
-	if err != nil {
-		return err
-	}
-	g.spill = &docFile{
-		src:   src,
-		owns:  true,
-		name:  path,
-		cache: lru.NewSized[uint32, []uint32](int64(cacheEntries), docCost),
-	}
-	g.docTerms = nil
-	return nil
-}
 
 // AttachExternalDocs wires the graph's documents to a counted per-vertex
 // region of an already-open file: at base, each vertex contributes a u32
 // term count followed by its term IDs (the snapshot documents-section
 // layout). lengths[v] is vertex v's term count and replaces the graph's
-// document offsets. The graph does not own src — the caller (typically a
-// store.Snapshot) manages its lifetime, and CloseDocFile is a no-op.
-func (g *Graph) AttachExternalDocs(lengths []uint32, src *mmapfile.File, base int64, cacheEntries int) error {
-	if g.spill != nil {
-		return fmt.Errorf("rdf: documents already spilled")
+// document offsets; the in-memory term array is released. Only the
+// offsets (4 bytes per vertex) stay resident — the out-of-core
+// representation the paper points to for data beyond main memory
+// (footnote 1 / Section 8). The graph does not own src: the caller
+// (a store.Snapshot) manages its lifetime.
+func (g *Graph) AttachExternalDocs(lengths []uint32, src *mmapfile.File, base int64) error {
+	if g.docSrc != nil {
+		return fmt.Errorf("rdf: documents already attached")
 	}
 	if len(lengths) != g.NumVertices() {
 		return fmt.Errorf("rdf: %d document lengths for %d vertices", len(lengths), g.NumVertices())
-	}
-	if cacheEntries <= 0 {
-		cacheEntries = DefaultDocCacheEntries
 	}
 	off := make([]uint32, len(lengths)+1)
 	for v, dl := range lengths {
@@ -122,82 +29,31 @@ func (g *Graph) AttachExternalDocs(lengths []uint32, src *mmapfile.File, base in
 	}
 	g.docOff = off
 	g.docTerms = nil
-	g.spill = &docFile{
-		src:     src,
-		base:    base,
-		counted: true,
-		cache:   lru.NewSized[uint32, []uint32](int64(cacheEntries), docCost),
-	}
+	g.docSrc, g.docBase = src, base
 	return nil
 }
 
-// DocsOnDisk reports whether the documents live in a spill file.
-func (g *Graph) DocsOnDisk() bool { return g.spill != nil }
+// DocsOnDisk reports whether the documents are served from an attached
+// file rather than memory.
+func (g *Graph) DocsOnDisk() bool { return g.docSrc != nil }
 
-// DocsMapped reports whether on-disk documents serve from a memory
-// mapping.
-func (g *Graph) DocsMapped() bool { return g.spill != nil && g.spill.src.Mapped() }
-
-// CloseDocFile closes and deletes the spill file. The graph must not be
-// queried afterwards. For externally attached documents
-// (AttachExternalDocs) it is a no-op: the source's owner closes it.
-func (g *Graph) CloseDocFile() error {
-	if g.spill == nil || !g.spill.owns {
-		return nil
-	}
-	if err := g.spill.src.Close(); err != nil {
-		return err
-	}
-	return os.Remove(g.spill.name)
-}
-
-// DocReads returns the number of disk reads served (cache misses).
-func (g *Graph) DocReads() int64 {
-	if g.spill == nil {
-		return 0
-	}
-	return atomic.LoadInt64(&g.spill.reads)
-}
-
-// memSize estimates the resident footprint: the LRU cache's used budget
-// is in docCost units of ~16 terms, so ~64 bytes each.
-func (d *docFile) memSize() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.cache.Used() * 64
-}
-
-// doc fetches one document, from cache or disk.
-func (d *docFile) doc(v uint32, start, end uint32) []uint32 {
-	d.mu.Lock()
-	if doc, ok := d.cache.Get(v); ok {
-		d.mu.Unlock()
-		return doc
-	}
-	d.mu.Unlock()
-
-	off := d.base + 4*int64(start)
-	if d.counted {
-		// Counted layout: v+1 count words (vertices 0..v) precede the
-		// terms of vertex v, on top of the start (= docOff[v]) terms of
-		// the vertices before it.
-		off += 4 * (int64(v) + 1)
-	}
+// diskDoc decodes vertex v's document, terms [start, end) of the
+// attached region, into a fresh slice.
+func (g *Graph) diskDoc(v, start, end uint32) []uint32 {
+	// v+1 count words (vertices 0..v) precede the terms of vertex v, on
+	// top of the start (= docOff[v]) terms of the vertices before it.
+	off := g.docBase + 4*(int64(start)+int64(v)+1)
 	n := int(end - start)
-	raw, err := d.src.Range(off, 4*int64(n))
+	raw, err := g.docSrc.Range(off, 4*int64(n))
 	if err != nil {
 		// A read failure on the doc region is unrecoverable corruption of
-		// our own managed file; an empty doc would silently corrupt
-		// results, so fail loudly.
+		// a file whose CRCs verified at open; an empty doc would silently
+		// corrupt results, so fail loudly.
 		panic(fmt.Sprintf("rdf: doc read failed: %v", err))
 	}
-	atomic.AddInt64(&d.reads, 1)
 	doc := make([]uint32, n)
 	for i := range doc {
 		doc[i] = binary.LittleEndian.Uint32(raw[4*i:])
 	}
-	d.mu.Lock()
-	d.cache.Put(v, doc)
-	d.mu.Unlock()
 	return doc
 }

@@ -12,27 +12,23 @@ import (
 	"ksp/internal/mmapfile"
 )
 
-func spillFixture(t *testing.T, cacheEntries int) (*Graph, [][]uint32) {
-	t.Helper()
+// docFixture is a graph of 60 vertices whose documents hold 0 to 3
+// terms, every fourth one empty, and those documents as the test expects
+// them.
+func docFixture() (*Graph, [][]uint32) {
 	b := NewBuilder()
 	var want [][]uint32
-	for i := 0; i < 100; i++ {
+	for i := 0; i < 60; i++ {
 		v := b.AddBareVertex(string(rune('a'+i%26)) + string(rune('0'+i/26)))
 		var doc []uint32
-		for j := 0; j <= i%5; j++ {
+		for j := 0; j < i%4; j++ {
 			term := b.Vocab.ID(string(rune('a' + (i+j)%26)))
 			b.AddTermID(v, term)
 			doc = append(doc, term)
 		}
 		want = append(want, dedupeSorted(doc))
 	}
-	g := b.Build()
-	path := filepath.Join(t.TempDir(), "docs.bin")
-	if err := g.SpillDocs(path, cacheEntries); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { g.CloseDocFile() })
-	return g, want
+	return b.Build(), want
 }
 
 func dedupeSorted(d []uint32) []uint32 {
@@ -53,24 +49,105 @@ func dedupeSorted(d []uint32) []uint32 {
 	return out[:k]
 }
 
+// countedHeader stands in for the snapshot sections before the
+// documents, so the region starts at a nonzero base.
+var countedHeader = []byte("HEADERBYTES")
+
+// writeCounted writes g's documents in the counted per-vertex layout (the
+// snapshot documents section) after countedHeader, and returns the file
+// and the per-vertex lengths.
+func writeCounted(t *testing.T, g *Graph) (string, []uint32) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "docs.bin")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bw := bufio.NewWriter(f)
+	bw.Write(countedHeader)
+	lengths := make([]uint32, g.NumVertices())
+	var u32 [4]byte
+	for v := range lengths {
+		doc := g.Doc(uint32(v))
+		lengths[v] = uint32(len(doc))
+		binary.LittleEndian.PutUint32(u32[:], uint32(len(doc)))
+		bw.Write(u32[:])
+		for _, term := range doc {
+			binary.LittleEndian.PutUint32(u32[:], term)
+			bw.Write(u32[:])
+		}
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path, lengths
+}
+
+// attachCounted attaches the documents writeCounted wrote to g, read
+// through pread or a mapping; the file closes when the test ends.
+func attachCounted(t *testing.T, g *Graph, path string, lengths []uint32, useMmap bool) *mmapfile.File {
+	t.Helper()
+	src, err := mmapfile.OpenMode(path, useMmap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { src.Close() })
+	if err := g.AttachExternalDocs(lengths, src, int64(len(countedHeader))); err != nil {
+		t.Fatal(err)
+	}
+	return src
+}
+
+// AttachExternalDocs serves the counted per-vertex layout (the snapshot
+// documents section) from a shared file, in pread and mmap mode alike:
+// every document reads back as it was built, each call a fresh decode;
+// and the lengths must cover every vertex.
+func TestAttachExternalDocs(t *testing.T) {
+	ref, want := docFixture()
+	path, lengths := writeCounted(t, ref)
+	for _, useMmap := range []bool{false, true} {
+		g, _ := docFixture()
+		src := attachCounted(t, g, path, lengths, useMmap)
+		if !g.DocsOnDisk() || !useMmap && src.Mapped() {
+			t.Fatalf("mmap=%v: DocsOnDisk %v, mapped %v", useMmap, g.DocsOnDisk(), src.Mapped())
+		}
+		// Every document is kept until all are read: a decode must not
+		// reuse the memory of the one before.
+		docs := make([][]uint32, g.NumVertices())
+		for v := range docs {
+			docs[v] = g.Doc(uint32(v))
+		}
+		for v, got := range docs {
+			if !reflect.DeepEqual(append([]uint32(nil), got...), want[v]) {
+				t.Fatalf("mmap=%v: Doc(%d) = %v, want %v", useMmap, v, got, want[v])
+			}
+		}
+	}
+	if err := ref.AttachExternalDocs(lengths[1:], nil, 0); err == nil {
+		t.Fatal("attaching one length short succeeded")
+	}
+}
+
+// Attached documents read through pread match the built ones on every
+// pass, and HasTerm finds each of their terms and no absent one.
 func TestSpillDocsRoundTrip(t *testing.T) {
-	g, want := spillFixture(t, 8)
+	ref, want := docFixture()
+	path, lengths := writeCounted(t, ref)
+	g, _ := docFixture()
+	attachCounted(t, g, path, lengths, false)
 	if !g.DocsOnDisk() {
 		t.Fatal("DocsOnDisk should be true")
 	}
-	// Read all docs twice (second pass exercises the cache).
 	for pass := 0; pass < 2; pass++ {
 		for v := uint32(0); int(v) < g.NumVertices(); v++ {
-			got := g.Doc(v)
-			if !reflect.DeepEqual(append([]uint32(nil), got...), want[v]) {
+			if got := g.Doc(v); !reflect.DeepEqual(append([]uint32(nil), got...), want[v]) {
 				t.Fatalf("pass %d: Doc(%d) = %v, want %v", pass, v, got, want[v])
 			}
 		}
 	}
-	if g.DocReads() == 0 {
-		t.Error("expected disk reads")
-	}
-	// HasTerm still works through the spill.
 	for v := uint32(0); int(v) < g.NumVertices(); v++ {
 		for _, term := range want[v] {
 			if !g.HasTerm(v, term) {
@@ -83,78 +160,16 @@ func TestSpillDocsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSpillDocsCacheReducesReads(t *testing.T) {
-	g, _ := spillFixture(t, 200) // cache larger than vertex count
-	for pass := 0; pass < 3; pass++ {
-		for v := uint32(0); int(v) < g.NumVertices(); v++ {
-			g.Doc(v)
-		}
-	}
-	if reads := g.DocReads(); reads > 100 {
-		t.Errorf("reads = %d, want <= one per vertex with a big cache", reads)
-	}
-}
-
-func TestSpillDocsConcurrent(t *testing.T) {
-	g, want := spillFixture(t, 4) // tiny cache forces constant eviction
-	var wg sync.WaitGroup
-	errs := make(chan string, 16)
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(seed int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				v := uint32((i*7 + seed*13) % g.NumVertices())
-				got := g.Doc(v)
-				if len(got) != len(want[v]) {
-					errs <- "length mismatch"
-					return
-				}
-				for j := range got {
-					if got[j] != want[v][j] {
-						errs <- "content mismatch"
-						return
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for e := range errs {
-		t.Fatal(e)
-	}
-}
-
-func TestSpillDocsTwiceFails(t *testing.T) {
-	g, _ := spillFixture(t, 8)
-	if err := g.SpillDocs(filepath.Join(t.TempDir(), "again.bin"), 8); err == nil {
-		t.Fatal("second spill should fail")
-	}
-}
-
-// A memory-mapped spill must serve the same documents as the pread
-// spill built from an identical graph.
+// The same documents section attached through a mapping serves the same
+// documents as through pread.
 func TestSpillDocsMmapMatchesPread(t *testing.T) {
-	build := func() *Graph {
-		b := NewBuilder()
-		for i := 0; i < 100; i++ {
-			v := b.AddBareVertex(string(rune('a'+i%26)) + string(rune('0'+i/26)))
-			for j := 0; j <= i%5; j++ {
-				b.AddTermID(v, b.Vocab.ID(string(rune('a'+(i+j)%26))))
-			}
-		}
-		return b.Build()
+	ref, _ := docFixture()
+	path, lengths := writeCounted(t, ref)
+	pread, mapped := ref, func() *Graph { g, _ := docFixture(); return g }()
+	if src := attachCounted(t, pread, path, lengths, false); src.Mapped() {
+		t.Fatal("pread source is mapped")
 	}
-	pread, mapped := build(), build()
-	if err := pread.SpillDocsMode(filepath.Join(t.TempDir(), "p.bin"), 4, false); err != nil {
-		t.Fatal(err)
-	}
-	defer pread.CloseDocFile()
-	if err := mapped.SpillDocsMode(filepath.Join(t.TempDir(), "m.bin"), 4, true); err != nil {
-		t.Fatal(err)
-	}
-	defer mapped.CloseDocFile()
+	attachCounted(t, mapped, path, lengths, true)
 	for v := uint32(0); int(v) < pread.NumVertices(); v++ {
 		a := append([]uint32(nil), pread.Doc(v)...)
 		b := append([]uint32(nil), mapped.Doc(v)...)
@@ -164,111 +179,75 @@ func TestSpillDocsMmapMatchesPread(t *testing.T) {
 	}
 }
 
-// AttachExternalDocs serves the counted per-vertex layout (the snapshot
-// documents section) from a shared file the graph does not own.
-func TestAttachExternalDocs(t *testing.T) {
-	b := NewBuilder()
-	var want [][]uint32
-	for i := 0; i < 60; i++ {
-		v := b.AddBareVertex(string(rune('a'+i%26)) + string(rune('0'+i/26)))
-		var doc []uint32
-		for j := 0; j <= i%4; j++ {
-			term := b.Vocab.ID(string(rune('a' + (i+j)%26)))
-			b.AddTermID(v, term)
-			doc = append(doc, term)
-		}
-		want = append(want, dedupeSorted(doc))
-	}
-	ref := b.Build()
-
-	// Write the counted layout at a nonzero base, like a snapshot section.
-	path := filepath.Join(t.TempDir(), "ext.bin")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bw := bufio.NewWriter(f)
-	header := []byte("HEADERBYTES")
-	if _, err := bw.Write(header); err != nil {
-		t.Fatal(err)
-	}
-	lengths := make([]uint32, ref.NumVertices())
-	var u32 [4]byte
-	for v := 0; v < ref.NumVertices(); v++ {
-		doc := ref.Doc(uint32(v))
-		lengths[v] = uint32(len(doc))
-		binary.LittleEndian.PutUint32(u32[:], uint32(len(doc)))
-		if _, err := bw.Write(u32[:]); err != nil {
-			t.Fatal(err)
-		}
-		for _, term := range doc {
-			binary.LittleEndian.PutUint32(u32[:], term)
-			if _, err := bw.Write(u32[:]); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
+// Documents attach once: a second attach fails, in either mode, and
+// leaves the first one serving.
+func TestSpillDocsTwiceFails(t *testing.T) {
+	ref, want := docFixture()
+	path, lengths := writeCounted(t, ref)
 	for _, useMmap := range []bool{false, true} {
-		// A vertex-compatible graph with no documents of its own.
-		b2 := NewBuilder()
-		for i := 0; i < 60; i++ {
-			b2.AddBareVertex(string(rune('a'+i%26)) + string(rune('0'+i/26)))
-		}
-		g := b2.Build()
-		src, err := mmapfile.OpenMode(path, useMmap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := g.AttachExternalDocs(lengths, src, int64(len(header)), 4); err != nil {
-			t.Fatal(err)
-		}
-		if !g.DocsOnDisk() {
-			t.Fatal("DocsOnDisk should be true after attach")
+		g, _ := docFixture()
+		src := attachCounted(t, g, path, lengths, useMmap)
+		if err := g.AttachExternalDocs(lengths, src, 0); err == nil {
+			t.Fatalf("mmap=%v: attaching twice succeeded", useMmap)
 		}
 		for v := uint32(0); int(v) < g.NumVertices(); v++ {
-			got := append([]uint32(nil), g.Doc(v)...)
-			if !reflect.DeepEqual(got, want[v]) {
-				t.Fatalf("mmap=%v: Doc(%d) = %v, want %v", useMmap, v, got, want[v])
+			if got := g.Doc(v); !reflect.DeepEqual(append([]uint32(nil), got...), want[v]) {
+				t.Fatalf("mmap=%v: after the second attach Doc(%d) = %v, want %v", useMmap, v, got, want[v])
 			}
-		}
-		// The graph must not own the source: CloseDocFile leaves it open
-		// and the file on disk.
-		if err := g.CloseDocFile(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := src.Range(0, int64(len(header))); err != nil {
-			t.Fatalf("source closed by CloseDocFile: %v", err)
-		}
-		if err := src.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := os.Stat(path); err != nil {
-			t.Fatalf("external file removed: %v", err)
 		}
 	}
 }
 
+// An empty document stays empty when attached, next to a full one, in
+// either mode.
 func TestSpillEmptyDocs(t *testing.T) {
-	b := NewBuilder()
-	b.AddBareVertex("empty")
-	v2 := b.AddBareVertex("full")
-	b.AddTermID(v2, b.Vocab.ID("x"))
-	g := b.Build()
-	if err := g.SpillDocs(filepath.Join(t.TempDir(), "d.bin"), 2); err != nil {
-		t.Fatal(err)
+	build := func() *Graph {
+		b := NewBuilder()
+		b.AddBareVertex("empty")
+		v2 := b.AddBareVertex("full")
+		b.AddTermID(v2, b.Vocab.ID("x"))
+		return b.Build()
 	}
-	defer g.CloseDocFile()
-	if len(g.Doc(0)) != 0 {
-		t.Error("empty doc should stay empty")
+	path, lengths := writeCounted(t, build())
+	for _, useMmap := range []bool{false, true} {
+		g := build()
+		attachCounted(t, g, path, lengths, useMmap)
+		if len(g.Doc(0)) != 0 {
+			t.Errorf("mmap=%v: empty doc should stay empty", useMmap)
+		}
+		if len(g.Doc(1)) != 1 {
+			t.Errorf("mmap=%v: doc lost", useMmap)
+		}
 	}
-	if len(g.Doc(1)) != 1 {
-		t.Error("doc lost")
+}
+
+// Eight concurrent readers must each see every document intact (run under
+// -race for the memory-model check).
+func TestAttachExternalDocsConcurrent(t *testing.T) {
+	ref, want := docFixture()
+	path, lengths := writeCounted(t, ref)
+	for _, useMmap := range []bool{false, true} {
+		g, _ := docFixture()
+		attachCounted(t, g, path, lengths, useMmap)
+		var wg sync.WaitGroup
+		errs := make(chan string, 16)
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func(seed int) {
+				defer wg.Done()
+				for i := 0; i < 500; i++ {
+					v := uint32((i*7 + seed*13) % g.NumVertices())
+					if got := g.Doc(v); !reflect.DeepEqual(append([]uint32(nil), got...), want[v]) {
+						errs <- "document mismatch"
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		close(errs)
+		for e := range errs {
+			t.Fatalf("mmap=%v: %s", useMmap, e)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package rdf
 import (
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -21,8 +20,11 @@ func randomURIGraph(t testing.TB, seed int64, n int) (*Graph, []string) {
 		// the byte-wise comparisons see every shape.
 		uris[i] = fmt.Sprintf("ex:%s/%d", string(rune('a'+rng.Intn(4))), i)
 	}
-	for _, u := range uris {
-		b.AddBareVertex(u)
+	for i, u := range uris {
+		v := b.AddBareVertex(u)
+		if i%3 == 0 {
+			b.AddTermID(v, b.Vocab.ID(fmt.Sprintf("t%d", i%7)))
+		}
 	}
 	for i := 0; i < n; i++ {
 		b.AddEdge(uint32(rng.Intn(n)), uint32(rng.Intn(n)), "p")
@@ -69,7 +71,8 @@ func TestEmptyGraphURIs(t *testing.T) {
 }
 
 // MemSize must account for the flat URI table and the places slice, and
-// must drop (not keep counting) the term array once documents spill.
+// must drop (not keep counting) the term array once documents are
+// attached from a file.
 func TestMemSizeAccounting(t *testing.T) {
 	g, _ := randomURIGraph(t, 6, 200)
 	sz := g.MemSize()
@@ -90,15 +93,16 @@ func TestMemSizeAccounting(t *testing.T) {
 	if int64(len(g.uriBlob)) == 0 {
 		t.Fatal("test graph has empty URI blob")
 	}
-	// Spill and re-measure: the docTerms contribution is replaced by the
-	// (initially empty) cache estimate, so the footprint shrinks by at
-	// least the term-array bytes.
-	spilled := filepath.Join(t.TempDir(), "docs.bin")
-	if err := g.SpillDocs(spilled, 64); err != nil {
-		t.Fatal(err)
+	// Attach and re-measure: the term array is no longer resident, so
+	// the footprint shrinks by exactly its bytes.
+	terms := int64(len(g.docTerms)) * 4
+	if terms == 0 {
+		t.Fatal("test graph has no document terms")
 	}
-	if got := g.MemSize(); got > sz {
-		t.Fatalf("MemSize after spill = %d, want <= %d", got, sz)
+	path, lengths := writeCounted(t, g)
+	attachCounted(t, g, path, lengths, false)
+	if got := g.MemSize(); got != sz-terms {
+		t.Fatalf("MemSize after attach = %d, want %d", got, sz-terms)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"ksp/internal/geo"
+	"ksp/internal/mmapfile"
 	"ksp/internal/text"
 )
 
@@ -63,12 +64,14 @@ type Graph struct {
 
 	predNames []string
 
-	// Documents: sorted term IDs per vertex in CSR form. When spill is
-	// non-nil the term array lives on disk (SpillDocs) and docTerms is
-	// nil; docOff stays resident either way.
+	// Documents: sorted term IDs per vertex in CSR form. When docSrc is
+	// non-nil the term array lives in that file from docBase on
+	// (AttachExternalDocs) and docTerms is nil; docOff stays resident
+	// either way.
 	docOff   []uint32
 	docTerms []uint32
-	spill    *docFile
+	docSrc   *mmapfile.File
+	docBase  int64
 
 	isPlace []bool
 	coords  []geo.Point
@@ -164,16 +167,17 @@ func (g *Graph) NumPredNames() int { return len(g.predNames) }
 // In returns the predecessors of v. The returned slice is shared.
 func (g *Graph) In(v uint32) []uint32 { return g.inEdges[g.inOff[v]:g.inOff[v+1]] }
 
-// Doc returns the sorted term IDs of v's document. The slice is shared
-// (or cache-owned after SpillDocs); treat it as read-only and do not
-// retain it across calls.
+// Doc returns the sorted term IDs of v's document: a slice of the
+// graph's own immutable term array, or — for documents attached from a
+// disk-resident snapshot — a fresh decode on every call. Treat it as
+// read-only.
 func (g *Graph) Doc(v uint32) []uint32 {
 	start, end := g.docOff[v], g.docOff[v+1]
-	if g.spill != nil {
+	if g.docSrc != nil {
 		if start == end {
 			return nil
 		}
-		return g.spill.doc(v, start, end)
+		return g.diskDoc(v, start, end)
 	}
 	return g.docTerms[start:end]
 }
@@ -207,17 +211,11 @@ func (g *Graph) AvgOutDegree() float64 {
 // MemSize estimates the in-memory footprint in bytes (Table 4
 // experiment): adjacency arrays, documents, coordinates, the place
 // list, and the flat URI table (blob + offsets + sorted permutation).
-// With spilled documents the resident cost is the offset table plus an
-// estimate of the LRU cache, not the on-disk term array.
+// With documents on disk the resident cost is the offset table alone.
 func (g *Graph) MemSize() int64 {
 	var sz int64
 	sz += int64(len(g.outOff)+len(g.outEdges)+len(g.outPreds)+len(g.inOff)+len(g.inEdges)) * 4
-	sz += int64(len(g.docOff)) * 4
-	if g.spill != nil {
-		sz += g.spill.memSize()
-	} else {
-		sz += int64(len(g.docTerms)) * 4
-	}
+	sz += int64(len(g.docOff)+len(g.docTerms)) * 4
 	sz += int64(len(g.coords)) * 16
 	sz += int64(len(g.isPlace))
 	sz += int64(len(g.places)) * 4

@@ -8,11 +8,6 @@ import (
 	"ksp/internal/mmapfile"
 )
 
-// defaultDocCache is the document-cache size installed by OpenDisk when
-// the caller does not specify one; see rdf.SpillDocs for the unit (one
-// entry caches one vertex document).
-const defaultDocCache = 4096
-
 // posReader counts the bytes delivered to the decoding layers above it.
 // It sits directly under the crcReader — above any buffering — so its
 // position always equals the absolute file offset of the next undecoded
@@ -33,22 +28,14 @@ func (p *posReader) Read(b []byte) (int, error) {
 // structure (adjacency, URIs, coordinates, vocabulary) is materialized
 // exactly as Read would, but the two payloads that dominate the file —
 // per-vertex documents and the α-radius posting lists — stay on disk
-// and are served from the snapshot file on demand, optionally through a
-// read-only memory mapping. The whole file still streams through the
-// CRC layer once, so integrity checking is as strong as Read's.
+// and are decoded from the snapshot file on every read, optionally
+// through a read-only memory mapping. The whole file still streams
+// through the CRC layer once, so integrity checking is as strong as
+// Read's.
 //
 // The returned Snapshot owns the open file; call Close when done (after
 // the Graph and the α indexes are no longer in use).
 func OpenDisk(path string, useMmap bool) (*Snapshot, error) {
-	return OpenDiskCache(path, useMmap, defaultDocCache)
-}
-
-// OpenDiskCache is OpenDisk with an explicit document-cache size;
-// entries <= 0 select the default.
-func OpenDiskCache(path string, useMmap bool, docCacheEntries int) (*Snapshot, error) {
-	if docCacheEntries <= 0 {
-		docCacheEntries = defaultDocCache
-	}
 	src, err := mmapfile.OpenMode(path, useMmap)
 	if err != nil {
 		return nil, err
@@ -57,11 +44,7 @@ func OpenDiskCache(path string, useMmap bool, docCacheEntries int) (*Snapshot, e
 	br := bufio.NewReaderSize(base, 1<<20)
 	pos := &posReader{r: br}
 	cr := &crcReader{r: pos, crc: crc32.NewIEEE(), on: true}
-	s, err := readSnapshot(newSectionReader(cr), cr, &diskLoad{
-		src:          src,
-		pos:          pos,
-		cacheEntries: docCacheEntries,
-	})
+	s, err := readSnapshot(newSectionReader(cr), cr, &diskLoad{src: src, pos: pos})
 	if err != nil {
 		//ksplint:ignore droppederr -- error-path cleanup; the load error already wins
 		src.Close()

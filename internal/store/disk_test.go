@@ -221,6 +221,40 @@ func TestOpenDiskV1(t *testing.T) {
 	}
 }
 
+// OpenDisk serves a document as it lies in the file, so a document whose
+// terms are not strictly ascending — which Write never emits, and which
+// Read would sort — fails the open instead of reaching HasTerm's binary
+// search.
+func TestOpenDiskRejectsUnsortedDocument(t *testing.T) {
+	b := rdf.NewBuilder()
+	v := b.AddBareVertex("v")
+	b.AddTermID(v, b.Vocab.ID("a"))
+	b.AddTermID(v, b.Vocab.ID("b"))
+	var buf bytes.Buffer
+	if err := writeVersion(&buf, &Snapshot{Graph: b.Build()}, 1); err != nil {
+		t.Fatal(err)
+	}
+	// The document section of the one vertex: count 2, terms 0 and 1.
+	doc := []byte{2, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0}
+	if n := bytes.Count(buf.Bytes(), doc); n != 1 {
+		t.Fatalf("document bytes found %d times", n)
+	}
+	raw := bytes.Replace(buf.Bytes(), doc, []byte{2, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0}, 1)
+	if _, err := Read(bytes.NewReader(raw)); err != nil {
+		t.Fatalf("Read: %v", err)
+	}
+	path := filepath.Join(t.TempDir(), "unsorted.bin")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if snap, err := OpenDisk(path, false); !errors.Is(err, ErrCorrupt) {
+		if err == nil {
+			snap.Close()
+		}
+		t.Fatalf("OpenDisk of an unsorted document: err = %v, want ErrCorrupt", err)
+	}
+}
+
 // A disk-resident snapshot cannot be re-serialized: its posting lists
 // are views, not MemIndexes, and Write must say so instead of writing a
 // broken file.

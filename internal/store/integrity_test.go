@@ -3,6 +3,9 @@ package store
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"ksp/internal/core"
@@ -141,7 +144,10 @@ func (o outOfOrder) Postings(term uint32, dst []invindex.Posting) ([]invindex.Po
 }
 
 // FuzzRead asserts the loader never panics or over-allocates on
-// adversarial input — it may only return an error or a valid snapshot.
+// adversarial input — it may only return an error or a valid snapshot —
+// read into memory or opened disk-resident (pread, from a file). An input
+// OpenDisk accepts, Read accepts too, with the same document at every
+// vertex; OpenDisk decodes it from the file on every call.
 func FuzzRead(f *testing.F) {
 	small := paperdata.Figure1()
 	var buf bytes.Buffer
@@ -164,6 +170,31 @@ func FuzzRead(f *testing.F) {
 		snap, err := Read(bytes.NewReader(data))
 		if err == nil && snap.Graph == nil {
 			t.Fatal("nil-graph snapshot without error")
+		}
+		path := filepath.Join(t.TempDir(), "fuzz.snap")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		disk, derr := OpenDisk(path, false)
+		if derr != nil {
+			return
+		}
+		defer disk.Close()
+		if err != nil {
+			if disk.AlphaRadius > 0 {
+				// Read also checks every α list as it packs them; OpenDisk
+				// leaves the lists in the file, unread until a query.
+				return
+			}
+			t.Fatalf("OpenDisk accepted what Read refused: %v", err)
+		}
+		if n := disk.Graph.NumVertices(); n != snap.Graph.NumVertices() {
+			t.Fatalf("OpenDisk: %d vertices, Read: %d", n, snap.Graph.NumVertices())
+		}
+		for v := uint32(0); int(v) < snap.Graph.NumVertices(); v++ {
+			if got, want := disk.Graph.Doc(v), snap.Graph.Doc(v); !slices.Equal(got, want) {
+				t.Fatalf("Doc(%d): OpenDisk %v, Read %v", v, got, want)
+			}
 		}
 	})
 }

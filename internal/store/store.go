@@ -191,12 +191,11 @@ func Read(r io.Reader) (*Snapshot, error) {
 }
 
 // diskLoad carries the state of a disk-resident open (OpenDisk): the
-// backing file, a position tracker aligned with the decoded byte stream,
-// and the document cache size to install.
+// backing file and a position tracker aligned with the decoded byte
+// stream.
 type diskLoad struct {
-	src          *mmapfile.File
-	pos          *posReader
-	cacheEntries int
+	src *mmapfile.File
+	pos *posReader
 }
 
 // readSnapshot decodes the snapshot stream. With disk == nil every
@@ -296,6 +295,7 @@ func readSnapshot(h *sectionReader, cr *crcReader, disk *diskLoad) (*Snapshot, e
 		if disk != nil {
 			docLens = append(docLens, uint32(dl))
 		}
+		prev := -1
 		for i := 0; i < dl && h.err == nil; i++ {
 			t := h.u32()
 			if h.err != nil {
@@ -306,7 +306,13 @@ func readSnapshot(h *sectionReader, cr *crcReader, disk *diskLoad) (*Snapshot, e
 			}
 			if disk == nil {
 				b.AddTermID(ids[v], terms[t])
+			} else if int(t) <= prev {
+				// Disk mode serves a document as it lies in the file, so it
+				// must already be what the builder makes of one — strictly
+				// ascending, as Write emits it.
+				return nil, fmt.Errorf("%w: document terms out of order", ErrCorrupt)
 			}
+			prev = int(t)
 		}
 	}
 	if err := h.end("documents"); err != nil {
@@ -343,7 +349,7 @@ func readSnapshot(h *sectionReader, cr *crcReader, disk *diskLoad) (*Snapshot, e
 	}
 	s.Graph = b.Build()
 	if disk != nil {
-		if err := s.Graph.AttachExternalDocs(docLens, disk.src, docBase, disk.cacheEntries); err != nil {
+		if err := s.Graph.AttachExternalDocs(docLens, disk.src, docBase); err != nil {
 			return nil, err
 		}
 		s.src = disk.src

@@ -34,7 +34,6 @@ import (
 	"ksp/internal/alpha"
 	"ksp/internal/core"
 	"ksp/internal/geo"
-	"ksp/internal/invindex"
 	"ksp/internal/nt"
 	"ksp/internal/obs"
 	"ksp/internal/rdf"
@@ -217,23 +216,11 @@ type Config struct {
 	Reachability bool
 	// Ranking overrides the scoring function; nil means ProductRanking.
 	Ranking Ranking
-	// DiskIndexPath, when non-empty, spills the document inverted index
-	// to this file and serves posting lists from disk per query — the
-	// disk-resident setting the paper evaluates under. Empty keeps the
-	// index in memory.
-	DiskIndexPath string
-	// DocStorePath, when non-empty, spills the vertex documents to this
-	// file after index construction, serving them through an LRU cache —
-	// the out-of-core representation the paper points to for data beyond
-	// main memory (footnote 1). Search is unaffected (keyword matching
-	// goes through the inverted index); Describe pages from disk.
-	DocStorePath string
-	// Mmap serves every disk-resident structure (DiskIndexPath,
-	// DocStorePath, LoadSnapshotDisk) through a read-only memory mapping
-	// instead of positioned reads: posting lists and documents become
-	// zero-copy slices of the page cache. Platforms without mmap support
-	// silently fall back to positioned reads. Results are identical in
-	// either mode.
+	// Mmap serves a disk-resident snapshot (LoadSnapshotDisk) — its α
+	// posting lists and vertex documents — through a read-only memory
+	// mapping instead of positioned reads: both decode straight out of
+	// the page cache. Platforms without mmap support silently fall back
+	// to positioned reads. Results are identical in either mode.
 	Mmap bool
 	// LoosenessCacheEntries enables the engine's cross-query looseness
 	// cache with the given entry capacity: exact L(Tp) values and Rule-2
@@ -340,16 +327,6 @@ func NewDatasetFromGraph(g *rdf.Graph, cfg Config) (*Dataset, error) {
 	}
 	if cfg.AlphaRadius > 0 {
 		e.EnableAlpha(cfg.AlphaRadius)
-	}
-	if cfg.DiskIndexPath != "" {
-		if _, err := e.UseDiskDocIndexMode(cfg.DiskIndexPath, cfg.Mmap); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.DocStorePath != "" {
-		if err := g.SpillDocsMode(cfg.DocStorePath, 0, cfg.Mmap); err != nil {
-			return nil, err
-		}
 	}
 	if cfg.LoosenessCacheEntries != 0 {
 		e.EnableLoosenessCache(cfg.LoosenessCacheEntries)
@@ -460,14 +437,11 @@ func LoadSnapshot(path string, cfg Config) (*Dataset, error) {
 // read-only memory mapping when cfg.Mmap is set, positioned reads
 // otherwise. Query results are identical to LoadSnapshot's. The dataset
 // holds the snapshot file open; call Close when done.
-//
-// cfg.DocStorePath is ignored (the documents are already disk-resident).
 func LoadSnapshotDisk(path string, cfg Config) (*Dataset, error) {
 	snap, err := store.OpenDisk(path, cfg.Mmap)
 	if err != nil {
 		return nil, err
 	}
-	cfg.DocStorePath = ""
 	ds, err := datasetFromSnapshot(snap, cfg)
 	if err != nil {
 		//ksplint:ignore droppederr -- error-path cleanup; the load error already wins
@@ -498,16 +472,6 @@ func datasetFromSnapshot(snap *store.Snapshot, cfg Config) (*Dataset, error) {
 		e.SetAlpha(ix)
 	} else if cfg.AlphaRadius > 0 {
 		e.EnableAlpha(cfg.AlphaRadius)
-	}
-	if cfg.DiskIndexPath != "" {
-		if _, err := e.UseDiskDocIndexMode(cfg.DiskIndexPath, cfg.Mmap); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.DocStorePath != "" {
-		if err := g.SpillDocsMode(cfg.DocStorePath, 0, cfg.Mmap); err != nil {
-			return nil, err
-		}
 	}
 	if cfg.LoosenessCacheEntries != 0 {
 		e.EnableLoosenessCache(cfg.LoosenessCacheEntries)
@@ -662,15 +626,16 @@ type DatasetStats struct {
 	Edges    int
 	Places   int
 	Terms    int
-	// DocsOnDisk reports whether vertex documents are served from disk
-	// (a spill file or a disk-resident snapshot) rather than memory.
+	// DocsOnDisk reports whether vertex documents are decoded from a
+	// disk-resident snapshot (LoadSnapshotDisk) rather than held in
+	// memory.
 	DocsOnDisk bool
 	// AlphaOnDisk reports whether the α-radius posting lists are served
 	// from a disk-resident snapshot rather than memory.
 	AlphaOnDisk bool
-	// MemoryMapped reports whether at least one disk-resident structure
-	// (documents, α postings, document inverted index) is served through
-	// a memory mapping rather than positioned reads.
+	// MemoryMapped reports whether the disk-resident snapshot behind the
+	// documents and α postings is read through a memory mapping rather
+	// than positioned reads.
 	MemoryMapped bool
 }
 
@@ -686,12 +651,7 @@ func (d *Dataset) Stats() DatasetStats {
 	if a := d.engine.Alpha; a != nil {
 		st.AlphaOnDisk = a.OnDisk()
 	}
-	if d.g.DocsMapped() || (d.snap != nil && d.snap.Mapped()) {
-		st.MemoryMapped = true
-	}
-	if di, ok := d.engine.Doc.(*invindex.DiskIndex); ok && di.Mapped() {
-		st.MemoryMapped = true
-	}
+	st.MemoryMapped = d.snap != nil && d.snap.Mapped()
 	return st
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -288,6 +289,12 @@ func TestSaveAndLoadSnapshot(t *testing.T) {
 	if err := onDisk.Save(t.TempDir() + "/refused.snap"); err == nil {
 		t.Error("Save of a disk-resident dataset succeeded")
 	}
+	// Describe decodes each document from the snapshot file.
+	for v := uint32(0); int(v) < ds.Stats().Vertices; v++ {
+		if got, want := onDisk.Describe(v), ds.Describe(v); !slices.Equal(got, want) {
+			t.Errorf("disk-resident Describe(%d) = %v, want %v", v, got, want)
+		}
+	}
 	if err := onDisk.Close(); err != nil {
 		t.Error(err)
 	}
@@ -314,64 +321,6 @@ func TestSaveAndLoadSnapshot(t *testing.T) {
 	}
 	if _, err := LoadSnapshot(t.TempDir()+"/missing.snap", DefaultConfig()); err == nil {
 		t.Error("expected error for missing snapshot")
-	}
-}
-
-func TestDocStoreConfig(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.DocStorePath = t.TempDir() + "/docs.bin"
-	ds := openFixture(t, cfg)
-	q := Query{Loc: Point{X: 43.51, Y: 4.75}, Keywords: []string{"ancient", "roman", "catholic", "history"}, K: 2}
-	res, err := ds.Search(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 2 || res[0].Looseness != 6 {
-		t.Fatalf("spilled-docs search differs: %+v", res)
-	}
-	// Describe pages the document back from disk.
-	desc := ds.Describe(res[0].Place)
-	found := false
-	for _, w := range desc {
-		if w == "abbey" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("Describe after spill = %v", desc)
-	}
-	// Snapshots still work with spilled documents.
-	snap := t.TempDir() + "/spilled.snap"
-	if err := ds.Save(snap); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadSnapshot(snap, DefaultConfig()); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDiskIndexConfig(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.DiskIndexPath = t.TempDir() + "/doc.idx"
-	ds := openFixture(t, cfg)
-	q := Query{Loc: Point{X: 43.51, Y: 4.75}, Keywords: []string{"ancient", "roman", "catholic", "history"}, K: 2}
-	res, err := ds.Search(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 2 || res[0].Looseness != 6 {
-		t.Fatalf("disk-index search differs: %+v", res)
-	}
-	// The same answers as the in-memory configuration.
-	mem := openFixture(t, DefaultConfig())
-	memRes, err := mem.Search(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range res {
-		if res[i].Place != memRes[i].Place || res[i].Score != memRes[i].Score {
-			t.Errorf("result %d differs disk vs mem: %+v vs %+v", i, res[i], memRes[i])
-		}
 	}
 }
 

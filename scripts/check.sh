@@ -46,7 +46,7 @@ echo "== TQSP kernel + Mq bitsets + alpha table + alpha build guards (race-free)
 # build) ride along, as they do in CI, plain here and under -race above,
 # and so does the window scheduler's TQSP-count guard.
 go test -run 'TestDiscoveryTimeBFSMatchesPopTime|TestBFSWorkGuard|TestMqMatchesPostings|TestDenseMQRecycling|TestWindowReducesConstructions' ./internal/core/
-go test -run 'TestFromGraphMatchesAllListBuild|TestLenderBorrow' ./internal/invindex/
+go test -run 'TestFromGraphMatchesAllListBuild' ./internal/invindex/
 go test ./internal/alpha/
 echo "== benchmark module =="
 # benchmark/ is a module of its own (./... does not reach it): it must
