@@ -51,9 +51,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	algo, err := parseAlgo(*algoName)
-	if err != nil {
-		log.Fatal(err)
+	algo, ok := ksp.ParseAlgorithm(*algoName)
+	if !ok {
+		log.Fatalf("unknown algorithm %q", *algoName)
 	}
 	cfg := ksp.DefaultConfig()
 	cfg.AlphaRadius = *alphaR
@@ -207,20 +207,6 @@ func printTiedTrees(ds *ksp.Dataset, res []ksp.Result, kws []string, limit int) 
 			fmt.Printf("    %d: %s\n", i+1, strings.Join(names, " | "))
 		}
 	}
-}
-
-func parseAlgo(s string) (ksp.Algorithm, error) {
-	switch strings.ToUpper(s) {
-	case "BSP":
-		return ksp.AlgoBSP, nil
-	case "SPP":
-		return ksp.AlgoSPP, nil
-	case "SP":
-		return ksp.AlgoSP, nil
-	case "TA":
-		return ksp.AlgoTA, nil
-	}
-	return 0, fmt.Errorf("unknown algorithm %q", s)
 }
 
 func parsePoint(s string) (ksp.Point, error) {

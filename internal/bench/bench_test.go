@@ -95,15 +95,15 @@ func TestHeadlinePruningShape(t *testing.T) {
 	s := NewSuite(4000, 5, 11, &buf)
 	d := s.Data(DBpediaLike)
 	qs := d.workload(classO, s.Queries, defaultM, defaultK)
-	mBSP, err := s.runWorkload(d.base, runBSP, qs, core.Options{})
+	mBSP, err := s.runWorkload(d.base, core.AlgoBSP, qs, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mSPP, err := s.runWorkload(d.base, runSPP, qs, core.Options{})
+	mSPP, err := s.runWorkload(d.base, core.AlgoSPP, qs, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mSP, err := s.runWorkload(d.base, runSP, qs, core.Options{})
+	mSP, err := s.runWorkload(d.base, core.AlgoSP, qs, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

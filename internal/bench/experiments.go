@@ -247,15 +247,15 @@ func (s *Suite) varyK(dataset, id, title string) ([]*Report, error) {
 
 	for _, k := range kValues {
 		wk := withK(qs, k)
-		mBSP, err := s.runWorkload(d.base, runBSP, wk, core.Options{})
+		mBSP, err := s.runWorkload(d.base, core.AlgoBSP, wk, core.Options{})
 		if err != nil {
 			return nil, err
 		}
-		mSPP, err := s.runWorkload(d.base, runSPP, wk, core.Options{})
+		mSPP, err := s.runWorkload(d.base, core.AlgoSPP, wk, core.Options{})
 		if err != nil {
 			return nil, err
 		}
-		mSP, err := s.runWorkload(d.base, runSP, wk, core.Options{})
+		mSP, err := s.runWorkload(d.base, core.AlgoSP, wk, core.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -277,15 +277,15 @@ func (s *Suite) fig5() ([]*Report, error) {
 			Notes:  []string{"paper shape: runtimes grow with |q.ψ|; SP fastest with a widening gap"}}
 		for _, m := range mValues {
 			qs := d.workload(classO, s.Queries, m, defaultK)
-			mBSP, err := s.runWorkload(d.base, runBSP, qs, core.Options{})
+			mBSP, err := s.runWorkload(d.base, core.AlgoBSP, qs, core.Options{})
 			if err != nil {
 				return nil, err
 			}
-			mSPP, err := s.runWorkload(d.base, runSPP, qs, core.Options{})
+			mSPP, err := s.runWorkload(d.base, core.AlgoSPP, qs, core.Options{})
 			if err != nil {
 				return nil, err
 			}
-			mSP, err := s.runWorkload(d.base, runSP, qs, core.Options{})
+			mSP, err := s.runWorkload(d.base, core.AlgoSP, qs, core.Options{})
 			if err != nil {
 				return nil, err
 			}
@@ -313,7 +313,7 @@ func (s *Suite) fig6() ([]*Report, error) {
 			e := d.engine(a)
 			row := []string{fmt.Sprint(a)}
 			for _, k := range kValues {
-				m, err := s.runWorkload(e, runSP, withK(qs, k), core.Options{})
+				m, err := s.runWorkload(e, core.AlgoSP, withK(qs, k), core.Options{})
 				if err != nil {
 					return nil, err
 				}
@@ -356,15 +356,15 @@ func (s *Suite) fig7() ([]*Report, error) {
 		e := core.NewEngine(g, rdf.Outgoing)
 		e.EnableReach()
 		e.EnableAlpha(3)
-		mBSP, err := s.runWorkload(e, runBSP, qs, core.Options{})
+		mBSP, err := s.runWorkload(e, core.AlgoBSP, qs, core.Options{})
 		if err != nil {
 			return nil, err
 		}
-		mSPP, err := s.runWorkload(e, runSPP, qs, core.Options{})
+		mSPP, err := s.runWorkload(e, core.AlgoSPP, qs, core.Options{})
 		if err != nil {
 			return nil, err
 		}
-		mSP, err := s.runWorkload(e, runSP, qs, core.Options{})
+		mSP, err := s.runWorkload(e, core.AlgoSP, qs, core.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -391,7 +391,7 @@ func (s *Suite) fig8() ([]*Report, error) {
 			drow := []string{className(class)}
 			lrow := []string{className(class)}
 			for _, k := range kValues {
-				m, err := s.runWorkload(d.base, runSP, withK(qs, k), core.Options{})
+				m, err := s.runWorkload(d.base, core.AlgoSP, withK(qs, k), core.Options{})
 				if err != nil {
 					return nil, err
 				}
@@ -438,15 +438,15 @@ func (s *Suite) fig9() ([]*Report, error) {
 		qs := d.workload(class, s.Queries, defaultM, defaultK)
 		for _, k := range kValues {
 			wk := withK(qs, k)
-			mBSP, err := s.runWorkload(d.base, runBSP, wk, core.Options{})
+			mBSP, err := s.runWorkload(d.base, core.AlgoBSP, wk, core.Options{})
 			if err != nil {
 				return nil, err
 			}
-			mSPP, err := s.runWorkload(d.base, runSPP, wk, core.Options{})
+			mSPP, err := s.runWorkload(d.base, core.AlgoSPP, wk, core.Options{})
 			if err != nil {
 				return nil, err
 			}
-			mSP, err := s.runWorkload(d.base, runSP, wk, core.Options{})
+			mSP, err := s.runWorkload(d.base, core.AlgoSP, wk, core.Options{})
 			if err != nil {
 				return nil, err
 			}
@@ -468,19 +468,19 @@ func (s *Suite) fig10() ([]*Report, error) {
 			Notes:  []string{"paper shape: TA competitive only at |q.ψ|=1; for |q.ψ|≥3 TA is slower than even BSP"}}
 		for _, m := range mValues {
 			qs := d.workload(classO, s.Queries, m, defaultK)
-			mTA, err := s.runWorkload(d.base, runTA, qs, core.Options{})
+			mTA, err := s.runWorkload(d.base, core.AlgoTA, qs, core.Options{})
 			if err != nil {
 				return nil, err
 			}
-			mBSP, err := s.runWorkload(d.base, runBSP, qs, core.Options{})
+			mBSP, err := s.runWorkload(d.base, core.AlgoBSP, qs, core.Options{})
 			if err != nil {
 				return nil, err
 			}
-			mSPP, err := s.runWorkload(d.base, runSPP, qs, core.Options{})
+			mSPP, err := s.runWorkload(d.base, core.AlgoSPP, qs, core.Options{})
 			if err != nil {
 				return nil, err
 			}
-			mSP, err := s.runWorkload(d.base, runSP, qs, core.Options{})
+			mSP, err := s.runWorkload(d.base, core.AlgoSP, qs, core.Options{})
 			if err != nil {
 				return nil, err
 			}
@@ -519,15 +519,15 @@ func (s *Suite) freq() ([]*Report, error) {
 				loc, kws := d.qg.FrequencyBand(defaultM, band.lo, band.hi)
 				qs[i] = core.Query{Loc: loc, Keywords: kws, K: defaultK}
 			}
-			mBSP, err := s.runWorkload(d.base, runBSP, qs, core.Options{})
+			mBSP, err := s.runWorkload(d.base, core.AlgoBSP, qs, core.Options{})
 			if err != nil {
 				return nil, err
 			}
-			mSPP, err := s.runWorkload(d.base, runSPP, qs, core.Options{})
+			mSPP, err := s.runWorkload(d.base, core.AlgoSPP, qs, core.Options{})
 			if err != nil {
 				return nil, err
 			}
-			mSP, err := s.runWorkload(d.base, runSP, qs, core.Options{})
+			mSP, err := s.runWorkload(d.base, core.AlgoSP, qs, core.Options{})
 			if err != nil {
 				return nil, err
 			}
@@ -549,16 +549,16 @@ func (s *Suite) ablation() ([]*Report, error) {
 		Notes:  []string{"expected: disabling any rule raises cost; Rule 2 mostly saves semantic time, Rules 3/4 save node accesses"}}
 	variants := []struct {
 		name string
-		a    algoRunner
+		a    core.Algorithm
 		opts core.Options
 	}{
-		{"SPP (full)", runSPP, core.Options{}},
-		{"SPP w/o Rule 1", runSPP, core.Options{NoRule1: true}},
-		{"SPP w/o Rule 2", runSPP, core.Options{NoRule2: true}},
-		{"SP (full)", runSP, core.Options{}},
-		{"SP w/o Rule 1", runSP, core.Options{NoRule1: true}},
-		{"SP w/o Rule 2", runSP, core.Options{NoRule2: true}},
-		{"BSP (no pruning)", runBSP, core.Options{}},
+		{"SPP (full)", core.AlgoSPP, core.Options{}},
+		{"SPP w/o Rule 1", core.AlgoSPP, core.Options{NoRule1: true}},
+		{"SPP w/o Rule 2", core.AlgoSPP, core.Options{NoRule2: true}},
+		{"SP (full)", core.AlgoSP, core.Options{}},
+		{"SP w/o Rule 1", core.AlgoSP, core.Options{NoRule1: true}},
+		{"SP w/o Rule 2", core.AlgoSP, core.Options{NoRule2: true}},
+		{"BSP (no pruning)", core.AlgoBSP, core.Options{}},
 	}
 	for _, v := range variants {
 		m, err := s.runWorkload(d.base, v.a, qs, v.opts)
@@ -566,29 +566,6 @@ func (s *Suite) ablation() ([]*Report, error) {
 			return nil, err
 		}
 		r.AddRow(v.name, ms(m.total()), Cell(m.TQSP), Cell(m.NodeAccess))
-	}
-
-	// Spatial-source ablation: BSP/SPP over a uniform grid instead of the
-	// R-tree (Section 7: evaluation is orthogonal to the spatial index).
-	d.base.EnableGrid(64)
-	gridRep := &Report{ID: "ablation", Title: "Spatial-source ablation (R-tree vs uniform grid, BSP/SPP)",
-		Header: []string{"variant", "runtime (ms)", "index accesses"},
-		Notes:  []string{"identical answers by construction (tested); only access patterns differ"}}
-	for _, v := range []struct {
-		name string
-		a    algoRunner
-		opts core.Options
-	}{
-		{"BSP / R-tree", runBSP, core.Options{}},
-		{"BSP / grid", runBSP, core.Options{UseGrid: true}},
-		{"SPP / R-tree", runSPP, core.Options{}},
-		{"SPP / grid", runSPP, core.Options{UseGrid: true}},
-	} {
-		m, err := s.runWorkload(d.base, v.a, qs, v.opts)
-		if err != nil {
-			return nil, err
-		}
-		gridRep.AddRow(v.name, ms(m.total()), Cell(m.NodeAccess))
 	}
 
 	// Edge-direction ablation (the paper's future-work variant).
@@ -605,11 +582,11 @@ func (s *Suite) ablation() ([]*Report, error) {
 			loc, kws := qg.Original(defaultM)
 			dq[i] = core.Query{Loc: loc, Keywords: kws, K: defaultK}
 		}
-		m, err := s.runWorkload(e, runSP, dq, core.Options{})
+		m, err := s.runWorkload(e, core.AlgoSP, dq, core.Options{})
 		if err != nil {
 			return nil, err
 		}
 		und.AddRow(dir.String(), ms(m.total()), Cell(m.TQSP))
 	}
-	return []*Report{r, gridRep, und}, nil
+	return []*Report{r, und}, nil
 }

@@ -148,19 +148,6 @@ func withK(qs []core.Query, k int) []core.Query {
 	return out
 }
 
-// algoRunner pairs a name with an engine method.
-type algoRunner struct {
-	name string
-	run  func(*core.Engine, core.Query, core.Options) ([]core.Result, *core.Stats, error)
-}
-
-var (
-	runBSP = algoRunner{"BSP", (*core.Engine).BSP}
-	runSPP = algoRunner{"SPP", (*core.Engine).SPP}
-	runSP  = algoRunner{"SP", (*core.Engine).SP}
-	runTA  = algoRunner{"TA", (*core.Engine).TA}
-)
-
 // measured aggregates a workload run.
 type measured struct {
 	Semantic   time.Duration // mean per query
@@ -173,16 +160,16 @@ type measured struct {
 func (m measured) total() time.Duration { return m.Semantic + m.Other }
 
 // runWorkload executes every query and averages the statistics.
-func (s *Suite) runWorkload(e *core.Engine, a algoRunner, qs []core.Query, opts core.Options) (measured, error) {
-	if (a.name == "BSP" || a.name == "TA") && opts.Deadline == 0 {
+func (s *Suite) runWorkload(e *core.Engine, a core.Algorithm, qs []core.Query, opts core.Options) (measured, error) {
+	if (a == core.AlgoBSP || a == core.AlgoTA) && opts.Deadline == 0 {
 		opts.Deadline = s.BSPDeadline
 	}
 	var agg core.Stats
 	var out measured
 	for _, q := range qs {
-		res, stats, err := a.run(e, q, opts)
+		res, stats, err := e.Search(a, q, opts)
 		if err != nil {
-			return out, fmt.Errorf("%s: %w", a.name, err)
+			return out, fmt.Errorf("%v: %w", a, err)
 		}
 		agg.Add(stats)
 		out.Results = append(out.Results, res...)

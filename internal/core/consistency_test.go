@@ -193,40 +193,6 @@ func TestMaxDistConsistency(t *testing.T) {
 	}
 }
 
-// The grid spatial source must give BSP/SPP identical answers to the
-// R-tree source (Section 7: evaluation is orthogonal to the spatial
-// index).
-func TestGridSourceMatchesRTree(t *testing.T) {
-	g := gen.Generate(gen.YagoConfig(1000, 601))
-	qg := gen.NewQueryGen(g, rdf.Outgoing, 602)
-	e := NewEngine(g, rdf.Outgoing)
-	e.EnableReach()
-	e.EnableGrid(16)
-	for trial := 0; trial < 6; trial++ {
-		loc, kws := qg.Original(3)
-		q := Query{Loc: loc, Keywords: kws, K: 5}
-		for _, a := range []algo{{"BSP", (*Engine).BSP}, {"SPP", (*Engine).SPP}} {
-			want, _, err := a.run(e, q, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, stats, err := a.run(e, q, Options{UseGrid: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameResults(t, a.name+"-grid", got, want)
-			if stats.RTreeNodeAccesses == 0 && len(got) > 0 {
-				t.Errorf("%s-grid: no cell accesses recorded", a.name)
-			}
-		}
-	}
-	// UseGrid without EnableGrid errors.
-	bare := NewEngine(g, rdf.Outgoing)
-	if _, _, err := bare.BSP(Query{Loc: geo.Point{}, Keywords: []string{"w1"}, K: 1}, Options{UseGrid: true}); err == nil {
-		t.Error("UseGrid without grid should error")
-	}
-}
-
 // Ablations must not change answers, only costs: disabling pruning rules
 // leaves the result set identical.
 func TestAblationsPreserveResults(t *testing.T) {

@@ -12,8 +12,6 @@ import (
 
 	"ksp/internal/alpha"
 	"ksp/internal/faultinject"
-	"ksp/internal/geo"
-	"ksp/internal/grid"
 	"ksp/internal/invindex"
 	"ksp/internal/rdf"
 	"ksp/internal/reach"
@@ -33,12 +31,8 @@ type Engine struct {
 	Reach *reach.KeywordIndex
 	// Alpha enables the α-radius bounds (required by SP).
 	Alpha *alpha.Index
-	// Grid is an optional alternative spatial source for BSP/SPP
-	// (Options.UseGrid); kSP evaluation is orthogonal to the spatial
-	// index (Section 7 of the paper), and this makes the claim testable.
-	Grid *grid.Grid
-	Dir  rdf.Direction
-	Rank Ranking
+	Dir   rdf.Direction
+	Rank  Ranking
 
 	// pools recycles per-query scratch (Mq.ψ bitsets, BFS state)
 	// across queries and across the workers of one parallel query. A
@@ -222,34 +216,6 @@ func (d *denseMQ) match(v uint32, open uint64) uint64 {
 
 // get returns v's keyword mask (zero when v matches no query keyword).
 func (d *denseMQ) get(v uint32) uint64 { return d.match(v, 1<<d.m-1) }
-
-// spatialSource abstracts GETNEXT: an incremental nearest-place stream.
-// Both the R-tree browser and the grid browser satisfy it.
-type spatialSource interface {
-	Next() (rtree.Item, float64, bool)
-	Accesses() int64
-}
-
-// source opens the spatial stream chosen by opts.
-func (e *Engine) source(q geo.Point, opts Options) (spatialSource, error) {
-	if opts.UseGrid {
-		if e.Grid == nil {
-			return nil, fmt.Errorf("core: Options.UseGrid requires EnableGrid")
-		}
-		return e.Grid.NewBrowser(q), nil
-	}
-	return e.Tree.NewBrowser(q), nil
-}
-
-// EnableGrid builds the uniform-grid spatial source over the places.
-func (e *Engine) EnableGrid(cellsPerAxis int) {
-	places := e.G.Places()
-	items := make([]grid.Item, len(places))
-	for i, p := range places {
-		items[i] = grid.Item{ID: p, Loc: e.G.Loc(p)}
-	}
-	e.Grid = grid.New(items, cellsPerAxis)
-}
 
 // NewEngine assembles an engine with the mandatory structures of
 // Section 3: the STR-bulk-loaded R-tree over the place vertices and the

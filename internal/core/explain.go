@@ -45,7 +45,6 @@ type ExplainPlan struct {
 	// PipelineDepth is the requested producer run-ahead bound; 0 means
 	// derived per query with starvation feedback.
 	PipelineDepth int     `json:"pipelineDepth,omitempty"`
-	UseGrid       bool    `json:"useGrid,omitempty"`
 	MaxDist       float64 `json:"maxDist,omitempty"`
 	// Rule1–Rule4 report which pruning rules are in force for this plan
 	// (index present, not disabled, and used by the chosen algorithm).
@@ -137,52 +136,52 @@ type ExplainReport struct {
 	Shards  []ExplainShard `json:"shards,omitempty"`
 }
 
-// Explain assembles the report for a query that already ran with the
-// given options and produced stats. algo is the algorithm's display
-// name; results the returned result count. Keyword resolution re-runs
-// the (cheap) prepare step to recover the Rule-1 order.
-func (e *Engine) Explain(algo string, q Query, opts Options, stats *Stats, results int) *ExplainReport {
+// Explain assembles the report for a query that already ran with
+// algorithm a and the given options and produced stats; results is the
+// returned result count. Keyword resolution re-runs the (cheap) prepare
+// step to recover the Rule-1 order.
+func (e *Engine) Explain(a Algorithm, q Query, opts Options, stats *Stats, results int) *ExplainReport {
 	rep := &ExplainReport{}
-	rep.Plan = e.explainPlan(algo, q, opts)
+	rep.Plan = e.explainPlan(a, q, opts)
 	if stats != nil {
 		rep.Profile = buildProfile(stats, results)
 	}
 	return rep
 }
 
-func (e *Engine) explainPlan(algo string, q Query, opts Options) ExplainPlan {
+func (e *Engine) explainPlan(a Algorithm, q Query, opts Options) ExplainPlan {
 	p := ExplainPlan{
-		Algo:           algo,
+		Algo:           a.String(),
 		K:              q.K,
 		Answerable:     true,
 		Workers:        opts.workers(),
 		PipelineDepth:  opts.PipelineDepth,
-		UseGrid:        opts.UseGrid,
 		MaxDist:        opts.MaxDist,
 		Reachability:   e.Reach != nil,
 		LoosenessCache: e.loose != nil,
 		Ranking:        fmt.Sprintf("%T", e.Rank),
 	}
-	switch {
-	case opts.Window == 1:
-		p.WindowPolicy = "classic"
-	case opts.Window >= 2:
-		p.WindowPolicy = "fixed"
-		p.Window = opts.Window
-	default:
+	switch w, adaptive := resolveWindow(opts); {
+	case adaptive:
 		p.WindowPolicy = "adaptive"
+	case w == 1:
+		p.WindowPolicy = "classic"
+	default:
+		p.WindowPolicy = "fixed"
+		p.Window = w
 	}
 	if e.Alpha != nil {
 		p.AlphaRadius = e.Alpha.Alpha
 	}
-	// Which pruning rules the plan can exercise: Rule 1 needs the
-	// reachability index, Rules 3–4 the α-radius index, and BSP/TA use
-	// none of them. The profile's counters show actual hits.
-	usesRules := algo == "SPP" || algo == "SP"
-	p.Rule1 = usesRules && e.Reach != nil && !opts.NoRule1
-	p.Rule2 = usesRules && !opts.NoRule2
-	p.Rule3 = algo == "SP" && e.Alpha != nil
-	p.Rule4 = algo == "SP" && e.Alpha != nil && !opts.UseGrid
+	// Which pruning rules the plan can exercise, decided by the same
+	// algorithms row evaluation runs from. The profile's counters show
+	// actual hits.
+	if a >= 0 && a < numAlgorithms {
+		alg := &algorithms[a]
+		p.Rule1, p.Rule2 = alg.rules(e, opts)
+		p.Rule3 = alg.source == alphaQueue && e.Alpha != nil
+		p.Rule4 = p.Rule3
+	}
 	switch e.Dir {
 	case rdf.Outgoing:
 		p.Direction = "outgoing"

@@ -6,18 +6,12 @@ import (
 	"ksp/internal/obs"
 )
 
-// Algorithm indexes for the per-algorithm instrument vectors. These are
-// engine-internal; the public Algorithm enum lives in the root package.
+// Indexes of the per-algorithm instrument vectors: an Algorithm is its
+// own index, and keyword search follows the four.
 const (
-	algoBSP = iota
-	algoSPP
-	algoSP
-	algoTA
-	algoKeyword
-	numAlgos
+	algoKeyword = int(numAlgorithms)
+	numAlgos    = algoKeyword + 1
 )
-
-var algoNames = [numAlgos]string{"BSP", "SPP", "SP", "TA", "keyword"}
 
 // engineMetrics bundles the engine's cumulative instruments. The
 // pointer on Engine is nil until EnableMetrics, and every record site
@@ -62,7 +56,11 @@ type engineMetrics struct {
 func (e *Engine) EnableMetrics(reg *obs.Registry) {
 	m := &engineMetrics{}
 	for a := 0; a < numAlgos; a++ {
-		lbl := obs.Label{Key: "algo", Value: algoNames[a]}
+		name := "keyword"
+		if a < algoKeyword {
+			name = algorithms[a].name
+		}
+		lbl := obs.Label{Key: "algo", Value: name}
 		m.queries[a] = reg.Counter("ksp_engine_queries_total",
 			"Completed queries by evaluation algorithm.", lbl)
 		m.latency[a] = reg.Histogram("ksp_engine_query_duration_seconds",
@@ -134,8 +132,8 @@ func (e *Engine) EnableMetrics(reg *obs.Registry) {
 }
 
 // noteQuery flushes one finished query's counters into the registry.
-// algo is one of the algo* indexes; dur is the query's total evaluation
-// time (the same value QueryStats reports in microseconds). With
+// algo is an Algorithm's value or algoKeyword; dur is the query's total
+// evaluation time (the same value QueryStats reports in microseconds). With
 // metrics disabled this is a single nil check.
 func (e *Engine) noteQuery(algo int, stats *Stats, dur time.Duration) {
 	m := e.metrics

@@ -266,8 +266,8 @@ func TestDisabledObservabilityZeroAlloc(t *testing.T) {
 	var err error
 	s := &searcher{} // curSpan nil, as in an untraced query
 	n := testing.AllocsPerRun(1000, func() {
-		e.noteQuery(algoBSP, st, time.Millisecond)
-		e.noteOutcome(algoSPP, st, &err)
+		e.noteQuery(int(AlgoBSP), st, time.Millisecond)
+		e.noteOutcome(int(AlgoSPP), st, &err)
 		e.noteRTreeAccess()
 		var tr *obs.Trace
 		root := tr.Root()

@@ -28,148 +28,34 @@ type pipeTheta struct {
 
 func (p *pipeTheta) load() float64 { return p.shared.limit(p.local.load()) }
 
-// candidate is one place the algorithm considers, produced in the serial
-// algorithm's order. bound is the pop-time lower bound on the score of
-// this and every later candidate: MinScore(dist) for the
-// distance-ordered stream (BSP/SPP), the α-bound f(λ(p), S) for SP. The
-// remaining fields are filled by the worker that evaluates it; ready is
-// closed when they are valid.
-type candidate struct {
-	place uint32
-	dist  float64
-	bound float64
-
-	loose  float64
-	tree   *Tree
-	pruned bool  // rejected by Pruning Rule 1
-	err    error // worker panic, forwarded instead of crashing
-	ready  chan struct{}
-}
-
-// candSource yields candidates in the serial algorithm's order. next
-// returns false when the stream is exhausted or provably beyond any
-// possible result; close flushes access counters into the source's
-// Stats. A source is driven by exactly one goroutine.
-type candSource interface {
-	next() (candidate, bool)
-	close()
-}
-
-// sourceFactory builds a candSource writing its counters to st and
-// reading the pruning threshold from theta — hk.theta in a serial run,
-// the pipeline's pipeTheta in a parallel one.
-type sourceFactory func(st *Stats, theta func() float64) (candSource, error)
-
-// run evaluates one prepared query through the candidate pipeline,
-// serial or parallel per opts.Parallelism. rule1/rule2 select which
-// pruning rules the consumer applies.
-func (e *Engine) run(mk sourceFactory, pq *prepQuery, opts Options, hk *topK, stats *Stats, rule1, rule2 bool) error {
-	// Windowed scheduling (DESIGN.md §11) wraps the candidate source;
-	// Options.Window == 1 bypasses the layer entirely, reproducing the
-	// classic loop bit-for-bit. With a window, Rule 1 moves into the
-	// fill-time screens, so the consumer loops must not re-apply it.
-	if w, adaptive := resolveWindow(opts); w != 1 {
-		mk = e.windowFactory(mk, pq, w, adaptive, rule1, rule2)
-		rule1 = false
-	}
-	if w := opts.workers(); w > 1 {
-		return e.runParallel(mk, pq, opts, hk, stats, w, rule1, rule2)
-	}
-	return e.runSerial(mk, pq, opts, hk, stats, rule1, rule2)
-}
-
-// runSerial is the classic evaluation loop shared by BSP, SPP and SP:
-// pop the next candidate, stop when its bound reaches θ (no later
-// candidate can improve the top-k), otherwise apply the selected pruning
-// rules, construct the TQSP, and offer the result to Hk.
-func (e *Engine) runSerial(mk sourceFactory, pq *prepQuery, opts Options, hk *topK, stats *Stats, rule1, rule2 bool) error {
-	root := opts.Trace.Root()
-	src, err := mk(stats, hk.theta)
-	if err != nil {
-		return err
-	}
-	defer src.close()
-	s := newSearcher(e, pq, stats, opts.CollectTrees)
-	defer s.release()
-	lim := limiterFor(opts)
-
-	for {
-		cand, ok := src.next()
-		if !ok {
-			return nil
-		}
-		// Termination: bounds are non-decreasing along the stream.
-		if cand.bound >= hk.theta() {
-			return nil
-		}
-		stats.PlacesRetrieved++
-		// The deadline/cancel poll is per candidate: each one costs a
-		// TQSP construction, so the time.Now is noise, and checking
-		// before the expensive work keeps the overshoot at one BFS.
-		if lim.stop(stats) {
-			recordPartial(stats, cand.bound)
-			return nil
-		}
-		faultinject.Fire(PointSerialCandidate)
-		cs := root.Child("candidate")
-		cs.SetInt("place", int64(cand.place))
-		cs.SetFloat("dist", cand.dist)
-		if rule1 && e.unqualified(cand.place, pq, stats) {
-			cs.SetStr("pruned", "rule1")
-			cs.End()
-			continue
-		}
-		lw := math.Inf(1)
-		if rule2 {
-			lw = e.Rank.LoosenessThreshold(hk.theta(), cand.dist)
-		}
-		s.curSpan = cs
-		semStart := time.Now()
-		loose, tree := s.semanticPlace(cand.place, lw)
-		stats.SemanticTime += time.Since(semStart)
-		s.curSpan = nil
-		if math.IsInf(loose, 1) {
-			cs.SetStr("outcome", "rejected")
-			cs.End()
-			continue
-		}
-		if f := e.Rank.Score(loose, cand.dist); f < hk.theta() {
-			hk.add(Result{Place: cand.place, Looseness: loose, Dist: cand.dist, Score: f, Tree: tree})
-			cs.SetStr("outcome", "accepted")
-		} else {
-			cs.SetStr("outcome", "below-threshold")
-		}
-		cs.End()
-	}
-}
-
-// runParallel evaluates the query with a three-stage pipeline that
-// returns results bit-identical to runSerial (the argument is laid out
-// in DESIGN.md §8; the scheduler in §13):
+// runParallel evaluates the query with a three-stage pipeline that runs
+// runSerial's steps and returns bit-identical results (the argument is
+// laid out in DESIGN.md §8; the scheduler in §13):
 //
-//	producer  — drives the candidate source in serial order, stopping
+//	producer  — drives the candidate stream in serial order, stopping
 //	            early when a bound reaches the (stale) shared θ, and
 //	            routes each candidate into a per-worker bounded deque;
-//	workers   — evaluate candidates concurrently: Rule 1, then TQSP
-//	            construction under the Rule-2 threshold derived from the
-//	            shared θ, which is always >= the exact serial threshold,
-//	            so speculative work can be wasted but never wrong. An
-//	            idle worker steals from the busiest peer's deque — which
-//	            candidate runs on which worker is immaterial because the
-//	            next stage re-serializes every decision;
-//	finalizer — this goroutine: consumes candidates in production order,
-//	            re-applies the exact termination and insertion checks
-//	            against the true Hk, and publishes θ to the atomic.
-func (e *Engine) runParallel(mk sourceFactory, pq *prepQuery, opts Options, hk *topK, stats *Stats, workers int, rule1, rule2 bool) error {
+//	workers   — run the evaluate step concurrently, under the Rule-2
+//	            threshold derived from the shared θ, which is always >=
+//	            the exact serial threshold, so speculative work can be
+//	            wasted but never wrong. An idle worker steals from the
+//	            busiest peer's deque — which candidate runs on which
+//	            worker is immaterial because the next stage
+//	            re-serializes every decision;
+//	finalizer — this goroutine: admits and offers the candidates in
+//	            production order against the true Hk, and publishes θ to
+//	            the atomic.
+func (e *Engine) runParallel(alg *algorithm, pq *prepQuery, opts Options, hk *topK, stats *Stats, workers int, rule1, rule2 bool) error {
 	root := opts.Trace.Root()
-	theta := &pipeTheta{shared: opts.Bound}
+	theta := &pipeTheta{shared: hk.shared}
 	theta.local.store(math.Inf(1))
 
 	prodStats := &Stats{}
-	src, err := mk(prodStats, theta.load)
+	src, err := e.newStream(alg, pq, opts, prodStats, theta.load, rule1, rule2)
 	if err != nil {
 		return err
 	}
+	rule1 = rule1 && src.win == nil // a window screens with Rule 1 itself
 
 	depth := e.resolveDepth(opts, workers)
 	deques := newStealDeques(workers, depth)
@@ -294,11 +180,8 @@ func (e *Engine) runParallel(mk sourceFactory, pq *prepQuery, opts Options, hk *
 					cs.SetStr("via", "steal")
 				}
 				s.curSpan = cs
-				e.evalCandidate(s, c, rule1, rule2, theta, ws)
+				e.evalCandidate(s, c, rule1, rule2, theta)
 				s.curSpan = nil
-				if c.pruned {
-					cs.SetStr("pruned", "rule1")
-				}
 				cs.End()
 				close(c.ready)
 				cur = nil
@@ -335,25 +218,12 @@ func (e *Engine) runParallel(mk sourceFactory, pq *prepQuery, opts Options, hk *
 				continue
 			}
 			faultinject.Fire(PointFinalizer)
-			if c.bound >= hk.theta() {
+			if !admit(c.bound, hk, stats, lim) {
 				terminated = true
 				halt()
 				continue
 			}
-			stats.PlacesRetrieved++
-			if lim.stop(stats) {
-				recordPartial(stats, c.bound)
-				terminated = true
-				halt()
-				continue
-			}
-			if c.pruned || math.IsInf(c.loose, 1) {
-				continue
-			}
-			// The worker ran under a stale (looser) threshold; the exact
-			// insertion check happens here, against the true Hk.
-			if f := e.Rank.Score(c.loose, c.dist); f < hk.theta() {
-				hk.add(Result{Place: c.place, Looseness: c.loose, Dist: c.dist, Score: f, Tree: c.tree})
+			if e.offer(hk, c) {
 				theta.local.store(hk.theta())
 			}
 		}
@@ -421,27 +291,16 @@ func (p *pipeFailure) get() error {
 	return p.err
 }
 
-// evalCandidate is the worker body: Pruning Rule 1, then TQSP
-// construction under the Rule-2 threshold from the shared θ. A panic —
-// a bug in the hot path or an injected fault — is captured into the
-// candidate and forwarded to the finalizer, failing only this query.
-func (e *Engine) evalCandidate(s *searcher, c *candidate, rule1, rule2 bool, theta *pipeTheta, ws *Stats) {
+// evalCandidate is the worker body: the evaluate step under the
+// pipeline's θ. A panic — a bug in the hot path or an injected fault —
+// is captured into the candidate and forwarded to the finalizer, failing
+// only this query.
+func (e *Engine) evalCandidate(s *searcher, c *candidate, rule1, rule2 bool, theta *pipeTheta) {
 	defer func() {
 		if r := recover(); r != nil {
 			c.err = newPanicError("core.parallel.worker", r)
 		}
 	}()
 	faultinject.Fire(PointWorker)
-	if rule1 && e.unqualified(c.place, s.pq, ws) {
-		c.pruned = true
-		return
-	}
-	lw := math.Inf(1)
-	if rule2 {
-		lw = e.Rank.LoosenessThreshold(theta.load(), c.dist)
-	}
-	s.liveDist = c.dist
-	semStart := time.Now()
-	c.loose, c.tree = s.semanticPlace(c.place, lw)
-	ws.SemanticTime += time.Since(semStart)
+	e.evaluate(s, c, rule1, rule2, theta.load)
 }

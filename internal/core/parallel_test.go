@@ -336,20 +336,15 @@ func TestParallelWithOptions(t *testing.T) {
 	e := NewEngine(g, rdf.Outgoing)
 	e.EnableReach()
 	e.EnableAlpha(3)
-	e.EnableGrid(16)
 	loc, kws := qg.Original(3)
 	q := Query{Loc: loc, Keywords: kws, K: 5}
 	variants := []Options{
 		{MaxDist: 20},
 		{NoRule1: true},
 		{NoRule2: true},
-		{UseGrid: true},
 	}
 	for _, a := range pipelineAlgos {
 		for vi, base := range variants {
-			if a.name == "SP" && base.UseGrid {
-				continue // SP always uses the R-tree
-			}
 			want, _, err := a.run(e, q, base)
 			if err != nil {
 				t.Fatal(err)

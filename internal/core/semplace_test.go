@@ -244,24 +244,16 @@ func replaySP(t *testing.T, e *Engine, q Query, st *Stats, construct func(pq *pr
 	if !pq.answerable {
 		return nil
 	}
-	qv, err := pq.queryView(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mk sourceFactory = func(st *Stats, theta func() float64) (candSource, error) {
-		src := &spSource{e: e, qv: qv, theta: theta, qloc: q.Loc, stats: st, pqueue: e.pools.getFrontier()}
-		root := e.Tree.Root()
-		d := root.Rect.MinDist(q.Loc)
-		src.pqueue.push(spEntry{bound: e.Rank.Score(qv.NodeBound(root.ID), d), dist: d, node: root})
-		return src, nil
-	}
-	w, adaptive := resolveWindow(Options{})
-	mk = e.windowFactory(mk, pq, w, adaptive, true, true)
-	src, err := mk(st, hk.theta)
+	alg := &algorithms[AlgoSP]
+	rule1, rule2 := alg.rules(e, Options{})
+	src, err := e.newStream(alg, pq, Options{}, st, hk.theta, rule1, rule2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer src.close()
+	if src.win == nil {
+		t.Fatal("SP's default stream is unwindowed; the replay applies Rule 1 through the window's screens only")
+	}
 	for {
 		cand, ok := src.next()
 		if !ok || cand.bound >= hk.theta() {

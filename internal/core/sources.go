@@ -8,26 +8,109 @@ import (
 	"ksp/internal/rtree"
 )
 
-// bulkSpatial and peekSpatial are the optional spatial-source extensions
-// the windowed scheduler exploits: one bulk pop amortizing the heap
-// bookkeeping over a whole window, and a peek at the next distance that
-// serves as the window's resume bound. The R-tree browser provides both;
-// a source without them falls back to one-at-a-time popping.
-type bulkSpatial interface {
-	NextK(k int, out []rtree.ItemDist) []rtree.ItemDist
+// candStream is one query's candidate stream, in the serial algorithm's
+// order: R-tree distance browsing (BSP, SPP) or SP's α best-first queue,
+// batched by the window scheduler (DESIGN.md §11) unless Options.Window
+// is 1. It is one concrete type, so neither the serial loop nor the
+// pipeline's producer makes an interface call per candidate. A stream is
+// driven by exactly one goroutine.
+type candStream struct {
+	placeStream
+	win *windowSource // nil when Options.Window is 1
 }
 
-type peekSpatial interface {
-	PeekDist() (float64, bool)
+// placeStream is the stream under the window: exactly one of its
+// sources is set.
+type placeStream struct {
+	dist *streamSource
+	sp   *spSource
 }
 
-// streamSource adapts the incremental nearest-place stream (R-tree or
-// grid browser) to the candidate pipeline for BSP and SPP: candidates
-// arrive in ascending spatial distance, bounded below by MinScore(dist)
-// (Algorithm 1 line 7). MaxDist ends the stream — it is distance-ordered,
-// so the radius cap is a termination condition.
+// newStream opens alg's candidate stream for pq. Counters go to st and θ
+// is read from theta — hk.theta in a serial run, the pipeline's
+// pipeTheta in a parallel one. rule1 and rule2 select the window's
+// screens; a windowed stream applies Rule 1 itself, so the evaluation
+// step must not apply it again.
+func (e *Engine) newStream(alg *algorithm, pq *prepQuery, opts Options, st *Stats, theta func() float64, rule1, rule2 bool) (candStream, error) {
+	var s candStream
+	qloc := pq.loc.Loc
+	if alg.source == alphaQueue {
+		qv, err := pq.queryView(e)
+		if err != nil {
+			return s, err
+		}
+		//ksplint:ignore allocbound -- one source per query, inside TestAllocBudget's budget
+		s.sp = &spSource{e: e, qv: qv, theta: theta, qloc: qloc, maxDist: opts.MaxDist, stats: st, pqueue: e.pools.getFrontier()}
+		if e.Tree.Len() > 0 {
+			root := e.Tree.Root()
+			d := root.Rect.MinDist(qloc)
+			s.sp.pqueue.push(spEntry{bound: e.Rank.Score(qv.NodeBound(root.ID), d), dist: d, node: root})
+		}
+	} else {
+		//ksplint:ignore allocbound -- one source per query, inside TestAllocBudget's budget
+		s.dist = &streamSource{br: e.Tree.NewBrowser(qloc), rank: e.Rank, maxDist: opts.MaxDist, stats: st}
+	}
+	if w, adaptive := resolveWindow(opts); w != 1 {
+		var qv *alpha.QueryView
+		if rule2 {
+			// Best-effort: a load failure only disables the α screen (SP,
+			// which requires the view, loaded it above and failed there).
+			//ksplint:ignore droppederr -- see above: α screen is optional, the required path re-reports
+			qv, _ = pq.queryView(e)
+		}
+		s.win = newWindowSource(e, s.placeStream, pq, qv, theta, st, w, adaptive, rule1, rule2)
+	}
+	return s, nil
+}
+
+// next returns the next candidate, false when the stream is exhausted or
+// provably beyond any possible result.
+func (s *candStream) next() (candidate, bool) {
+	if s.win != nil {
+		return s.win.next()
+	}
+	return s.placeStream.next()
+}
+
+// close flushes the stream's counters and hands its pooled state back.
+// Both evaluation loops call it once, after the last next, on every way
+// out.
+func (s *candStream) close() {
+	if s.win != nil {
+		s.win.close()
+	}
+	if s.sp != nil {
+		s.sp.close()
+	} else {
+		s.dist.close()
+	}
+}
+
+func (p placeStream) next() (candidate, bool) {
+	if p.sp != nil {
+		return p.sp.next()
+	}
+	return p.dist.next()
+}
+
+// fillWindow appends up to w candidates in stream order to buf and
+// returns the extended slice plus a resume bound: a lower bound, in
+// score space, on every candidate not yet popped (+Inf when the stream is
+// exhausted or terminated).
+func (p placeStream) fillWindow(w int, buf []windowCand) ([]windowCand, float64) {
+	if p.sp != nil {
+		return p.sp.fillWindow(w, buf)
+	}
+	return p.dist.fillWindow(w, buf)
+}
+
+// streamSource adapts R-tree distance browsing to the candidate stream
+// of BSP and SPP: candidates arrive in ascending spatial distance,
+// bounded below by MinScore(dist) (Algorithm 1 line 7). MaxDist ends the
+// stream — it is distance-ordered, so the radius cap is a termination
+// condition.
 type streamSource struct {
-	br      spatialSource
+	br      *rtree.Browser
 	rank    Ranking
 	maxDist float64
 	stats   *Stats
@@ -45,7 +128,7 @@ func (s *streamSource) next() (candidate, bool) {
 	return candidate{place: it.ID, dist: dist, bound: s.rank.MinScore(dist)}, true
 }
 
-func (s *streamSource) close() { s.stats.RTreeNodeAccesses += s.br.Accesses() }
+func (s *streamSource) close() { s.stats.RTreeNodeAccesses += s.br.NodeAccesses }
 
 // fillWindow bulk-pops up to w places in ascending distance order. The
 // resume bound is MinScore of the browser's next (unpopped) distance:
@@ -53,27 +136,7 @@ func (s *streamSource) close() { s.stats.RTreeNodeAccesses += s.br.Accesses() }
 // beyond the window. +Inf means exhausted — including the case where the
 // stream crossed MaxDist, after which no in-range place remains.
 func (s *streamSource) fillWindow(w int, buf []windowCand) ([]windowCand, float64) {
-	bk, ok := s.br.(bulkSpatial)
-	if !ok {
-		// One-at-a-time fallback for spatial sources without NextK.
-		for len(buf) < w {
-			c, next := s.next()
-			if !next {
-				return buf, math.Inf(1)
-			}
-			buf = append(buf, windowCand{place: c.place, dist: c.dist, bound: c.bound})
-		}
-		resume := math.Inf(1)
-		if pk, ok := s.br.(peekSpatial); ok {
-			if d, more := pk.PeekDist(); more && !(s.maxDist > 0 && d > s.maxDist) {
-				resume = s.rank.MinScore(d)
-			}
-		} else if n := len(buf); n > 0 {
-			resume = buf[n-1].bound // bounds are non-decreasing along the stream
-		}
-		return buf, resume
-	}
-	s.ibuf = bk.NextK(w, s.ibuf[:0])
+	s.ibuf = s.br.NextK(w, s.ibuf[:0])
 	for _, id := range s.ibuf {
 		if s.maxDist > 0 && id.Dist > s.maxDist {
 			return buf, math.Inf(1)
@@ -81,12 +144,8 @@ func (s *streamSource) fillWindow(w int, buf []windowCand) ([]windowCand, float6
 		buf = append(buf, windowCand{place: id.Item.ID, dist: id.Dist, bound: s.rank.MinScore(id.Dist)})
 	}
 	resume := math.Inf(1)
-	if pk, ok := s.br.(peekSpatial); ok {
-		if d, more := pk.PeekDist(); more && !(s.maxDist > 0 && d > s.maxDist) {
-			resume = s.rank.MinScore(d)
-		}
-	} else if n := len(buf); n == w && n > 0 {
-		resume = buf[n-1].bound
+	if d, more := s.br.PeekDist(); more && !(s.maxDist > 0 && d > s.maxDist) {
+		resume = s.rank.MinScore(d)
 	}
 	return buf, resume
 }
@@ -158,8 +217,7 @@ func (s *spSource) next() (candidate, bool) {
 	return candidate{}, false
 }
 
-// close hands the queue back to the engine's pool. Both evaluation loops
-// call it once, after the last next, on every way out.
+// close hands the queue back to the engine's pool.
 func (s *spSource) close() {
 	if s.pqueue != nil {
 		s.e.pools.putFrontier(s.pqueue)
@@ -185,4 +243,82 @@ func (s *spSource) fillWindow(w int, buf []windowCand) ([]windowCand, float64) {
 		return buf, math.Inf(1)
 	}
 	return buf, (*s.pqueue)[0].bound
+}
+
+// spEntry is a queue element: an R-tree node or a place, keyed by its
+// α-bound on the ranking score.
+type spEntry struct {
+	bound float64
+	dist  float64
+	node  *rtree.Node // nil for places
+	place uint32
+}
+
+// spHeap is a binary min-heap of spEntry with hand-rolled sift methods:
+// container/heap boxes every pushed element into an interface{}, which
+// made each SP enqueue an allocation — the dominant per-query cost once
+// the query view went flat. The sift logic mirrors container/heap's
+// algorithm exactly (same comparisons, same swaps), so the pop order —
+// and therefore the candidate stream — is bit-identical to the old code.
+type spHeap []spEntry
+
+func (h spHeap) Len() int { return len(h) }
+func (h spHeap) less(i, j int) bool {
+	if h[i].bound != h[j].bound {
+		return h[i].bound < h[j].bound
+	}
+	// Deterministic tie-break: places before nodes, then by ID.
+	ni, nj := h[i].node, h[j].node
+	if (ni == nil) != (nj == nil) {
+		return ni == nil
+	}
+	if ni == nil {
+		return h[i].place < h[j].place
+	}
+	return ni.ID < nj.ID
+}
+
+func (h *spHeap) push(e spEntry) {
+	*h = append(*h, e)
+	h.up(len(*h) - 1)
+}
+
+func (h *spHeap) pop() spEntry {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	h.down(0, n)
+	e := s[n]
+	s[n] = spEntry{} // clear the node pointer so the GC can reclaim subtrees
+	*h = s[:n]
+	return e
+}
+
+func (h spHeap) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (h spHeap) down(i, n int) {
+	for {
+		j1 := 2*i + 1
+		if j1 >= n {
+			return
+		}
+		j := j1
+		if j2 := j1 + 1; j2 < n && h.less(j2, j1) {
+			j = j2
+		}
+		if !h.less(j, i) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }

@@ -18,10 +18,6 @@ import (
 // labels, looseness cache, scratch pools, metrics, scheduler and window
 // lifetime totals — is shared with the receiver, so per-shard queries
 // keep feeding the same observability counters.
-//
-// The grid source is dropped: Options.UseGrid is a whole-dataset
-// spatial-index ablation, not a sharding mode, and a query using it on a
-// subset engine fails like any grid-less engine.
 func (e *Engine) Subset(places []uint32) (*Engine, error) {
 	clone := *e
 	items := make([]rtree.Item, len(places))
@@ -29,7 +25,6 @@ func (e *Engine) Subset(places []uint32) (*Engine, error) {
 		items[i] = rtree.Item{ID: p, Loc: e.G.Loc(p)}
 	}
 	clone.Tree = rtree.Bulk(items, rtree.DefaultMaxEntries)
-	clone.Grid = nil
 	if e.Alpha != nil {
 		// Node postings must line up with the new tree's node IDs, so the
 		// shard gets an index of its own; WN(p) of its places is already

@@ -9,40 +9,11 @@ import (
 	"ksp/internal/rdf"
 )
 
-// TA evaluates q with the hybrid top-k aggregation baseline of
-// Section 6.2.6: one ranked list supplies qualified semantic places in
-// increasing looseness (an incremental bottom-up keyword-first search in
-// the style of [43]), the other supplies places in increasing spatial
-// distance (R-tree nearest-neighbour search). Fagin's threshold algorithm
-// combines them: each sorted access completes the other attribute on the
-// fly, and search stops when the kth candidate's score reaches
-// τ = f(L_last, S_last). TA ignores Options.Bound, like it ignores
-// Options.Window: it is the comparison baseline, never a sharded tile's
-// fast path, and always returns its private top-k.
-func (e *Engine) TA(q Query, opts Options) (results []Result, stats *Stats, err error) {
-	start := time.Now()
-	stats = &Stats{}
-	defer e.noteOutcome(algoTA, stats, &err)
-	defer guard("core.TA", &results, &err)
-	root := opts.Trace.Root()
-	root.SetStr("algo", "TA")
-	prep := root.Child("prepare")
-	pq, err := e.prepare(q)
-	prep.End()
-	if err != nil {
-		return nil, stats, err
-	}
-	defer e.releasePrep(pq)
-	hk := newTopK(q.K, nil)
-	if pq.answerable && q.K > 0 {
-		e.taLoop(pq, opts, hk, stats)
-	}
-	results = hk.sorted()
-	markExact(results, stats)
-	finishStats(stats, time.Since(start))
-	return results, stats, nil
-}
-
+// taLoop is TA's evaluation (Section 6.2.6): Fagin's threshold
+// algorithm over the looseness-ordered stream and R-tree distance
+// browsing, stopping when θ reaches τ = f(L_last, S_last).
+//
+//ksplint:coldpath -- TA is the comparison baseline, outside the hot path's allocation budget
 func (e *Engine) taLoop(pq *prepQuery, opts Options, hk *topK, stats *Stats) {
 	root := opts.Trace.Root()
 	s := newSearcher(e, pq, stats, opts.CollectTrees)

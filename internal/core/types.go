@@ -29,11 +29,6 @@ type Options struct {
 	// and SP — used by the ablation benchmarks, never in normal operation.
 	NoRule1 bool
 	NoRule2 bool
-	// UseGrid makes BSP/SPP consume places from the uniform grid instead
-	// of the R-tree (requires Engine.EnableGrid). Results are identical;
-	// only access counts change. SP always uses the R-tree, whose node
-	// structure its pruning rules depend on.
-	UseGrid bool
 	// MaxDist, when positive, restricts results to places within that
 	// Euclidean distance of the query location ("nearby hospitals" really
 	// means nearby). All algorithms honour it and use it as an extra

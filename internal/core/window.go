@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"ksp/internal/alpha"
@@ -11,10 +12,10 @@ import (
 
 // Windowed, bound-ordered candidate scheduling (DESIGN.md §11).
 //
-// The classic loops consume places strictly one at a time in stream order,
-// so θ tightens only as fast as that order happens to surface good places,
-// and TQSP constructions run on candidates that cheap semantic bounds could
-// have deferred or killed. The window scheduler batches the stream: it
+// Without a window (Options.Window 1) the loop consumes places strictly
+// one at a time in stream order, so θ tightens only as fast as that order
+// happens to surface good places, and TQSP constructions run on
+// candidates that cheap semantic bounds could have deferred or killed. The window scheduler batches the stream: it
 // bulk-pops the next W candidates, screens the whole batch with zero BFS
 // (Rule 1 reachability, α-radius bounds, looseness-cache facts, and the
 // keywords-missing-at-root floor of Rule 2's lower bound), then emits the
@@ -107,38 +108,6 @@ type windowCand struct {
 	bound float64
 }
 
-// bulkCandSource is the bulk form of candSource: fillWindow appends up to
-// w candidates in stream order to buf and returns the extended slice plus
-// a resume bound — a lower bound, in score space, on every candidate not
-// yet popped (+Inf when the stream is exhausted or terminated).
-type bulkCandSource interface {
-	candSource
-	fillWindow(w int, buf []windowCand) ([]windowCand, float64)
-}
-
-// genericBulk adapts any candSource to bulkCandSource by popping one at a
-// time. The stream-order bound invariant (non-decreasing) makes the last
-// popped bound a valid resume bound.
-type genericBulk struct{ src candSource }
-
-func (g *genericBulk) next() (candidate, bool) { return g.src.next() }
-func (g *genericBulk) close()                  { g.src.close() }
-
-func (g *genericBulk) fillWindow(w int, buf []windowCand) ([]windowCand, float64) {
-	for len(buf) < w {
-		c, ok := g.src.next()
-		if !ok {
-			return buf, math.Inf(1)
-		}
-		buf = append(buf, windowCand{place: c.place, dist: c.dist, bound: c.bound})
-	}
-	resume := math.Inf(1)
-	if n := len(buf); n > 0 {
-		resume = buf[n-1].bound
-	}
-	return buf, resume
-}
-
 // screened is a window member that survived the screens, scheduled by its
 // screen bound (a lower bound on its true score).
 type screened struct {
@@ -147,12 +116,12 @@ type screened struct {
 	screenBound float64
 }
 
-// windowSource implements candSource over a bulkCandSource: fill, screen,
-// sort, emit. It is driven by one goroutine (the serial loop or the
-// parallel producer), like every candSource.
+// windowSource batches a placeStream: fill, screen, sort, emit. It is
+// driven by one goroutine (the serial loop or the parallel producer),
+// like the candStream it belongs to.
 type windowSource struct {
 	e     *Engine
-	inner bulkCandSource
+	inner placeStream
 	pq    *prepQuery
 	qv    *alpha.QueryView // nil unless rule2 screening and α enabled
 	theta func() float64
@@ -170,7 +139,7 @@ type windowSource struct {
 	done   bool
 }
 
-func newWindowSource(e *Engine, inner bulkCandSource, pq *prepQuery, qv *alpha.QueryView, theta func() float64, st *Stats, w int, adaptive bool, rule1, rule2 bool) *windowSource {
+func newWindowSource(e *Engine, inner placeStream, pq *prepQuery, qv *alpha.QueryView, theta func() float64, st *Stats, w int, adaptive bool, rule1, rule2 bool) *windowSource {
 	//ksplint:ignore allocbound -- one source per query, inside TestAllocBudget's budget
 	return &windowSource{
 		e: e, inner: inner, pq: pq, qv: qv, theta: theta, stats: st,
@@ -242,7 +211,7 @@ func (ws *windowSource) fill() {
 		}
 		ws.win = append(ws.win, screened{place: c.place, dist: c.dist, screenBound: sb})
 	}
-	sort.SliceStable(ws.win, func(i, j int) bool { return ws.win[i].screenBound < ws.win[j].screenBound })
+	slices.SortStableFunc(ws.win, func(a, b screened) int { return cmp.Compare(a.screenBound, b.screenBound) })
 
 	if ws.adaptive {
 		switch {
@@ -323,31 +292,5 @@ func (ws *windowSource) close() {
 		wt.candidates.Add(ws.stats.WindowCandidates)
 		wt.screenKilled.Add(ws.stats.WindowScreenKilled)
 		wt.deferredKilled.Add(ws.stats.WindowDeferredKilled)
-	}
-	ws.inner.close()
-}
-
-// windowFactory wraps a sourceFactory so the loops consume the windowed,
-// bound-ordered stream. Rule 1 moves into the screens; the caller must
-// pass rule1=false to the evaluation loop.
-func (e *Engine) windowFactory(inner sourceFactory, pq *prepQuery, w int, adaptive bool, rule1, rule2 bool) sourceFactory {
-	return func(st *Stats, theta func() float64) (candSource, error) {
-		src, err := inner(st, theta)
-		if err != nil {
-			return nil, err
-		}
-		bulk, ok := src.(bulkCandSource)
-		if !ok {
-			bulk = &genericBulk{src: src} //ksplint:ignore allocbound -- one adapter per query, only for non-bulk sources
-		}
-		var qv *alpha.QueryView
-		if rule2 {
-			// Best-effort: a load failure only disables the α screen (the
-			// algorithms that require the view load it themselves and
-			// surface the error there).
-			//ksplint:ignore droppederr -- see above: α screen is optional, the required path re-reports
-			qv, _ = pq.queryView(e)
-		}
-		return newWindowSource(e, bulk, pq, qv, theta, st, w, adaptive, rule1, rule2), nil
 	}
 }

@@ -111,8 +111,8 @@ func TestNextKMatchesNext(t *testing.T) {
 				t.Fatalf("trial %d: divergence at %d: got %v want %v", trial, i, got[i], want[i])
 			}
 		}
-		if mixed.Accesses() != ref.Accesses() {
-			t.Fatalf("trial %d: node accesses diverge: %d vs %d", trial, mixed.Accesses(), ref.Accesses())
+		if mixed.NodeAccesses != ref.NodeAccesses {
+			t.Fatalf("trial %d: node accesses diverge: %d vs %d", trial, mixed.NodeAccesses, ref.NodeAccesses)
 		}
 	}
 }

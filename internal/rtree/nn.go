@@ -95,10 +95,6 @@ func (b *Browser) expand(n *Node) {
 	}
 }
 
-// Accesses returns NodeAccesses; it lets the browser satisfy the engine's
-// spatial-source interface alongside alternative indexes.
-func (b *Browser) Accesses() int64 { return b.NodeAccesses }
-
 // PeekDist returns the lower bound on the distance of the next item without
 // consuming it, and (0, false) when the scan is exhausted. BSP uses this
 // for its termination test on node entries (Algorithm 1 line 7 applies the

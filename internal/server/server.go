@@ -454,7 +454,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	algo := ksp.AlgoSP
 	if a := q.Get("algo"); a != "" {
 		var ok bool
-		if algo, ok = parseAlgo(a); !ok {
+		if algo, ok = ksp.ParseAlgorithm(a); !ok {
 			s.fail(w, http.StatusBadRequest, "algo must be one of BSP, SPP, SP, TA")
 			return
 		}
@@ -709,20 +709,6 @@ func (s *Server) clampParallel(p int) int {
 		return 0
 	}
 	return p
-}
-
-func parseAlgo(s string) (ksp.Algorithm, bool) {
-	switch strings.ToUpper(s) {
-	case "BSP":
-		return ksp.AlgoBSP, true
-	case "SPP":
-		return ksp.AlgoSPP, true
-	case "SP":
-		return ksp.AlgoSP, true
-	case "TA":
-		return ksp.AlgoTA, true
-	}
-	return 0, false
 }
 
 // handleKeyword serves location-free keyword search: the places with the

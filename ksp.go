@@ -171,37 +171,25 @@ const (
 )
 
 // Algorithm selects the query evaluation strategy.
-type Algorithm int
+type Algorithm = core.Algorithm
 
 // The four strategies of the paper's evaluation.
 const (
 	// AlgoBSP is the basic method (Section 3).
-	AlgoBSP Algorithm = iota
+	AlgoBSP = core.AlgoBSP
 	// AlgoSPP adds unqualified-place and dynamic-bound pruning
 	// (Section 4).
-	AlgoSPP
+	AlgoSPP = core.AlgoSPP
 	// AlgoSP adds the α-radius bounds over places and R-tree nodes
 	// (Section 5) — the paper's fastest.
-	AlgoSP
+	AlgoSP = core.AlgoSP
 	// AlgoTA is the threshold-algorithm baseline (Section 6.2.6).
-	AlgoTA
+	AlgoTA = core.AlgoTA
 )
 
-// String implements fmt.Stringer.
-func (a Algorithm) String() string {
-	switch a {
-	case AlgoBSP:
-		return "BSP"
-	case AlgoSPP:
-		return "SPP"
-	case AlgoSP:
-		return "SP"
-	case AlgoTA:
-		return "TA"
-	default:
-		return fmt.Sprintf("Algorithm(%d)", int(a))
-	}
-}
+// ParseAlgorithm returns the algorithm named s ("BSP", "SPP", "SP" or
+// "TA"), ignoring case.
+func ParseAlgorithm(s string) (Algorithm, bool) { return core.ParseAlgorithm(s) }
 
 // Config controls index construction.
 type Config struct {
@@ -358,18 +346,7 @@ func (d *Dataset) SearchWith(algo Algorithm, q Query, opts Options) ([]Result, *
 	if math.IsNaN(opts.MaxDist) {
 		return nil, &Stats{}, fmt.Errorf("%w: MaxDist is NaN", ErrBadCoordinate)
 	}
-	switch algo {
-	case AlgoBSP:
-		return d.engine.BSP(q, opts)
-	case AlgoSPP:
-		return d.engine.SPP(q, opts)
-	case AlgoSP:
-		return d.engine.SP(q, opts)
-	case AlgoTA:
-		return d.engine.TA(q, opts)
-	default:
-		return nil, nil, fmt.Errorf("ksp: unknown algorithm %v", algo)
-	}
+	return d.engine.Search(algo, q, opts)
 }
 
 // Explain answers q exactly like SearchWith and additionally returns
@@ -381,14 +358,14 @@ func (d *Dataset) Explain(algo Algorithm, q Query, opts Options) ([]Result, *Exp
 	if err != nil {
 		return res, nil, err
 	}
-	return res, d.engine.Explain(algo.String(), q, opts, stats, len(res)), nil
+	return res, d.engine.Explain(algo, q, opts, stats, len(res)), nil
 }
 
 // ExplainFor assembles an ExplainReport for a query that already ran
 // (with SearchWith) and produced stats — the server uses it to attach
 // EXPLAIN output without evaluating twice.
 func (d *Dataset) ExplainFor(algo Algorithm, q Query, opts Options, stats *Stats, results int) *ExplainReport {
-	return d.engine.Explain(algo.String(), q, opts, stats, results)
+	return d.engine.Explain(algo, q, opts, stats, results)
 }
 
 // AlphaRadius reports the α of the word-neighbourhood index, 0 when the
