@@ -49,9 +49,7 @@ func main() {
 		alphaR   = flag.Int("alpha", 3, "α radius, at most 255 (N-Triples loading only)")
 		maxK     = flag.Int("maxk", 100, "largest k a request may ask for")
 		timeout  = flag.Duration("timeout", 10*time.Second, "per-query evaluation cap")
-		parallel = flag.Int("parallel", 0, "default pipeline workers per query (0 = serial; requests may override with ?parallel=, capped at GOMAXPROCS)")
 		window   = flag.Int("window", 0, "default candidate window per query (0 = adaptive, 1 = classic one-at-a-time loop, W>=2 fixed; requests may override with ?window=)")
-		depth    = flag.Int("pipeline-depth", 0, "per-worker deque bound for parallel queries (0 = derived from workers and window, self-tuned from starvation feedback)")
 		cache    = flag.Int("cache", 0, "looseness cache entries (0 = disabled, negative = built-in default)")
 		pprof    = flag.String("pprof", "", "side listen address for net/http/pprof (empty = disabled), e.g. localhost:6060")
 
@@ -62,7 +60,7 @@ func main() {
 		shardHedge  = flag.Duration("shard-hedge-after", 250*time.Millisecond, "hedge a second shard attempt after this long (negative = no hedging)")
 		shardFanout = flag.Int("shard-fanout", 0, "cap on concurrent shard calls per query, dispatched by ascending MinDist (0 = no cap)")
 
-		admitWidth = flag.Int("admit-width", 0, "total pipeline width admitted concurrently (0 = 2×GOMAXPROCS, negative = unlimited)")
+		admitWidth = flag.Int("admit-width", 0, "concurrent searches admitted (0 = 2×GOMAXPROCS, negative = unlimited)")
 		admitQueue = flag.Int("admit-queue", 0, "requests that may queue for admission before shedding 429 (0 = 16, negative = no queue)")
 		queueWait  = flag.Duration("queue-wait", time.Second, "longest a request queues for admission before shedding 503")
 		drain      = flag.Duration("drain", 15*time.Second, "in-flight request drain budget on SIGTERM/SIGINT")
@@ -127,12 +125,7 @@ func main() {
 	s.Logger = logger
 	s.MaxK = *maxK
 	s.Timeout = *timeout
-	s.DefaultParallel = s.MaxParallel
-	if *parallel >= 0 {
-		s.DefaultParallel = *parallel
-	}
 	s.DefaultWindow = *window
-	s.PipelineDepth = *depth
 	s.AdmitCapacity = *admitWidth
 	s.AdmitQueue = *admitQueue
 	s.QueueTimeout = *queueWait

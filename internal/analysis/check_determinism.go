@@ -21,8 +21,8 @@ import (
 //     value that escapes into anything else (a struct field, another
 //     call, a return) can order results and is reported.
 //
-// DESIGN.md §8 and §11 argue the top-k is bit-identical across serial,
-// parallel, and windowed evaluation; that argument dies silently the
+// DESIGN.md §11 and §14 argue the top-k is bit-identical across
+// classic, windowed and sharded evaluation; that argument dies silently the
 // first time an iteration order or a clock leaks into scoring, which is
 // exactly the regression class this check catches.
 var DeterminismCheck = &Analyzer{

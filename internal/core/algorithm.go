@@ -133,7 +133,7 @@ func (e *Engine) SP(q Query, opts Options) ([]Result, *Stats, error) {
 // combines them: each sorted access completes the other attribute on the
 // fly, and search stops when the kth candidate's score reaches
 // τ = f(L_last, S_last). TA ignores Options.Bound, like it ignores
-// Options.Window and Options.Parallelism.
+// Options.Window.
 func (e *Engine) TA(q Query, opts Options) ([]Result, *Stats, error) {
 	return e.Search(AlgoTA, q, opts)
 }
@@ -183,9 +183,9 @@ func (e *Engine) Search(a Algorithm, q Query, opts Options) (results []Result, s
 	return results, stats, nil
 }
 
-// finishStats computes OtherTime as the wall-clock remainder. In a
-// parallel run SemanticTime sums concurrent workers (CPU seconds) and
-// can exceed the wall clock; clamp rather than report negative time.
+// finishStats computes OtherTime as the wall-clock remainder.
+// SemanticTime is summed from separate clock readings, so clamp rather
+// than ever report negative time.
 func finishStats(stats *Stats, elapsed time.Duration) {
 	stats.OtherTime = elapsed - stats.SemanticTime
 	if stats.OtherTime < 0 {

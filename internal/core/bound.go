@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 )
 
 // Bound is the one top-k threshold several cooperating evaluations of
@@ -110,3 +111,9 @@ func (b *Bound) publish(kth float64) {
 	b.theta.store(kth)
 	b.ceiling.store(math.Nextafter(kth, math.Inf(1)))
 }
+
+// atomicFloat64 is a float64 with atomic load and store.
+type atomicFloat64 struct{ bits atomic.Uint64 }
+
+func (a *atomicFloat64) store(v float64) { a.bits.Store(math.Float64bits(v)) }
+func (a *atomicFloat64) load() float64   { return math.Float64frombits(a.bits.Load()) }

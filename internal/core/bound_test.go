@@ -110,8 +110,7 @@ func TestBoundConcurrentOffers(t *testing.T) {
 
 // Two engines over disjoint halves of the places, evaluating the same
 // query concurrently under one bound, together return the full engine's
-// top-k — for every pipelined algorithm, serial and parallel, windowed
-// and classic. Each half may return fewer than its private top-k; the
+// top-k — for every stream algorithm, windowed and classic. Each half may return fewer than its private top-k; the
 // (score, place) merge of the halves is what must match. TA ignores the
 // bound and keeps returning its private answer.
 func TestEnginesCooperateUnderBound(t *testing.T) {
@@ -133,42 +132,40 @@ func TestEnginesCooperateUnderBound(t *testing.T) {
 	for qi := 0; qi < 6; qi++ {
 		loc, kws := qg.Original(3)
 		q := Query{Loc: loc, Keywords: kws, K: 4}
-		for _, a := range pipelineAlgos {
+		for _, a := range streamAlgos {
 			want, _, err := a.run(full, q, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, par := range []int{0, 3} {
-				for _, window := range []int{0, 1} {
-					b := NewBound(q.K)
-					parts := make([][]Result, len(halves))
-					var wg sync.WaitGroup
-					for i, h := range halves {
-						wg.Add(1)
-						go func(i int, h *Engine) {
-							defer wg.Done()
-							res, _, err := a.run(h, q, Options{Parallelism: par, Window: window, Bound: b})
-							if err != nil {
-								t.Error(err)
-							}
-							parts[i] = res
-						}(i, h)
-					}
-					wg.Wait()
-					merged := append(append([]Result(nil), parts[0]...), parts[1]...)
-					slices.SortFunc(merged, func(x, y Result) int {
-						if x.Score != y.Score {
-							return cmp.Compare(x.Score, y.Score)
+			for _, window := range []int{0, 1} {
+				b := NewBound(q.K)
+				parts := make([][]Result, len(halves))
+				var wg sync.WaitGroup
+				for i, h := range halves {
+					wg.Add(1)
+					go func(i int, h *Engine) {
+						defer wg.Done()
+						res, _, err := a.run(h, q, Options{Window: window, Bound: b})
+						if err != nil {
+							t.Error(err)
 						}
-						return cmp.Compare(x.Place, y.Place)
-					})
-					if len(merged) > q.K {
-						merged = merged[:q.K]
+						parts[i] = res
+					}(i, h)
+				}
+				wg.Wait()
+				merged := append(append([]Result(nil), parts[0]...), parts[1]...)
+				slices.SortFunc(merged, func(x, y Result) int {
+					if x.Score != y.Score {
+						return cmp.Compare(x.Score, y.Score)
 					}
-					identicalResults(t, a.name, merged, want)
-					if len(want) == q.K && b.Theta() != want[q.K-1].Score {
-						t.Fatalf("%s: shared θ ended at %v, want the kth score %v", a.name, b.Theta(), want[q.K-1].Score)
-					}
+					return cmp.Compare(x.Place, y.Place)
+				})
+				if len(merged) > q.K {
+					merged = merged[:q.K]
+				}
+				identicalResults(t, a.name, merged, want)
+				if len(want) == q.K && b.Theta() != want[q.K-1].Score {
+					t.Fatalf("%s: shared θ ended at %v, want the kth score %v", a.name, b.Theta(), want[q.K-1].Score)
 				}
 			}
 		}
@@ -190,9 +187,8 @@ func TestEnginesCooperateUnderBound(t *testing.T) {
 }
 
 // A bound that k places elsewhere have already driven to θ = 0 ends the
-// evaluation before any TQSP is constructed — in the serial loop and,
-// through pipeTheta, in the parallel producer and workers alike — and a
-// place scoring exactly the shared θ is still admitted.
+// evaluation before any TQSP is constructed, and a place scoring exactly
+// the shared θ is still admitted.
 func TestBoundCeilingStopsWork(t *testing.T) {
 	g := gen.Generate(gen.YagoConfig(1500, 941))
 	e := NewEngine(g, rdf.Outgoing)
@@ -207,27 +203,25 @@ func TestBoundCeilingStopsWork(t *testing.T) {
 	}
 	const elsewhere = 1 << 30 // place IDs no graph this size uses
 
-	for _, par := range []int{0, 3} {
-		zero := NewBound(q.K)
-		zero.Offer(elsewhere, 0)
-		zero.Offer(elsewhere+1, 0)
-		got, stats, err := e.SP(q, Options{Parallelism: par, Bound: zero})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != 0 || stats.TQSPComputations != 0 {
-			t.Errorf("parallel=%d under θ=0: %d results, %d TQSPs, want none", par, len(got), stats.TQSPComputations)
-		}
-
-		// Two places elsewhere tie the true kth score exactly: the strict
-		// comparison must keep this engine's own kth place.
-		tie := NewBound(q.K)
-		tie.Offer(elsewhere, want[q.K-1].Score)
-		tie.Offer(elsewhere+1, want[q.K-1].Score)
-		got, _, err = e.SP(q, Options{Parallelism: par, Bound: tie})
-		if err != nil {
-			t.Fatal(err)
-		}
-		identicalResults(t, "tie at the shared θ", got, want)
+	zero := NewBound(q.K)
+	zero.Offer(elsewhere, 0)
+	zero.Offer(elsewhere+1, 0)
+	got, stats, err := e.SP(q, Options{Bound: zero})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if len(got) != 0 || stats.TQSPComputations != 0 {
+		t.Errorf("under θ=0: %d results, %d TQSPs, want none", len(got), stats.TQSPComputations)
+	}
+
+	// Two places elsewhere tie the true kth score exactly: the strict
+	// comparison must keep this engine's own kth place.
+	tie := NewBound(q.K)
+	tie.Offer(elsewhere, want[q.K-1].Score)
+	tie.Offer(elsewhere+1, want[q.K-1].Score)
+	got, _, err = e.SP(q, Options{Bound: tie})
+	if err != nil {
+		t.Fatal(err)
+	}
+	identicalResults(t, "tie at the shared θ", got, want)
 }

@@ -17,9 +17,6 @@ import (
 var corePoints = []string{
 	PointPrepare,
 	PointSerialCandidate,
-	PointProducer,
-	PointWorker,
-	PointFinalizer,
 	PointBFS,
 	PointWindowFill,
 }
@@ -75,7 +72,7 @@ func assertSoundPrefix(t *testing.T, name string, got []Result, stats *Stats, wa
 }
 
 // settleGoroutines fails the test if the goroutine count stays above
-// its start-of-test level — a stuck producer/worker/finalizer.
+// its start-of-test level — a query that left a goroutine behind.
 func settleGoroutines(t *testing.T, before int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -90,12 +87,13 @@ func settleGoroutines(t *testing.T, before int) {
 }
 
 // TestChaos drives every injection point with every fault action —
-// panic, stall past the deadline, cancellation — under serial and
-// parallel evaluation, asserting the blast-radius contract: a panic
-// fails one query with *PanicError; a stalled or cancelled query
-// returns a sound partial answer with no error; nothing deadlocks or
-// leaks goroutines; and after Deactivate the engine answers exactly
-// again.
+// panic, stall past the deadline, cancellation — while par queries
+// (1 or 4) run at once on the shared engine, asserting the
+// blast-radius contract: a panic fails only the query it fired in, with
+// *PanicError, and leaves the concurrent ones sound; a stalled or
+// cancelled query returns a sound partial answer with no error; nothing
+// deadlocks or leaks goroutines; and after Deactivate the engine answers
+// exactly again.
 func TestChaos(t *testing.T) {
 	g := gen.Generate(gen.DBpediaConfig(900, 41))
 	qg := gen.NewQueryGen(g, rdf.Outgoing, 42)
@@ -112,16 +110,30 @@ func TestChaos(t *testing.T) {
 		t.Fatal("baseline query returned nothing; fixture too small")
 	}
 
-	run := func(name string, par int, plan *faultinject.Plan, check func(t *testing.T, got []Result, stats *Stats, err error, fired int64)) {
+	type outcome struct {
+		got   []Result
+		stats *Stats
+		err   error
+	}
+	run := func(name string, par int, plan *faultinject.Plan, check func(t *testing.T, runs []outcome, fired int64)) {
 		t.Run(name, func(t *testing.T) {
 			// The baseline must be read on this goroutine: the parent
 			// test's goroutine is alive for exactly as long as the subtest.
 			before := runtime.NumGoroutine()
 			faultinject.Activate(plan)
 			defer faultinject.Deactivate()
-			got, stats, err := e.SP(q, Options{Parallelism: par, Deadline: 30 * time.Millisecond})
+			runs := make([]outcome, par)
+			var wg sync.WaitGroup
+			for i := range runs {
+				wg.Add(1)
+				go func(o *outcome) {
+					defer wg.Done()
+					o.got, o.stats, o.err = e.SP(q, Options{Deadline: 30 * time.Millisecond})
+				}(&runs[i])
+			}
+			wg.Wait()
 			faultinject.Deactivate()
-			check(t, got, stats, err, plan.FiredTotal())
+			check(t, runs, plan.FiredTotal())
 			settleGoroutines(t, before)
 		})
 	}
@@ -134,36 +146,43 @@ func TestChaos(t *testing.T) {
 
 			run("panic/"+tag, par, faultinject.NewPlan(1).Add(faultinject.Fault{
 				Point: point, Action: faultinject.Panic, Times: 1,
-			}), func(t *testing.T, got []Result, stats *Stats, err error, fired int64) {
-				if fired == 0 {
-					// The point is off this evaluation path (e.g. a parallel
-					// stage under serial execution): the query must be exact.
-					if err != nil {
-						t.Fatalf("no fault fired but query failed: %v", err)
+			}), func(t *testing.T, runs []outcome, fired int64) {
+				if fired != 1 {
+					t.Fatalf("point %s fired %d times on SP's path, want 1", point, fired)
+				}
+				panicked := 0
+				for _, o := range runs {
+					var pe *PanicError
+					if !errors.As(o.err, &pe) {
+						if o.err != nil {
+							t.Fatalf("query beside the panic failed: %v", o.err)
+						}
+						assertSoundPrefix(t, "panic/"+tag, o.got, o.stats, want)
+						continue
 					}
-					assertSoundPrefix(t, "panic/"+tag, got, stats, want)
-					return
+					panicked++
+					var inj *faultinject.Injected
+					if !errors.As(o.err, &inj) && !isInjectedValue(pe.Value) {
+						t.Fatalf("panic value %v is not the injected marker", pe.Value)
+					}
+					if o.got != nil {
+						t.Fatalf("panicking query leaked results: %v", o.got)
+					}
 				}
-				var pe *PanicError
-				if !errors.As(err, &pe) {
-					t.Fatalf("injected panic surfaced as %v, want *PanicError", err)
-				}
-				var inj *faultinject.Injected
-				if !errors.As(err, &inj) && !isInjectedValue(pe.Value) {
-					t.Fatalf("panic value %v is not the injected marker", pe.Value)
-				}
-				if got != nil {
-					t.Fatalf("panicking query leaked results: %v", got)
+				if panicked != 1 {
+					t.Fatalf("%d of %d queries failed with *PanicError, want exactly 1", panicked, len(runs))
 				}
 			})
 
 			run("stall/"+tag, par, faultinject.NewPlan(2).Add(faultinject.Fault{
 				Point: point, Action: faultinject.Stall, StallFor: 15 * time.Millisecond,
-			}), func(t *testing.T, got []Result, stats *Stats, err error, fired int64) {
-				if err != nil {
-					t.Fatalf("stalled query failed: %v", err)
+			}), func(t *testing.T, runs []outcome, fired int64) {
+				for _, o := range runs {
+					if o.err != nil {
+						t.Fatalf("stalled query failed: %v", o.err)
+					}
+					assertSoundPrefix(t, "stall/"+tag, o.got, o.stats, want)
 				}
-				assertSoundPrefix(t, "stall/"+tag, got, stats, want)
 			})
 
 			cancel := make(chan struct{})
@@ -171,19 +190,20 @@ func TestChaos(t *testing.T) {
 			run("cancel/"+tag, par, faultinject.NewPlan(3).Add(faultinject.Fault{
 				Point: point, Action: faultinject.Call,
 				Func: func() { once.Do(func() { close(cancel) }) },
-			}), func(t *testing.T, got []Result, stats *Stats, err error, fired int64) {
-				_ = cancel
-				if err != nil {
-					t.Fatalf("cancelled query failed: %v", err)
+			}), func(t *testing.T, runs []outcome, fired int64) {
+				for _, o := range runs {
+					if o.err != nil {
+						t.Fatalf("cancelled query failed: %v", o.err)
+					}
+					assertSoundPrefix(t, "cancel/"+tag, o.got, o.stats, want)
 				}
-				assertSoundPrefix(t, "cancel/"+tag, got, stats, want)
 			})
 		}
 	}
 
 	// With every plan deactivated the engine must answer exactly again.
 	before := runtime.NumGoroutine()
-	got, stats, err := e.SP(q, Options{Parallelism: 4})
+	got, stats, err := e.SP(q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,26 +236,24 @@ func TestChaosCancelViaOptions(t *testing.T) {
 	}
 
 	before := runtime.NumGoroutine()
-	for _, point := range []string{PointSerialCandidate, PointWorker, PointBFS} {
-		for _, par := range []int{1, 4} {
-			cancel := make(chan struct{})
-			var once sync.Once
-			plan := faultinject.NewPlan(5).Add(faultinject.Fault{
-				Point: point, Action: faultinject.Call, AfterN: 2,
-				Func: func() { once.Do(func() { close(cancel) }) },
-			})
-			faultinject.Activate(plan)
-			got, stats, err := e.SP(q, Options{Parallelism: par, Cancel: cancel})
-			faultinject.Deactivate()
-			if err != nil {
-				t.Fatalf("%s par=%d: %v", point, par, err)
-			}
-			if plan.Fired(point) >= 2 && !stats.Cancelled {
-				t.Fatalf("%s par=%d: cancel fired but Stats.Cancelled false", point, par)
-			}
-			assertSoundPrefix(t, point, got, stats, want)
-			settleGoroutines(t, before)
+	for _, point := range []string{PointSerialCandidate, PointBFS} {
+		cancel := make(chan struct{})
+		var once sync.Once
+		plan := faultinject.NewPlan(5).Add(faultinject.Fault{
+			Point: point, Action: faultinject.Call, AfterN: 2,
+			Func: func() { once.Do(func() { close(cancel) }) },
+		})
+		faultinject.Activate(plan)
+		got, stats, err := e.SP(q, Options{Cancel: cancel})
+		faultinject.Deactivate()
+		if err != nil {
+			t.Fatalf("%s: %v", point, err)
 		}
+		if plan.Fired(point) >= 2 && !stats.Cancelled {
+			t.Fatalf("%s: cancel fired but Stats.Cancelled false", point)
+		}
+		assertSoundPrefix(t, point, got, stats, want)
+		settleGoroutines(t, before)
 	}
 }
 
@@ -261,21 +279,19 @@ func TestChaosCancelMidWindow(t *testing.T) {
 
 	before := runtime.NumGoroutine()
 	for _, win := range []int{0, 2, 64} { // adaptive, tiny, one-shot
-		for _, par := range []int{1, 4} {
-			cancel := make(chan struct{})
-			var once sync.Once
-			plan := faultinject.NewPlan(7).Add(faultinject.Fault{
-				Point: PointWindowFill, Action: faultinject.Call, AfterN: 1,
-				Func: func() { once.Do(func() { close(cancel) }) },
-			})
-			faultinject.Activate(plan)
-			got, stats, err := e.SP(q, Options{Parallelism: par, Window: win, Cancel: cancel})
-			faultinject.Deactivate()
-			if err != nil {
-				t.Fatalf("window=%d par=%d: %v", win, par, err)
-			}
-			assertSoundPrefix(t, "mid-window", got, stats, want)
-			settleGoroutines(t, before)
+		cancel := make(chan struct{})
+		var once sync.Once
+		plan := faultinject.NewPlan(7).Add(faultinject.Fault{
+			Point: PointWindowFill, Action: faultinject.Call, AfterN: 1,
+			Func: func() { once.Do(func() { close(cancel) }) },
+		})
+		faultinject.Activate(plan)
+		got, stats, err := e.SP(q, Options{Window: win, Cancel: cancel})
+		faultinject.Deactivate()
+		if err != nil {
+			t.Fatalf("window=%d: %v", win, err)
 		}
+		assertSoundPrefix(t, "mid-window", got, stats, want)
+		settleGoroutines(t, before)
 	}
 }

@@ -79,6 +79,45 @@ func sameResults(t *testing.T, name string, got, want []Result) {
 	}
 }
 
+// identicalResults demands bit-identical answers — two evaluations of
+// the same query (windowed and classic, cached and cacheless, sharded
+// and whole) promise the same answer, not approximate agreement, so no
+// epsilon is allowed (contrast sameResults, which tolerates float noise
+// against the brute-force reference).
+func identicalResults(t *testing.T, name string, got, want []Result) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d results, want %d\ngot:  %+v\nwant: %+v", name, len(got), len(want), got, want)
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if g.Place != w.Place || g.Looseness != w.Looseness || g.Dist != w.Dist || g.Score != w.Score {
+			t.Fatalf("%s: result %d = %+v, want %+v", name, i, g, w)
+		}
+	}
+}
+
+func sameTrees(t *testing.T, name string, got, want []Result) {
+	t.Helper()
+	for i := range want {
+		gt, wt := got[i].Tree, want[i].Tree
+		if (gt == nil) != (wt == nil) {
+			t.Fatalf("%s: result %d tree presence mismatch", name, i)
+		}
+		if gt == nil {
+			continue
+		}
+		if gt.Root != wt.Root || len(gt.Nodes) != len(wt.Nodes) {
+			t.Fatalf("%s: result %d tree shape mismatch: %+v vs %+v", name, i, gt, wt)
+		}
+		for j := range wt.Nodes {
+			if gt.Nodes[j].V != wt.Nodes[j].V || gt.Nodes[j].Parent != wt.Nodes[j].Parent || gt.Nodes[j].Depth != wt.Nodes[j].Depth {
+				t.Fatalf("%s: result %d tree node %d mismatch", name, i, j)
+			}
+		}
+	}
+}
+
 // All four algorithms must return the exact brute-force top-k on randomly
 // generated datasets and workloads — for every α, both dataset shapes, and
 // several k and |q.ψ| values.

@@ -42,7 +42,7 @@ func TestAlgorithmCountOrder(t *testing.T) {
 				loc, kws := qg.Original(m)
 				q := Query{Loc: loc, Keywords: kws, K: k}
 				var st [3]*Stats
-				for j, a := range pipelineAlgos {
+				for j, a := range streamAlgos {
 					_, s, err := a.run(e, q, Options{})
 					if err != nil {
 						t.Fatalf("query %d %s: %v", i, a.name, err)
@@ -59,7 +59,7 @@ func TestAlgorithmCountOrder(t *testing.T) {
 					t.Errorf("query %d: R-tree node accesses SP %d, SPP %d: want SP < SPP",
 						i, sp.RTreeNodeAccesses, spp.RTreeNodeAccesses)
 				}
-				for j, a := range pipelineAlgos[1:] {
+				for j, a := range streamAlgos[1:] {
 					base := st[j+1]
 					for r, rule := range []struct {
 						name string
@@ -80,7 +80,7 @@ func TestAlgorithmCountOrder(t *testing.T) {
 			t.Logf("Σ over %d queries: TQSPs BSP/SPP/SP %d/%d/%d, R-tree node accesses SPP/SP %d/%d",
 				queries, sum[0].TQSPComputations, sum[1].TQSPComputations, sum[2].TQSPComputations,
 				sum[1].RTreeNodeAccesses, sum[2].RTreeNodeAccesses)
-			for j, a := range pipelineAlgos[1:] {
+			for j, a := range streamAlgos[1:] {
 				t.Logf("%s Σ TQSPs / BFS expansions: default %d / %d, NoRule1 %d / %d, NoRule2 %d / %d", a.name,
 					sum[j+1].TQSPComputations, sum[j+1].BFSVertexVisits,
 					off[j][0].TQSPComputations, off[j][0].BFSVertexVisits,

@@ -35,8 +35,7 @@ type Engine struct {
 	Rank  Ranking
 
 	// pools recycles per-query scratch (Mq.ψ bitsets, BFS state)
-	// across queries and across the workers of one parallel query. A
-	// pointer so WithAlpha clones share it (the graph, and hence every
+	// across queries. A pointer so WithAlpha clones share it (the graph, and hence every
 	// scratch size, is identical).
 	pools *enginePools
 	// loose is the optional cross-query looseness cache
@@ -51,10 +50,6 @@ type Engine struct {
 	// (WindowStats). A pointer so WithAlpha's `clone := *e` shares it and
 	// never copies the atomics.
 	winTotals *windowTotals
-	// sched accumulates the work-stealing scheduler's lifetime counters
-	// and its starvation-feedback depth hint (SchedStats). A pointer for
-	// the same WithAlpha-sharing reason as winTotals.
-	sched *schedTotals
 }
 
 // enginePools recycles allocation-heavy per-query state.
@@ -235,7 +230,6 @@ func NewEngine(g *rdf.Graph, dir rdf.Direction) *Engine {
 		Rank:      ProductRanking{},
 		pools:     &enginePools{},
 		winTotals: &windowTotals{},
-		sched:     &schedTotals{},
 	}
 }
 
@@ -272,9 +266,8 @@ func (e *Engine) WithAlpha(alphaRadius int) *Engine {
 // ascending document frequency (the paper prioritizes infrequent keywords
 // in Rule 1), those frequencies, and the map Mq.ψ from vertices to keyword
 // masks, one bitset per keyword. Posting lists are only borrowed while
-// prepare sets them into Mq.ψ. Read-only once prepare returns, so the
-// workers of a parallel evaluation share it freely; the engine recycles
-// mq via releasePrep.
+// prepare sets them into Mq.ψ. Read-only once prepare returns; the
+// engine recycles mq via releasePrep.
 type prepQuery struct {
 	loc   Query
 	terms []uint32
@@ -289,16 +282,14 @@ type prepQuery struct {
 	answerable bool
 	// qv caches the α-radius query view for terms, loaded at most once
 	// per query (SP's stream and the window screens share it). Guarded by
-	// qvLoaded, not a mutex: queryView is only called on the query's main
-	// goroutine before the pipeline spawns.
+	// qvLoaded, not a mutex: a query runs on one goroutine.
 	qv       *alpha.QueryView
 	qvErr    error
 	qvLoaded bool
 }
 
 // queryView lazily loads the α-radius view for pq's keyword set,
-// returning (nil, nil) when the α index is absent. Call before the
-// parallel pipeline spawns; the cached view is read-only afterwards.
+// returning (nil, nil) when the α index is absent.
 func (pq *prepQuery) queryView(e *Engine) (*alpha.QueryView, error) {
 	if !pq.qvLoaded {
 		pq.qvLoaded = true
@@ -323,9 +314,9 @@ func termSig(terms []uint32) string {
 }
 
 // releasePrep returns a prepared query's pooled scratch to the engine.
-// The prepQuery must not be used afterwards. Always called after the
-// query's pipeline has fully drained (deferred at the algorithm
-// function scope), so the α query view can go back to its pool.
+// The prepQuery must not be used afterwards. Deferred at the algorithm
+// function scope, after the candidate stream is closed, so the α query
+// view can go back to its pool.
 func (e *Engine) releasePrep(pq *prepQuery) {
 	if pq == nil {
 		return

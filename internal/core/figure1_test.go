@@ -30,6 +30,14 @@ var allAlgos = []algo{
 	{"TA", (*Engine).TA},
 }
 
+// streamAlgos are the algorithms driven by a candidate stream — the ones
+// Options.Window and Options.Bound apply to (TA ignores both).
+var streamAlgos = []algo{
+	{"BSP", (*Engine).BSP},
+	{"SPP", (*Engine).SPP},
+	{"SP", (*Engine).SP},
+}
+
 // Examples 5 and 6: at q1 the top-1 is p1 (f = 6·S(q1,p1) ≈ 1.32) and p2
 // ranks second (f = 4·S(q1,p2) ≈ 5.12); at q2 the ranking flips.
 func TestFigure1Examples5And6(t *testing.T) {

@@ -7,12 +7,11 @@ import (
 	"ksp/internal/faultinject"
 )
 
-// candidate is one place the algorithm considers, produced in the serial
+// candidate is one place the algorithm considers, produced in the
 // algorithm's order. bound is the pop-time lower bound on the score of
 // this and every later candidate: MinScore(dist) for the
 // distance-ordered stream (BSP/SPP), the α-bound f(λ(p), S) for SP. The
-// remaining fields are filled by the evaluate step; in a parallel run,
-// ready is closed when they are valid.
+// remaining fields are filled by the evaluate step.
 type candidate struct {
 	place uint32
 	dist  float64
@@ -20,30 +19,18 @@ type candidate struct {
 
 	loose  float64
 	tree   *Tree
-	pruned bool  // rejected by Pruning Rule 1
-	err    error // worker panic, forwarded instead of crashing
-	ready  chan struct{}
+	pruned bool // rejected by Pruning Rule 1
 }
 
 // run evaluates one prepared query with alg's candidate stream and
-// pruning rules: serially, or through the pipeline when opts asks for
-// more than one worker. Both run the same three steps per candidate —
-// admit, evaluate, offer — in the same order, the pipeline with evaluate
-// moved onto its workers.
+// pruning rules: pop the next candidate, admit it, evaluate it and offer
+// it to Hk, one candidate at a time. Each TQSP that enters Hk lowers θ,
+// and θ sets Rule 2's threshold and the termination test for every later
+// candidate, so the loop is serial by construction (DESIGN.md §8).
 func (e *Engine) run(alg *algorithm, pq *prepQuery, opts Options, hk *topK, stats *Stats) error {
 	rule1, rule2 := alg.rules(e, opts)
-	if w := opts.workers(); w > 1 {
-		return e.runParallel(alg, pq, opts, hk, stats, w, rule1, rule2)
-	}
-	return e.runSerial(alg, pq, opts, hk, stats, rule1, rule2)
-}
-
-// runSerial is the zero-worker evaluation loop: pop the next candidate,
-// admit it, evaluate it and offer it to Hk, all inline.
-func (e *Engine) runSerial(alg *algorithm, pq *prepQuery, opts Options, hk *topK, stats *Stats, rule1, rule2 bool) error {
 	root := opts.Trace.Root()
-	theta := hk.theta
-	src, err := e.newStream(alg, pq, opts, stats, theta, rule1, rule2)
+	src, err := e.newStream(alg, pq, opts, hk, stats, rule1, rule2)
 	if err != nil {
 		return err
 	}
@@ -62,7 +49,7 @@ func (e *Engine) runSerial(alg *algorithm, pq *prepQuery, opts Options, hk *topK
 		cs.SetInt("place", int64(c.place))
 		cs.SetFloat("dist", c.dist)
 		s.curSpan = cs
-		e.evaluate(s, &c, rule1, rule2, theta)
+		e.evaluate(s, &c, hk, rule1, rule2)
 		s.curSpan = nil
 		switch {
 		case e.offer(hk, &c):
@@ -98,10 +85,9 @@ func admit(bound float64, hk *topK, stats *Stats, lim limiter) bool {
 }
 
 // evaluate applies Pruning Rule 1, then constructs c's TQSP under Rule
-// 2's looseness threshold from theta (the exact θ in a serial run, the
-// pipeline's stale one on a worker), filling c's outcome fields and the
-// searcher's counters.
-func (e *Engine) evaluate(s *searcher, c *candidate, rule1, rule2 bool, theta func() float64) {
+// 2's looseness threshold from Hk's θ, filling c's outcome fields and
+// the searcher's counters.
+func (e *Engine) evaluate(s *searcher, c *candidate, hk *topK, rule1, rule2 bool) {
 	if rule1 && e.unqualified(c.place, s.pq, s.stats) {
 		c.pruned = true
 		s.curSpan.SetStr("pruned", "rule1")
@@ -109,18 +95,15 @@ func (e *Engine) evaluate(s *searcher, c *candidate, rule1, rule2 bool, theta fu
 	}
 	lw := math.Inf(1)
 	if rule2 {
-		lw = e.Rank.LoosenessThreshold(theta(), c.dist)
+		lw = e.Rank.LoosenessThreshold(hk.theta(), c.dist)
 	}
-	s.liveDist = c.dist
 	semStart := time.Now()
 	c.loose, c.tree = s.semanticPlace(c.place, lw)
 	s.stats.SemanticTime += time.Since(semStart)
 }
 
-// offer inserts an evaluated candidate into Hk when it beats the exact
-// θ, and reports whether it did. In a parallel run the worker evaluated
-// under a stale (looser) threshold; this is where the exact check
-// happens.
+// offer inserts an evaluated candidate into Hk when it beats θ, and
+// reports whether it did.
 func (e *Engine) offer(hk *topK, c *candidate) bool {
 	if c.pruned || math.IsInf(c.loose, 1) {
 		return false

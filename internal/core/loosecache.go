@@ -55,7 +55,7 @@ func looseHash(k looseKey) uint32 {
 }
 
 // looseCacheShards balances lock contention against per-shard LRU
-// quality for the worker counts a single machine runs.
+// quality for the concurrent queries a single machine runs.
 const looseCacheShards = 16
 
 // EnableLoosenessCache attaches a looseness cache of the given entry
@@ -128,7 +128,7 @@ func (lc *looseCache) store(key looseKey, lb float64, exact bool) {
 // semanticPlace is getSemanticPlace behind the looseness cache: an
 // exact hit returns the true L(Tp) with no BFS; a stored lower bound
 // >= lw prunes with no BFS (sound: the true looseness is >= the bound,
-// so the serial algorithm would have discarded the place too); anything
+// so the uncached algorithm would have discarded the place too); anything
 // else falls through to construction and persists what it learned.
 // Tree collection bypasses the cache — the tree itself must be built.
 func (s *searcher) semanticPlace(p uint32, lw float64) (float64, *Tree) {

@@ -41,11 +41,6 @@ type engineMetrics struct {
 	windowFills *obs.Counter
 	windowCands [3]*obs.Counter // evaluated, screen-killed, deferred-killed
 	windowSize  *obs.Histogram  // live, per fill
-
-	steals     *obs.Counter
-	ownPops    *obs.Counter
-	workerIdle *obs.Histogram // live, per parallel run
-	pipeDepth  *obs.Histogram // live, per parallel run
 }
 
 // EnableMetrics registers the engine's instruments in reg and starts
@@ -109,20 +104,6 @@ func (e *Engine) EnableMetrics(reg *obs.Registry) {
 	m.windowSize = reg.Histogram("ksp_engine_window_size",
 		"Batch size of each window fill (adaptive W trajectory).",
 		[]float64{1, 2, 4, 8, 16, 32, 64})
-	m.steals = reg.Counter("ksp_engine_steals_total",
-		"Candidates an idle worker took from the busiest peer's deque.")
-	m.ownPops = reg.Counter("ksp_engine_deque_own_pops_total",
-		"Candidates workers took from their own deque (steals + own pops = "+
-			"candidates that reached a worker).")
-	m.workerIdle = reg.Histogram("ksp_engine_worker_idle_seconds",
-		"Per-query total worker starvation time: how long workers sat parked "+
-			"waiting for candidates, summed across workers.",
-		obs.DefLatencyBuckets)
-	//ksplint:ignore metricname -- dimensionless queue-capacity histogram, same shape as ksp_engine_window_size
-	m.pipeDepth = reg.Histogram("ksp_engine_pipeline_depth",
-		"Resolved per-worker deque capacity of each parallel run "+
-			"(starvation-feedback trajectory).",
-		[]float64{1, 2, 4, 8, 16, 32, 64})
 
 	// The spatial index reports node expansions live through its hook,
 	// so accesses outside query evaluation (NearestPlaces, readiness
@@ -159,8 +140,6 @@ func (e *Engine) noteQuery(algo int, stats *Stats, dur time.Duration) {
 	}
 	m.windowCands[1].Add(stats.WindowScreenKilled)
 	m.windowCands[2].Add(stats.WindowDeferredKilled)
-	m.steals.Add(stats.Steals)
-	m.ownPops.Add(stats.OwnPops)
 	if stats.Partial {
 		if stats.TimedOut {
 			m.partial[0].Inc()
@@ -207,14 +186,5 @@ func (e *Engine) noteRTreeAccess() {
 func (e *Engine) noteWindowFill(n int) {
 	if m := e.metrics; m != nil {
 		m.windowSize.Observe(float64(n))
-	}
-}
-
-// noteSched observes one parallel run's resolved pipeline depth and
-// total worker starvation time, as the pipeline shuts down.
-func (e *Engine) noteSched(depth int, idle time.Duration) {
-	if m := e.metrics; m != nil {
-		m.pipeDepth.Observe(float64(depth))
-		m.workerIdle.Observe(idle.Seconds())
 	}
 }

@@ -176,85 +176,44 @@ func spanAttr(s *obs.SpanJSON, key string) (string, bool) {
 	return "", false
 }
 
-// Serial and parallel runs of the same query must record the same set of
-// candidate spans — the pipeline evaluates the serial candidate stream,
-// only interleaved across workers. The query uses k larger than the
-// qualified-place count so neither run cuts the stream early and the
-// span sets are exactly comparable.
-func TestTraceSpanTreeSerialVsParallel(t *testing.T) {
+// A traced query records one prepare span and one candidate span per
+// evaluated place directly under the root, each constructed candidate
+// carrying its tqsp child. The query uses k larger than the
+// qualified-place count so the stream is not cut early.
+func TestTraceSpanTree(t *testing.T) {
 	f, e := fixtureEngine(t, 3)
 	q := Query{Loc: f.Q1, Keywords: f.Keywords, K: 10}
 
-	candidates := func(parallelism int) (*obs.SpanJSON, map[string]bool) {
-		tr := obs.NewTrace("search")
-		_, _, err := e.SPP(q, Options{Parallelism: parallelism, Trace: tr})
-		if err != nil {
-			t.Fatal(err)
+	tr := obs.NewTrace("search")
+	if _, _, err := e.SPP(q, Options{Trace: tr}); err != nil {
+		t.Fatal(err)
+	}
+	tr.Finish()
+	root := tr.JSON()
+	seen := map[string]bool{}
+	for _, c := range collectSpans(root, "candidate") {
+		p, ok := spanAttr(c, "place")
+		if !ok {
+			t.Fatalf("candidate span without place attr: %+v", c)
 		}
-		tr.Finish()
-		j := tr.JSON()
-		set := map[string]bool{}
-		for _, c := range collectSpans(j, "candidate") {
-			p, ok := spanAttr(c, "place")
-			if !ok {
-				t.Fatalf("candidate span without place attr: %+v", c)
-			}
-			if set[p] {
-				t.Fatalf("duplicate candidate span for place %s", p)
-			}
-			set[p] = true
+		if seen[p] {
+			t.Fatalf("duplicate candidate span for place %s", p)
 		}
-		return j, set
+		seen[p] = true
 	}
-
-	serial, serialSet := candidates(0)
-	parallel, parallelSet := candidates(4)
-
-	if len(serialSet) == 0 {
-		t.Fatal("serial run recorded no candidate spans")
+	if len(seen) == 0 {
+		t.Fatal("run recorded no candidate spans")
 	}
-	if len(serialSet) != len(parallelSet) {
-		t.Fatalf("candidate sets differ: serial %v, parallel %v", serialSet, parallelSet)
-	}
-	for p := range serialSet {
-		if !parallelSet[p] {
-			t.Errorf("place %s evaluated serially but missing from the parallel trace", p)
-		}
-	}
-
-	// Shape: the serial tree hangs candidates directly off the root and
-	// has no pipeline-stage spans; the parallel tree nests them under
-	// worker spans alongside produce and finalize.
-	if len(collectSpans(serial, "worker"))+len(collectSpans(serial, "produce")) != 0 {
-		t.Error("serial trace contains pipeline-stage spans")
-	}
-	for _, c := range serial.Children {
+	for _, c := range root.Children {
 		if c.Name != "prepare" && c.Name != "candidate" {
-			t.Errorf("unexpected serial root child %q", c.Name)
+			t.Errorf("unexpected root child %q", c.Name)
 		}
 	}
-	workers := collectSpans(parallel, "worker")
-	if len(workers) != 4 {
-		t.Fatalf("parallel trace has %d worker spans, want 4", len(workers))
-	}
-	if len(collectSpans(parallel, "produce")) != 1 || len(collectSpans(parallel, "finalize")) != 1 {
-		t.Error("parallel trace missing produce/finalize spans")
-	}
-	nested := 0
-	for _, w := range workers {
-		nested += len(collectSpans(w, "candidate"))
-	}
-	if nested != len(parallelSet) {
-		t.Errorf("%d candidate spans outside worker spans", len(parallelSet)-nested)
-	}
-
-	// Evaluated candidates carry their TQSP child; both runs constructed
-	// at least one tree.
-	if len(collectSpans(serial, "tqsp")) == 0 || len(collectSpans(parallel, "tqsp")) == 0 {
+	if len(collectSpans(root, "tqsp")) == 0 {
 		t.Error("tqsp spans missing")
 	}
-	if len(collectSpans(serial, "prepare")) != 1 {
-		t.Error("prepare span missing from serial trace")
+	if len(collectSpans(root, "prepare")) != 1 {
+		t.Error("prepare span missing")
 	}
 }
 

@@ -12,14 +12,9 @@ import (
 var (
 	// PointPrepare fires at query preparation (keyword resolution).
 	PointPrepare = faultinject.Register("core.prepare")
-	// PointSerialCandidate fires per candidate in the serial loop.
+	// PointSerialCandidate fires per admitted candidate in the evaluation
+	// loop.
 	PointSerialCandidate = faultinject.Register("core.serial.candidate")
-	// PointProducer fires per candidate in the parallel producer.
-	PointProducer = faultinject.Register("core.parallel.producer")
-	// PointWorker fires per candidate in a parallel worker.
-	PointWorker = faultinject.Register("core.parallel.worker")
-	// PointFinalizer fires per candidate in the parallel finalizer.
-	PointFinalizer = faultinject.Register("core.parallel.finalizer")
 	// PointBFS fires at the start of every TQSP construction.
 	PointBFS = faultinject.Register("core.bfs")
 	// PointWindowFill fires per bulk pop of the windowed scheduler.
@@ -27,12 +22,11 @@ var (
 )
 
 // PanicError reports a panic recovered during query evaluation. One
-// panicking query — a worker hitting a bug, or an injected fault —
+// panicking query — a bug in the hot path, or an injected fault —
 // fails with this error instead of taking the process down; the engine
 // remains usable for other queries.
 type PanicError struct {
-	// Op names the evaluation stage that panicked (e.g. "core.SP",
-	// "core.parallel.worker").
+	// Op names the evaluation stage that panicked (e.g. "core.SP").
 	Op string
 	// Value is the recovered panic value.
 	Value interface{}

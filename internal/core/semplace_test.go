@@ -228,10 +228,10 @@ func compareWithPopTime(t *testing.T, label string, s *searcher, stats *Stats, r
 	}
 }
 
-// replaySP answers q the way Engine.SP does on its serial path — the same
-// candidate source, window layer, Rule 1 and top-k — with construct
-// standing in for getSemanticPlace, so that one query can be evaluated
-// over two BFS kernels. construct returns the looseness (+Inf when
+// replaySP answers q the way Engine.SP does — the same candidate
+// source, window layer, Rule 1 and top-k — with construct standing in
+// for getSemanticPlace, so that one query can be evaluated over two BFS
+// kernels. construct returns the looseness (+Inf when
 // rejected) and keeps its own counters in st.
 func replaySP(t *testing.T, e *Engine, q Query, st *Stats, construct func(pq *prepQuery, p uint32, lw float64) float64) []Result {
 	t.Helper()
@@ -246,7 +246,7 @@ func replaySP(t *testing.T, e *Engine, q Query, st *Stats, construct func(pq *pr
 	}
 	alg := &algorithms[AlgoSP]
 	rule1, rule2 := alg.rules(e, Options{})
-	src, err := e.newStream(alg, pq, Options{}, st, hk.theta, rule1, rule2)
+	src, err := e.newStream(alg, pq, Options{}, hk, st, rule1, rule2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,12 +8,11 @@ import (
 	"ksp/internal/rtree"
 )
 
-// candStream is one query's candidate stream, in the serial algorithm's
-// order: R-tree distance browsing (BSP, SPP) or SP's α best-first queue,
+// candStream is one query's candidate stream, in the algorithm's order:
+// R-tree distance browsing (BSP, SPP) or SP's α best-first queue,
 // batched by the window scheduler (DESIGN.md §11) unless Options.Window
-// is 1. It is one concrete type, so neither the serial loop nor the
-// pipeline's producer makes an interface call per candidate. A stream is
-// driven by exactly one goroutine.
+// is 1. It is one concrete type, so the evaluation loop makes no
+// interface call per candidate.
 type candStream struct {
 	placeStream
 	win *windowSource // nil when Options.Window is 1
@@ -27,11 +26,10 @@ type placeStream struct {
 }
 
 // newStream opens alg's candidate stream for pq. Counters go to st and θ
-// is read from theta — hk.theta in a serial run, the pipeline's
-// pipeTheta in a parallel one. rule1 and rule2 select the window's
-// screens; a windowed stream applies Rule 1 itself, so the evaluation
-// step must not apply it again.
-func (e *Engine) newStream(alg *algorithm, pq *prepQuery, opts Options, st *Stats, theta func() float64, rule1, rule2 bool) (candStream, error) {
+// is read from hk. rule1 and rule2 select the window's screens; a
+// windowed stream applies Rule 1 itself, so the evaluation step must not
+// apply it again.
+func (e *Engine) newStream(alg *algorithm, pq *prepQuery, opts Options, hk *topK, st *Stats, rule1, rule2 bool) (candStream, error) {
 	var s candStream
 	qloc := pq.loc.Loc
 	if alg.source == alphaQueue {
@@ -40,7 +38,7 @@ func (e *Engine) newStream(alg *algorithm, pq *prepQuery, opts Options, st *Stat
 			return s, err
 		}
 		//ksplint:ignore allocbound -- one source per query, inside TestAllocBudget's budget
-		s.sp = &spSource{e: e, qv: qv, theta: theta, qloc: qloc, maxDist: opts.MaxDist, stats: st, pqueue: e.pools.getFrontier()}
+		s.sp = &spSource{e: e, qv: qv, hk: hk, qloc: qloc, maxDist: opts.MaxDist, stats: st, pqueue: e.pools.getFrontier()}
 		if e.Tree.Len() > 0 {
 			root := e.Tree.Root()
 			d := root.Rect.MinDist(qloc)
@@ -58,7 +56,7 @@ func (e *Engine) newStream(alg *algorithm, pq *prepQuery, opts Options, st *Stat
 			//ksplint:ignore droppederr -- see above: α screen is optional, the required path re-reports
 			qv, _ = pq.queryView(e)
 		}
-		s.win = newWindowSource(e, s.placeStream, pq, qv, theta, st, w, adaptive, rule1, rule2)
+		s.win = newWindowSource(e, s.placeStream, pq, qv, hk, st, w, adaptive, rule1, rule2)
 	}
 	return s, nil
 }
@@ -73,7 +71,7 @@ func (s *candStream) next() (candidate, bool) {
 }
 
 // close flushes the stream's counters and hands its pooled state back.
-// Both evaluation loops call it once, after the last next, on every way
+// The evaluation loop calls it once, after the last next, on every way
 // out.
 func (s *candStream) close() {
 	if s.win != nil {
@@ -153,14 +151,12 @@ func (s *streamSource) fillWindow(w int, buf []windowCand) ([]windowCand, float6
 // spSource drives SP's best-first traversal (Algorithm 4): one priority
 // queue holds R-tree nodes and places keyed by their α-bounds on the
 // ranking score; node expansion applies Pruning Rules 3 and 4 against
-// the current θ. With the exact θ (serial) the produced stream is
-// exactly Algorithm 4's; with a stale θ (parallel producer) it is a
-// superset in the same non-decreasing bound order, which the finalizer's
-// exact checks reduce to the serial result (DESIGN.md §8).
+// the current θ, read from Hk, so the produced stream is exactly
+// Algorithm 4's.
 type spSource struct {
 	e       *Engine
 	qv      *alpha.QueryView
-	theta   func() float64
+	hk      *topK
 	qloc    geo.Point
 	maxDist float64
 	stats   *Stats
@@ -172,7 +168,7 @@ func (s *spSource) next() (candidate, bool) {
 		ent := s.pqueue.pop()
 		// Termination (Algorithm 4 line 9): every remaining entry's bound
 		// is at least ent.bound.
-		if ent.bound >= s.theta() {
+		if ent.bound >= s.hk.theta() {
 			return candidate{}, false
 		}
 		if ent.node == nil {
@@ -185,7 +181,7 @@ func (s *spSource) next() (candidate, bool) {
 		s.stats.RTreeNodeAccesses++
 		s.e.noteRTreeAccess()
 		n := ent.node
-		th := s.theta()
+		th := s.hk.theta()
 		if n.Leaf {
 			for _, it := range n.Items {
 				d := s.qloc.Dist(it.Loc)

@@ -5,10 +5,10 @@ import (
 	"time"
 )
 
-// TestFinishStatsClampsNegativeOther pins the finishStats contract: in
-// a parallel run SemanticTime sums CPU time across workers and can
-// exceed wall-clock elapsed, in which case OtherTime clamps to zero
-// rather than going negative in reports.
+// TestFinishStatsClampsNegativeOther pins the finishStats contract:
+// SemanticTime is summed from separate clock readings, and should it
+// ever exceed the wall-clock elapsed, OtherTime clamps to zero rather
+// than going negative in reports.
 func TestFinishStatsClampsNegativeOther(t *testing.T) {
 	stats := &Stats{SemanticTime: 80 * time.Millisecond}
 	finishStats(stats, 100*time.Millisecond)

@@ -27,7 +27,7 @@ import (
 // popped. Within a window the emitted screen bounds are non-decreasing
 // (sorted) and every later window pops at a stream bound >= resume, so the
 // emitted bound sequence is globally non-decreasing and lower-bounds the
-// true score of every later candidate — exactly the invariant the serial
+// true score of every later candidate — exactly the invariant the loop's
 // termination test (cand.bound >= θ) and the partial-result floor
 // (recordPartial) rely on. Screen kills are sound because every screen
 // value lower-bounds the true looseness (Lemmas 1, 3) and θ never
@@ -116,15 +116,13 @@ type screened struct {
 	screenBound float64
 }
 
-// windowSource batches a placeStream: fill, screen, sort, emit. It is
-// driven by one goroutine (the serial loop or the parallel producer),
-// like the candStream it belongs to.
+// windowSource batches a placeStream: fill, screen, sort, emit.
 type windowSource struct {
 	e     *Engine
 	inner placeStream
 	pq    *prepQuery
 	qv    *alpha.QueryView // nil unless rule2 screening and α enabled
-	theta func() float64
+	hk    *topK
 	stats *Stats
 	rule1 bool // screen with reachability (Rule 1)
 	rule2 bool // screen with semantic lower bounds
@@ -139,10 +137,10 @@ type windowSource struct {
 	done   bool
 }
 
-func newWindowSource(e *Engine, inner placeStream, pq *prepQuery, qv *alpha.QueryView, theta func() float64, st *Stats, w int, adaptive bool, rule1, rule2 bool) *windowSource {
+func newWindowSource(e *Engine, inner placeStream, pq *prepQuery, qv *alpha.QueryView, hk *topK, st *Stats, w int, adaptive bool, rule1, rule2 bool) *windowSource {
 	//ksplint:ignore allocbound -- one source per query, inside TestAllocBudget's budget
 	return &windowSource{
-		e: e, inner: inner, pq: pq, qv: qv, theta: theta, stats: st,
+		e: e, inner: inner, pq: pq, qv: qv, hk: hk, stats: st,
 		rule1: rule1, rule2: rule2,
 		w: w, adaptive: adaptive,
 		resume: math.Inf(-1),
@@ -152,7 +150,7 @@ func newWindowSource(e *Engine, inner placeStream, pq *prepQuery, qv *alpha.Quer
 func (ws *windowSource) next() (candidate, bool) {
 	for {
 		if ws.at < len(ws.win) {
-			th := ws.theta()
+			th := ws.hk.theta()
 			head := ws.win[ws.at]
 			if head.screenBound < th {
 				ws.at++
@@ -171,10 +169,10 @@ func (ws *windowSource) next() (candidate, bool) {
 			return candidate{}, false
 		}
 		// The resume bound lower-bounds every unpopped candidate: once it
-		// reaches θ the stream is finished, exactly like the serial
+		// reaches θ the stream is finished, exactly like the loop's
 		// termination test with the resume distance standing in for the
 		// next GETNEXT distance.
-		if ws.resume >= ws.theta() {
+		if ws.resume >= ws.hk.theta() {
 			ws.done = true
 			return candidate{}, false
 		}
@@ -198,7 +196,7 @@ func (ws *windowSource) fill() {
 	ws.stats.WindowCandidates += int64(len(batch))
 	ws.e.noteWindowFill(len(batch))
 
-	th := ws.theta()
+	th := ws.hk.theta()
 	ws.win = ws.win[:0]
 	ws.at = 0
 	killed := 0

@@ -182,7 +182,7 @@ func TestPerfettoTraceEventShape(t *testing.T) {
 	}
 }
 
-// Overlapping non-nested siblings (parallel workers, hedged attempts)
+// Overlapping non-nested siblings (concurrent shard calls, hedged attempts)
 // must land on distinct tracks; properly nested spans stay on the
 // parent's track.
 func TestPerfettoLaneAssignment(t *testing.T) {

@@ -14,7 +14,6 @@ type QueryRecord struct {
 	Algo           string    `json:"algo,omitempty"`
 	Keywords       string    `json:"keywords,omitempty"`
 	K              int       `json:"k,omitempty"`
-	Parallelism    int       `json:"parallelism,omitempty"`
 	DurationMicros int64     `json:"durationMicros"`
 	Status         int       `json:"status"`
 	Partial        bool      `json:"partial,omitempty"`

@@ -70,8 +70,8 @@ func TestTraceSpanLimit(t *testing.T) {
 	}
 }
 
-// Concurrent span creation across goroutines mirrors the parallel
-// pipeline; run under -race this is the data-race check.
+// Concurrent span creation across goroutines mirrors a sharded gather's
+// concurrent shard calls; run under -race this is the data-race check.
 func TestTraceConcurrentChildren(t *testing.T) {
 	tr := NewTrace("root")
 	root := tr.Root()

@@ -41,13 +41,12 @@ type WideEvent struct {
 	Endpoint  string    `json:"endpoint"`
 
 	// Query shape.
-	Algo        string  `json:"algo,omitempty"`
-	Keywords    string  `json:"keywords,omitempty"`
-	K           int     `json:"k,omitempty"`
-	Alpha       int     `json:"alpha,omitempty"`
-	Parallelism int     `json:"parallelism,omitempty"`
-	Window      int     `json:"window,omitempty"`
-	MaxDist     float64 `json:"maxDist,omitempty"`
+	Algo     string  `json:"algo,omitempty"`
+	Keywords string  `json:"keywords,omitempty"`
+	K        int     `json:"k,omitempty"`
+	Alpha    int     `json:"alpha,omitempty"`
+	Window   int     `json:"window,omitempty"`
+	MaxDist  float64 `json:"maxDist,omitempty"`
 
 	// Timings.
 	DurationMicros int64 `json:"durationMicros"`

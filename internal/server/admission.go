@@ -5,13 +5,11 @@ import (
 	"time"
 )
 
-// admission is the search admission controller: a weighted semaphore
-// over total pipeline width — a request evaluating with W workers holds
-// W units, so capacity bounds the engine's concurrent goroutine fan-out
-// rather than a bare request count — plus a bounded FIFO wait queue
-// with a per-request timeout. Requests beyond queue capacity shed
-// immediately (429); queued requests that outwait the timeout shed with
-// 503. Both carry Retry-After.
+// admission is the search admission controller: a counting semaphore
+// over concurrent searches plus a bounded FIFO wait queue with a
+// per-request timeout. Requests beyond queue capacity shed immediately
+// (429); queued requests that outwait the timeout shed with 503. Both
+// carry Retry-After.
 type admission struct {
 	mu       sync.Mutex
 	capacity int
@@ -26,11 +24,10 @@ type admission struct {
 }
 
 type admWaiter struct {
-	weight int
-	ready  chan struct{} // closed when granted
-	// granted marks that release handed this waiter the semaphore; the
-	// waiter may have raced with its own timeout and must then keep the
-	// grant rather than leak the weight.
+	ready chan struct{} // closed when granted
+	// granted marks that release handed this waiter a slot; the waiter
+	// may have raced with its own timeout and must then keep the grant
+	// rather than leak the slot.
 	granted bool
 }
 
@@ -53,34 +50,25 @@ func newAdmission(capacity, maxQueue int) *admission {
 	return &admission{capacity: capacity, maxQueue: maxQueue}
 }
 
-// acquire blocks until weight units are granted, the wait budget runs
-// out, or done closes. On admitOK the caller must call the returned
-// release exactly once.
-func (a *admission) acquire(done <-chan struct{}, weight int, wait time.Duration) (func(), admitStatus) {
-	if weight < 1 {
-		weight = 1
-	}
-	if weight > a.capacity {
-		// A request wider than the whole semaphore must still be
-		// admissible; it simply occupies everything.
-		weight = a.capacity
-	}
-
+// acquire blocks until a slot is granted, the wait budget runs out, or
+// done closes. On admitOK the caller must call the returned release
+// exactly once.
+func (a *admission) acquire(done <-chan struct{}, wait time.Duration) (func(), admitStatus) {
 	a.mu.Lock()
 	// FIFO: the fast path only applies with an empty queue, or late
-	// narrow requests would starve a wide waiter forever.
-	if len(a.waiters) == 0 && a.inUse+weight <= a.capacity {
-		a.inUse += weight
+	// requests would overtake the queued ones.
+	if len(a.waiters) == 0 && a.inUse < a.capacity {
+		a.inUse++
 		a.admitted++
 		a.mu.Unlock()
-		return func() { a.release(weight) }, admitOK
+		return a.release, admitOK
 	}
 	if len(a.waiters) >= a.maxQueue {
 		a.rejectedBusy++
 		a.mu.Unlock()
 		return nil, admitBusy
 	}
-	w := &admWaiter{weight: weight, ready: make(chan struct{})}
+	w := &admWaiter{ready: make(chan struct{})}
 	a.waiters = append(a.waiters, w)
 	a.mu.Unlock()
 
@@ -88,15 +76,15 @@ func (a *admission) acquire(done <-chan struct{}, weight int, wait time.Duration
 	defer timer.Stop()
 	select {
 	case <-w.ready:
-		return func() { a.release(weight) }, admitOK
+		return a.release, admitOK
 	case <-timer.C:
 		if a.abandon(w, true) {
-			return func() { a.release(weight) }, admitOK
+			return a.release, admitOK
 		}
 		return nil, admitTimeout
 	case <-done:
 		if a.abandon(w, false) {
-			return func() { a.release(weight) }, admitOK
+			return a.release, admitOK
 		}
 		return nil, admitGone
 	}
@@ -123,27 +111,26 @@ func (a *admission) abandon(w *admWaiter, timedOut bool) bool {
 	return false
 }
 
-func (a *admission) release(weight int) {
+// release frees one slot, handing it straight to the oldest waiter if
+// there is one.
+func (a *admission) release() {
 	a.mu.Lock()
-	a.inUse -= weight
-	for len(a.waiters) > 0 {
+	if len(a.waiters) > 0 {
 		w := a.waiters[0]
-		if a.inUse+w.weight > a.capacity {
-			break
-		}
-		a.inUse += w.weight
 		a.admitted++
 		w.granted = true
 		a.waiters = a.waiters[1:]
 		close(w.ready)
+	} else {
+		a.inUse--
 	}
 	a.mu.Unlock()
 }
 
 // AdmissionSection reports the admission controller in /stats.
 type AdmissionSection struct {
-	// Capacity is the total pipeline width (worker units) the server
-	// admits concurrently; InUse and Queued are instantaneous.
+	// Capacity is the number of searches the server admits
+	// concurrently; InUse and Queued are instantaneous.
 	Capacity int `json:"capacity"`
 	InUse    int `json:"inUse"`
 	Queued   int `json:"queued"`

@@ -224,7 +224,7 @@ func TestTraceNeverChangesResults(t *testing.T) {
 		getJSON(t, url, &rr)
 		return string(rr.Results)
 	}
-	const q = "/search?x=0&y=0&kw=roman,history&k=2&parallel=2"
+	const q = "/search?x=0&y=0&kw=roman,history&k=2"
 
 	single := testServer(t)
 	want := fetch(single.URL + q)

@@ -17,10 +17,10 @@ import (
 // flightKey must be insensitive to keyword order and spacing, and
 // sensitive to every knob that changes what the engine computes.
 func TestFlightKeyNormalization(t *testing.T) {
-	base := flightKey(ksp.AlgoSP, 1.25, -3.5, []string{"roman", "history"}, 5, false, 0, 0, 0)
+	base := flightKey(ksp.AlgoSP, 1.25, -3.5, []string{"roman", "history"}, 5, false, 0, 0)
 	same := []string{
-		flightKey(ksp.AlgoSP, 1.25, -3.5, []string{"history", "roman"}, 5, false, 0, 0, 0),
-		flightKey(ksp.AlgoSP, 1.25, -3.5, []string{" roman ", "", "history"}, 5, false, 0, 0, 0),
+		flightKey(ksp.AlgoSP, 1.25, -3.5, []string{"history", "roman"}, 5, false, 0, 0),
+		flightKey(ksp.AlgoSP, 1.25, -3.5, []string{" roman ", "", "history"}, 5, false, 0, 0),
 	}
 	for i, k := range same {
 		if k != base {
@@ -28,14 +28,13 @@ func TestFlightKeyNormalization(t *testing.T) {
 		}
 	}
 	diff := []string{
-		flightKey(ksp.AlgoBSP, 1.25, -3.5, []string{"roman", "history"}, 5, false, 0, 0, 0),
-		flightKey(ksp.AlgoSP, 1.26, -3.5, []string{"roman", "history"}, 5, false, 0, 0, 0),
-		flightKey(ksp.AlgoSP, 1.25, -3.5, []string{"roman"}, 5, false, 0, 0, 0),
-		flightKey(ksp.AlgoSP, 1.25, -3.5, []string{"roman", "history"}, 6, false, 0, 0, 0),
-		flightKey(ksp.AlgoSP, 1.25, -3.5, []string{"roman", "history"}, 5, true, 0, 0, 0),
-		flightKey(ksp.AlgoSP, 1.25, -3.5, []string{"roman", "history"}, 5, false, 4, 0, 0),
-		flightKey(ksp.AlgoSP, 1.25, -3.5, []string{"roman", "history"}, 5, false, 0, 8, 0),
-		flightKey(ksp.AlgoSP, 1.25, -3.5, []string{"roman", "history"}, 5, false, 0, 0, 2.5),
+		flightKey(ksp.AlgoBSP, 1.25, -3.5, []string{"roman", "history"}, 5, false, 0, 0),
+		flightKey(ksp.AlgoSP, 1.26, -3.5, []string{"roman", "history"}, 5, false, 0, 0),
+		flightKey(ksp.AlgoSP, 1.25, -3.5, []string{"roman"}, 5, false, 0, 0),
+		flightKey(ksp.AlgoSP, 1.25, -3.5, []string{"roman", "history"}, 6, false, 0, 0),
+		flightKey(ksp.AlgoSP, 1.25, -3.5, []string{"roman", "history"}, 5, true, 0, 0),
+		flightKey(ksp.AlgoSP, 1.25, -3.5, []string{"roman", "history"}, 5, false, 8, 0),
+		flightKey(ksp.AlgoSP, 1.25, -3.5, []string{"roman", "history"}, 5, false, 0, 2.5),
 	}
 	for i, k := range diff {
 		if k == base {

@@ -196,34 +196,32 @@ func TestSearchTraceParam(t *testing.T) {
 	}
 }
 
-// Every algorithm must produce a span tree, serial and parallel alike.
+// Every algorithm must produce a span tree.
 func TestTraceAllAlgorithms(t *testing.T) {
 	srv := testServer(t)
 	for _, algo := range []string{"BSP", "SPP", "SP", "TA"} {
-		for _, par := range []string{"0", "2"} {
-			var got SearchResponse
-			url := srv.URL + "/search?x=0&y=0&kw=roman&k=2&trace=1&algo=" + algo + "&parallel=" + par
-			resp := getJSON(t, url, &got)
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("%s parallel=%s: status %d", algo, par, resp.StatusCode)
-				continue
+		var got SearchResponse
+		url := srv.URL + "/search?x=0&y=0&kw=roman&k=2&trace=1&algo=" + algo
+		resp := getJSON(t, url, &got)
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("%s: status %d", algo, resp.StatusCode)
+			continue
+		}
+		if got.Trace == nil {
+			t.Errorf("%s: no trace", algo)
+			continue
+		}
+		if len(got.Trace.Children) == 0 {
+			t.Errorf("%s: empty span tree", algo)
+		}
+		algoAttr := ""
+		for _, a := range got.Trace.Attrs {
+			if a.Key == "algo" {
+				algoAttr = a.Value
 			}
-			if got.Trace == nil {
-				t.Errorf("%s parallel=%s: no trace", algo, par)
-				continue
-			}
-			if len(got.Trace.Children) == 0 {
-				t.Errorf("%s parallel=%s: empty span tree", algo, par)
-			}
-			algoAttr := ""
-			for _, a := range got.Trace.Attrs {
-				if a.Key == "algo" {
-					algoAttr = a.Value
-				}
-			}
-			if algoAttr != algo {
-				t.Errorf("root algo attr %q, want %s", algoAttr, algo)
-			}
+		}
+		if algoAttr != algo {
+			t.Errorf("root algo attr %q, want %s", algoAttr, algo)
 		}
 	}
 }

@@ -35,9 +35,6 @@ func TestInjectionPointRegistry(t *testing.T) {
 	want := []string{
 		core.PointPrepare,
 		core.PointSerialCandidate,
-		core.PointProducer,
-		core.PointWorker,
-		core.PointFinalizer,
 		core.PointBFS,
 		core.PointWindowFill,
 		PointSearchAdmitted,

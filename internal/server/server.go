@@ -14,12 +14,11 @@
 //	GET /healthz  (liveness: the process serves)
 //	GET /readyz   (readiness: the dataset answers queries)
 //
-// Search requests pass an admission controller that bounds the total
-// evaluation width across concurrent requests; excess load is shed with
-// 429 (queue full) or 503 (queue wait expired), both carrying
-// Retry-After. A query that hits its deadline mid-evaluation returns
-// 200 with "partial": true and per-result exactness flags rather than
-// failing.
+// Search requests pass an admission controller that bounds the number
+// of concurrent searches; excess load is shed with 429 (queue full) or
+// 503 (queue wait expired), both carrying Retry-After. A query that hits
+// its deadline mid-evaluation returns 200 with "partial": true and
+// per-result exactness flags rather than failing.
 //
 // Every request gets a request ID (client-supplied X-Request-ID or
 // generated), echoed in the response header, threaded through the
@@ -55,8 +54,9 @@ import (
 )
 
 // PointSearchAdmitted fires after a /search request clears admission
-// control, while it still holds its width grant — stalling here keeps
-// the semaphore occupied, which is how the overload tests saturate it.
+// control, while it still holds its admission slot — stalling here
+// keeps the semaphore occupied, which is how the overload tests
+// saturate it.
 var PointSearchAdmitted = faultinject.Register("server.search.admitted")
 
 // Server handles kSP queries over one dataset.
@@ -67,12 +67,12 @@ type Server struct {
 	MaxK int
 	// Timeout bounds each query's evaluation.
 	Timeout time.Duration
-	// DefaultParallel is the pipeline width used when a request carries no
-	// ?parallel= parameter; 0 or 1 means serial evaluation.
+	// DefaultParallel is read by nothing: every query evaluates
+	// serially.
+	//
+	// Deprecated: kept only because the benchmark harness
+	// (benchmark/serve.go:100) still assigns it; delete it with that line.
 	DefaultParallel int
-	// MaxParallel caps the per-request ?parallel= parameter (and
-	// DefaultParallel); it defaults to GOMAXPROCS.
-	MaxParallel int
 	// DefaultWindow is the candidate-window directive used when a request
 	// carries no ?window= parameter: 0 selects the engine's adaptive
 	// policy, 1 the classic one-place-at-a-time loop, W>=2 a fixed batch.
@@ -81,16 +81,9 @@ type Server struct {
 	// DefaultWindow) to bound the per-query candidate buffer; it defaults
 	// to 1024.
 	MaxWindow int
-	// PipelineDepth fixes each parallel query's per-worker deque bound
-	// (Options.PipelineDepth). 0 — the default — lets the engine derive
-	// it from worker count and window size and self-tune from starvation
-	// feedback; set it only to pin measurements.
-	PipelineDepth int
 
-	// AdmitCapacity is the total pipeline width (worker units summed over
-	// concurrent requests) admitted at once; a request evaluating with W
-	// workers holds max(1, W) units. 0 selects 2×GOMAXPROCS; negative
-	// disables admission control.
+	// AdmitCapacity is the number of concurrent searches admitted at
+	// once. 0 selects 2×GOMAXPROCS; negative disables admission control.
 	AdmitCapacity int
 	// AdmitQueue bounds how many requests may wait for admission; beyond
 	// it requests shed immediately with 429. 0 selects 16; negative
@@ -135,14 +128,13 @@ type Server struct {
 // and the /debug/queries ring buffer.
 func New(ds *ksp.Dataset) *Server {
 	s := &Server{
-		ds:          ds,
-		mux:         http.NewServeMux(),
-		MaxK:        100,
-		Timeout:     10 * time.Second,
-		MaxParallel: runtime.GOMAXPROCS(0),
-		flights:     newFlightGroup(),
-		reg:         obs.NewRegistry(),
-		ring:        obs.NewQueryRing(64),
+		ds:      ds,
+		mux:     http.NewServeMux(),
+		MaxK:    100,
+		Timeout: 10 * time.Second,
+		flights: newFlightGroup(),
+		reg:     obs.NewRegistry(),
+		ring:    obs.NewQueryRing(64),
 	}
 	s.ready.Store(true)
 	ds.EnableMetrics(s.reg)
@@ -270,13 +262,13 @@ func (s *Server) queueTimeout() time.Duration {
 // admit passes the request through admission control. It returns the
 // release the handler must defer, or ok=false after writing the
 // shedding response (or nothing, for a vanished client).
-func (s *Server) admit(w http.ResponseWriter, r *http.Request, weight int) (release func(), ok bool) {
+func (s *Server) admit(w http.ResponseWriter, r *http.Request) (release func(), ok bool) {
 	adm := s.admission()
 	if adm == nil {
 		return func() {}, true
 	}
 	wait := s.queueTimeout()
-	release, status := adm.acquire(r.Context().Done(), weight, wait)
+	release, status := adm.acquire(r.Context().Done(), wait)
 	switch status {
 	case admitOK:
 		return release, true
@@ -364,7 +356,6 @@ type QueryStats struct {
 	Micros            int64  `json:"micros"`
 	TQSPComputations  int64  `json:"tqspComputations"`
 	RTreeNodeAccesses int64  `json:"rtreeNodeAccesses"`
-	Parallelism       int    `json:"parallelism,omitempty"`
 	// Window echoes the effective window directive (0 = adaptive); the
 	// counters below reconcile as evaluated = candidates − killed.
 	Window               int   `json:"window"`
@@ -375,14 +366,8 @@ type QueryStats struct {
 	CacheHits            int64 `json:"cacheHits,omitempty"`
 	CacheBoundHits       int64 `json:"cacheBoundHits,omitempty"`
 	CacheMisses          int64 `json:"cacheMisses,omitempty"`
-	// Steals / OwnPops split the candidates that reached a pipeline
-	// worker by deque origin; WorkerIdleMicros is the total time workers
-	// sat starved. All zero on serial (parallelism <= 1) evaluations.
-	Steals           int64 `json:"steals,omitempty"`
-	OwnPops          int64 `json:"ownPops,omitempty"`
-	WorkerIdleMicros int64 `json:"workerIdleMicros,omitempty"`
-	TimedOut         bool  `json:"timedOut"`
-	Cancelled        bool  `json:"cancelled,omitempty"`
+	TimedOut             bool  `json:"timedOut"`
+	Cancelled            bool  `json:"cancelled,omitempty"`
 }
 
 type apiError struct {
@@ -460,15 +445,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	trees := q.Get("trees") == "1" || q.Get("trees") == "true"
-	parallel := s.DefaultParallel
-	if ps := q.Get("parallel"); ps != "" {
-		var err error
-		if parallel, err = strconv.Atoi(ps); err != nil || parallel < 0 {
-			s.fail(w, http.StatusBadRequest, "parallel must be a non-negative integer")
-			return
-		}
-	}
-	parallel = s.clampParallel(parallel)
 	window := s.DefaultWindow
 	if ws := q.Get("window"); ws != "" {
 		var err error
@@ -487,13 +463,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Admission weight is the evaluation's pipeline width: a serial
-	// query occupies one unit, a parallel one its worker count.
-	weight := parallel
-	if weight < 1 {
-		weight = 1
-	}
-	release, admitted := s.admit(w, r, weight)
+	release, admitted := s.admit(w, r)
 	if !admitted {
 		return
 	}
@@ -502,8 +472,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if s.Shards != nil {
 		s.searchSharded(w, r, release, shard.Request{
 			X: x, Y: y, Keywords: kws, K: k, Algo: algo,
-			Parallel: parallel, Window: window,
-			MaxDist: maxDist, CollectTrees: trees,
+			Window: window, MaxDist: maxDist, CollectTrees: trees,
 		})
 		return
 	}
@@ -511,23 +480,20 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	query := ksp.Query{Loc: ksp.Point{X: x, Y: y}, Keywords: kws, K: k}
 	tr := obs.TraceFromContext(r.Context())
 	opts := ksp.Options{
-		CollectTrees:  trees,
-		Deadline:      s.Timeout,
-		MaxDist:       maxDist,
-		Parallelism:   parallel,
-		Window:        window,
-		PipelineDepth: s.PipelineDepth,
-		Trace:         tr,
+		CollectTrees: trees,
+		Deadline:     s.Timeout,
+		MaxDist:      maxDist,
+		Window:       window,
+		Trace:        tr,
 		// A disconnected client must not keep burning the Timeout budget.
 		Cancel: r.Context().Done(),
 	}
 	rec := obs.QueryRecord{
-		ID:          obs.RequestIDFromContext(r.Context()),
-		Endpoint:    "/search",
-		Algo:        algo.String(),
-		Keywords:    strings.Join(kws, ","),
-		K:           k,
-		Parallelism: parallel,
+		ID:       obs.RequestIDFromContext(r.Context()),
+		Endpoint: "/search",
+		Algo:     algo.String(),
+		Keywords: strings.Join(kws, ","),
+		K:        k,
 	}
 	var res []ksp.Result
 	var stats *ksp.Stats
@@ -536,7 +502,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// flight; everything else coalesces with any concurrent identical
 	// query already evaluating.
 	if tr == nil && s.flights != nil {
-		f, leader := s.flights.join(flightKey(algo, x, y, kws, k, trees, parallel, window, maxDist))
+		f, leader := s.flights.join(flightKey(algo, x, y, kws, k, trees, window, maxDist))
 		if leader {
 			defer release()
 			// Leave the flight when this client disconnects mid-run: with
@@ -553,7 +519,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			res, stats, err = s.ds.SearchWith(algo, query, opts)
 			s.flights.finish(f, res, stats, err)
 		} else {
-			// Follower: hand the admission width back while waiting — the
+			// Follower: hand the admission slot back while waiting — the
 			// shared evaluation is already paid for by the leader's grant.
 			release()
 			s.sharedFlights.Add(1)
@@ -624,7 +590,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			Micros:               stats.TotalTime().Microseconds(),
 			TQSPComputations:     stats.TQSPComputations,
 			RTreeNodeAccesses:    stats.RTreeNodeAccesses,
-			Parallelism:          parallel,
 			Window:               window,
 			WindowsFilled:        stats.WindowsFilled,
 			WindowCandidates:     stats.WindowCandidates,
@@ -633,9 +598,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			CacheHits:            stats.CacheHits,
 			CacheBoundHits:       stats.CacheBoundHits,
 			CacheMisses:          stats.CacheMisses,
-			Steals:               stats.Steals,
-			OwnPops:              stats.OwnPops,
-			WorkerIdleMicros:     stats.WorkerIdle.Microseconds(),
 			TimedOut:             stats.TimedOut,
 			Cancelled:            stats.Cancelled,
 		},
@@ -696,21 +658,6 @@ func (s *Server) clampWindow(w int) int {
 	return w
 }
 
-// clampParallel bounds a requested pipeline width to [0, MaxParallel].
-func (s *Server) clampParallel(p int) int {
-	max := s.MaxParallel
-	if max < 1 {
-		max = 1
-	}
-	if p > max {
-		return max
-	}
-	if p < 0 {
-		return 0
-	}
-	return p
-}
-
 // handleKeyword serves location-free keyword search: the places with the
 // tightest semantic trees regardless of where the client is.
 func (s *Server) handleKeyword(w http.ResponseWriter, r *http.Request) {
@@ -741,7 +688,7 @@ func (s *Server) handleKeyword(w http.ResponseWriter, r *http.Request) {
 		k = s.MaxK
 	}
 	// Keyword search is always serial; it weighs one unit.
-	release, admitted := s.admit(w, r, 1)
+	release, admitted := s.admit(w, r)
 	if !admitted {
 		return
 	}
@@ -873,7 +820,6 @@ type StatsResponse struct {
 	Bounds    *BoundsSection    `json:"bounds,omitempty"`
 	Cache     *CacheSection     `json:"cache,omitempty"`
 	Window    *WindowSection    `json:"window,omitempty"`
-	Scheduler *SchedSection     `json:"scheduler,omitempty"`
 	Admission *AdmissionSection `json:"admission,omitempty"`
 	// Slow reports the slow-query log when it is enabled.
 	Slow           *SlowSection   `json:"slow,omitempty"`
@@ -898,19 +844,6 @@ type CacheSection struct {
 type WindowSection struct {
 	ksp.WindowStats
 	KillRate float64 `json:"killRate"`
-}
-
-// SchedSection reports the parallel pipeline's work-stealing scheduler
-// in /stats; it appears once the first parallel query has run. StealRate
-// is the fraction of worker pops that came from a peer's deque, and
-// WorkerIdleMicros the cumulative starvation time across all workers.
-type SchedSection struct {
-	ParallelQueries   int64   `json:"parallelQueries"`
-	Steals            int64   `json:"steals"`
-	OwnPops           int64   `json:"ownPops"`
-	StealRate         float64 `json:"stealRate"`
-	WorkerIdleMicros  int64   `json:"workerIdleMicros"`
-	PipelineDepthHint int     `json:"pipelineDepthHint"`
 }
 
 // FaultSection reports the fault-injection framework: whether a plan is
@@ -971,19 +904,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			sec.KillRate = float64(ws.ScreenKilled+ws.DeferredKilled) / float64(ws.Candidates)
 		}
 		resp.Window = &sec
-	}
-	if sc := s.ds.SchedStats(); sc.ParallelQueries > 0 {
-		sec := SchedSection{
-			ParallelQueries:   sc.ParallelQueries,
-			Steals:            sc.Steals,
-			OwnPops:           sc.OwnPops,
-			WorkerIdleMicros:  sc.WorkerIdle.Microseconds(),
-			PipelineDepthHint: sc.PipelineDepthHint,
-		}
-		if pops := sc.Steals + sc.OwnPops; pops > 0 {
-			sec.StealRate = float64(sc.Steals) / float64(pops)
-		}
-		resp.Scheduler = &sec
 	}
 	if adm := s.admission(); adm != nil {
 		sec := adm.snapshot()

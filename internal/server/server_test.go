@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -243,43 +244,29 @@ func TestGetOnlyEndpoints(t *testing.T) {
 	}
 }
 
-// ?parallel= must be validated, clamped to MaxParallel, and echoed in the
-// response stats; results must match the serial run.
-func TestParallelParam(t *testing.T) {
-	ds, err := ksp.Open(strings.NewReader(fixtureNT), ksp.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := New(ds)
-	h.MaxParallel = 2
-	srv := httptest.NewServer(h)
-	defer srv.Close()
-
-	var serial, par SearchResponse
-	getJSON(t, srv.URL+"/search?x=0&y=0&kw=roman,history&k=2", &serial)
-	resp := getJSON(t, srv.URL+"/search?x=0&y=0&kw=roman,history&k=2&parallel=16", &par)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	if par.Stats.Parallelism != 2 {
-		t.Errorf("parallelism = %d, want clamped 2", par.Stats.Parallelism)
-	}
-	if len(par.Results) != len(serial.Results) {
-		t.Fatalf("parallel results differ: %+v vs %+v", par.Results, serial.Results)
-	}
-	for i := range serial.Results {
-		if par.Results[i].URI != serial.Results[i].URI || par.Results[i].Score != serial.Results[i].Score {
-			t.Errorf("result %d differs: %+v vs %+v", i, par.Results[i], serial.Results[i])
+// ?parallel= selected a pipeline width that no longer exists. Peers
+// built before its removal still send it, so it is ignored like any
+// unknown parameter: absent, numeric or malformed, the answer is the
+// same 200 with the same results.
+func TestLegacyParallelParamIgnored(t *testing.T) {
+	srv := testServer(t)
+	var want []SearchResult
+	for i, param := range []string{"", "&parallel=4", "&parallel=bogus"} {
+		var got SearchResponse
+		resp := getJSON(t, srv.URL+"/search?x=0&y=0&kw=roman,history&k=2"+param, &got)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%q: status %d, want 200", param, resp.StatusCode)
 		}
-	}
-
-	resp = getJSON(t, srv.URL+"/search?x=0&y=0&kw=roman&parallel=bogus", nil)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bogus parallel: status %d, want 400", resp.StatusCode)
-	}
-	resp = getJSON(t, srv.URL+"/search?x=0&y=0&kw=roman&parallel=-1", nil)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("negative parallel: status %d, want 400", resp.StatusCode)
+		if len(got.Results) == 0 {
+			t.Fatalf("%q: no results", param)
+		}
+		if i == 0 {
+			want = got.Results
+			continue
+		}
+		if !reflect.DeepEqual(got.Results, want) {
+			t.Errorf("%q: results %+v, want %+v", param, got.Results, want)
+		}
 	}
 }
 

@@ -78,12 +78,11 @@ func (s *Server) searchSharded(w http.ResponseWriter, r *http.Request, release f
 	}
 	tr := obs.TraceFromContext(r.Context())
 	rec := obs.QueryRecord{
-		ID:          obs.RequestIDFromContext(r.Context()),
-		Endpoint:    "/search",
-		Algo:        req.Algo.String(),
-		Keywords:    strings.Join(req.Keywords, ","),
-		K:           req.K,
-		Parallelism: req.Parallel,
+		ID:       obs.RequestIDFromContext(r.Context()),
+		Endpoint: "/search",
+		Algo:     req.Algo.String(),
+		Keywords: strings.Join(req.Keywords, ","),
+		K:        req.K,
 	}
 	begin := time.Now()
 	g, err := s.Shards.Search(ctx, req)
@@ -151,7 +150,6 @@ func (s *Server) searchSharded(w http.ResponseWriter, r *http.Request, release f
 			Micros:               elapsed.Microseconds(),
 			TQSPComputations:     g.Stats.TQSPComputations,
 			RTreeNodeAccesses:    g.Stats.RTreeNodeAccesses,
-			Parallelism:          req.Parallel,
 			Window:               req.Window,
 			WindowsFilled:        g.Stats.WindowsFilled,
 			WindowCandidates:     g.Stats.WindowCandidates,
@@ -160,9 +158,6 @@ func (s *Server) searchSharded(w http.ResponseWriter, r *http.Request, release f
 			CacheHits:            g.Stats.CacheHits,
 			CacheBoundHits:       g.Stats.CacheBoundHits,
 			CacheMisses:          g.Stats.CacheMisses,
-			Steals:               g.Stats.Steals,
-			OwnPops:              g.Stats.OwnPops,
-			WorkerIdleMicros:     g.Stats.WorkerIdle.Microseconds(),
 			TimedOut:             g.Stats.TimedOut,
 			Cancelled:            g.Stats.Cancelled,
 		},
@@ -182,8 +177,7 @@ func (s *Server) searchSharded(w http.ResponseWriter, r *http.Request, release f
 		// table is the gather's own MinDist-ordered shard outcomes.
 		rep := s.ds.ExplainFor(req.Algo,
 			ksp.Query{Loc: ksp.Point{X: req.X, Y: req.Y}, Keywords: req.Keywords, K: req.K},
-			ksp.Options{CollectTrees: req.CollectTrees, MaxDist: req.MaxDist,
-				Parallelism: req.Parallel, Window: req.Window},
+			ksp.Options{CollectTrees: req.CollectTrees, MaxDist: req.MaxDist, Window: req.Window},
 			&g.Stats, len(g.Results))
 		rep.Shards = explainShards(g.Shards)
 		resp.Explain = rep

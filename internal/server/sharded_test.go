@@ -295,7 +295,7 @@ func TestShardedStatsSections(t *testing.T) {
 // reviving mid-run via breaker trips and short cooldowns. Every request
 // must resolve to a well-formed outcome (200 exact, 200 sound partial,
 // or a degraded 503), and the package leak check must stay clean. The
-// companion to TestHammerParallelSearchChaos, one layer up.
+// companion to TestHammerSearchChaos, one layer up.
 func TestHammerShardChaos(t *testing.T) {
 	ds := fixtureDS(t)
 	cfg := quietShardCfg()

@@ -471,27 +471,6 @@ func (c *Coordinator) Search(ctx context.Context, req Request) (*Gather, error) 
 	bound := ksp.NewBound(req.K)
 	req.Bound = bound
 
-	// Divide the request's pipeline width across the shards this gather
-	// will actually call: every shard runs the same exact algorithm, so
-	// the width only changes speculative evaluation, and forwarding it
-	// verbatim would multiply that speculative work (and the worker
-	// count) by the shard count. Dividing keeps a sharded gather at the
-	// same total worker budget as the single-engine search it replaces.
-	if req.Parallel > 1 {
-		dispatchable := 0
-		for _, sl := range slots {
-			if req.MaxDist > 0 && sl.hasBounds && sl.minDist > req.MaxDist {
-				continue
-			}
-			dispatchable++
-		}
-		if dispatchable > 1 {
-			if req.Parallel /= dispatchable; req.Parallel < 1 {
-				req.Parallel = 1
-			}
-		}
-	}
-
 	fanOut := c.cfg.FanOut
 	if fanOut <= 0 || fanOut > len(slots) {
 		fanOut = len(slots)

@@ -112,29 +112,25 @@ func requireIdentical(t *testing.T, label string, want []ksp.Result, g *shard.Ga
 var shardCounts = []int{1, 2, 4, 7}
 
 // sweepEquivalence checks one query, at one K and radius, against the
-// single engine over shardCount × window × parallel.
+// single engine over shardCount × window.
 func sweepEquivalence(t *testing.T, label string, ds *ksp.Dataset, coords map[int]*shard.Coordinator, query ksp.Query, maxDist float64) {
 	t.Helper()
 	for _, window := range []int{0, 4} {
-		for _, parallel := range []int{0, 3} {
-			want, _, err := ds.SearchWith(ksp.AlgoSP, query, ksp.Options{
-				Window: window, Parallelism: parallel, MaxDist: maxDist,
-			})
+		want, _, err := ds.SearchWith(ksp.AlgoSP, query, ksp.Options{Window: window, MaxDist: maxDist})
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := shard.Request{
+			X: query.Loc.X, Y: query.Loc.Y, Keywords: query.Keywords, K: query.K,
+			Algo: ksp.AlgoSP, Window: window, MaxDist: maxDist,
+		}
+		for _, n := range shardCounts {
+			cell := fmt.Sprintf("%s/k%d/r%g/w%d/shards%d", label, query.K, maxDist, window, n)
+			g, err := coords[n].Search(context.Background(), req)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s: %v", cell, err)
 			}
-			req := shard.Request{
-				X: query.Loc.X, Y: query.Loc.Y, Keywords: query.Keywords, K: query.K,
-				Algo: ksp.AlgoSP, Window: window, Parallel: parallel, MaxDist: maxDist,
-			}
-			for _, n := range shardCounts {
-				cell := fmt.Sprintf("%s/k%d/r%g/w%d/p%d/shards%d", label, query.K, maxDist, window, parallel, n)
-				g, err := coords[n].Search(context.Background(), req)
-				if err != nil {
-					t.Fatalf("%s: %v", cell, err)
-				}
-				requireIdentical(t, cell, want, g)
-			}
+			requireIdentical(t, cell, want, g)
 		}
 	}
 }
@@ -165,7 +161,7 @@ func tieFixture() string {
 }
 
 // Multi-shard scatter-gather is bit-identical to single-shard
-// evaluation across shardCount × window × parallel × cache, at K = 1,
+// evaluation across shardCount × window × cache, at K = 1,
 // the serving default 5 and a K beyond the place count, with and
 // without a MaxDist radius — and on exact score ties straddling rank K,
 // where a tile must keep a place scoring exactly the shared θ for the

@@ -81,9 +81,6 @@ func (r *Remote) Search(ctx context.Context, req Request) (*Response, error) {
 	q.Set("kw", strings.Join(req.Keywords, ","))
 	q.Set("k", strconv.Itoa(req.K))
 	q.Set("algo", req.Algo.String())
-	if req.Parallel > 0 {
-		q.Set("parallel", strconv.Itoa(req.Parallel))
-	}
 	if req.Window > 0 {
 		q.Set("window", strconv.Itoa(req.Window))
 	}

@@ -72,10 +72,9 @@ type Request struct {
 	Keywords []string
 	K        int
 	Algo     ksp.Algorithm
-	// Parallel, Window tune per-shard evaluation exactly like the
-	// single-engine ?parallel= and ?window= parameters.
-	Parallel int
-	Window   int
+	// Window tunes per-shard evaluation exactly like the single-engine
+	// ?window= parameter.
+	Window int
 	// MaxDist restricts results to places within that distance (0 = no
 	// cap); the coordinator also uses it to skip unreachable shards.
 	MaxDist float64
