@@ -153,8 +153,8 @@ func printExplain(rep *ksp.ExplainReport) {
 	fmt.Println("explain:")
 	fmt.Printf("  plan: algo=%s k=%d window=%s direction=%s ranking=%s\n",
 		p.Algo, p.K, win, p.Direction, p.Ranking)
-	fmt.Printf("  rules: r1=%v r2=%v r3=%v r4=%v (alpha=%d reachability=%v cache=%v)\n",
-		p.Rule1, p.Rule2, p.Rule3, p.Rule4, p.AlphaRadius, p.Reachability, p.LoosenessCache)
+	fmt.Printf("  rules: r1=%v r2=%v r3=%v r4=%v (alpha=%d reachability=%v)\n",
+		p.Rule1, p.Rule2, p.Rule3, p.Rule4, p.AlphaRadius, p.Reachability)
 	if len(p.Keywords) > 0 {
 		var parts []string
 		for _, kw := range p.Keywords {
@@ -165,10 +165,9 @@ func printExplain(rep *ksp.ExplainReport) {
 	if !p.Answerable {
 		fmt.Println("  unanswerable: some keyword matches no document")
 	}
-	fmt.Printf("  profile: %dµs (semantic %dµs) tqsp=%d places=%d pruned r1=%d r2=%d r3=%d r4=%d cache hit/bound/miss=%d/%d/%d\n",
+	fmt.Printf("  profile: %dµs (semantic %dµs) tqsp=%d places=%d pruned r1=%d r2=%d r3=%d r4=%d\n",
 		pr.DurationMicros, pr.SemanticMicros, pr.TQSPComputations, pr.PlacesRetrieved,
-		pr.PrunedRule1, pr.PrunedRule2, pr.PrunedRule3, pr.PrunedRule4,
-		pr.CacheHits, pr.CacheBoundHits, pr.CacheMisses)
+		pr.PrunedRule1, pr.PrunedRule2, pr.PrunedRule3, pr.PrunedRule4)
 }
 
 // printSpan renders one span and its children, indented by depth.

@@ -50,7 +50,6 @@ func main() {
 		maxK     = flag.Int("maxk", 100, "largest k a request may ask for")
 		timeout  = flag.Duration("timeout", 10*time.Second, "per-query evaluation cap")
 		window   = flag.Int("window", 0, "default candidate window per query (0 = adaptive, 1 = classic one-at-a-time loop, W>=2 fixed; requests may override with ?window=)")
-		cache    = flag.Int("cache", 0, "looseness cache entries (0 = disabled, negative = built-in default)")
 		pprof    = flag.String("pprof", "", "side listen address for net/http/pprof (empty = disabled), e.g. localhost:6060")
 
 		shards      = flag.Int("shards", 0, "partition the dataset into N spatial tiles and serve /search by scatter-gather (0 = single engine)")
@@ -82,7 +81,6 @@ func main() {
 
 	cfg := ksp.DefaultConfig()
 	cfg.AlphaRadius = *alphaR
-	cfg.LoosenessCacheEntries = *cache
 
 	var ds *ksp.Dataset
 	start := time.Now()

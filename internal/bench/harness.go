@@ -34,8 +34,8 @@ type Suite struct {
 	Out io.Writer
 	// Metrics, when non-nil, is attached to every engine the suite
 	// builds, so a run's cumulative engine counters (TQSP computations,
-	// pruning hits, cache traffic, …) can be exported next to the
-	// report tables. Set before the first experiment.
+	// pruning hits, …) can be exported next to the report tables. Set
+	// before the first experiment.
 	Metrics *obs.Registry
 
 	data map[string]*benchData

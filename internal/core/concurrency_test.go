@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -10,7 +11,8 @@ import (
 
 // Engines are read-only after construction; concurrent queries (all four
 // algorithms at once, from many goroutines) must race-free produce the
-// same answers as a serial run. Run with -race to verify.
+// same answers as a serial run — same places, scores and loosenesses, to
+// the bit. Run with -race to verify.
 func TestConcurrentQueries(t *testing.T) {
 	g := gen.Generate(gen.DBpediaConfig(1200, 303))
 	qg := gen.NewQueryGen(g, rdf.Outgoing, 304)
@@ -50,8 +52,11 @@ func TestConcurrentQueries(t *testing.T) {
 						errs <- errMismatch
 						return
 					}
-					for i := range got {
-						if got[i].Place != j.want[i].Place {
+					for i, w := range j.want {
+						g := got[i]
+						if g.Place != w.Place ||
+							math.Float64bits(g.Score) != math.Float64bits(w.Score) ||
+							math.Float64bits(g.Looseness) != math.Float64bits(w.Looseness) {
 							errs <- errMismatch
 							return
 						}
@@ -64,6 +69,33 @@ func TestConcurrentQueries(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// Options.Cancel must abort evaluation promptly and set the flag,
+// leaving the engine usable.
+func TestCancelAllAlgorithms(t *testing.T) {
+	g := gen.Generate(gen.YagoConfig(2000, 960))
+	qg := gen.NewQueryGen(g, rdf.Outgoing, 961)
+	e := NewEngine(g, rdf.Outgoing)
+	e.EnableReach()
+	e.EnableAlpha(3)
+	loc, kws := qg.Original(5)
+	q := Query{Loc: loc, Keywords: kws, K: 10}
+	done := make(chan struct{})
+	close(done) // already cancelled: the first poll must fire
+	for _, a := range allAlgos {
+		_, stats, err := a.run(e, q, Options{Cancel: done})
+		if err != nil {
+			t.Fatalf("%s: %v", a.name, err)
+		}
+		if !stats.Cancelled {
+			t.Errorf("%s: expected Cancelled flag", a.name)
+		}
+		res, _, err := a.run(e, q, Options{})
+		if err != nil || len(res) == 0 {
+			t.Errorf("%s after cancel: %v results, err %v", a.name, len(res), err)
+		}
 	}
 }
 

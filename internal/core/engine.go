@@ -2,7 +2,6 @@ package core
 
 import (
 	"cmp"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -38,10 +37,6 @@ type Engine struct {
 	// across queries. A pointer so WithAlpha clones share it (the graph, and hence every
 	// scratch size, is identical).
 	pools *enginePools
-	// loose is the optional cross-query looseness cache
-	// (EnableLoosenessCache); shared by WithAlpha clones — L(Tp) depends
-	// only on the graph, direction and keyword set, never on α.
-	loose *looseCache
 	// metrics is the optional cumulative instrument bundle
 	// (EnableMetrics); nil keeps query evaluation free of any
 	// observability cost. Shared by WithAlpha clones.
@@ -274,9 +269,6 @@ type prepQuery struct {
 	df    []int // df[i] is the document frequency of terms[i]
 	mq    *denseMQ
 	full  uint64
-	// sig is the canonical (sorted, packed) term-set signature keying the
-	// looseness cache; empty when the cache is disabled.
-	sig string
 	// answerable is false when some keyword is absent from every document;
 	// no qualified semantic place can exist then.
 	answerable bool
@@ -298,19 +290,6 @@ func (pq *prepQuery) queryView(e *Engine) (*alpha.QueryView, error) {
 		}
 	}
 	return pq.qv, pq.qvErr
-}
-
-// termSig packs the sorted term IDs into a collision-free string key.
-func termSig(terms []uint32) string {
-	sorted := append([]uint32(nil), terms...)
-	// slices.Sort, not sort.Slice: the latter boxes the slice header
-	// into an interface and allocates on every (hot-path) call.
-	slices.Sort(sorted)
-	buf := make([]byte, 4*len(sorted))
-	for i, t := range sorted {
-		binary.LittleEndian.PutUint32(buf[4*i:], t)
-	}
-	return string(buf)
 }
 
 // releasePrep returns a prepared query's pooled scratch to the engine.
@@ -400,9 +379,6 @@ func (e *Engine) prepare(q Query) (*prepQuery, error) {
 		} else {
 			pq.mq.scatter(lists[o])
 		}
-	}
-	if e.loose != nil {
-		pq.sig = termSig(pq.terms)
 	}
 	return pq, nil
 }

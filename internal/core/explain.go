@@ -12,7 +12,7 @@ import (
 // response (?explain=1, kspquery -explain). The plan says what the
 // engine decided to do (algorithm, pruning rules in force, window
 // policy, Rule-1 keyword order); the profile says what that decision
-// cost (per-rule pruning counts, cache traffic, window work), mirroring
+// cost (per-rule pruning counts, window work), mirroring
 // the paper's per-phase/per-rule accounting.
 
 // ExplainKeyword is one resolved query keyword in Rule-1 evaluation
@@ -50,11 +50,9 @@ type ExplainPlan struct {
 	// AlphaRadius is the α of the word-neighbourhood index (0 = absent).
 	AlphaRadius int `json:"alphaRadius,omitempty"`
 	// Reachability reports the Rule-1 keyword reachability index.
-	Reachability bool `json:"reachability"`
-	// LoosenessCache reports the cross-query cache.
-	LoosenessCache bool   `json:"loosenessCache"`
-	Ranking        string `json:"ranking"`
-	Direction      string `json:"direction"`
+	Reachability bool   `json:"reachability"`
+	Ranking      string `json:"ranking"`
+	Direction    string `json:"direction"`
 }
 
 // ExplainProfile is the execution profile of one finished query — the
@@ -75,10 +73,6 @@ type ExplainProfile struct {
 	PrunedRule2 int64 `json:"prunedRule2"`
 	PrunedRule3 int64 `json:"prunedRule3"`
 	PrunedRule4 int64 `json:"prunedRule4"`
-
-	CacheHits      int64 `json:"cacheHits"`
-	CacheBoundHits int64 `json:"cacheBoundHits"`
-	CacheMisses    int64 `json:"cacheMisses"`
 
 	WindowsFilled        int64 `json:"windowsFilled"`
 	WindowCandidates     int64 `json:"windowCandidates"`
@@ -142,13 +136,12 @@ func (e *Engine) Explain(a Algorithm, q Query, opts Options, stats *Stats, resul
 
 func (e *Engine) explainPlan(a Algorithm, q Query, opts Options) ExplainPlan {
 	p := ExplainPlan{
-		Algo:           a.String(),
-		K:              q.K,
-		Answerable:     true,
-		MaxDist:        opts.MaxDist,
-		Reachability:   e.Reach != nil,
-		LoosenessCache: e.loose != nil,
-		Ranking:        fmt.Sprintf("%T", e.Rank),
+		Algo:         a.String(),
+		K:            q.K,
+		Answerable:   true,
+		MaxDist:      opts.MaxDist,
+		Reachability: e.Reach != nil,
+		Ranking:      fmt.Sprintf("%T", e.Rank),
 	}
 	switch w, adaptive := resolveWindow(opts); {
 	case adaptive:
@@ -224,9 +217,6 @@ func buildProfile(s *Stats, results int) ExplainProfile {
 		PrunedRule2:          s.PrunedDynamicBound,
 		PrunedRule3:          s.PrunedAlphaPlaces,
 		PrunedRule4:          s.PrunedAlphaNodes,
-		CacheHits:            s.CacheHits,
-		CacheBoundHits:       s.CacheBoundHits,
-		CacheMisses:          s.CacheMisses,
 		WindowsFilled:        s.WindowsFilled,
 		WindowCandidates:     s.WindowCandidates,
 		WindowScreenKilled:   s.WindowScreenKilled,

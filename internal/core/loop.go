@@ -98,7 +98,7 @@ func (e *Engine) evaluate(s *searcher, c *candidate, hk *topK, rule1, rule2 bool
 		lw = e.Rank.LoosenessThreshold(hk.theta(), c.dist)
 	}
 	semStart := time.Now()
-	c.loose, c.tree = s.semanticPlace(c.place, lw)
+	c.loose, c.tree = s.getSemanticPlace(c.place, lw)
 	s.stats.SemanticTime += time.Since(semStart)
 }
 

@@ -31,10 +31,7 @@ type engineMetrics struct {
 	bfsVisits   *obs.Counter
 	reach       *obs.Counter
 	prune       [4]*obs.Counter // Pruning Rules 1-4
-	cacheHit    *obs.Counter
-	cacheBound  *obs.Counter
-	cacheMiss   *obs.Counter
-	rtree       *obs.Counter // live, via the R-tree node-access hook
+	rtree       *obs.Counter    // live, via the R-tree node-access hook
 	partial     [2]*obs.Counter
 	queryErrors *obs.Counter
 
@@ -74,12 +71,6 @@ func (e *Engine) EnableMetrics(reg *obs.Registry) {
 			"Prunings by rule: 1 unqualified place, 2 dynamic bound, 3 alpha place, 4 alpha node.",
 			obs.Label{Key: "rule", Value: string(rune('1' + i))})
 	}
-	m.cacheHit = reg.Counter("ksp_engine_loosecache_lookups_total",
-		"Looseness cache lookups by outcome.", obs.Label{Key: "result", Value: "hit"})
-	m.cacheBound = reg.Counter("ksp_engine_loosecache_lookups_total",
-		"Looseness cache lookups by outcome.", obs.Label{Key: "result", Value: "bound"})
-	m.cacheMiss = reg.Counter("ksp_engine_loosecache_lookups_total",
-		"Looseness cache lookups by outcome.", obs.Label{Key: "result", Value: "miss"})
 	m.rtree = reg.Counter("ksp_engine_rtree_node_accesses_total",
 		"R-tree nodes expanded (browsing, range search, and SP best-first traversal).")
 	m.partial[0] = reg.Counter("ksp_engine_partial_results_total",
@@ -131,9 +122,6 @@ func (e *Engine) noteQuery(algo int, stats *Stats, dur time.Duration) {
 	m.prune[1].Add(stats.PrunedDynamicBound)
 	m.prune[2].Add(stats.PrunedAlphaPlaces)
 	m.prune[3].Add(stats.PrunedAlphaNodes)
-	m.cacheHit.Add(stats.CacheHits)
-	m.cacheBound.Add(stats.CacheBoundHits)
-	m.cacheMiss.Add(stats.CacheMisses)
 	m.windowFills.Add(stats.WindowsFilled)
 	if ev := stats.WindowCandidates - stats.WindowScreenKilled - stats.WindowDeferredKilled; ev > 0 {
 		m.windowCands[0].Add(ev)

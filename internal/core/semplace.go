@@ -31,15 +31,15 @@ type searcher struct {
 	scratch *bfsScratch
 
 	// curSpan is the trace span of the candidate currently being
-	// evaluated (nil when tracing is off); semanticPlace annotates it and
-	// getSemanticPlace hangs its "tqsp" child under it. Set by the loop
-	// that owns this searcher, per candidate.
+	// evaluated (nil when tracing is off); getSemanticPlace hangs its
+	// "tqsp" child under it. Set by the loop that owns this searcher, per
+	// candidate.
 	curSpan *obs.Span
 
 	// lastLB reports, after a getSemanticPlace call, what is known about
 	// the true looseness: the exact value when construction completed
 	// (possibly +Inf for an unqualified place), or the dynamic lower
-	// bound reached when Rule 2 aborted. The looseness cache persists it.
+	// bound reached when Rule 2 aborted.
 	lastLB float64
 	// lastExact reports whether lastLB is the exact looseness.
 	lastExact bool
@@ -86,7 +86,7 @@ func (s *searcher) release() {
 // It returns the looseness (or +Inf when no qualified semantic place is
 // rooted at p, or when Rule 2 fired) and, if requested, the materialized
 // tree. s.lastLB / s.lastExact record what was learned about the true
-// looseness for the cross-query cache.
+// looseness.
 func (s *searcher) getSemanticPlace(p uint32, lw float64) (float64, *Tree) {
 	faultinject.Fire(PointBFS)
 	s.stats.TQSPComputations++

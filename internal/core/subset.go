@@ -14,8 +14,7 @@ import (
 // α-radius index, the subset's is restricted from it (alpha.Index.Restrict:
 // no BFS runs again; reading the receiver's lists can fail when they are
 // disk-resident, and that is the error returned); everything graph-wide —
-// document index, reachability
-// labels, looseness cache, scratch pools, metrics, scheduler and window
+// document index, reachability labels, scratch pools, metrics and window
 // lifetime totals — is shared with the receiver, so per-shard queries
 // keep feeding the same observability counters.
 func (e *Engine) Subset(places []uint32) (*Engine, error) {

@@ -91,7 +91,7 @@ func (e *Engine) taLoop(pq *prepQuery, opts Options, hk *topK, stats *Stats) {
 				cs.SetFloat("dist", dist)
 				s.curSpan = cs
 				semStart := time.Now()
-				loose, tree := s.semanticPlace(it.ID, math.Inf(1))
+				loose, tree := s.getSemanticPlace(it.ID, math.Inf(1))
 				stats.SemanticTime += time.Since(semStart)
 				s.curSpan = nil
 				cs.End()

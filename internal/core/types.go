@@ -127,14 +127,6 @@ type Stats struct {
 	// vertex) pairs its backward BFS reached). A vertex that is discovered
 	// and matched but never popped is not counted.
 	BFSVertexVisits int64
-	// CacheHits counts looseness-cache hits that returned an exact
-	// L(Tp) and skipped the BFS entirely; CacheBoundHits counts hits on
-	// a stored Rule-2 lower bound tight enough to prune without a BFS;
-	// CacheMisses counts lookups that fell through to a TQSP
-	// construction. All zero when the cache is disabled.
-	CacheHits      int64
-	CacheBoundHits int64
-	CacheMisses    int64
 	// WindowsFilled counts bulk pops by the windowed scheduler;
 	// WindowCandidates counts places that entered a window;
 	// WindowScreenKilled counts candidates discarded by the zero-BFS
@@ -181,9 +173,6 @@ func (s *Stats) Add(o *Stats) {
 	s.PrunedAlphaPlaces += o.PrunedAlphaPlaces
 	s.PrunedAlphaNodes += o.PrunedAlphaNodes
 	s.BFSVertexVisits += o.BFSVertexVisits
-	s.CacheHits += o.CacheHits
-	s.CacheBoundHits += o.CacheBoundHits
-	s.CacheMisses += o.CacheMisses
 	s.WindowsFilled += o.WindowsFilled
 	s.WindowCandidates += o.WindowCandidates
 	s.WindowScreenKilled += o.WindowScreenKilled

@@ -17,10 +17,10 @@ import (
 // happens to surface good places, and TQSP constructions run on
 // candidates that cheap semantic bounds could have deferred or killed. The window scheduler batches the stream: it
 // bulk-pops the next W candidates, screens the whole batch with zero BFS
-// (Rule 1 reachability, α-radius bounds, looseness-cache facts, and the
-// keywords-missing-at-root floor of Rule 2's lower bound), then emits the
-// survivors in best-screen-bound-first order so θ drops early and the rest
-// of the window dies without construction.
+// (Rule 1 reachability, α-radius bounds, and the keywords-missing-at-root
+// floor of Rule 2's lower bound), then emits the survivors in
+// best-screen-bound-first order so θ drops early and the rest of the
+// window dies without construction.
 //
 // Exactness: each emitted candidate carries bound = min(screenBound,
 // resume), where resume is the stream's lower bound on everything not yet
@@ -228,7 +228,7 @@ func (ws *windowSource) fill() {
 }
 
 // screenBound computes a zero-BFS lower bound on c's true score. +Inf
-// means a hard kill (Rule 1, or a cached exact "unqualified" fact).
+// means a hard kill by Rule 1.
 func (ws *windowSource) screenBound(c windowCand) float64 {
 	if ws.rule1 && ws.e.unqualified(c.place, ws.pq, ws.stats) {
 		return math.Inf(1)
@@ -250,24 +250,6 @@ func (ws *windowSource) screenBound(c windowCand) float64 {
 	if ws.qv != nil {
 		if ab := ws.qv.PlaceBound(c.place); ab > loose {
 			loose = ab
-		}
-	}
-	// Looseness-cache facts: an exact value decides outright; a stored
-	// Rule-2 lower bound tightens the floor. Raw probe — the per-query
-	// cache counters belong to the evaluation in the loop, which probes
-	// again only for candidates that survive.
-	if lc := ws.e.loose; lc != nil && ws.pq.sig != "" {
-		if ent, ok := lc.c.Get(looseKey{place: c.place, sig: ws.pq.sig}); ok {
-			if ent.exact {
-				if math.IsInf(ent.loose, 1) {
-					return math.Inf(1) // provably unqualified
-				}
-				if ent.loose > loose {
-					loose = ent.loose
-				}
-			} else if ent.loose > loose {
-				loose = ent.loose
-			}
 		}
 	}
 	sb := ws.e.Rank.Score(loose, c.dist)

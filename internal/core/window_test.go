@@ -12,7 +12,7 @@ import (
 // datasets and queries, every algorithm under every window size — fixed
 // W ∈ {1, 2, 7, 64} and the adaptive policy (0) — must return results
 // bit-identical to the seed one-candidate-at-a-time loop (Window: 1),
-// with and without the looseness cache, trees included.
+// trees included.
 func TestWindowedMatchesSerial(t *testing.T) {
 	configs := []gen.Config{
 		gen.DBpediaConfig(1500, 1001),
@@ -25,10 +25,6 @@ func TestWindowedMatchesSerial(t *testing.T) {
 		ref := NewEngine(g, rdf.Outgoing)
 		ref.EnableReach()
 		ref.EnableAlpha(3)
-		cached := NewEngine(g, rdf.Outgoing)
-		cached.EnableReach()
-		cached.EnableAlpha(3)
-		cached.EnableLoosenessCache(0)
 
 		rng := rand.New(rand.NewSource(int64(1020 + ci)))
 		for trial := 0; trial < 4; trial++ {
@@ -41,15 +37,13 @@ func TestWindowedMatchesSerial(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s classic loop: %v", a.name, err)
 				}
-				for _, e := range []*Engine{ref, cached} {
-					for _, win := range windows {
-						got, _, err := a.run(e, q, Options{CollectTrees: true, Window: win})
-						if err != nil {
-							t.Fatalf("%s window=%d: %v", a.name, win, err)
-						}
-						identicalResults(t, a.name, got, want)
-						sameTrees(t, a.name, got, want)
+				for _, win := range windows {
+					got, _, err := a.run(ref, q, Options{CollectTrees: true, Window: win})
+					if err != nil {
+						t.Fatalf("%s window=%d: %v", a.name, win, err)
 					}
+					identicalResults(t, a.name, got, want)
+					sameTrees(t, a.name, got, want)
 				}
 			}
 		}

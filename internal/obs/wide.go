@@ -33,7 +33,7 @@ type WideShard struct {
 }
 
 // WideEvent is one query's canonical record: shape, plan, phase
-// timings, pruning and cache work, shard outcomes, degradation flags.
+// timings, pruning work, shard outcomes, degradation flags.
 type WideEvent struct {
 	RequestID string    `json:"requestId,omitempty"`
 	TraceID   string    `json:"traceId,omitempty"`
@@ -60,9 +60,6 @@ type WideEvent struct {
 	PrunedRule2      int64 `json:"prunedRule2,omitempty"`
 	PrunedRule3      int64 `json:"prunedRule3,omitempty"`
 	PrunedRule4      int64 `json:"prunedRule4,omitempty"`
-	CacheHits        int64 `json:"cacheHits,omitempty"`
-	CacheBoundHits   int64 `json:"cacheBoundHits,omitempty"`
-	CacheMisses      int64 `json:"cacheMisses,omitempty"`
 
 	// Outcome.
 	Status   int         `json:"status"`

@@ -363,11 +363,28 @@ type QueryStats struct {
 	WindowCandidates     int64 `json:"windowCandidates,omitempty"`
 	WindowScreenKilled   int64 `json:"windowScreenKilled,omitempty"`
 	WindowDeferredKilled int64 `json:"windowDeferredKilled,omitempty"`
-	CacheHits            int64 `json:"cacheHits,omitempty"`
-	CacheBoundHits       int64 `json:"cacheBoundHits,omitempty"`
-	CacheMisses          int64 `json:"cacheMisses,omitempty"`
 	TimedOut             bool  `json:"timedOut"`
 	Cancelled            bool  `json:"cancelled,omitempty"`
+}
+
+// queryStats builds the response's QueryStats from one evaluation's
+// counters. d is the latency to report: the engine's own total on the
+// local path, the gather's wall clock on the sharded one.
+func queryStats(algo ksp.Algorithm, window int, d time.Duration, st *ksp.Stats) QueryStats {
+	return QueryStats{
+		Algorithm:            algo.String(),
+		Millis:               d.Milliseconds(),
+		Micros:               d.Microseconds(),
+		TQSPComputations:     st.TQSPComputations,
+		RTreeNodeAccesses:    st.RTreeNodeAccesses,
+		Window:               window,
+		WindowsFilled:        st.WindowsFilled,
+		WindowCandidates:     st.WindowCandidates,
+		WindowScreenKilled:   st.WindowScreenKilled,
+		WindowDeferredKilled: st.WindowDeferredKilled,
+		TimedOut:             st.TimedOut,
+		Cancelled:            st.Cancelled,
+	}
 }
 
 type apiError struct {
@@ -584,23 +601,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	resp := SearchResponse{
 		Results: make([]SearchResult, 0, len(res)),
 		Partial: stats.Partial,
-		Stats: QueryStats{
-			Algorithm:            algo.String(),
-			Millis:               stats.TotalTime().Milliseconds(),
-			Micros:               stats.TotalTime().Microseconds(),
-			TQSPComputations:     stats.TQSPComputations,
-			RTreeNodeAccesses:    stats.RTreeNodeAccesses,
-			Window:               window,
-			WindowsFilled:        stats.WindowsFilled,
-			WindowCandidates:     stats.WindowCandidates,
-			WindowScreenKilled:   stats.WindowScreenKilled,
-			WindowDeferredKilled: stats.WindowDeferredKilled,
-			CacheHits:            stats.CacheHits,
-			CacheBoundHits:       stats.CacheBoundHits,
-			CacheMisses:          stats.CacheMisses,
-			TimedOut:             stats.TimedOut,
-			Cancelled:            stats.Cancelled,
-		},
+		Stats:   queryStats(algo, window, stats.TotalTime(), stats),
 	}
 	switch {
 	case tr != nil && traceMode(r) == tracePerfetto:
@@ -811,14 +812,13 @@ func (s *Server) handleDescribe(w http.ResponseWriter, r *http.Request) {
 
 // StatsResponse is the /stats payload. Each section is its own named
 // object, populated independently of the others: the dataset summary is
-// always present, optional subsystems (cache, admission) appear only
-// when enabled, and the metrics snapshot mirrors what /metrics exports.
+// always present, optional subsystems (window, admission) appear only
+// once in use, and the metrics snapshot mirrors what /metrics exports.
 type StatsResponse struct {
 	Dataset ksp.DatasetStats `json:"dataset"`
 	// Bounds is the dataset's place MBR; peer coordinators read it to
 	// enable shard distance pruning. Absent on empty datasets.
 	Bounds    *BoundsSection    `json:"bounds,omitempty"`
-	Cache     *CacheSection     `json:"cache,omitempty"`
 	Window    *WindowSection    `json:"window,omitempty"`
 	Admission *AdmissionSection `json:"admission,omitempty"`
 	// Slow reports the slow-query log when it is enabled.
@@ -830,12 +830,6 @@ type StatsResponse struct {
 	// scatter-gather servers.
 	Shards  []shard.ShardInfo `json:"shards,omitempty"`
 	Metrics []ksp.MetricPoint `json:"metrics,omitempty"`
-}
-
-// CacheSection reports the looseness cache in /stats.
-type CacheSection struct {
-	ksp.CacheStats
-	HitRate float64 `json:"hitRate"`
 }
 
 // WindowSection reports the windowed candidate scheduler in /stats; it
@@ -894,9 +888,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			PanicsRecovered: s.panics.Load(),
 			SharedFlights:   s.sharedFlights.Load(),
 		},
-	}
-	if cs, ok := s.ds.CacheStats(); ok {
-		resp.Cache = &CacheSection{CacheStats: cs, HitRate: cs.HitRate()}
 	}
 	if ws := s.ds.WindowStats(); ws.Fills > 0 {
 		sec := WindowSection{WindowStats: ws}

@@ -269,39 +269,3 @@ func TestLegacyParallelParamIgnored(t *testing.T) {
 		}
 	}
 }
-
-// /stats must expose looseness-cache counters when the cache is enabled
-// and omit the section when it is not.
-func TestStatsCacheSection(t *testing.T) {
-	// Without cache.
-	srv := testServer(t)
-	var bare StatsResponse
-	getJSON(t, srv.URL+"/stats", &bare)
-	if bare.Cache != nil {
-		t.Errorf("cache section present without cache: %+v", bare.Cache)
-	}
-
-	// With cache: run the same query twice, expect hits to show up.
-	cfg := ksp.DefaultConfig()
-	cfg.LoosenessCacheEntries = -1
-	ds, err := ksp.Open(strings.NewReader(fixtureNT), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	csrv := httptest.NewServer(New(ds))
-	defer csrv.Close()
-	var sr SearchResponse
-	getJSON(t, csrv.URL+"/search?x=0&y=0&kw=roman,history&k=2", &sr)
-	getJSON(t, csrv.URL+"/search?x=0&y=0&kw=roman,history&k=2", &sr)
-	if sr.Stats.CacheHits == 0 {
-		t.Errorf("repeat query reported no cache hits: %+v", sr.Stats)
-	}
-	var st StatsResponse
-	getJSON(t, csrv.URL+"/stats", &st)
-	if st.Cache == nil {
-		t.Fatal("cache section missing")
-	}
-	if st.Cache.Hits == 0 || st.Cache.Entries == 0 || st.Cache.HitRate <= 0 {
-		t.Errorf("cache section not populated: %+v", st.Cache)
-	}
-}

@@ -144,23 +144,7 @@ func (s *Server) searchSharded(w http.ResponseWriter, r *http.Request, release f
 		Partial:  g.Partial,
 		Degraded: g.Degraded,
 		Shards:   g.Shards,
-		Stats: QueryStats{
-			Algorithm:            req.Algo.String(),
-			Millis:               elapsed.Milliseconds(),
-			Micros:               elapsed.Microseconds(),
-			TQSPComputations:     g.Stats.TQSPComputations,
-			RTreeNodeAccesses:    g.Stats.RTreeNodeAccesses,
-			Window:               req.Window,
-			WindowsFilled:        g.Stats.WindowsFilled,
-			WindowCandidates:     g.Stats.WindowCandidates,
-			WindowScreenKilled:   g.Stats.WindowScreenKilled,
-			WindowDeferredKilled: g.Stats.WindowDeferredKilled,
-			CacheHits:            g.Stats.CacheHits,
-			CacheBoundHits:       g.Stats.CacheBoundHits,
-			CacheMisses:          g.Stats.CacheMisses,
-			TimedOut:             g.Stats.TimedOut,
-			Cancelled:            g.Stats.Cancelled,
-		},
+		Stats:    queryStats(req.Algo, req.Window, elapsed, &g.Stats),
 	}
 	if g.Partial {
 		resp.ScoreLowerBound = g.Bound

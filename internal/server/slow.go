@@ -84,9 +84,6 @@ func (s *Server) noteWide(rec obs.QueryRecord, traceID string, window int, maxDi
 		ev.PrunedRule2 = stats.PrunedDynamicBound
 		ev.PrunedRule3 = stats.PrunedAlphaPlaces
 		ev.PrunedRule4 = stats.PrunedAlphaNodes
-		ev.CacheHits = stats.CacheHits
-		ev.CacheBoundHits = stats.CacheBoundHits
-		ev.CacheMisses = stats.CacheMisses
 		ev.TimedOut = stats.TimedOut
 	}
 	for _, st := range statuses {

@@ -3,13 +3,13 @@ package shard_test
 // The scatter-gather soundness property (DESIGN.md §14): when every
 // shard answers, the coordinator's merged top-k is bit-identical to the
 // single-engine answer over the whole dataset — same places, same
-// scores, same order — across shard counts, window directives, parallel
-// widths, and cache settings. The proof sketch is that each shard runs
-// the identical engine over a place-subset of the same graph (looseness
-// is a graph property, unaffected by partitioning) and discards only
-// places that k offered places strictly beat, so the global top-k is a
-// subset of the union of the per-shard answers, and the merge re-imposes
-// the engine's (score, place) order.
+// scores, same order — across shard counts and window directives. The
+// proof sketch is that each shard runs the identical engine over a
+// place-subset of the same graph (looseness is a graph property,
+// unaffected by partitioning) and discards only places that k offered
+// places strictly beat, so the global top-k is a subset of the union of
+// the per-shard answers, and the merge re-imposes the engine's
+// (score, place) order.
 
 import (
 	"bytes"
@@ -29,16 +29,14 @@ import (
 
 // buildDataset generates a synthetic graph and loads it through the
 // public API, returning the dataset and a query generator over it.
-func buildDataset(t *testing.T, cacheEntries int) (*ksp.Dataset, *gen.QueryGen) {
+func buildDataset(t *testing.T) (*ksp.Dataset, *gen.QueryGen) {
 	t.Helper()
 	g := gen.Generate(gen.DBpediaConfig(1200, 101))
 	var buf bytes.Buffer
 	if err := nt.WriteGraph(g, &buf); err != nil {
 		t.Fatal(err)
 	}
-	cfg := ksp.DefaultConfig()
-	cfg.LoosenessCacheEntries = cacheEntries
-	ds, err := ksp.Open(&buf, cfg)
+	ds, err := ksp.Open(&buf, ksp.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,34 +159,31 @@ func tieFixture() string {
 }
 
 // Multi-shard scatter-gather is bit-identical to single-shard
-// evaluation across shardCount × window × cache, at K = 1,
+// evaluation across shardCount × window, at K = 1,
 // the serving default 5 and a K beyond the place count, with and
 // without a MaxDist radius — and on exact score ties straddling rank K,
 // where a tile must keep a place scoring exactly the shared θ for the
 // merge's (score, place) tie-break to decide as the single engine does.
 func TestShardedEquivalence(t *testing.T) {
-	for _, cacheEntries := range []int{0, -1} {
-		cacheEntries := cacheEntries
-		t.Run(fmt.Sprintf("cache=%d", cacheEntries), func(t *testing.T) {
-			ds, qg := buildDataset(t, cacheEntries)
-			coords := map[int]*shard.Coordinator{}
-			for _, n := range shardCounts {
-				coords[n] = localCoordinator(t, ds, n)
+	t.Run("random", func(t *testing.T) {
+		ds, qg := buildDataset(t)
+		coords := map[int]*shard.Coordinator{}
+		for _, n := range shardCounts {
+			coords[n] = localCoordinator(t, ds, n)
+		}
+		beyond := ds.Stats().Places + 10
+		for qi := 0; qi < 4; qi++ {
+			loc, kws := qg.Original(3)
+			query := ksp.Query{Loc: ksp.Point{X: loc.X, Y: loc.Y}, Keywords: kws}
+			label := fmt.Sprintf("q%d", qi)
+			for _, k := range []int{1, 5, beyond} {
+				query.K = k
+				sweepEquivalence(t, label, ds, coords, query, 0)
 			}
-			beyond := ds.Stats().Places + 10
-			for qi := 0; qi < 4; qi++ {
-				loc, kws := qg.Original(3)
-				query := ksp.Query{Loc: ksp.Point{X: loc.X, Y: loc.Y}, Keywords: kws}
-				label := fmt.Sprintf("q%d", qi)
-				for _, k := range []int{1, 5, beyond} {
-					query.K = k
-					sweepEquivalence(t, label, ds, coords, query, 0)
-				}
-				query.K = 5
-				sweepEquivalence(t, label, ds, coords, query, 0.2)
-			}
-		})
-	}
+			query.K = 5
+			sweepEquivalence(t, label, ds, coords, query, 0.2)
+		}
+	})
 	// Ties are pinned for SP only: its stream is ordered by (α-bound,
 	// place ID), so arrival order agrees with the merge's tie-break. The
 	// distance-ordered BSP/SPP streams break equal distances by R-tree
@@ -232,7 +227,7 @@ func TestShardedEquivalence(t *testing.T) {
 // round trip (engine → JSON → coordinator merge) must preserve scores
 // bit-for-bit (encoding/json emits shortest-round-trip float64).
 func TestShardedEquivalenceRemote(t *testing.T) {
-	ds, qg := buildDataset(t, 0)
+	ds, qg := buildDataset(t)
 	tiles, err := ds.PartitionSpatial(3)
 	if err != nil {
 		t.Fatal(err)
@@ -281,7 +276,7 @@ func TestShardedEquivalenceRemote(t *testing.T) {
 // single-engine radius-restricted answer, and out-of-radius shards are
 // skipped rather than queried.
 func TestShardedEquivalenceMaxDist(t *testing.T) {
-	ds, qg := buildDataset(t, 0)
+	ds, qg := buildDataset(t)
 	c := localCoordinator(t, ds, 4)
 	for qi := 0; qi < 3; qi++ {
 		loc, kws := qg.Original(3)

@@ -72,9 +72,6 @@ type Bound = core.Bound
 // NewBound returns an empty shared threshold for a top-k query.
 func NewBound(k int) *Bound { return core.NewBound(k) }
 
-// CacheStats summarizes the cross-query looseness cache.
-type CacheStats = core.CacheStats
-
 // WindowStats carries the windowed candidate scheduler's lifetime
 // totals. See Dataset.WindowStats.
 type WindowStats = core.WindowStats
@@ -206,13 +203,6 @@ type Config struct {
 	// the page cache. Platforms without mmap support silently fall back
 	// to positioned reads. Results are identical in either mode.
 	Mmap bool
-	// LoosenessCacheEntries enables the engine's cross-query looseness
-	// cache with the given entry capacity: exact L(Tp) values and Rule-2
-	// lower bounds are remembered per (place, keyword-set) and reused by
-	// later queries, skipping TQSP constructions without changing any
-	// answer. 0 disables the cache; negative selects the built-in default
-	// capacity.
-	LoosenessCacheEntries int
 	// RemoveStopwords drops common English glue words from documents and
 	// query keywords alike.
 	RemoveStopwords bool
@@ -311,9 +301,6 @@ func NewDatasetFromGraph(g *rdf.Graph, cfg Config) (*Dataset, error) {
 	}
 	if cfg.AlphaRadius > 0 {
 		e.EnableAlpha(cfg.AlphaRadius)
-	}
-	if cfg.LoosenessCacheEntries != 0 {
-		e.EnableLoosenessCache(cfg.LoosenessCacheEntries)
 	}
 	return &Dataset{g: g, engine: e, cfg: cfg}, nil
 }
@@ -446,16 +433,8 @@ func datasetFromSnapshot(snap *store.Snapshot, cfg Config) (*Dataset, error) {
 	} else if cfg.AlphaRadius > 0 {
 		e.EnableAlpha(cfg.AlphaRadius)
 	}
-	if cfg.LoosenessCacheEntries != 0 {
-		e.EnableLoosenessCache(cfg.LoosenessCacheEntries)
-	}
 	return &Dataset{g: g, engine: e, cfg: cfg}, nil
 }
-
-// CacheStats reports the looseness cache's cumulative hit/miss counters
-// and entry count; ok is false when Config.LoosenessCacheEntries left
-// the cache disabled.
-func (d *Dataset) CacheStats() (CacheStats, bool) { return d.engine.CacheStats() }
 
 // WindowStats reports the windowed candidate scheduler's lifetime
 // totals: fills, candidates popped, and how many were killed before a
@@ -464,8 +443,8 @@ func (d *Dataset) CacheStats() (CacheStats, bool) { return d.engine.CacheStats()
 func (d *Dataset) WindowStats() WindowStats { return d.engine.WindowStats() }
 
 // EnableMetrics registers the engine's instruments (query counters and
-// latency histograms per algorithm, TQSP and pruning counters, looseness
-// cache and R-tree access counters) in reg and starts recording into
+// latency histograms per algorithm, TQSP and pruning counters, and
+// R-tree access counters) in reg and starts recording into
 // them. Call once, before serving queries; a dataset without metrics
 // enabled evaluates queries with zero observability overhead.
 func (d *Dataset) EnableMetrics(reg *Registry) { d.engine.EnableMetrics(reg) }

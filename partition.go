@@ -31,8 +31,8 @@ func (d *Dataset) SpatialPlaces() int { return d.engine.Tree.Len() }
 // contiguous runs, so each shard covers a compact tile of the plane
 // (tight MBRs make the coordinator's MinDist pruning effective). Each
 // shard is a full Dataset over its own R-tree and α-radius index but
-// shares the graph, document index, reachability labels and looseness
-// cache with the receiver — the union of the shards' candidate
+// shares the graph, document index and reachability labels with the
+// receiver — the union of the shards' candidate
 // universes is exactly the receiver's, with no place in two shards.
 //
 // n = 1 returns the receiver itself. When n exceeds the number of

@@ -1,9 +1,8 @@
 #!/bin/sh
 # Full pre-commit gate: format, vet, lint, build, and the complete test
-# suite under the race detector (concurrent requests, the shard
-# coordinator and the shared looseness cache are only trustworthy
-# race-clean). Mirrors the CI lint + race-vet jobs so a clean local run
-# predicts a green pipeline.
+# suite under the race detector (concurrent requests and the shard
+# coordinator are only trustworthy race-clean). Mirrors the CI lint +
+# race-vet jobs so a clean local run predicts a green pipeline.
 #
 # Usage: scripts/check.sh
 set -eu
