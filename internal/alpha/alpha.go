@@ -5,19 +5,19 @@
 // α from p, the shortest such distance. WN(N) of an R-tree node N is the
 // term-wise minimum over the places below N. Both are inverted files keyed
 // by term, so that a query only touches the entries of its keywords (the
-// paper's Section 5 "Storage" paragraph). In memory a file is a File: a
-// frequent term is a column of one nibble per entry, which a QueryView
-// borrows and reads in place; the posting list of any other term — and
-// every list of a disk-resident file — it scatters into a dense per-query
-// table. The α-bounds on looseness for places (Lemma 2) and nodes
-// (Lemma 4) are one table read plus one nibble per borrowed column.
+// paper's Section 5 "Storage" paragraph). A file is a File, a view over
+// one image whose layout is the same on the heap, in a snapshot and in a
+// mapping of that snapshot: a frequent term is a column of one nibble per
+// entry, which a QueryView borrows and reads in place; the posting list of
+// any other term it scatters into a dense per-query table. The α-bounds
+// on looseness for places (Lemma 2) and nodes (Lemma 4) are one table read
+// plus one nibble per borrowed column.
 package alpha
 
 import (
 	"fmt"
 	"sync"
 
-	"ksp/internal/invindex"
 	"ksp/internal/rdf"
 )
 
@@ -28,11 +28,9 @@ type Index struct {
 	Dir   rdf.Direction
 
 	// PlaceIdx: term -> postings of (place vertex ID, dg(p,t)).
-	PlaceIdx invindex.Index
+	PlaceIdx *File
 	// NodeIdx: term -> postings of (R-tree node ID, dg(N,t)).
-	NodeIdx invindex.Index
-	// Build, Restrict and Pack make both a *File; a disk-resident snapshot
-	// leaves them *invindex.DiskIndex.
+	NodeIdx *File
 
 	// qvPool recycles QueryViews (and the dense tables inside them)
 	// across queries; the zero value is ready to use, so composite
@@ -46,16 +44,10 @@ func (ix *Index) NumPostings() (places, nodes int64) {
 	return ix.PlaceIdx.NumPostings(), ix.NodeIdx.NumPostings()
 }
 
-// MemSize returns the bytes the index holds resident, File.MemSize of its
-// two files; a file that is not in memory counts nothing.
+// MemSize returns the bytes of the two files' images, on the heap or in
+// a mapping.
 func (ix *Index) MemSize() int64 {
-	return columnsOf(ix.PlaceIdx).MemSize() + columnsOf(ix.NodeIdx).MemSize()
-}
-
-// OnDisk reports whether an inverted file of the index is fetched from
-// disk per query instead of held in memory.
-func (ix *Index) OnDisk() bool {
-	return invindex.OnDisk(ix.PlaceIdx) || invindex.OnDisk(ix.NodeIdx)
+	return int64(len(ix.PlaceIdx.Image()) + len(ix.NodeIdx.Image()))
 }
 
 // ApproxBytes estimates storage for Table 6: five bytes per posting (4-byte
@@ -101,33 +93,26 @@ func (t *boundTable) reset() {
 	}
 }
 
-// scatter adds one keyword's posting list to the table. Every index
-// representation produces strictly ID-ascending lists; anything else can
-// only come out of a damaged index file and would count one keyword twice
-// for an entry, lifting its bound above Lemma 2's value, so it is an
-// error. The check runs before any cell is written.
-func (t *boundTable) scatter(pl []invindex.Posting) error {
-	if len(pl) == 0 {
-		return nil
+// scatter adds one keyword's posting list, given as its IDs (four
+// little-endian bytes each) and its distances, to the table. The list
+// ascends strictly — it was built so, or OpenPlaces/OpenNodes checked it —
+// so no entry counts one keyword twice.
+func (t *boundTable) scatter(ids, w []byte) {
+	if len(w) == 0 {
+		return
 	}
-	for i := 1; i < len(pl); i++ {
-		if pl[i].ID <= pl[i-1].ID {
-			return fmt.Errorf("entry %d follows entry %d", pl[i].ID, pl[i-1].ID)
-		}
-	}
-	if need := int(pl[len(pl)-1].ID) + 1; need > len(t.cell) {
+	if need := int(le.Uint32(ids[len(ids)-4:])) + 1; need > len(t.cell) {
 		// New cells carry epoch 0, which no live table has: stale.
 		t.cell = append(t.cell, make([]boundCell, need-len(t.cell))...)
 	}
-	for _, p := range pl {
-		c := &t.cell[p.ID]
+	for i, d := range w {
+		c := &t.cell[le.Uint32(ids[4*i:])]
 		if c.epoch != t.epoch {
 			*c = boundCell{epoch: t.epoch}
 		}
 		c.within++
-		c.sum += uint16(p.Weight)
+		c.sum += uint16(d)
 	}
-	return nil
 }
 
 // fileView is what one query needs of one inverted file: the columns of
@@ -154,20 +139,16 @@ func (v *fileView) dropColumns() {
 	v.cols = v.cols[:0]
 }
 
-// load adds the keyword term of src: its column where src offers one,
-// else its list, fetched through buf, which is returned.
-func (v *fileView) load(src invindex.Index, term uint32, buf []invindex.Posting) ([]invindex.Posting, error) {
-	f := columnsOf(src)
-	if col := f.column(term); col != nil {
+// load adds the keyword term of f: its column, borrowed, or its list,
+// scattered.
+func (v *fileView) load(f *File, term uint32) {
+	r := f.term(term)
+	if r.col != nil {
 		v.file = f
-		v.cols = append(v.cols, col)
-		return buf, nil
+		v.cols = append(v.cols, r.col)
+		return
 	}
-	buf, err := src.Postings(term, buf[:0])
-	if err != nil {
-		return buf, err
-	}
-	return buf, v.scatter(buf)
+	v.scatter(r.ids, r.w)
 }
 
 // bound returns 1 + Σ dg over the keywords within α of id + absent for
@@ -206,12 +187,11 @@ type QueryView struct {
 	place fileView
 	node  fileView
 
-	owner *Index             // pool to return to; nil after Release
-	buf   []invindex.Posting // pooled read scratch for LoadQuery
+	owner *Index // pool to return to; nil after Release
 }
 
-// LoadQuery borrows the columns of the query keywords and fetches and
-// scatters the posting lists of those that have none. A term listed
+// LoadQuery borrows the columns of the query keywords and scatters the
+// posting lists of those that have none. A term listed
 // twice counts as two keywords. Views come from a pool on the Index, so
 // the warm path reuses the tables.
 func (ix *Index) LoadQuery(terms []uint32) (*QueryView, error) {
@@ -239,13 +219,8 @@ func (qv *QueryView) fill(ix *Index, terms []uint32) error {
 	qv.place.reset()
 	qv.node.reset()
 	for _, t := range terms {
-		var err error
-		if qv.buf, err = qv.place.load(ix.PlaceIdx, t, qv.buf); err != nil {
-			return fmt.Errorf("alpha: place postings of term %d: %w", t, err)
-		}
-		if qv.buf, err = qv.node.load(ix.NodeIdx, t, qv.buf); err != nil {
-			return fmt.Errorf("alpha: node postings of term %d: %w", t, err)
-		}
+		qv.place.load(ix.PlaceIdx, t)
+		qv.node.load(ix.NodeIdx, t)
 	}
 	return nil
 }

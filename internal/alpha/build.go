@@ -55,8 +55,8 @@ func Build(g *rdf.Graph, tree *rtree.RTree, alphaRadius int, dir rdf.Direction) 
 //     prefix-sum over the terms that stay lists, then fill walking the
 //     places in ascending vertex ID, which sets a nibble of the term's
 //     column or writes the next posting of its strictly ascending list,
-//     either into storage of exact size. Nothing is appended, sorted,
-//     de-duplicated or packed afterwards.
+//     either into the file's image, allocated at its final size. Nothing
+//     is appended, sorted, de-duplicated or packed afterwards.
 //  3. The node inverted file is derived from the place file term by term
 //     (derive): WN(N) is by Definition 6 the term-wise minimum over the
 //     places below N, so term t's node entries are its place entries
@@ -67,9 +67,9 @@ func BuildFor(g *rdf.Graph, tree *rtree.RTree, alphaRadius int, dir rdf.Directio
 	}
 	place := placeFile(g, alphaRadius, dir, places)
 	lend := func() termReader {
-		return func(term uint32) (termRep, error) { return place.terms[term], nil }
+		return func(term uint32) (termRep, error) { return place.term(term), nil }
 	}
-	_, node, err := derive(len(place.terms), alphaRadius, lend, &place.universe, newTreeShape(tree, &place.universe), false)
+	_, node, err := derive(place.NumTerms(), alphaRadius, lend, &place.universe, newTreeShape(tree, &place.universe), false)
 	if err != nil {
 		panic(err) // lend cannot fail
 	}
@@ -82,22 +82,18 @@ func BuildFor(g *rdf.Graph, tree *rtree.RTree, alphaRadius int, dir rdf.Directio
 // which keeps it ascending; neither walks more than the tile or the list
 // — and the node file is derived from the result over tree exactly as
 // BuildFor derives it. No BFS runs: WN(p) does not depend on which other
-// places are indexed with p. What ix does not hold as a File is read
-// through invindex.Index, so ix may be disk-resident; a read error or a
-// damaged list is returned.
-func (ix *Index) Restrict(tree *rtree.RTree) (*Index, error) {
+// places are indexed with p. ix may be served from a mapping: its place
+// file is only read.
+func (ix *Index) Restrict(tree *rtree.RTree) *Index {
 	u := placeUniverse(sortedSet(treePlaces(tree)))
-	from := columnsOf(ix.PlaceIdx)
+	from := ix.PlaceIdx
 	// at[o] is where ix keeps the tile's o-th place, and one entry more
 	// evens the count out: a gathered byte is written whole.
-	var at []uint32
-	if from != nil {
-		at = make([]uint32, 2*u.stride())
-		for o := range at {
-			at[o] = noOrd
-			if o < u.n {
-				at[o] = from.ordinal(u.ids[o])
-			}
+	at := make([]uint32, 2*u.stride())
+	for o := range at {
+		at[o] = noOrd
+		if o < u.n {
+			at[o] = from.ordinal(u.id(o))
 		}
 	}
 	// gathered returns the nibble ix keeps at a, empty where it keeps none.
@@ -108,54 +104,38 @@ func (ix *Index) Restrict(tree *rtree.RTree) (*Index, error) {
 		return nibble(src, a)
 	}
 	read := func() termReader {
-		var list []invindex.Posting
+		var ids, w []byte
 		col := make([]byte, u.stride())
 		return func(term uint32) (termRep, error) {
-			if src := from.column(term); src != nil {
+			r := from.term(term)
+			if r.col != nil {
 				for i := range col {
-					col[i] = gathered(src, at[2*i]) | gathered(src, at[2*i+1])<<4
+					col[i] = gathered(r.col, at[2*i]) | gathered(r.col, at[2*i+1])<<4
 				}
 				return termRep{col: col}, nil
 			}
-			var err error
-			if list, err = ix.PlaceIdx.Postings(term, list[:0]); err != nil {
-				return termRep{}, err
+			ids, w = ids[:0], w[:0]
+			for i, d := range r.w {
+				if id := le.Uint32(r.ids[4*i:]); u.ordinal(id) != noOrd {
+					ids, w = le.AppendUint32(ids, id), append(w, d)
+				}
 			}
-			kept, err := keepInside(list, &u, ix.Alpha)
-			return termRep{list: kept}, err
+			return termRep{ids: ids, w: w}, nil
 		}
 	}
-	place, node, err := derive(ix.PlaceIdx.NumTerms(), ix.Alpha, read, &u, newTreeShape(tree, &u), true)
+	place, node, err := derive(from.NumTerms(), ix.Alpha, read, &u, newTreeShape(tree, &u), true)
 	if err != nil {
-		return nil, err
+		panic(err) // read cannot fail
 	}
-	return &Index{Alpha: ix.Alpha, Dir: ix.Dir, PlaceIdx: place, NodeIdx: node}, nil
-}
-
-// keepInside checks that pl, a list from outside, ascends strictly and
-// holds no distance beyond radius, and cuts it down in place to the
-// entries whose ID u has.
-func keepInside(pl []invindex.Posting, u *universe, radius int) ([]invindex.Posting, error) {
-	kept := pl[:0]
-	for i, p := range pl {
-		if i > 0 && p.ID <= pl[i-1].ID {
-			return nil, fmt.Errorf("entry %d follows entry %d", p.ID, pl[i-1].ID)
-		}
-		if int(p.Weight) > radius {
-			return nil, fmt.Errorf("entry %d at distance %d, beyond the radius %d", p.ID, p.Weight, radius)
-		}
-		if u.ordinal(p.ID) != noOrd {
-			kept = append(kept, p)
-		}
-	}
-	return kept, nil
+	return &Index{Alpha: ix.Alpha, Dir: ix.Dir, PlaceIdx: place, NodeIdx: node}
 }
 
 // PackPlaces reads the place file of an index of the given radius through
 // src, term by term, and returns it as a File over places, the vertex IDs
-// of the indexed places in any order. A read error, a list that does not
-// ascend strictly, a distance beyond the radius and an entry that is not
-// one of places are errors.
+// of the indexed places in any order: how a snapshot of format version 1
+// or 2, whose α sections are invindex encodings, is loaded. A read error,
+// a list that does not ascend strictly, a distance beyond the radius and
+// an entry that is not one of places are errors.
 func PackPlaces(src invindex.Index, alphaRadius int, places []uint32) (*File, error) {
 	return pack(src, alphaRadius, placeUniverse(sortedSet(places)))
 }
@@ -173,16 +153,25 @@ func PackNodes(src invindex.Index, alphaRadius int) (*File, error) {
 func pack(src invindex.Index, alphaRadius int, u universe) (*File, error) {
 	read := func() termReader {
 		var list []invindex.Posting
+		var ids, w []byte
 		return func(term uint32) (termRep, error) {
 			var err error
 			if list, err = src.Postings(term, list[:0]); err != nil {
 				return termRep{}, err
 			}
-			kept, err := keepInside(list, &u, alphaRadius)
-			if err == nil && len(kept) != len(list) {
-				err = fmt.Errorf("%d entries outside the ID space of the file", len(list)-len(kept))
+			ids, w = ids[:0], w[:0]
+			for i, p := range list {
+				switch {
+				case i > 0 && p.ID <= list[i-1].ID:
+					return termRep{}, fmt.Errorf("entry %d follows entry %d", p.ID, list[i-1].ID)
+				case int(p.Weight) > alphaRadius:
+					return termRep{}, fmt.Errorf("entry %d at distance %d, beyond the radius %d", p.ID, p.Weight, alphaRadius)
+				case u.ordinal(p.ID) == noOrd:
+					return termRep{}, fmt.Errorf("entry %d is outside the ID space of the file", p.ID)
+				}
+				ids, w = le.AppendUint32(ids, p.ID), append(w, p.Weight)
 			}
-			return termRep{list: kept}, err
+			return termRep{ids: ids, w: w}, nil
 		}
 	}
 	f, _, err := derive(src.NumTerms(), alphaRadius, read, &u, nil, true)
@@ -260,23 +249,24 @@ func (m *minTable) offer(key uint32, d uint8) bool {
 	return false
 }
 
-// appendSorted appends the offered keys and their minima to dst in
-// ascending key order. Few keys are sorted; once a fair share of the key
-// space was offered it is cheaper to walk the cells in order instead.
-func (m *minTable) appendSorted(dst []invindex.Posting) []invindex.Posting {
+// appendSorted appends the offered keys to ids, four little-endian bytes
+// each, and their minima to w, in ascending key order. Few keys are
+// sorted; once a fair share of the key space was offered it is cheaper to
+// walk the cells in order instead.
+func (m *minTable) appendSorted(ids, w []byte) ([]byte, []byte) {
 	if len(m.touched) < len(m.cell)/8 {
 		slices.Sort(m.touched)
 		for _, k := range m.touched {
-			dst = append(dst, invindex.Posting{ID: k, Weight: m.cell[k].min})
+			ids, w = le.AppendUint32(ids, k), append(w, m.cell[k].min)
 		}
-		return dst
+		return ids, w
 	}
 	for k, c := range m.cell {
 		if c.epoch == m.epoch {
-			dst = append(dst, invindex.Posting{ID: uint32(k), Weight: c.min})
+			ids, w = le.AppendUint32(ids, uint32(k)), append(w, c.min)
 		}
 	}
-	return dst
+	return ids, w
 }
 
 // wnRun is one place's neighbourhood in four bytes an entry: its terms,
@@ -347,7 +337,7 @@ func placeFile(g *rdf.Graph, alphaRadius int, dir rdf.Direction, places []uint32
 	// The fill below needs ascending IDs, each once; a place's position in
 	// that order is its ordinal in the file.
 	order := sortedSet(places)
-	f := &File{universe: placeUniverse(order), terms: make([]termRep, numTerms)}
+	u := placeUniverse(order)
 
 	runs := make([]wnRun, len(order))
 	parallel(len(order), 1, func() func(lo, hi int) {
@@ -395,7 +385,7 @@ func placeFile(g *rdf.Graph, alphaRadius int, dir rdf.Direction, places []uint32
 		}
 	})
 	// Every term's length is known here, and with it its form: the fill
-	// writes into the storage the term keeps.
+	// writes into the image, which is allocated at its final size.
 	count := func(t int) (n int) {
 		for b := range next {
 			n += next[b][t]
@@ -404,42 +394,39 @@ func placeFile(g *rdf.Graph, alphaRadius int, dir rdf.Direction, places []uint32
 	}
 	columns, listed := 0, 0
 	for t := 0; t < numTerms; t++ {
-		n := count(t)
-		f.total += int64(n)
-		if f.columnFor(n, alphaRadius) {
+		if n := count(t); u.columnFor(n, alphaRadius) {
 			columns++
 		} else {
 			listed += n
 		}
 	}
-	// slot[t] is where term t's column begins in cols, -1 for a list: the
-	// fill looks a term up once per entry, and this table stays in cache.
+	f := newFile(&u, numTerms, columns, listed)
+	// slot[t] is where term t's column begins in the column arena, -1 for
+	// a list: the fill looks a term up once per entry, and this table
+	// stays in cache.
 	stride := f.stride()
-	cols := make([]byte, columns*stride)
-	post := make([]invindex.Posting, listed)
 	slot := make([]int, numTerms)
 	for t, col, at := 0, 0, 0; t < numTerms; t++ {
 		if f.columnFor(count(t), alphaRadius) {
-			slot[t], col = col, col+stride
-			f.terms[t].col = cols[slot[t]:col:col]
-			continue
+			slot[t] = col * stride
+			col++
+		} else {
+			slot[t] = -1
+			for b := range next {
+				at, next[b][t] = at+next[b][t], at
+			}
 		}
-		slot[t] = -1
-		lo := at
-		for b := range next {
-			at, next[b][t] = at+next[b][t], at
-		}
-		if at > lo {
-			f.terms[t].list = post[lo:at:at]
-		}
+		f.setTerm(t+1, col, at)
 	}
 	eachBlock(func(b, i int) {
 		runs[i].each(alphaRadius, func(t uint32, d uint8) {
 			if at := slot[t]; at >= 0 {
-				setNibble(cols[at:], uint32(i), d+1)
+				setNibble(f.cols[at:], uint32(i), d+1)
 				return
 			}
-			post[next[b][t]] = invindex.Posting{ID: order[i], Weight: d}
+			k := next[b][t]
+			le.PutUint32(f.postIDs[4*k:], order[i])
+			f.postW[k] = d
 			next[b][t]++
 		})
 	})
@@ -523,8 +510,8 @@ func (sh *treeShape) fold(agg *minTable, u *universe, e termRep) {
 		eachNibble(e.col, offer)
 		return
 	}
-	for _, p := range e.list {
-		offer(u.ordinal(p.ID), p.Weight)
+	for i, d := range e.w {
+		offer(u.ordinal(le.Uint32(e.ids[4*i:])), d)
 	}
 }
 
@@ -536,7 +523,7 @@ type termReader func(term uint32) (termRep, error)
 // termChunk is how many consecutive terms a worker of derive takes at a
 // time. Term lengths are skewed, so the term range is dealt out in pieces
 // instead of cut once per worker; each piece's columns share one
-// allocation and its lists another, which the runtime rounds up to whole
+// allocation and its lists two more, which the runtime rounds up to whole
 // pages, so the pieces are not made smaller than balance needs.
 const termChunk = 256
 
@@ -544,15 +531,20 @@ const termChunk = 256
 // the node file over sh (step 3 of BuildFor), when sh is not nil, and the
 // file of the entries themselves, when keep is set. Terms are independent
 // and each needs O(nodes) scratch, so the term range is dealt out to the
-// workers in chunks (chunk). The first read error ends it.
+// workers in chunks, each of which leaves a piece of each file; the
+// pieces are written into the images in term order once all are done.
+// The first read error ends it.
 func derive(numTerms, radius int, newReader func() termReader, u *universe, sh *treeShape, keep bool) (kept, node *File, err error) {
+	chunks := (numTerms + termChunk - 1) / termChunk
+	var keptPieces, nodePieces []piece
+	var nodeU universe
 	if keep {
-		kept = &File{universe: *u, terms: make([]termRep, numTerms)}
+		keptPieces = make([]piece, chunks)
 	}
 	if sh != nil {
-		node = &File{universe: universe{n: len(sh.parent)}, terms: make([]termRep, numTerms)}
+		nodePieces = make([]piece, chunks)
+		nodeU = universe{n: len(sh.parent)}
 	}
-	var keptTotal, nodeTotal atomic.Int64
 	var failed atomic.Pointer[error]
 	parallel(numTerms, termChunk, func() func(lo, hi int) {
 		read := newReader()
@@ -560,8 +552,8 @@ func derive(numTerms, radius int, newReader func() termReader, u *universe, sh *
 		var agg *minTable
 		var nodes chunk
 		if sh != nil {
-			agg = newMinTable(node.n)
-			nodes = chunk{u: &node.universe, radius: radius}
+			agg = newMinTable(nodeU.n)
+			nodes = chunk{u: &nodeU, radius: radius}
 		}
 		return func(lo, hi int) {
 			entries.reset()
@@ -585,10 +577,10 @@ func derive(numTerms, radius int, newReader func() termReader, u *universe, sh *
 				}
 			}
 			if keep {
-				keptTotal.Add(entries.cutInto(kept.terms[lo:hi]))
+				keptPieces[lo/termChunk] = entries.cut()
 			}
 			if sh != nil {
-				nodeTotal.Add(nodes.cutInto(node.terms[lo:hi]))
+				nodePieces[lo/termChunk] = nodes.cut()
 			}
 		}
 	})
@@ -596,10 +588,10 @@ func derive(numTerms, radius int, newReader func() termReader, u *universe, sh *
 		return nil, nil, *e
 	}
 	if keep {
-		kept.total = keptTotal.Load()
+		kept = assemble(u, numTerms, keptPieces)
 	}
 	if sh != nil {
-		node.total = nodeTotal.Load()
+		node = assemble(&nodeU, numTerms, nodePieces)
 	}
 	return kept, node, nil
 }

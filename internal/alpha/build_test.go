@@ -1,10 +1,7 @@
 package alpha
 
 import (
-	"bytes"
-	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -13,7 +10,6 @@ import (
 	"testing"
 
 	"ksp/internal/gen"
-	"ksp/internal/invindex"
 	"ksp/internal/mmapfile"
 	"ksp/internal/rdf"
 	"ksp/internal/rtree"
@@ -119,7 +115,7 @@ func sameIndex(t *testing.T, label string, got, want *Index, numTerms int) {
 	}
 	files := []struct {
 		name      string
-		got, want invindex.Index
+		got, want *File
 	}{{"place", got.PlaceIdx, want.PlaceIdx}, {"node", got.NodeIdx, want.NodeIdx}}
 	for _, f := range files {
 		if f.got.NumTerms() != numTerms || f.want.NumTerms() != numTerms {
@@ -140,10 +136,9 @@ func sameIndex(t *testing.T, label string, got, want *Index, numTerms int) {
 			if !slices.Equal(g, w) {
 				t.Fatalf("%s: %s postings of term %d:\n got %v\nwant %v", label, f.name, term, g, w)
 			}
-			file := f.got.(*File)
-			wantColumn := got.Alpha <= 14 && (file.n+1)/2 < 8*len(w)
-			if isColumn := file.column(uint32(term)) != nil; isColumn != wantColumn {
-				t.Fatalf("%s: %s term %d with %d of %d entries: column = %v, want %v", label, f.name, term, len(w), file.n, isColumn, wantColumn)
+			wantColumn := got.Alpha <= 14 && (f.got.n+1)/2 < 8*len(w)
+			if isColumn := f.got.column(uint32(term)) != nil; isColumn != wantColumn {
+				t.Fatalf("%s: %s term %d with %d of %d entries: column = %v, want %v", label, f.name, term, len(w), f.got.n, isColumn, wantColumn)
 			}
 		}
 	}
@@ -151,12 +146,12 @@ func sameIndex(t *testing.T, label string, got, want *Index, numTerms int) {
 
 // forms counts the terms of an inverted file kept as columns and as
 // non-empty lists.
-func forms(ix invindex.Index) (columns, lists int) {
-	for _, r := range ix.(*File).terms {
-		switch {
+func forms(f *File) (columns, lists int) {
+	for t := 0; t < f.NumTerms(); t++ {
+		switch r := f.term(uint32(t)); {
 		case r.col != nil:
 			columns++
-		case len(r.list) > 0:
+		case len(r.w) > 0:
 			lists++
 		}
 	}
@@ -223,7 +218,7 @@ func TestBuildMatchesReference(t *testing.T) {
 				label := fmt.Sprintf("columnGraph(%d) alpha=%d", n, a)
 				ix := Build(g, tree, a, rdf.Outgoing)
 				sameIndex(t, label, ix, referenceBuild(g, tree, a, rdf.Outgoing, g.Places()), g.Vocab.Len())
-				place := ix.PlaceIdx.(*File)
+				place := ix.PlaceIdx
 				columns, lists := forms(place)
 				nodeColumns, _ := forms(ix.NodeIdx)
 				switch {
@@ -326,10 +321,10 @@ func TestBuildDegenerateMatchesReference(t *testing.T) {
 
 // A tile's index restricted from the parent's equals the one the
 // reference builds for the tile, term for term and form for form, on STR
-// tilings, also when the parent's place file is read from disk — where
-// every term arrives as a list — and on the column fixture, whose tiles
-// turn parent lists into columns ("in9" to "in12" sit in one corner) and
-// parent columns into lists.
+// tilings, also when the parent's place file is served from a file, read
+// or mapped, and on the column fixture, whose tiles turn parent lists into
+// columns ("in9" to "in12" sit in one corner) and parent columns into
+// lists.
 func TestRestrictMatchesBuildFor(t *testing.T) {
 	withProcs(t, func(t *testing.T) {
 		type fixture struct {
@@ -348,7 +343,7 @@ func TestRestrictMatchesBuildFor(t *testing.T) {
 					parent := Build(g, bulkTree(g, g.Places(), 8), a, dir)
 					parents := map[string]*Index{"memory": parent}
 					for _, useMmap := range []bool{false, true} {
-						disk := diskView(t, parent.PlaceIdx, useMmap)
+						disk := mappedPlaces(t, parent.PlaceIdx, a, g.Places(), useMmap)
 						parents[fmt.Sprintf("disk mmap=%v", useMmap)] = &Index{Alpha: parent.Alpha, Dir: parent.Dir, PlaceIdx: disk, NodeIdx: parent.NodeIdx}
 					}
 					toColumn, toList := 0, 0 // terms that change form from parent to tile
@@ -356,17 +351,14 @@ func TestRestrictMatchesBuildFor(t *testing.T) {
 						for ti, tile := range strTiles(g, n) {
 							want := referenceBuild(g, bulkTree(g, tile, 8), a, dir, tile)
 							for name, from := range parents {
-								got, err := from.Restrict(bulkTree(g, tile, 8))
-								if err != nil {
-									t.Fatal(err)
-								}
+								got := from.Restrict(bulkTree(g, tile, 8))
 								sameIndex(t, fmt.Sprintf("%s dir=%v alpha=%d n=%d tile=%d parent=%s", fx.name, dir, a, n, ti, name), got, want, g.Vocab.Len())
-								for term, r := range got.PlaceIdx.(*File).terms {
-									was := parent.PlaceIdx.(*File).terms[term]
+								for term := uint32(0); int(term) < got.PlaceIdx.NumTerms(); term++ {
+									r, was := got.PlaceIdx.term(term), parent.PlaceIdx.term(term)
 									switch {
 									case r.col != nil && was.col == nil:
 										toColumn++
-									case len(r.list) > 0 && was.col != nil:
+									case len(r.w) > 0 && was.col != nil:
 										toList++
 									}
 								}
@@ -382,17 +374,14 @@ func TestRestrictMatchesBuildFor(t *testing.T) {
 	})
 }
 
-// diskView serves ix the way a disk-resident snapshot serves its α
-// sections: written with invindex.Write, opened with mmapfile.OpenMode,
-// scanned and viewed. The file closes when the test ends.
-func diskView(t *testing.T, ix invindex.Index, useMmap bool) *invindex.DiskIndex {
+// mappedPlaces serves the place file f of an index of the given radius over
+// places the way a snapshot serves it: its image written to a file,
+// opened with mmapfile.OpenMode and checked by OpenPlaces. The file closes
+// when the test ends.
+func mappedPlaces(t *testing.T, f *File, radius int, places []uint32, useMmap bool) *File {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "place.idx")
-	var enc bytes.Buffer
-	if err := invindex.Write(&enc, ix); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, enc.Bytes(), 0o644); err != nil {
+	path := filepath.Join(t.TempDir(), "place.img")
+	if err := os.WriteFile(path, f.Image(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	src, err := mmapfile.OpenMode(path, useMmap)
@@ -400,54 +389,15 @@ func diskView(t *testing.T, ix invindex.Index, useMmap bool) *invindex.DiskIndex
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { src.Close() })
-	offsets, err := invindex.Scan(io.NewSectionReader(src, 0, src.Size()))
+	img, err := src.Range(0, src.Size())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return invindex.NewView(src, 0, offsets)
-}
-
-// patchedIndex serves one term's list from its own fields — an error, or
-// a list as damaged as the test likes — and everything else from Index.
-type patchedIndex struct {
-	invindex.Index
-	term uint32
-	list []invindex.Posting
-	err  error
-}
-
-func (p patchedIndex) Postings(term uint32, dst []invindex.Posting) ([]invindex.Posting, error) {
-	if term == p.term {
-		return append(dst, p.list...), p.err
+	view, err := OpenPlaces(img, radius, places)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return p.Index.Postings(term, dst)
-}
-
-// A parent whose lists cannot be read, or are not ascending, is an error
-// of Restrict, not a wrong tile.
-func TestRestrictSurfacesDamage(t *testing.T) {
-	withProcs(t, func(t *testing.T) {
-		g := diffGraph(10, 480, 4, 0)
-		tree := bulkTree(g, g.Places(), 8)
-		parent := Build(g, tree, 2, rdf.Outgoing)
-		restrict := func(p patchedIndex) error {
-			p.Index = parent.PlaceIdx
-			_, err := (&Index{Alpha: 2, PlaceIdx: p, NodeIdx: parent.NodeIdx}).Restrict(tree)
-			return err
-		}
-
-		errRead := errors.New("read failed")
-		if err := restrict(patchedIndex{term: 17, err: errRead}); !errors.Is(err, errRead) {
-			t.Errorf("read failure: got %v, want it to wrap %v", err, errRead)
-		}
-		p0, p1 := g.Places()[0], g.Places()[1]
-		if err := restrict(patchedIndex{term: 3, list: []invindex.Posting{{ID: p1, Weight: 1}, {ID: p0, Weight: 2}}}); err == nil {
-			t.Error("an out-of-order parent list was restricted without error")
-		}
-		if err := restrict(patchedIndex{term: 3, list: []invindex.Posting{{ID: p0, Weight: 1}, {ID: p0, Weight: 2}}}); err == nil {
-			t.Error("a parent list with a duplicated place was restricted without error")
-		}
-	})
+	return view
 }
 
 // The fill's blocks start on even ordinals, whatever the place and worker
@@ -549,9 +499,7 @@ func BenchmarkRestrict(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, tree := range trees {
-			if _, err := parent.Restrict(tree); err != nil {
-				b.Fatal(err)
-			}
+			parent.Restrict(tree)
 		}
 	}
 }

@@ -15,8 +15,12 @@ import (
 // per R-tree node merged bottom-up, and an invindex.Builder that sorts and
 // de-duplicates what it was handed.
 
-// ReferenceBuildFor lets the external test package reach the reference.
-var ReferenceBuildFor = referenceBuild
+// ReferenceBuildFor lets the external test package reach the reference,
+// and TermsByForm the split of the vocabulary by form.
+var (
+	ReferenceBuildFor = referenceBuild
+	TermsByForm       = termsByForm
+)
 
 // placeWN computes the α-radius word neighbourhood of one place
 // (Definition 5): term -> min graph distance within radius α.
@@ -107,10 +111,24 @@ func referenceBuild(g *rdf.Graph, tree *rtree.RTree, alphaRadius int, dir rdf.Di
 		walk(tree.Root())
 	}
 
-	return &Index{
-		Alpha:    alphaRadius,
-		Dir:      dir,
-		PlaceIdx: placeB.Build(),
-		NodeIdx:  nodeB.Build(),
+	// The lists are packed into Files the way a snapshot of format
+	// version 2 is loaded; the node file ranges over every node of tree.
+	nodes := 0
+	var count func(n *rtree.Node)
+	count = func(n *rtree.Node) {
+		nodes = max(nodes, int(n.ID)+1)
+		for _, ch := range n.Children {
+			count(ch)
+		}
 	}
+	count(tree.Root())
+	place, err := PackPlaces(placeB.Build(), alphaRadius, places)
+	if err != nil {
+		panic(err)
+	}
+	node, err := pack(nodeB.Build(), alphaRadius, universe{n: nodes})
+	if err != nil {
+		panic(err)
+	}
+	return &Index{Alpha: alphaRadius, Dir: dir, PlaceIdx: place, NodeIdx: node}
 }

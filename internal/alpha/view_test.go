@@ -1,8 +1,10 @@
 package alpha
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ksp/internal/invindex"
@@ -113,16 +115,15 @@ func randomGraph(t testing.TB, seed int64, n int) (*rdf.Graph, *rtree.RTree) {
 // one file and the other way in the other.
 func termsByForm(t *testing.T, ix *Index) (columns, lists, split []uint32) {
 	t.Helper()
-	place, node := ix.PlaceIdx.(*File), ix.NodeIdx.(*File)
-	for term := range place.terms {
-		p, n := place.terms[term], node.terms[term]
+	for term := uint32(0); int(term) < ix.PlaceIdx.NumTerms(); term++ {
+		p, n := ix.PlaceIdx.term(term), ix.NodeIdx.term(term)
 		switch {
 		case p.col != nil && n.col != nil:
-			columns = append(columns, uint32(term))
-		case len(p.list) > 0 && len(n.list) > 0:
-			lists = append(lists, uint32(term))
+			columns = append(columns, term)
+		case len(p.w) > 0 && len(n.w) > 0:
+			lists = append(lists, term)
 		case p.col != nil || n.col != nil:
-			split = append(split, uint32(term))
+			split = append(split, term)
 		}
 	}
 	if len(columns) < 2 || len(lists) < 2 {
@@ -275,7 +276,7 @@ func TestQueryViewPoolReuse(t *testing.T) {
 		fill(fmt.Sprintf("forms %d", round), terms)
 		want := 0
 		for _, term := range terms {
-			if ix.PlaceIdx.(*File).column(term) != nil {
+			if ix.PlaceIdx.column(term) != nil {
 				want++
 			}
 		}
@@ -302,65 +303,77 @@ func TestQueryViewPoolReuse(t *testing.T) {
 	if qv.place.epoch != 3 || qv.node.epoch != 3 {
 		t.Errorf("epochs after the wrap = %d, %d, want 3 (cleared once, then counting on)", qv.place.epoch, qv.node.epoch)
 	}
-}
-
-// listIndex is an inverted file that serves its lists exactly as given,
-// sorted or not — what a damaged index file looks like from above.
-type listIndex map[uint32][]invindex.Posting
-
-func (l listIndex) Postings(term uint32, dst []invindex.Posting) ([]invindex.Posting, error) {
-	return append(dst, l[term]...), nil
-}
-func (l listIndex) NumTerms() int { return len(l) }
-func (l listIndex) NumPostings() int64 {
-	var n int64
-	for _, pl := range l {
-		n += int64(len(pl))
+	if qv, err := ix.LoadQuery(make([]uint32, maxTerms+1)); err == nil {
+		qv.Release()
+		t.Errorf("LoadQuery accepted %d terms", maxTerms+1)
 	}
-	return n
 }
 
 // A posting list that is not strictly ID-ascending would count one
 // keyword twice for an entry (or skip the order the scatter relies on)
-// and could lift a bound above Lemma 2's value. LoadQuery must refuse it,
-// for either inverted file, and the view it was loading into must come
-// back clean.
-func TestLoadQueryRejectsUnsortedPostings(t *testing.T) {
-	good := []invindex.Posting{{ID: 2, Weight: 1}, {ID: 5, Weight: 2}, {ID: 9, Weight: 0}}
-	lists := listIndex{
-		0: good,
-		1: {{ID: 2, Weight: 1}, {ID: 5, Weight: 2}, {ID: 5, Weight: 1}}, // duplicated entry
-		2: {{ID: 2, Weight: 1}, {ID: 9, Weight: 2}, {ID: 5, Weight: 1}}, // out of order
-	}
+// and could lift a bound above Lemma 2's value. The views a query loads
+// are read without a check, so OpenPlaces and OpenNodes refuse such a
+// list, in either file, as they refuse an image whose length is not the
+// one its header gives; the undamaged images open and serve the bounds
+// of the index they were written from.
+func TestOpenRejectsUnsortedPostings(t *testing.T) {
+	g, tree := randomGraph(t, 5, 1200)
+	built := Build(g, tree, 2, rdf.Outgoing)
+	ix := built
+	places := g.Places()
+	openPlaces := func(img []byte) (*File, error) { return OpenPlaces(img, 2, places) }
+	openNodes := func(img []byte) (*File, error) { return OpenNodes(img, 2) }
 	for _, c := range []struct {
-		ix    *Index
-		bound func(*QueryView, uint32) float64
-	}{
-		{&Index{Alpha: 2, PlaceIdx: lists, NodeIdx: listIndex{}}, (*QueryView).PlaceBound},
-		{&Index{Alpha: 2, PlaceIdx: listIndex{}, NodeIdx: lists}, (*QueryView).NodeBound},
-	} {
-		for _, bad := range []uint32{1, 2} {
-			if qv, err := c.ix.LoadQuery([]uint32{0, bad}); err == nil {
-				qv.Release()
-				t.Errorf("LoadQuery accepted the damaged list of term %d", bad)
+		name string
+		file *File
+		open func([]byte) (*File, error)
+	}{{"place", built.PlaceIdx, openPlaces}, {"node", built.NodeIdx, openNodes}} {
+		f := c.file
+		// A list of at least two entries.
+		term := uint32(0)
+		for ; int(term) < f.NumTerms() && len(f.term(term).w) < 2; term++ {
+		}
+		if int(term) == f.NumTerms() {
+			t.Fatalf("%s file: no list of two entries", c.name)
+		}
+		at := len(f.img) - len(f.postIDs) - len(f.postW) + 4*int(le.Uint64(f.table[8*term:])&listMask)
+		first, second := le.Uint32(f.img[at:]), le.Uint32(f.img[at+4:])
+		damaged := map[string]func(img []byte) []byte{
+			"duplicated entry": func(img []byte) []byte { le.PutUint32(img[at+4:], first); return img },
+			"out of order": func(img []byte) []byte {
+				le.PutUint32(img[at:], second)
+				le.PutUint32(img[at+4:], first)
+				return img
+			},
+			"a byte short": func(img []byte) []byte { return img[:len(img)-1] },
+			"a byte long":  func(img []byte) []byte { return append(img, 0) },
+			"no header":    func(img []byte) []byte { return img[:HeaderLen-1] },
+		}
+		for name, hurt := range damaged {
+			if _, err := c.open(hurt(slices.Clone(f.Image()))); !errors.Is(err, errImage) {
+				t.Errorf("%s file, %s: got %v, want a damaged image", c.name, name, err)
 			}
 		}
-		// Whatever the failed loads scattered before failing is gone.
-		qv, err := c.ix.LoadQuery([]uint32{0})
+		got, err := c.open(slices.Clone(f.Image()))
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s file: %v", c.name, err)
 		}
-		for id, want := range map[uint32]float64{2: 2, 5: 3, 9: 1, 3: 4, 100: 4} {
-			if got := c.bound(qv, id); got != want {
-				t.Errorf("bound(%d) = %v after a rejected load, want %v", id, got, want)
-			}
+		if got.NumPostings() != f.NumPostings() || got.NumTerms() != f.NumTerms() {
+			t.Errorf("%s file: %d postings over %d terms, built %d over %d", c.name, got.NumPostings(), got.NumTerms(), f.NumPostings(), f.NumTerms())
 		}
-		qv.Release()
+		if c.name == "place" {
+			ix = &Index{Alpha: ix.Alpha, Dir: ix.Dir, PlaceIdx: got, NodeIdx: ix.NodeIdx}
+		} else {
+			ix = &Index{Alpha: ix.Alpha, Dir: ix.Dir, PlaceIdx: ix.PlaceIdx, NodeIdx: got}
+		}
 	}
-
-	if _, err := (&Index{Alpha: 2, PlaceIdx: lists, NodeIdx: listIndex{}}).LoadQuery(make([]uint32, maxTerms+1)); err == nil {
-		t.Errorf("LoadQuery accepted %d terms", maxTerms+1)
+	terms := []uint32{0, 3, 5, 61, 62, 63}
+	qv, err := ix.LoadQuery(terms)
+	if err != nil {
+		t.Fatal(err)
 	}
+	checkView(t, "opened", built, g, qv, terms)
+	qv.Release()
 }
 
 // PlaceBound and NodeBound must allocate nothing, and a warm

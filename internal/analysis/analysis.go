@@ -195,6 +195,13 @@ func DefaultConfig(module string) Config {
 			// Close), so retaining views inside its structs is its
 			// documented job; mmaplife polices its CONSUMERS.
 			module + "/internal/mmapfile",
+			// A mapped snapshot's α files are views of its mapping
+			// (readImages stores them in Snapshot.AlphaPlace/AlphaNode),
+			// and the Snapshot owns the mapping: Snapshot.Close unmaps
+			// it, and its doc ends the files' life there. Only the
+			// package is nameable here; no other store code takes a
+			// Range view.
+			module + "/internal/store",
 		},
 		MmapBoundaryPackages: []string{module},
 		PoolTypes: []PoolProtocol{

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"ksp/internal/rtree"
-)
+import "ksp/internal/rtree"
 
 // Subset returns an engine over the same graph whose spatial candidate
 // universe is restricted to places — the building block of spatial
@@ -12,12 +8,11 @@ import (
 // owned by other shards), only the GETNEXT stream is partitioned. The
 // R-tree is rebuilt over the subset and, when the receiver has an
 // α-radius index, the subset's is restricted from it (alpha.Index.Restrict:
-// no BFS runs again; reading the receiver's lists can fail when they are
-// disk-resident, and that is the error returned); everything graph-wide —
+// no BFS runs again); everything graph-wide —
 // document index, reachability labels, scratch pools, metrics and window
 // lifetime totals — is shared with the receiver, so per-shard queries
 // keep feeding the same observability counters.
-func (e *Engine) Subset(places []uint32) (*Engine, error) {
+func (e *Engine) Subset(places []uint32) *Engine {
 	clone := *e
 	items := make([]rtree.Item, len(places))
 	for i, p := range places {
@@ -28,11 +23,7 @@ func (e *Engine) Subset(places []uint32) (*Engine, error) {
 		// Node postings must line up with the new tree's node IDs, so the
 		// shard gets an index of its own; WN(p) of its places is already
 		// in the receiver's place file.
-		ix, err := e.Alpha.Restrict(clone.Tree)
-		if err != nil {
-			return nil, fmt.Errorf("core: restricting the α index to %d places: %w", len(places), err)
-		}
-		clone.Alpha = ix
+		clone.Alpha = e.Alpha.Restrict(clone.Tree)
 	}
 	if e.metrics != nil {
 		// The receiver's EnableMetrics hooked its own tree; the rebuilt
@@ -40,5 +31,5 @@ func (e *Engine) Subset(places []uint32) (*Engine, error) {
 		m := e.metrics
 		clone.Tree.OnNodeAccess = func() { m.rtree.Inc() }
 	}
-	return &clone, nil
+	return &clone
 }

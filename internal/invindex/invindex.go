@@ -3,14 +3,17 @@
 // the term (Table 1 of the paper), and — for the α-radius word
 // neighbourhoods of Section 5 — posting lists of (entry, distance) pairs.
 //
-// Mirroring the paper's setup ("we choose to follow the setting of
-// commercial search engines, where the inverted index is disk-resident;
-// for each query only a small portion of the index is relevant"), the
-// index has two interchangeable representations: a fully in-memory one and
-// one that decodes a posting list per call from an encoding — a section of
-// a disk-resident snapshot. Large indexes can be built as parts and merged
-// (the paper does exactly this for the DBpedia α-radius index, which
-// exceeds main memory).
+// The index has two interchangeable representations: MemIndex, the
+// document index the engine queries, and Encoded, which decodes a posting
+// list per call from the serialized form Write produces. Large indexes
+// can be built as parts and merged (the paper does exactly this for the
+// DBpedia α-radius index, which exceeds main memory). The α-radius files
+// themselves are no longer served through this package: they are
+// alpha.Files, whose images the snapshot stores and maps as they are (the
+// paper's disk-resident inverted files, of which "for each query only a
+// small portion of the index is relevant"). Snapshots of format versions
+// 1 and 2 hold them as Write encodings, which the loader reads with
+// ReadFrom.
 package invindex
 
 import (
@@ -22,8 +25,6 @@ import (
 	"io"
 	"math/bits"
 	"slices"
-
-	"ksp/internal/mmapfile"
 )
 
 // Posting is one entry of a posting list: the vertex (or R-tree entry)
@@ -48,11 +49,9 @@ type Index interface {
 
 // AvgPostingLen returns the average posting-list length over terms that
 // have at least one posting — the keyword-frequency statistic the paper
-// reports for DBpedia (56.46) and Yago (7.83). Both built-in
-// representations count non-empty terms from resident metadata (list
-// lengths or the offset table) without touching posting data; the
-// per-term read loop remains only as a fallback for foreign Index
-// implementations.
+// reports for DBpedia (56.46) and Yago (7.83). A MemIndex counts its
+// non-empty terms off its offset table without touching posting data;
+// any other representation is read term by term.
 func AvgPostingLen(ix Index) float64 {
 	n := ix.NumPostings()
 	if n == 0 {
@@ -237,7 +236,7 @@ func (m *MemIndex) MemSize() int64 {
 	return 8*int64(cap(m.off)) + 8*int64(cap(m.posts)) + 8*int64(cap(m.words)) + 4*int64(cap(m.df))
 }
 
-// --- Disk format ---
+// --- Encoding ---
 //
 // magic uint32 | version uint32 | numTerms uint32 |
 // offsets [numTerms+1]uint64 (into the posting area) |
@@ -312,8 +311,9 @@ func Write(w io.Writer, ix Index) error {
 // sequential stream into memory and serves it from those bytes: only the
 // offset table is decoded, and a list is decoded when it is asked for. A
 // caller that wants the lists in another shape (the snapshot loader packs
-// the α files) reads them once through Postings and drops the encoding.
-func ReadFrom(r io.Reader) (*DiskIndex, error) {
+// the α files of old snapshots) reads them once through Postings and
+// drops the encoding.
+func ReadFrom(r io.Reader) (*Encoded, error) {
 	offsets, err := readOffsets(r)
 	if err != nil {
 		return nil, err
@@ -322,8 +322,7 @@ func ReadFrom(r io.Reader) (*DiskIndex, error) {
 	if err != nil {
 		return nil, fmt.Errorf("invindex: reading postings: %w", err)
 	}
-	// The bytes held are the posting area alone: dataBase stays 0.
-	return &DiskIndex{src: mmapfile.FromBytes(data), offsets: offsets, total: -1}, nil
+	return &Encoded{data: data, offsets: offsets}, nil
 }
 
 // readOffsets consumes the fixed header plus the offset table — the
@@ -358,29 +357,6 @@ func readOffsets(r io.Reader) ([]uint64, error) {
 	return offsets, nil
 }
 
-// Scan consumes one index encoding (as produced by Write) from r,
-// retaining only the offset table and discarding the posting area after
-// reading it. Combined with NewView it lets a caller stream an embedded
-// index — e.g. to checksum a snapshot section — while deferring posting
-// reads to the containing file.
-func Scan(r io.Reader) ([]uint64, error) {
-	offsets, err := readOffsets(r)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := io.CopyN(io.Discard, r, int64(offsets[len(offsets)-1])); err != nil {
-		return nil, fmt.Errorf("invindex: scanning postings: %w", err)
-	}
-	return offsets, nil
-}
-
-// EncodedSize returns the byte length of an index encoding with the
-// given offset table (header + table + posting area) — how far an
-// embedded index extends past its base offset.
-func EncodedSize(offsets []uint64) int64 {
-	return 12 + 8*int64(len(offsets)) + int64(offsets[len(offsets)-1])
-}
-
 // readFullCapped reads exactly n bytes, growing the buffer in bounded
 // chunks so that a corrupt length prefix fails as stream truncation
 // instead of one giant up-front allocation.
@@ -405,72 +381,23 @@ func readFullCapped(r io.Reader, n int64) ([]byte, error) {
 	return buf, nil
 }
 
-// DiskIndex reads posting lists on demand from an index encoding: a
-// section embedded in a larger file (NewView), or one ReadFrom holds in
-// memory. Only the offset table is decoded up front; posting lists are
-// fetched per call, matching the paper's disk-resident inverted-index
-// setting. In mmap mode fetches decode straight out of the mapping with
-// no per-call buffer.
-type DiskIndex struct {
-	src      *mmapfile.File
-	offsets  []uint64
-	dataBase int64 // absolute offset of the posting area in src
-	total    int64
-}
-
-// NewView serves postings from an index encoding embedded in src at
-// base (the offset of the index magic). offsets must be the table
-// returned by Scan over the same bytes. The view does not own src: the
-// caller manages src's lifetime.
-func NewView(src *mmapfile.File, base int64, offsets []uint64) *DiskIndex {
-	return &DiskIndex{
-		src:      src,
-		offsets:  offsets,
-		dataBase: base + 12 + 8*int64(len(offsets)),
-		total:    -1, // NumPostings computes on first use
-	}
-}
-
-// OnDisk reports whether ix fetches its lists from an encoding per call
-// (a DiskIndex) instead of holding them ready in memory.
-func OnDisk(ix Index) bool {
-	_, ok := ix.(*DiskIndex)
-	return ok
+// Encoded serves an index encoding that ReadFrom holds in memory. Only
+// the offset table is decoded up front; a posting list is decoded per
+// call.
+type Encoded struct {
+	data    []byte // the posting area
+	offsets []uint64
 }
 
 // NumTerms implements Index.
-func (d *DiskIndex) NumTerms() int { return len(d.offsets) - 1 }
+func (d *Encoded) NumTerms() int { return len(d.offsets) - 1 }
 
-// NonEmptyTerms returns the number of terms with at least one posting,
-// read off the resident offset table: an empty list encodes to exactly
-// one byte (the zero count varint), while any non-empty list needs at
-// least three (count, first ID, weight), so encoded length > 1 is
-// exactly "non-empty". No posting data is touched.
-func (d *DiskIndex) NonEmptyTerms() int64 {
-	var n int64
-	for t := 1; t < len(d.offsets); t++ {
-		if d.offsets[t]-d.offsets[t-1] > 1 {
-			n++
-		}
-	}
-	return n
-}
-
-// Postings implements Index, reading the term's block from disk. In
-// mmap mode the block decodes zero-copy out of the mapping.
-func (d *DiskIndex) Postings(term uint32, dst []Posting) ([]Posting, error) {
-	if int(term) >= d.NumTerms() {
+// Postings implements Index, decoding the term's block.
+func (d *Encoded) Postings(term uint32, dst []Posting) ([]Posting, error) {
+	if int(term) >= d.NumTerms() || d.offsets[term] == d.offsets[term+1] {
 		return dst, nil
 	}
-	start, end := d.offsets[term], d.offsets[term+1]
-	if start == end {
-		return dst, nil
-	}
-	buf, err := d.src.Range(d.dataBase+int64(start), int64(end-start))
-	if err != nil {
-		return dst, fmt.Errorf("invindex: term %d: %w", term, err)
-	}
-	return decodeList(buf, dst)
+	return decodeList(d.data[d.offsets[term]:d.offsets[term+1]], dst)
 }
 
 func decodeList(buf []byte, dst []Posting) ([]Posting, error) {
@@ -503,32 +430,17 @@ func decodeList(buf []byte, dst []Posting) ([]Posting, error) {
 	return dst, nil
 }
 
-// NumPostings implements Index; for the disk representation it is computed
-// on first use by scanning the per-term counts.
-func (d *DiskIndex) NumPostings() int64 {
-	if d.total >= 0 {
-		return d.total
-	}
+// NumPostings implements Index, reading the per-term counts.
+func (d *Encoded) NumPostings() int64 {
 	var total int64
-	var buf [binary.MaxVarintLen64]byte
 	for t := 0; t < d.NumTerms(); t++ {
-		start, end := d.offsets[t], d.offsets[t+1]
-		if start == end {
-			continue
+		if start, end := d.offsets[t], d.offsets[t+1]; start != end {
+			c, k := binary.Uvarint(d.data[start:end])
+			if k <= 0 {
+				return 0
+			}
+			total += int64(c)
 		}
-		n := int(end - start)
-		if n > len(buf) {
-			n = len(buf)
-		}
-		if _, err := d.src.ReadAt(buf[:n], d.dataBase+int64(start)); err != nil {
-			return 0
-		}
-		c, k := binary.Uvarint(buf[:n])
-		if k <= 0 {
-			return 0
-		}
-		total += int64(c)
 	}
-	d.total = total
 	return total
 }

@@ -3,14 +3,11 @@ package invindex
 import (
 	"bytes"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
 
-	"ksp/internal/mmapfile"
 	"ksp/internal/paperdata"
 )
 
@@ -101,23 +98,21 @@ func TestDiskRoundTrip(t *testing.T) {
 		b.Add(uint32(rng.Intn(200)), uint32(rng.Intn(10000)), uint8(rng.Intn(6)))
 	}
 	mem := b.Build()
-	for _, useMmap := range []bool{false, true} {
-		disk := openView(t, mem, useMmap)
-		if disk.NumTerms() != mem.NumTerms() {
-			t.Fatalf("mmap=%v: NumTerms: disk %d mem %d", useMmap, disk.NumTerms(), mem.NumTerms())
+	enc := decoded(t, mem)
+	if enc.NumTerms() != mem.NumTerms() {
+		t.Fatalf("NumTerms: encoded %d mem %d", enc.NumTerms(), mem.NumTerms())
+	}
+	if enc.NumPostings() != mem.NumPostings() {
+		t.Fatalf("NumPostings: encoded %d mem %d", enc.NumPostings(), mem.NumPostings())
+	}
+	for term := 0; term < mem.NumTerms(); term++ {
+		want, _ := mem.Postings(uint32(term), nil)
+		got, err := enc.Postings(uint32(term), nil)
+		if err != nil {
+			t.Fatalf("term %d: %v", term, err)
 		}
-		if disk.NumPostings() != mem.NumPostings() {
-			t.Fatalf("mmap=%v: NumPostings: disk %d mem %d", useMmap, disk.NumPostings(), mem.NumPostings())
-		}
-		for term := 0; term < mem.NumTerms(); term++ {
-			want, _ := mem.Postings(uint32(term), nil)
-			got, err := disk.Postings(uint32(term), nil)
-			if err != nil {
-				t.Fatalf("mmap=%v: term %d: %v", useMmap, term, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("mmap=%v: term %d: disk %v, mem %v", useMmap, term, got, want)
-			}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("term %d: encoded %v, mem %v", term, got, want)
 		}
 	}
 }
@@ -131,10 +126,10 @@ func TestDiskRoundTripProperty(t *testing.T) {
 			b.Add(uint32(rng.Intn(50)), rng.Uint32(), uint8(rng.Intn(256)))
 		}
 		mem := b.Build()
-		disk := openView(t, mem, seed%2 == 0)
+		enc := decoded(t, mem)
 		for term := 0; term < mem.NumTerms(); term++ {
 			want, _ := mem.Postings(uint32(term), nil)
-			got, err := disk.Postings(uint32(term), nil)
+			got, err := enc.Postings(uint32(term), nil)
 			if err != nil || !reflect.DeepEqual(got, want) {
 				return false
 			}
@@ -147,7 +142,7 @@ func TestDiskRoundTripProperty(t *testing.T) {
 }
 
 // ReadFrom (the sequential decoder used by snapshots) must agree with the
-// random-access view of the same bytes.
+// index it was written from.
 func TestReadFromMatchesOpen(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	b := NewBuilder()
@@ -174,17 +169,13 @@ func TestReadFromMatchesOpen(t *testing.T) {
 		}
 	}
 	// AvgPostingLen agrees across representations.
-	disk := openView(t, mem, false)
-	if AvgPostingLen(disk) != AvgPostingLen(mem) || AvgPostingLen(streamed) != AvgPostingLen(mem) {
-		t.Errorf("AvgPostingLen differs: view %v, stream %v, mem %v", AvgPostingLen(disk), AvgPostingLen(streamed), AvgPostingLen(mem))
+	if AvgPostingLen(streamed) != AvgPostingLen(mem) {
+		t.Errorf("AvgPostingLen differs: stream %v, mem %v", AvgPostingLen(streamed), AvgPostingLen(mem))
 	}
 }
 
 func TestOpenRejectsGarbage(t *testing.T) {
 	for _, data := range []string{"this is not an index", ""} {
-		if _, err := Scan(strings.NewReader(data)); err == nil {
-			t.Fatalf("Scan(%q) succeeded", data)
-		}
 		if _, err := ReadFrom(strings.NewReader(data)); err == nil {
 			t.Fatalf("ReadFrom(%q) succeeded", data)
 		}
@@ -203,45 +194,11 @@ func TestTruncatedFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := enc.Bytes()
-	offsets, err := Scan(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Cut inside the posting area: streaming the encoding fails, and a
-	// view over the cut file errors on the reads past the cut.
-	cut := len(data) - 8
-	if _, err := Scan(bytes.NewReader(data[:cut])); err == nil {
-		t.Error("Scan of an encoding cut in its posting area succeeded")
-	}
-	if _, err := ReadFrom(bytes.NewReader(data[:cut])); err == nil {
-		t.Error("ReadFrom of an encoding cut in its posting area succeeded")
-	}
-	path := filepath.Join(t.TempDir(), "trunc.bin")
-	if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, useMmap := range []bool{false, true} {
-		src, err := mmapfile.OpenMode(path, useMmap)
-		if err != nil {
-			t.Fatal(err)
+	// Cut inside the posting area, and inside the offset table.
+	for _, cut := range []int{len(data) - 8, 14} {
+		if _, err := ReadFrom(bytes.NewReader(data[:cut])); err == nil {
+			t.Errorf("ReadFrom of an encoding cut at %d of %d bytes succeeded", cut, len(data))
 		}
-		d := NewView(src, 0, offsets)
-		sawErr := false
-		for term := 0; term < d.NumTerms(); term++ {
-			if _, err := d.Postings(uint32(term), nil); err != nil {
-				sawErr = true
-			}
-		}
-		if !sawErr {
-			t.Errorf("mmap=%v: expected at least one read error from the truncated file", useMmap)
-		}
-		if err := src.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Cut inside the offset table: Scan itself must fail.
-	if _, err := Scan(bytes.NewReader(data[:14])); err == nil {
-		t.Error("expected Scan to fail on a cut offset table")
 	}
 }
 
@@ -309,7 +266,7 @@ func BenchmarkPostingsDisk(b *testing.B) {
 	for i := 0; i < 200000; i++ {
 		bld.Add(uint32(rng.Intn(1000)), uint32(rng.Intn(1000000)), 0)
 	}
-	disk := openView(b, bld.Build(), false)
+	disk := decoded(b, bld.Build())
 	var buf []Posting
 	var err error
 	b.ResetTimer()

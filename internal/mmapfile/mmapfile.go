@@ -5,9 +5,11 @@
 // modes differ only in how bytes reach the caller, never in what bytes.
 //
 // The mapped representation is what lets a snapshot larger than RAM
-// serve queries: the kernel pages posting lists and documents in on
-// demand and evicts them under pressure, while the Go heap holds only
-// the offset tables.
+// serve queries: the kernel pages documents and the α-radius inverted
+// files in on demand and evicts them under pressure. The α files are
+// read in place, as views of the mapping, so none of their bytes — not
+// even their term tables — lands on the Go heap; of the documents the
+// heap holds only the per-vertex offsets.
 package mmapfile
 
 import (
@@ -56,13 +58,6 @@ func OpenMode(path string, useMmap bool) (*File, error) {
 	return m, nil
 }
 
-// FromBytes serves data, which the caller must not write to again, as a
-// file that is already in memory: Range hands out sub-slices of it and
-// Close has nothing to release.
-func FromBytes(data []byte) *File {
-	return &File{size: int64(len(data)), data: data[:len(data):len(data)]}
-}
-
 // Mapped reports whether the file is served through a memory mapping.
 func (m *File) Mapped() bool { return m.data != nil }
 
@@ -105,9 +100,6 @@ func (m *File) Range(off, n int64) ([]byte, error) {
 // Close unmaps (when mapped) and closes the file. Slices returned by
 // Range in mapped mode are invalid afterwards.
 func (m *File) Close() error {
-	if m.f == nil { // FromBytes
-		return nil
-	}
 	var unmapErr error
 	if m.data != nil {
 		unmapErr = munmap(m.data)

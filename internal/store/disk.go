@@ -2,7 +2,6 @@ package store
 
 import (
 	"bufio"
-	"hash/crc32"
 	"io"
 
 	"ksp/internal/mmapfile"
@@ -14,8 +13,9 @@ import (
 // byte, which is how the disk loader learns where the on-disk sections
 // begin.
 type posReader struct {
-	r io.Reader
-	n int64
+	r   *bufio.Reader
+	sec *io.SectionReader // what r buffers
+	n   int64
 }
 
 func (p *posReader) Read(b []byte) (int, error) {
@@ -24,14 +24,31 @@ func (p *posReader) Read(b []byte) (int, error) {
 	return n, err
 }
 
+// skip moves the stream n bytes ahead without reading them: what r has
+// buffered is dropped, and the file offset below it moves past the rest.
+func (p *posReader) skip(n int64) error {
+	k := min(n, int64(p.r.Buffered()))
+	if _, err := p.r.Discard(int(k)); err != nil {
+		return err
+	}
+	if _, err := p.sec.Seek(n-k, io.SeekCurrent); err != nil {
+		return err
+	}
+	p.n += n
+	return nil
+}
+
 // OpenDisk restores a snapshot in disk-resident mode: the graph
 // structure (adjacency, URIs, coordinates, vocabulary) is materialized
-// exactly as Read would, but the two payloads that dominate the file —
-// per-vertex documents and the α-radius posting lists — stay on disk
-// and are decoded from the snapshot file on every read, optionally
-// through a read-only memory mapping. The whole file still streams
-// through the CRC layer once, so integrity checking is as strong as
-// Read's.
+// exactly as Read would, but the per-vertex documents stay on disk and
+// are decoded from the snapshot file on every read, through a read-only
+// memory mapping when useMmap is set and the platform maps files, else
+// through positioned reads. Mapped, the α-radius inverted files of a
+// version 3 snapshot are served in place from the mapping too; otherwise
+// (pread mode, or an older format) they are read onto the heap, as Read
+// does. The whole file still streams through the CRC layer once, and the
+// α files are checked as Read checks them, so integrity checking is as
+// strong as Read's.
 //
 // The returned Snapshot owns the open file; call Close when done (after
 // the Graph and the α indexes are no longer in use).
@@ -41,9 +58,8 @@ func OpenDisk(path string, useMmap bool) (*Snapshot, error) {
 		return nil, err
 	}
 	base := io.NewSectionReader(src, 0, src.Size())
-	br := bufio.NewReaderSize(base, 1<<20)
-	pos := &posReader{r: br}
-	cr := &crcReader{r: pos, crc: crc32.NewIEEE(), on: true}
+	pos := &posReader{r: bufio.NewReaderSize(base, 1<<20), sec: base}
+	cr := &crcReader{r: pos, on: true}
 	s, err := readSnapshot(newSectionReader(cr), cr, &diskLoad{src: src, pos: pos})
 	if err != nil {
 		//ksplint:ignore droppederr -- error-path cleanup; the load error already wins
@@ -53,17 +69,22 @@ func OpenDisk(path string, useMmap bool) (*Snapshot, error) {
 	return s, nil
 }
 
-// DiskResident reports whether this snapshot serves documents and α
-// postings from the snapshot file (OpenDisk) rather than from memory.
+// DiskResident reports whether this snapshot serves documents from the
+// snapshot file (OpenDisk) rather than from memory.
 func (s *Snapshot) DiskResident() bool { return s.src != nil }
 
 // Mapped reports whether a disk-resident snapshot is served through a
 // memory mapping rather than pread calls.
 func (s *Snapshot) Mapped() bool { return s.src != nil && s.src.Mapped() }
 
+// AlphaMapped reports whether the α files are served from the mapping of
+// a disk-resident snapshot rather than from the heap.
+func (s *Snapshot) AlphaMapped() bool { return s.alphaMapped && s.src != nil }
+
 // Close releases the backing file of a disk-resident snapshot. After
-// Close the Graph's documents and the α indexes must not be used. No-op
-// for in-memory snapshots.
+// Close the Graph's documents and the α files — views of the mapping when
+// the snapshot is mapped — must not be used. No-op for in-memory
+// snapshots.
 func (s *Snapshot) Close() error {
 	if s.src == nil {
 		return nil

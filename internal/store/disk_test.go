@@ -10,7 +10,6 @@ import (
 
 	"ksp/internal/core"
 	"ksp/internal/gen"
-	"ksp/internal/invindex"
 	"ksp/internal/rdf"
 )
 
@@ -180,7 +179,8 @@ func TestOpenDiskDetectsCorruption(t *testing.T) {
 }
 
 // Version 1 snapshots (no CRC trailers) must stay loadable in
-// disk-resident mode too.
+// disk-resident mode too, read or mapped: their α lists are packed onto
+// the heap either way.
 func TestOpenDiskV1(t *testing.T) {
 	g := gen.Generate(gen.DBpediaConfig(400, 3))
 	e := core.NewEngine(g, rdf.Outgoing)
@@ -200,23 +200,26 @@ func TestOpenDiskV1(t *testing.T) {
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := OpenDisk(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := snap.Close(); err != nil {
-			t.Error(err)
-		}
-	}()
-	for term := 0; term < e.Alpha.PlaceIdx.NumTerms(); term++ {
-		a, _ := e.Alpha.PlaceIdx.Postings(uint32(term), nil)
-		b, err := snap.AlphaPlace.Postings(uint32(term), nil)
+	for _, useMmap := range []bool{false, true} {
+		snap, err := OpenDisk(path, useMmap)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("v1 place postings for term %d differ", term)
+		if snap.AlphaMapped() {
+			t.Errorf("mmap=%v: a version 1 snapshot's α files claim to be mapped", useMmap)
+		}
+		for term := 0; term < e.Alpha.PlaceIdx.NumTerms(); term++ {
+			a, _ := e.Alpha.PlaceIdx.Postings(uint32(term), nil)
+			b, err := snap.AlphaPlace.Postings(uint32(term), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("mmap=%v: v1 place postings for term %d differ", useMmap, term)
+			}
+		}
+		if err := snap.Close(); err != nil {
+			t.Error(err)
 		}
 	}
 }
@@ -255,9 +258,9 @@ func TestOpenDiskRejectsUnsortedDocument(t *testing.T) {
 	}
 }
 
-// A disk-resident snapshot cannot be re-serialized: its posting lists
-// are views, not MemIndexes, and Write must say so instead of writing a
-// broken file.
+// A disk-resident snapshot cannot be re-serialized: its documents are
+// served from the file it came from, and Write must say so instead of
+// writing a broken file.
 func TestWriteRejectsDiskResident(t *testing.T) {
 	path, _, _ := diskFixture(t)
 	snap, err := OpenDisk(path, false)
@@ -269,7 +272,7 @@ func TestWriteRejectsDiskResident(t *testing.T) {
 			t.Error(err)
 		}
 	}()
-	if _, ok := snap.AlphaPlace.(*invindex.MemIndex); ok {
+	if !snap.DiskResident() {
 		t.Fatal("fixture not disk-resident")
 	}
 	var buf bytes.Buffer

@@ -2,12 +2,16 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"slices"
 	"testing"
 
+	"ksp/internal/alpha"
 	"ksp/internal/core"
 	"ksp/internal/gen"
 	"ksp/internal/invindex"
@@ -96,10 +100,35 @@ func TestReadCorruptIsNamedError(t *testing.T) {
 	}
 }
 
-// Read packs the α files as it decodes them, which is where a list that
-// no build can have written is seen: an entry that is not a place, a
-// distance beyond the radius, an entry out of order. Each is ErrCorrupt
-// whether or not a CRC covers it, never a panic and never a wrong bound.
+// openAll opens raw in every way a snapshot is opened — Read, and
+// OpenDisk with positioned reads and mapped — and returns what each gave,
+// by name. Opened snapshots close when the test ends.
+func openAll(t testing.TB, raw []byte) map[string]func() (*Snapshot, error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "snap.bin")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	closing := func(s *Snapshot, err error) (*Snapshot, error) {
+		if err == nil {
+			t.Cleanup(func() { s.Close() })
+		}
+		return s, err
+	}
+	return map[string]func() (*Snapshot, error){
+		"Read":            func() (*Snapshot, error) { return Read(bytes.NewReader(raw)) },
+		"OpenDisk(pread)": func() (*Snapshot, error) { return closing(OpenDisk(path, false)) },
+		"OpenDisk(mmap)":  func() (*Snapshot, error) { return closing(OpenDisk(path, true)) },
+	}
+}
+
+// Format versions 1 and 2 hold the α files as invindex encodings, which
+// every open packs into Files; that is where a list no build can have
+// written is seen: an entry that is not a place, a distance beyond the
+// radius, an entry out of order. Each is ErrCorrupt whether or not a CRC
+// covers it, never a panic and never a wrong bound. In format version 3
+// the same checks, and those of the image layout, run on the images at
+// open (v3ImageDamage).
 func TestReadRejectsImpossibleAlphaLists(t *testing.T) {
 	good := fixtureSnapshot(t)
 	places := good.Graph.Places()
@@ -115,19 +144,168 @@ func TestReadRejectsImpossibleAlphaLists(t *testing.T) {
 		}
 		return b.Build()
 	}
-	for name, s := range map[string]*Snapshot{
-		"an entry that is not a place": {AlphaPlace: file(invindex.Posting{ID: places[0], Weight: 1}, invindex.Posting{ID: notPlace, Weight: 1}), AlphaNode: good.AlphaNode},
-		"a place distance beyond α":    {AlphaPlace: file(invindex.Posting{ID: places[0], Weight: 3}), AlphaNode: good.AlphaNode},
-		"a node distance beyond α":     {AlphaPlace: good.AlphaPlace, AlphaNode: file(invindex.Posting{ID: 0, Weight: 200})},
-		"entries out of order":         {AlphaPlace: outOfOrder{good.AlphaPlace, places}, AlphaNode: good.AlphaNode},
+	type files struct{ place, node invindex.Index }
+	for name, f := range map[string]files{
+		"an entry that is not a place": {file(invindex.Posting{ID: places[0], Weight: 1}, invindex.Posting{ID: notPlace, Weight: 1}), good.AlphaNode},
+		"a place distance beyond α":    {file(invindex.Posting{ID: places[0], Weight: 3}), good.AlphaNode},
+		"a node distance beyond α":     {good.AlphaPlace, file(invindex.Posting{ID: 0, Weight: 200})},
+		"entries out of order":         {outOfOrder{good.AlphaPlace, places}, good.AlphaNode},
 	} {
-		s.Graph, s.AlphaRadius, s.Dir = good.Graph, good.AlphaRadius, good.Dir
-		for _, version := range []uint32{1, snapVersion} {
-			if _, err := Read(bytes.NewReader(encode(t, s, version))); !errors.Is(err, ErrCorrupt) {
-				t.Errorf("%s, format version %d: got %v, want ErrCorrupt", name, version, err)
+		for _, version := range []uint32{1, 2} {
+			var buf bytes.Buffer
+			if err := writeEncoded(&buf, good, version, f.place, f.node); err != nil {
+				t.Fatal(err)
+			}
+			for mode, open := range openAll(t, buf.Bytes()) {
+				if _, err := open(); !errors.Is(err, ErrCorrupt) {
+					t.Errorf("%s, format version %d, %s: got %v, want ErrCorrupt", name, version, mode, err)
+				}
 			}
 		}
 	}
+	for name, raw := range v3ImageDamage(t) {
+		for mode, open := range openAll(t, raw) {
+			if _, err := open(); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s, format version 3, %s: got %v, want ErrCorrupt", name, mode, err)
+			}
+		}
+	}
+}
+
+// imageParts locates the parts of an α image, as alpha.File documents
+// its layout, in bytes from the image's start.
+type imageParts struct {
+	n, terms, ord, table, cols, postIDs, postW, stride int
+}
+
+func partsOf(img []byte, place bool) imageParts {
+	le := binary.LittleEndian
+	p := imageParts{n: int(le.Uint64(img)), terms: int(le.Uint64(img[8:])), ord: alpha.HeaderLen}
+	p.stride = (p.n + 1) / 2
+	ordLen := 0
+	if place {
+		p.ord += 4 * p.n
+		if p.n > 0 {
+			ordLen = int(le.Uint32(img[p.ord-4:])) + 1
+		}
+	}
+	p.table = p.ord + 4*ordLen
+	p.cols = p.table + 8*(p.terms+1)
+	p.postIDs = p.cols + int(le.Uint64(img[16:]))*p.stride
+	p.postW = p.postIDs + 4*int(le.Uint64(img[24:]))
+	return p
+}
+
+// v3ImageDamage returns format version 3 snapshots, by the rule each
+// breaks, whose α images were damaged after they were written and whose
+// CRC trailers were then recomputed, so that nothing but the check at
+// open can see the damage. The fixture has an odd number of places and
+// of R-tree nodes, place lists of more than one entry, and columns in
+// both files.
+func v3ImageDamage(t testing.TB) map[string][]byte {
+	t.Helper()
+	g := gen.Generate(gen.YagoConfig(500, 5))
+	e := core.NewEngine(g, rdf.Outgoing)
+	e.EnableAlpha(2)
+	s := &Snapshot{Graph: g, AlphaRadius: 2, Dir: rdf.Outgoing, AlphaPlace: e.Alpha.PlaceIdx, AlphaNode: e.Alpha.NodeIdx}
+	raw := encode(t, s, snapVersion)
+	placeLen, nodeLen := len(s.AlphaPlace.Image()), len(s.AlphaNode.Image())
+	prefix := raw[:len(raw)-placeLen-nodeLen-8]
+	if !bytes.Equal(raw[len(prefix):len(prefix)+placeLen], s.AlphaPlace.Image()) {
+		t.Fatal("the place image is not where the layout puts it")
+	}
+	for mode, open := range openAll(t, raw) {
+		if _, err := open(); err != nil {
+			t.Fatalf("the pristine snapshot, %s: %v", mode, err)
+		}
+	}
+	le := binary.LittleEndian
+	pp, np := partsOf(s.AlphaPlace.Image(), true), partsOf(s.AlphaNode.Image(), false)
+	if pp.n%2 == 0 || np.n%2 == 0 || pp.cols == pp.postIDs || np.cols == np.postIDs {
+		t.Fatalf("%d places, %d nodes, place columns %v, node columns %v: the fixture no longer covers the pad nibble of both files", pp.n, np.n, pp.cols != pp.postIDs, np.cols != np.postIDs)
+	}
+	// long is the first place list of more than one entry, as
+	// [first, end) of posting indices.
+	var long [2]int
+	var longTerm int
+	for term := 0; term < pp.terms && long[1] == 0; term++ {
+		a := le.Uint64(s.AlphaPlace.Image()[pp.table+8*term:])
+		b := le.Uint64(s.AlphaPlace.Image()[pp.table+8*term+8:])
+		if a>>40 == b>>40 && b-a >= 2 {
+			long, longTerm = [2]int{int(a & (1<<40 - 1)), int(b & (1<<40 - 1))}, term
+		}
+	}
+	if long[1] == 0 {
+		t.Fatal("the fixture has no place list of two entries")
+	}
+	idAt := func(img []byte, i int) []byte { return img[pp.postIDs+4*i:] }
+	places := g.Places()
+	notPlaceBelow := func(id uint32) uint32 {
+		for v := int(id) - 1; v >= 0; v-- {
+			if !g.IsPlace(uint32(v)) {
+				return uint32(v)
+			}
+		}
+		t.Fatalf("every vertex below %d is a place", id)
+		return 0
+	}
+	damage := map[string]func(place, node []byte){
+		"more columns than terms": func(place, _ []byte) { le.PutUint64(place[16:], uint64(pp.terms+1)) },
+		"a header longer than its section": func(place, _ []byte) {
+			le.PutUint64(place[24:], le.Uint64(place[24:])+1)
+		},
+		"a term table that descends": func(place, _ []byte) {
+			at := place[pp.table+8*longTerm:]
+			a, b := le.Uint64(at), le.Uint64(at[8:])
+			le.PutUint64(at, b)
+			le.PutUint64(at[8:], a)
+		},
+		"a universe that is not the places": func(place, _ []byte) {
+			le.PutUint32(place[alpha.HeaderLen:], places[1])
+		},
+		"ord that does not invert ids": func(place, _ []byte) {
+			le.PutUint32(place[pp.ord+4*int(places[0]):], 1)
+		},
+		"ord that maps a vertex that is not a place": func(place, _ []byte) {
+			le.PutUint32(place[pp.ord+4*int(notPlaceBelow(places[len(places)-1])):], 0)
+		},
+		"a list out of order": func(place, _ []byte) {
+			a, b := le.Uint32(idAt(place, long[0])), le.Uint32(idAt(place, long[0]+1))
+			le.PutUint32(idAt(place, long[0]), b)
+			le.PutUint32(idAt(place, long[0]+1), a)
+		},
+		"a list entry listed twice": func(place, _ []byte) {
+			le.PutUint32(idAt(place, long[0]+1), le.Uint32(idAt(place, long[0])))
+		},
+		"a list entry that is not a place": func(place, _ []byte) {
+			le.PutUint32(idAt(place, long[0]), notPlaceBelow(le.Uint32(idAt(place, long[0]+1))))
+		},
+		"a list entry beyond every vertex": func(place, _ []byte) {
+			le.PutUint32(idAt(place, long[1]-1), ^uint32(0)-1)
+		},
+		"a list distance beyond α": func(place, _ []byte) { place[pp.postW] = 3 },
+		"a place nibble beyond α+1": func(place, _ []byte) {
+			place[pp.cols] = place[pp.cols]&0xF0 | 4
+		},
+		"a node nibble beyond α+1": func(_, node []byte) {
+			node[np.cols] = node[np.cols]&0x0F | 4<<4
+		},
+		"a place column's pad nibble": func(place, _ []byte) { place[pp.cols+pp.stride-1] |= 1 << 4 },
+		"a node column's pad nibble":  func(_, node []byte) { node[np.cols+np.stride-1] |= 1 << 4 },
+	}
+	trailed := func(img []byte) []byte {
+		return binary.LittleEndian.AppendUint32(slices.Clone(img), crc32.ChecksumIEEE(img))
+	}
+	out := make(map[string][]byte, len(damage))
+	for name, hurt := range damage {
+		place, node := slices.Clone(s.AlphaPlace.Image()), slices.Clone(s.AlphaNode.Image())
+		hurt(place, node)
+		if bytes.Equal(place, s.AlphaPlace.Image()) && bytes.Equal(node, s.AlphaNode.Image()) {
+			t.Fatalf("%s: the damage changed nothing", name)
+		}
+		out[name] = slices.Concat(prefix, trailed(place), trailed(node))
+	}
+	return out
 }
 
 // outOfOrder serves term 3 as two places in descending order.
@@ -145,9 +323,11 @@ func (o outOfOrder) Postings(term uint32, dst []invindex.Posting) ([]invindex.Po
 
 // FuzzRead asserts the loader never panics or over-allocates on
 // adversarial input — it may only return an error or a valid snapshot —
-// read into memory or opened disk-resident (pread, from a file). An input
-// OpenDisk accepts, Read accepts too, with the same document at every
-// vertex; OpenDisk decodes it from the file on every call.
+// read into memory or opened disk-resident, with positioned reads and
+// mapped. OpenDisk refuses everything Read refuses; an input it accepts,
+// Read accepts too, with the same document at every vertex (OpenDisk
+// decodes it from the file on every call) and the same α bounds, bit for
+// bit, at every place and node for two keyword sets.
 func FuzzRead(f *testing.F) {
 	small := paperdata.Figure1()
 	var buf bytes.Buffer
@@ -163,6 +343,16 @@ func FuzzRead(f *testing.F) {
 	}
 	f.Add(v1.Bytes())
 	f.Add([]byte{})
+	e := core.NewEngine(small.G, rdf.Outgoing)
+	e.EnableAlpha(2)
+	withAlpha := &Snapshot{Graph: small.G, Dir: rdf.Outgoing, AlphaRadius: 2, AlphaPlace: e.Alpha.PlaceIdx, AlphaNode: e.Alpha.NodeIdx}
+	for _, version := range []uint32{snapVersion, 2} {
+		var buf bytes.Buffer
+		if err := writeVersion(&buf, withAlpha, version); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<22 {
 			return
@@ -175,26 +365,64 @@ func FuzzRead(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		disk, derr := OpenDisk(path, false)
-		if derr != nil {
-			return
-		}
-		defer disk.Close()
-		if err != nil {
-			if disk.AlphaRadius > 0 {
-				// Read also checks every α list as it packs them; OpenDisk
-				// leaves the lists in the file, unread until a query.
-				return
+		for _, useMmap := range []bool{false, true} {
+			disk, derr := OpenDisk(path, useMmap)
+			if derr != nil {
+				continue
 			}
-			t.Fatalf("OpenDisk accepted what Read refused: %v", err)
-		}
-		if n := disk.Graph.NumVertices(); n != snap.Graph.NumVertices() {
-			t.Fatalf("OpenDisk: %d vertices, Read: %d", n, snap.Graph.NumVertices())
-		}
-		for v := uint32(0); int(v) < snap.Graph.NumVertices(); v++ {
-			if got, want := disk.Graph.Doc(v), snap.Graph.Doc(v); !slices.Equal(got, want) {
-				t.Fatalf("Doc(%d): OpenDisk %v, Read %v", v, got, want)
+			if err != nil {
+				disk.Close()
+				t.Fatalf("OpenDisk(mmap=%v) accepted what Read refused: %v", useMmap, err)
+			}
+			sameSnapshot(t, fmt.Sprintf("OpenDisk(mmap=%v)", useMmap), disk, snap)
+			if err := disk.Close(); err != nil {
+				t.Fatal(err)
 			}
 		}
 	})
+}
+
+// sameSnapshot demands that disk, opened disk-resident, hold what snap,
+// read from the same bytes, holds: the documents, and α bounds bit for
+// bit at every place and node ID the files could name for two keyword
+// sets.
+func sameSnapshot(t *testing.T, label string, disk, snap *Snapshot) {
+	t.Helper()
+	if n := disk.Graph.NumVertices(); n != snap.Graph.NumVertices() {
+		t.Fatalf("%s: %d vertices, Read: %d", label, n, snap.Graph.NumVertices())
+	}
+	for v := uint32(0); int(v) < snap.Graph.NumVertices(); v++ {
+		if got, want := disk.Graph.Doc(v), snap.Graph.Doc(v); !slices.Equal(got, want) {
+			t.Fatalf("%s: Doc(%d) %v, Read %v", label, v, got, want)
+		}
+	}
+	if disk.AlphaRadius != snap.AlphaRadius || (disk.AlphaIndex() == nil) != (snap.AlphaIndex() == nil) {
+		t.Fatalf("%s: α = %d, Read: %d", label, disk.AlphaRadius, snap.AlphaRadius)
+	}
+	if snap.AlphaIndex() == nil {
+		return
+	}
+	nodes := int(snap.AlphaNode.NumTerms()) + len(snap.Graph.Places()) + 2
+	for _, terms := range [][]uint32{{0, 1, 2}, {3, 3, 5, ^uint32(0)}} {
+		got, err := disk.AlphaIndex().LoadQuery(terms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := snap.AlphaIndex().LoadQuery(terms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range snap.Graph.Places() {
+			if a, b := got.PlaceBound(p), want.PlaceBound(p); a != b {
+				t.Fatalf("%s: terms %v: PlaceBound(%d) = %v, Read %v", label, terms, p, a, b)
+			}
+		}
+		for n := uint32(0); int(n) < nodes; n++ {
+			if a, b := got.NodeBound(n), want.NodeBound(n); a != b {
+				t.Fatalf("%s: terms %v: NodeBound(%d) = %v, Read %v", label, terms, n, a, b)
+			}
+		}
+		got.Release()
+		want.Release()
+	}
 }

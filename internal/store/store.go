@@ -5,7 +5,7 @@
 // construction dominates preprocessing by orders of magnitude (≈20 hours
 // for DBpedia at full scale), so a production deployment must build once
 // and reload. The snapshot holds the graph (CSR arrays, vocabulary, URIs,
-// coordinates) and the α-radius posting lists; cheap indexes (R-tree,
+// coordinates) and the two α-radius inverted files; cheap indexes (R-tree,
 // document inverted index, reachability labels) are rebuilt on load —
 // they cost milliseconds-to-seconds (Table 5 again) and rebuilding keeps
 // the format small and the loader simple.
@@ -13,7 +13,11 @@
 // Format version 2 appends a CRC32 (IEEE) trailer to every section, so
 // a snapshot corrupted at rest (bit rot, torn write, truncation) fails
 // loading with ErrCorrupt instead of silently building a wrong index.
-// Version 1 files (no trailers) still load.
+// Version 3 stores each α file as its image (alpha.File): the bytes Read
+// holds in memory and OpenDisk maps are the bytes the bounds read, with
+// no decode, and alpha.OpenPlaces/OpenNodes check them once at open.
+// Versions 1 (no trailers) and 2 still load: their α sections are invindex
+// encodings, decoded and packed into the same Files on the heap.
 //
 // The α-radius node postings are keyed by R-tree node IDs, which is safe
 // because the R-tree is rebuilt with deterministic STR bulk loading from
@@ -42,9 +46,10 @@ import (
 
 const (
 	snapMagic = 0x6B535053 // "kSPS"
-	// snapVersion 2 added per-section CRC32 trailers; version 1 files
-	// (without them) remain loadable.
-	snapVersion = 2
+	// snapVersion 3 stores the α files as their images; version 2 added
+	// per-section CRC32 trailers. Files of versions 1 and 2 remain
+	// loadable.
+	snapVersion = 3
 )
 
 // ErrCorrupt marks a snapshot that failed integrity checking: a section
@@ -59,26 +64,34 @@ type Snapshot struct {
 	Graph *rdf.Graph
 	// AlphaRadius and Dir describe the persisted α index; AlphaPlace /
 	// AlphaNode are its two inverted files. AlphaRadius == 0 means no α
-	// index was persisted. Read packs both into an *alpha.File; OpenDisk
-	// leaves them as views over the snapshot file.
+	// index was persisted. A snapshot opened disk-resident and mapped
+	// serves both from the mapping; otherwise they are on the heap.
 	AlphaRadius int
 	Dir         rdf.Direction
-	AlphaPlace  invindex.Index
-	AlphaNode   invindex.Index
+	AlphaPlace  *alpha.File
+	AlphaNode   *alpha.File
 
 	// src backs a disk-resident snapshot (OpenDisk): the documents
-	// section and the α posting areas are served from it on demand. Nil
-	// for fully materialized snapshots. Owned by the Snapshot; release
-	// with Close.
+	// section is served from it on demand, and when it is mapped so are
+	// the α images. Nil for fully materialized snapshots. Owned by the
+	// Snapshot; release with Close.
 	src *mmapfile.File
+	// alphaMapped is set when AlphaPlace and AlphaNode are views of
+	// src's mapping.
+	alphaMapped bool
 }
 
-// Write serializes the snapshot.
-func Write(w io.Writer, s *Snapshot) error { return writeVersion(w, s, snapVersion) }
+// Write serializes the snapshot, each α file as the image it holds.
+func Write(w io.Writer, s *Snapshot) error {
+	return write(w, s, snapVersion, func(w io.Writer, f *alpha.File) error {
+		_, err := w.Write(f.Image())
+		return err
+	})
+}
 
-// writeVersion writes the given format version; version 1 (no CRC
-// trailers) exists so tests can prove old snapshots still load.
-func writeVersion(w io.Writer, s *Snapshot, version uint32) error {
+// write writes the sections of the given format version, each α file
+// through writeAlpha; versions below 2 carry no CRC trailers.
+func write(w io.Writer, s *Snapshot, version uint32, writeAlpha func(io.Writer, *alpha.File) error) error {
 	if s.DiskResident() {
 		return errors.New("store: cannot serialize a disk-resident snapshot; load it with Read first")
 	}
@@ -168,10 +181,10 @@ func writeVersion(w io.Writer, s *Snapshot, version uint32) error {
 		return h.err
 	}
 	if s.AlphaRadius > 0 {
-		// The index serializer writes through cw, so the trailers cover
-		// its bytes too.
-		for _, ix := range []invindex.Index{s.AlphaPlace, s.AlphaNode} {
-			if err := invindex.Write(cw, ix); err != nil {
+		// The α files are written through cw, so the trailers cover their
+		// bytes too.
+		for _, f := range []*alpha.File{s.AlphaPlace, s.AlphaNode} {
+			if err := writeAlpha(cw, f); err != nil {
 				return err
 			}
 			if err := cw.trailer(); err != nil {
@@ -186,7 +199,7 @@ func writeVersion(w io.Writer, s *Snapshot, version uint32) error {
 // memory.
 func Read(r io.Reader) (*Snapshot, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
-	cr := &crcReader{r: br, crc: crc32.NewIEEE(), on: true}
+	cr := &crcReader{r: br, on: true}
 	return readSnapshot(newSectionReader(cr), cr, nil)
 }
 
@@ -201,11 +214,11 @@ type diskLoad struct {
 // readSnapshot decodes the snapshot stream. With disk == nil every
 // section is materialized (Read). In disk mode the stream is still
 // consumed end to end — so every CRC trailer is verified and every
-// structural check runs exactly as in Read — but the two large payloads
-// are not kept: the documents section contributes only per-vertex
-// lengths (the terms are later served from disk via AttachExternalDocs)
-// and the α posting areas are scanned past, leaving lazy DiskIndex
-// views over the file.
+// structural check runs exactly as in Read — but the large payloads are
+// not kept: the documents section contributes only per-vertex lengths
+// (the terms are later served from disk via AttachExternalDocs), and from
+// a mapped file the α images are only summed and then served from the
+// mapping (readImage).
 func readSnapshot(h *sectionReader, cr *crcReader, disk *diskLoad) (*Snapshot, error) {
 	if h.u32() != snapMagic {
 		if h.err != nil {
@@ -355,57 +368,122 @@ func readSnapshot(h *sectionReader, cr *crcReader, disk *diskLoad) (*Snapshot, e
 		s.src = disk.src
 	}
 	if s.AlphaRadius > 0 {
-		if disk == nil {
-			place, err := readEncoded(cr, "α place index")
-			if err != nil {
-				return nil, err
-			}
-			if s.AlphaPlace, err = alpha.PackPlaces(place, s.AlphaRadius, s.Graph.Places()); err != nil {
-				return nil, fmt.Errorf("%w: α place index: %v", ErrCorrupt, err)
-			}
-			node, err := readEncoded(cr, "α node index")
-			if err != nil {
-				return nil, err
-			}
-			if s.AlphaNode, err = alpha.PackNodes(node, s.AlphaRadius); err != nil {
-				return nil, fmt.Errorf("%w: α node index: %v", ErrCorrupt, err)
+		places, r := s.Graph.Places(), s.AlphaRadius
+		var err error
+		if version < 3 {
+			s.AlphaPlace, err = readEncoded(cr, "α place index", func(ix invindex.Index) (*alpha.File, error) {
+				return alpha.PackPlaces(ix, r, places)
+			})
+			if err == nil {
+				s.AlphaNode, err = readEncoded(cr, "α node index", func(ix invindex.Index) (*alpha.File, error) {
+					return alpha.PackNodes(ix, r)
+				})
 			}
 		} else {
-			// Scan past each index through the CRC reader (full integrity
-			// check), keeping only the offset table; the posting areas stay
-			// on disk behind lazy views.
-			base := disk.pos.n
-			offs, err := invindex.Scan(cr)
-			if err != nil {
-				return nil, alphaErr("α place index", err)
-			}
-			if err := cr.verify("α place index"); err != nil {
-				return nil, err
-			}
-			s.AlphaPlace = invindex.NewView(disk.src, base, offs)
-			base = disk.pos.n
-			offs, err = invindex.Scan(cr)
-			if err != nil {
-				return nil, alphaErr("α node index", err)
-			}
-			if err := cr.verify("α node index"); err != nil {
-				return nil, err
-			}
-			s.AlphaNode = invindex.NewView(disk.src, base, offs)
+			s.AlphaPlace, s.AlphaNode, err = readImages(cr, disk, r, places)
+			s.alphaMapped = disk != nil && disk.src.Mapped()
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
 	return s, nil
 }
 
-// readEncoded reads one α inverted file and its CRC trailer from cr. The
-// encoding stays as it is, checked against the trailer: the caller packs
-// its lists (alpha.PackPlaces, alpha.PackNodes) and drops it.
-func readEncoded(cr *crcReader, section string) (invindex.Index, error) {
+// readEncoded reads one α inverted file of format version 1 or 2, an
+// invindex encoding, and its CRC trailer from cr, and packs its lists into
+// a File once the trailer verifies.
+func readEncoded(cr *crcReader, section string, pack func(invindex.Index) (*alpha.File, error)) (*alpha.File, error) {
 	enc, err := invindex.ReadFrom(cr)
 	if err != nil {
 		return nil, alphaErr(section, err)
 	}
-	return enc, cr.verify(section)
+	if err := cr.verify(section); err != nil {
+		return nil, err
+	}
+	f, err := pack(enc)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, section, err)
+	}
+	return f, nil
+}
+
+// readImages reads the two α sections of format version 3, the images
+// of the place and the node file, and serves each once its trailer
+// verifies and alpha has checked it: from the bytes read (Read, and
+// OpenDisk in pread mode), or from the mapping of a mapped snapshot,
+// whose bytes the stream only sums.
+func readImages(cr *crcReader, disk *diskLoad, radius int, places []uint32) (place, node *alpha.File, err error) {
+	img, err := readImage(cr, disk, "α place index", func(head []byte) (int, error) { return alpha.PlaceImageLen(head, places) })
+	if err != nil {
+		return nil, nil, err
+	}
+	if place, err = alpha.OpenPlaces(img, radius, places); err != nil {
+		return nil, nil, fmt.Errorf("%w: α place index: %v", ErrCorrupt, err)
+	}
+	if img, err = readImage(cr, disk, "α node index", alpha.NodeImageLen); err != nil {
+		return nil, nil, err
+	}
+	if node, err = alpha.OpenNodes(img, radius); err != nil {
+		return nil, nil, fmt.Errorf("%w: α node index: %v", ErrCorrupt, err)
+	}
+	return place, node, nil
+}
+
+// readImage reads one α image, whose length size tells from its header,
+// and its trailer, and returns the image: the bytes read or, from a
+// mapped snapshot, a view of the mapping, which the CRC sums in place
+// while the stream skips it.
+func readImage(cr *crcReader, disk *diskLoad, section string, size func(head []byte) (int, error)) ([]byte, error) {
+	var base int64
+	if disk != nil {
+		base = disk.pos.n
+	}
+	head, err := readAppend(cr, nil, alpha.HeaderLen)
+	if err != nil {
+		return nil, alphaErr(section, err)
+	}
+	n, err := size(head)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, section, err)
+	}
+	rest := int64(n - alpha.HeaderLen)
+	if disk == nil || !disk.src.Mapped() {
+		img, err := readAppend(cr, head, rest)
+		if err != nil {
+			return nil, alphaErr(section, err)
+		}
+		return img, cr.verify(section)
+	}
+	img, err := disk.src.Range(base, int64(n))
+	if err != nil {
+		return nil, fmt.Errorf("%w: truncated in %s", ErrCorrupt, section)
+	}
+	cr.sum(img[alpha.HeaderLen:])
+	if err := disk.pos.skip(rest); err != nil {
+		return nil, err
+	}
+	return img, cr.verify(section)
+}
+
+// readAppend appends n bytes of r to dst. The buffer doubles as the
+// bytes arrive, up to the length asked for, so that a corrupt length runs
+// out of stream long before it exhausts memory, and the result has no
+// spare capacity.
+func readAppend(r io.Reader, dst []byte, n int64) ([]byte, error) {
+	want := int64(len(dst)) + n
+	buf := dst
+	for int64(len(buf)) < want {
+		if len(buf) == cap(buf) {
+			buf = append(make([]byte, 0, min(want, max(2*int64(cap(buf)), 1<<20))), buf...)
+		}
+		k, err := io.ReadFull(r, buf[len(buf):min(int64(cap(buf)), want)])
+		buf = buf[:len(buf)+k]
+		if err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
 }
 
 // alphaErr wraps an α-index decoding failure, folding stream truncation
@@ -455,7 +533,7 @@ func LoadFile(path string) (*Snapshot, error) {
 	return Read(f)
 }
 
-// AlphaIndex assembles an alpha.Index from the persisted posting lists.
+// AlphaIndex assembles an alpha.Index from the persisted inverted files.
 func (s *Snapshot) AlphaIndex() *alpha.Index {
 	if s.AlphaRadius == 0 {
 		return nil
@@ -503,25 +581,29 @@ func (c *crcWriter) trailer() error {
 // verify consumes a trailer (read raw, off the sum) and compares.
 type crcReader struct {
 	r   io.Reader
-	crc hash.Hash32
+	crc uint32 // of the section so far
 	on  bool
 }
 
 func (c *crcReader) Read(p []byte) (int, error) {
 	n, err := c.r.Read(p)
-	if c.on && n > 0 {
-		//ksplint:ignore droppederr -- hash.Hash.Write is documented to never return an error
-		c.crc.Write(p[:n])
-	}
+	c.sum(p[:n])
 	return n, err
+}
+
+// sum adds b to the running CRC: bytes read through c, or by other means.
+func (c *crcReader) sum(b []byte) {
+	if c.on {
+		c.crc = crc32.Update(c.crc, crc32.IEEETable, b)
+	}
 }
 
 func (c *crcReader) verify(section string) error {
 	if !c.on {
 		return nil
 	}
-	sum := c.crc.Sum32()
-	c.crc.Reset()
+	sum := c.crc
+	c.crc = 0
 	var b [4]byte
 	if _, err := io.ReadFull(c.r, b[:]); err != nil {
 		return fmt.Errorf("%w: truncated at %s trailer", ErrCorrupt, section)

@@ -197,11 +197,14 @@ type Config struct {
 	Reachability bool
 	// Ranking overrides the scoring function; nil means ProductRanking.
 	Ranking Ranking
-	// Mmap serves a disk-resident snapshot (LoadSnapshotDisk) — its α
-	// posting lists and vertex documents — through a read-only memory
-	// mapping instead of positioned reads: both decode straight out of
-	// the page cache. Platforms without mmap support silently fall back
-	// to positioned reads. Results are identical in either mode.
+	// Mmap serves a disk-resident snapshot (LoadSnapshotDisk) through a
+	// read-only memory mapping instead of positioned reads: vertex
+	// documents decode straight out of the page cache, and the α-radius
+	// inverted files are read in place, with nothing of them on the heap.
+	// Without it the documents are read per call and the α files are
+	// read onto the heap once at open. Platforms without mmap support
+	// silently fall back to positioned reads. Results are identical in
+	// either mode.
 	Mmap bool
 	// RemoveStopwords drops common English glue words from documents and
 	// query keywords alike.
@@ -367,10 +370,10 @@ func (d *Dataset) AlphaRadius() int {
 // preprocessing time (Table 5 of the paper).
 func (d *Dataset) Save(path string) error {
 	snap := &store.Snapshot{Graph: d.g, Dir: d.cfg.Direction}
+	if d.snap != nil {
+		return fmt.Errorf("ksp: the dataset is served from a snapshot file; cannot snapshot it")
+	}
 	if a := d.engine.Alpha; a != nil {
-		if a.OnDisk() {
-			return fmt.Errorf("ksp: α index is not memory-resident; cannot snapshot")
-		}
 		snap.AlphaRadius = a.Alpha
 		snap.AlphaPlace = a.PlaceIdx
 		snap.AlphaNode = a.NodeIdx
@@ -392,11 +395,12 @@ func LoadSnapshot(path string, cfg Config) (*Dataset, error) {
 
 // LoadSnapshotDisk restores a dataset saved with Save in disk-resident
 // mode: the graph structure and cheap indexes live in memory exactly as
-// with LoadSnapshot, but the vertex documents and the α-radius posting
-// lists are served from the snapshot file on demand — through a
-// read-only memory mapping when cfg.Mmap is set, positioned reads
-// otherwise. Query results are identical to LoadSnapshot's. The dataset
-// holds the snapshot file open; call Close when done.
+// with LoadSnapshot, but the vertex documents are served from the
+// snapshot file on demand — through a read-only memory mapping when
+// cfg.Mmap is set, positioned reads otherwise — and, mapped, so are the
+// α-radius inverted files (Config.Mmap). Query results are identical to
+// LoadSnapshot's. The dataset holds the snapshot file open; call Close
+// when done.
 func LoadSnapshotDisk(path string, cfg Config) (*Dataset, error) {
 	snap, err := store.OpenDisk(path, cfg.Mmap)
 	if err != nil {
@@ -575,11 +579,13 @@ type DatasetStats struct {
 	// disk-resident snapshot (LoadSnapshotDisk) rather than held in
 	// memory.
 	DocsOnDisk bool
-	// AlphaOnDisk reports whether the α-radius posting lists are served
-	// from a disk-resident snapshot rather than memory.
+	// AlphaOnDisk reports whether the α-radius inverted files are served
+	// in place from the mapping of a disk-resident snapshot rather than
+	// from the heap. A snapshot opened without Config.Mmap (or in a
+	// format older than version 3) holds them on the heap.
 	AlphaOnDisk bool
 	// MemoryMapped reports whether the disk-resident snapshot behind the
-	// documents and α postings is read through a memory mapping rather
+	// documents (and the α files) is read through a memory mapping rather
 	// than positioned reads.
 	MemoryMapped bool
 }
@@ -593,10 +599,8 @@ func (d *Dataset) Stats() DatasetStats {
 		Terms:      d.g.Vocab.Len(),
 		DocsOnDisk: d.g.DocsOnDisk(),
 	}
-	if a := d.engine.Alpha; a != nil {
-		st.AlphaOnDisk = a.OnDisk()
-	}
 	st.MemoryMapped = d.snap != nil && d.snap.Mapped()
+	st.AlphaOnDisk = d.snap != nil && d.snap.AlphaMapped() && d.engine.Alpha != nil
 	return st
 }
 

@@ -258,9 +258,9 @@ func TestSaveAndLoadSnapshot(t *testing.T) {
 	if restored.Stats() != ds.Stats() {
 		t.Fatalf("stats changed: %+v vs %+v", restored.Stats(), ds.Stats())
 	}
-	// Where the α index lives is asked of the index: built or loaded into
-	// memory it is not on disk and can be saved again, byte for byte;
-	// opened disk-resident it is on disk and Save refuses.
+	// Built or loaded into memory the α index is on the heap and can be
+	// saved again, byte for byte; opened disk-resident it is on disk
+	// exactly when the snapshot is mapped, and Save refuses either way.
 	if ds.Stats().AlphaOnDisk || restored.Stats().AlphaOnDisk {
 		t.Errorf("AlphaOnDisk = %v built, %v loaded, want false for both", ds.Stats().AlphaOnDisk, restored.Stats().AlphaOnDisk)
 	}
@@ -279,15 +279,26 @@ func TestSaveAndLoadSnapshot(t *testing.T) {
 	if !bytes.Equal(first, second) {
 		t.Errorf("a snapshot saved, loaded and saved again changed: %d bytes, then %d", len(first), len(second))
 	}
+	for _, mmap := range []bool{false, true} {
+		cfg := DefaultConfig()
+		cfg.Mmap = mmap
+		disk, err := LoadSnapshotDisk(path, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := disk.Stats(); !st.DocsOnDisk || st.AlphaOnDisk != st.MemoryMapped {
+			t.Errorf("Mmap=%v: disk-resident stats = %+v, want DocsOnDisk, and AlphaOnDisk as MemoryMapped", mmap, st)
+		}
+		if err := disk.Save(t.TempDir() + "/refused.snap"); err == nil {
+			t.Errorf("Mmap=%v: Save of a disk-resident dataset succeeded", mmap)
+		}
+		if err := disk.Close(); err != nil {
+			t.Error(err)
+		}
+	}
 	onDisk, err := LoadSnapshotDisk(path, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if st := onDisk.Stats(); !st.AlphaOnDisk || !st.DocsOnDisk {
-		t.Errorf("disk-resident stats = %+v, want AlphaOnDisk and DocsOnDisk", st)
-	}
-	if err := onDisk.Save(t.TempDir() + "/refused.snap"); err == nil {
-		t.Error("Save of a disk-resident dataset succeeded")
 	}
 	// Describe decodes each document from the snapshot file.
 	for v := uint32(0); int(v) < ds.Stats().Vertices; v++ {

@@ -65,11 +65,7 @@ func (d *Dataset) PartitionSpatial(n int) ([]*Dataset, error) {
 		for j, it := range items[start:end] {
 			run[j] = it.ID
 		}
-		e, err := d.engine.Subset(run)
-		if err != nil {
-			return nil, err
-		}
-		shards[i] = &Dataset{g: d.g, engine: e, cfg: d.cfg}
+		shards[i] = &Dataset{g: d.g, engine: d.engine.Subset(run), cfg: d.cfg}
 	}
 	return shards, nil
 }
