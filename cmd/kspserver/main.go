@@ -44,7 +44,7 @@ func main() {
 	var (
 		data     = flag.String("data", "", "N-Triples dataset to load")
 		snapshot = flag.String("snapshot", "", "snapshot produced by Dataset.Save (faster startup)")
-		mmap     = flag.Bool("mmap", false, "serve documents and α postings straight from the snapshot file via a read-only memory mapping (requires -snapshot; falls back to positioned reads where mmap is unavailable)")
+		mmap     = flag.Bool("mmap", false, "serve the graph and α postings straight from the snapshot file via a read-only memory mapping (requires -snapshot; falls back to reading the file onto the heap where mmap is unavailable)")
 		addr     = flag.String("addr", ":8080", "listen address")
 		alphaR   = flag.Int("alpha", 3, "α radius, at most 255 (N-Triples loading only)")
 		maxK     = flag.Int("maxk", 100, "largest k a request may ask for")

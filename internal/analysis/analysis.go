@@ -195,12 +195,14 @@ func DefaultConfig(module string) Config {
 			// Close), so retaining views inside its structs is its
 			// documented job; mmaplife polices its CONSUMERS.
 			module + "/internal/mmapfile",
-			// A mapped snapshot's α files are views of its mapping
-			// (readImages stores them in Snapshot.AlphaPlace/AlphaNode),
-			// and the Snapshot owns the mapping: Snapshot.Close unmaps
-			// it, and its doc ends the files' life there. Only the
-			// package is nameable here; no other store code takes a
-			// Range view.
+			// A mapped snapshot's Graph and α files are views of its
+			// mapping (OpenDisk takes one Range of the whole file, and
+			// readImage hands views of it to rdf.FromArrays and
+			// alpha.OpenPlaces/OpenNodes, stored in Snapshot.Graph,
+			// AlphaPlace and AlphaNode), and the Snapshot owns the
+			// mapping: Snapshot.Close unmaps it, and its doc ends the
+			// views' life there. Only the package is nameable here; no
+			// other store code takes a Range view.
 			module + "/internal/store",
 		},
 		MmapBoundaryPackages: []string{module},

@@ -32,6 +32,12 @@ func (p Point) DistSq(q Point) float64 {
 	return dx*dx + dy*dy
 }
 
+// Finite reports whether both coordinates are finite: a distance to a
+// point with a NaN or infinite coordinate orders nothing.
+func (p Point) Finite() bool {
+	return !math.IsNaN(p.X) && !math.IsInf(p.X, 0) && !math.IsNaN(p.Y) && !math.IsInf(p.Y, 0)
+}
+
 // String implements fmt.Stringer.
 func (p Point) String() string {
 	return fmt.Sprintf("(%g, %g)", p.X, p.Y)

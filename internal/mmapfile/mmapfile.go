@@ -5,11 +5,10 @@
 // modes differ only in how bytes reach the caller, never in what bytes.
 //
 // The mapped representation is what lets a snapshot larger than RAM
-// serve queries: the kernel pages documents and the α-radius inverted
-// files in on demand and evicts them under pressure. The α files are
-// read in place, as views of the mapping, so none of their bytes — not
-// even their term tables — lands on the Go heap; of the documents the
-// heap holds only the per-vertex offsets.
+// serve queries: the kernel pages the graph's arrays and the α-radius
+// inverted files in on demand and evicts them under pressure. A mapped
+// snapshot is read in place, as views of the mapping, so none of those
+// bytes land on the Go heap.
 package mmapfile
 
 import (

@@ -188,6 +188,30 @@ func TestLoadIntoBuilder(t *testing.T) {
 	}
 }
 
+// A geometry with a NaN or infinite coordinate is a malformed literal:
+// its triple is skipped, and the only place left is the finite one.
+func TestLoadSkipsNonFiniteGeometry(t *testing.T) {
+	src := `
+<http://ex/A> <http://ex/hasGeometry> "POINT(NaN 1)"^^<` + rdf.WKTLiteral + `> .
+<http://ex/B> <http://ex/hasGeometry> "POINT(1 +Inf)"^^<` + rdf.WKTLiteral + `> .
+<http://ex/C> <http://www.georss.org/georss/point> "NaN 2" .
+<http://ex/D> <http://ex/hasGeometry> "POINT(-Inf 0)"^^<` + rdf.WKTLiteral + `> .
+<http://ex/E> <http://ex/hasGeometry> "POINT(3 4)"^^<` + rdf.WKTLiteral + `> .
+`
+	b := rdf.NewBuilder()
+	n, err := Load(strings.NewReader(src), b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 1 {
+		t.Errorf("accepted = %d, want 1", n)
+	}
+	g := b.Build()
+	if places := g.Places(); len(places) != 1 || g.URI(places[0]) != "http://ex/E" || g.Loc(places[0]).X != 3 {
+		t.Fatalf("places %v, want only http://ex/E at (3, 4)", places)
+	}
+}
+
 func TestLoadPropagatesParseError(t *testing.T) {
 	b := rdf.NewBuilder()
 	if _, err := Load(strings.NewReader("garbage here\n"), b); err == nil {

@@ -1,7 +1,7 @@
 package rdf
 
 import (
-	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -192,7 +192,8 @@ func (b *Builder) isGeoPredicate(predTokens []string, o Term) bool {
 // ParsePointLiteral parses "POINT(x y)" (WKT, optional space after POINT)
 // or a bare "lat lon" pair (georss style). For WKT, x is returned as
 // Point.X and y as Point.Y; for bare pairs the first number becomes Y
-// (latitude) per georss convention.
+// (latitude) per georss convention. Non-finite numbers (NaN, ±Inf) are
+// malformed: no distance to such a point orders.
 func ParsePointLiteral(s string) (geo.Point, bool) {
 	s = strings.TrimSpace(s)
 	upper := strings.ToUpper(s)
@@ -207,10 +208,10 @@ func ParsePointLiteral(s string) (geo.Point, bool) {
 		}
 		x, err1 := strconv.ParseFloat(fields[0], 64)
 		y, err2 := strconv.ParseFloat(fields[1], 64)
-		if err1 != nil || err2 != nil {
-			return geo.Point{}, false
+		if p := (geo.Point{X: x, Y: y}); err1 == nil && err2 == nil && p.Finite() {
+			return p, true
 		}
-		return geo.Point{X: x, Y: y}, true
+		return geo.Point{}, false
 	}
 	fields := strings.Fields(s)
 	if len(fields) != 2 {
@@ -218,45 +219,38 @@ func ParsePointLiteral(s string) (geo.Point, bool) {
 	}
 	lat, err1 := strconv.ParseFloat(fields[0], 64)
 	lon, err2 := strconv.ParseFloat(fields[1], 64)
-	if err1 != nil || err2 != nil {
-		return geo.Point{}, false
+	if p := (geo.Point{X: lon, Y: lat}); err1 == nil && err2 == nil && p.Finite() {
+		return p, true
 	}
-	return geo.Point{X: lon, Y: lat}, true
+	return geo.Point{}, false
 }
 
 // Build freezes the accumulated data into an immutable Graph. The Builder
 // must not be used afterwards.
 func (b *Builder) Build() *Graph {
 	n := len(b.uris)
+	b.Vocab.Freeze()
 	g := &Graph{
-		Vocab:     b.Vocab,
-		analyzer:  b.Analyzer,
-		predNames: b.preds,
+		Vocab:    b.Vocab,
+		analyzer: b.Analyzer,
+	}
+	g.preds.Off = []uint32{0}
+	for _, p := range b.preds {
+		g.preds.Append(p)
 	}
 
 	// Flatten the URI table: the build-time []string + map give way to
 	// one byte blob, uint32 offsets, and a URI-sorted permutation of
 	// vertex IDs for lookups (see Graph.VertexByURI).
-	var uriTotal int
+	var uriBytes int
 	for _, u := range b.uris {
-		uriTotal += len(u)
+		uriBytes += len(u)
 	}
-	if int64(uriTotal) > math.MaxUint32 {
-		panic("rdf: URI table exceeds 4 GiB; uint32 offsets cannot address it")
+	g.uris = text.Table{Blob: make([]byte, 0, uriBytes), Off: make([]uint32, 1, n+1)}
+	for _, u := range b.uris {
+		g.uris.Append(u)
 	}
-	g.uriOff = make([]uint32, n+1)
-	g.uriBlob = make([]byte, 0, uriTotal)
-	for v, u := range b.uris {
-		g.uriBlob = append(g.uriBlob, u...)
-		g.uriOff[v+1] = uint32(len(g.uriBlob))
-	}
-	g.uriSort = make([]uint32, n)
-	for i := range g.uriSort {
-		g.uriSort[i] = uint32(i)
-	}
-	sort.Slice(g.uriSort, func(i, j int) bool {
-		return b.uris[g.uriSort[i]] < b.uris[g.uriSort[j]]
-	})
+	g.uris.Sort()
 
 	// Deduplicate identical (s, pred, o) edges, then lay out CSR.
 	sort.Slice(b.edges, func(i, j int) bool {
@@ -333,14 +327,19 @@ func (b *Builder) Build() *Graph {
 		copy(g.docTerms[g.docOff[v]:], b.docs[v])
 	}
 
-	g.isPlace = make([]bool, n)
-	g.coords = make([]geo.Point, n)
-	for v, pt := range b.coords {
-		g.isPlace[v] = true
-		g.coords[v] = pt
+	for v := range b.coords {
 		g.places = append(g.places, v)
 	}
-	sort.Slice(g.places, func(i, j int) bool { return g.places[i] < g.places[j] })
+	slices.Sort(g.places)
+	g.placeOrd = make([]uint32, n)
+	for v := range g.placeOrd {
+		g.placeOrd[v] = NoVertex
+	}
+	g.coords = make([]geo.Point, len(g.places))
+	for i, v := range g.places {
+		g.placeOrd[v] = uint32(i)
+		g.coords[i] = b.coords[v]
+	}
 
 	b.uris = nil
 	b.uriIDs = nil

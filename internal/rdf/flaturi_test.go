@@ -70,9 +70,10 @@ func TestEmptyGraphURIs(t *testing.T) {
 	}
 }
 
-// MemSize must account for the flat URI table and the places slice, and
-// must drop (not keep counting) the term array once documents are
-// attached from a file.
+// MemSize must account for the flat URI and predicate tables, the
+// places with their ordinals and coordinates, and every CSR array, and a
+// Graph viewing the same arrays (FromArrays, as a snapshot opens one)
+// must report the same footprint.
 func TestMemSizeAccounting(t *testing.T) {
 	g, _ := randomURIGraph(t, 6, 200)
 	sz := g.MemSize()
@@ -80,29 +81,22 @@ func TestMemSizeAccounting(t *testing.T) {
 	want += int64(len(g.outOff)+len(g.outEdges)+len(g.outPreds)+len(g.inOff)+len(g.inEdges)) * 4
 	want += int64(len(g.docOff)+len(g.docTerms)) * 4
 	want += int64(len(g.coords)) * 16
-	want += int64(len(g.isPlace))
-	want += int64(len(g.places)) * 4
-	want += int64(len(g.uriBlob))
-	want += int64(len(g.uriOff)+len(g.uriSort)) * 4
-	for _, p := range g.predNames {
-		want += int64(len(p)) + 16
-	}
+	want += int64(len(g.places)+len(g.placeOrd)) * 4
+	want += int64(len(g.uris.Blob))
+	want += int64(len(g.uris.Off)+len(g.uris.Sorted)) * 4
+	want += int64(len(g.preds.Blob)) + int64(len(g.preds.Off))*4
 	if sz != want {
 		t.Fatalf("MemSize = %d, want %d", sz, want)
 	}
-	if int64(len(g.uriBlob)) == 0 {
-		t.Fatal("test graph has empty URI blob")
+	if len(g.uris.Blob) == 0 || len(g.docTerms) == 0 {
+		t.Fatal("test graph has an empty URI blob or no document terms")
 	}
-	// Attach and re-measure: the term array is no longer resident, so
-	// the footprint shrinks by exactly its bytes.
-	terms := int64(len(g.docTerms)) * 4
-	if terms == 0 {
-		t.Fatal("test graph has no document terms")
+	view, err := FromArrays(g.Arrays(), g.Analyzer())
+	if err != nil {
+		t.Fatal(err)
 	}
-	path, lengths := writeCounted(t, g)
-	attachCounted(t, g, path, lengths, false)
-	if got := g.MemSize(); got != sz-terms {
-		t.Fatalf("MemSize after attach = %d, want %d", got, sz-terms)
+	if got := view.MemSize(); got != sz {
+		t.Fatalf("MemSize of the view = %d, want %d", got, sz)
 	}
 }
 

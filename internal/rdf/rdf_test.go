@@ -38,6 +38,12 @@ func TestParsePointLiteral(t *testing.T) {
 		{"POINT 1 2", geo.Point{}, false},
 		{"not a point", geo.Point{}, false},
 		{"", geo.Point{}, false},
+		// Non-finite numbers parse as floats but are no location.
+		{"POINT(NaN 1)", geo.Point{}, false},
+		{"POINT(1 +Inf)", geo.Point{}, false},
+		{"POINT(-Inf 0)", geo.Point{}, false},
+		{"NaN 2", geo.Point{}, false},
+		{"1 infinity", geo.Point{}, false},
 	}
 	for _, tt := range tests {
 		got, ok := ParsePointLiteral(tt.in)

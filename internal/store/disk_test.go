@@ -3,9 +3,12 @@ package store
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 
 	"ksp/internal/core"
@@ -35,16 +38,18 @@ func diskFixture(t *testing.T) (string, *core.Engine, *rdf.Graph) {
 	return path, e, g
 }
 
-// A disk-resident snapshot must expose exactly the same graph documents
-// and α posting lists as the fully materialized load, in both I/O modes.
+// A snapshot opened with OpenDisk must expose exactly the same graph
+// and α posting lists as the one Read holds, in both modes: mapped, the
+// graph and the α files are views of the mapping; read with positioned
+// reads, they are on the heap, as Read's.
 func TestOpenDiskMatchesRead(t *testing.T) {
 	path, e, g := diskFixture(t)
 	mem, err := LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mem.DiskResident() || mem.Mapped() {
-		t.Fatal("in-memory snapshot claims disk residency")
+	if mem.Mapped() || mem.AlphaMapped() {
+		t.Fatal("in-memory snapshot claims to be mapped")
 	}
 
 	for _, useMmap := range []bool{false, true} {
@@ -52,22 +57,15 @@ func TestOpenDiskMatchesRead(t *testing.T) {
 		if err != nil {
 			t.Fatalf("OpenDisk(mmap=%v): %v", useMmap, err)
 		}
-		if !disk.DiskResident() {
-			t.Fatal("OpenDisk snapshot not disk-resident")
-		}
-		if !disk.Graph.DocsOnDisk() {
-			t.Fatal("documents not disk-resident")
+		if mapped := useMmap && runtime.GOOS == "linux"; disk.Mapped() != mapped || disk.AlphaMapped() != mapped {
+			t.Fatalf("OpenDisk(mmap=%v): Mapped %v, AlphaMapped %v, want %v", useMmap, disk.Mapped(), disk.AlphaMapped(), mapped)
 		}
 		if disk.AlphaRadius != 2 || disk.Dir != rdf.Outgoing {
 			t.Fatalf("alpha metadata lost: %+v", disk)
 		}
-		if g2 := disk.Graph; g2.NumVertices() != g.NumVertices() || g2.NumEdges() != g.NumEdges() {
-			t.Fatalf("graph shape changed: %d/%d", g2.NumVertices(), g2.NumEdges())
-		}
+		sameGraph(t, fmt.Sprintf("OpenDisk(mmap=%v)", useMmap), disk.Graph, g, false)
 		for v := uint32(0); int(v) < g.NumVertices(); v++ {
-			a := append([]uint32(nil), mem.Graph.Doc(v)...)
-			b := append([]uint32(nil), disk.Graph.Doc(v)...)
-			if !reflect.DeepEqual(a, b) {
+			if a, b := mem.Graph.Doc(v), disk.Graph.Doc(v); !slices.Equal(a, b) {
 				t.Fatalf("mmap=%v: Doc(%d) = %v, want %v", useMmap, v, b, a)
 			}
 		}
@@ -146,9 +144,8 @@ func TestOpenDiskQueryEquivalence(t *testing.T) {
 	}
 }
 
-// Disk-resident opening must keep the full CRC coverage: corruption
-// anywhere in the file — including the sections that stay on disk —
-// fails the open with ErrCorrupt.
+// Opening from disk must keep the full CRC coverage: corruption anywhere
+// in the file fails the open with ErrCorrupt, mapped or not.
 func TestOpenDiskDetectsCorruption(t *testing.T) {
 	path, _, _ := diskFixture(t)
 	data, err := os.ReadFile(path)
@@ -164,8 +161,10 @@ func TestOpenDiskDetectsCorruption(t *testing.T) {
 		if err := os.WriteFile(badPath, bad, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := OpenDisk(badPath, false); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("corruption at %d: err = %v, want ErrCorrupt", off, err)
+		for _, useMmap := range []bool{false, true} {
+			if _, err := OpenDisk(badPath, useMmap); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("corruption at %d, mmap=%v: err = %v, want ErrCorrupt", off, useMmap, err)
+			}
 		}
 	}
 	// Truncation.
@@ -173,14 +172,16 @@ func TestOpenDiskDetectsCorruption(t *testing.T) {
 	if err := os.WriteFile(trunc, data[:len(data)-5], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenDisk(trunc, false); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("truncation: err = %v, want ErrCorrupt", err)
+	for _, useMmap := range []bool{false, true} {
+		if _, err := OpenDisk(trunc, useMmap); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("truncation, mmap=%v: err = %v, want ErrCorrupt", useMmap, err)
+		}
 	}
 }
 
-// Version 1 snapshots (no CRC trailers) must stay loadable in
-// disk-resident mode too, read or mapped: their α lists are packed onto
-// the heap either way.
+// Version 1 snapshots (no CRC trailers) must stay loadable through
+// OpenDisk too, read or mapped: they are decoded onto the heap either
+// way, and the mapping is released at once.
 func TestOpenDiskV1(t *testing.T) {
 	g := gen.Generate(gen.DBpediaConfig(400, 3))
 	e := core.NewEngine(g, rdf.Outgoing)
@@ -205,8 +206,8 @@ func TestOpenDiskV1(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if snap.AlphaMapped() {
-			t.Errorf("mmap=%v: a version 1 snapshot's α files claim to be mapped", useMmap)
+		if snap.Mapped() || snap.AlphaMapped() {
+			t.Errorf("mmap=%v: a version 1 snapshot claims to be mapped", useMmap)
 		}
 		for term := 0; term < e.Alpha.PlaceIdx.NumTerms(); term++ {
 			a, _ := e.Alpha.PlaceIdx.Postings(uint32(term), nil)
@@ -224,59 +225,55 @@ func TestOpenDiskV1(t *testing.T) {
 	}
 }
 
-// OpenDisk serves a document as it lies in the file, so a document whose
-// terms are not strictly ascending — which Write never emits, and which
-// Read would sort — fails the open instead of reaching HasTerm's binary
-// search.
+// A version 4 snapshot is served as it lies in the file, so a document
+// whose terms are not strictly ascending — which Write never emits, and
+// which a Builder would sort — fails the open in every mode instead of
+// reaching HasTerm's binary search, even with its trailer recomputed.
 func TestOpenDiskRejectsUnsortedDocument(t *testing.T) {
 	b := rdf.NewBuilder()
 	v := b.AddBareVertex("v")
 	b.AddTermID(v, b.Vocab.ID("a"))
 	b.AddTermID(v, b.Vocab.ID("b"))
-	var buf bytes.Buffer
-	if err := writeVersion(&buf, &Snapshot{Graph: b.Build()}, 1); err != nil {
-		t.Fatal(err)
+	img := layoutOf(t, encode(t, &Snapshot{Graph: b.Build()}, snapVersion))
+	if got := img.u32s("docTerms"); !slices.Equal(got, []uint32{0, 1}) {
+		t.Fatalf("document terms %v, want [0 1]", got)
 	}
-	// The document section of the one vertex: count 2, terms 0 and 1.
-	doc := []byte{2, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0}
-	if n := bytes.Count(buf.Bytes(), doc); n != 1 {
-		t.Fatalf("document bytes found %d times", n)
-	}
-	raw := bytes.Replace(buf.Bytes(), doc, []byte{2, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0}, 1)
-	if _, err := Read(bytes.NewReader(raw)); err != nil {
-		t.Fatalf("Read: %v", err)
-	}
-	path := filepath.Join(t.TempDir(), "unsorted.bin")
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if snap, err := OpenDisk(path, false); !errors.Is(err, ErrCorrupt) {
-		if err == nil {
-			snap.Close()
+	img.put("docTerms", 0, 1)
+	img.put("docTerms", 1, 0)
+	for mode, open := range openAll(t, img.resummed()) {
+		if _, err := open(); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s of an unsorted document: err = %v, want ErrCorrupt", mode, err)
 		}
-		t.Fatalf("OpenDisk of an unsorted document: err = %v, want ErrCorrupt", err)
 	}
 }
 
-// A disk-resident snapshot cannot be re-serialized: its documents are
-// served from the file it came from, and Write must say so instead of
-// writing a broken file.
+// A mapped snapshot cannot be re-serialized — its Graph and α files are
+// views of the file it came from — and Write must say so instead of
+// writing from under its own feet. Opened without a mapping, it is on the
+// heap and writes back byte for byte.
 func TestWriteRejectsDiskResident(t *testing.T) {
 	path, _, _ := diskFixture(t)
-	snap, err := OpenDisk(path, false)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
+	for _, useMmap := range []bool{false, true} {
+		snap, err := OpenDisk(path, useMmap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		err = Write(&buf, snap)
+		switch {
+		case snap.Mapped() && err == nil:
+			t.Error("Write of a mapped snapshot should fail")
+		case !snap.Mapped() && err != nil:
+			t.Errorf("Write of a snapshot on the heap: %v", err)
+		case !snap.Mapped() && !bytes.Equal(buf.Bytes(), want):
+			t.Errorf("a snapshot read and written again changed: %d bytes, then %d", len(want), buf.Len())
+		}
 		if err := snap.Close(); err != nil {
 			t.Error(err)
 		}
-	}()
-	if !snap.DiskResident() {
-		t.Fatal("fixture not disk-resident")
-	}
-	var buf bytes.Buffer
-	if err := Write(&buf, snap); err == nil {
-		t.Fatal("Write of disk-resident snapshot should fail")
 	}
 }

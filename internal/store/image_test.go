@@ -1,0 +1,408 @@
+package store
+
+import (
+	"bytes"
+	"cmp"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"hash/crc32"
+	"math"
+	"os"
+	"path/filepath"
+	"slices"
+	"testing"
+
+	"ksp/internal/alpha"
+	"ksp/internal/core"
+	"ksp/internal/gen"
+	"ksp/internal/geo"
+	"ksp/internal/paperdata"
+	"ksp/internal/rdf"
+)
+
+// imageLayout locates the arrays and trailers of a version 4 image, as
+// Write documents its layout, so that a test can damage one array and
+// recompute every trailer.
+type imageLayout struct {
+	raw      []byte
+	arrays   map[string][2]int // byte span of each array
+	sections [][2]int          // [start, trailer) of each section
+}
+
+func layoutOf(t testing.TB, raw []byte) *imageLayout {
+	t.Helper()
+	l := &imageLayout{raw: raw, arrays: make(map[string][2]int)}
+	head := func(i int) int { return int(binary.LittleEndian.Uint32(raw[4*i:])) }
+	n, e, p := head(hVertices), head(hEdges), head(hPlaces)
+	type array struct {
+		name string
+		size int
+	}
+	off := 0
+	section := func(arrays ...array) {
+		start := off
+		for _, a := range arrays {
+			l.arrays[a.name] = [2]int{off, off + a.size}
+			off = (off + a.size + 7) &^ 7
+		}
+		off += (4 - off%8 + 8) % 8
+		l.sections = append(l.sections, [2]int{start, off})
+		off += 4
+	}
+	section(array{"header", 4 * headerWords})
+	section(array{"termBlob", head(hTermBytes)}, array{"termOff", 4 * (head(hTerms) + 1)}, array{"termSort", 4 * head(hTerms)})
+	section(array{"uriBlob", head(hURIBytes)}, array{"uriOff", 4 * (n + 1)}, array{"uriSort", 4 * n})
+	section(array{"predBlob", head(hPredBytes)}, array{"predOff", 4 * (head(hPreds) + 1)},
+		array{"outOff", 4 * (n + 1)}, array{"outEdges", 4 * e}, array{"outPreds", 4 * e},
+		array{"inOff", 4 * (n + 1)}, array{"inEdges", 4 * e})
+	section(array{"docOff", 4 * (n + 1)}, array{"docTerms", 4 * head(hDocTerms)})
+	section(array{"places", 4 * p}, array{"placeOrd", 4 * n}, array{"coords", 16 * p})
+	if head(hAlphaRadius) > 0 {
+		size, err := alpha.PlaceImageLen(raw[off:], l.u32s("places"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		section(array{"alphaPlace", size})
+		if size, err = alpha.NodeImageLen(raw[off:]); err != nil {
+			t.Fatal(err)
+		}
+		section(array{"alphaNode", size})
+	}
+	if off != len(raw) {
+		t.Fatalf("the layout covers %d bytes of %d", off, len(raw))
+	}
+	return l
+}
+
+func (l *imageLayout) bytes(name string) []byte {
+	span := l.arrays[name]
+	return l.raw[span[0]:span[1]]
+}
+
+func (l *imageLayout) u32s(name string) []uint32 {
+	b := l.bytes(name)
+	out := make([]uint32, len(b)/4)
+	for i := range out {
+		out[i] = binary.LittleEndian.Uint32(b[4*i:])
+	}
+	return out
+}
+
+func (l *imageLayout) put(name string, i int, v uint32) {
+	binary.LittleEndian.PutUint32(l.bytes(name)[4*i:], v)
+}
+
+// resummed returns a copy of the image with every trailer recomputed.
+func (l *imageLayout) resummed() []byte {
+	out := slices.Clone(l.raw)
+	for _, s := range l.sections {
+		binary.LittleEndian.PutUint32(out[s[1]:], crc32.ChecksumIEEE(out[s[0]:s[1]]))
+	}
+	return out
+}
+
+// sameGraph demands that got answer every accessor as want does. A graph
+// decoded from a snapshot of format version 1 to 3 numbers its predicates
+// by first use in the file, not as the Builder that made want did; with
+// renumbered set, predicates are compared by name.
+func sameGraph(t testing.TB, label string, got, want *rdf.Graph, renumbered bool) {
+	t.Helper()
+	fail := func(format string, args ...any) {
+		t.Helper()
+		t.Fatalf("%s: %s", label, fmt.Sprintf(format, args...))
+	}
+	if got.NumVertices() != want.NumVertices() || got.NumEdges() != want.NumEdges() || got.NumPredNames() != want.NumPredNames() {
+		fail("%d vertices, %d edges, %d predicates; want %d, %d, %d", got.NumVertices(), got.NumEdges(), got.NumPredNames(),
+			want.NumVertices(), want.NumEdges(), want.NumPredNames())
+	}
+	if got.Analyzer() != want.Analyzer() || got.Vocab.Len() != want.Vocab.Len() {
+		fail("analyzer %+v with %d terms, want %+v with %d", got.Analyzer(), got.Vocab.Len(), want.Analyzer(), want.Vocab.Len())
+	}
+	if !slices.Equal(got.Places(), want.Places()) {
+		fail("Places %v, want %v", got.Places(), want.Places())
+	}
+	type edge struct {
+		to   uint32
+		pred string
+	}
+	edges := func(g *rdf.Graph, v uint32) []edge {
+		var out []edge
+		for i, o := range g.Out(v) {
+			out = append(out, edge{o, g.PredName(g.OutPreds(v)[i])})
+		}
+		slices.SortFunc(out, func(a, b edge) int { return cmp.Or(cmp.Compare(a.to, b.to), cmp.Compare(a.pred, b.pred)) })
+		return out
+	}
+	for v := uint32(0); int(v) < want.NumVertices(); v++ {
+		if got.URI(v) != want.URI(v) {
+			fail("URI(%d) = %q, want %q", v, got.URI(v), want.URI(v))
+		}
+		if id, ok := got.VertexByURI(want.URI(v)); !ok || id != v {
+			fail("VertexByURI(%q) = %d, %v; want %d", want.URI(v), id, ok, v)
+		}
+		if !slices.Equal(got.Out(v), want.Out(v)) || !slices.Equal(got.In(v), want.In(v)) {
+			fail("vertex %d: Out %v, In %v; want %v, %v", v, got.Out(v), got.In(v), want.Out(v), want.In(v))
+		}
+		if renumbered {
+			if a, b := edges(got, v), edges(want, v); !slices.Equal(a, b) {
+				fail("vertex %d: edges %v, want %v", v, a, b)
+			}
+		} else if !slices.Equal(got.OutPreds(v), want.OutPreds(v)) {
+			fail("OutPreds(%d) = %v, want %v", v, got.OutPreds(v), want.OutPreds(v))
+		}
+		if !slices.Equal(got.Doc(v), want.Doc(v)) {
+			fail("Doc(%d) = %v, want %v", v, got.Doc(v), want.Doc(v))
+		}
+		for _, term := range append(slices.Clone(want.Doc(v)), 0, 1, uint32(want.Vocab.Len())) {
+			if got.HasTerm(v, term) != want.HasTerm(v, term) {
+				fail("HasTerm(%d, %d) = %v", v, term, got.HasTerm(v, term))
+			}
+		}
+		if got.IsPlace(v) != want.IsPlace(v) || got.Loc(v) != want.Loc(v) {
+			fail("vertex %d: IsPlace %v at %v, want %v at %v", v, got.IsPlace(v), got.Loc(v), want.IsPlace(v), want.Loc(v))
+		}
+	}
+	names := func(g *rdf.Graph) []string {
+		var out []string
+		for i := 0; i < g.NumPredNames(); i++ {
+			out = append(out, g.PredName(uint32(i)))
+		}
+		if renumbered {
+			slices.Sort(out)
+		}
+		return out
+	}
+	if a, b := names(got), names(want); !slices.Equal(a, b) {
+		fail("predicate names %q, want %q", a, b)
+	}
+	for term := uint32(0); int(term) < want.Vocab.Len(); term++ {
+		if got.Vocab.Term(term) != want.Vocab.Term(term) {
+			fail("Term(%d) = %q, want %q", term, got.Vocab.Term(term), want.Vocab.Term(term))
+		}
+		if id, ok := got.Vocab.Lookup(want.Vocab.Term(term)); !ok || id != term {
+			fail("Lookup(%q) = %d, %v; want %d", want.Vocab.Term(term), id, ok, term)
+		}
+	}
+	for _, miss := range []string{"", "\x00", "zzzz~", "\xff\xff"} {
+		a, aok := got.Vocab.Lookup(miss)
+		b, bok := want.Vocab.Lookup(miss)
+		if aok != bok || aok && a != b {
+			fail("Lookup(%q) = %d, %v; want %d, %v", miss, a, aok, b, bok)
+		}
+		v, vok := got.VertexByURI(miss)
+		w, wok := want.VertexByURI(miss)
+		if v != w || vok != wok {
+			fail("VertexByURI(%q) = %d, %v; want %d, %v", miss, v, vok, w, wok)
+		}
+	}
+}
+
+// shapeGraphs are the graphs the accessor identity test runs on: both
+// generators, the paper's Figure 1, and the edge shapes of a graph.
+func shapeGraphs() map[string]*rdf.Graph {
+	shape := func(n int, edges, docs, places bool) *rdf.Graph {
+		b := rdf.NewBuilder()
+		for i := 0; i < n; i++ {
+			v := b.AddBareVertex(fmt.Sprintf("ex:v%d", (i*7)%n))
+			if docs {
+				b.AddTermID(v, b.Vocab.ID(fmt.Sprintf("w%d", i%5)))
+				b.AddTermID(v, b.Vocab.ID(fmt.Sprintf("w%d", i%3)))
+			}
+			if places && i%2 == 0 {
+				b.SetLocation(v, geo.Point{X: float64(i), Y: -float64(i) / 3})
+			}
+		}
+		for i := 0; edges && i < 3*n; i++ {
+			b.AddEdge(uint32(i%n), uint32((i*5+1)%n), fmt.Sprintf("ex:p%d", i%4))
+		}
+		return b.Build()
+	}
+	return map[string]*rdf.Graph{
+		"Yago-like":           gen.Generate(gen.YagoConfig(400, 3)),
+		"DBpedia-like":        gen.Generate(gen.DBpediaConfig(300, 4)),
+		"Figure 1":            paperdata.Figure1().G,
+		"no edges":            shape(20, false, true, true),
+		"all documents empty": shape(20, true, false, true),
+		"no places":           shape(20, true, true, false),
+		"one vertex":          shape(1, false, true, true),
+		"no vertices":         shape(0, false, false, false),
+	}
+}
+
+// Every accessor of a Graph answers alike whether the Graph was built,
+// read back from a version 4 snapshot onto the heap, mapped from one, or
+// decoded from a version 3 snapshot through the legacy reader.
+func TestAccessorsIdenticalAcrossSources(t *testing.T) {
+	for name, g := range shapeGraphs() {
+		s := &Snapshot{Graph: g, Dir: rdf.Outgoing}
+		raw := encode(t, s, snapVersion)
+		read, err := Read(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("%s: Read: %v", name, err)
+		}
+		sameGraph(t, name+", Read", read.Graph, g, false)
+		path := filepath.Join(t.TempDir(), "snap.bin")
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		mapped, err := OpenDisk(path, true)
+		if err != nil {
+			t.Fatalf("%s: OpenDisk: %v", name, err)
+		}
+		sameGraph(t, name+", mapped", mapped.Graph, g, false)
+		if err := mapped.Close(); err != nil {
+			t.Fatal(err)
+		}
+		legacy, err := Read(bytes.NewReader(encode(t, s, 3)))
+		if err != nil {
+			t.Fatalf("%s: Read of version 3: %v", name, err)
+		}
+		sameGraph(t, name+", version 3", legacy.Graph, g, true)
+		var again bytes.Buffer
+		if err := Write(&again, read); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), raw) {
+			t.Fatalf("%s: a snapshot read and written again changed", name)
+		}
+	}
+}
+
+// v4GraphDamage returns format version 4 snapshots, by the rule each
+// breaks, whose graph arrays were damaged after they were written and
+// whose trailers were then recomputed, so that nothing but the checks at
+// open can see the damage.
+func v4GraphDamage(t testing.TB) map[string][]byte {
+	t.Helper()
+	g := gen.Generate(gen.YagoConfig(300, 5))
+	e := core.NewEngine(g, rdf.Outgoing)
+	e.EnableAlpha(2)
+	raw := encode(t, &Snapshot{Graph: g, AlphaRadius: 2, Dir: rdf.Outgoing, AlphaPlace: e.Alpha.PlaceIdx, AlphaNode: e.Alpha.NodeIdx}, snapVersion)
+	base := layoutOf(t, raw)
+	n, terms, preds := uint32(g.NumVertices()), uint32(g.Vocab.Len()), uint32(g.NumPredNames())
+	// Fixture positions: the first vertex with two distinct successors,
+	// the first document of two terms, the first in-list, a vertex that
+	// is not a place.
+	var twoOut, twoDoc, firstIn, notPlace uint32
+	for v := n - 1; v > 0; v-- {
+		if out := g.Out(v); len(out) >= 2 && out[0] != out[len(out)-1] {
+			twoOut = v
+		}
+		if len(g.Doc(v)) >= 2 {
+			twoDoc = v
+		}
+		if len(g.In(v)) > 0 {
+			firstIn = v
+		}
+		if !g.IsPlace(v) {
+			notPlace = v
+		}
+	}
+	if twoOut == 0 || twoDoc == 0 || firstIn == 0 || notPlace == 0 || len(g.Places()) < 2 {
+		t.Fatal("the fixture lacks a shape the damage needs")
+	}
+	outAt := base.u32s("outOff")[twoOut]
+	docAt := base.u32s("docOff")[twoDoc]
+	inAt := base.u32s("inOff")[firstIn]
+	swap := func(l *imageLayout, name string, i, j int) {
+		a := l.u32s(name)
+		l.put(name, i, a[j])
+		l.put(name, j, a[i])
+	}
+	putF64 := func(l *imageLayout, name string, i int, f float64) {
+		binary.LittleEndian.PutUint64(l.bytes(name)[8*i:], math.Float64bits(f))
+	}
+	damage := map[string]func(l *imageLayout){
+		"a header count beyond the arrays":   func(l *imageLayout) { l.put("header", hDocTerms, l.u32s("header")[hDocTerms]+1) },
+		"a header count short of the arrays": func(l *imageLayout) { l.put("header", hEdges, l.u32s("header")[hEdges]-1) },
+		"bytes after the last section":       func(l *imageLayout) { l.raw = append(l.raw, make([]byte, 8)...) },
+		"nonzero padding before a trailer":   func(l *imageLayout) { l.raw[4*headerWords] = 1 },
+		"nonzero padding between arrays": func(l *imageLayout) {
+			end := l.arrays["uriBlob"][1]
+			if end%8 == 0 {
+				t.Fatal("the URI blob needs no padding")
+			}
+			l.raw[end] = 1
+		},
+		"vocabulary offsets that descend":   func(l *imageLayout) { swap(l, "termOff", 1, 2) },
+		"URI offsets past their blob":       func(l *imageLayout) { l.put("uriOff", int(n), l.u32s("uriOff")[n]+1) },
+		"a vocabulary order that descends":  func(l *imageLayout) { swap(l, "termSort", 0, 1) },
+		"a URI order that repeats a vertex": func(l *imageLayout) { l.put("uriSort", 1, l.u32s("uriSort")[0]) },
+		"a URI order past the vertices":     func(l *imageLayout) { l.put("uriSort", int(n)-1, n) },
+		"predicate offsets past their blob": func(l *imageLayout) { l.put("predOff", int(preds), l.u32s("predOff")[preds]+1) },
+		"out offsets that descend":          func(l *imageLayout) { swap(l, "outOff", int(twoOut), int(twoOut)+1) },
+		"an out-list out of order":          func(l *imageLayout) { swap(l, "outEdges", int(outAt), int(outAt)+1) },
+		"an edge listed twice": func(l *imageLayout) {
+			l.put("outEdges", int(outAt)+1, l.u32s("outEdges")[outAt])
+			l.put("outPreds", int(outAt)+1, l.u32s("outPreds")[outAt])
+		},
+		"an edge to a vertex beyond the graph": func(l *imageLayout) { l.put("outEdges", int(g.NumEdges())-1, n) },
+		"an edge with an unknown predicate":    func(l *imageLayout) { l.put("outPreds", int(outAt), preds) },
+		"an in-list that is not the transpose": func(l *imageLayout) { l.put("inEdges", int(inAt), (l.u32s("inEdges")[inAt]+1)%n) },
+		"in offsets that move an edge":         func(l *imageLayout) { l.put("inOff", int(firstIn)+1, inAt) },
+		"document offsets that descend":        func(l *imageLayout) { swap(l, "docOff", int(twoDoc), int(twoDoc)+1) },
+		"a document out of order":              func(l *imageLayout) { swap(l, "docTerms", int(docAt), int(docAt)+1) },
+		"a document term listed twice":         func(l *imageLayout) { l.put("docTerms", int(docAt)+1, l.u32s("docTerms")[docAt]) },
+		"a document term beyond the vocabulary": func(l *imageLayout) {
+			l.put("docTerms", len(l.u32s("docTerms"))-1, terms)
+		},
+		"places out of order":                      func(l *imageLayout) { swap(l, "places", 0, 1) },
+		"a place beyond the vertices":              func(l *imageLayout) { l.put("places", len(g.Places())-1, n) },
+		"a place with the wrong ordinal":           func(l *imageLayout) { l.put("placeOrd", int(g.Places()[0]), 1) },
+		"an ordinal for a vertex that is no place": func(l *imageLayout) { l.put("placeOrd", int(notPlace), 0) },
+		"a NaN coordinate":                         func(l *imageLayout) { putF64(l, "coords", 0, math.NaN()) },
+		"an infinite coordinate":                   func(l *imageLayout) { putF64(l, "coords", 3, math.Inf(1)) },
+		"an α radius beyond a byte":                func(l *imageLayout) { l.put("header", hAlphaRadius, 300) },
+		// The α images are those of format version 3, checked by
+		// alpha.Open* (v3ImageDamage has a case per rule); one case shows
+		// the version 4 path runs those checks too.
+		"an α place nibble beyond α+1": func(l *imageLayout) {
+			img := l.bytes("alphaPlace")
+			if at := partsOf(img, true).cols; at < len(img) {
+				img[at] = img[at]&0xF0 | 4
+			}
+		},
+	}
+	out := make(map[string][]byte, len(damage))
+	for name, hurt := range damage {
+		l := &imageLayout{raw: slices.Clone(raw), arrays: base.arrays, sections: base.sections}
+		hurt(l)
+		if bytes.Equal(l.raw, raw) {
+			t.Fatalf("%s: the damage changed nothing", name)
+		}
+		out[name] = l.resummed()
+	}
+	return out
+}
+
+// Every open-time rule of a version 4 image holds in every mode: each
+// damaged image is refused with ErrCorrupt by Read and by OpenDisk with
+// and without a mapping, though every trailer matches.
+func TestReadRejectsDamagedGraphImage(t *testing.T) {
+	for name, raw := range v4GraphDamage(t) {
+		for mode, open := range openAll(t, raw) {
+			if _, err := open(); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s, %s: got %v, want ErrCorrupt", name, mode, err)
+			}
+		}
+	}
+}
+
+// A place at a NaN or infinite location is refused as corrupt by every
+// format version in every mode: no distance to it orders.
+func TestReadRejectsNonFiniteCoordinates(t *testing.T) {
+	for _, loc := range []geo.Point{{X: math.NaN(), Y: 1}, {X: 1, Y: math.Inf(1)}, {X: math.Inf(-1), Y: math.NaN()}} {
+		b := rdf.NewBuilder()
+		b.SetLocation(b.AddBareVertex("ex:a"), geo.Point{X: 1, Y: 2})
+		b.SetLocation(b.AddBareVertex("ex:b"), loc)
+		s := &Snapshot{Graph: b.Build()}
+		for version := uint32(1); version <= snapVersion; version++ {
+			for mode, open := range openAll(t, encode(t, s, version)) {
+				if _, err := open(); !errors.Is(err, ErrCorrupt) {
+					t.Errorf("%v, format version %d, %s: got %v, want ErrCorrupt", loc, version, mode, err)
+				}
+			}
+		}
+	}
+}

@@ -208,7 +208,7 @@ func v3ImageDamage(t testing.TB) map[string][]byte {
 	e := core.NewEngine(g, rdf.Outgoing)
 	e.EnableAlpha(2)
 	s := &Snapshot{Graph: g, AlphaRadius: 2, Dir: rdf.Outgoing, AlphaPlace: e.Alpha.PlaceIdx, AlphaNode: e.Alpha.NodeIdx}
-	raw := encode(t, s, snapVersion)
+	raw := encode(t, s, 3)
 	placeLen, nodeLen := len(s.AlphaPlace.Image()), len(s.AlphaNode.Image())
 	prefix := raw[:len(raw)-placeLen-nodeLen-8]
 	if !bytes.Equal(raw[len(prefix):len(prefix)+placeLen], s.AlphaPlace.Image()) {
@@ -323,11 +323,12 @@ func (o outOfOrder) Postings(term uint32, dst []invindex.Posting) ([]invindex.Po
 
 // FuzzRead asserts the loader never panics or over-allocates on
 // adversarial input — it may only return an error or a valid snapshot —
-// read into memory or opened disk-resident, with positioned reads and
+// read into memory or opened with OpenDisk, with positioned reads and
 // mapped. OpenDisk refuses everything Read refuses; an input it accepts,
-// Read accepts too, with the same document at every vertex (OpenDisk
-// decodes it from the file on every call) and the same α bounds, bit for
-// bit, at every place and node for two keyword sets.
+// Read accepts too, with the same answer from every graph accessor and
+// the same α bounds, bit for bit, at every place and node for two
+// keyword sets. The seeds are format version 4 (with and without α,
+// whole and cut, damaged graph arrays, edge shapes), 3, 2 and 1.
 func FuzzRead(f *testing.F) {
 	small := paperdata.Figure1()
 	var buf bytes.Buffer
@@ -346,12 +347,19 @@ func FuzzRead(f *testing.F) {
 	e := core.NewEngine(small.G, rdf.Outgoing)
 	e.EnableAlpha(2)
 	withAlpha := &Snapshot{Graph: small.G, Dir: rdf.Outgoing, AlphaRadius: 2, AlphaPlace: e.Alpha.PlaceIdx, AlphaNode: e.Alpha.NodeIdx}
-	for _, version := range []uint32{snapVersion, 2} {
+	for _, version := range []uint32{snapVersion, 2, 3} {
 		var buf bytes.Buffer
 		if err := writeVersion(&buf, withAlpha, version); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
+	}
+	for _, name := range []string{"one vertex", "no places"} {
+		f.Add(encode(f, &Snapshot{Graph: shapeGraphs()[name]}, snapVersion))
+	}
+	damaged := v4GraphDamage(f)
+	for _, name := range []string{"an in-list that is not the transpose", "a document out of order", "nonzero padding between arrays"} {
+		f.Add(damaged[name])
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<22 {
@@ -382,20 +390,13 @@ func FuzzRead(f *testing.F) {
 	})
 }
 
-// sameSnapshot demands that disk, opened disk-resident, hold what snap,
-// read from the same bytes, holds: the documents, and α bounds bit for
-// bit at every place and node ID the files could name for two keyword
-// sets.
+// sameSnapshot demands that disk, opened with OpenDisk, hold what snap,
+// read from the same bytes, holds: the same answer from every graph
+// accessor, and α bounds bit for bit at every place and node ID the
+// files could name for two keyword sets.
 func sameSnapshot(t *testing.T, label string, disk, snap *Snapshot) {
 	t.Helper()
-	if n := disk.Graph.NumVertices(); n != snap.Graph.NumVertices() {
-		t.Fatalf("%s: %d vertices, Read: %d", label, n, snap.Graph.NumVertices())
-	}
-	for v := uint32(0); int(v) < snap.Graph.NumVertices(); v++ {
-		if got, want := disk.Graph.Doc(v), snap.Graph.Doc(v); !slices.Equal(got, want) {
-			t.Fatalf("%s: Doc(%d) %v, Read %v", label, v, got, want)
-		}
-	}
+	sameGraph(t, label, disk.Graph, snap.Graph, false)
 	if disk.AlphaRadius != snap.AlphaRadius || (disk.AlphaIndex() == nil) != (snap.AlphaIndex() == nil) {
 		t.Fatalf("%s: α = %d, Read: %d", label, disk.AlphaRadius, snap.AlphaRadius)
 	}

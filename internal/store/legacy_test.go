@@ -1,19 +1,30 @@
 package store
 
 import (
+	"bufio"
+	"encoding/binary"
+	"hash/crc32"
 	"io"
+	"math"
 
 	"ksp/internal/alpha"
 	"ksp/internal/invindex"
 )
 
-// writeVersion writes s in the given format version. Version 3 is Write.
-// Versions 1 and 2 are the reference for the snapshots written before the
-// α files were stored as their images: each α file is an invindex
-// encoding (writeEncoded).
+// writeVersion writes s in the given format version. Version 4 is Write.
+// Versions 1 to 3 are the reference for the snapshots written before the
+// graph sections were stored as their images: streams of words, each α
+// file an invindex encoding (versions 1 and 2, writeEncoded) or its image
+// (version 3).
 func writeVersion(w io.Writer, s *Snapshot, version uint32) error {
-	if version == snapVersion {
+	switch version {
+	case snapVersion:
 		return Write(w, s)
+	case 3:
+		return writeLegacy(w, s, 3, func(w io.Writer, f *alpha.File) error {
+			_, err := w.Write(f.Image())
+			return err
+		})
 	}
 	return writeEncoded(w, s, version, s.AlphaPlace, s.AlphaNode)
 }
@@ -22,9 +33,172 @@ func writeVersion(w io.Writer, s *Snapshot, version uint32) error {
 // whatever representation, encoded as its two α sections.
 func writeEncoded(w io.Writer, s *Snapshot, version uint32, place, node invindex.Index) error {
 	next := []invindex.Index{place, node}
-	return write(w, s, version, func(w io.Writer, _ *alpha.File) error {
+	return writeLegacy(w, s, version, func(w io.Writer, _ *alpha.File) error {
 		ix := next[0]
 		next = next[1:]
 		return invindex.Write(w, ix)
 	})
+}
+
+// writeLegacy writes the sections of format version 1, 2 or 3, each α
+// file through writeAlpha; versions below 2 carry no CRC trailers.
+func writeLegacy(w io.Writer, s *Snapshot, version uint32, writeAlpha func(io.Writer, *alpha.File) error) error {
+	bw := bufio.NewWriterSize(w, 1<<20)
+	cw := &crcWriter{w: bw, on: version >= 2}
+	h := newSectionWriter(cw)
+	end := func() {
+		if h.err == nil {
+			h.err = cw.trailer()
+		}
+	}
+
+	// Header section.
+	h.u32(snapMagic)
+	h.u32(version)
+	g := s.Graph
+	n := g.NumVertices()
+	h.u32(uint32(n))
+	// Analyzer flags (bit 0: stopwords, bit 1: stemming) — queries on the
+	// restored graph must normalize keywords identically.
+	var flags uint32
+	if g.Analyzer().RemoveStopwords {
+		flags |= 1
+	}
+	if g.Analyzer().Stemming {
+		flags |= 2
+	}
+	h.u32(flags)
+	end()
+
+	// Vocabulary.
+	h.u32(uint32(g.Vocab.Len()))
+	for t := 0; t < g.Vocab.Len(); t++ {
+		h.str(g.Vocab.Term(uint32(t)))
+	}
+	end()
+
+	// URIs.
+	for v := 0; v < n; v++ {
+		h.str(g.URI(uint32(v)))
+	}
+	end()
+
+	// Predicate table + adjacency with labels.
+	h.u32(uint32(g.NumPredNames()))
+	for i := 0; i < g.NumPredNames(); i++ {
+		h.str(g.PredName(uint32(i)))
+	}
+	h.u32(uint32(g.NumEdges()))
+	for v := 0; v < n; v++ {
+		out := g.Out(uint32(v))
+		preds := g.OutPreds(uint32(v))
+		h.u32(uint32(len(out)))
+		for i, o := range out {
+			h.u32(o)
+			h.u32(preds[i])
+		}
+	}
+	end()
+
+	// Documents.
+	for v := 0; v < n; v++ {
+		doc := g.Doc(uint32(v))
+		h.u32(uint32(len(doc)))
+		for _, t := range doc {
+			h.u32(t)
+		}
+	}
+	end()
+
+	// Places.
+	places := g.Places()
+	h.u32(uint32(len(places)))
+	for _, p := range places {
+		h.u32(p)
+		loc := g.Loc(p)
+		h.f64(loc.X)
+		h.f64(loc.Y)
+	}
+	end()
+
+	// α index metadata.
+	h.u32(uint32(s.AlphaRadius))
+	h.u32(uint32(s.Dir))
+	end()
+	if h.err != nil {
+		return h.err
+	}
+	if s.AlphaRadius > 0 {
+		// The α files are written through cw, so the trailers cover their
+		// bytes too.
+		for _, f := range []*alpha.File{s.AlphaPlace, s.AlphaNode} {
+			if err := writeAlpha(cw, f); err != nil {
+				return err
+			}
+			if err := cw.trailer(); err != nil {
+				return err
+			}
+		}
+	}
+	return bw.Flush()
+}
+
+// crcWriter sums every byte written through it; trailer emits the
+// running CRC32 (the four trailer bytes themselves are not summed) and
+// starts the next section.
+type crcWriter struct {
+	w   io.Writer
+	crc uint32
+	on  bool
+}
+
+func (c *crcWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	if c.on {
+		c.crc = crc32.Update(c.crc, crc32.IEEETable, p[:n])
+	}
+	return n, err
+}
+
+func (c *crcWriter) trailer() error {
+	if !c.on {
+		return nil
+	}
+	var b [4]byte
+	binary.LittleEndian.PutUint32(b[:], c.crc)
+	c.crc = 0
+	_, err := c.w.Write(b[:])
+	return err
+}
+
+type sectionWriter struct {
+	w   io.Writer
+	err error
+	buf [8]byte
+}
+
+func newSectionWriter(w io.Writer) *sectionWriter { return &sectionWriter{w: w} }
+
+func (h *sectionWriter) u32(v uint32) {
+	if h.err != nil {
+		return
+	}
+	binary.LittleEndian.PutUint32(h.buf[:4], v)
+	_, h.err = h.w.Write(h.buf[:4])
+}
+
+func (h *sectionWriter) f64(v float64) {
+	if h.err != nil {
+		return
+	}
+	binary.LittleEndian.PutUint64(h.buf[:8], math.Float64bits(v))
+	_, h.err = h.w.Write(h.buf[:8])
+}
+
+func (h *sectionWriter) str(s string) {
+	h.u32(uint32(len(s)))
+	if h.err != nil {
+		return
+	}
+	_, h.err = io.WriteString(h.w, s)
 }

@@ -95,3 +95,74 @@ func TestVocabularyDenseIDs(t *testing.T) {
 		}
 	}
 }
+
+// A frozen vocabulary answers as the interning one did, through a binary
+// search over its sorted table that allocates nothing, and refuses to
+// intern.
+func TestVocabularyFreeze(t *testing.T) {
+	v := NewVocabulary()
+	words := []string{"roman", "ancient", "", "abbey", "ab", "zz", "roman2"}
+	for _, w := range words {
+		v.ID(w)
+	}
+	v.Freeze()
+	v.Freeze()
+	for _, u := range []*Vocabulary{v, FrozenVocabulary(v.Table())} {
+		if u.Len() != len(words) {
+			t.Fatalf("Len = %d, want %d", u.Len(), len(words))
+		}
+		for i, w := range words {
+			if id, ok := u.Lookup(w); !ok || id != uint32(i) || u.Term(id) != w {
+				t.Fatalf("Lookup(%q) = %d, %v; want %d", w, id, ok, i)
+			}
+		}
+		for _, w := range []string{"a", "abc", "roman1", "zzz", "\xff"} {
+			if id, ok := u.Lookup(w); ok {
+				t.Fatalf("Lookup(%q) = %d, want a miss", w, id)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { v.Lookup("roman2"); v.Lookup("absent") }); n != 0 {
+		t.Errorf("Lookup on a frozen vocabulary allocates %v times", n)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("ID on a frozen vocabulary did not panic")
+		}
+	}()
+	v.ID("new")
+}
+
+// Check accepts exactly the tables Append and Sort make.
+func TestTableCheck(t *testing.T) {
+	good := func() *Table {
+		tb := &Table{Off: []uint32{0}}
+		for _, s := range []string{"b", "", "ca", "a"} {
+			tb.Append(s)
+		}
+		tb.Sort()
+		return tb
+	}
+	if err := good().Check(true); err != nil {
+		t.Fatal(err)
+	}
+	if err := (&Table{Off: []uint32{0}}).Check(true); err != nil {
+		t.Fatalf("empty table: %v", err)
+	}
+	for name, hurt := range map[string]func(*Table){
+		"no offsets":              func(tb *Table) { tb.Off = nil },
+		"a first offset past 0":   func(tb *Table) { tb.Off[0] = 1 },
+		"descending offsets":      func(tb *Table) { tb.Off[2], tb.Off[3] = tb.Off[3], tb.Off[2] },
+		"a last offset short":     func(tb *Table) { tb.Off[4]-- },
+		"a sorted index repeated": func(tb *Table) { tb.Sorted[1] = tb.Sorted[0] },
+		"a sorted index too far":  func(tb *Table) { tb.Sorted[3] = 4 },
+		"sorted out of order":     func(tb *Table) { tb.Sorted[0], tb.Sorted[1] = tb.Sorted[1], tb.Sorted[0] },
+		"a sorted index missing":  func(tb *Table) { tb.Sorted = tb.Sorted[:3] },
+	} {
+		tb := good()
+		hurt(tb)
+		if err := tb.Check(true); err == nil {
+			t.Errorf("%s: Check accepted %+v", name, tb)
+		}
+	}
+}

@@ -135,10 +135,6 @@ type PanicError = core.PanicError
 // errors.Is.
 var ErrBadCoordinate = errors.New("ksp: coordinates must be finite")
 
-func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
-
-func finitePoint(p Point) bool { return finite(p.X) && finite(p.Y) }
-
 // Ranking is the aggregate scoring function f(looseness, distance).
 type Ranking = core.Ranking
 
@@ -197,13 +193,13 @@ type Config struct {
 	Reachability bool
 	// Ranking overrides the scoring function; nil means ProductRanking.
 	Ranking Ranking
-	// Mmap serves a disk-resident snapshot (LoadSnapshotDisk) through a
-	// read-only memory mapping instead of positioned reads: vertex
-	// documents decode straight out of the page cache, and the α-radius
-	// inverted files are read in place, with nothing of them on the heap.
-	// Without it the documents are read per call and the α files are
-	// read onto the heap once at open. Platforms without mmap support
-	// silently fall back to positioned reads. Results are identical in
+	// Mmap serves a snapshot opened with LoadSnapshotDisk from a
+	// read-only memory mapping: the graph's arrays (documents, adjacency,
+	// URIs, vocabulary, places) and the α-radius inverted files are read
+	// in place out of the page cache, with none of them on the heap.
+	// Without it the file is read onto the heap once at open, into one
+	// buffer the same arrays view. Platforms without mmap support
+	// silently fall back to reading the file. Results are identical in
 	// either mode.
 	Mmap bool
 	// RemoveStopwords drops common English glue words from documents and
@@ -243,11 +239,11 @@ type Dataset struct {
 	g      *rdf.Graph
 	engine *core.Engine
 	cfg    Config
-	snap   *store.Snapshot // non-nil when opened disk-resident (LoadSnapshotDisk)
+	snap   *store.Snapshot // non-nil when opened with LoadSnapshotDisk
 }
 
-// Close releases resources a disk-resident dataset holds open (the
-// snapshot file backing documents and α postings). In-memory datasets
+// Close releases the mapping a memory-mapped dataset serves from (the
+// snapshot file its graph and α postings are views of). Other datasets
 // need no Close; calling it is a harmless no-op. The dataset must not
 // serve queries after Close.
 func (d *Dataset) Close() error {
@@ -326,7 +322,7 @@ func (d *Dataset) Search(q Query) ([]Result, error) {
 // SearchWith answers q with an explicit algorithm and returns its cost
 // statistics.
 func (d *Dataset) SearchWith(algo Algorithm, q Query, opts Options) ([]Result, *Stats, error) {
-	if !finitePoint(q.Loc) {
+	if !q.Loc.Finite() {
 		return nil, &Stats{}, fmt.Errorf("%w: query location (%v, %v)", ErrBadCoordinate, q.Loc.X, q.Loc.Y)
 	}
 	if math.IsNaN(opts.MaxDist) {
@@ -394,13 +390,15 @@ func LoadSnapshot(path string, cfg Config) (*Dataset, error) {
 }
 
 // LoadSnapshotDisk restores a dataset saved with Save in disk-resident
-// mode: the graph structure and cheap indexes live in memory exactly as
-// with LoadSnapshot, but the vertex documents are served from the
-// snapshot file on demand — through a read-only memory mapping when
-// cfg.Mmap is set, positioned reads otherwise — and, mapped, so are the
-// α-radius inverted files (Config.Mmap). Query results are identical to
-// LoadSnapshot's. The dataset holds the snapshot file open; call Close
-// when done.
+// mode when cfg.Mmap is set: the snapshot is mapped read-only, and the
+// graph — documents, adjacency, URIs, vocabulary, places — and the
+// α-radius inverted files are read in place from the mapping, which the
+// kernel pages in on demand. Without cfg.Mmap (or where files cannot be
+// mapped, or for a snapshot older than format version 4) the snapshot is
+// read onto the heap, as with LoadSnapshot. The cheap indexes are rebuilt
+// on the heap either way, and query results are identical to
+// LoadSnapshot's. A mapped dataset holds the mapping; call Close when
+// done.
 func LoadSnapshotDisk(path string, cfg Config) (*Dataset, error) {
 	snap, err := store.OpenDisk(path, cfg.Mmap)
 	if err != nil {
@@ -509,7 +507,7 @@ func (d *Dataset) KeywordSearch(keywords []string, k int) ([]Result, error) {
 // from loc, irrespective of keywords. Non-finite coordinates yield no
 // results (R-tree distance ordering is undefined on them).
 func (d *Dataset) NearestPlaces(loc Point, n int) []Result {
-	if !finitePoint(loc) {
+	if !loc.Finite() {
 		return nil
 	}
 	br := d.engine.Tree.NewBrowser(loc)
@@ -528,7 +526,7 @@ func (d *Dataset) NearestPlaces(loc Point, n int) []Result {
 // spanned by the two corner points, in ascending vertex-ID order.
 // Non-finite corners yield no results.
 func (d *Dataset) PlacesWithin(a, b Point) []uint32 {
-	if !finitePoint(a) || !finitePoint(b) {
+	if !a.Finite() || !b.Finite() {
 		return nil
 	}
 	r := geo.RectFromPoint(a).ExpandPoint(b)
@@ -575,31 +573,32 @@ type DatasetStats struct {
 	Edges    int
 	Places   int
 	Terms    int
-	// DocsOnDisk reports whether vertex documents are decoded from a
-	// disk-resident snapshot (LoadSnapshotDisk) rather than held in
-	// memory.
+	// DocsOnDisk reports whether the vertex documents — and with them
+	// the whole graph: adjacency, URIs, vocabulary, places — are read in
+	// place from the mapping of a snapshot (LoadSnapshotDisk with
+	// Config.Mmap) rather than from the heap. It equals MemoryMapped.
 	DocsOnDisk bool
-	// AlphaOnDisk reports whether the α-radius inverted files are served
-	// in place from the mapping of a disk-resident snapshot rather than
-	// from the heap. A snapshot opened without Config.Mmap (or in a
-	// format older than version 3) holds them on the heap.
+	// AlphaOnDisk reports whether the α-radius inverted files are read in
+	// place from the mapping of a snapshot rather than from the heap: true
+	// when the dataset is memory-mapped and has an α index.
 	AlphaOnDisk bool
-	// MemoryMapped reports whether the disk-resident snapshot behind the
-	// documents (and the α files) is read through a memory mapping rather
-	// than positioned reads.
+	// MemoryMapped reports whether the dataset is served from a memory
+	// mapping of its snapshot. A snapshot opened without Config.Mmap, on a
+	// platform that does not map files, or in a format older than version
+	// 4 is held on the heap.
 	MemoryMapped bool
 }
 
 // Stats returns dataset summary statistics.
 func (d *Dataset) Stats() DatasetStats {
 	st := DatasetStats{
-		Vertices:   d.g.NumVertices(),
-		Edges:      d.g.NumEdges(),
-		Places:     len(d.g.Places()),
-		Terms:      d.g.Vocab.Len(),
-		DocsOnDisk: d.g.DocsOnDisk(),
+		Vertices: d.g.NumVertices(),
+		Edges:    d.g.NumEdges(),
+		Places:   len(d.g.Places()),
+		Terms:    d.g.Vocab.Len(),
 	}
 	st.MemoryMapped = d.snap != nil && d.snap.Mapped()
+	st.DocsOnDisk = st.MemoryMapped
 	st.AlphaOnDisk = d.snap != nil && d.snap.AlphaMapped() && d.engine.Alpha != nil
 	return st
 }
