@@ -79,7 +79,7 @@ func TestFigure1Table3(t *testing.T) {
 	}
 
 	// The root node contains both places: dg(N, t) = min over p1, p2.
-	root := tree.Root().ID
+	root := tree.Root()
 	nodeChecks := []struct {
 		word string
 		dist uint8
@@ -105,11 +105,11 @@ func TestExample10NodeBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := qv.NodeBound(tree.Root().ID); got != 3 {
+	if got := qv.NodeBound(tree.Root()); got != 3 {
 		t.Errorf("LαB(TN) = %v, want 3 (1+1+0+0+1)", got)
 	}
 	// Lemma 5: with S(q,N)=2 the score bound is 6 (as in Example 10).
-	if got := qv.NodeBound(tree.Root().ID) * 2; got != 6 {
+	if got := qv.NodeBound(tree.Root()) * 2; got != 6 {
 		t.Errorf("fαB(N) = %v, want 6", got)
 	}
 }
@@ -187,7 +187,7 @@ func TestMonotoneInAlpha(t *testing.T) {
 			}
 		}
 		// Node bound must lower-bound every contained place's looseness.
-		nb := qv.NodeBound(tree.Root().ID)
+		nb := qv.NodeBound(tree.Root())
 		if nb > math.Min(trueL[f.P1], trueL[f.P2])+1e-9 {
 			t.Errorf("α=%d: node bound %v exceeds min place looseness", a, nb)
 		}

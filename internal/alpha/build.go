@@ -85,7 +85,7 @@ func BuildFor(g *rdf.Graph, tree *rtree.RTree, alphaRadius int, dir rdf.Directio
 // places are indexed with p. ix may be served from a mapping: its place
 // file is only read.
 func (ix *Index) Restrict(tree *rtree.RTree) *Index {
-	u := placeUniverse(sortedSet(treePlaces(tree)))
+	u := placeUniverse(sortedSet(tree.Arrays().IDs))
 	from := ix.PlaceIdx
 	// at[o] is where ix keeps the tile's o-th place, and one entry more
 	// evens the count out: a gathered byte is written whole.
@@ -455,45 +455,30 @@ type treeShape struct {
 
 // newTreeShape reads tree's shape; u numbers its places.
 func newTreeShape(tree *rtree.RTree, u *universe) *treeShape {
-	sh := &treeShape{leafOf: make([]uint32, u.n)}
+	sh := &treeShape{leafOf: make([]uint32, u.n), parent: make([]uint32, tree.NumNodes())}
 	for o := range sh.leafOf {
 		sh.leafOf[o] = noNode
 	}
-	var walk func(n *rtree.Node, parent uint32)
-	walk = func(n *rtree.Node, parent uint32) {
-		for int(n.ID) >= len(sh.parent) {
-			sh.parent = append(sh.parent, noNode)
-		}
-		sh.parent[n.ID] = parent
-		for _, it := range n.Items {
-			o := u.ordinal(it.ID)
-			if o == noOrd {
-				panic(fmt.Sprintf("alpha: the tree holds vertex %d, which is not one of the places to index", it.ID))
+	for n := range sh.parent {
+		sh.parent[n] = noNode
+	}
+	for n := uint32(0); int(n) < tree.NumNodes(); n++ {
+		if !tree.IsLeaf(n) {
+			for _, ch := range tree.Children(n) {
+				sh.parent[ch] = n
 			}
-			sh.leafOf[o] = n.ID
+			continue
 		}
-		for _, ch := range n.Children {
-			walk(ch, n.ID)
+		ids, _ := tree.Leaf(n)
+		for _, id := range ids {
+			o := u.ordinal(id)
+			if o == noOrd {
+				panic(fmt.Sprintf("alpha: the tree holds vertex %d, which is not one of the places to index", id))
+			}
+			sh.leafOf[o] = n
 		}
 	}
-	walk(tree.Root(), noNode)
 	return sh
-}
-
-// treePlaces returns the places tree holds, in the order of its leaves.
-func treePlaces(tree *rtree.RTree) []uint32 {
-	ids := make([]uint32, 0, tree.Len())
-	var walk func(n *rtree.Node)
-	walk = func(n *rtree.Node) {
-		for _, it := range n.Items {
-			ids = append(ids, it.ID)
-		}
-		for _, ch := range n.Children {
-			walk(ch)
-		}
-	}
-	walk(tree.Root())
-	return ids
 }
 
 // fold offers every entry of one term's place file to the entry's leaf

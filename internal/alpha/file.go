@@ -319,6 +319,10 @@ func (f *File) Postings(term uint32, dst []invindex.Posting) ([]invindex.Posting
 // NumTerms implements invindex.Index.
 func (f *File) NumTerms() int { return f.numTerms }
 
+// Universe returns how many entries the file ranges over: the places of a
+// place file, the R-tree's nodes of a node file.
+func (f *File) Universe() int { return f.n }
+
 // NumPostings implements invindex.Index: the list postings and the
 // entries of the columns, counted on every call.
 func (f *File) NumPostings() int64 { return int64(len(f.postW) + countNibbles(f.cols)) }

@@ -83,8 +83,8 @@ func referenceBuild(g *rdf.Graph, tree *rtree.RTree, alphaRadius int, dir rdf.Di
 	}
 
 	// Bottom-up aggregation over the R-tree.
-	var walk func(n *rtree.Node) map[uint32]uint8
-	walk = func(n *rtree.Node) map[uint32]uint8 {
+	var walk func(n uint32) map[uint32]uint8
+	walk = func(n uint32) map[uint32]uint8 {
 		wn := make(map[uint32]uint8)
 		merge := func(src map[uint32]uint8) {
 			for t, d := range src {
@@ -93,17 +93,18 @@ func referenceBuild(g *rdf.Graph, tree *rtree.RTree, alphaRadius int, dir rdf.Di
 				}
 			}
 		}
-		if n.Leaf {
-			for _, it := range n.Items {
-				merge(placeWNByID[it.ID])
+		if tree.IsLeaf(n) {
+			ids, _ := tree.Leaf(n)
+			for _, id := range ids {
+				merge(placeWNByID[id])
 			}
 		} else {
-			for _, ch := range n.Children {
+			for _, ch := range tree.Children(n) {
 				merge(walk(ch))
 			}
 		}
 		for t, d := range wn {
-			nodeB.Add(t, n.ID, d)
+			nodeB.Add(t, n, d)
 		}
 		return wn
 	}
@@ -113,15 +114,7 @@ func referenceBuild(g *rdf.Graph, tree *rtree.RTree, alphaRadius int, dir rdf.Di
 
 	// The lists are packed into Files the way a snapshot of format
 	// version 2 is loaded; the node file ranges over every node of tree.
-	nodes := 0
-	var count func(n *rtree.Node)
-	count = func(n *rtree.Node) {
-		nodes = max(nodes, int(n.ID)+1)
-		for _, ch := range n.Children {
-			count(ch)
-		}
-	}
-	count(tree.Root())
+	nodes := tree.NumNodes()
 	place, err := PackPlaces(placeB.Build(), alphaRadius, places)
 	if err != nil {
 		panic(err)

@@ -11,6 +11,7 @@ import (
 	"ksp/internal/alpha"
 	"ksp/internal/gen"
 	"ksp/internal/rdf"
+	"ksp/internal/reach"
 	"ksp/internal/rtree"
 	"ksp/internal/store"
 )
@@ -27,7 +28,8 @@ func strTree(g *rdf.Graph) *rtree.RTree {
 
 // The new index is the old index down to the byte: Dataset.Save of the
 // Yago-like fixture writes the file that the same snapshot holding the
-// map-based reference build's index, packed into Files, is written as.
+// map-based reference build's index, packed into Files, is written as
+// (with the reachability labels the dataset saves too).
 func TestSnapshotByteIdenticalToReference(t *testing.T) {
 	g := gen.Generate(gen.YagoConfig(6000, 7))
 	cfg := ksp.DefaultConfig()
@@ -46,6 +48,7 @@ func TestSnapshotByteIdenticalToReference(t *testing.T) {
 	reference := filepath.Join(dir, "reference.snap")
 	err = store.SaveFile(reference, &store.Snapshot{
 		Graph:       g,
+		Reach:       reach.NewKeywordIndex(g, rdf.Outgoing),
 		Dir:         rdf.Outgoing,
 		AlphaRadius: cfg.AlphaRadius,
 		AlphaPlace:  ref.PlaceIdx,

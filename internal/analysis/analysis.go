@@ -195,11 +195,12 @@ func DefaultConfig(module string) Config {
 			// Close), so retaining views inside its structs is its
 			// documented job; mmaplife polices its CONSUMERS.
 			module + "/internal/mmapfile",
-			// A mapped snapshot's Graph and α files are views of its
-			// mapping (OpenDisk takes one Range of the whole file, and
-			// readImage hands views of it to rdf.FromArrays and
-			// alpha.OpenPlaces/OpenNodes, stored in Snapshot.Graph,
-			// AlphaPlace and AlphaNode), and the Snapshot owns the
+			// A mapped snapshot's Graph, R-tree, reach labels and α files
+			// are views of its mapping (OpenDisk takes one Range of the
+			// whole file, and readImage hands views of it to
+			// rdf.FromArrays, rtree.FromArrays, reach.FromArrays and
+			// alpha.OpenPlaces/OpenNodes, stored in Snapshot.Graph, Tree,
+			// Reach, AlphaPlace and AlphaNode), and the Snapshot owns the
 			// mapping: Snapshot.Close unmaps it, and its doc ends the
 			// views' life there. Only the package is nameable here; no
 			// other store code takes a Range view.

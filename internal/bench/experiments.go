@@ -143,7 +143,7 @@ func (s *Suite) table5() ([]*Report, error) {
 		}
 
 		start := time.Now()
-		t := rtree.New(rtree.DefaultMaxEntries)
+		t := rtree.NewInserter(rtree.DefaultMaxEntries)
 		for _, it := range items {
 			t.Insert(it)
 		}

@@ -71,10 +71,8 @@ func (p *enginePools) getFrontier() *spHeap {
 	return h
 }
 
-// putFrontier takes h back, emptied: an entry left in it would keep an
-// R-tree subtree reachable from the pool.
+// putFrontier takes h back, emptied.
 func (p *enginePools) putFrontier(h *spHeap) {
-	clear(*h)
 	*h = (*h)[:0]
 	p.frontier.Put(h)
 }
@@ -212,14 +210,15 @@ func (d *denseMQ) get(v uint32) uint64 { return d.match(v, 1<<d.m-1) }
 // document inverted index. Reachability and α-radius indexes are added
 // with EnableReach / EnableAlpha.
 func NewEngine(g *rdf.Graph, dir rdf.Direction) *Engine {
-	places := g.Places()
-	items := make([]rtree.Item, len(places))
-	for i, p := range places {
-		items[i] = rtree.Item{ID: p, Loc: g.Loc(p)}
-	}
+	return NewEngineOver(g, rtree.OfPlaces(g.Places(), g.Loc), dir)
+}
+
+// NewEngineOver is NewEngine with the R-tree over g's places given, as a
+// snapshot serves it.
+func NewEngineOver(g *rdf.Graph, tree *rtree.RTree, dir rdf.Direction) *Engine {
 	return &Engine{
 		G:         g,
-		Tree:      rtree.Bulk(items, rtree.DefaultMaxEntries),
+		Tree:      tree,
 		Doc:       invindex.FromGraph(g),
 		Dir:       dir,
 		Rank:      ProductRanking{},
@@ -241,9 +240,10 @@ func (e *Engine) EnableAlpha(alphaRadius int) {
 }
 
 // SetAlpha installs a prebuilt α-radius index, e.g. one restored from a
-// snapshot. The index's node postings must have been built against an
-// R-tree identical to this engine's (same places, same STR bulk loading,
-// same fanout) so that node IDs line up; internal/store guarantees this.
+// snapshot. The index's node postings must have been built against this
+// engine's R-tree, so that node IDs line up; a snapshot holds the tree
+// the index was built over, and internal/store checks that the node file
+// ranges over exactly its nodes.
 func (e *Engine) SetAlpha(ix *alpha.Index) { e.Alpha = ix }
 
 // WithAlpha returns a shallow copy of the engine using a freshly built

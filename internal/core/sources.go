@@ -41,8 +41,8 @@ func (e *Engine) newStream(alg *algorithm, pq *prepQuery, opts Options, hk *topK
 		s.sp = &spSource{e: e, qv: qv, hk: hk, qloc: qloc, maxDist: opts.MaxDist, stats: st, pqueue: e.pools.getFrontier()}
 		if e.Tree.Len() > 0 {
 			root := e.Tree.Root()
-			d := root.Rect.MinDist(qloc)
-			s.sp.pqueue.push(spEntry{bound: e.Rank.Score(qv.NodeBound(root.ID), d), dist: d, node: root})
+			d := e.Tree.Rect(root).MinDist(qloc)
+			s.sp.pqueue.push(spEntry{bound: e.Rank.Score(qv.NodeBound(root), d), dist: d, node: root})
 		}
 	} else {
 		//ksplint:ignore allocbound -- one source per query, inside TestAllocBudget's budget
@@ -171,7 +171,7 @@ func (s *spSource) next() (candidate, bool) {
 		if ent.bound >= s.hk.theta() {
 			return candidate{}, false
 		}
-		if ent.node == nil {
+		if ent.node == noNode {
 			return candidate{place: ent.place, dist: ent.dist, bound: ent.bound}, true
 		}
 
@@ -180,28 +180,29 @@ func (s *spSource) next() (candidate, bool) {
 		// node-access metric is fed directly here.
 		s.stats.RTreeNodeAccesses++
 		s.e.noteRTreeAccess()
-		n := ent.node
+		tree, n := s.e.Tree, ent.node
 		th := s.hk.theta()
-		if n.Leaf {
-			for _, it := range n.Items {
-				d := s.qloc.Dist(it.Loc)
+		if tree.IsLeaf(n) {
+			ids, locs := tree.Leaf(n)
+			for i, loc := range locs {
+				d := s.qloc.Dist(loc)
 				if s.maxDist > 0 && d > s.maxDist {
 					continue // outside the query radius
 				}
-				fb := s.e.Rank.Score(s.qv.PlaceBound(it.ID), d)
+				fb := s.e.Rank.Score(s.qv.PlaceBound(ids[i]), d)
 				if fb < th {
-					s.pqueue.push(spEntry{bound: fb, dist: d, place: it.ID})
+					s.pqueue.push(spEntry{bound: fb, dist: d, node: noNode, place: ids[i]})
 				} else {
 					s.stats.PrunedAlphaPlaces++ // Pruning Rule 3
 				}
 			}
 		} else {
-			for _, ch := range n.Children {
-				d := ch.Rect.MinDist(s.qloc)
+			for _, ch := range tree.Children(n) {
+				d := tree.Rect(ch).MinDist(s.qloc)
 				if s.maxDist > 0 && d > s.maxDist {
 					continue // whole subtree outside the radius
 				}
-				fb := s.e.Rank.Score(s.qv.NodeBound(ch.ID), d)
+				fb := s.e.Rank.Score(s.qv.NodeBound(ch), d)
 				if fb < th {
 					s.pqueue.push(spEntry{bound: fb, dist: d, node: ch})
 				} else {
@@ -246,9 +247,12 @@ func (s *spSource) fillWindow(w int, buf []windowCand) ([]windowCand, float64) {
 type spEntry struct {
 	bound float64
 	dist  float64
-	node  *rtree.Node // nil for places
+	node  uint32 // the node's ID, noNode for places
 	place uint32
 }
+
+// noNode is spEntry.node of a place.
+const noNode = ^uint32(0)
 
 // spHeap is a binary min-heap of spEntry with hand-rolled sift methods:
 // container/heap boxes every pushed element into an interface{}, which
@@ -265,13 +269,13 @@ func (h spHeap) less(i, j int) bool {
 	}
 	// Deterministic tie-break: places before nodes, then by ID.
 	ni, nj := h[i].node, h[j].node
-	if (ni == nil) != (nj == nil) {
-		return ni == nil
+	if (ni == noNode) != (nj == noNode) {
+		return ni == noNode
 	}
-	if ni == nil {
+	if ni == noNode {
 		return h[i].place < h[j].place
 	}
-	return ni.ID < nj.ID
+	return ni < nj
 }
 
 func (h *spHeap) push(e spEntry) {
@@ -285,7 +289,6 @@ func (h *spHeap) pop() spEntry {
 	s[0], s[n] = s[n], s[0]
 	h.down(0, n)
 	e := s[n]
-	s[n] = spEntry{} // clear the node pointer so the GC can reclaim subtrees
 	*h = s[:n]
 	return e
 }

@@ -14,11 +14,7 @@ import "ksp/internal/rtree"
 // keep feeding the same observability counters.
 func (e *Engine) Subset(places []uint32) *Engine {
 	clone := *e
-	items := make([]rtree.Item, len(places))
-	for i, p := range places {
-		items[i] = rtree.Item{ID: p, Loc: e.G.Loc(p)}
-	}
-	clone.Tree = rtree.Bulk(items, rtree.DefaultMaxEntries)
+	clone.Tree = rtree.OfPlaces(places, e.G.Loc)
 	if e.Alpha != nil {
 		// Node postings must line up with the new tree's node IDs, so the
 		// shard gets an index of its own; WN(p) of its places is already

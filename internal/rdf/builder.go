@@ -132,9 +132,15 @@ func (b *Builder) predID(name string) uint32 {
 	return id
 }
 
-// SetLocation marks v as a place at p.
-func (b *Builder) SetLocation(v uint32, p geo.Point) {
+// SetLocation marks v as a place at p and reports whether it did: a
+// point with a NaN or infinite coordinate is refused, since no distance
+// to it orders, and v keeps whatever location it had.
+func (b *Builder) SetLocation(v uint32, p geo.Point) bool {
+	if !p.Finite() {
+		return false
+	}
 	b.coords[v] = p
+	return true
 }
 
 // AddTriple ingests one RDF statement under the simplification policy.

@@ -1,6 +1,7 @@
 package rdf
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -278,5 +279,25 @@ func TestGraphStats(t *testing.T) {
 	preds := g.OutPreds(abbey)
 	if len(preds) != 1 || g.PredName(preds[0]) != "ex:dedication" {
 		t.Errorf("OutPreds display = %v", preds)
+	}
+}
+
+// SetLocation refuses a point no distance to which orders, and the vertex
+// keeps the location it had.
+func TestSetLocationRefusesNonFinite(t *testing.T) {
+	b := NewBuilder()
+	v := b.AddBareVertex("ex:v")
+	w := b.AddBareVertex("ex:w")
+	if !b.SetLocation(v, geo.Point{X: 1, Y: 2}) {
+		t.Fatal("a finite location was refused")
+	}
+	for _, p := range []geo.Point{{X: math.NaN(), Y: 0}, {X: 0, Y: math.Inf(1)}, {X: math.Inf(-1), Y: 0}} {
+		if b.SetLocation(v, p) || b.SetLocation(w, p) {
+			t.Errorf("SetLocation(%v) accepted", p)
+		}
+	}
+	g := b.Build()
+	if !g.IsPlace(v) || g.Loc(v) != (geo.Point{X: 1, Y: 2}) || g.IsPlace(w) {
+		t.Errorf("after the refusals: v is a place %v at %v, w is a place %v", g.IsPlace(v), g.Loc(v), g.IsPlace(w))
 	}
 }

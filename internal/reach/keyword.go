@@ -1,6 +1,8 @@
 package reach
 
 import (
+	"fmt"
+
 	"ksp/internal/rdf"
 )
 
@@ -72,3 +74,81 @@ func (k *KeywordIndex) MemSize() int64 {
 
 // LabelEntries exposes the underlying label size.
 func (k *KeywordIndex) LabelEntries() int64 { return k.idx.LabelEntries() }
+
+// Arrays are the arrays a KeywordIndex reads: the component of every
+// augmented vertex (the graph's vertices, then the term vertices), the
+// in- and out-labels of every component as rank blobs cut by offset
+// tables, and the term vertex of every term (rdf.NoVertex when unused).
+type Arrays struct {
+	Comp          []uint32
+	LinOff, Lin   []uint32
+	LoutOff, Lout []uint32
+	TermVert      []uint32
+}
+
+// Arrays returns the arrays the index reads. They must not be written to.
+func (k *KeywordIndex) Arrays() Arrays {
+	ix := k.idx
+	return Arrays{Comp: ix.comp, LinOff: ix.linOff, Lin: ix.lin, LoutOff: ix.loutOff, Lout: ix.lout, TermVert: k.termVert}
+}
+
+// FromArrays serves a as the keyword index of a graph of the given
+// number of vertices once it has checked everything a probe relies on:
+//   - the two offset tables have one entry per component and one more,
+//     start at 0, ascend, and end at their blobs;
+//   - every component ID is below the component count;
+//   - every label ascends strictly and names ranks below the component
+//     count, which intersects relies on;
+//   - every used term vertex is an augmented vertex, past the graph's,
+//     and no two terms share one, and every augmented vertex is a term's.
+//
+// Which landmarks a label should hold cannot be checked without building
+// the labels again. The index views a, which must not change while it is
+// in use.
+func FromArrays(a Arrays, vertices int) (*KeywordIndex, error) {
+	if len(a.LinOff) == 0 || len(a.LoutOff) != len(a.LinOff) || len(a.Comp) < vertices {
+		return nil, fmt.Errorf("reach: %d and %d label offsets, %d components for %d vertices",
+			len(a.LinOff), len(a.LoutOff), len(a.Comp), vertices)
+	}
+	comps := uint32(len(a.LinOff) - 1)
+	for v, c := range a.Comp {
+		if c >= comps {
+			return nil, fmt.Errorf("reach: vertex %d is in component %d of %d", v, c, comps)
+		}
+	}
+	for _, l := range [2]struct{ off, blob []uint32 }{{a.LinOff, a.Lin}, {a.LoutOff, a.Lout}} {
+		if l.off[0] != 0 || int(l.off[comps]) != len(l.blob) {
+			return nil, fmt.Errorf("reach: label offsets run from %d to %d over %d entries", l.off[0], l.off[comps], len(l.blob))
+		}
+		for c := uint32(0); c < comps; c++ {
+			lo, hi := l.off[c], l.off[c+1]
+			if hi < lo {
+				return nil, fmt.Errorf("reach: label offsets descend at component %d", c)
+			}
+			prev := int64(-1)
+			for _, r := range l.blob[lo:hi] {
+				if int64(r) <= prev || r >= comps {
+					return nil, fmt.Errorf("reach: the label of component %d is not strictly ascending below %d", c, comps)
+				}
+				prev = int64(r)
+			}
+		}
+	}
+	used := make([]bool, len(a.Comp)-vertices)
+	terms := 0
+	for t, tv := range a.TermVert {
+		if tv == rdf.NoVertex {
+			continue
+		}
+		if int(tv) < vertices || int(tv) >= len(a.Comp) || used[int(tv)-vertices] {
+			return nil, fmt.Errorf("reach: term %d has vertex %d, not an unused augmented vertex", t, tv)
+		}
+		used[int(tv)-vertices] = true
+		terms++
+	}
+	if terms != len(used) {
+		return nil, fmt.Errorf("reach: %d augmented vertices, %d terms use one", len(used), terms)
+	}
+	ix := &Index{comp: a.Comp, lin: a.Lin, linOff: a.LinOff, lout: a.Lout, loutOff: a.LoutOff}
+	return &KeywordIndex{idx: ix, termVert: a.TermVert, numBase: vertices}, nil
+}

@@ -240,3 +240,38 @@ func BenchmarkBuildIndex(b *testing.B) {
 		Build(out)
 	}
 }
+
+// FromArrays serves a built index's arrays with the same answers for
+// every vertex and term, in both directions, and refuses arrays no build
+// makes. (The snapshot's damage tests break each rule in a file.)
+func TestFromArraysMatchesBuild(t *testing.T) {
+	f := paperdata.Figure1()
+	for _, dir := range []rdf.Direction{rdf.Outgoing, rdf.Undirected} {
+		k := NewKeywordIndex(f.G, dir)
+		v, err := FromArrays(k.Arrays(), f.G.NumVertices())
+		if err != nil {
+			t.Fatalf("dir %v: %v", dir, err)
+		}
+		for u := uint32(0); int(u) < f.G.NumVertices(); u++ {
+			for term := uint32(0); int(term) <= f.G.Vocab.Len(); term++ {
+				if v.CanReach(u, term) != k.CanReach(u, term) {
+					t.Fatalf("dir %v: CanReach(%d, %d) differs", dir, u, term)
+				}
+			}
+		}
+		if v.MemSize() != k.MemSize() || v.LabelEntries() != k.LabelEntries() {
+			t.Errorf("dir %v: sizes differ", dir)
+		}
+	}
+	a := NewKeywordIndex(f.G, rdf.Outgoing).Arrays()
+	for name, b := range map[string]Arrays{
+		"no offsets":              {Comp: a.Comp, TermVert: a.TermVert},
+		"fewer components":        {Comp: a.Comp[:1], LinOff: a.LinOff, Lin: a.Lin, LoutOff: a.LoutOff, Lout: a.Lout, TermVert: a.TermVert},
+		"out-labels cut short":    {Comp: a.Comp, LinOff: a.LinOff, Lin: a.Lin, LoutOff: a.LoutOff, Lout: a.Lout[:len(a.Lout)-1], TermVert: a.TermVert},
+		"term vertices forgotten": {Comp: a.Comp, LinOff: a.LinOff, Lin: a.Lin, LoutOff: a.LoutOff, Lout: a.Lout, TermVert: a.TermVert[:0]},
+	} {
+		if _, err := FromArrays(b, f.G.NumVertices()); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}

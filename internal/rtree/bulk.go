@@ -3,32 +3,36 @@ package rtree
 import (
 	"math"
 	"sort"
+
+	"ksp/internal/geo"
 )
 
-// Bulk builds an R-tree over items using Sort-Tile-Recursive (STR) packing
-// [Leutenegger, Edgington & Lopez, ICDE 1997]. The paper notes (Table 5
-// discussion) that bulk loading drastically reduces construction time
-// compared to one-by-one insertion; both regimes are offered here and the
-// Table 5 experiment measures them.
+// Bulk builds an R-tree over items using Sort-Tile-Recursive (STR)
+// packing [Leutenegger, Edgington & Lopez, ICDE 1997]. The paper notes
+// (Table 5 discussion) that bulk loading drastically reduces construction
+// time compared to one-by-one insertion; both regimes are offered here
+// (Inserter) and the Table 5 experiment measures them.
+//
+// Nodes are numbered as they are made: the leaves in tile order, then
+// each level's parents in the order packNodes forms them, the root last.
+// The numbering is deterministic, and the α node file is keyed by it.
 //
 // The input slice is reordered in place.
 func Bulk(items []Item, maxEntries int) *RTree {
 	if maxEntries < 4 {
 		maxEntries = 4
 	}
-	t := &RTree{maxEntries: maxEntries, minEntries: maxEntries / 2, height: 1}
+	t := &RTree{maxEntries: maxEntries, height: 1}
+	a := &t.a
 	if len(items) == 0 {
-		t.root = t.newNode(true)
+		a.Rects, a.Off, a.Leaves = []geo.Rect{geo.EmptyRect()}, []uint32{0, 0}, 1
 		return t
 	}
-	leaves := t.packLeaves(items)
-	level := leaves
+	level := t.packLeaves(items)
 	for len(level) > 1 {
 		level = t.packNodes(level)
 		t.height++
 	}
-	t.root = level[0]
-	t.size = len(items)
 	return t
 }
 
@@ -57,71 +61,75 @@ func strSort(items []Item, m int) {
 	sort.Slice(items, func(i, j int) bool { return items[i].Loc.X < items[j].Loc.X })
 	slabSize := strSlabs(len(items), m) * m
 	for start := 0; start < len(items); start += slabSize {
-		end := start + slabSize
-		if end > len(items) {
-			end = len(items)
-		}
+		end := min(start+slabSize, len(items))
 		slab := items[start:end]
 		sort.Slice(slab, func(i, j int) bool { return slab[i].Loc.Y < slab[j].Loc.Y })
 	}
 }
 
-// packLeaves tiles the items into leaf nodes: sort by X, cut into vertical
-// slabs of S·M items (S = ceil(sqrt(P)), P = number of leaves), sort each
-// slab by Y and pack runs of M.
-func (t *RTree) packLeaves(items []Item) []*Node {
+// addNode appends a node with the given rectangle whose entries end at
+// offset end, and returns its ID.
+func (t *RTree) addNode(r geo.Rect, end int) uint32 {
+	if len(t.a.Off) == 0 {
+		t.a.Off = append(t.a.Off, 0)
+	}
+	t.a.Rects = append(t.a.Rects, r)
+	t.a.Off = append(t.a.Off, uint32(end))
+	return uint32(len(t.a.Rects) - 1)
+}
+
+// packLeaves tiles the items into leaf nodes: sort by X, cut into
+// vertical slabs of S·M items (S = ceil(sqrt(P)), P = number of leaves),
+// sort each slab by Y and pack runs of M. A slab's size is a multiple of
+// M, so the leaves are the consecutive runs of the sorted items.
+func (t *RTree) packLeaves(items []Item) []uint32 {
 	m := t.maxEntries
 	strSort(items, m)
-	var leaves []*Node
+	a := &t.a
+	a.IDs, a.Locs = make([]uint32, len(items)), make([]geo.Point, len(items))
+	for i, it := range items {
+		a.IDs[i], a.Locs[i] = it.ID, it.Loc
+	}
+	var leaves []uint32
 	slabSize := strSlabs(len(items), m) * m
 	for start := 0; start < len(items); start += slabSize {
-		end := start + slabSize
-		if end > len(items) {
-			end = len(items)
-		}
-		slab := items[start:end]
-		for ls := 0; ls < len(slab); ls += m {
-			le := ls + m
-			if le > len(slab) {
-				le = len(slab)
+		end := min(start+slabSize, len(items))
+		for ls := start; ls < end; ls += m {
+			le := min(ls+m, end)
+			r := geo.EmptyRect()
+			for _, p := range a.Locs[ls:le] {
+				r = r.ExpandPoint(p)
 			}
-			n := t.newNode(true)
-			n.Items = append(n.Items, slab[ls:le]...)
-			n.Rect = computeRect(n)
-			leaves = append(leaves, n)
+			leaves = append(leaves, t.addNode(r, le))
 		}
 	}
+	a.Leaves = len(leaves)
 	return leaves
 }
 
 // packNodes packs one level of nodes into parents using the same STR tiling
 // over node centers.
-func (t *RTree) packNodes(nodes []*Node) []*Node {
+func (t *RTree) packNodes(nodes []uint32) []uint32 {
 	m := t.maxEntries
+	a := &t.a
+	center := func(n uint32) geo.Point { return a.Rects[n].Center() }
 	p := (len(nodes) + m - 1) / m
 	s := int(math.Ceil(math.Sqrt(float64(p))))
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Rect.Center().X < nodes[j].Rect.Center().X })
-	var parents []*Node
+	sort.Slice(nodes, func(i, j int) bool { return center(nodes[i]).X < center(nodes[j]).X })
+	var parents []uint32
 	slabSize := s * m
 	for start := 0; start < len(nodes); start += slabSize {
-		end := start + slabSize
-		if end > len(nodes) {
-			end = len(nodes)
-		}
+		end := min(start+slabSize, len(nodes))
 		slab := nodes[start:end]
-		sort.Slice(slab, func(i, j int) bool { return slab[i].Rect.Center().Y < slab[j].Rect.Center().Y })
+		sort.Slice(slab, func(i, j int) bool { return center(slab[i]).Y < center(slab[j]).Y })
 		for ls := 0; ls < len(slab); ls += m {
-			le := ls + m
-			if le > len(slab) {
-				le = len(slab)
+			kids := slab[ls:min(ls+m, len(slab))]
+			r := geo.EmptyRect()
+			for _, ch := range kids {
+				r = r.Union(a.Rects[ch])
 			}
-			n := t.newNode(false)
-			n.Children = append(n.Children, slab[ls:le]...)
-			for _, ch := range n.Children {
-				ch.parent = n
-			}
-			n.Rect = computeRect(n)
-			parents = append(parents, n)
+			a.Children = append(a.Children, kids...)
+			parents = append(parents, t.addNode(r, len(a.IDs)+len(a.Children)))
 		}
 	}
 	return parents

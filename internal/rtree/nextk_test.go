@@ -8,8 +8,7 @@ import (
 )
 
 func TestNextKEmptyTree(t *testing.T) {
-	tr := New(8)
-	b := tr.NewBrowser(geo.Point{})
+	b := NewInserter(8).Tree().NewBrowser(geo.Point{})
 	if got := b.NextK(5, nil); got != nil {
 		t.Fatalf("NextK on empty tree = %v, want nil", got)
 	}
@@ -23,9 +22,9 @@ func TestNextKEmptyTree(t *testing.T) {
 }
 
 func TestPeekDistAfterExhaustion(t *testing.T) {
-	tr := New(4)
-	tr.Insert(Item{ID: 1, Loc: geo.Point{X: 3, Y: 4}})
-	b := tr.NewBrowser(geo.Point{})
+	ins := NewInserter(4)
+	ins.Insert(Item{ID: 1, Loc: geo.Point{X: 3, Y: 4}})
+	b := ins.Tree().NewBrowser(geo.Point{})
 	if _, _, ok := b.Next(); !ok {
 		t.Fatal("expected one item")
 	}

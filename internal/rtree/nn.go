@@ -15,17 +15,21 @@ import (
 // NodeAccesses counts the R-tree nodes expanded, which the paper reports as
 // "# of R-tree nodes accessed" (Figures 3(c), 4(c), 7(b)).
 type Browser struct {
+	t            *RTree
 	q            geo.Point
 	h            []nnEntry
 	NodeAccesses int64
 	onAccess     func() // copied from RTree.OnNodeAccess at construction
 }
 
+// nnEntry is a node or an item on the browser's heap: ref is a node ID
+// with nodeRef set, or an item's position in leaf order.
 type nnEntry struct {
 	distSq float64
-	node   *Node // nil when this entry is an item
-	item   Item
+	ref    uint32
 }
+
+const nodeRef = 1 << 31
 
 // ItemDist pairs an item with its exact Euclidean distance from the query
 // point; NextK reports batches of results in this form.
@@ -36,9 +40,9 @@ type ItemDist struct {
 
 // NewBrowser starts an incremental nearest-neighbour scan from q.
 func (t *RTree) NewBrowser(q geo.Point) *Browser {
-	b := &Browser{q: q, onAccess: t.OnNodeAccess} //ksplint:ignore allocbound -- one browser per query, inside TestAllocBudget's budget
-	if t.size > 0 {
-		b.h = append(b.h, nnEntry{distSq: t.root.Rect.MinDistSq(q), node: t.root})
+	b := &Browser{t: t, q: q, onAccess: t.OnNodeAccess} //ksplint:ignore allocbound -- one browser per query, inside TestAllocBudget's budget
+	if t.Len() > 0 {
+		b.h = append(b.h, nnEntry{distSq: t.Bounds().MinDistSq(q), ref: t.Root() | nodeRef})
 	}
 	return b
 }
@@ -48,10 +52,10 @@ func (t *RTree) NewBrowser(q geo.Point) *Browser {
 func (b *Browser) Next() (it Item, dist float64, ok bool) {
 	for len(b.h) > 0 {
 		e := b.pop()
-		if e.node == nil {
-			return e.item, math.Sqrt(e.distSq), true
+		if e.ref&nodeRef == 0 {
+			return b.item(e.ref), math.Sqrt(e.distSq), true
 		}
-		b.expand(e.node)
+		b.expand(e.ref &^ nodeRef)
 	}
 	return Item{}, 0, false
 }
@@ -67,33 +71,39 @@ func (b *Browser) Next() (it Item, dist float64, ok bool) {
 func (b *Browser) NextK(k int, out []ItemDist) []ItemDist {
 	for k > 0 && len(b.h) > 0 {
 		e := b.pop()
-		if e.node == nil {
-			out = append(out, ItemDist{Item: e.item, Dist: math.Sqrt(e.distSq)})
+		if e.ref&nodeRef == 0 {
+			out = append(out, ItemDist{Item: b.item(e.ref), Dist: math.Sqrt(e.distSq)})
 			k--
 			continue
 		}
-		b.expand(e.node)
+		b.expand(e.ref &^ nodeRef)
 	}
 	return out
 }
 
 // expand replaces a node entry with its children (or items) on the heap,
 // counting the node access.
-func (b *Browser) expand(n *Node) {
+func (b *Browser) expand(n uint32) {
 	b.NodeAccesses++
 	if b.onAccess != nil {
 		b.onAccess()
 	}
-	if n.Leaf {
-		for _, item := range n.Items {
-			b.push(nnEntry{distSq: b.q.DistSq(item.Loc), item: item})
+	a := &b.t.a
+	lo, hi := a.Off[n], a.Off[n+1]
+	if b.t.IsLeaf(n) {
+		for i := lo; i < hi; i++ {
+			b.push(nnEntry{distSq: b.q.DistSq(a.Locs[i]), ref: i})
 		}
 	} else {
-		for _, ch := range n.Children {
-			b.push(nnEntry{distSq: ch.Rect.MinDistSq(b.q), node: ch})
+		base := a.Off[a.Leaves]
+		for _, ch := range a.Children[lo-base : hi-base] {
+			b.push(nnEntry{distSq: a.Rects[ch].MinDistSq(b.q), ref: ch | nodeRef})
 		}
 	}
 }
+
+// item returns the item at position i in leaf order.
+func (b *Browser) item(i uint32) Item { return Item{ID: b.t.a.IDs[i], Loc: b.t.a.Locs[i]} }
 
 // PeekDist returns the lower bound on the distance of the next item without
 // consuming it, and (0, false) when the scan is exhausted. BSP uses this

@@ -1,18 +1,21 @@
-// Package rtree implements an R-tree over 2-D points with Guttman's
-// quadratic-split insertion [Guttman, SIGMOD 1984], STR bulk loading
-// [Leutenegger et al., ICDE 1997], and incremental best-first
-// nearest-neighbour browsing [Hjaltason & Samet, TODS 1999].
+// Package rtree implements a static R-tree over 2-D points, built by STR
+// bulk loading [Leutenegger et al., ICDE 1997] or by Guttman's
+// quadratic-split insertion [Guttman, SIGMOD 1984], with incremental
+// best-first nearest-neighbour browsing [Hjaltason & Samet, TODS 1999].
 //
 // The kSP algorithms (internal/core) use the tree in two ways: BSP/SPP
 // consume places in ascending spatial distance through a Browser, while SP
-// walks the node structure directly so it can order entries by α-bounds and
-// prune whole subtrees (Pruning Rule 4 of the paper). The Node structure is
-// therefore exported within this module.
+// walks the nodes directly so it can order entries by α-bounds and prune
+// whole subtrees (Pruning Rule 4 of the paper). Nodes are therefore
+// addressed by ID within this module.
+//
+// A tree is a handful of flat arrays indexed by node ID (Arrays): Bulk
+// fills them on the heap, and a snapshot stores them as they are and
+// serves them in place once FromArrays has checked them.
 package rtree
 
 import (
 	"fmt"
-	"math"
 
 	"ksp/internal/geo"
 )
@@ -27,29 +30,28 @@ type Item struct {
 	Loc geo.Point
 }
 
-// Node is an R-tree node. Leaf nodes carry Items; internal nodes carry
-// child nodes. Rect is the minimum bounding rectangle of everything below.
-// ID is a stable identifier assigned at creation, usable as a key for
-// per-node side data (the α-radius word neighbourhoods of Section 5).
-type Node struct {
-	ID       uint32
-	Leaf     bool
-	Rect     geo.Rect
-	Children []*Node // internal nodes only
-	Items    []Item  // leaf nodes only
-
-	parent *Node
+// Arrays are the arrays an RTree reads. Node IDs run from 0 to
+// len(Rects)-1: the leaves first, then the internal nodes, each after
+// its children, so the root is the last node. The entries of node n are
+// Off[n] to Off[n+1]: for a leaf, its items, positions in IDs and Locs
+// (the items in leaf order); for an internal node, its children,
+// positions in Children shifted by Off[Leaves].
+type Arrays struct {
+	Rects    []geo.Rect // by node ID: the MBR of everything below
+	Off      []uint32   // len(Rects)+1 entry offsets
+	Children []uint32   // child node IDs of the internal nodes
+	IDs      []uint32   // item IDs in leaf order
+	Locs     []geo.Point
+	Leaves   int // how many nodes are leaves
 }
 
-// RTree is a dynamic R-tree over points. The zero value is not usable;
-// construct with New or Bulk.
+// RTree is a static R-tree over points. The zero value is not usable;
+// construct with Bulk, an Inserter or FromArrays. A node is an ID, its
+// position in the Arrays.
 type RTree struct {
-	root       *Node
-	size       int
-	maxEntries int
-	minEntries int
-	nextNodeID uint32
+	a          Arrays
 	height     int
+	maxEntries int
 
 	// OnNodeAccess, when non-nil, is invoked once per node expansion during
 	// read traversals (Browser.Next, Search). It lets an observability layer
@@ -59,349 +61,186 @@ type RTree struct {
 	OnNodeAccess func()
 }
 
-// New returns an empty R-tree with node capacity maxEntries (minimum fill
-// is maxEntries/2, per Guttman). maxEntries < 4 is raised to 4.
-func New(maxEntries int) *RTree {
-	if maxEntries < 4 {
-		maxEntries = 4
+// OfPlaces bulk-loads a tree of DefaultMaxEntries over the given IDs,
+// each at loc(id): the R-tree over a graph's places is
+// OfPlaces(g.Places(), g.Loc).
+func OfPlaces(ids []uint32, loc func(uint32) geo.Point) *RTree {
+	items := make([]Item, len(ids))
+	for i, id := range ids {
+		items[i] = Item{ID: id, Loc: loc(id)}
 	}
-	t := &RTree{maxEntries: maxEntries, minEntries: maxEntries / 2, height: 1}
-	t.root = t.newNode(true)
-	return t
+	return Bulk(items, DefaultMaxEntries)
 }
 
-func (t *RTree) newNode(leaf bool) *Node {
-	n := &Node{ID: t.nextNodeID, Leaf: leaf, Rect: geo.EmptyRect()}
-	t.nextNodeID++
-	return n
+// FromArrays serves a as a tree of node capacity maxEntries once it has
+// checked everything a traversal relies on (check). The tree views a,
+// which must not change while the tree is in use.
+func FromArrays(a Arrays, maxEntries int) (*RTree, error) {
+	h, err := check(a, maxEntries)
+	if err != nil {
+		return nil, err
+	}
+	return &RTree{a: a, height: h, maxEntries: maxEntries}, nil
 }
 
-// Root returns the root node. The returned structure must be treated as
-// read-only by callers.
-func (t *RTree) Root() *Node { return t.root }
+// Arrays returns the arrays the tree reads. They must not be written to.
+func (t *RTree) Arrays() Arrays { return t.a }
+
+// Root returns the root's node ID.
+func (t *RTree) Root() uint32 { return uint32(len(t.a.Rects) - 1) }
+
+// Bounds returns the MBR of every item.
+func (t *RTree) Bounds() geo.Rect { return t.a.Rects[t.Root()] }
+
+// Rect returns node n's MBR.
+func (t *RTree) Rect(n uint32) geo.Rect { return t.a.Rects[n] }
+
+// IsLeaf reports whether node n is a leaf.
+func (t *RTree) IsLeaf(n uint32) bool { return int(n) < t.a.Leaves }
+
+// Children returns the child IDs of internal node n, in order.
+func (t *RTree) Children(n uint32) []uint32 {
+	base := t.a.Off[t.a.Leaves]
+	return t.a.Children[t.a.Off[n]-base : t.a.Off[n+1]-base]
+}
+
+// Leaf returns the IDs and locations of the items of leaf n, in order.
+func (t *RTree) Leaf(n uint32) (ids []uint32, locs []geo.Point) {
+	lo, hi := t.a.Off[n], t.a.Off[n+1]
+	return t.a.IDs[lo:hi], t.a.Locs[lo:hi]
+}
 
 // Len returns the number of items stored.
-func (t *RTree) Len() int { return t.size }
+func (t *RTree) Len() int { return len(t.a.IDs) }
 
 // Height returns the number of levels (a tree holding only a root leaf has
 // height 1).
 func (t *RTree) Height() int { return t.height }
 
 // NumNodes returns the total number of nodes in the tree.
-func (t *RTree) NumNodes() int {
-	var count func(*Node) int
-	count = func(n *Node) int {
-		c := 1
-		for _, ch := range n.Children {
-			c += count(ch)
-		}
-		return c
-	}
-	return count(t.root)
-}
+func (t *RTree) NumNodes() int { return len(t.a.Rects) }
 
-// MemSize returns an estimate of the in-memory footprint in bytes, used by
-// the Table 4 storage experiment. Each node costs a fixed header plus 40
-// bytes per entry (rect + pointer or item).
+// MemSize returns the in-memory footprint of the arrays in bytes, used
+// by the Table 4 storage experiment.
 func (t *RTree) MemSize() int64 {
-	var sz int64
-	var walk func(*Node)
-	walk = func(n *Node) {
-		sz += 64 // node header
-		sz += int64(len(n.Children)+len(n.Items)) * 40
-		for _, ch := range n.Children {
-			walk(ch)
-		}
-	}
-	walk(t.root)
-	return sz
+	a := t.a
+	return int64(32*len(a.Rects) + 4*(len(a.Off)+len(a.Children)+len(a.IDs)) + 16*len(a.Locs))
 }
 
-// Insert adds an item to the tree (Guttman insertion with quadratic split).
-func (t *RTree) Insert(it Item) {
-	leaf := t.chooseLeaf(t.root, it.Loc)
-	leaf.Items = append(leaf.Items, it)
-	leaf.Rect = leaf.Rect.ExpandPoint(it.Loc)
-	t.size++
-	if len(leaf.Items) > t.maxEntries {
-		t.splitAndPropagate(leaf)
-	} else {
-		t.adjustRects(leaf.parent)
+// Search appends to dst the IDs of the items whose location falls within
+// r and returns the extended slice.
+func (t *RTree) Search(r geo.Rect, dst []uint32) []uint32 {
+	root := t.Root()
+	if !t.a.Rects[root].Intersects(r) && t.Len() > 0 {
+		return dst
 	}
-}
-
-// chooseLeaf descends from n picking the child needing least enlargement to
-// include p, breaking ties by smaller area.
-func (t *RTree) chooseLeaf(n *Node, p geo.Point) *Node {
-	for !n.Leaf {
-		target := RectFromPointCached(p)
-		best := n.Children[0]
-		bestEnl := best.Rect.Enlargement(target)
-		bestArea := best.Rect.Area()
-		for _, ch := range n.Children[1:] {
-			enl := ch.Rect.Enlargement(target)
-			area := ch.Rect.Area()
-			if enl < bestEnl || (enl == bestEnl && area < bestArea) {
-				best, bestEnl, bestArea = ch, enl, area
-			}
-		}
-		n = best
-	}
-	return n
-}
-
-// RectFromPointCached is geo.RectFromPoint; indirection kept minimal.
-func RectFromPointCached(p geo.Point) geo.Rect { return geo.RectFromPoint(p) }
-
-// adjustRects recomputes MBRs from n up to the root.
-func (t *RTree) adjustRects(n *Node) {
-	for n != nil {
-		n.Rect = computeRect(n)
-		n = n.parent
-	}
-}
-
-func computeRect(n *Node) geo.Rect {
-	r := geo.EmptyRect()
-	if n.Leaf {
-		for _, it := range n.Items {
-			r = r.ExpandPoint(it.Loc)
-		}
-	} else {
-		for _, ch := range n.Children {
-			r = r.Union(ch.Rect)
-		}
-	}
-	return r
-}
-
-// splitAndPropagate splits an overfull node and walks overflow up the tree.
-func (t *RTree) splitAndPropagate(n *Node) {
-	for {
-		sibling := t.split(n)
-		parent := n.parent
-		if parent == nil {
-			// Root split: grow the tree.
-			newRoot := t.newNode(false)
-			newRoot.Children = append(newRoot.Children, n, sibling)
-			n.parent = newRoot
-			sibling.parent = newRoot
-			newRoot.Rect = n.Rect.Union(sibling.Rect)
-			t.root = newRoot
-			t.height++
-			return
-		}
-		sibling.parent = parent
-		parent.Children = append(parent.Children, sibling)
-		parent.Rect = computeRect(parent)
-		if len(parent.Children) <= t.maxEntries {
-			t.adjustRects(parent.parent)
-			return
-		}
-		n = parent
-	}
-}
-
-// split performs Guttman's quadratic split of n, returning the new sibling;
-// n keeps one group, the sibling receives the other.
-func (t *RTree) split(n *Node) *Node {
-	sib := t.newNode(n.Leaf)
-	if n.Leaf {
-		a, b := quadraticSplitItems(n.Items, t.minEntries)
-		n.Items, sib.Items = a, b
-	} else {
-		a, b := quadraticSplitChildren(n.Children, t.minEntries)
-		n.Children, sib.Children = a, b
-		for _, ch := range sib.Children {
-			ch.parent = sib
-		}
-	}
-	n.Rect = computeRect(n)
-	sib.Rect = computeRect(sib)
-	return sib
-}
-
-// entryRect abstracts the bounding rect of either an item or a child node
-// during the split.
-type splitEntry struct {
-	rect geo.Rect
-	idx  int
-}
-
-func quadraticSplitItems(items []Item, minFill int) (a, b []Item) {
-	ents := make([]splitEntry, len(items))
-	for i, it := range items {
-		ents[i] = splitEntry{rect: geo.RectFromPoint(it.Loc), idx: i}
-	}
-	ga, gb := quadraticSplit(ents, minFill)
-	for _, i := range ga {
-		a = append(a, items[i])
-	}
-	for _, i := range gb {
-		b = append(b, items[i])
-	}
-	return a, b
-}
-
-func quadraticSplitChildren(children []*Node, minFill int) (a, b []*Node) {
-	ents := make([]splitEntry, len(children))
-	for i, ch := range children {
-		ents[i] = splitEntry{rect: ch.Rect, idx: i}
-	}
-	ga, gb := quadraticSplit(ents, minFill)
-	for _, i := range ga {
-		a = append(a, children[i])
-	}
-	for _, i := range gb {
-		b = append(b, children[i])
-	}
-	return a, b
-}
-
-// quadraticSplit partitions entries into two groups per Guttman's quadratic
-// algorithm: pick the pair wasting the most area as seeds, then repeatedly
-// assign the entry with the greatest preference for one group.
-func quadraticSplit(ents []splitEntry, minFill int) (ga, gb []int) {
-	// Seed selection.
-	s1, s2 := 0, 1
-	worst := math.Inf(-1)
-	for i := 0; i < len(ents); i++ {
-		for j := i + 1; j < len(ents); j++ {
-			d := ents[i].rect.Union(ents[j].rect).Area() - ents[i].rect.Area() - ents[j].rect.Area()
-			if d > worst {
-				worst, s1, s2 = d, i, j
-			}
-		}
-	}
-	ra, rb := ents[s1].rect, ents[s2].rect
-	ga = append(ga, ents[s1].idx)
-	gb = append(gb, ents[s2].idx)
-	assigned := make([]bool, len(ents))
-	assigned[s1], assigned[s2] = true, true
-	remaining := len(ents) - 2
-
-	for remaining > 0 {
-		// If one group must take everything to reach min fill, do so.
-		if len(ga)+remaining == minFill {
-			for i, e := range ents {
-				if !assigned[i] {
-					ga = append(ga, e.idx)
-					ra = ra.Union(e.rect)
-					assigned[i] = true
-				}
-			}
-			break
-		}
-		if len(gb)+remaining == minFill {
-			for i, e := range ents {
-				if !assigned[i] {
-					gb = append(gb, e.idx)
-					rb = rb.Union(e.rect)
-					assigned[i] = true
-				}
-			}
-			break
-		}
-		// PickNext: maximize |d1 - d2|.
-		next, bestDiff := -1, math.Inf(-1)
-		var nd1, nd2 float64
-		for i, e := range ents {
-			if assigned[i] {
-				continue
-			}
-			d1 := ra.Enlargement(e.rect)
-			d2 := rb.Enlargement(e.rect)
-			if diff := math.Abs(d1 - d2); diff > bestDiff {
-				bestDiff, next, nd1, nd2 = diff, i, d1, d2
-			}
-		}
-		e := ents[next]
-		assigned[next] = true
-		remaining--
-		// Resolve ties by smaller area, then fewer entries.
-		toA := nd1 < nd2
-		if nd1 == nd2 {
-			if ra.Area() != rb.Area() {
-				toA = ra.Area() < rb.Area()
-			} else {
-				toA = len(ga) <= len(gb)
-			}
-		}
-		if toA {
-			ga = append(ga, e.idx)
-			ra = ra.Union(e.rect)
-		} else {
-			gb = append(gb, e.idx)
-			rb = rb.Union(e.rect)
-		}
-	}
-	return ga, gb
-}
-
-// Search appends to dst the items whose location falls within r and returns
-// the extended slice.
-func (t *RTree) Search(r geo.Rect, dst []Item) []Item {
-	var walk func(*Node)
-	walk = func(n *Node) {
-		if !n.Rect.Intersects(r) && !(n == t.root && t.size == 0) {
-			return
-		}
+	var walk func(n uint32)
+	walk = func(n uint32) {
 		if t.OnNodeAccess != nil {
 			t.OnNodeAccess()
 		}
-		if n.Leaf {
-			for _, it := range n.Items {
-				if r.ContainsPoint(it.Loc) {
-					dst = append(dst, it)
+		if t.IsLeaf(n) {
+			ids, locs := t.Leaf(n)
+			for i, loc := range locs {
+				if r.ContainsPoint(loc) {
+					dst = append(dst, ids[i])
 				}
 			}
 			return
 		}
-		for _, ch := range n.Children {
-			if ch.Rect.Intersects(r) {
+		for _, ch := range t.Children(n) {
+			if t.a.Rects[ch].Intersects(r) {
 				walk(ch)
 			}
 		}
 	}
-	walk(t.root)
+	walk(root)
 	return dst
 }
 
-// Validate checks structural invariants: MBR containment, fill factors, and
-// uniform leaf depth. It returns an error describing the first violation.
-// Used by tests and available for debugging.
+// Validate checks the tree's structural invariants (check) and returns
+// an error describing the first violation.
 func (t *RTree) Validate() error {
-	leafDepth := -1
-	var walk func(n *Node, depth int) error
-	walk = func(n *Node, depth int) error {
-		if n.Leaf {
-			if leafDepth == -1 {
-				leafDepth = depth
-			} else if leafDepth != depth {
-				return fmt.Errorf("rtree: leaves at depths %d and %d", leafDepth, depth)
-			}
-			for _, it := range n.Items {
-				if !n.Rect.ContainsPoint(it.Loc) {
-					return fmt.Errorf("rtree: node %d MBR %v misses item %v", n.ID, n.Rect, it.Loc)
-				}
-			}
-			return nil
-		}
-		if len(n.Children) == 0 {
-			return fmt.Errorf("rtree: internal node %d has no children", n.ID)
-		}
-		for _, ch := range n.Children {
-			if !n.Rect.ContainsRect(ch.Rect) {
-				return fmt.Errorf("rtree: node %d MBR %v misses child %v", n.ID, n.Rect, ch.Rect)
-			}
-			if ch.parent != n {
-				return fmt.Errorf("rtree: node %d has wrong parent link", ch.ID)
-			}
-			if err := walk(ch, depth+1); err != nil {
-				return err
-			}
-		}
-		return nil
+	_, err := check(t.a, t.maxEntries)
+	return err
+}
+
+// check verifies what a traversal relies on and returns the height:
+//   - the offsets start at 0, ascend, and end at the items and the
+//     children, of which there are one fewer than nodes;
+//   - every node but the root, the last, is the child of exactly one
+//     node, whose ID is larger;
+//   - the leaves, and only they, are the first Leaves nodes, and all
+//     lie at one depth;
+//   - every node has 1 to maxEntries entries, except the one empty leaf
+//     of a tree without items;
+//   - every rectangle is exactly the MBR of its node's entries.
+func check(a Arrays, maxEntries int) (int, error) {
+	nodes := len(a.Rects)
+	switch {
+	case nodes == 0:
+		return 0, fmt.Errorf("rtree: no root")
+	case nodes >= nodeRef || len(a.IDs) >= nodeRef:
+		return 0, fmt.Errorf("rtree: %d nodes and %d items, more than a browser addresses", nodes, len(a.IDs))
+	case a.Leaves < 1 || a.Leaves > nodes:
+		return 0, fmt.Errorf("rtree: %d leaves among %d nodes", a.Leaves, nodes)
+	case len(a.Off) != nodes+1 || a.Off[0] != 0:
+		return 0, fmt.Errorf("rtree: %d offsets for %d nodes", len(a.Off), nodes)
+	case len(a.Locs) != len(a.IDs):
+		return 0, fmt.Errorf("rtree: %d item IDs, %d locations", len(a.IDs), len(a.Locs))
+	case len(a.Children) != nodes-1:
+		return 0, fmt.Errorf("rtree: %d children for %d nodes", len(a.Children), nodes)
 	}
-	return walk(t.root, 0)
+	for n := 0; n < nodes; n++ {
+		if a.Off[n+1] < a.Off[n] {
+			return 0, fmt.Errorf("rtree: offsets descend at node %d", n)
+		}
+	}
+	if int(a.Off[a.Leaves]) != len(a.IDs) || int(a.Off[nodes])-len(a.IDs) != len(a.Children) {
+		return 0, fmt.Errorf("rtree: offsets end at %d and %d, the arrays hold %d items and %d children",
+			a.Off[a.Leaves], a.Off[nodes], len(a.IDs), len(a.Children))
+	}
+	const none = -1
+	depth := make([]int, nodes)
+	for n := range depth {
+		depth[n] = none
+	}
+	depth[nodes-1] = 0
+	leafDepth := none
+	base := a.Off[a.Leaves]
+	for n := nodes - 1; n >= 0; n-- {
+		lo, hi := a.Off[n], a.Off[n+1]
+		if k := int(hi - lo); (k < 1 || k > maxEntries) && !(nodes == 1 && k == 0) {
+			return 0, fmt.Errorf("rtree: node %d has %d entries, the capacity is %d", n, k, maxEntries)
+		}
+		if depth[n] == none {
+			return 0, fmt.Errorf("rtree: node %d is no node's child", n)
+		}
+		mbr := geo.EmptyRect()
+		if n < a.Leaves {
+			if leafDepth == none {
+				leafDepth = depth[n]
+			} else if depth[n] != leafDepth {
+				return 0, fmt.Errorf("rtree: leaves at depths %d and %d", leafDepth, depth[n])
+			}
+			for _, p := range a.Locs[lo:hi] {
+				mbr = mbr.ExpandPoint(p)
+			}
+		} else {
+			for _, ch := range a.Children[lo-base : hi-base] {
+				if int(ch) >= n {
+					return 0, fmt.Errorf("rtree: node %d lists child %d, which does not precede it", n, ch)
+				}
+				if depth[ch] != none {
+					return 0, fmt.Errorf("rtree: node %d lists child %d, which has another parent", n, ch)
+				}
+				depth[ch] = depth[n] + 1
+				mbr = mbr.Union(a.Rects[ch])
+			}
+		}
+		if a.Rects[n] != mbr {
+			return 0, fmt.Errorf("rtree: node %d has rectangle %v, its entries span %v", n, a.Rects[n], mbr)
+		}
+	}
+	return leafDepth + 1, nil
 }

@@ -20,13 +20,14 @@ func randomItems(rng *rand.Rand, n int) []Item {
 
 func TestInsertValidate(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	tr := New(8)
+	ins := NewInserter(8)
 	items := randomItems(rng, 500)
-	for i, it := range items {
-		tr.Insert(it)
-		if tr.Len() != i+1 {
-			t.Fatalf("Len = %d after %d inserts", tr.Len(), i+1)
-		}
+	for _, it := range items {
+		ins.Insert(it)
+	}
+	tr := ins.Tree()
+	if tr.Len() != len(items) {
+		t.Fatalf("Len = %d after %d inserts", tr.Len(), len(items))
 	}
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
@@ -55,11 +56,11 @@ func TestSearchMatchesBruteForce(t *testing.T) {
 	items := randomItems(rng, 400)
 	for _, build := range []func() *RTree{
 		func() *RTree {
-			tr := New(6)
+			ins := NewInserter(6)
 			for _, it := range items {
-				tr.Insert(it)
+				ins.Insert(it)
 			}
-			return tr
+			return ins.Tree()
 		},
 		func() *RTree {
 			cp := append([]Item(nil), items...)
@@ -73,16 +74,12 @@ func TestSearchMatchesBruteForce(t *testing.T) {
 			}
 			r.MaxX = r.MinX + rng.Float64()*30
 			r.MaxY = r.MinY + rng.Float64()*30
-			got := tr.Search(r, nil)
+			gotIDs := tr.Search(r, nil)
 			var want []uint32
 			for _, it := range items {
 				if r.ContainsPoint(it.Loc) {
 					want = append(want, it.ID)
 				}
-			}
-			gotIDs := make([]uint32, len(got))
-			for i, it := range got {
-				gotIDs[i] = it.ID
 			}
 			sort.Slice(gotIDs, func(i, j int) bool { return gotIDs[i] < gotIDs[j] })
 			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
@@ -146,10 +143,10 @@ func TestBrowserOrderAndCompleteness(t *testing.T) {
 }
 
 func TestBrowserPeek(t *testing.T) {
-	tr := New(4)
-	tr.Insert(Item{ID: 1, Loc: geo.Point{X: 3, Y: 4}})
-	tr.Insert(Item{ID: 2, Loc: geo.Point{X: 6, Y: 8}})
-	b := tr.NewBrowser(geo.Point{})
+	ins := NewInserter(4)
+	ins.Insert(Item{ID: 1, Loc: geo.Point{X: 3, Y: 4}})
+	ins.Insert(Item{ID: 2, Loc: geo.Point{X: 6, Y: 8}})
+	b := ins.Tree().NewBrowser(geo.Point{})
 	if d, ok := b.PeekDist(); !ok || d > 5+1e-9 {
 		t.Fatalf("PeekDist = %v,%v; want lower bound <= 5", d, ok)
 	}
@@ -173,7 +170,7 @@ func TestBrowserPeek(t *testing.T) {
 }
 
 func TestEmptyTree(t *testing.T) {
-	tr := New(8)
+	tr := NewInserter(8).Tree()
 	if got := tr.Search(geo.Rect{MinX: -1, MinY: -1, MaxX: 1, MaxY: 1}, nil); len(got) != 0 {
 		t.Errorf("search on empty tree returned %d items", len(got))
 	}
@@ -184,16 +181,17 @@ func TestEmptyTree(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Error(err)
 	}
-	if Bulk(nil, 8).Len() != 0 {
-		t.Error("Bulk(nil) should be empty")
+	if b := Bulk(nil, 8); b.Len() != 0 || b.NumNodes() != 1 || b.Validate() != nil {
+		t.Error("Bulk(nil) should be one empty leaf")
 	}
 }
 
 func TestDuplicateLocations(t *testing.T) {
-	tr := New(4)
+	ins := NewInserter(4)
 	for i := 0; i < 50; i++ {
-		tr.Insert(Item{ID: uint32(i), Loc: geo.Point{X: 1, Y: 1}})
+		ins.Insert(Item{ID: uint32(i), Loc: geo.Point{X: 1, Y: 1}})
 	}
+	tr := ins.Tree()
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -256,10 +254,10 @@ func TestNumNodesAndMemSize(t *testing.T) {
 func BenchmarkInsert(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	items := randomItems(rng, b.N)
-	tr := New(DefaultMaxEntries)
+	ins := NewInserter(DefaultMaxEntries)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.Insert(items[i])
+		ins.Insert(items[i])
 	}
 }
 

@@ -27,6 +27,8 @@ func diskFixture(t *testing.T) (string, *core.Engine, *rdf.Graph) {
 	path := filepath.Join(t.TempDir(), "snap.bin")
 	err := SaveFile(path, &Snapshot{
 		Graph:       g,
+		Tree:        e.Tree,
+		Reach:       e.Reach,
 		AlphaRadius: 2,
 		Dir:         rdf.Outgoing,
 		AlphaPlace:  e.Alpha.PlaceIdx,
@@ -105,7 +107,8 @@ func TestOpenDiskMatchesRead(t *testing.T) {
 	}
 }
 
-// Queries over an engine assembled from a disk-resident snapshot must
+// Queries over an engine assembled from a disk-resident snapshot — its
+// R-tree, reachability labels and α index all served from the file — must
 // match the original engine exactly (same places, same scores).
 func TestOpenDiskQueryEquivalence(t *testing.T) {
 	path, orig, g := diskFixture(t)
@@ -115,8 +118,8 @@ func TestOpenDiskQueryEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		restored := core.NewEngine(snap.Graph, snap.Dir)
-		restored.EnableReach()
+		restored := core.NewEngineOver(snap.Graph, snap.Tree, snap.Dir)
+		restored.Reach = snap.Reach
 		restored.SetAlpha(snap.AlphaIndex())
 		for trial := 0; trial < 5; trial++ {
 			loc, kws := qg.Original(3)

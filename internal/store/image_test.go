@@ -11,6 +11,8 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"sort"
+	"strings"
 	"testing"
 
 	"ksp/internal/alpha"
@@ -19,11 +21,13 @@ import (
 	"ksp/internal/geo"
 	"ksp/internal/paperdata"
 	"ksp/internal/rdf"
+	"ksp/internal/reach"
+	"ksp/internal/rtree"
 )
 
-// imageLayout locates the arrays and trailers of a version 4 image, as
-// Write documents its layout, so that a test can damage one array and
-// recompute every trailer.
+// imageLayout locates the arrays and trailers of an image of version 4
+// or 5, as Write documents its layout, so that a test can damage one
+// array and recompute every trailer.
 type imageLayout struct {
 	raw      []byte
 	arrays   map[string][2]int // byte span of each array
@@ -35,6 +39,7 @@ func layoutOf(t testing.TB, raw []byte) *imageLayout {
 	l := &imageLayout{raw: raw, arrays: make(map[string][2]int)}
 	head := func(i int) int { return int(binary.LittleEndian.Uint32(raw[4*i:])) }
 	n, e, p := head(hVertices), head(hEdges), head(hPlaces)
+	v5 := head(1) == snapVersion
 	type array struct {
 		name string
 		size int
@@ -50,7 +55,11 @@ func layoutOf(t testing.TB, raw []byte) *imageLayout {
 		l.sections = append(l.sections, [2]int{start, off})
 		off += 4
 	}
-	section(array{"header", 4 * headerWords})
+	words := hNodes
+	if v5 {
+		words = headerWords
+	}
+	section(array{"header", 4 * words})
 	section(array{"termBlob", head(hTermBytes)}, array{"termOff", 4 * (head(hTerms) + 1)}, array{"termSort", 4 * head(hTerms)})
 	section(array{"uriBlob", head(hURIBytes)}, array{"uriOff", 4 * (n + 1)}, array{"uriSort", 4 * n})
 	section(array{"predBlob", head(hPredBytes)}, array{"predOff", 4 * (head(hPreds) + 1)},
@@ -58,6 +67,11 @@ func layoutOf(t testing.TB, raw []byte) *imageLayout {
 		array{"inOff", 4 * (n + 1)}, array{"inEdges", 4 * e})
 	section(array{"docOff", 4 * (n + 1)}, array{"docTerms", 4 * head(hDocTerms)})
 	section(array{"places", 4 * p}, array{"placeOrd", 4 * n}, array{"coords", 16 * p})
+	if v5 {
+		nodes := head(hNodes)
+		section(array{"rects", 32 * nodes}, array{"treeOff", 4 * (nodes + 1)}, array{"children", 4 * (nodes - 1)},
+			array{"itemIDs", 4 * p}, array{"itemLocs", 16 * p})
+	}
 	if head(hAlphaRadius) > 0 {
 		size, err := alpha.PlaceImageLen(raw[off:], l.u32s("places"))
 		if err != nil {
@@ -68,6 +82,11 @@ func layoutOf(t testing.TB, raw []byte) *imageLayout {
 			t.Fatal(err)
 		}
 		section(array{"alphaNode", size})
+	}
+	if v5 && head(hFlags)&flagReach != 0 {
+		comps := head(hReachComps)
+		section(array{"comp", 4 * head(hReachVerts)}, array{"linOff", 4 * (comps + 1)}, array{"lin", 4 * head(hReachIn)},
+			array{"loutOff", 4 * (comps + 1)}, array{"lout", 4 * head(hReachOut)}, array{"termVert", 4 * head(hTerms)})
 	}
 	if off != len(raw) {
 		t.Fatalf("the layout covers %d bytes of %d", off, len(raw))
@@ -91,6 +110,14 @@ func (l *imageLayout) u32s(name string) []uint32 {
 
 func (l *imageLayout) put(name string, i int, v uint32) {
 	binary.LittleEndian.PutUint32(l.bytes(name)[4*i:], v)
+}
+
+func (l *imageLayout) f64(name string, i int) float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(l.bytes(name)[8*i:]))
+}
+
+func putF64(l *imageLayout, name string, i int, f float64) {
+	binary.LittleEndian.PutUint64(l.bytes(name)[8*i:], math.Float64bits(f))
 }
 
 // resummed returns a copy of the image with every trailer recomputed.
@@ -230,18 +257,21 @@ func shapeGraphs() map[string]*rdf.Graph {
 	}
 }
 
-// Every accessor of a Graph answers alike whether the Graph was built,
-// read back from a version 4 snapshot onto the heap, mapped from one, or
-// decoded from a version 3 snapshot through the legacy reader.
+// Every accessor of a Graph, of its R-tree and of its reachability index
+// answers alike whether they were built, read back from a version 5
+// snapshot onto the heap, or mapped from one; the Graph and the R-tree
+// do so too when decoded from a version 3 snapshot through the legacy
+// reader or read from a version 4 image, whose trees are built at open.
 func TestAccessorsIdenticalAcrossSources(t *testing.T) {
 	for name, g := range shapeGraphs() {
-		s := &Snapshot{Graph: g, Dir: rdf.Outgoing}
+		s := &Snapshot{Graph: g, Tree: rtree.OfPlaces(g.Places(), g.Loc), Reach: reach.NewKeywordIndex(g, rdf.Outgoing), Dir: rdf.Outgoing}
 		raw := encode(t, s, snapVersion)
 		read, err := Read(bytes.NewReader(raw))
 		if err != nil {
 			t.Fatalf("%s: Read: %v", name, err)
 		}
 		sameGraph(t, name+", Read", read.Graph, g, false)
+		sameIndexes(t, name+", Read", read, s)
 		path := filepath.Join(t.TempDir(), "snap.bin")
 		if err := os.WriteFile(path, raw, 0o644); err != nil {
 			t.Fatal(err)
@@ -251,14 +281,22 @@ func TestAccessorsIdenticalAcrossSources(t *testing.T) {
 			t.Fatalf("%s: OpenDisk: %v", name, err)
 		}
 		sameGraph(t, name+", mapped", mapped.Graph, g, false)
+		sameIndexes(t, name+", mapped", mapped, s)
 		if err := mapped.Close(); err != nil {
 			t.Fatal(err)
 		}
-		legacy, err := Read(bytes.NewReader(encode(t, s, 3)))
-		if err != nil {
-			t.Fatalf("%s: Read of version 3: %v", name, err)
+		for _, version := range []uint32{3, 4} {
+			old, err := Read(bytes.NewReader(encode(t, s, version)))
+			if err != nil {
+				t.Fatalf("%s: Read of version %d: %v", name, version, err)
+			}
+			label := fmt.Sprintf("%s, version %d", name, version)
+			sameGraph(t, label, old.Graph, g, version < 4)
+			if old.Reach != nil {
+				t.Fatalf("%s: reachability labels from a file that has none", label)
+			}
+			sameIndexes(t, label, old, &Snapshot{Graph: g, Tree: s.Tree})
 		}
-		sameGraph(t, name+", version 3", legacy.Graph, g, true)
 		var again bytes.Buffer
 		if err := Write(&again, read); err != nil {
 			t.Fatal(err)
@@ -269,11 +307,63 @@ func TestAccessorsIdenticalAcrossSources(t *testing.T) {
 	}
 }
 
-// v4GraphDamage returns format version 4 snapshots, by the rule each
+// sameIndexes demands that got's R-tree and reachability index answer as
+// want's do: the same node arrays, the same browsing order and node
+// accesses from every corner and the centre of the tree's bounds, the
+// same window searches, and, when want has labels, the same CanReach for
+// every vertex and every term (and one term beyond the vocabulary).
+func sameIndexes(t testing.TB, label string, got, want *Snapshot) {
+	t.Helper()
+	a, b := got.Tree.Arrays(), want.Tree.Arrays()
+	if !slices.Equal(a.Rects, b.Rects) || !slices.Equal(a.Off, b.Off) || !slices.Equal(a.Children, b.Children) ||
+		!slices.Equal(a.IDs, b.IDs) || !slices.Equal(a.Locs, b.Locs) || a.Leaves != b.Leaves || got.Tree.Height() != want.Tree.Height() {
+		t.Fatalf("%s: the R-tree's arrays differ", label)
+	}
+	r := want.Tree.Bounds()
+	if want.Tree.Len() == 0 {
+		r = geo.Rect{MinX: -1, MinY: -1, MaxX: 1, MaxY: 1}
+	}
+	for _, q := range []geo.Point{{X: r.MinX, Y: r.MinY}, {X: r.MaxX, Y: r.MinY}, {X: r.MinX, Y: r.MaxY}, {X: r.MaxX, Y: r.MaxY}, r.Center()} {
+		gb, wb := got.Tree.NewBrowser(q), want.Tree.NewBrowser(q)
+		for {
+			gi, gd, gok := gb.Next()
+			wi, wd, wok := wb.Next()
+			if gi != wi || gd != wd || gok != wok {
+				t.Fatalf("%s: browsing from %v: %v at %v, want %v at %v", label, q, gi, gd, wi, wd)
+			}
+			if !wok {
+				break
+			}
+		}
+		if gb.NodeAccesses != wb.NodeAccesses {
+			t.Fatalf("%s: browsing from %v: %d node accesses, want %d", label, q, gb.NodeAccesses, wb.NodeAccesses)
+		}
+		window := geo.RectFromPoint(q).ExpandPoint(r.Center())
+		if g, w := got.Tree.Search(window, nil), want.Tree.Search(window, nil); !slices.Equal(g, w) {
+			t.Fatalf("%s: Search(%v) = %v, want %v", label, window, g, w)
+		}
+	}
+	if want.Reach == nil {
+		return
+	}
+	if got.Reach == nil {
+		t.Fatalf("%s: no reachability labels", label)
+	}
+	g := want.Graph
+	for v := uint32(0); int(v) < g.NumVertices(); v++ {
+		for term := uint32(0); int(term) <= g.Vocab.Len(); term++ {
+			if a, b := got.Reach.CanReach(v, term), want.Reach.CanReach(v, term); a != b {
+				t.Fatalf("%s: CanReach(%d, %d) = %v, want %v", label, v, term, a, b)
+			}
+		}
+	}
+}
+
+// graphDamage returns format version 5 snapshots, by the rule each
 // breaks, whose graph arrays were damaged after they were written and
 // whose trailers were then recomputed, so that nothing but the checks at
 // open can see the damage.
-func v4GraphDamage(t testing.TB) map[string][]byte {
+func graphDamage(t testing.TB) map[string][]byte {
 	t.Helper()
 	g := gen.Generate(gen.YagoConfig(300, 5))
 	e := core.NewEngine(g, rdf.Outgoing)
@@ -309,9 +399,6 @@ func v4GraphDamage(t testing.TB) map[string][]byte {
 		a := l.u32s(name)
 		l.put(name, i, a[j])
 		l.put(name, j, a[i])
-	}
-	putF64 := func(l *imageLayout, name string, i int, f float64) {
-		binary.LittleEndian.PutUint64(l.bytes(name)[8*i:], math.Float64bits(f))
 	}
 	damage := map[string]func(l *imageLayout){
 		"a header count beyond the arrays":   func(l *imageLayout) { l.put("header", hDocTerms, l.u32s("header")[hDocTerms]+1) },
@@ -380,7 +467,7 @@ func v4GraphDamage(t testing.TB) map[string][]byte {
 // damaged image is refused with ErrCorrupt by Read and by OpenDisk with
 // and without a mapping, though every trailer matches.
 func TestReadRejectsDamagedGraphImage(t *testing.T) {
-	for name, raw := range v4GraphDamage(t) {
+	for name, raw := range graphDamage(t) {
 		for mode, open := range openAll(t, raw) {
 			if _, err := open(); !errors.Is(err, ErrCorrupt) {
 				t.Errorf("%s, %s: got %v, want ErrCorrupt", name, mode, err)
@@ -390,18 +477,228 @@ func TestReadRejectsDamagedGraphImage(t *testing.T) {
 }
 
 // A place at a NaN or infinite location is refused as corrupt by every
-// format version in every mode: no distance to it orders.
+// format version in every mode: no distance to it orders. No builder
+// makes such a graph, so each file is written with a finite location that
+// the writer then replaces: in the stream of a version 1 to 3 snapshot,
+// or in the coordinates of an image, whose trailers are recomputed.
 func TestReadRejectsNonFiniteCoordinates(t *testing.T) {
+	b := rdf.NewBuilder()
+	b.SetLocation(b.AddBareVertex("ex:a"), geo.Point{X: 1, Y: 2})
+	bad := b.AddBareVertex("ex:b")
+	b.SetLocation(bad, geo.Point{X: 3, Y: 4})
+	s := &Snapshot{Graph: b.Build()}
 	for _, loc := range []geo.Point{{X: math.NaN(), Y: 1}, {X: 1, Y: math.Inf(1)}, {X: math.Inf(-1), Y: math.NaN()}} {
-		b := rdf.NewBuilder()
-		b.SetLocation(b.AddBareVertex("ex:a"), geo.Point{X: 1, Y: 2})
-		b.SetLocation(b.AddBareVertex("ex:b"), loc)
-		s := &Snapshot{Graph: b.Build()}
 		for version := uint32(1); version <= snapVersion; version++ {
-			for mode, open := range openAll(t, encode(t, s, version)) {
+			var raw []byte
+			if version >= 4 {
+				l := layoutOf(t, encode(t, s, version))
+				putF64(l, "coords", 2, loc.X)
+				putF64(l, "coords", 3, loc.Y)
+				raw = l.resummed()
+			} else {
+				legacyLoc = func(g *rdf.Graph, p uint32) geo.Point {
+					if p == bad {
+						return loc
+					}
+					return g.Loc(p)
+				}
+				raw = encode(t, s, version)
+				legacyLoc = (*rdf.Graph).Loc
+			}
+			for mode, open := range openAll(t, raw) {
 				if _, err := open(); !errors.Is(err, ErrCorrupt) {
 					t.Errorf("%v, format version %d, %s: got %v, want ErrCorrupt", loc, version, mode, err)
 				}
+			}
+		}
+	}
+}
+
+// indexDamage returns format version 5 snapshots, by the open-time rule
+// of the R-tree or reachability image each breaks, with the text the
+// refusal must carry (empty when any refusal will do). The arrays were
+// damaged after they were written and the trailers recomputed, so that
+// nothing but the checks at open can see the damage; where a rule is
+// broken alone only if the rectangles follow, they are recomputed too.
+// The fixture's tree has fanout 4 over some hundred places, so it is four
+// levels deep.
+func indexDamage(t testing.TB) map[string]indexCase {
+	t.Helper()
+	g := gen.Generate(gen.YagoConfig(300, 5))
+	items := make([]rtree.Item, len(g.Places()))
+	for i, p := range g.Places() {
+		items[i] = rtree.Item{ID: p, Loc: g.Loc(p)}
+	}
+	tree := rtree.Bulk(items, 4)
+	ix := alpha.Build(g, tree, 2, rdf.Outgoing)
+	s := &Snapshot{Graph: g, Tree: tree, Reach: reach.NewKeywordIndex(g, rdf.Outgoing), AlphaRadius: 2, Dir: rdf.Outgoing,
+		AlphaPlace: ix.PlaceIdx, AlphaNode: ix.NodeIdx}
+	raw := encode(t, s, snapVersion)
+	base := layoutOf(t, raw)
+	ta, ra := tree.Arrays(), s.Reach.Arrays()
+	nodes, leaves, comps := len(ta.Rects), ta.Leaves, uint32(len(ra.LinOff)-1)
+	if tree.Height() < 4 {
+		t.Fatalf("the fixture's tree is %d levels deep", tree.Height())
+	}
+	// Fixture positions: the first and the last parent of leaves, the
+	// entry of the first in the children, an item strictly inside its
+	// leaf's rectangle, a vertex that is no place, a component with two
+	// in-label ranks after the first ranks, and two used terms.
+	kids := func(n int) int { return int(ta.Off[n] - ta.Off[leaves]) }
+	firstParent, lastParent := leaves, leaves
+	for int(ta.Children[kids(lastParent+1)]) < leaves {
+		lastParent++
+	}
+	inner := -1
+	for i, p := range ta.Locs {
+		r := ta.Rects[sort.Search(leaves, func(n int) bool { return int(ta.Off[n+1]) > i })]
+		if p.X > r.MinX && p.X < r.MaxX {
+			inner = i
+			break
+		}
+	}
+	var notPlace uint32
+	for !g.IsPlace(notPlace) {
+		notPlace++
+	}
+	for g.IsPlace(notPlace) {
+		notPlace++
+	}
+	twoIn := 0
+	for twoIn < int(comps) && (ra.LinOff[twoIn] == 0 || ra.LinOff[twoIn+1]-ra.LinOff[twoIn] < 2) {
+		twoIn++
+	}
+	usedTerm := slices.IndexFunc(ra.TermVert, func(v uint32) bool { return v != rdf.NoVertex })
+	if lastParent == firstParent || inner < 0 || twoIn == int(comps) || usedTerm < 0 {
+		t.Fatal("the fixture lacks a shape the damage needs")
+	}
+	otherTerm := usedTerm + 1 + slices.IndexFunc(ra.TermVert[usedTerm+1:], func(v uint32) bool { return v != rdf.NoVertex })
+
+	// fixRects makes every rectangle the MBR of its node's entries again,
+	// children first, as their IDs are.
+	fixRects := func(l *imageLayout) {
+		off, children := l.u32s("treeOff"), l.u32s("children")
+		for n := 0; n < nodes; n++ {
+			r := geo.EmptyRect()
+			for i := off[n]; i < off[n+1]; i++ {
+				if n < leaves {
+					r = r.ExpandPoint(geo.Point{X: l.f64("itemLocs", 2*int(i)), Y: l.f64("itemLocs", 2*int(i)+1)})
+				} else {
+					c := int(children[int(i)-len(ta.IDs)])
+					r = r.Union(geo.Rect{MinX: l.f64("rects", 4*c), MinY: l.f64("rects", 4*c+1), MaxX: l.f64("rects", 4*c+2), MaxY: l.f64("rects", 4*c+3)})
+				}
+			}
+			for k, f := range []float64{r.MinX, r.MinY, r.MaxX, r.MaxY} {
+				putF64(l, "rects", 4*n+k, f)
+			}
+		}
+	}
+	damage := map[string]struct {
+		hurt func(l *imageLayout)
+		want string
+	}{
+		"a node count beyond the arrays": {func(l *imageLayout) { l.put("header", hNodes, uint32(nodes+1)) }, ""},
+		"a leaf count beyond the leaves": {func(l *imageLayout) { l.put("header", hLeaves, uint32(leaves+1)) }, "offsets end"},
+		"a root that is not the last node": {func(l *imageLayout) {
+			l.put("children", kids(firstParent), uint32(nodes-1))
+		}, "does not precede it"},
+		"a node that is the child of two nodes": {func(l *imageLayout) {
+			l.put("children", kids(firstParent), ta.Children[kids(lastParent)])
+		}, "has another parent"},
+		"leaves at two depths": {func(l *imageLayout) {
+			// The last parent of leaves trades its first leaf for the first
+			// parent of leaves, so that leaf hangs a level too high.
+			at := slices.Index(ta.Children, uint32(firstParent))
+			l.put("children", at, ta.Children[kids(lastParent)])
+			l.put("children", kids(lastParent), uint32(firstParent))
+			fixRects(l)
+		}, "leaves at depths"},
+		"a node with no entries": {func(l *imageLayout) {
+			l.put("treeOff", firstParent+1, ta.Off[firstParent])
+			fixRects(l)
+		}, "has 0 entries"},
+		"a node beyond the capacity": {func(l *imageLayout) {
+			for n := 1; n <= rtree.DefaultMaxEntries/4+1; n++ {
+				l.put("treeOff", n, 0)
+			}
+			fixRects(l)
+		}, "entries, the capacity"},
+		"a rectangle that is not its entries' MBR": {func(l *imageLayout) {
+			putF64(l, "rects", 2, math.Nextafter(l.f64("rects", 2), math.Inf(1)))
+		}, "has rectangle"},
+		"an item that is no place": {func(l *imageLayout) { l.put("itemIDs", 0, notPlace) }, "not a place it holds once"},
+		"a place listed twice": {func(l *imageLayout) {
+			l.put("itemIDs", 1, ta.IDs[0])
+			putF64(l, "itemLocs", 2, ta.Locs[0].X)
+			putF64(l, "itemLocs", 3, ta.Locs[0].Y)
+			fixRects(l)
+		}, "not a place it holds once"},
+		"an item an ulp off its place": {func(l *imageLayout) {
+			putF64(l, "itemLocs", 2*inner, math.Nextafter(ta.Locs[inner].X, math.Inf(1)))
+		}, "the graph at"},
+		"a reachability count beyond the arrays": {func(l *imageLayout) {
+			l.put("header", hReachIn, l.u32s("header")[hReachIn]+1)
+		}, ""},
+		"reachability counts without the labels": {func(l *imageLayout) {
+			l.put("header", hFlags, l.u32s("header")[hFlags]&^flagReach)
+		}, ""},
+		"a component beyond the count": {func(l *imageLayout) { l.put("comp", 0, comps) }, "in component"},
+		"label offsets that descend": {func(l *imageLayout) {
+			l.put("linOff", twoIn+1, ra.LinOff[twoIn]-1)
+		}, "descend"},
+		"label offsets past their ranks": {func(l *imageLayout) {
+			l.put("loutOff", int(comps), ra.LoutOff[comps]-1)
+		}, "label offsets run"},
+		"a label out of order": {func(l *imageLayout) {
+			at := int(ra.LinOff[twoIn])
+			l.put("lin", at, ra.Lin[at+1])
+			l.put("lin", at+1, ra.Lin[at])
+		}, "strictly ascending"},
+		"a label rank beyond the components": {func(l *imageLayout) {
+			l.put("lin", int(ra.LinOff[twoIn+1])-1, comps)
+		}, "strictly ascending"},
+		"a term at a vertex of the graph": {func(l *imageLayout) { l.put("termVert", usedTerm, 0) }, "not an unused augmented vertex"},
+		"two terms at one vertex": {func(l *imageLayout) {
+			l.put("termVert", otherTerm, ra.TermVert[usedTerm])
+		}, "not an unused augmented vertex"},
+		"a term beyond the augmented vertices": {func(l *imageLayout) {
+			l.put("termVert", usedTerm, uint32(len(ra.Comp)))
+		}, "not an unused augmented vertex"},
+		"an augmented vertex no term has": {func(l *imageLayout) { l.put("termVert", usedTerm, rdf.NoVertex) }, "terms use one"},
+	}
+	out := make(map[string]indexCase, len(damage)+1)
+	for name, d := range damage {
+		l := &imageLayout{raw: slices.Clone(raw), arrays: base.arrays, sections: base.sections}
+		d.hurt(l)
+		if bytes.Equal(l.raw, raw) {
+			t.Fatalf("%s: the damage changed nothing", name)
+		}
+		out[name] = indexCase{l.resummed(), d.want}
+	}
+	// A node file built over another tree of the same places: written
+	// whole, so every trailer matches without a recompute.
+	other := alpha.Build(g, rtree.Bulk(slices.Clone(items), 8), 2, rdf.Outgoing)
+	mixed := *s
+	mixed.AlphaNode = other.NodeIdx
+	out["an α node file over another tree"] = indexCase{encode(t, &mixed, snapVersion), "α node index ranges over"}
+	return out
+}
+
+type indexCase struct {
+	raw  []byte
+	want string
+}
+
+// Every open-time rule of the R-tree and reachability images holds in
+// every mode: each damaged image is refused with ErrCorrupt, for the
+// rule it breaks, by Read and by OpenDisk with and without a mapping,
+// though every trailer matches.
+func TestReadRejectsDamagedIndexImage(t *testing.T) {
+	for name, c := range indexDamage(t) {
+		for mode, open := range openAll(t, c.raw) {
+			_, err := open()
+			if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s, %s: got %v, want ErrCorrupt naming %q", name, mode, err, c.want)
 			}
 		}
 	}

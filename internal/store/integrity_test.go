@@ -17,6 +17,7 @@ import (
 	"ksp/internal/invindex"
 	"ksp/internal/paperdata"
 	"ksp/internal/rdf"
+	"ksp/internal/reach"
 )
 
 // fixtureSnapshot is a small but fully featured snapshot (graph + α
@@ -327,8 +328,11 @@ func (o outOfOrder) Postings(term uint32, dst []invindex.Posting) ([]invindex.Po
 // mapped. OpenDisk refuses everything Read refuses; an input it accepts,
 // Read accepts too, with the same answer from every graph accessor and
 // the same α bounds, bit for bit, at every place and node for two
-// keyword sets. The seeds are format version 4 (with and without α,
-// whole and cut, damaged graph arrays, edge shapes), 3, 2 and 1.
+// keyword sets, and the same R-tree and reachability answers. The seeds
+// are format version 5 (with and without α, whole and cut, damaged graph
+// arrays, edge shapes), 4, 3, 2 and 1, then version 5 with reachability
+// labels (no places, a single leaf, a deeper tree, damaged R-tree and
+// label arrays).
 func FuzzRead(f *testing.F) {
 	small := paperdata.Figure1()
 	var buf bytes.Buffer
@@ -357,9 +361,19 @@ func FuzzRead(f *testing.F) {
 	for _, name := range []string{"one vertex", "no places"} {
 		f.Add(encode(f, &Snapshot{Graph: shapeGraphs()[name]}, snapVersion))
 	}
-	damaged := v4GraphDamage(f)
+	damaged := graphDamage(f)
 	for _, name := range []string{"an in-list that is not the transpose", "a document out of order", "nonzero padding between arrays"} {
 		f.Add(damaged[name])
+	}
+	// Seeds from here on are new with format version 5.
+	for _, name := range []string{"no places", "one vertex", "Figure 1"} {
+		g := shapeGraphs()[name]
+		f.Add(encode(f, &Snapshot{Graph: g, Reach: reach.NewKeywordIndex(g, rdf.Outgoing)}, snapVersion))
+	}
+	f.Add(encode(f, withAlpha, 4))
+	indexDamaged := indexDamage(f)
+	for _, name := range []string{"an α node file over another tree", "leaves at two depths", "a place listed twice", "a label out of order", "two terms at one vertex"} {
+		f.Add(indexDamaged[name].raw)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<22 {
@@ -397,6 +411,10 @@ func FuzzRead(f *testing.F) {
 func sameSnapshot(t *testing.T, label string, disk, snap *Snapshot) {
 	t.Helper()
 	sameGraph(t, label, disk.Graph, snap.Graph, false)
+	if (disk.Reach == nil) != (snap.Reach == nil) {
+		t.Fatalf("%s: reachability labels %v, Read: %v", label, disk.Reach != nil, snap.Reach != nil)
+	}
+	sameIndexes(t, label, disk, snap)
 	if disk.AlphaRadius != snap.AlphaRadius || (disk.AlphaIndex() == nil) != (snap.AlphaIndex() == nil) {
 		t.Fatalf("%s: α = %d, Read: %d", label, disk.AlphaRadius, snap.AlphaRadius)
 	}

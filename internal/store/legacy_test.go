@@ -9,17 +9,21 @@ import (
 
 	"ksp/internal/alpha"
 	"ksp/internal/invindex"
+	"ksp/internal/rdf"
 )
 
-// writeVersion writes s in the given format version. Version 4 is Write.
-// Versions 1 to 3 are the reference for the snapshots written before the
-// graph sections were stored as their images: streams of words, each α
-// file an invindex encoding (versions 1 and 2, writeEncoded) or its image
-// (version 3).
+// writeVersion writes s in the given format version. Version 5 is Write.
+// Version 4 is the reference for the images written before the R-tree and
+// the reachability labels were stored (writeV4). Versions 1 to 3 are the
+// reference for the snapshots written before the graph sections were
+// stored as their images: streams of words, each α file an invindex
+// encoding (versions 1 and 2, writeEncoded) or its image (version 3).
 func writeVersion(w io.Writer, s *Snapshot, version uint32) error {
 	switch version {
 	case snapVersion:
 		return Write(w, s)
+	case 4:
+		return writeV4(w, s)
 	case 3:
 		return writeLegacy(w, s, 3, func(w io.Writer, f *alpha.File) error {
 			_, err := w.Write(f.Image())
@@ -27,6 +31,57 @@ func writeVersion(w io.Writer, s *Snapshot, version uint32) error {
 		})
 	}
 	return writeEncoded(w, s, version, s.AlphaPlace, s.AlphaNode)
+}
+
+// legacyLoc is where writeLegacy says place p is.
+var legacyLoc = (*rdf.Graph).Loc
+
+// writeV4 writes s in format version 4: Write's header up to the R-tree's
+// counts, and its sections up to the α files, with neither the R-tree nor
+// the reachability labels.
+func writeV4(w io.Writer, s *Snapshot) error {
+	g, a := s.Graph, s.Graph.Arrays()
+	head := make([]uint32, hNodes)
+	head[0], head[1] = snapMagic, 4
+	head[hVertices] = uint32(g.NumVertices())
+	if g.Analyzer().RemoveStopwords {
+		head[hFlags] |= flagStopwords
+	}
+	if g.Analyzer().Stemming {
+		head[hFlags] |= flagStemming
+	}
+	head[hTerms], head[hTermBytes] = uint32(a.Terms.Len()), uint32(len(a.Terms.Blob))
+	head[hURIBytes] = uint32(len(a.URIs.Blob))
+	head[hPreds], head[hPredBytes] = uint32(a.Preds.Len()), uint32(len(a.Preds.Blob))
+	head[hEdges], head[hDocTerms] = uint32(len(a.OutEdges)), uint32(len(a.DocTerms))
+	head[hPlaces] = uint32(len(a.Places))
+	head[hAlphaRadius], head[hDir] = uint32(s.AlphaRadius), uint32(s.Dir)
+	bw := bufio.NewWriter(w)
+	iw := &imageWriter{w: bw}
+	iw.u32s(head)
+	iw.end()
+	iw.table(a.Terms)
+	iw.end()
+	iw.table(a.URIs)
+	iw.end()
+	iw.array(a.Preds.Blob)
+	iw.u32s(a.Preds.Off, a.OutOff, a.OutEdges, a.OutPreds, a.InOff, a.InEdges)
+	iw.end()
+	iw.u32s(a.DocOff, a.DocTerms)
+	iw.end()
+	iw.u32s(a.Places, a.PlaceOrd)
+	writeArray(iw, a.Coords)
+	iw.end()
+	if s.AlphaRadius > 0 {
+		iw.array(s.AlphaPlace.Image())
+		iw.end()
+		iw.array(s.AlphaNode.Image())
+		iw.end()
+	}
+	if iw.err != nil {
+		return iw.err
+	}
+	return bw.Flush()
 }
 
 // writeEncoded writes s in format version 1 or 2 with place and node, in
@@ -115,7 +170,7 @@ func writeLegacy(w io.Writer, s *Snapshot, version uint32, writeAlpha func(io.Wr
 	h.u32(uint32(len(places)))
 	for _, p := range places {
 		h.u32(p)
-		loc := g.Loc(p)
+		loc := legacyLoc(g, p)
 		h.f64(loc.X)
 		h.f64(loc.Y)
 	}

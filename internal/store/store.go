@@ -5,30 +5,34 @@
 // construction dominates preprocessing by orders of magnitude (≈20 hours
 // for DBpedia at full scale), so a production deployment must build once
 // and reload. The snapshot holds the graph (vocabulary, URIs, adjacency,
-// documents, places) and the two α-radius inverted files; the R-tree, the
-// document inverted index and the reachability labels are still rebuilt
-// on load.
+// documents, places), the R-tree over the places, the two α-radius
+// inverted files and, when the dataset has them, the keyword reachability
+// labels; only the document inverted index is rebuilt on load.
 //
-// Format version 4 stores every section as the image its reader indexes:
+// Format version 5 stores every section as the image its reader indexes:
 // each graph section is the aligned little-endian arrays an rdf.Graph
-// reads (rdf.Arrays), and each α section the image of an alpha.File. The
-// bytes Read holds on the heap and OpenDisk maps are the bytes the
-// accessors read, with no decode: a loaded Graph is a set of views
-// (package view) of them. Every section ends in a CRC32 (IEEE) trailer,
-// verified at open in one pass over the file, after which the image is
-// checked to be exactly what rdf.Builder.Build and the α build produce
-// (rdf.FromArrays, alpha.OpenPlaces/OpenNodes). Any failure is
-// ErrCorrupt.
+// reads (rdf.Arrays), the R-tree the arrays of an rtree.RTree, the labels
+// those of a reach.KeywordIndex, and each α section the image of an
+// alpha.File. The bytes Read holds on the heap and OpenDisk maps are the
+// bytes the accessors read, with no decode: a loaded Graph, R-tree and
+// index are sets of views (package view) of them. Every section ends in
+// a CRC32 (IEEE) trailer, verified at open in one pass over the file,
+// after which the image is checked to be what the builds produce
+// (rdf.FromArrays, rtree.FromArrays, reach.FromArrays,
+// alpha.OpenPlaces/OpenNodes), the R-tree to hold every place once at its
+// location bit for bit, and the α node file to range over exactly the
+// R-tree's nodes, which is what keys it by them. Any failure is
+// ErrCorrupt. Two facts cannot be checked without building again, and
+// rest on the trailers alone: the α distances, and which landmarks each
+// reachability label holds.
 //
-// Versions 1 to 3 — streams of words decoded through an rdf.Builder;
-// version 1 without trailers, versions 1 and 2 with the α files as
-// invindex encodings — still load, onto the heap, through readLegacy.
-// Loading one and saving it again upgrades it to version 4.
-//
-// The α-radius node postings are keyed by R-tree node IDs, which is safe
-// because the R-tree is rebuilt with deterministic STR bulk loading from
-// the same places with the same fanout, yielding identical node IDs
-// (verified by TestSnapshotAlphaNodeIDsStable).
+// Version 4 — the same images without the R-tree and the labels — still
+// loads; its R-tree is built at open and its labels, when asked for, by
+// the caller. Versions 1 to 3 — streams of words decoded through an
+// rdf.Builder; version 1 without trailers, versions 1 and 2 with the α
+// files as invindex encodings — still load, onto the heap, through
+// readLegacy, and their R-tree is built too. Loading an older snapshot and
+// saving it again upgrades it to version 5.
 package store
 
 import (
@@ -39,22 +43,26 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 
 	"ksp/internal/alpha"
 	"ksp/internal/geo"
 	"ksp/internal/mmapfile"
 	"ksp/internal/rdf"
+	"ksp/internal/reach"
+	"ksp/internal/rtree"
 	"ksp/internal/text"
 	"ksp/internal/view"
 )
 
 const (
 	snapMagic = 0x6B535053 // "kSPS"
-	// snapVersion 4 stores every section as its image; version 3 stored
-	// the α files as images, version 2 added per-section CRC32 trailers.
-	// Files of versions 1 to 3 remain loadable.
-	snapVersion = 4
+	// snapVersion 5 adds the R-tree and the reachability labels as
+	// images; version 4 stored every other section as its image, version
+	// 3 the α files, version 2 added per-section CRC32 trailers. Files of
+	// versions 1 to 4 remain loadable.
+	snapVersion = 5
 )
 
 // ErrCorrupt marks a snapshot that failed integrity checking: a section
@@ -63,10 +71,16 @@ const (
 // retrying the load.
 var ErrCorrupt = errors.New("store: corrupt snapshot")
 
-// Snapshot is the persisted state: the graph plus the expensive α-radius
-// index (nil when the source engine had none).
+// Snapshot is the persisted state: the graph, the R-tree over its places,
+// and the α-radius index and the keyword reachability index when the
+// source engine had them.
 type Snapshot struct {
 	Graph *rdf.Graph
+	// Tree is the R-tree over the Graph's places, the one the α node file
+	// is keyed by. Write bulk-loads it when nil; a loaded snapshot always
+	// has one, built at open for a file older than version 5.
+	Tree *rtree.RTree
+	// Reach is the keyword reachability index, nil when none was saved.
 	// AlphaRadius and Dir describe the persisted α index; AlphaPlace /
 	// AlphaNode are its two inverted files. AlphaRadius == 0 means no α
 	// index was persisted.
@@ -74,10 +88,12 @@ type Snapshot struct {
 	Dir         rdf.Direction
 	AlphaPlace  *alpha.File
 	AlphaNode   *alpha.File
+	Reach       *reach.KeywordIndex
 
-	// src is the mapping the Graph and the α files are views of, for a
-	// version 4 snapshot opened mapped (OpenDisk); nil when they are on
-	// the heap. Owned by the Snapshot; release with Close.
+	// src is the mapping the Graph, the R-tree, the reachability index and
+	// the α files are views of, for a snapshot of version 4 or later
+	// opened mapped (OpenDisk); nil when they are on the heap. Owned by
+	// the Snapshot; release with Close.
 	src *mmapfile.File
 }
 
@@ -97,10 +113,26 @@ const (
 	hPlaces
 	hAlphaRadius
 	hDir
+	// Version 5 adds the R-tree's node and leaf counts and the lengths of
+	// the reachability arrays; a version 4 header ends before them.
+	hNodes
+	hLeaves
+	hReachVerts
+	hReachComps
+	hReachIn
+	hReachOut
 	headerWords
 )
 
-// Write serializes the snapshot in format version 4. Each section is a
+// The flags word holds the analyzer's switches and whether the snapshot
+// holds reachability labels.
+const (
+	flagStopwords = 1 << iota
+	flagStemming
+	flagReach
+)
+
+// Write serializes the snapshot in format version 5. Each section is a
 // run of arrays, each starting 8-byte aligned after zero padding, then
 // zero padding to four bytes short of alignment and the section's CRC32
 // trailer, so that the next section starts aligned:
@@ -112,32 +144,50 @@ const (
 //	            outPreds, inOff, inEdges
 //	documents   docOff, docTerms
 //	places      place IDs, per-vertex place ordinals, coordinates
+//	R-tree      node rectangles, entry offsets, children, item IDs,
+//	            item coordinates
 //	α place     the place file's image (when AlphaRadius > 0)
 //	α node      the node file's image (when AlphaRadius > 0)
+//	reach       components, in-label offsets and ranks, out-label
+//	            offsets and ranks, term vertices (when Reach is set)
 //
-// The arrays are those of rdf.Arrays, in the host's byte order, which
-// must be little-endian.
+// The arrays are those of rdf.Arrays, rtree.Arrays and reach.Arrays, in
+// the host's byte order, which must be little-endian.
 func Write(w io.Writer, s *Snapshot) error {
 	if s.src != nil {
 		return errors.New("store: cannot serialize a mapped snapshot; load it with Read first")
 	}
 	g, a := s.Graph, s.Graph.Arrays()
+	tree := s.Tree
+	if tree == nil {
+		tree = rtree.OfPlaces(g.Places(), g.Loc)
+	}
+	ta := tree.Arrays()
 	var flags uint32
 	if g.Analyzer().RemoveStopwords {
-		flags |= 1
+		flags |= flagStopwords
 	}
 	if g.Analyzer().Stemming {
-		flags |= 2
+		flags |= flagStemming
 	}
 	head := make([]uint32, headerWords)
 	head[0], head[1] = snapMagic, snapVersion
-	head[hVertices], head[hFlags] = uint32(g.NumVertices()), flags
+	head[hVertices] = uint32(g.NumVertices())
 	head[hTerms], head[hTermBytes] = uint32(a.Terms.Len()), uint32(len(a.Terms.Blob))
 	head[hURIBytes] = uint32(len(a.URIs.Blob))
 	head[hPreds], head[hPredBytes] = uint32(a.Preds.Len()), uint32(len(a.Preds.Blob))
 	head[hEdges], head[hDocTerms] = uint32(len(a.OutEdges)), uint32(len(a.DocTerms))
 	head[hPlaces] = uint32(len(a.Places))
 	head[hAlphaRadius], head[hDir] = uint32(s.AlphaRadius), uint32(s.Dir)
+	head[hNodes], head[hLeaves] = uint32(len(ta.Rects)), uint32(ta.Leaves)
+	var ra reach.Arrays
+	if s.Reach != nil {
+		flags |= flagReach
+		ra = s.Reach.Arrays()
+		head[hReachVerts], head[hReachComps] = uint32(len(ra.Comp)), uint32(len(ra.LinOff)-1)
+		head[hReachIn], head[hReachOut] = uint32(len(ra.Lin)), uint32(len(ra.Lout))
+	}
+	head[hFlags] = flags
 
 	bw := bufio.NewWriterSize(w, 1<<20)
 	iw := &imageWriter{w: bw}
@@ -153,14 +203,20 @@ func Write(w io.Writer, s *Snapshot) error {
 	iw.u32s(a.DocOff, a.DocTerms)
 	iw.end()
 	iw.u32s(a.Places, a.PlaceOrd)
-	coords, err := view.Bytes(a.Coords)
-	iw.fail(err)
-	iw.array(coords)
+	writeArray(iw, a.Coords)
+	iw.end()
+	writeArray(iw, ta.Rects)
+	iw.u32s(ta.Off, ta.Children, ta.IDs)
+	writeArray(iw, ta.Locs)
 	iw.end()
 	if s.AlphaRadius > 0 {
 		iw.array(s.AlphaPlace.Image())
 		iw.end()
 		iw.array(s.AlphaNode.Image())
+		iw.end()
+	}
+	if s.Reach != nil {
+		iw.u32s(ra.Comp, ra.LinOff, ra.Lin, ra.LoutOff, ra.Lout, ra.TermVert)
 		iw.end()
 	}
 	if iw.err != nil {
@@ -207,10 +263,16 @@ func (iw *imageWriter) array(b []byte) {
 
 func (iw *imageWriter) u32s(arrays ...[]uint32) {
 	for _, a := range arrays {
-		b, err := view.Bytes(a)
-		iw.fail(err)
-		iw.array(b)
+		writeArray(iw, a)
 	}
+}
+
+// writeArray writes the image of a and the padding that aligns what
+// follows.
+func writeArray[T view.Elem](iw *imageWriter, a []T) {
+	b, err := view.Bytes(a)
+	iw.fail(err)
+	iw.array(b)
 }
 
 func (iw *imageWriter) table(t text.Table) {
@@ -251,8 +313,8 @@ func Read(r io.Reader) (*Snapshot, error) {
 }
 
 // decode restores the snapshot whose whole file is data, which must
-// start 8-byte aligned, and reports whether the result views data (a
-// version 4 image) rather than holding a decoded copy.
+// start 8-byte aligned, and reports whether the result views data (an
+// image of version 4 or 5) rather than holding a decoded copy.
 func decode(data []byte) (s *Snapshot, views bool, err error) {
 	if len(data) < 8 {
 		return nil, false, fmt.Errorf("%w: truncated in header", ErrCorrupt)
@@ -261,23 +323,30 @@ func decode(data []byte) (s *Snapshot, views bool, err error) {
 		return nil, false, errors.New("store: bad magic")
 	}
 	switch version := binary.LittleEndian.Uint32(data[4:]); {
-	case version == snapVersion:
-		s, err = readImage(data)
+	case version == 4 || version == snapVersion:
+		s, err = readImage(data, version)
 		return s, true, err
-	case version >= 1 && version < snapVersion:
-		s, err = readLegacy(bytes.NewReader(data))
+	case version >= 1 && version < 4:
+		if s, err = readLegacy(bytes.NewReader(data)); err == nil {
+			s.Tree = rtree.OfPlaces(s.Graph.Places(), s.Graph.Loc)
+		}
 		return s, false, err
 	default:
 		return nil, false, fmt.Errorf("store: unsupported version %d", version)
 	}
 }
 
-// readImage views a version 4 image: it verifies every trailer in one
-// pass, then checks the graph and α arrays are what a build makes.
-func readImage(data []byte) (*Snapshot, error) {
+// readImage views an image of version 4 or 5: it verifies every trailer
+// in one pass, then checks each array is what a build makes. A version 4
+// image holds no R-tree, which is built, and no reachability labels.
+func readImage(data []byte, version uint32) (*Snapshot, error) {
 	r := &imageReader{data: data}
 	r.begin("header")
-	head := r.u32s(headerWords)
+	words := int64(hNodes)
+	if version == snapVersion {
+		words = headerWords
+	}
+	head := r.u32s(words)
 	if err := r.end(); err != nil {
 		return nil, err
 	}
@@ -320,6 +389,25 @@ func readImage(data []byte) (*Snapshot, error) {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	s.Graph = g
+	if version == snapVersion {
+		r.begin("R-tree")
+		nodes := count(hNodes)
+		ta := rtree.Arrays{Leaves: int(head[hLeaves])}
+		ta.Rects = array[geo.Rect](r, 32*nodes)
+		ta.Off, ta.Children, ta.IDs = r.u32s(nodes+1), r.u32s(max(nodes-1, 0)), r.u32s(places)
+		ta.Locs = array[geo.Point](r, 16*places)
+		if err := r.end(); err != nil {
+			return nil, err
+		}
+		if s.Tree, err = rtree.FromArrays(ta, rtree.DefaultMaxEntries); err == nil {
+			err = checkTreeItems(ta, a)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		}
+	} else {
+		s.Tree = rtree.OfPlaces(g.Places(), g.Loc)
+	}
 	if s.AlphaRadius > 0 {
 		r.begin("α place index")
 		img := r.image(func(head []byte) (int, error) { return alpha.PlaceImageLen(head, g.Places()) })
@@ -337,11 +425,61 @@ func readImage(data []byte) (*Snapshot, error) {
 		if s.AlphaNode, err = alpha.OpenNodes(img, s.AlphaRadius); err != nil {
 			return nil, fmt.Errorf("%w: α node index: %v", ErrCorrupt, err)
 		}
+		if u := s.AlphaNode.Universe(); u != s.Tree.NumNodes() {
+			return nil, fmt.Errorf("%w: the α node index ranges over %d nodes, the R-tree has %d", ErrCorrupt, u, s.Tree.NumNodes())
+		}
+	}
+	if version == snapVersion {
+		if head[hFlags]&flagReach != 0 {
+			if s.Reach, err = readReach(r, count, g); err != nil {
+				return nil, err
+			}
+		} else if head[hReachVerts]|head[hReachComps]|head[hReachIn]|head[hReachOut] != 0 {
+			return nil, fmt.Errorf("%w: reachability counts without reachability labels", ErrCorrupt)
+		}
 	}
 	if r.off != len(data) {
 		return nil, fmt.Errorf("%w: %d bytes after the last section", ErrCorrupt, len(data)-r.off)
 	}
 	return s, nil
+}
+
+// checkTreeItems verifies that the R-tree holds every place of the graph
+// a exactly once, at its location bit for bit.
+func checkTreeItems(t rtree.Arrays, a rdf.Arrays) error {
+	if len(t.IDs) != len(a.Places) {
+		return fmt.Errorf("the R-tree holds %d items, the graph has %d places", len(t.IDs), len(a.Places))
+	}
+	seen := make([]bool, len(a.Places))
+	for i, id := range t.IDs {
+		if int(id) >= len(a.PlaceOrd) || int(a.PlaceOrd[id]) >= len(seen) || seen[a.PlaceOrd[id]] {
+			return fmt.Errorf("R-tree item %d is vertex %d, not a place it holds once", i, id)
+		}
+		o := a.PlaceOrd[id]
+		seen[o] = true
+		p, q := t.Locs[i], a.Coords[o]
+		if math.Float64bits(p.X) != math.Float64bits(q.X) || math.Float64bits(p.Y) != math.Float64bits(q.Y) {
+			return fmt.Errorf("R-tree item %d puts place %d at %v, the graph at %v", i, id, p, q)
+		}
+	}
+	return nil
+}
+
+// readReach views the reachability section of g's image.
+func readReach(r *imageReader, count func(int) int64, g *rdf.Graph) (*reach.KeywordIndex, error) {
+	r.begin("reach")
+	comps := count(hReachComps)
+	var ra reach.Arrays
+	ra.Comp, ra.LinOff, ra.Lin = r.u32s(count(hReachVerts)), r.u32s(comps+1), r.u32s(count(hReachIn))
+	ra.LoutOff, ra.Lout, ra.TermVert = r.u32s(comps+1), r.u32s(count(hReachOut)), r.u32s(count(hTerms))
+	if err := r.end(); err != nil {
+		return nil, err
+	}
+	k, err := reach.FromArrays(ra, g.NumVertices())
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	return k, nil
 }
 
 // imageReader walks the sections of a version 4 image; the first error

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"ksp/internal/alpha"
 	"ksp/internal/core"
 	"ksp/internal/gen"
 	"ksp/internal/paperdata"
@@ -110,41 +111,44 @@ func TestSnapshotWithAlpha(t *testing.T) {
 	}
 }
 
-// The α node postings reference R-tree node IDs; a rebuilt engine must
-// assign the same IDs (deterministic STR bulk loading over the same
-// places). This is the invariant LoadSnapshot relies on.
-func TestSnapshotAlphaNodeIDsStable(t *testing.T) {
+// The α node postings are keyed by R-tree node IDs. A snapshot holds the
+// tree they were built over, and a load serves that tree; an α node file
+// over any other tree is refused, in every mode, because its universe is
+// not the tree's node count.
+func TestSnapshotAlphaNodesKeyedByItsTree(t *testing.T) {
 	g := gen.Generate(gen.YagoConfig(600, 9))
-	build := func() *rtree.RTree {
-		places := g.Places()
-		items := make([]rtree.Item, len(places))
-		for i, p := range places {
-			items[i] = rtree.Item{ID: p, Loc: g.Loc(p)}
+	e := core.NewEngine(g, rdf.Outgoing)
+	e.EnableAlpha(2)
+	s := &Snapshot{Graph: g, Tree: e.Tree, AlphaRadius: 2, Dir: rdf.Outgoing, AlphaPlace: e.Alpha.PlaceIdx, AlphaNode: e.Alpha.NodeIdx}
+	for mode, open := range openAll(t, encode(t, s, snapVersion)) {
+		got, err := open()
+		if err != nil {
+			t.Fatalf("%s: %v", mode, err)
 		}
-		return rtree.Bulk(items, rtree.DefaultMaxEntries)
+		if !reflect.DeepEqual(got.Tree.Arrays(), e.Tree.Arrays()) || got.AlphaNode.Universe() != e.Tree.NumNodes() {
+			t.Fatalf("%s: the loaded R-tree is not the saved one", mode)
+		}
 	}
-	t1, t2 := build(), build()
-	var walk func(a, b *rtree.Node) bool
-	walk = func(a, b *rtree.Node) bool {
-		if a.ID != b.ID || a.Leaf != b.Leaf || a.Rect != b.Rect ||
-			len(a.Children) != len(b.Children) || len(a.Items) != len(b.Items) {
-			return false
-		}
-		for i := range a.Items {
-			if a.Items[i] != b.Items[i] {
-				return false
+	finer := rtree.Bulk(treeItems(g), 8)
+	other := alpha.Build(g, finer, 2, rdf.Outgoing)
+	s.AlphaPlace, s.AlphaNode = other.PlaceIdx, other.NodeIdx
+	for _, version := range []uint32{4, snapVersion} {
+		for mode, open := range openAll(t, encode(t, s, version)) {
+			if _, err := open(); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("version %d, %s: an α node file over %d nodes with a tree of %d: got %v, want ErrCorrupt",
+					version, mode, finer.NumNodes(), e.Tree.NumNodes(), err)
 			}
 		}
-		for i := range a.Children {
-			if !walk(a.Children[i], b.Children[i]) {
-				return false
-			}
-		}
-		return true
 	}
-	if !walk(t1.Root(), t2.Root()) {
-		t.Fatal("STR bulk loading is not deterministic; snapshot node IDs would break")
+}
+
+// treeItems returns g's places as R-tree items.
+func treeItems(g *rdf.Graph) []rtree.Item {
+	items := make([]rtree.Item, len(g.Places()))
+	for i, p := range g.Places() {
+		items[i] = rtree.Item{ID: p, Loc: g.Loc(p)}
 	}
+	return items
 }
 
 // End-to-end: a query over an engine restored from a snapshot must match
@@ -159,6 +163,8 @@ func TestSnapshotQueryEquivalence(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "snap.bin")
 	err := SaveFile(path, &Snapshot{
 		Graph:       g,
+		Tree:        orig.Tree,
+		Reach:       orig.Reach,
 		AlphaRadius: 3,
 		Dir:         rdf.Outgoing,
 		AlphaPlace:  orig.Alpha.PlaceIdx,
@@ -171,8 +177,8 @@ func TestSnapshotQueryEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored := core.NewEngine(snap.Graph, snap.Dir)
-	restored.EnableReach()
+	restored := core.NewEngineOver(snap.Graph, snap.Tree, snap.Dir)
+	restored.Reach = snap.Reach
 	restored.SetAlpha(snap.AlphaIndex())
 
 	for trial := 0; trial < 6; trial++ {

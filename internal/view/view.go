@@ -20,7 +20,7 @@ import (
 // Elem is an element type whose image is its in-memory bytes on a
 // little-endian host: fixed size, no pointers, no padding.
 type Elem interface {
-	uint32 | geo.Point
+	uint32 | geo.Point | geo.Rect
 }
 
 // ErrBigEndian refuses a host whose byte order is not the images'.

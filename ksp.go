@@ -28,7 +28,7 @@ import (
 	"math"
 	"os"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"ksp/internal/alpha"
@@ -131,8 +131,8 @@ type PanicError = core.PanicError
 
 // ErrBadCoordinate rejects queries carrying NaN or infinite coordinates
 // (or a NaN distance cap) before they reach the spatial index, whose
-// comparisons silently misbehave on non-finite values. Detect with
-// errors.Is.
+// comparisons silently misbehave on non-finite values, and places given
+// such coordinates (Builder.Build). Detect with errors.Is.
 var ErrBadCoordinate = errors.New("ksp: coordinates must be finite")
 
 // Ranking is the aggregate scoring function f(looseness, distance).
@@ -195,8 +195,9 @@ type Config struct {
 	Ranking Ranking
 	// Mmap serves a snapshot opened with LoadSnapshotDisk from a
 	// read-only memory mapping: the graph's arrays (documents, adjacency,
-	// URIs, vocabulary, places) and the α-radius inverted files are read
-	// in place out of the page cache, with none of them on the heap.
+	// URIs, vocabulary, places), the R-tree, the reachability labels and
+	// the α-radius inverted files are read in place out of the page
+	// cache, with none of them on the heap.
 	// Without it the file is read onto the heap once at open, into one
 	// buffer the same arrays view. Platforms without mmap support
 	// silently fall back to reading the file. Results are identical in
@@ -360,15 +361,16 @@ func (d *Dataset) AlphaRadius() int {
 	return 0
 }
 
-// Save persists the dataset — the graph and, when present, the expensive
-// α-radius index — to a snapshot file. LoadSnapshot restores it without
-// re-running the α-neighbourhood construction, which dominates
-// preprocessing time (Table 5 of the paper).
+// Save persists the dataset — the graph, the R-tree, and, when present,
+// the expensive α-radius index and the reachability labels — to a
+// snapshot file. LoadSnapshot restores it without re-running the
+// α-neighbourhood construction, which dominates preprocessing time (Table
+// 5 of the paper), and without rebuilding the R-tree or the labels.
 func (d *Dataset) Save(path string) error {
-	snap := &store.Snapshot{Graph: d.g, Dir: d.cfg.Direction}
 	if d.snap != nil {
 		return fmt.Errorf("ksp: the dataset is served from a snapshot file; cannot snapshot it")
 	}
+	snap := &store.Snapshot{Graph: d.g, Tree: d.engine.Tree, Reach: d.engine.Reach, Dir: d.cfg.Direction}
 	if a := d.engine.Alpha; a != nil {
 		snap.AlphaRadius = a.Alpha
 		snap.AlphaPlace = a.PlaceIdx
@@ -377,10 +379,12 @@ func (d *Dataset) Save(path string) error {
 	return store.SaveFile(path, snap)
 }
 
-// LoadSnapshot restores a dataset saved with Save. The cheap indexes
-// (R-tree, document index, reachability when cfg.Reachability is set) are
-// rebuilt; the α-radius index comes from the snapshot, overriding
-// cfg.AlphaRadius. The traversal direction is taken from the snapshot.
+// LoadSnapshot restores a dataset saved with Save. The R-tree and the
+// α-radius index come from the snapshot, the latter overriding
+// cfg.AlphaRadius; so do the reachability labels when cfg.Reachability
+// is set and the snapshot holds them (they are built otherwise). Only the
+// document index is rebuilt. The traversal direction is taken from the
+// snapshot.
 func LoadSnapshot(path string, cfg Config) (*Dataset, error) {
 	snap, err := store.LoadFile(path)
 	if err != nil {
@@ -391,14 +395,15 @@ func LoadSnapshot(path string, cfg Config) (*Dataset, error) {
 
 // LoadSnapshotDisk restores a dataset saved with Save in disk-resident
 // mode when cfg.Mmap is set: the snapshot is mapped read-only, and the
-// graph — documents, adjacency, URIs, vocabulary, places — and the
-// α-radius inverted files are read in place from the mapping, which the
-// kernel pages in on demand. Without cfg.Mmap (or where files cannot be
-// mapped, or for a snapshot older than format version 4) the snapshot is
-// read onto the heap, as with LoadSnapshot. The cheap indexes are rebuilt
-// on the heap either way, and query results are identical to
-// LoadSnapshot's. A mapped dataset holds the mapping; call Close when
-// done.
+// graph — documents, adjacency, URIs, vocabulary, places — the R-tree,
+// the reachability labels and the α-radius inverted files are read in
+// place from the mapping, which the kernel pages in on demand. Without
+// cfg.Mmap (or where files cannot be mapped, or for a snapshot older than
+// format version 4) the snapshot is read onto the heap, as with
+// LoadSnapshot. Only the document index is rebuilt on the heap either
+// way (and, for a snapshot older than version 5, the R-tree and the
+// labels), and query results are identical to LoadSnapshot's. A mapped
+// dataset holds the mapping; call Close when done.
 func LoadSnapshotDisk(path string, cfg Config) (*Dataset, error) {
 	snap, err := store.OpenDisk(path, cfg.Mmap)
 	if err != nil {
@@ -415,19 +420,26 @@ func LoadSnapshotDisk(path string, cfg Config) (*Dataset, error) {
 }
 
 // datasetFromSnapshot assembles the engine around a restored snapshot:
-// cheap indexes are rebuilt, the α index comes from the snapshot when
-// present, and the traversal direction always follows the snapshot.
+// the R-tree comes from the snapshot; the reachability labels do when
+// cfg.Reachability asks for them and the snapshot has them, and are built
+// when it has none; the α index comes from the snapshot when present; and
+// the traversal direction always follows the snapshot. Only the document
+// index is built.
 func datasetFromSnapshot(snap *store.Snapshot, cfg Config) (*Dataset, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	cfg.Direction = snap.Dir
 	g := snap.Graph
-	e := core.NewEngine(g, cfg.Direction)
+	e := core.NewEngineOver(g, snap.Tree, cfg.Direction)
 	if cfg.Ranking != nil {
 		e.Rank = cfg.Ranking
 	}
-	if cfg.Reachability {
+	switch {
+	case !cfg.Reachability:
+	case snap.Reach != nil:
+		e.Reach = snap.Reach
+	default:
 		e.EnableReach()
 	}
 	if ix := snap.AlphaIndex(); ix != nil {
@@ -529,18 +541,9 @@ func (d *Dataset) PlacesWithin(a, b Point) []uint32 {
 	if !a.Finite() || !b.Finite() {
 		return nil
 	}
-	r := geo.RectFromPoint(a).ExpandPoint(b)
-	items := d.engine.Tree.Search(r, nil)
-	out := make([]uint32, len(items))
-	for i, it := range items {
-		out[i] = it.ID
-	}
-	sortUint32(out)
+	out := d.engine.Tree.Search(geo.RectFromPoint(a).ExpandPoint(b), nil)
+	slices.Sort(out)
 	return out
-}
-
-func sortUint32(s []uint32) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 }
 
 // VertexByURI resolves an entity URI to the vertex ID used in Results and
@@ -605,7 +608,8 @@ func (d *Dataset) Stats() DatasetStats {
 
 // Builder assembles a dataset programmatically, without N-Triples.
 type Builder struct {
-	b *rdf.Builder
+	b   *rdf.Builder
+	err error // the first place refused, reported by Build
 }
 
 // NewBuilder returns an empty dataset builder with plain tokenization.
@@ -639,14 +643,21 @@ func (b *Builder) AddLabel(subject, predicate, text string) {
 	b.b.AddTriple(rdf.Triple{S: rdf.NewIRI(subject), P: rdf.NewIRI(predicate), O: rdf.NewLiteral(text)})
 }
 
-// AddPlace declares an entity as a place at the given coordinates.
+// AddPlace declares an entity as a place at the given coordinates. Both
+// must be finite; Build reports the first place that is not.
 func (b *Builder) AddPlace(subject string, loc Point) {
 	v := b.b.AddVertex(subject)
-	b.b.SetLocation(v, loc)
+	if !b.b.SetLocation(v, loc) && b.err == nil {
+		b.err = fmt.Errorf("%w: place %q at (%v, %v)", ErrBadCoordinate, subject, loc.X, loc.Y)
+	}
 }
 
-// Build freezes the data and constructs all indexes. The Builder must not
-// be reused afterwards.
+// Build freezes the data and constructs all indexes. It fails, with an
+// error naming the subject, when AddPlace was given a NaN or infinite
+// coordinate. The Builder must not be reused afterwards.
 func (b *Builder) Build(cfg Config) (*Dataset, error) {
+	if b.err != nil {
+		return nil, b.err
+	}
 	return finish(b.b, cfg)
 }

@@ -129,6 +129,25 @@ func TestBuilderAPI(t *testing.T) {
 	}
 }
 
+// A place at a NaN or infinite coordinate cannot be ordered by distance:
+// the builder refuses it, and Build names the subject, instead of
+// building a dataset whose queries silently leave the place out and
+// whose snapshot cannot be loaded.
+func TestBuilderRefusesNonFinitePlaces(t *testing.T) {
+	for _, loc := range []Point{{X: math.NaN(), Y: 1}, {X: 1, Y: math.Inf(1)}, {X: math.Inf(-1), Y: 2}} {
+		b := NewBuilder()
+		b.AddPlace("ex:museum_a", Point{X: 1, Y: 1})
+		b.AddLabel("ex:museum_a", "ex:label", "museum")
+		b.AddPlace("ex:museum_b", loc)
+		b.AddLabel("ex:museum_b", "ex:label", "museum")
+		b.AddPlace("ex:museum_c", Point{X: math.NaN(), Y: math.NaN()})
+		ds, err := b.Build(DefaultConfig())
+		if !errors.Is(err, ErrBadCoordinate) || !strings.Contains(err.Error(), `"ex:museum_b"`) || ds != nil {
+			t.Errorf("Build with a place at %v: %v, %v; want ErrBadCoordinate naming ex:museum_b", loc, ds, err)
+		}
+	}
+}
+
 func TestSearchFallsBackWithoutIndexes(t *testing.T) {
 	// No α index and no reachability: Search must still work (BSP).
 	ds := openFixture(t, Config{Direction: Outgoing})

@@ -17,7 +17,7 @@ func (d *Dataset) Bounds() (Rect, bool) {
 	if d.engine.Tree.Len() == 0 {
 		return Rect{}, false
 	}
-	return d.engine.Tree.Root().Rect, true
+	return d.engine.Tree.Bounds(), true
 }
 
 // SpatialPlaces reports how many places this dataset's spatial index
