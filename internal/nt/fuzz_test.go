@@ -27,6 +27,10 @@ func FuzzParse(f *testing.F) {
 		"\x00\x01\x02",
 		strings.Repeat("<a> <b> <c> .\n", 5),
 		`<a> <b> "x" . # trailing`,
+		`_:b.1 <http://p> <http://o> .`,
+		`<http://s> <http://p> _:b.1 .`,
+		`<http://s> <http://p> _:b1.`,
+		`<a> <b> "\uD800\U00110000" .`,
 	}
 	for _, s := range seeds {
 		f.Add(s)

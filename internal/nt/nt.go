@@ -4,15 +4,18 @@
 // its own parser for the (line-based) N-Triples syntax, the format both
 // DBpedia and YAGO publish their dumps in. Supported: IRIs, blank nodes,
 // plain / language-tagged / datatyped literals, the standard string escape
-// sequences including \uXXXX and \UXXXXXXXX, comments, and blank lines.
+// sequences including \uXXXX and \UXXXXXXXX (each a Unicode scalar
+// value), comments, and blank lines.
 package nt
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"ksp/internal/rdf"
 )
@@ -33,10 +36,16 @@ type Reader struct {
 	line int
 }
 
-// NewReader returns a Reader over r. Lines up to 1 MiB are supported.
+// maxLine is the longest line a Reader accepts, in bytes.
+const maxLine = 1 << 20
+
+// NewReader returns a Reader over r. Lines up to 1 MiB are supported; a
+// longer one is a *ParseError. The triples it returns hold slices of
+// their line, and Load hands each one to rdf.Builder.AddTriple, which
+// keeps what it needs of a predicate from the predicate's first triple.
 func NewReader(r io.Reader) *Reader {
 	s := bufio.NewScanner(r)
-	s.Buffer(make([]byte, 64*1024), 1<<20)
+	s.Buffer(make([]byte, 64*1024), maxLine)
 	return &Reader{s: s}
 }
 
@@ -56,6 +65,9 @@ func (r *Reader) Next() (rdf.Triple, error) {
 		return t, nil
 	}
 	if err := r.s.Err(); err != nil {
+		if errors.Is(err, bufio.ErrTooLong) {
+			return rdf.Triple{}, &ParseError{Line: r.line + 1, Msg: fmt.Sprintf("line longer than the %d-byte limit", maxLine)}
+		}
 		return rdf.Triple{}, err
 	}
 	return rdf.Triple{}, io.EOF
@@ -94,6 +106,14 @@ func (r *Reader) parseLine(line string) (rdf.Triple, error) {
 		return rdf.Triple{}, r.errf("trailing garbage %q", p.rest())
 	}
 	return rdf.Triple{S: s, P: pred, O: o}, nil
+}
+
+// labelChar reports whether c can follow a dot inside a blank-node
+// label: a letter, digit, '_', '-' or ':', or a byte of a non-ASCII
+// character.
+func labelChar(c byte) bool {
+	return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' ||
+		c == '_' || c == '-' || c == ':' || c >= utf8.RuneSelf
 }
 
 type lineParser struct {
@@ -162,8 +182,20 @@ func (p *lineParser) blank() (rdf.Term, error) {
 	start := p.pos
 	for !p.done() {
 		c := p.peek()
-		if c == ' ' || c == '\t' || c == '.' {
+		if c == ' ' || c == '\t' {
 			break
+		}
+		if c == '.' {
+			// A label may hold dots but not end with one: a run of dots
+			// belongs to it only when a label character follows.
+			end := p.pos
+			for end < len(p.src) && p.src[end] == '.' {
+				end++
+			}
+			if end == len(p.src) || !labelChar(p.src[end]) {
+				break
+			}
+			p.pos = end
 		}
 		p.pos++
 	}
@@ -218,6 +250,9 @@ func (p *lineParser) literal() (rdf.Term, error) {
 			n, err := strconv.ParseUint(hex, 16, 32)
 			if err != nil {
 				return rdf.Term{}, fmt.Errorf("bad \\%c escape %q", e, hex)
+			}
+			if !utf8.ValidRune(rune(n)) {
+				return rdf.Term{}, fmt.Errorf("escape \\%c%s is not a Unicode scalar value", e, hex)
 			}
 			b.WriteRune(rune(n))
 		default:

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"ksp/internal/gen"
 	"ksp/internal/rdf"
 )
 
@@ -79,7 +80,11 @@ func TestParseErrors(t *testing.T) {
 		`_: <http://p> <http://o> .`,               // empty blank label
 		`<http://s> <http://p> "x"@ .`,             // empty language tag
 		`<http://s> <http://p> "x"^^"notaniri" .`,  // malformed datatype
+		`<http://s> <http://p> "x\U00110000" .`,    // beyond U+10FFFF
+		`<http://s> <http://p> "x\uD800" .`,        // lone surrogate
 	}
+	// A line over the 1 MiB limit.
+	bad = append(bad, `<http://s> <http://p> "`+strings.Repeat("x", maxLine)+`" .`)
 	for _, src := range bad {
 		r := NewReader(strings.NewReader(src))
 		_, err := r.Next()
@@ -92,6 +97,71 @@ func TestParseErrors(t *testing.T) {
 			t.Errorf("error for %q is not a *ParseError: %v", src, err)
 		} else if pe.Line != 1 {
 			t.Errorf("error line = %d, want 1", pe.Line)
+		}
+	}
+}
+
+// The failures that once surfaced as something else: each is a
+// *ParseError naming its line and what is wrong.
+func TestParseErrorMessages(t *testing.T) {
+	long := `<http://s> <http://p> "` + strings.Repeat("x", maxLine) + `" .`
+	tests := []struct {
+		src  string
+		line int
+		want string
+	}{
+		{`<http://s> <http://p> "x\U00110000" .`, 1, `\U00110000 is not a Unicode scalar value`},
+		{`<http://s> <http://p> "x\uD800" .`, 1, `\uD800 is not a Unicode scalar value`},
+		{`<http://s> <http://p> "x\uDFFF\u0041" .`, 1, `\uDFFF is not a Unicode scalar value`},
+		{`<http://s> <http://p> "x\UFFFFFFFF" .`, 1, `\UFFFFFFFF is not a Unicode scalar value`},
+		{long, 1, "line longer than the 1048576-byte limit"},
+		{"<a> <b> <c> .\n\n" + long + "\n<a> <b> <c> .", 3, "line longer than the 1048576-byte limit"},
+	}
+	for _, tt := range tests {
+		r := NewReader(strings.NewReader(tt.src))
+		var err error
+		for err == nil {
+			_, err = r.Next()
+		}
+		var pe *ParseError
+		if !errorsAs(err, &pe) || pe.Line != tt.line || !strings.Contains(pe.Msg, tt.want) {
+			t.Errorf("%.40q...: error %v, want a *ParseError at line %d containing %q", tt.src, err, tt.line, tt.want)
+		}
+	}
+}
+
+// Scalar values at the edges of the ranges are still accepted.
+func TestParseEscapeScalarValues(t *testing.T) {
+	got := parseAll(t, `<http://s> <http://p> "\uD7FF\uE000\U0010FFFF\u0000" .`)
+	if want := "\uD7FF\uE000\U0010FFFF\x00"; len(got) != 1 || got[0].O.Value != want {
+		t.Fatalf("got %+q, want %+q", got, want)
+	}
+}
+
+// A blank-node label may hold dots, but not end with one: the dot that
+// ends a statement is not part of the label before it.
+func TestParseBlankLabelDots(t *testing.T) {
+	tests := []struct {
+		src  string
+		s, o rdf.Term
+	}{
+		{`_:b.1 <http://p> <http://o> .`, rdf.NewBlank("b.1"), rdf.NewIRI("http://o")},
+		{`<http://s> <http://p> _:b.1 .`, rdf.NewIRI("http://s"), rdf.NewBlank("b.1")},
+		{`<http://s> <http://p> _:b1.`, rdf.NewIRI("http://s"), rdf.NewBlank("b1")},
+		{`<http://s> <http://p> _:b1 .`, rdf.NewIRI("http://s"), rdf.NewBlank("b1")},
+		{`_:a..b.c <http://p> _:x.y.`, rdf.NewBlank("a..b.c"), rdf.NewBlank("x.y")},
+		{`<http://s> <http://p> _:b1.# comment`, rdf.NewIRI("http://s"), rdf.NewBlank("b1")},
+		{`<http://s> <http://p> _:b.é .`, rdf.NewIRI("http://s"), rdf.NewBlank("b.é")},
+	}
+	for _, tt := range tests {
+		got := parseAll(t, tt.src)
+		if len(got) != 1 || got[0].S != tt.s || got[0].O != tt.o {
+			t.Errorf("%s: got %v, want S %v, O %v", tt.src, got, tt.s, tt.o)
+		}
+	}
+	for _, src := range []string{`<http://s> <http://p> _:b1..`, `_:b. <http://p> <http://o> .`} {
+		if _, err := NewReader(strings.NewReader(src)).Next(); err == nil {
+			t.Errorf("%s: parsed, want a *ParseError", src)
 		}
 	}
 }
@@ -231,5 +301,25 @@ func BenchmarkParse(b *testing.B) {
 				break
 			}
 		}
+	}
+}
+
+// BenchmarkLoad measures the N-Triples open of a served dataset: Load and
+// Build of a DBpedia-like graph's export (30 000 vertices, about 300 000
+// triples, seven distinct predicates).
+func BenchmarkLoad(b *testing.B) {
+	var src bytes.Buffer
+	if err := WriteGraph(gen.Generate(gen.DBpediaConfig(30000, 1)), &src); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(src.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rb := rdf.NewBuilder()
+		if _, err := Load(bytes.NewReader(src.Bytes()), rb); err != nil {
+			b.Fatal(err)
+		}
+		rb.Build()
 	}
 }

@@ -2,7 +2,6 @@ package rdf
 
 import (
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -23,26 +22,25 @@ const WKTLiteral = "http://www.opengis.net/ont/geosparql#wktLiteral"
 // predicate's tokens to the object's document; semantically meaningless
 // link predicates (sameAs, linksTo, redirectTo, ...) are dropped; geometry
 // triples set the subject's coordinates instead of creating structure.
+//
+// Which of these a triple gets depends on its predicate's local-name
+// tokens, and the predicate's own text is the same every time it is
+// folded in. So the Builder works out both once per distinct predicate
+// IRI, at the predicate's first triple, and later triples cost a memo
+// lookup (DESIGN §16.2a).
 type Builder struct {
 	Vocab *text.Vocabulary
 
 	// Analyzer normalizes document text (URIs, literals, predicate
 	// descriptions). It must be set before any vertices or triples are
-	// added — tokenization is eager — and the same analyzer is carried on
-	// the built Graph so queries normalize identically. Predicate *policy*
-	// matching (skip/type/geo lists) always uses plain tokenization,
+	// added — tokenization is eager, and a predicate's terms are
+	// remembered from its first triple — and the same analyzer is carried
+	// on the built Graph so queries normalize identically. The predicate
+	// policy (skip-listed, type and geometry predicates) is fixed for the
+	// same reason: it is the package's predicatePolicy table, and no
+	// field changes it. Policy matching always uses plain tokenization,
 	// independent of the analyzer.
 	Analyzer text.Analyzer
-
-	// SkipPredicates are lower-cased predicate local-name tokens whose
-	// triples are ignored entirely (the paper removes sameAs/linksTo/
-	// redirectTo edges before its experiments).
-	SkipPredicates map[string]bool
-	// TypePredicates are predicates treated as type assertions: the object
-	// is folded into the subject's document.
-	TypePredicates map[string]bool
-	// GeoPredicates are predicates whose literal objects carry coordinates.
-	GeoPredicates map[string]bool
 
 	uris    []string
 	uriIDs  map[string]uint32
@@ -51,28 +49,68 @@ type Builder struct {
 	coords  map[uint32]geo.Point
 	preds   []string
 	predIDs map[string]uint32
+
+	// predMemo holds what AddTriple worked out for each predicate IRI.
+	predMemo map[string]*predicate
+	// lastSubj and lastSubjID remember the subject of the previous triple
+	// (valid when haveSubj): dumps group triples by subject.
+	lastSubj   string
+	lastSubjID uint32
+	haveSubj   bool
+	// scratch is the buffer text analysis builds terms in.
+	scratch []byte
 }
 
 type edgeRec struct {
 	s, o, pred uint32
 }
 
-// NewBuilder returns a Builder with the default predicate policies.
+// predClass is how a predicate's triples are ingested.
+type predClass uint8
+
+const (
+	predOther predClass = iota
+	// predSkip: the triple is ignored entirely (the paper removes
+	// sameAs/linksTo/redirectTo edges before its experiments).
+	predSkip
+	// predGeo: a literal object carries the subject's coordinates.
+	predGeo
+	// predType: a type assertion, the object folded into the subject's
+	// document.
+	predType
+)
+
+// predicatePolicy classes predicates by their lower-cased local-name
+// tokens, joined; a predicate not in it is predOther.
+var predicatePolicy = map[string]predClass{
+	"sameas": predSkip, "linksto": predSkip, "redirectto": predSkip,
+	"wikipageredirects": predSkip, "wikipagewikilink": predSkip,
+	"type":     predType,
+	"geometry": predGeo, "hasgeometry": predGeo, "point": predGeo,
+	"location": predGeo, "georsspoint": predGeo,
+}
+
+// predicate is the memo entry of one predicate IRI. Its class is fixed
+// at first sight. Its edge-predicate ID and term IDs are filled when
+// first needed, not at first sight: both are numbered in first-use
+// order, visible in the built Graph, and a predicate first seen on a
+// skipped or geometry triple uses neither yet.
+type predicate struct {
+	class    predClass
+	edge     uint32 // edge-predicate ID; valid when hasEdge
+	hasEdge  bool
+	terms    []uint32 // term IDs of the IRI's analyzed text; valid when analyzed
+	analyzed bool
+}
+
+// NewBuilder returns an empty Builder.
 func NewBuilder() *Builder {
 	return &Builder{
-		Vocab: text.NewVocabulary(),
-		SkipPredicates: map[string]bool{
-			"sameas": true, "linksto": true, "redirectto": true,
-			"wikipageredirects": true, "wikipagewikilink": true,
-		},
-		TypePredicates: map[string]bool{"type": true},
-		GeoPredicates: map[string]bool{
-			"geometry": true, "hasgeometry": true, "point": true,
-			"location": true, "georsspoint": true,
-		},
-		uriIDs:  make(map[string]uint32),
-		coords:  make(map[uint32]geo.Point),
-		predIDs: make(map[string]uint32),
+		Vocab:    text.NewVocabulary(),
+		uriIDs:   make(map[string]uint32),
+		coords:   make(map[uint32]geo.Point),
+		predIDs:  make(map[string]uint32),
+		predMemo: make(map[string]*predicate),
 	}
 }
 
@@ -82,13 +120,8 @@ func (b *Builder) AddVertex(uri string) uint32 {
 	if id, ok := b.uriIDs[uri]; ok {
 		return id
 	}
-	id := uint32(len(b.uris))
-	b.uriIDs[uri] = id
-	b.uris = append(b.uris, uri)
-	b.docs = append(b.docs, nil)
-	for _, tok := range b.Analyzer.Analyze(uri) {
-		b.docs[id] = append(b.docs[id], b.Vocab.ID(tok))
-	}
+	id := b.AddBareVertex(uri)
+	b.AddText(id, uri)
 	return id
 }
 
@@ -111,10 +144,16 @@ func (b *Builder) AddTermID(v uint32, term uint32) {
 }
 
 // AddText analyzes s and appends the resulting terms to v's document.
+// A term s repeats is appended each time; Build keeps it once.
 func (b *Builder) AddText(v uint32, s string) {
-	for _, tok := range b.Analyzer.Analyze(s) {
-		b.docs[v] = append(b.docs[v], b.Vocab.ID(tok))
-	}
+	b.docs[v] = b.appendTerms(b.docs[v], s)
+}
+
+// appendTerms appends the IDs of s's analyzed terms to dst, interning
+// new ones.
+func (b *Builder) appendTerms(dst []uint32, s string) []uint32 {
+	b.scratch = b.Analyzer.Terms(b.scratch, s, func(term []byte) { dst = append(dst, b.Vocab.IDBytes(term)) })
+	return dst
 }
 
 // AddEdge records a directed edge s -> o with a predicate name.
@@ -150,49 +189,68 @@ func (b *Builder) AddTriple(t Triple) bool {
 	if !t.S.IsEntity() {
 		return false
 	}
-	predTokens := text.TokenizeSet(t.P.Value)
-	if len(predTokens) > 0 && b.SkipPredicates[strings.Join(predTokens, "")] {
+	p := b.predicate(t.P.Value)
+	if p.class == predSkip {
 		return false
 	}
-	s := b.AddVertex(t.S.Value)
+	s := b.subject(t.S.Value)
 
 	// Geometry triple: parse coordinates, no edge, no document text.
-	if b.isGeoPredicate(predTokens, t.O) {
+	if t.O.Kind == Literal && (t.O.Datatype == WKTLiteral || p.class == predGeo) {
 		if pt, ok := ParsePointLiteral(t.O.Value); ok {
-			b.SetLocation(s, pt)
-			return true
+			return b.SetLocation(s, pt)
 		}
 		return false
 	}
 
-	switch {
-	case t.O.Kind == Literal:
-		// Fold literal text (and the predicate's description) into the
-		// subject's document.
-		b.AddText(s, t.P.Value)
+	if t.O.Kind == Literal || p.class == predType {
+		// Fold the literal's text, or the type's name, and the
+		// predicate's description into the subject's document; no edge.
+		b.docs[s] = append(b.docs[s], b.predTerms(p, t.P.Value)...)
 		b.AddText(s, t.O.Value)
-	case b.isTypePredicate(predTokens):
-		// Fold the type's name into the subject's document; no edge.
-		b.AddText(s, t.P.Value)
-		b.AddText(s, t.O.Value)
-	default:
-		o := b.AddVertex(t.O.Value)
-		b.AddEdge(s, o, t.P.Value)
-		// Predicate description goes to the object's document (Section 2).
-		b.AddText(o, t.P.Value)
+		return true
 	}
+	o := b.AddVertex(t.O.Value)
+	if !p.hasEdge {
+		p.edge, p.hasEdge = b.predID(t.P.Value), true
+	}
+	b.edges = append(b.edges, edgeRec{s: s, o: o, pred: p.edge})
+	// Predicate description goes to the object's document (Section 2).
+	b.docs[o] = append(b.docs[o], b.predTerms(p, t.P.Value)...)
 	return true
 }
 
-func (b *Builder) isTypePredicate(predTokens []string) bool {
-	return b.TypePredicates[strings.Join(predTokens, "")]
+// predicate returns iri's memo entry, classing the predicate on first
+// sight.
+func (b *Builder) predicate(iri string) *predicate {
+	if p, ok := b.predMemo[iri]; ok {
+		return p
+	}
+	p := &predicate{class: predicatePolicy[strings.Join(text.TokenizeSet(iri), "")]}
+	// A clone: iri may be a slice of a much longer input line.
+	b.predMemo[strings.Clone(iri)] = p
+	return p
 }
 
-func (b *Builder) isGeoPredicate(predTokens []string, o Term) bool {
-	if o.Kind == Literal && o.Datatype == WKTLiteral {
-		return true
+// predTerms returns the term IDs of p's text, interning them the first
+// time p's text is added to a document: the point where the
+// vocabulary would first see them if the text were analyzed per triple.
+func (b *Builder) predTerms(p *predicate, iri string) []uint32 {
+	if !p.analyzed {
+		p.terms = b.appendTerms(nil, iri)
+		slices.Sort(p.terms)
+		p.terms, p.analyzed = slices.Compact(p.terms), true
 	}
-	return b.GeoPredicates[strings.Join(predTokens, "")] && o.Kind == Literal
+	return p.terms
+}
+
+// subject interns a triple's subject, without a map lookup when it is
+// the previous triple's.
+func (b *Builder) subject(uri string) uint32 {
+	if !b.haveSubj || uri != b.lastSubj {
+		b.lastSubj, b.lastSubjID, b.haveSubj = uri, b.AddVertex(uri), true
+	}
+	return b.lastSubjID
 }
 
 // ParsePointLiteral parses "POINT(x y)" (WKT, optional space after POINT)
@@ -258,74 +316,67 @@ func (b *Builder) Build() *Graph {
 	}
 	g.uris.Sort()
 
-	// Deduplicate identical (s, pred, o) edges, then lay out CSR.
-	sort.Slice(b.edges, func(i, j int) bool {
-		a, c := b.edges[i], b.edges[j]
-		if a.s != c.s {
-			return a.s < c.s
-		}
-		if a.o != c.o {
-			return a.o < c.o
-		}
-		return a.pred < c.pred
-	})
-	edges := b.edges[:0]
-	for i, e := range b.edges {
-		if i > 0 && e == b.edges[i-1] {
-			continue
-		}
-		edges = append(edges, e)
-	}
-
+	// Out-lists: bucket the edges by subject with a counting pass, then
+	// sort each subject's run by (object, predicate) — one uint64 key
+	// each — and drop repeated edges while compacting the runs.
 	g.outOff = make([]uint32, n+1)
-	for _, e := range edges {
+	for _, e := range b.edges {
 		g.outOff[e.s+1]++
 	}
-	for i := 0; i < n; i++ {
-		g.outOff[i+1] += g.outOff[i]
+	for v := 0; v < n; v++ {
+		g.outOff[v+1] += g.outOff[v]
 	}
-	g.outEdges = make([]uint32, len(edges))
-	g.outPreds = make([]uint32, len(edges))
-	cursor := make([]uint32, n)
-	for _, e := range edges {
-		pos := g.outOff[e.s] + cursor[e.s]
-		g.outEdges[pos] = e.o
-		g.outPreds[pos] = e.pred
-		cursor[e.s]++
+	keys := make([]uint64, len(b.edges))
+	next := slices.Clone(g.outOff[:n])
+	for _, e := range b.edges {
+		keys[next[e.s]] = uint64(e.o)<<32 | uint64(e.pred)
+		next[e.s]++
+	}
+	b.edges = nil
+	m := uint32(0)
+	for v := 0; v < n; v++ {
+		run := keys[g.outOff[v]:g.outOff[v+1]]
+		slices.Sort(run)
+		g.outOff[v] = m
+		for i, k := range run {
+			if i == 0 || k != run[i-1] {
+				keys[m] = k
+				m++
+			}
+		}
+	}
+	g.outOff[n] = m
+	g.outEdges = make([]uint32, m)
+	g.outPreds = make([]uint32, m)
+	for i, k := range keys[:m] {
+		g.outEdges[i], g.outPreds[i] = uint32(k>>32), uint32(k)
 	}
 
+	// In-lists, the transpose: visiting subjects in ascending order
+	// leaves each object's sources ascending.
 	g.inOff = make([]uint32, n+1)
-	for _, e := range edges {
-		g.inOff[e.o+1]++
+	for _, o := range g.outEdges {
+		g.inOff[o+1]++
 	}
-	for i := 0; i < n; i++ {
-		g.inOff[i+1] += g.inOff[i]
+	for v := 0; v < n; v++ {
+		g.inOff[v+1] += g.inOff[v]
 	}
-	g.inEdges = make([]uint32, len(edges))
-	for i := range cursor {
-		cursor[i] = 0
-	}
-	for _, e := range edges {
-		g.inEdges[g.inOff[e.o]+cursor[e.o]] = e.s
-		cursor[e.o]++
+	g.inEdges = make([]uint32, m)
+	copy(next, g.inOff[:n])
+	for v := 0; v < n; v++ {
+		for _, o := range g.Out(uint32(v)) {
+			g.inEdges[next[o]] = uint32(v)
+			next[o]++
+		}
 	}
 
 	// Documents: sort and deduplicate term IDs per vertex, CSR layout.
 	g.docOff = make([]uint32, n+1)
 	total := 0
 	for v := 0; v < n; v++ {
-		d := b.docs[v]
-		sort.Slice(d, func(i, j int) bool { return d[i] < d[j] })
-		k := 0
-		for i, t := range d {
-			if i > 0 && t == d[i-1] {
-				continue
-			}
-			d[k] = t
-			k++
-		}
-		b.docs[v] = d[:k]
-		total += k
+		slices.Sort(b.docs[v])
+		b.docs[v] = slices.Compact(b.docs[v])
+		total += len(b.docs[v])
 		g.docOff[v+1] = uint32(total)
 	}
 	g.docTerms = make([]uint32, total)

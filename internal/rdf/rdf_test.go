@@ -1,8 +1,12 @@
 package rdf
 
 import (
+	"cmp"
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ksp/internal/geo"
@@ -178,6 +182,55 @@ func TestEdgeDedup(t *testing.T) {
 	g := b.Build()
 	if g.NumEdges() != 2 {
 		t.Errorf("NumEdges = %d, want 2 (exact duplicates removed)", g.NumEdges())
+	}
+}
+
+// Build lays out the CSR as one global sort of the edges by (subject,
+// object, predicate) with repeats dropped would, and each document as
+// its sorted set of terms: the layout Build made when it sorted every
+// edge at once.
+func TestBuildLayoutMatchesGlobalSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for round := 0; round < 20; round++ {
+		n := 1 + rng.Intn(60)
+		b := NewBuilder()
+		for v := 0; v < n; v++ {
+			b.AddBareVertex(fmt.Sprintf("v%d", v))
+		}
+		var edges []edgeRec
+		docs := make([][]uint32, n)
+		for i := rng.Intn(8 * n); i > 0; i-- {
+			s, o, p := uint32(rng.Intn(n)), uint32(rng.Intn(n)), rng.Intn(4)
+			b.AddEdge(s, o, fmt.Sprintf("p%d", p))
+			edges = append(edges, edgeRec{s: s, o: o, pred: b.predIDs[fmt.Sprintf("p%d", p)]})
+			v, term := uint32(rng.Intn(n)), b.Vocab.ID(fmt.Sprintf("t%d", rng.Intn(30)))
+			b.AddTermID(v, term)
+			docs[v] = append(docs[v], term)
+		}
+		g := b.Build()
+
+		slices.SortFunc(edges, func(a, c edgeRec) int {
+			return cmp.Or(cmp.Compare(a.s, c.s), cmp.Compare(a.o, c.o), cmp.Compare(a.pred, c.pred))
+		})
+		edges = slices.Compact(edges)
+		out, outPreds, in := make([][]uint32, n), make([][]uint32, n), make([][]uint32, n)
+		for _, e := range edges {
+			out[e.s] = append(out[e.s], e.o)
+			outPreds[e.s] = append(outPreds[e.s], e.pred)
+			in[e.o] = append(in[e.o], e.s)
+		}
+		if g.NumEdges() != len(edges) {
+			t.Fatalf("round %d: %d edges, want %d", round, g.NumEdges(), len(edges))
+		}
+		for v := uint32(0); int(v) < n; v++ {
+			slices.Sort(docs[v])
+			docs[v] = slices.Compact(docs[v])
+			if !slices.Equal(g.Out(v), out[v]) || !slices.Equal(g.OutPreds(v), outPreds[v]) ||
+				!slices.Equal(g.In(v), in[v]) || !slices.Equal(g.Doc(v), docs[v]) {
+				t.Fatalf("round %d, vertex %d: out %v/%v in %v doc %v; want %v/%v %v %v", round, v,
+					g.Out(v), g.OutPreds(v), g.In(v), g.Doc(v), out[v], outPreds[v], in[v], docs[v])
+			}
+		}
 	}
 }
 

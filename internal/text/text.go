@@ -17,40 +17,65 @@ import (
 	"slices"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Tokenize splits s into lower-cased word tokens. It understands URI
 // structure (only the fragment/last path segment carries meaning),
 // underscores, hyphens, punctuation, and camelCase boundaries.
 func Tokenize(s string) []string {
-	s = localName(s)
 	var tokens []string
-	var cur strings.Builder
-	flush := func() {
-		if cur.Len() > 0 {
-			tokens = append(tokens, strings.ToLower(cur.String()))
-			cur.Reset()
+	var scratch [64]byte
+	z := tokenizer{s: localName(s)}
+	for buf := scratch[:0]; ; {
+		tok, ok := z.next(buf)
+		if !ok {
+			return tokens
 		}
+		tokens = append(tokens, string(tok))
+		buf = tok
 	}
+}
+
+// tokenizer yields the tokens of a local name one at a time: its runs
+// of letters and digits, split at camelCase boundaries and lower-cased.
+type tokenizer struct{ s string }
+
+// next builds the next token in buf's storage, growing it as needed,
+// and returns it; ok is false at the end. A caller that passes each
+// token back as the next buf builds every token in one buffer, and pays
+// for a string only for a token it keeps.
+func (z *tokenizer) next(buf []byte) (tok []byte, ok bool) {
+	tok = buf[:0]
 	prevLower := false
-	for _, r := range s {
-		switch {
-		case unicode.IsLetter(r):
-			if prevLower && unicode.IsUpper(r) {
-				flush() // camelCase boundary: birthPlace -> birth, place
-			}
-			cur.WriteRune(r)
-			prevLower = unicode.IsLower(r)
-		case unicode.IsDigit(r):
-			cur.WriteRune(r)
-			prevLower = false
-		default:
-			flush()
-			prevLower = false
+	for len(z.s) > 0 {
+		r, size := rune(z.s[0]), 1
+		var letter, digit, upper, lower bool
+		if r < utf8.RuneSelf {
+			upper, lower = 'A' <= r && r <= 'Z', 'a' <= r && r <= 'z'
+			letter, digit = upper || lower, '0' <= r && r <= '9'
+		} else {
+			r, size = utf8.DecodeRuneInString(z.s)
+			letter, digit = unicode.IsLetter(r), unicode.IsDigit(r)
+			upper, lower = unicode.IsUpper(r), unicode.IsLower(r)
 		}
+		switch {
+		case letter:
+			if prevLower && upper {
+				return tok, true // camelCase boundary: birthPlace -> birth, place
+			}
+			tok = utf8.AppendRune(tok, unicode.ToLower(r))
+			prevLower = lower
+		case digit:
+			tok = utf8.AppendRune(tok, r)
+			prevLower = false
+		case len(tok) > 0:
+			z.s = z.s[size:]
+			return tok, true
+		}
+		z.s = z.s[size:]
 	}
-	flush()
-	return tokens
+	return tok, len(tok) > 0
 }
 
 // TokenizeSet is Tokenize with duplicates removed, preserving first
@@ -218,6 +243,15 @@ func (v *Vocabulary) ID(term string) uint32 {
 	id := v.terms.Append(term)
 	v.ids[term] = id
 	return id
+}
+
+// IDBytes is ID for a term held in a byte slice: it converts the term
+// to a string only when the term is new.
+func (v *Vocabulary) IDBytes(term []byte) uint32 {
+	if id, ok := v.ids[string(term)]; ok {
+		return id
+	}
+	return v.ID(string(term))
 }
 
 // Freeze sorts the terms for Lookup, trims the table to its length and

@@ -2,8 +2,11 @@ package text
 
 import (
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unicode"
 )
 
 func TestTokenize(t *testing.T) {
@@ -164,5 +167,110 @@ func TestTableCheck(t *testing.T) {
 		if err := tb.Check(true); err == nil {
 			t.Errorf("%s: Check accepted %+v", name, tb)
 		}
+	}
+}
+
+// referenceTokenize is Tokenize as it was before tokens were built in a
+// reused byte buffer: one strings.Builder and one strings.ToLower per
+// token. The buffer scanner must split and lower-case exactly as it did.
+func referenceTokenize(s string) []string {
+	s = localName(s)
+	var tokens []string
+	var cur strings.Builder
+	flush := func() {
+		if cur.Len() > 0 {
+			tokens = append(tokens, strings.ToLower(cur.String()))
+			cur.Reset()
+		}
+	}
+	prevLower := false
+	for _, r := range s {
+		switch {
+		case unicode.IsLetter(r):
+			if prevLower && unicode.IsUpper(r) {
+				flush()
+			}
+			cur.WriteRune(r)
+			prevLower = unicode.IsLower(r)
+		case unicode.IsDigit(r):
+			cur.WriteRune(r)
+			prevLower = false
+		default:
+			flush()
+			prevLower = false
+		}
+	}
+	flush()
+	return tokens
+}
+
+var tokenizeSeeds = []string{
+	"", "birthPlace", "HTTPServer", "a1b2", "Fréjus-Toulon", "ǅemal ǄAB", "İstanbul",
+	"ΣΊΣΥΦΟΣ σίσυφος", "x\xffy", "�a", "Ⅻ roman ⅻ", "١٢٣abc", "ﬁne ﬀ", "aΣb",
+	"http://dbpedia.org/resource/Category:Architectural_history", "12:30", "ß STRASSE",
+}
+
+func TestTokenizeMatchesReference(t *testing.T) {
+	check := func(s string) bool { return reflect.DeepEqual(Tokenize(s), referenceTokenize(s)) }
+	for _, s := range tokenizeSeeds {
+		if !check(s) {
+			t.Errorf("Tokenize(%q) = %q, reference %q", s, Tokenize(s), referenceTokenize(s))
+		}
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
+func FuzzTokenize(f *testing.F) {
+	for _, s := range tokenizeSeeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if got, want := Tokenize(s), referenceTokenize(s); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Tokenize(%q) = %q, reference %q", s, got, want)
+		}
+	})
+}
+
+// Terms yields what Analyze returns, in order, before Analyze drops the
+// repeats, under every analyzer; and it reuses the buffer it is given.
+func TestTermsMatchesAnalyze(t *testing.T) {
+	const s = "The running Runners ran; the RUNNING of the abbey's runs"
+	for _, a := range []Analyzer{{}, {RemoveStopwords: true}, {Stemming: true}, {RemoveStopwords: true, Stemming: true}} {
+		var terms []string
+		buf := a.Terms(make([]byte, 0, 64), s, func(term []byte) { terms = append(terms, string(term)) })
+		if cap(buf) != 64 {
+			t.Errorf("%+v: Terms returned a buffer of capacity %d, want the one given", a, cap(buf))
+		}
+		var dedup []string
+		for _, term := range terms {
+			if !slices.Contains(dedup, term) {
+				dedup = append(dedup, term)
+			}
+		}
+		if got := a.Analyze(s); !reflect.DeepEqual(got, dedup) {
+			t.Errorf("%+v: Analyze = %q, Terms deduplicated = %q", a, got, dedup)
+		}
+		if len(terms) == len(dedup) {
+			t.Errorf("%+v: Terms %q dropped the repeats", a, terms)
+		}
+	}
+	buf := make([]byte, 0, 64)
+	if n := testing.AllocsPerRun(100, func() { buf = Analyzer{}.Terms(buf, s, func([]byte) {}) }); n != 0 {
+		t.Errorf("Terms without stemming allocates %v times", n)
+	}
+}
+
+// IDBytes interns as ID does and allocates nothing for a known term.
+func TestVocabularyIDBytes(t *testing.T) {
+	v := NewVocabulary()
+	a := v.IDBytes([]byte("ancient"))
+	if v.ID("ancient") != a || v.IDBytes([]byte("roman")) != a+1 || v.Term(a+1) != "roman" {
+		t.Fatal("IDBytes disagrees with ID")
+	}
+	term := []byte("roman")
+	if n := testing.AllocsPerRun(100, func() { v.IDBytes(term) }); n != 0 {
+		t.Errorf("IDBytes of a known term allocates %v times", n)
 	}
 }
