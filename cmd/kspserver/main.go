@@ -44,7 +44,7 @@ func main() {
 	var (
 		data     = flag.String("data", "", "N-Triples dataset to load")
 		snapshot = flag.String("snapshot", "", "snapshot produced by Dataset.Save (faster startup)")
-		mmap     = flag.Bool("mmap", false, "serve the graph and α postings straight from the snapshot file via a read-only memory mapping (requires -snapshot; falls back to reading the file onto the heap where mmap is unavailable)")
+		mmap     = flag.Bool("mmap", false, "serve the graph and its indexes straight from the snapshot file via a read-only memory mapping (requires -snapshot; falls back to reading the file onto the heap where mmap is unavailable)")
 		addr     = flag.String("addr", ":8080", "listen address")
 		alphaR   = flag.Int("alpha", 3, "α radius, at most 255 (N-Triples loading only)")
 		maxK     = flag.Int("maxk", 100, "largest k a request may ask for")
@@ -87,10 +87,8 @@ func main() {
 	switch {
 	case *mmap && *snapshot == "":
 		fatal(logger, "-mmap requires -snapshot")
-	case *mmap:
-		cfg.Mmap = true
-		ds, err = ksp.LoadSnapshotDisk(*snapshot, cfg)
 	case *snapshot != "":
+		cfg.Mmap = *mmap
 		ds, err = ksp.LoadSnapshot(*snapshot, cfg)
 	case *data != "":
 		ds, err = ksp.OpenFile(*data, cfg)
@@ -103,7 +101,7 @@ func main() {
 	st := ds.Stats()
 	logger.Info("dataset loaded",
 		"vertices", st.Vertices, "edges", st.Edges, "places", st.Places,
-		"docsOnDisk", st.DocsOnDisk, "mmap", st.MemoryMapped,
+		"mmap", st.MemoryMapped,
 		"loadTime", time.Since(start).Round(time.Millisecond).String())
 
 	if *pprof != "" {

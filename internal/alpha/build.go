@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"ksp/internal/invindex"
 	"ksp/internal/rdf"
 	"ksp/internal/rtree"
 )
@@ -128,71 +127,6 @@ func (ix *Index) Restrict(tree *rtree.RTree) *Index {
 		panic(err) // read cannot fail
 	}
 	return &Index{Alpha: ix.Alpha, Dir: ix.Dir, PlaceIdx: place, NodeIdx: node}
-}
-
-// PackPlaces reads the place file of an index of the given radius through
-// src, term by term, and returns it as a File over places, the vertex IDs
-// of the indexed places in any order: how a snapshot of format version 1
-// or 2, whose α sections are invindex encodings, is loaded. A read error,
-// a list that does not ascend strictly, a distance beyond the radius and
-// an entry that is not one of places are errors.
-func PackPlaces(src invindex.Index, alphaRadius int, places []uint32) (*File, error) {
-	return pack(src, alphaRadius, placeUniverse(sortedSet(places)))
-}
-
-// PackNodes is PackPlaces for the node file, which ranges over the node
-// IDs up to the largest src mentions.
-func PackNodes(src invindex.Index, alphaRadius int) (*File, error) {
-	n, err := idSpace(src)
-	if err != nil {
-		return nil, err
-	}
-	return pack(src, alphaRadius, universe{n: n})
-}
-
-func pack(src invindex.Index, alphaRadius int, u universe) (*File, error) {
-	read := func() termReader {
-		var list []invindex.Posting
-		var ids, w []byte
-		return func(term uint32) (termRep, error) {
-			var err error
-			if list, err = src.Postings(term, list[:0]); err != nil {
-				return termRep{}, err
-			}
-			ids, w = ids[:0], w[:0]
-			for i, p := range list {
-				switch {
-				case i > 0 && p.ID <= list[i-1].ID:
-					return termRep{}, fmt.Errorf("entry %d follows entry %d", p.ID, list[i-1].ID)
-				case int(p.Weight) > alphaRadius:
-					return termRep{}, fmt.Errorf("entry %d at distance %d, beyond the radius %d", p.ID, p.Weight, alphaRadius)
-				case u.ordinal(p.ID) == noOrd:
-					return termRep{}, fmt.Errorf("entry %d is outside the ID space of the file", p.ID)
-				}
-				ids, w = le.AppendUint32(ids, p.ID), append(w, p.Weight)
-			}
-			return termRep{ids: ids, w: w}, nil
-		}
-	}
-	f, _, err := derive(src.NumTerms(), alphaRadius, read, &u, nil, true)
-	return f, err
-}
-
-// idSpace returns one more than the largest ID in src's lists, each of
-// which ends with its largest.
-func idSpace(src invindex.Index) (int, error) {
-	n := 0
-	var list []invindex.Posting
-	for t := 0; t < src.NumTerms(); t++ {
-		var err error
-		if list, err = src.Postings(uint32(t), list[:0]); err != nil {
-			return 0, fmt.Errorf("alpha: postings of term %d: %w", t, err)
-		}
-		if k := len(list); k > 0 {
-			n = max(n, int(list[k-1].ID)+1)
-		}
-	}
-	return n, nil
 }
 
 // sortedSet returns ids ascending, each once, leaving ids as it is:

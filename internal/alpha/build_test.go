@@ -321,10 +321,9 @@ func TestBuildDegenerateMatchesReference(t *testing.T) {
 
 // A tile's index restricted from the parent's equals the one the
 // reference builds for the tile, term for term and form for form, on STR
-// tilings, also when the parent's place file is served from a file, read
-// or mapped, and on the column fixture, whose tiles turn parent lists into
-// columns ("in9" to "in12" sit in one corner) and parent columns into
-// lists.
+// tilings, also when the parent's place file is served mapped from a file,
+// and on the column fixture, whose tiles turn parent lists into columns
+// ("in9" to "in12" sit in one corner) and parent columns into lists.
 func TestRestrictMatchesBuildFor(t *testing.T) {
 	withProcs(t, func(t *testing.T) {
 		type fixture struct {
@@ -341,10 +340,10 @@ func TestRestrictMatchesBuildFor(t *testing.T) {
 			for _, dir := range fx.dirs {
 				for _, a := range fx.alphas {
 					parent := Build(g, bulkTree(g, g.Places(), 8), a, dir)
-					parents := map[string]*Index{"memory": parent}
-					for _, useMmap := range []bool{false, true} {
-						disk := mappedPlaces(t, parent.PlaceIdx, a, g.Places(), useMmap)
-						parents[fmt.Sprintf("disk mmap=%v", useMmap)] = &Index{Alpha: parent.Alpha, Dir: parent.Dir, PlaceIdx: disk, NodeIdx: parent.NodeIdx}
+					mapped := mappedPlaces(t, parent.PlaceIdx, a, g.Places())
+					parents := map[string]*Index{
+						"memory": parent,
+						"mapped": {Alpha: parent.Alpha, Dir: parent.Dir, PlaceIdx: mapped, NodeIdx: parent.NodeIdx},
 					}
 					toColumn, toList := 0, 0 // terms that change form from parent to tile
 					for _, n := range []int{2, 4, 7} {
@@ -376,15 +375,14 @@ func TestRestrictMatchesBuildFor(t *testing.T) {
 
 // mappedPlaces serves the place file f of an index of the given radius over
 // places the way a snapshot serves it: its image written to a file,
-// opened with mmapfile.OpenMode and checked by OpenPlaces. The file closes
-// when the test ends.
-func mappedPlaces(t *testing.T, f *File, radius int, places []uint32, useMmap bool) *File {
+// mapped and checked by OpenPlaces. The file closes when the test ends.
+func mappedPlaces(t *testing.T, f *File, radius int, places []uint32) *File {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "place.img")
 	if err := os.WriteFile(path, f.Image(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	src, err := mmapfile.OpenMode(path, useMmap)
+	src, err := mmapfile.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package alpha
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -112,16 +113,46 @@ func referenceBuild(g *rdf.Graph, tree *rtree.RTree, alphaRadius int, dir rdf.Di
 		walk(tree.Root())
 	}
 
-	// The lists are packed into Files the way a snapshot of format
-	// version 2 is loaded; the node file ranges over every node of tree.
-	nodes := tree.NumNodes()
-	place, err := PackPlaces(placeB.Build(), alphaRadius, places)
+	// The lists are packed into Files: the place file ranges over places,
+	// the node file over every node of tree.
+	place, err := pack(placeB.Build(), alphaRadius, placeUniverse(sortedSet(places)))
 	if err != nil {
 		panic(err)
 	}
-	node, err := pack(nodeB.Build(), alphaRadius, universe{n: nodes})
+	node, err := pack(nodeB.Build(), alphaRadius, universe{n: tree.NumNodes()})
 	if err != nil {
 		panic(err)
 	}
 	return &Index{Alpha: alphaRadius, Dir: dir, PlaceIdx: place, NodeIdx: node}
+}
+
+// pack reads the lists of src term by term into a File over the ID
+// space u. A list that does not ascend strictly, a distance beyond the
+// radius and an entry outside u are errors.
+func pack(src invindex.Index, alphaRadius int, u universe) (*File, error) {
+	read := func() termReader {
+		var list []invindex.Posting
+		var ids, w []byte
+		return func(term uint32) (termRep, error) {
+			var err error
+			if list, err = src.Postings(term, list[:0]); err != nil {
+				return termRep{}, err
+			}
+			ids, w = ids[:0], w[:0]
+			for i, p := range list {
+				switch {
+				case i > 0 && p.ID <= list[i-1].ID:
+					return termRep{}, fmt.Errorf("entry %d follows entry %d", p.ID, list[i-1].ID)
+				case int(p.Weight) > alphaRadius:
+					return termRep{}, fmt.Errorf("entry %d at distance %d, beyond the radius %d", p.ID, p.Weight, alphaRadius)
+				case u.ordinal(p.ID) == noOrd:
+					return termRep{}, fmt.Errorf("entry %d is outside the ID space of the file", p.ID)
+				}
+				ids, w = le.AppendUint32(ids, p.ID), append(w, p.Weight)
+			}
+			return termRep{ids: ids, w: w}, nil
+		}
+	}
+	f, _, err := derive(src.NumTerms(), alphaRadius, read, &u, nil, true)
+	return f, err
 }

@@ -1,28 +1,17 @@
-// Package invindex provides the inverted index used by kSP processing: it
-// maps a term ID to the posting list of vertices whose documents contain
-// the term (Table 1 of the paper), and — for the α-radius word
-// neighbourhoods of Section 5 — posting lists of (entry, distance) pairs.
-//
-// The index has two interchangeable representations: MemIndex, the
-// document index the engine queries, and Encoded, which decodes a posting
-// list per call from the serialized form Write produces. Large indexes
-// can be built as parts and merged (the paper does exactly this for the
-// DBpedia α-radius index, which exceeds main memory). The α-radius files
-// themselves are no longer served through this package: they are
+// Package invindex provides the document inverted index used by kSP
+// processing: it maps a term ID to the posting list of vertices whose
+// documents contain the term (Table 1 of the paper). FromGraph builds it
+// as a MemIndex; a snapshot stores the documents it is built from, not
+// the index. The list Builder, which sorts and de-duplicates postings
+// added in any order, is the reference the tests of the α-radius index
+// and of the engine compare against. The α-radius files themselves are
 // alpha.Files, whose images the snapshot stores and maps as they are (the
 // paper's disk-resident inverted files, of which "for each query only a
-// small portion of the index is relevant"). Snapshots of format versions
-// 1 and 2 hold them as Write encodings, which the loader reads with
-// ReadFrom.
+// small portion of the index is relevant"); they implement Index too.
 package invindex
 
 import (
-	"bufio"
 	"cmp"
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"io"
 	"math/bits"
 	"slices"
 )
@@ -35,8 +24,8 @@ type Posting struct {
 	Weight uint8
 }
 
-// Index is the read interface shared by the memory- and disk-resident
-// representations.
+// Index is the read interface shared by the document index and the
+// α-radius files.
 type Index interface {
 	// Postings appends the posting list of term to dst and returns it.
 	// Unknown terms yield an empty list.
@@ -105,8 +94,8 @@ func (b *Builder) Add(term uint32, id uint32, weight uint8) {
 
 // Build returns an in-memory index whose posting lists are sorted by ID,
 // keeping for duplicate IDs the smallest weight. A list that was added
-// strictly ascending — every list Merge makes from ID-disjoint parts — is
-// already final and is neither sorted nor scanned for duplicates. Every
+// strictly ascending is already final and is neither sorted nor scanned
+// for duplicates. Every
 // term of the result is held as a list: a Builder does not know the ID
 // universe a bitset would span.
 func (b *Builder) Build() *MemIndex {
@@ -234,213 +223,4 @@ func (m *MemIndex) NonEmptyTerms() int64 {
 // two arenas and the bitsets' populations.
 func (m *MemIndex) MemSize() int64 {
 	return 8*int64(cap(m.off)) + 8*int64(cap(m.posts)) + 8*int64(cap(m.words)) + 4*int64(cap(m.df))
-}
-
-// --- Encoding ---
-//
-// magic uint32 | version uint32 | numTerms uint32 |
-// offsets [numTerms+1]uint64 (into the posting area) |
-// posting area: per term, varint count, varint delta-encoded IDs,
-// then count weight bytes.
-
-const (
-	magic   = 0x6B535069 // "kSPi"
-	version = 1
-)
-
-// Write serializes ix to w, whatever its representation: every list is
-// read through Postings, once to size the offset table and once to
-// encode it, into one reused buffer, so nothing but the table is held.
-func Write(w io.Writer, ix Index) error {
-	bw := bufio.NewWriter(w)
-	numTerms := ix.NumTerms()
-	var hdr [12]byte
-	binary.LittleEndian.PutUint32(hdr[0:], magic)
-	binary.LittleEndian.PutUint32(hdr[4:], version)
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(numTerms))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	var pl []Posting
-	var err error
-	var scratch [binary.MaxVarintLen64]byte
-	offBytes := make([]byte, 8*(numTerms+1))
-	var off uint64
-	for t := 0; t < numTerms; t++ {
-		if pl, err = ix.Postings(uint32(t), pl[:0]); err != nil {
-			return err
-		}
-		off += uint64(binary.PutUvarint(scratch[:], uint64(len(pl))))
-		prev := uint32(0)
-		for _, p := range pl {
-			off += uint64(binary.PutUvarint(scratch[:], uint64(p.ID-prev)))
-			prev = p.ID
-		}
-		off += uint64(len(pl)) // weights
-		binary.LittleEndian.PutUint64(offBytes[8*(t+1):], off)
-	}
-	if _, err := bw.Write(offBytes); err != nil {
-		return err
-	}
-	for t := 0; t < numTerms; t++ {
-		if pl, err = ix.Postings(uint32(t), pl[:0]); err != nil {
-			return err
-		}
-		n := binary.PutUvarint(scratch[:], uint64(len(pl)))
-		if _, err := bw.Write(scratch[:n]); err != nil {
-			return err
-		}
-		prev := uint32(0)
-		for _, p := range pl {
-			n := binary.PutUvarint(scratch[:], uint64(p.ID-prev))
-			if _, err := bw.Write(scratch[:n]); err != nil {
-				return err
-			}
-			prev = p.ID
-		}
-		for _, p := range pl {
-			if err := bw.WriteByte(p.Weight); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadFrom reads an index previously serialized with Write from a
-// sequential stream into memory and serves it from those bytes: only the
-// offset table is decoded, and a list is decoded when it is asked for. A
-// caller that wants the lists in another shape (the snapshot loader packs
-// the α files of old snapshots) reads them once through Postings and
-// drops the encoding.
-func ReadFrom(r io.Reader) (*Encoded, error) {
-	offsets, err := readOffsets(r)
-	if err != nil {
-		return nil, err
-	}
-	data, err := readFullCapped(r, int64(offsets[len(offsets)-1]))
-	if err != nil {
-		return nil, fmt.Errorf("invindex: reading postings: %w", err)
-	}
-	return &Encoded{data: data, offsets: offsets}, nil
-}
-
-// readOffsets consumes the fixed header plus the offset table — the
-// resident prefix of the encoding — validating magic, version, and
-// offset monotonicity. The stream is left positioned at the posting
-// area, whose length is the last offset.
-func readOffsets(r io.Reader) ([]uint64, error) {
-	var hdr [12]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("invindex: reading header: %w", err)
-	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != magic {
-		return nil, errors.New("invindex: bad magic")
-	}
-	if binary.LittleEndian.Uint32(hdr[4:]) != version {
-		return nil, errors.New("invindex: unsupported version")
-	}
-	numTerms := int(binary.LittleEndian.Uint32(hdr[8:]))
-	offBytes, err := readFullCapped(r, 8*(int64(numTerms)+1))
-	if err != nil {
-		return nil, fmt.Errorf("invindex: reading offsets: %w", err)
-	}
-	offsets := make([]uint64, numTerms+1)
-	for i := range offsets {
-		offsets[i] = binary.LittleEndian.Uint64(offBytes[8*i:])
-	}
-	for i := 1; i < len(offsets); i++ {
-		if offsets[i] < offsets[i-1] {
-			return nil, errors.New("invindex: corrupt offset table")
-		}
-	}
-	return offsets, nil
-}
-
-// readFullCapped reads exactly n bytes, growing the buffer in bounded
-// chunks so that a corrupt length prefix fails as stream truncation
-// instead of one giant up-front allocation.
-func readFullCapped(r io.Reader, n int64) ([]byte, error) {
-	const chunk = 1 << 20
-	first := n
-	if first > chunk {
-		first = chunk
-	}
-	buf := make([]byte, 0, first)
-	for int64(len(buf)) < n {
-		c := n - int64(len(buf))
-		if c > chunk {
-			c = chunk
-		}
-		start := len(buf)
-		buf = append(buf, make([]byte, c)...)
-		if _, err := io.ReadFull(r, buf[start:]); err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
-}
-
-// Encoded serves an index encoding that ReadFrom holds in memory. Only
-// the offset table is decoded up front; a posting list is decoded per
-// call.
-type Encoded struct {
-	data    []byte // the posting area
-	offsets []uint64
-}
-
-// NumTerms implements Index.
-func (d *Encoded) NumTerms() int { return len(d.offsets) - 1 }
-
-// Postings implements Index, decoding the term's block.
-func (d *Encoded) Postings(term uint32, dst []Posting) ([]Posting, error) {
-	if int(term) >= d.NumTerms() || d.offsets[term] == d.offsets[term+1] {
-		return dst, nil
-	}
-	return decodeList(d.data[d.offsets[term]:d.offsets[term+1]], dst)
-}
-
-func decodeList(buf []byte, dst []Posting) ([]Posting, error) {
-	count, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return dst, errors.New("invindex: corrupt count")
-	}
-	buf = buf[n:]
-	base := len(dst)
-	prev := uint32(0)
-	for i := uint64(0); i < count; i++ {
-		delta, n := binary.Uvarint(buf)
-		if n <= 0 {
-			return dst, errors.New("invindex: corrupt id")
-		}
-		buf = buf[n:]
-		id := prev + uint32(delta)
-		if i == 0 {
-			id = uint32(delta)
-		}
-		dst = append(dst, Posting{ID: id})
-		prev = id
-	}
-	if uint64(len(buf)) < count {
-		return dst, errors.New("invindex: corrupt weights")
-	}
-	for i := uint64(0); i < count; i++ {
-		dst[base+int(i)].Weight = buf[i]
-	}
-	return dst, nil
-}
-
-// NumPostings implements Index, reading the per-term counts.
-func (d *Encoded) NumPostings() int64 {
-	var total int64
-	for t := 0; t < d.NumTerms(); t++ {
-		if start, end := d.offsets[t], d.offsets[t+1]; start != end {
-			c, k := binary.Uvarint(d.data[start:end])
-			if k <= 0 {
-				return 0
-			}
-			total += int64(c)
-		}
-	}
-	return total
 }

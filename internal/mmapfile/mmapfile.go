@@ -1,103 +1,65 @@
-// Package mmapfile serves read-only files either through a memory
-// mapping (page-cache-backed, zero-copy Range) or through plain pread
-// calls. Callers pick the mode at open time; on platforms without mmap
-// support the mapped mode degrades to pread transparently, so the two
-// modes differ only in how bytes reach the caller, never in what bytes.
+// Package mmapfile maps read-only files into memory: page-cache-backed,
+// with a zero-copy Range. Open maps the file or fails; a caller that can
+// do without a mapping (the snapshot store reads the file onto the heap
+// instead) decides what to do when it fails.
 //
-// The mapped representation is what lets a snapshot larger than RAM
-// serve queries: the kernel pages the graph's arrays and the α-radius
-// inverted files in on demand and evicts them under pressure. A mapped
-// snapshot is read in place, as views of the mapping, so none of those
-// bytes land on the Go heap.
+// The mapping is what lets a snapshot larger than RAM serve queries: the
+// kernel pages the graph's arrays, the indexes and the α-radius inverted
+// files in on demand and evicts them under pressure. A mapped snapshot is
+// read in place, as views of the mapping, so none of those bytes land on
+// the Go heap.
 package mmapfile
 
 import (
+	"errors"
 	"fmt"
-	"io"
 	"os"
 )
 
-// File is a read-only file handle with an optional memory mapping.
-// All methods are safe for concurrent use: the mapping is immutable
-// after Open, and the pread path uses os.File.ReadAt.
+// File is a read-only memory-mapped file. All methods are safe for
+// concurrent use: the mapping is immutable after Open.
 type File struct {
 	f    *os.File
-	size int64
-	data []byte // non-nil iff the file is memory-mapped
+	data []byte
 }
 
-// Open opens path for reading and memory-maps it when the platform
-// supports mapping; otherwise the file serves through pread. Empty
-// files are never mapped (zero-length mappings are invalid).
-func Open(path string) (*File, error) { return OpenMode(path, true) }
-
-// OpenPread opens path for plain pread serving, never mapping it.
-func OpenPread(path string) (*File, error) { return OpenMode(path, false) }
-
-// OpenMode opens path, mapping it when useMmap is set and the platform
-// allows. A failed map attempt is not an error: the file falls back to
-// pread, so callers can request mapping unconditionally.
-func OpenMode(path string, useMmap bool) (*File, error) {
+// Open opens path and maps it read-only. It fails where the platform
+// cannot map files, and for an empty file (a zero-length mapping is
+// invalid).
+func Open(path string) (*File, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	st, err := f.Stat()
+	if err == nil && st.Size() == 0 {
+		err = fmt.Errorf("mmapfile: %s is empty", path)
+	}
+	var data []byte
+	if err == nil {
+		data, err = mmap(f, st.Size())
+	}
 	if err != nil {
-		//ksplint:ignore droppederr -- error-path cleanup; the Stat error already wins
-		f.Close()
-		return nil, err
+		return nil, errors.Join(err, f.Close())
 	}
-	m := &File{f: f, size: st.Size()}
-	if useMmap && m.size > 0 {
-		if data, err := mmap(f, m.size); err == nil {
-			m.data = data
-		}
-	}
-	return m, nil
+	return &File{f: f, data: data}, nil
 }
-
-// Mapped reports whether the file is served through a memory mapping.
-func (m *File) Mapped() bool { return m.data != nil }
 
 // Size returns the file size observed at open time.
-func (m *File) Size() int64 { return m.size }
+func (m *File) Size() int64 { return int64(len(m.data)) }
 
-// ReadAt implements io.ReaderAt over either representation.
-func (m *File) ReadAt(p []byte, off int64) (int, error) {
-	if m.data != nil {
-		if off < 0 || off > m.size {
-			return 0, fmt.Errorf("mmapfile: read at %d outside [0,%d]", off, m.size)
-		}
-		n := copy(p, m.data[off:])
-		if n < len(p) {
-			return n, io.EOF
-		}
-		return n, nil
-	}
-	return m.f.ReadAt(p, off)
-}
-
-// Range returns n bytes starting at off. In mapped mode the returned
-// slice aliases the mapping (zero-copy; valid until Close, read-only);
-// in pread mode it is freshly allocated. Callers that retain the bytes
-// past the file's lifetime must copy.
+// Range returns n bytes starting at off as a view of the mapping:
+// zero-copy, read-only and valid until Close. Callers that retain the
+// bytes past the file's lifetime must copy.
 func (m *File) Range(off, n int64) ([]byte, error) {
-	if off < 0 || n < 0 || off+n > m.size {
-		return nil, fmt.Errorf("mmapfile: range [%d,%d) outside [0,%d]", off, off+n, m.size)
+	if off < 0 || n < 0 || off+n > m.Size() {
+		return nil, fmt.Errorf("mmapfile: range [%d,%d) outside [0,%d]", off, off+n, m.Size())
 	}
-	if m.data != nil {
-		return m.data[off : off+n : off+n], nil
-	}
-	buf := make([]byte, n)
-	if _, err := m.f.ReadAt(buf, off); err != nil {
-		return nil, err
-	}
-	return buf, nil
+	return m.data[off : off+n : off+n], nil
 }
 
-// Close unmaps (when mapped) and closes the file. Slices returned by
-// Range in mapped mode are invalid afterwards.
+// Close unmaps and closes the file. Slices returned by Range are invalid
+// afterwards.
 func (m *File) Close() error {
 	var unmapErr error
 	if m.data != nil {

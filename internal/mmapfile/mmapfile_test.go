@@ -2,7 +2,6 @@ package mmapfile
 
 import (
 	"bytes"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -18,93 +17,51 @@ func writeTemp(t *testing.T, data []byte) string {
 	return path
 }
 
-// Both modes must expose identical bytes through ReadAt and Range.
-func TestModesAgree(t *testing.T) {
+// Range views the file's bytes, and refuses a range outside them.
+func TestRangeViewsFile(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("files are mapped on linux only")
+	}
 	data := make([]byte, 10000)
 	for i := range data {
 		data[i] = byte(i * 31)
 	}
-	path := writeTemp(t, data)
-	for _, useMmap := range []bool{false, true} {
-		m, err := OpenMode(path, useMmap)
+	m, err := Open(writeTemp(t, data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Size() != int64(len(data)) {
+		t.Fatalf("Size() = %d, want %d", m.Size(), len(data))
+	}
+	for _, r := range [][2]int64{{0, 100}, {9000, 1000}, {4321, 0}, {0, 10000}} {
+		got, err := m.Range(r[0], r[1])
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("Range(%d,%d): %v", r[0], r[1], err)
 		}
-		if m.Size() != int64(len(data)) {
-			t.Fatalf("Size() = %d, want %d", m.Size(), len(data))
+		if !bytes.Equal(got, data[r[0]:r[0]+r[1]]) {
+			t.Fatalf("Range(%d,%d) mismatch", r[0], r[1])
 		}
-		if useMmap && runtime.GOOS == "linux" && !m.Mapped() {
-			t.Fatal("mmap mode not mapped on linux")
-		}
-		if !useMmap && m.Mapped() {
-			t.Fatal("pread mode reports mapped")
-		}
-		for _, r := range [][2]int64{{0, 100}, {9000, 1000}, {4321, 0}, {0, 10000}} {
-			got, err := m.Range(r[0], r[1])
-			if err != nil {
-				t.Fatalf("Range(%d,%d): %v", r[0], r[1], err)
-			}
-			if !bytes.Equal(got, data[r[0]:r[0]+r[1]]) {
-				t.Fatalf("Range(%d,%d) mismatch (mmap=%v)", r[0], r[1], useMmap)
-			}
-			buf := make([]byte, r[1])
-			if _, err := m.ReadAt(buf, r[0]); err != nil {
-				t.Fatalf("ReadAt(%d,%d): %v", r[0], r[1], err)
-			}
-			if !bytes.Equal(buf, data[r[0]:r[0]+r[1]]) {
-				t.Fatalf("ReadAt(%d,%d) mismatch (mmap=%v)", r[0], r[1], useMmap)
-			}
-		}
-		if _, err := m.Range(9999, 2); err == nil {
-			t.Fatal("Range past EOF succeeded")
-		}
-		if _, err := m.Range(-1, 1); err == nil {
-			t.Fatal("Range with negative offset succeeded")
-		}
-		if err := m.Close(); err != nil {
-			t.Fatal(err)
-		}
+	}
+	if _, err := m.Range(9999, 2); err == nil {
+		t.Fatal("Range past EOF succeeded")
+	}
+	if _, err := m.Range(-1, 1); err == nil {
+		t.Fatal("Range with negative offset succeeded")
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
-func TestReadAtShortTail(t *testing.T) {
-	path := writeTemp(t, []byte("hello"))
-	for _, useMmap := range []bool{false, true} {
-		m, err := OpenMode(path, useMmap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf := make([]byte, 10)
-		n, err := m.ReadAt(buf, 3)
-		if n != 2 || err != io.EOF {
-			t.Fatalf("short tail: n=%d err=%v, want 2, io.EOF (mmap=%v)", n, err, useMmap)
-		}
-		if string(buf[:n]) != "lo" {
-			t.Fatalf("short tail bytes %q", buf[:n])
-		}
-		if err := m.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// Zero-length files must open in either mode (never mapped: zero-length
-// mappings are invalid).
+// An empty file cannot be mapped (a zero-length mapping is invalid), and
+// neither can a missing one: Open fails.
 func TestEmptyFile(t *testing.T) {
-	path := writeTemp(t, nil)
-	for _, useMmap := range []bool{false, true} {
-		m, err := OpenMode(path, useMmap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.Mapped() {
-			t.Fatal("empty file mapped")
-		}
-		if got, err := m.Range(0, 0); err != nil || len(got) != 0 {
-			t.Fatalf("Range(0,0) = %v, %v", got, err)
-		}
-		if err := m.Close(); err != nil {
-			t.Fatal(err)
-		}
+	if m, err := Open(writeTemp(t, nil)); err == nil {
+		m.Close()
+		t.Fatal("an empty file was mapped")
+	}
+	if m, err := Open(filepath.Join(t.TempDir(), "missing")); err == nil {
+		m.Close()
+		t.Fatal("a missing file was mapped")
 	}
 }

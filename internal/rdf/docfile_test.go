@@ -88,46 +88,48 @@ func writeDocs(t *testing.T, g *Graph) docImage {
 
 // readDocs returns the document arrays of im as views of its bytes:
 // of the mapping when useMmap, else of one aligned heap buffer the file
-// was read into. The file closes when the test ends.
-func readDocs(t *testing.T, im docImage, useMmap bool) (docOff, docTerms []uint32, mapped bool) {
+// was read into. A mapped file closes when the test ends.
+func readDocs(t *testing.T, im docImage, useMmap bool) (docOff, docTerms []uint32) {
 	t.Helper()
-	src, err := mmapfile.OpenMode(im.path, useMmap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { src.Close() })
 	var b []byte
-	if src.Mapped() {
+	if useMmap {
+		src, err := mmapfile.Open(im.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { src.Close() })
 		if b, err = src.Range(0, src.Size()); err != nil {
 			t.Fatal(err)
 		}
 	} else {
-		b = view.Alloc(int(src.Size()))
-		if _, err := src.ReadAt(b, 0); err != nil {
+		raw, err := os.ReadFile(im.path)
+		if err != nil {
 			t.Fatal(err)
 		}
+		b = view.Alloc(len(raw))
+		copy(b, raw)
 	}
+	var err error
 	if docOff, err = view.Of[uint32](b[im.offAt : im.offAt+im.offN]); err != nil {
 		t.Fatal(err)
 	}
 	if docTerms, err = view.Of[uint32](b[im.termsAt : im.termsAt+im.termsN]); err != nil {
 		t.Fatal(err)
 	}
-	return docOff, docTerms, src.Mapped()
+	return docOff, docTerms
 }
 
 // docsFromFile returns g with its documents replaced by views of the
-// arrays writeDocs wrote, read through pread or a mapping.
-func docsFromFile(t *testing.T, g *Graph, im docImage, useMmap bool) (*Graph, bool) {
+// arrays writeDocs wrote, read onto the heap or mapped.
+func docsFromFile(t *testing.T, g *Graph, im docImage, useMmap bool) *Graph {
 	t.Helper()
 	a := g.Arrays()
-	var mapped bool
-	a.DocOff, a.DocTerms, mapped = readDocs(t, im, useMmap)
+	a.DocOff, a.DocTerms = readDocs(t, im, useMmap)
 	out, err := FromArrays(a, g.Analyzer())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out, mapped
+	return out
 }
 
 // A graph serves its documents from the document arrays of a file, read
@@ -138,10 +140,7 @@ func TestAttachExternalDocs(t *testing.T) {
 	ref, want := docFixture()
 	im := writeDocs(t, ref)
 	for _, useMmap := range []bool{false, true} {
-		g, mapped := docsFromFile(t, ref, im, useMmap)
-		if !useMmap && mapped {
-			t.Fatalf("mmap=%v: pread source is mapped", useMmap)
-		}
+		g := docsFromFile(t, ref, im, useMmap)
 		// Every document is kept until all are read: one must not share
 		// memory with another's.
 		docs := make([][]uint32, g.NumVertices())
@@ -161,15 +160,12 @@ func TestAttachExternalDocs(t *testing.T) {
 	}
 }
 
-// Documents read from the file through pread match the built ones on
+// Documents read from the file onto the heap match the built ones on
 // every pass, and HasTerm finds each of their terms and no absent one.
 func TestSpillDocsRoundTrip(t *testing.T) {
 	ref, want := docFixture()
 	im := writeDocs(t, ref)
-	g, mapped := docsFromFile(t, ref, im, false)
-	if mapped {
-		t.Fatal("pread source is mapped")
-	}
+	g := docsFromFile(t, ref, im, false)
 	for pass := 0; pass < 2; pass++ {
 		for v := uint32(0); int(v) < g.NumVertices(); v++ {
 			if got := g.Doc(v); !reflect.DeepEqual(append([]uint32(nil), got...), want[v]) {
@@ -190,20 +186,17 @@ func TestSpillDocsRoundTrip(t *testing.T) {
 }
 
 // The same document arrays viewed through a mapping serve the same
-// documents as read through pread.
+// documents as read onto the heap.
 func TestSpillDocsMmapMatchesPread(t *testing.T) {
 	ref, _ := docFixture()
 	im := writeDocs(t, ref)
-	pread, mapped := docsFromFile(t, ref, im, false)
-	if mapped {
-		t.Fatal("pread source is mapped")
-	}
-	viaMmap, _ := docsFromFile(t, ref, im, true)
-	for v := uint32(0); int(v) < pread.NumVertices(); v++ {
-		a := append([]uint32(nil), pread.Doc(v)...)
+	heap := docsFromFile(t, ref, im, false)
+	viaMmap := docsFromFile(t, ref, im, true)
+	for v := uint32(0); int(v) < heap.NumVertices(); v++ {
+		a := append([]uint32(nil), heap.Doc(v)...)
 		b := append([]uint32(nil), viaMmap.Doc(v)...)
 		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("Doc(%d): pread %v mmap %v", v, a, b)
+			t.Fatalf("Doc(%d): heap %v mmap %v", v, a, b)
 		}
 	}
 }
@@ -223,7 +216,7 @@ func TestSpillEmptyDocs(t *testing.T) {
 	}
 	for _, useMmap := range []bool{false, true} {
 		ref := build(true)
-		g, _ := docsFromFile(t, ref, writeDocs(t, ref), useMmap)
+		g := docsFromFile(t, ref, writeDocs(t, ref), useMmap)
 		if len(g.Doc(0)) != 0 {
 			t.Errorf("mmap=%v: empty doc should stay empty", useMmap)
 		}
@@ -231,7 +224,7 @@ func TestSpillEmptyDocs(t *testing.T) {
 			t.Errorf("mmap=%v: doc lost", useMmap)
 		}
 		ref = build(false)
-		g, _ = docsFromFile(t, ref, writeDocs(t, ref), useMmap)
+		g = docsFromFile(t, ref, writeDocs(t, ref), useMmap)
 		if len(g.Doc(0)) != 0 || len(g.Doc(1)) != 0 {
 			t.Errorf("mmap=%v: all-empty documents read back non-empty", useMmap)
 		}

@@ -13,11 +13,9 @@ import (
 	"ksp/internal/rdf"
 )
 
-// The tentpole serving property: a snapshot loaded into memory, opened
-// with LoadSnapshotDisk without a mapping (read onto the heap), and
-// opened with a memory mapping must return byte-identical /search
-// results — same places, same scores, same trees, bit for bit after JSON
-// encoding.
+// The serving property of a snapshot: loaded onto the heap and opened
+// with a memory mapping, it must return byte-identical /search results —
+// same places, same scores, same trees, bit for bit after JSON encoding.
 func TestSearchModesByteIdentical(t *testing.T) {
 	g := gen.Generate(gen.YagoConfig(600, 41))
 	build, err := ksp.NewDatasetFromGraph(g, ksp.Config{
@@ -39,19 +37,9 @@ func TestSearchModesByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	preadCfg := cfg
-	pread, err := ksp.LoadSnapshotDisk(snapPath, preadCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := pread.Close(); err != nil {
-			t.Error(err)
-		}
-	}()
 	mmapCfg := cfg
 	mmapCfg.Mmap = true
-	mapped, err := ksp.LoadSnapshotDisk(snapPath, mmapCfg)
+	mapped, err := ksp.LoadSnapshot(snapPath, mmapCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,13 +50,12 @@ func TestSearchModesByteIdentical(t *testing.T) {
 	}()
 	// Without a mapping the snapshot is read onto the heap, documents
 	// and all; mapped, the documents are views of the mapping.
-	if pread.Stats().DocsOnDisk || !mapped.Stats().DocsOnDisk {
-		t.Fatalf("DocsOnDisk = %v read, %v mapped; want false, true", pread.Stats().DocsOnDisk, mapped.Stats().DocsOnDisk)
+	if mem.Stats().MemoryMapped || !mapped.Stats().MemoryMapped {
+		t.Fatalf("MemoryMapped = %v read, %v mapped; want false, true", mem.Stats().MemoryMapped, mapped.Stats().MemoryMapped)
 	}
 
 	servers := map[string]*httptest.Server{
 		"memory": httptest.NewServer(New(mem)),
-		"pread":  httptest.NewServer(New(pread)),
 		"mmap":   httptest.NewServer(New(mapped)),
 	}
 	for _, srv := range servers {
@@ -85,7 +72,7 @@ func TestSearchModesByteIdentical(t *testing.T) {
 		for _, algo := range []string{"SP", "SPP"} {
 			query := fmt.Sprintf("/search?x=%v&y=%v&kw=%s&k=5&algo=%s&trees=1", loc.X, loc.Y, kw, algo)
 			// Results (not stats — timings differ) must be byte-identical
-			// across the three serving modes.
+			// across the two serving modes.
 			var wantBytes []byte
 			var wantMode string
 			for mode, srv := range servers {
@@ -110,8 +97,8 @@ func TestSearchModesByteIdentical(t *testing.T) {
 		}
 	}
 
-	// /describe pages documents from the snapshot file in disk modes;
-	// the rendered terms must match the in-memory dataset's too.
+	// /describe pages documents from the mapped snapshot file; the
+	// rendered terms must match the in-memory dataset's too.
 	for v := uint32(0); v < 40; v++ {
 		uri := url.QueryEscape(mem.URI(v))
 		var wantBytes []byte

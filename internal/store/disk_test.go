@@ -42,15 +42,15 @@ func diskFixture(t *testing.T) (string, *core.Engine, *rdf.Graph) {
 
 // A snapshot opened with OpenDisk must expose exactly the same graph
 // and α posting lists as the one Read holds, in both modes: mapped, the
-// graph and the α files are views of the mapping; read with positioned
-// reads, they are on the heap, as Read's.
+// graph and the α files are views of the mapping; without a mapping,
+// they are on the heap, as Read's.
 func TestOpenDiskMatchesRead(t *testing.T) {
 	path, e, g := diskFixture(t)
 	mem, err := LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mem.Mapped() || mem.AlphaMapped() {
+	if mem.Mapped() {
 		t.Fatal("in-memory snapshot claims to be mapped")
 	}
 
@@ -59,13 +59,13 @@ func TestOpenDiskMatchesRead(t *testing.T) {
 		if err != nil {
 			t.Fatalf("OpenDisk(mmap=%v): %v", useMmap, err)
 		}
-		if mapped := useMmap && runtime.GOOS == "linux"; disk.Mapped() != mapped || disk.AlphaMapped() != mapped {
-			t.Fatalf("OpenDisk(mmap=%v): Mapped %v, AlphaMapped %v, want %v", useMmap, disk.Mapped(), disk.AlphaMapped(), mapped)
+		if mapped := useMmap && runtime.GOOS == "linux"; disk.Mapped() != mapped {
+			t.Fatalf("OpenDisk(mmap=%v): Mapped %v, want %v", useMmap, disk.Mapped(), mapped)
 		}
 		if disk.AlphaRadius != 2 || disk.Dir != rdf.Outgoing {
 			t.Fatalf("alpha metadata lost: %+v", disk)
 		}
-		sameGraph(t, fmt.Sprintf("OpenDisk(mmap=%v)", useMmap), disk.Graph, g, false)
+		sameGraph(t, fmt.Sprintf("OpenDisk(mmap=%v)", useMmap), disk.Graph, g)
 		for v := uint32(0); int(v) < g.NumVertices(); v++ {
 			if a, b := mem.Graph.Doc(v), disk.Graph.Doc(v); !slices.Equal(a, b) {
 				t.Fatalf("mmap=%v: Doc(%d) = %v, want %v", useMmap, v, b, a)
@@ -182,53 +182,7 @@ func TestOpenDiskDetectsCorruption(t *testing.T) {
 	}
 }
 
-// Version 1 snapshots (no CRC trailers) must stay loadable through
-// OpenDisk too, read or mapped: they are decoded onto the heap either
-// way, and the mapping is released at once.
-func TestOpenDiskV1(t *testing.T) {
-	g := gen.Generate(gen.DBpediaConfig(400, 3))
-	e := core.NewEngine(g, rdf.Outgoing)
-	e.EnableAlpha(2)
-	s := &Snapshot{
-		Graph:       g,
-		AlphaRadius: 2,
-		Dir:         rdf.Outgoing,
-		AlphaPlace:  e.Alpha.PlaceIdx,
-		AlphaNode:   e.Alpha.NodeIdx,
-	}
-	var buf bytes.Buffer
-	if err := writeVersion(&buf, s, 1); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "v1.bin")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, useMmap := range []bool{false, true} {
-		snap, err := OpenDisk(path, useMmap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if snap.Mapped() || snap.AlphaMapped() {
-			t.Errorf("mmap=%v: a version 1 snapshot claims to be mapped", useMmap)
-		}
-		for term := 0; term < e.Alpha.PlaceIdx.NumTerms(); term++ {
-			a, _ := e.Alpha.PlaceIdx.Postings(uint32(term), nil)
-			b, err := snap.AlphaPlace.Postings(uint32(term), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("mmap=%v: v1 place postings for term %d differ", useMmap, term)
-			}
-		}
-		if err := snap.Close(); err != nil {
-			t.Error(err)
-		}
-	}
-}
-
-// A version 4 snapshot is served as it lies in the file, so a document
+// A snapshot is served as it lies in the file, so a document
 // whose terms are not strictly ascending — which Write never emits, and
 // which a Builder would sort — fails the open in every mode instead of
 // reaching HasTerm's binary search, even with its trailer recomputed.
@@ -237,7 +191,7 @@ func TestOpenDiskRejectsUnsortedDocument(t *testing.T) {
 	v := b.AddBareVertex("v")
 	b.AddTermID(v, b.Vocab.ID("a"))
 	b.AddTermID(v, b.Vocab.ID("b"))
-	img := layoutOf(t, encode(t, &Snapshot{Graph: b.Build()}, snapVersion))
+	img := layoutOf(t, encode(t, &Snapshot{Graph: b.Build()}))
 	if got := img.u32s("docTerms"); !slices.Equal(got, []uint32{0, 1}) {
 		t.Fatalf("document terms %v, want [0 1]", got)
 	}

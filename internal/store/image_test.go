@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -25,9 +24,9 @@ import (
 	"ksp/internal/rtree"
 )
 
-// imageLayout locates the arrays and trailers of an image of version 4
-// or 5, as Write documents its layout, so that a test can damage one
-// array and recompute every trailer.
+// imageLayout locates the arrays and trailers of an image, as Write
+// documents its layout, so that a test can damage one array and
+// recompute every trailer.
 type imageLayout struct {
 	raw      []byte
 	arrays   map[string][2]int // byte span of each array
@@ -39,7 +38,6 @@ func layoutOf(t testing.TB, raw []byte) *imageLayout {
 	l := &imageLayout{raw: raw, arrays: make(map[string][2]int)}
 	head := func(i int) int { return int(binary.LittleEndian.Uint32(raw[4*i:])) }
 	n, e, p := head(hVertices), head(hEdges), head(hPlaces)
-	v5 := head(1) == snapVersion
 	type array struct {
 		name string
 		size int
@@ -55,11 +53,7 @@ func layoutOf(t testing.TB, raw []byte) *imageLayout {
 		l.sections = append(l.sections, [2]int{start, off})
 		off += 4
 	}
-	words := hNodes
-	if v5 {
-		words = headerWords
-	}
-	section(array{"header", 4 * words})
+	section(array{"header", 4 * headerWords})
 	section(array{"termBlob", head(hTermBytes)}, array{"termOff", 4 * (head(hTerms) + 1)}, array{"termSort", 4 * head(hTerms)})
 	section(array{"uriBlob", head(hURIBytes)}, array{"uriOff", 4 * (n + 1)}, array{"uriSort", 4 * n})
 	section(array{"predBlob", head(hPredBytes)}, array{"predOff", 4 * (head(hPreds) + 1)},
@@ -67,11 +61,9 @@ func layoutOf(t testing.TB, raw []byte) *imageLayout {
 		array{"inOff", 4 * (n + 1)}, array{"inEdges", 4 * e})
 	section(array{"docOff", 4 * (n + 1)}, array{"docTerms", 4 * head(hDocTerms)})
 	section(array{"places", 4 * p}, array{"placeOrd", 4 * n}, array{"coords", 16 * p})
-	if v5 {
-		nodes := head(hNodes)
-		section(array{"rects", 32 * nodes}, array{"treeOff", 4 * (nodes + 1)}, array{"children", 4 * (nodes - 1)},
-			array{"itemIDs", 4 * p}, array{"itemLocs", 16 * p})
-	}
+	nodes := head(hNodes)
+	section(array{"rects", 32 * nodes}, array{"treeOff", 4 * (nodes + 1)}, array{"children", 4 * max(nodes-1, 0)},
+		array{"itemIDs", 4 * p}, array{"itemLocs", 16 * p})
 	if head(hAlphaRadius) > 0 {
 		size, err := alpha.PlaceImageLen(raw[off:], l.u32s("places"))
 		if err != nil {
@@ -83,7 +75,7 @@ func layoutOf(t testing.TB, raw []byte) *imageLayout {
 		}
 		section(array{"alphaNode", size})
 	}
-	if v5 && head(hFlags)&flagReach != 0 {
+	if head(hFlags)&flagReach != 0 {
 		comps := head(hReachComps)
 		section(array{"comp", 4 * head(hReachVerts)}, array{"linOff", 4 * (comps + 1)}, array{"lin", 4 * head(hReachIn)},
 			array{"loutOff", 4 * (comps + 1)}, array{"lout", 4 * head(hReachOut)}, array{"termVert", 4 * head(hTerms)})
@@ -129,11 +121,8 @@ func (l *imageLayout) resummed() []byte {
 	return out
 }
 
-// sameGraph demands that got answer every accessor as want does. A graph
-// decoded from a snapshot of format version 1 to 3 numbers its predicates
-// by first use in the file, not as the Builder that made want did; with
-// renumbered set, predicates are compared by name.
-func sameGraph(t testing.TB, label string, got, want *rdf.Graph, renumbered bool) {
+// sameGraph demands that got answer every accessor as want does.
+func sameGraph(t testing.TB, label string, got, want *rdf.Graph) {
 	t.Helper()
 	fail := func(format string, args ...any) {
 		t.Helper()
@@ -149,18 +138,6 @@ func sameGraph(t testing.TB, label string, got, want *rdf.Graph, renumbered bool
 	if !slices.Equal(got.Places(), want.Places()) {
 		fail("Places %v, want %v", got.Places(), want.Places())
 	}
-	type edge struct {
-		to   uint32
-		pred string
-	}
-	edges := func(g *rdf.Graph, v uint32) []edge {
-		var out []edge
-		for i, o := range g.Out(v) {
-			out = append(out, edge{o, g.PredName(g.OutPreds(v)[i])})
-		}
-		slices.SortFunc(out, func(a, b edge) int { return cmp.Or(cmp.Compare(a.to, b.to), cmp.Compare(a.pred, b.pred)) })
-		return out
-	}
 	for v := uint32(0); int(v) < want.NumVertices(); v++ {
 		if got.URI(v) != want.URI(v) {
 			fail("URI(%d) = %q, want %q", v, got.URI(v), want.URI(v))
@@ -171,11 +148,7 @@ func sameGraph(t testing.TB, label string, got, want *rdf.Graph, renumbered bool
 		if !slices.Equal(got.Out(v), want.Out(v)) || !slices.Equal(got.In(v), want.In(v)) {
 			fail("vertex %d: Out %v, In %v; want %v, %v", v, got.Out(v), got.In(v), want.Out(v), want.In(v))
 		}
-		if renumbered {
-			if a, b := edges(got, v), edges(want, v); !slices.Equal(a, b) {
-				fail("vertex %d: edges %v, want %v", v, a, b)
-			}
-		} else if !slices.Equal(got.OutPreds(v), want.OutPreds(v)) {
+		if !slices.Equal(got.OutPreds(v), want.OutPreds(v)) {
 			fail("OutPreds(%d) = %v, want %v", v, got.OutPreds(v), want.OutPreds(v))
 		}
 		if !slices.Equal(got.Doc(v), want.Doc(v)) {
@@ -194,9 +167,6 @@ func sameGraph(t testing.TB, label string, got, want *rdf.Graph, renumbered bool
 		var out []string
 		for i := 0; i < g.NumPredNames(); i++ {
 			out = append(out, g.PredName(uint32(i)))
-		}
-		if renumbered {
-			slices.Sort(out)
 		}
 		return out
 	}
@@ -258,19 +228,17 @@ func shapeGraphs() map[string]*rdf.Graph {
 }
 
 // Every accessor of a Graph, of its R-tree and of its reachability index
-// answers alike whether they were built, read back from a version 5
-// snapshot onto the heap, or mapped from one; the Graph and the R-tree
-// do so too when decoded from a version 3 snapshot through the legacy
-// reader or read from a version 4 image, whose trees are built at open.
+// answers alike whether they were built, read back from a snapshot onto
+// the heap, or mapped from one.
 func TestAccessorsIdenticalAcrossSources(t *testing.T) {
 	for name, g := range shapeGraphs() {
 		s := &Snapshot{Graph: g, Tree: rtree.OfPlaces(g.Places(), g.Loc), Reach: reach.NewKeywordIndex(g, rdf.Outgoing), Dir: rdf.Outgoing}
-		raw := encode(t, s, snapVersion)
+		raw := encode(t, s)
 		read, err := Read(bytes.NewReader(raw))
 		if err != nil {
 			t.Fatalf("%s: Read: %v", name, err)
 		}
-		sameGraph(t, name+", Read", read.Graph, g, false)
+		sameGraph(t, name+", Read", read.Graph, g)
 		sameIndexes(t, name+", Read", read, s)
 		path := filepath.Join(t.TempDir(), "snap.bin")
 		if err := os.WriteFile(path, raw, 0o644); err != nil {
@@ -280,22 +248,10 @@ func TestAccessorsIdenticalAcrossSources(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: OpenDisk: %v", name, err)
 		}
-		sameGraph(t, name+", mapped", mapped.Graph, g, false)
+		sameGraph(t, name+", mapped", mapped.Graph, g)
 		sameIndexes(t, name+", mapped", mapped, s)
 		if err := mapped.Close(); err != nil {
 			t.Fatal(err)
-		}
-		for _, version := range []uint32{3, 4} {
-			old, err := Read(bytes.NewReader(encode(t, s, version)))
-			if err != nil {
-				t.Fatalf("%s: Read of version %d: %v", name, version, err)
-			}
-			label := fmt.Sprintf("%s, version %d", name, version)
-			sameGraph(t, label, old.Graph, g, version < 4)
-			if old.Reach != nil {
-				t.Fatalf("%s: reachability labels from a file that has none", label)
-			}
-			sameIndexes(t, label, old, &Snapshot{Graph: g, Tree: s.Tree})
 		}
 		var again bytes.Buffer
 		if err := Write(&again, read); err != nil {
@@ -359,7 +315,7 @@ func sameIndexes(t testing.TB, label string, got, want *Snapshot) {
 	}
 }
 
-// graphDamage returns format version 5 snapshots, by the rule each
+// graphDamage returns snapshots, by the rule each
 // breaks, whose graph arrays were damaged after they were written and
 // whose trailers were then recomputed, so that nothing but the checks at
 // open can see the damage.
@@ -368,7 +324,7 @@ func graphDamage(t testing.TB) map[string][]byte {
 	g := gen.Generate(gen.YagoConfig(300, 5))
 	e := core.NewEngine(g, rdf.Outgoing)
 	e.EnableAlpha(2)
-	raw := encode(t, &Snapshot{Graph: g, AlphaRadius: 2, Dir: rdf.Outgoing, AlphaPlace: e.Alpha.PlaceIdx, AlphaNode: e.Alpha.NodeIdx}, snapVersion)
+	raw := encode(t, &Snapshot{Graph: g, AlphaRadius: 2, Dir: rdf.Outgoing, AlphaPlace: e.Alpha.PlaceIdx, AlphaNode: e.Alpha.NodeIdx})
 	base := layoutOf(t, raw)
 	n, terms, preds := uint32(g.NumVertices()), uint32(g.Vocab.Len()), uint32(g.NumPredNames())
 	// Fixture positions: the first vertex with two distinct successors,
@@ -441,9 +397,8 @@ func graphDamage(t testing.TB) map[string][]byte {
 		"a NaN coordinate":                         func(l *imageLayout) { putF64(l, "coords", 0, math.NaN()) },
 		"an infinite coordinate":                   func(l *imageLayout) { putF64(l, "coords", 3, math.Inf(1)) },
 		"an α radius beyond a byte":                func(l *imageLayout) { l.put("header", hAlphaRadius, 300) },
-		// The α images are those of format version 3, checked by
-		// alpha.Open* (v3ImageDamage has a case per rule); one case shows
-		// the version 4 path runs those checks too.
+		// The α images are checked by alpha.Open* (alphaDamage has a case
+		// per rule); one case shows they are among the graph's checks.
 		"an α place nibble beyond α+1": func(l *imageLayout) {
 			img := l.bytes("alphaPlace")
 			if at := partsOf(img, true).cols; at < len(img) {
@@ -463,9 +418,9 @@ func graphDamage(t testing.TB) map[string][]byte {
 	return out
 }
 
-// Every open-time rule of a version 4 image holds in every mode: each
-// damaged image is refused with ErrCorrupt by Read and by OpenDisk with
-// and without a mapping, though every trailer matches.
+// Every open-time rule of the graph image holds in every mode: each
+// damaged image is refused with ErrCorrupt by Read, LoadFile and the
+// mapped open, though every trailer matches.
 func TestReadRejectsDamagedGraphImage(t *testing.T) {
 	for name, raw := range graphDamage(t) {
 		for mode, open := range openAll(t, raw) {
@@ -476,11 +431,10 @@ func TestReadRejectsDamagedGraphImage(t *testing.T) {
 	}
 }
 
-// A place at a NaN or infinite location is refused as corrupt by every
-// format version in every mode: no distance to it orders. No builder
-// makes such a graph, so each file is written with a finite location that
-// the writer then replaces: in the stream of a version 1 to 3 snapshot,
-// or in the coordinates of an image, whose trailers are recomputed.
+// A place at a NaN or infinite location is refused as corrupt in every
+// mode: no distance to it orders. No builder makes such a graph, so each
+// file is written with a finite location that is then replaced in the
+// coordinates of the image, whose trailers are recomputed.
 func TestReadRejectsNonFiniteCoordinates(t *testing.T) {
 	b := rdf.NewBuilder()
 	b.SetLocation(b.AddBareVertex("ex:a"), geo.Point{X: 1, Y: 2})
@@ -488,33 +442,18 @@ func TestReadRejectsNonFiniteCoordinates(t *testing.T) {
 	b.SetLocation(bad, geo.Point{X: 3, Y: 4})
 	s := &Snapshot{Graph: b.Build()}
 	for _, loc := range []geo.Point{{X: math.NaN(), Y: 1}, {X: 1, Y: math.Inf(1)}, {X: math.Inf(-1), Y: math.NaN()}} {
-		for version := uint32(1); version <= snapVersion; version++ {
-			var raw []byte
-			if version >= 4 {
-				l := layoutOf(t, encode(t, s, version))
-				putF64(l, "coords", 2, loc.X)
-				putF64(l, "coords", 3, loc.Y)
-				raw = l.resummed()
-			} else {
-				legacyLoc = func(g *rdf.Graph, p uint32) geo.Point {
-					if p == bad {
-						return loc
-					}
-					return g.Loc(p)
-				}
-				raw = encode(t, s, version)
-				legacyLoc = (*rdf.Graph).Loc
-			}
-			for mode, open := range openAll(t, raw) {
-				if _, err := open(); !errors.Is(err, ErrCorrupt) {
-					t.Errorf("%v, format version %d, %s: got %v, want ErrCorrupt", loc, version, mode, err)
-				}
+		l := layoutOf(t, encode(t, s))
+		putF64(l, "coords", 2, loc.X)
+		putF64(l, "coords", 3, loc.Y)
+		for mode, open := range openAll(t, l.resummed()) {
+			if _, err := open(); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%v, %s: got %v, want ErrCorrupt", loc, mode, err)
 			}
 		}
 	}
 }
 
-// indexDamage returns format version 5 snapshots, by the open-time rule
+// indexDamage returns snapshots, by the open-time rule
 // of the R-tree or reachability image each breaks, with the text the
 // refusal must carry (empty when any refusal will do). The arrays were
 // damaged after they were written and the trailers recomputed, so that
@@ -533,7 +472,7 @@ func indexDamage(t testing.TB) map[string]indexCase {
 	ix := alpha.Build(g, tree, 2, rdf.Outgoing)
 	s := &Snapshot{Graph: g, Tree: tree, Reach: reach.NewKeywordIndex(g, rdf.Outgoing), AlphaRadius: 2, Dir: rdf.Outgoing,
 		AlphaPlace: ix.PlaceIdx, AlphaNode: ix.NodeIdx}
-	raw := encode(t, s, snapVersion)
+	raw := encode(t, s)
 	base := layoutOf(t, raw)
 	ta, ra := tree.Arrays(), s.Reach.Arrays()
 	nodes, leaves, comps := len(ta.Rects), ta.Leaves, uint32(len(ra.LinOff)-1)
@@ -680,7 +619,7 @@ func indexDamage(t testing.TB) map[string]indexCase {
 	other := alpha.Build(g, rtree.Bulk(slices.Clone(items), 8), 2, rdf.Outgoing)
 	mixed := *s
 	mixed.AlphaNode = other.NodeIdx
-	out["an α node file over another tree"] = indexCase{encode(t, &mixed, snapVersion), "α node index ranges over"}
+	out["an α node file over another tree"] = indexCase{encode(t, &mixed), "α node index ranges over"}
 	return out
 }
 
@@ -691,8 +630,8 @@ type indexCase struct {
 
 // Every open-time rule of the R-tree and reachability images holds in
 // every mode: each damaged image is refused with ErrCorrupt, for the
-// rule it breaks, by Read and by OpenDisk with and without a mapping,
-// though every trailer matches.
+// rule it breaks, by Read, LoadFile and the mapped open, though every
+// trailer matches.
 func TestReadRejectsDamagedIndexImage(t *testing.T) {
 	for name, c := range indexDamage(t) {
 		for mode, open := range openAll(t, c.raw) {

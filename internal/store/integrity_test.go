@@ -5,16 +5,15 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"ksp/internal/alpha"
 	"ksp/internal/core"
 	"ksp/internal/gen"
-	"ksp/internal/invindex"
 	"ksp/internal/paperdata"
 	"ksp/internal/rdf"
 	"ksp/internal/reach"
@@ -36,35 +35,29 @@ func fixtureSnapshot(t testing.TB) *Snapshot {
 	}
 }
 
-func encode(t testing.TB, s *Snapshot, version uint32) []byte {
+func encode(t testing.TB, s *Snapshot) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := writeVersion(&buf, s, version); err != nil {
+	if err := Write(&buf, s); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
-// Version-1 snapshots predate the CRC trailers; they must keep loading.
-func TestReadVersion1Compat(t *testing.T) {
-	s := fixtureSnapshot(t)
-	raw := encode(t, s, 1)
-	got, err := Read(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatalf("v1 snapshot failed to load: %v", err)
-	}
-	if got.Graph.NumVertices() != s.Graph.NumVertices() || got.AlphaRadius != 2 {
-		t.Fatalf("v1 snapshot decoded wrong: %d vertices, α=%d",
-			got.Graph.NumVertices(), got.AlphaRadius)
-	}
+// withVersion returns a copy of the image raw whose header names the
+// given format version.
+func withVersion(raw []byte, version uint32) []byte {
+	out := slices.Clone(raw)
+	binary.LittleEndian.PutUint32(out[4:], version)
+	return out
 }
 
-// Any flipped bit in a v2 snapshot must surface as ErrCorrupt (or, for
+// Any flipped bit in a snapshot must surface as ErrCorrupt (or, for
 // flips inside length prefixes, at worst another error — never a
 // silently different dataset). Flips in the 8 header bytes are excluded:
 // they legitimately report bad magic / unsupported version instead.
 func TestReadDetectsBitFlips(t *testing.T) {
-	raw := encode(t, fixtureSnapshot(t), snapVersion)
+	raw := encode(t, fixtureSnapshot(t))
 	if _, err := Read(bytes.NewReader(raw)); err != nil {
 		t.Fatalf("pristine snapshot failed: %v", err)
 	}
@@ -82,7 +75,7 @@ func TestReadDetectsBitFlips(t *testing.T) {
 }
 
 func TestReadDetectsTruncation(t *testing.T) {
-	raw := encode(t, fixtureSnapshot(t), snapVersion)
+	raw := encode(t, fixtureSnapshot(t))
 	for _, keep := range []int{len(raw) - 1, len(raw) / 2, 20, 9} {
 		_, err := Read(bytes.NewReader(raw[:keep]))
 		if !errors.Is(err, ErrCorrupt) {
@@ -92,7 +85,7 @@ func TestReadDetectsTruncation(t *testing.T) {
 }
 
 func TestReadCorruptIsNamedError(t *testing.T) {
-	raw := encode(t, fixtureSnapshot(t), snapVersion)
+	raw := encode(t, fixtureSnapshot(t))
 	mut := append([]byte(nil), raw...)
 	mut[100] ^= 0xff // inside the vocabulary section
 	_, err := Read(bytes.NewReader(mut))
@@ -101,9 +94,9 @@ func TestReadCorruptIsNamedError(t *testing.T) {
 	}
 }
 
-// openAll opens raw in every way a snapshot is opened — Read, and
-// OpenDisk with positioned reads and mapped — and returns what each gave,
-// by name. Opened snapshots close when the test ends.
+// openAll opens raw in every way a snapshot is opened — Read, LoadFile
+// and OpenDisk mapped — and returns what each gave, by name. Opened
+// snapshots close when the test ends.
 func openAll(t testing.TB, raw []byte) map[string]func() (*Snapshot, error) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "snap.bin")
@@ -117,57 +110,35 @@ func openAll(t testing.TB, raw []byte) map[string]func() (*Snapshot, error) {
 		return s, err
 	}
 	return map[string]func() (*Snapshot, error){
-		"Read":            func() (*Snapshot, error) { return Read(bytes.NewReader(raw)) },
-		"OpenDisk(pread)": func() (*Snapshot, error) { return closing(OpenDisk(path, false)) },
-		"OpenDisk(mmap)":  func() (*Snapshot, error) { return closing(OpenDisk(path, true)) },
+		"Read":           func() (*Snapshot, error) { return Read(bytes.NewReader(raw)) },
+		"LoadFile":       func() (*Snapshot, error) { return LoadFile(path) },
+		"OpenDisk(mmap)": func() (*Snapshot, error) { return closing(OpenDisk(path, true)) },
 	}
 }
 
-// Format versions 1 and 2 hold the α files as invindex encodings, which
-// every open packs into Files; that is where a list no build can have
-// written is seen: an entry that is not a place, a distance beyond the
-// radius, an entry out of order. Each is ErrCorrupt whether or not a CRC
-// covers it, never a panic and never a wrong bound. In format version 3
-// the same checks, and those of the image layout, run on the images at
-// open (v3ImageDamage).
-func TestReadRejectsImpossibleAlphaLists(t *testing.T) {
-	good := fixtureSnapshot(t)
-	places := good.Graph.Places()
-	notPlace := uint32(0)
-	for good.Graph.IsPlace(notPlace) {
-		notPlace++
-	}
-	file := func(entries ...invindex.Posting) invindex.Index {
-		b := invindex.NewBuilder()
-		b.Reserve(good.Graph.Vocab.Len())
-		for _, p := range entries {
-			b.Add(3, p.ID, p.Weight)
-		}
-		return b.Build()
-	}
-	type files struct{ place, node invindex.Index }
-	for name, f := range map[string]files{
-		"an entry that is not a place": {file(invindex.Posting{ID: places[0], Weight: 1}, invindex.Posting{ID: notPlace, Weight: 1}), good.AlphaNode},
-		"a place distance beyond α":    {file(invindex.Posting{ID: places[0], Weight: 3}), good.AlphaNode},
-		"a node distance beyond α":     {good.AlphaPlace, file(invindex.Posting{ID: 0, Weight: 200})},
-		"entries out of order":         {outOfOrder{good.AlphaPlace, places}, good.AlphaNode},
-	} {
-		for _, version := range []uint32{1, 2} {
-			var buf bytes.Buffer
-			if err := writeEncoded(&buf, good, version, f.place, f.node); err != nil {
-				t.Fatal(err)
-			}
-			for mode, open := range openAll(t, buf.Bytes()) {
-				if _, err := open(); !errors.Is(err, ErrCorrupt) {
-					t.Errorf("%s, format version %d, %s: got %v, want ErrCorrupt", name, version, mode, err)
-				}
+// Only format version 5 loads. A file of any other version, older or
+// newer, is refused in every mode with its version named, before any of
+// it is read as an image.
+func TestReadRefusesOldVersions(t *testing.T) {
+	raw := encode(t, fixtureSnapshot(t))
+	for _, version := range []uint32{1, 2, 3, 4, 6} {
+		want := fmt.Sprintf("version %d ", version)
+		for mode, open := range openAll(t, withVersion(raw, version)) {
+			if _, err := open(); err == nil || !strings.Contains(err.Error(), want) || errors.Is(err, ErrCorrupt) {
+				t.Errorf("format version %d, %s: got %v, want a refusal naming %q", version, mode, err, want)
 			}
 		}
 	}
-	for name, raw := range v3ImageDamage(t) {
+}
+
+// Every open-time rule of the α images holds in every mode: each damaged
+// image is refused with ErrCorrupt by Read, LoadFile and the mapped
+// open, though every trailer matches.
+func TestReadRejectsDamagedAlphaImage(t *testing.T) {
+	for name, raw := range alphaDamage(t) {
 		for mode, open := range openAll(t, raw) {
 			if _, err := open(); !errors.Is(err, ErrCorrupt) {
-				t.Errorf("%s, format version 3, %s: got %v, want ErrCorrupt", name, mode, err)
+				t.Errorf("%s, %s: got %v, want ErrCorrupt", name, mode, err)
 			}
 		}
 	}
@@ -197,23 +168,21 @@ func partsOf(img []byte, place bool) imageParts {
 	return p
 }
 
-// v3ImageDamage returns format version 3 snapshots, by the rule each
-// breaks, whose α images were damaged after they were written and whose
-// CRC trailers were then recomputed, so that nothing but the check at
-// open can see the damage. The fixture has an odd number of places and
-// of R-tree nodes, place lists of more than one entry, and columns in
-// both files.
-func v3ImageDamage(t testing.TB) map[string][]byte {
+// alphaDamage returns snapshots, by the rule each breaks, whose α images
+// were damaged after they were written and whose trailers were then
+// recomputed, so that nothing but the checks at open can see the damage.
+// The fixture has an odd number of places and of R-tree nodes, place and
+// node lists of more than one entry, and columns in both files.
+func alphaDamage(t testing.TB) map[string][]byte {
 	t.Helper()
 	g := gen.Generate(gen.YagoConfig(500, 5))
 	e := core.NewEngine(g, rdf.Outgoing)
 	e.EnableAlpha(2)
-	s := &Snapshot{Graph: g, AlphaRadius: 2, Dir: rdf.Outgoing, AlphaPlace: e.Alpha.PlaceIdx, AlphaNode: e.Alpha.NodeIdx}
-	raw := encode(t, s, 3)
-	placeLen, nodeLen := len(s.AlphaPlace.Image()), len(s.AlphaNode.Image())
-	prefix := raw[:len(raw)-placeLen-nodeLen-8]
-	if !bytes.Equal(raw[len(prefix):len(prefix)+placeLen], s.AlphaPlace.Image()) {
-		t.Fatal("the place image is not where the layout puts it")
+	s := &Snapshot{Graph: g, Tree: e.Tree, AlphaRadius: 2, Dir: rdf.Outgoing, AlphaPlace: e.Alpha.PlaceIdx, AlphaNode: e.Alpha.NodeIdx}
+	raw := encode(t, s)
+	base := layoutOf(t, raw)
+	if !bytes.Equal(base.bytes("alphaPlace"), s.AlphaPlace.Image()) || !bytes.Equal(base.bytes("alphaNode"), s.AlphaNode.Image()) {
+		t.Fatal("the α images are not where the layout puts them")
 	}
 	for mode, open := range openAll(t, raw) {
 		if _, err := open(); err != nil {
@@ -255,6 +224,11 @@ func v3ImageDamage(t testing.TB) map[string][]byte {
 		"a header longer than its section": func(place, _ []byte) {
 			le.PutUint64(place[24:], le.Uint64(place[24:])+1)
 		},
+		"a universe that is not the places' count": func(place, _ []byte) { le.PutUint64(place, uint64(pp.n-1)) },
+		"a term table that ends short of the lists": func(place, _ []byte) {
+			at := place[pp.table+8*pp.terms:]
+			le.PutUint64(at, le.Uint64(at)-1)
+		},
 		"a term table that descends": func(place, _ []byte) {
 			at := place[pp.table+8*longTerm:]
 			a, b := le.Uint64(at), le.Uint64(at[8:])
@@ -285,6 +259,7 @@ func v3ImageDamage(t testing.TB) map[string][]byte {
 			le.PutUint32(idAt(place, long[1]-1), ^uint32(0)-1)
 		},
 		"a list distance beyond α": func(place, _ []byte) { place[pp.postW] = 3 },
+
 		"a place nibble beyond α+1": func(place, _ []byte) {
 			place[pp.cols] = place[pp.cols]&0xF0 | 4
 		},
@@ -294,45 +269,30 @@ func v3ImageDamage(t testing.TB) map[string][]byte {
 		"a place column's pad nibble": func(place, _ []byte) { place[pp.cols+pp.stride-1] |= 1 << 4 },
 		"a node column's pad nibble":  func(_, node []byte) { node[np.cols+np.stride-1] |= 1 << 4 },
 	}
-	trailed := func(img []byte) []byte {
-		return binary.LittleEndian.AppendUint32(slices.Clone(img), crc32.ChecksumIEEE(img))
-	}
 	out := make(map[string][]byte, len(damage))
 	for name, hurt := range damage {
-		place, node := slices.Clone(s.AlphaPlace.Image()), slices.Clone(s.AlphaNode.Image())
-		hurt(place, node)
-		if bytes.Equal(place, s.AlphaPlace.Image()) && bytes.Equal(node, s.AlphaNode.Image()) {
+		l := &imageLayout{raw: slices.Clone(raw), arrays: base.arrays, sections: base.sections}
+		hurt(l.bytes("alphaPlace"), l.bytes("alphaNode"))
+		if bytes.Equal(l.raw, raw) {
 			t.Fatalf("%s: the damage changed nothing", name)
 		}
-		out[name] = slices.Concat(prefix, trailed(place), trailed(node))
+		out[name] = l.resummed()
 	}
 	return out
 }
 
-// outOfOrder serves term 3 as two places in descending order.
-type outOfOrder struct {
-	invindex.Index
-	places []uint32
-}
-
-func (o outOfOrder) Postings(term uint32, dst []invindex.Posting) ([]invindex.Posting, error) {
-	if term == 3 {
-		return append(dst, invindex.Posting{ID: o.places[1]}, invindex.Posting{ID: o.places[0]}), nil
-	}
-	return o.Index.Postings(term, dst)
-}
-
 // FuzzRead asserts the loader never panics or over-allocates on
 // adversarial input — it may only return an error or a valid snapshot —
-// read into memory or opened with OpenDisk, with positioned reads and
-// mapped. OpenDisk refuses everything Read refuses; an input it accepts,
+// read into memory or opened with OpenDisk, onto the heap and mapped.
+// OpenDisk refuses everything Read refuses; an input it accepts,
 // Read accepts too, with the same answer from every graph accessor and
 // the same α bounds, bit for bit, at every place and node for two
 // keyword sets, and the same R-tree and reachability answers. The seeds
-// are format version 5 (with and without α, whole and cut, damaged graph
-// arrays, edge shapes), 4, 3, 2 and 1, then version 5 with reachability
-// labels (no places, a single leaf, a deeper tree, damaged R-tree and
-// label arrays).
+// are snapshots with and without α, whole and cut, with damaged graph
+// arrays and of edge shapes, and with reachability labels (no places, a
+// single leaf, a deeper tree, damaged R-tree and label arrays); where the
+// seeds of older format versions were, the same images stand with their
+// version word set to 1, 2, 3 and 4.
 func FuzzRead(f *testing.F) {
 	small := paperdata.Figure1()
 	var buf bytes.Buffer
@@ -342,35 +302,27 @@ func FuzzRead(f *testing.F) {
 	raw := buf.Bytes()
 	f.Add(raw)
 	f.Add(raw[:len(raw)/2])
-	var v1 bytes.Buffer
-	if err := writeVersion(&v1, &Snapshot{Graph: small.G, Dir: rdf.Outgoing}, 1); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(v1.Bytes())
+	f.Add(withVersion(raw, 1))
 	f.Add([]byte{})
 	e := core.NewEngine(small.G, rdf.Outgoing)
 	e.EnableAlpha(2)
 	withAlpha := &Snapshot{Graph: small.G, Dir: rdf.Outgoing, AlphaRadius: 2, AlphaPlace: e.Alpha.PlaceIdx, AlphaNode: e.Alpha.NodeIdx}
+	alphaRaw := encode(f, withAlpha)
 	for _, version := range []uint32{snapVersion, 2, 3} {
-		var buf bytes.Buffer
-		if err := writeVersion(&buf, withAlpha, version); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
+		f.Add(withVersion(alphaRaw, version))
 	}
 	for _, name := range []string{"one vertex", "no places"} {
-		f.Add(encode(f, &Snapshot{Graph: shapeGraphs()[name]}, snapVersion))
+		f.Add(encode(f, &Snapshot{Graph: shapeGraphs()[name]}))
 	}
 	damaged := graphDamage(f)
 	for _, name := range []string{"an in-list that is not the transpose", "a document out of order", "nonzero padding between arrays"} {
 		f.Add(damaged[name])
 	}
-	// Seeds from here on are new with format version 5.
 	for _, name := range []string{"no places", "one vertex", "Figure 1"} {
 		g := shapeGraphs()[name]
-		f.Add(encode(f, &Snapshot{Graph: g, Reach: reach.NewKeywordIndex(g, rdf.Outgoing)}, snapVersion))
+		f.Add(encode(f, &Snapshot{Graph: g, Reach: reach.NewKeywordIndex(g, rdf.Outgoing)}))
 	}
-	f.Add(encode(f, withAlpha, 4))
+	f.Add(withVersion(alphaRaw, 4))
 	indexDamaged := indexDamage(f)
 	for _, name := range []string{"an α node file over another tree", "leaves at two depths", "a place listed twice", "a label out of order", "two terms at one vertex"} {
 		f.Add(indexDamaged[name].raw)
@@ -410,7 +362,7 @@ func FuzzRead(f *testing.F) {
 // files could name for two keyword sets.
 func sameSnapshot(t *testing.T, label string, disk, snap *Snapshot) {
 	t.Helper()
-	sameGraph(t, label, disk.Graph, snap.Graph, false)
+	sameGraph(t, label, disk.Graph, snap.Graph)
 	if (disk.Reach == nil) != (snap.Reach == nil) {
 		t.Fatalf("%s: reachability labels %v, Read: %v", label, disk.Reach != nil, snap.Reach != nil)
 	}

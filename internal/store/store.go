@@ -26,13 +26,10 @@
 // rest on the trailers alone: the α distances, and which landmarks each
 // reachability label holds.
 //
-// Version 4 — the same images without the R-tree and the labels — still
-// loads; its R-tree is built at open and its labels, when asked for, by
-// the caller. Versions 1 to 3 — streams of words decoded through an
-// rdf.Builder; version 1 without trailers, versions 1 and 2 with the α
-// files as invindex encodings — still load, onto the heap, through
-// readLegacy, and their R-tree is built too. Loading an older snapshot and
-// saving it again upgrades it to version 5.
+// Only version 5 loads. A file of any other version is refused in every
+// mode, with its version named: a snapshot is a cache of a build, and
+// its source (N-Triples, or whatever a ksp.Builder was fed) is rebuilt
+// and saved again instead.
 package store
 
 import (
@@ -58,10 +55,8 @@ import (
 
 const (
 	snapMagic = 0x6B535053 // "kSPS"
-	// snapVersion 5 adds the R-tree and the reachability labels as
-	// images; version 4 stored every other section as its image, version
-	// 3 the α files, version 2 added per-section CRC32 trailers. Files of
-	// versions 1 to 4 remain loadable.
+	// snapVersion is the one format version decode accepts; a file of
+	// any other version is refused.
 	snapVersion = 5
 )
 
@@ -77,8 +72,8 @@ var ErrCorrupt = errors.New("store: corrupt snapshot")
 type Snapshot struct {
 	Graph *rdf.Graph
 	// Tree is the R-tree over the Graph's places, the one the α node file
-	// is keyed by. Write bulk-loads it when nil; a loaded snapshot always
-	// has one, built at open for a file older than version 5.
+	// is keyed by. Write bulk-loads it when nil; a loaded snapshot's is
+	// the file's.
 	Tree *rtree.RTree
 	// Reach is the keyword reachability index, nil when none was saved.
 	// AlphaRadius and Dir describe the persisted α index; AlphaPlace /
@@ -91,9 +86,9 @@ type Snapshot struct {
 	Reach       *reach.KeywordIndex
 
 	// src is the mapping the Graph, the R-tree, the reachability index and
-	// the α files are views of, for a snapshot of version 4 or later
-	// opened mapped (OpenDisk); nil when they are on the heap. Owned by
-	// the Snapshot; release with Close.
+	// the α files are views of, for a snapshot opened mapped (OpenDisk);
+	// nil when they are on the heap. Owned by the Snapshot; release with
+	// Close.
 	src *mmapfile.File
 }
 
@@ -113,8 +108,8 @@ const (
 	hPlaces
 	hAlphaRadius
 	hDir
-	// Version 5 adds the R-tree's node and leaf counts and the lengths of
-	// the reachability arrays; a version 4 header ends before them.
+	// The R-tree's node and leaf counts and the lengths of the
+	// reachability arrays.
 	hNodes
 	hLeaves
 	hReachVerts
@@ -303,8 +298,7 @@ func Read(r io.Reader) (*Snapshot, error) {
 		k, err := r.Read(data[n:])
 		n += k
 		if err == io.EOF {
-			s, _, err := decode(data[:n])
-			return s, err
+			return decode(data[:n])
 		}
 		if err != nil {
 			return nil, err
@@ -313,40 +307,27 @@ func Read(r io.Reader) (*Snapshot, error) {
 }
 
 // decode restores the snapshot whose whole file is data, which must
-// start 8-byte aligned, and reports whether the result views data (an
-// image of version 4 or 5) rather than holding a decoded copy.
-func decode(data []byte) (s *Snapshot, views bool, err error) {
+// start 8-byte aligned; the result views data.
+func decode(data []byte) (*Snapshot, error) {
 	if len(data) < 8 {
-		return nil, false, fmt.Errorf("%w: truncated in header", ErrCorrupt)
+		return nil, fmt.Errorf("%w: truncated in header", ErrCorrupt)
 	}
 	if binary.LittleEndian.Uint32(data) != snapMagic {
-		return nil, false, errors.New("store: bad magic")
+		return nil, errors.New("store: bad magic")
 	}
-	switch version := binary.LittleEndian.Uint32(data[4:]); {
-	case version == 4 || version == snapVersion:
-		s, err = readImage(data, version)
-		return s, true, err
-	case version >= 1 && version < 4:
-		if s, err = readLegacy(bytes.NewReader(data)); err == nil {
-			s.Tree = rtree.OfPlaces(s.Graph.Places(), s.Graph.Loc)
-		}
-		return s, false, err
-	default:
-		return nil, false, fmt.Errorf("store: unsupported version %d", version)
+	if version := binary.LittleEndian.Uint32(data[4:]); version != snapVersion {
+		return nil, fmt.Errorf("store: snapshot format version %d is not version %d, the only one that loads; "+
+			"rebuild the dataset from its source (ksp.OpenFile or ksp.Builder) and save it again with Dataset.Save", version, snapVersion)
 	}
+	return readImage(data)
 }
 
-// readImage views an image of version 4 or 5: it verifies every trailer
-// in one pass, then checks each array is what a build makes. A version 4
-// image holds no R-tree, which is built, and no reachability labels.
-func readImage(data []byte, version uint32) (*Snapshot, error) {
+// readImage views an image: it verifies every trailer in one pass, then
+// checks each array is what a build makes.
+func readImage(data []byte) (*Snapshot, error) {
 	r := &imageReader{data: data}
 	r.begin("header")
-	words := int64(hNodes)
-	if version == snapVersion {
-		words = headerWords
-	}
-	head := r.u32s(words)
+	head := r.u32s(headerWords)
 	if err := r.end(); err != nil {
 		return nil, err
 	}
@@ -389,24 +370,20 @@ func readImage(data []byte, version uint32) (*Snapshot, error) {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	s.Graph = g
-	if version == snapVersion {
-		r.begin("R-tree")
-		nodes := count(hNodes)
-		ta := rtree.Arrays{Leaves: int(head[hLeaves])}
-		ta.Rects = array[geo.Rect](r, 32*nodes)
-		ta.Off, ta.Children, ta.IDs = r.u32s(nodes+1), r.u32s(max(nodes-1, 0)), r.u32s(places)
-		ta.Locs = array[geo.Point](r, 16*places)
-		if err := r.end(); err != nil {
-			return nil, err
-		}
-		if s.Tree, err = rtree.FromArrays(ta, rtree.DefaultMaxEntries); err == nil {
-			err = checkTreeItems(ta, a)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-	} else {
-		s.Tree = rtree.OfPlaces(g.Places(), g.Loc)
+	r.begin("R-tree")
+	nodes := count(hNodes)
+	ta := rtree.Arrays{Leaves: int(head[hLeaves])}
+	ta.Rects = array[geo.Rect](r, 32*nodes)
+	ta.Off, ta.Children, ta.IDs = r.u32s(nodes+1), r.u32s(max(nodes-1, 0)), r.u32s(places)
+	ta.Locs = array[geo.Point](r, 16*places)
+	if err := r.end(); err != nil {
+		return nil, err
+	}
+	if s.Tree, err = rtree.FromArrays(ta, rtree.DefaultMaxEntries); err == nil {
+		err = checkTreeItems(ta, a)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	if s.AlphaRadius > 0 {
 		r.begin("α place index")
@@ -429,19 +406,23 @@ func readImage(data []byte, version uint32) (*Snapshot, error) {
 			return nil, fmt.Errorf("%w: the α node index ranges over %d nodes, the R-tree has %d", ErrCorrupt, u, s.Tree.NumNodes())
 		}
 	}
-	if version == snapVersion {
-		if head[hFlags]&flagReach != 0 {
-			if s.Reach, err = readReach(r, count, g); err != nil {
-				return nil, err
-			}
-		} else if head[hReachVerts]|head[hReachComps]|head[hReachIn]|head[hReachOut] != 0 {
-			return nil, fmt.Errorf("%w: reachability counts without reachability labels", ErrCorrupt)
+	if head[hFlags]&flagReach != 0 {
+		if s.Reach, err = readReach(r, count, g); err != nil {
+			return nil, err
 		}
+	} else if head[hReachVerts]|head[hReachComps]|head[hReachIn]|head[hReachOut] != 0 {
+		return nil, fmt.Errorf("%w: reachability counts without reachability labels", ErrCorrupt)
 	}
 	if r.off != len(data) {
 		return nil, fmt.Errorf("%w: %d bytes after the last section", ErrCorrupt, len(data)-r.off)
 	}
 	return s, nil
+}
+
+// analyzerOf decodes the header's analyzer flags: queries on the restored
+// graph must normalize keywords as its documents were.
+func analyzerOf(flags uint32) text.Analyzer {
+	return text.Analyzer{RemoveStopwords: flags&flagStopwords != 0, Stemming: flags&flagStemming != 0}
 }
 
 // checkTreeItems verifies that the R-tree holds every place of the graph
@@ -482,8 +463,8 @@ func readReach(r *imageReader, count func(int) int64, g *rdf.Graph) (*reach.Keyw
 	return k, nil
 }
 
-// imageReader walks the sections of a version 4 image; the first error
-// sticks, and end reports it.
+// imageReader walks the sections of an image; the first error sticks,
+// and end reports it.
 type imageReader struct {
 	data    []byte
 	off     int

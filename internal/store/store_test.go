@@ -120,7 +120,7 @@ func TestSnapshotAlphaNodesKeyedByItsTree(t *testing.T) {
 	e := core.NewEngine(g, rdf.Outgoing)
 	e.EnableAlpha(2)
 	s := &Snapshot{Graph: g, Tree: e.Tree, AlphaRadius: 2, Dir: rdf.Outgoing, AlphaPlace: e.Alpha.PlaceIdx, AlphaNode: e.Alpha.NodeIdx}
-	for mode, open := range openAll(t, encode(t, s, snapVersion)) {
+	for mode, open := range openAll(t, encode(t, s)) {
 		got, err := open()
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
@@ -132,12 +132,10 @@ func TestSnapshotAlphaNodesKeyedByItsTree(t *testing.T) {
 	finer := rtree.Bulk(treeItems(g), 8)
 	other := alpha.Build(g, finer, 2, rdf.Outgoing)
 	s.AlphaPlace, s.AlphaNode = other.PlaceIdx, other.NodeIdx
-	for _, version := range []uint32{4, snapVersion} {
-		for mode, open := range openAll(t, encode(t, s, version)) {
-			if _, err := open(); !errors.Is(err, ErrCorrupt) {
-				t.Errorf("version %d, %s: an α node file over %d nodes with a tree of %d: got %v, want ErrCorrupt",
-					version, mode, finer.NumNodes(), e.Tree.NumNodes(), err)
-			}
+	for mode, open := range openAll(t, encode(t, s)) {
+		if _, err := open(); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: an α node file over %d nodes with a tree of %d: got %v, want ErrCorrupt",
+				mode, finer.NumNodes(), e.Tree.NumNodes(), err)
 		}
 	}
 }

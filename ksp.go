@@ -193,15 +193,13 @@ type Config struct {
 	Reachability bool
 	// Ranking overrides the scoring function; nil means ProductRanking.
 	Ranking Ranking
-	// Mmap serves a snapshot opened with LoadSnapshotDisk from a
-	// read-only memory mapping: the graph's arrays (documents, adjacency,
-	// URIs, vocabulary, places), the R-tree, the reachability labels and
-	// the α-radius inverted files are read in place out of the page
-	// cache, with none of them on the heap.
-	// Without it the file is read onto the heap once at open, into one
-	// buffer the same arrays view. Platforms without mmap support
-	// silently fall back to reading the file. Results are identical in
-	// either mode.
+	// Mmap serves a snapshot opened with LoadSnapshot from a read-only
+	// memory mapping: the graph's arrays (documents, adjacency, URIs,
+	// vocabulary, places), the R-tree, the reachability labels and the
+	// α-radius inverted files are read in place out of the page cache,
+	// with none of them on the heap. Without it, or where the file cannot
+	// be mapped, the file is read onto the heap once at open, into one
+	// buffer the same arrays view. Results are identical either way.
 	Mmap bool
 	// RemoveStopwords drops common English glue words from documents and
 	// query keywords alike.
@@ -240,13 +238,13 @@ type Dataset struct {
 	g      *rdf.Graph
 	engine *core.Engine
 	cfg    Config
-	snap   *store.Snapshot // non-nil when opened with LoadSnapshotDisk
+	snap   *store.Snapshot // non-nil when opened with LoadSnapshot
 }
 
 // Close releases the mapping a memory-mapped dataset serves from (the
-// snapshot file its graph and α postings are views of). Other datasets
-// need no Close; calling it is a harmless no-op. The dataset must not
-// serve queries after Close.
+// snapshot file its graph and indexes are views of). Other datasets need
+// no Close; calling it is a harmless no-op. The dataset must not serve
+// queries after Close.
 func (d *Dataset) Close() error {
 	if d.snap != nil {
 		return d.snap.Close()
@@ -365,10 +363,13 @@ func (d *Dataset) AlphaRadius() int {
 // the expensive α-radius index and the reachability labels — to a
 // snapshot file. LoadSnapshot restores it without re-running the
 // α-neighbourhood construction, which dominates preprocessing time (Table
-// 5 of the paper), and without rebuilding the R-tree or the labels.
+// 5 of the paper), and without rebuilding the R-tree or the labels. A
+// dataset served from a memory mapping is refused: its graph and indexes
+// are views of a snapshot file, which saving over it would truncate under
+// the mapping.
 func (d *Dataset) Save(path string) error {
-	if d.snap != nil {
-		return fmt.Errorf("ksp: the dataset is served from a snapshot file; cannot snapshot it")
+	if d.snap != nil && d.snap.Mapped() {
+		return fmt.Errorf("ksp: the dataset is served from a memory-mapped snapshot file; cannot snapshot it")
 	}
 	snap := &store.Snapshot{Graph: d.g, Tree: d.engine.Tree, Reach: d.engine.Reach, Dir: d.cfg.Direction}
 	if a := d.engine.Alpha; a != nil {
@@ -385,39 +386,33 @@ func (d *Dataset) Save(path string) error {
 // is set and the snapshot holds them (they are built otherwise). Only the
 // document index is rebuilt. The traversal direction is taken from the
 // snapshot.
+//
+// With cfg.Mmap the snapshot is mapped read-only, and the graph —
+// documents, adjacency, URIs, vocabulary, places — the R-tree, the
+// reachability labels and the α-radius inverted files are read in place
+// from the mapping, which the kernel pages in on demand; a mapped dataset
+// holds the mapping, so call Close when done. Without cfg.Mmap, or where
+// files cannot be mapped, the file is read onto the heap. Query results
+// are identical either way. Only snapshots of the current format load: an
+// older one is refused, naming its version, and is rebuilt from its
+// source with OpenFile or Builder and saved again.
 func LoadSnapshot(path string, cfg Config) (*Dataset, error) {
-	snap, err := store.LoadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return datasetFromSnapshot(snap, cfg)
-}
-
-// LoadSnapshotDisk restores a dataset saved with Save in disk-resident
-// mode when cfg.Mmap is set: the snapshot is mapped read-only, and the
-// graph — documents, adjacency, URIs, vocabulary, places — the R-tree,
-// the reachability labels and the α-radius inverted files are read in
-// place from the mapping, which the kernel pages in on demand. Without
-// cfg.Mmap (or where files cannot be mapped, or for a snapshot older than
-// format version 4) the snapshot is read onto the heap, as with
-// LoadSnapshot. Only the document index is rebuilt on the heap either
-// way (and, for a snapshot older than version 5, the R-tree and the
-// labels), and query results are identical to LoadSnapshot's. A mapped
-// dataset holds the mapping; call Close when done.
-func LoadSnapshotDisk(path string, cfg Config) (*Dataset, error) {
 	snap, err := store.OpenDisk(path, cfg.Mmap)
 	if err != nil {
 		return nil, err
 	}
 	ds, err := datasetFromSnapshot(snap, cfg)
 	if err != nil {
-		//ksplint:ignore droppederr -- error-path cleanup; the load error already wins
-		snap.Close()
-		return nil, err
+		return nil, errors.Join(err, snap.Close())
 	}
 	ds.snap = snap
 	return ds, nil
 }
+
+// LoadSnapshotDisk is LoadSnapshot.
+//
+// Deprecated: use LoadSnapshot, which honours cfg.Mmap.
+func LoadSnapshotDisk(path string, cfg Config) (*Dataset, error) { return LoadSnapshot(path, cfg) }
 
 // datasetFromSnapshot assembles the engine around a restored snapshot:
 // the R-tree comes from the snapshot; the reachability labels do when
@@ -576,19 +571,12 @@ type DatasetStats struct {
 	Edges    int
 	Places   int
 	Terms    int
-	// DocsOnDisk reports whether the vertex documents — and with them
-	// the whole graph: adjacency, URIs, vocabulary, places — are read in
-	// place from the mapping of a snapshot (LoadSnapshotDisk with
-	// Config.Mmap) rather than from the heap. It equals MemoryMapped.
-	DocsOnDisk bool
-	// AlphaOnDisk reports whether the α-radius inverted files are read in
-	// place from the mapping of a snapshot rather than from the heap: true
-	// when the dataset is memory-mapped and has an α index.
-	AlphaOnDisk bool
 	// MemoryMapped reports whether the dataset is served from a memory
-	// mapping of its snapshot. A snapshot opened without Config.Mmap, on a
-	// platform that does not map files, or in a format older than version
-	// 4 is held on the heap.
+	// mapping of its snapshot: the graph, its documents, the R-tree, the
+	// reachability labels and the α-radius inverted files are then read in
+	// place from the mapping rather than from the heap. A snapshot opened
+	// without Config.Mmap, or on a platform that does not map files, is
+	// held on the heap.
 	MemoryMapped bool
 }
 
@@ -601,8 +589,6 @@ func (d *Dataset) Stats() DatasetStats {
 		Terms:    d.g.Vocab.Len(),
 	}
 	st.MemoryMapped = d.snap != nil && d.snap.Mapped()
-	st.DocsOnDisk = st.MemoryMapped
-	st.AlphaOnDisk = d.snap != nil && d.snap.AlphaMapped() && d.engine.Alpha != nil
 	return st
 }
 

@@ -3,6 +3,7 @@ package ksp
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"runtime"
@@ -278,57 +279,49 @@ func TestSaveAndLoadSnapshot(t *testing.T) {
 	if restored.Stats() != ds.Stats() {
 		t.Fatalf("stats changed: %+v vs %+v", restored.Stats(), ds.Stats())
 	}
-	// Built or loaded into memory the graph and the α index are on the
-	// heap and can be saved again, byte for byte; opened with
-	// LoadSnapshotDisk they are views of the mapping exactly when the
-	// snapshot is mapped, and Save refuses either way.
-	if ds.Stats().AlphaOnDisk || restored.Stats().AlphaOnDisk {
-		t.Errorf("AlphaOnDisk = %v built, %v loaded, want false for both", ds.Stats().AlphaOnDisk, restored.Stats().AlphaOnDisk)
-	}
-	again := t.TempDir() + "/again.snap"
-	if err := restored.Save(again); err != nil {
-		t.Fatalf("Save of a loaded dataset: %v", err)
-	}
+	// Built or loaded onto the heap the graph and the indexes can be saved
+	// again, byte for byte; mapped, they are views of the snapshot file,
+	// and Save refuses.
 	first, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := os.ReadFile(again)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(first, second) {
-		t.Errorf("a snapshot saved, loaded and saved again changed: %d bytes, then %d", len(first), len(second))
-	}
 	for _, mmap := range []bool{false, true} {
 		cfg := DefaultConfig()
 		cfg.Mmap = mmap
-		disk, err := LoadSnapshotDisk(path, cfg)
+		loaded, err := LoadSnapshot(path, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st := disk.Stats(); st.MemoryMapped != (mmap && runtime.GOOS == "linux") || st.DocsOnDisk != st.MemoryMapped || st.AlphaOnDisk != st.MemoryMapped {
-			t.Errorf("Mmap=%v: disk-resident stats = %+v, want MemoryMapped as Mmap, and DocsOnDisk and AlphaOnDisk as MemoryMapped", mmap, st)
+		mapped := mmap && runtime.GOOS == "linux"
+		if st := loaded.Stats(); st.MemoryMapped != mapped {
+			t.Errorf("Mmap=%v: stats = %+v, want MemoryMapped %v", mmap, st, mapped)
 		}
-		if err := disk.Save(t.TempDir() + "/refused.snap"); err == nil {
-			t.Errorf("Mmap=%v: Save of a disk-resident dataset succeeded", mmap)
+		again := t.TempDir() + "/again.snap"
+		err = loaded.Save(again)
+		switch {
+		case mapped && err == nil:
+			t.Errorf("Mmap=%v: Save of a memory-mapped dataset succeeded", mmap)
+		case !mapped && err != nil:
+			t.Errorf("Mmap=%v: Save of a dataset on the heap: %v", mmap, err)
+		case !mapped:
+			second, err := os.ReadFile(again)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(first, second) {
+				t.Errorf("Mmap=%v: a snapshot saved, loaded and saved again changed: %d bytes, then %d", mmap, len(first), len(second))
+			}
 		}
-		if err := disk.Close(); err != nil {
+		// Describe reads each document from the snapshot's image.
+		for v := uint32(0); int(v) < ds.Stats().Vertices; v++ {
+			if got, want := loaded.Describe(v), ds.Describe(v); !slices.Equal(got, want) {
+				t.Errorf("Mmap=%v: Describe(%d) = %v, want %v", mmap, v, got, want)
+			}
+		}
+		if err := loaded.Close(); err != nil {
 			t.Error(err)
 		}
-	}
-	onDisk, err := LoadSnapshotDisk(path, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Describe reads each document from the snapshot's image.
-	for v := uint32(0); int(v) < ds.Stats().Vertices; v++ {
-		if got, want := onDisk.Describe(v), ds.Describe(v); !slices.Equal(got, want) {
-			t.Errorf("disk-resident Describe(%d) = %v, want %v", v, got, want)
-		}
-	}
-	if err := onDisk.Close(); err != nil {
-		t.Error(err)
 	}
 	q := Query{Loc: Point{X: 43.51, Y: 4.75}, Keywords: []string{"ancient", "roman", "catholic", "history"}, K: 2}
 	want, err := ds.Search(q)
@@ -562,10 +555,11 @@ func TestAlphaRadiusAbove255Refused(t *testing.T) {
 		if err := openFixture(t, cfg).Save(path); err != nil {
 			t.Fatal(err)
 		}
-		_, err = LoadSnapshot(path, bad)
-		wantErr("LoadSnapshot "+name, err)
-		_, err = LoadSnapshotDisk(path, bad)
-		wantErr("LoadSnapshotDisk "+name, err)
+		for _, mmap := range []bool{false, true} {
+			bad.Mmap = mmap
+			_, err = LoadSnapshot(path, bad)
+			wantErr(fmt.Sprintf("LoadSnapshot %s, Mmap=%v", name, mmap), err)
+		}
 	}
 
 	// The largest α that fits is served, and is exact.

@@ -37,7 +37,7 @@ func TestRule1UnderSP(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.Mmap = true
-	mapped, err := LoadSnapshotDisk(path, cfg)
+	mapped, err := LoadSnapshot(path, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
