@@ -57,24 +57,23 @@ type enginePools struct {
 	// on a size change.
 	termSeen sync.Pool // *seenSet
 	vertSeen sync.Pool // *seenSet
-	// frontier recycles SP's priority queue, which a query grows to a few
-	// thousand entries.
-	frontier sync.Pool // *spHeap
+	// frontier recycles SP's queue and leaf-run arena.
+	frontier sync.Pool // *spFrontier
 }
 
-// getFrontier returns an empty SP queue.
-func (p *enginePools) getFrontier() *spHeap {
-	h, _ := p.frontier.Get().(*spHeap)
-	if h == nil {
-		h = new(spHeap)
+// getFrontier returns an empty SP frontier.
+func (p *enginePools) getFrontier() *spFrontier {
+	f, _ := p.frontier.Get().(*spFrontier)
+	if f == nil {
+		f = new(spFrontier)
 	}
-	return h
+	return f
 }
 
-// putFrontier takes h back, emptied.
-func (p *enginePools) putFrontier(h *spHeap) {
-	*h = (*h)[:0]
-	p.frontier.Put(h)
+// putFrontier takes f back, emptied.
+func (p *enginePools) putFrontier(f *spFrontier) {
+	f.queue, f.arena = f.queue[:0], f.arena[:0]
+	p.frontier.Put(f)
 }
 
 func (p *enginePools) getMQ(n int) *denseMQ {

@@ -38,11 +38,11 @@ func (e *Engine) newStream(alg *algorithm, pq *prepQuery, opts Options, hk *topK
 			return s, err
 		}
 		//ksplint:ignore allocbound -- one source per query, inside TestAllocBudget's budget
-		s.sp = &spSource{e: e, qv: qv, hk: hk, qloc: qloc, maxDist: opts.MaxDist, stats: st, pqueue: e.pools.getFrontier()}
+		s.sp = &spSource{e: e, qv: qv, hk: hk, qloc: qloc, maxDist: opts.MaxDist, stats: st, f: e.pools.getFrontier()}
 		if e.Tree.Len() > 0 {
 			root := e.Tree.Root()
 			d := e.Tree.Rect(root).MinDist(qloc)
-			s.sp.pqueue.push(spEntry{bound: e.Rank.Score(qv.NodeBound(root), d), dist: d, node: root})
+			s.sp.f.queue.push(spEntry{bound: e.Rank.Score(qv.NodeBound(root), d), dist: d, node: root})
 		}
 	} else {
 		//ksplint:ignore allocbound -- one source per query, inside TestAllocBudget's budget
@@ -149,10 +149,18 @@ func (s *streamSource) fillWindow(w int, buf []windowCand) ([]windowCand, float6
 }
 
 // spSource drives SP's best-first traversal (Algorithm 4): one priority
-// queue holds R-tree nodes and places keyed by their α-bounds on the
+// queue holds R-tree nodes and leaf runs keyed by their α-bounds on the
 // ranking score; node expansion applies Pruning Rules 3 and 4 against
 // the current θ, read from Hk, so the produced stream is exactly
 // Algorithm 4's.
+//
+// A leaf's surviving places are not pushed one by one: most of them lie
+// beyond the final θ and would never be popped. They go, as one run, into
+// the frontier's arena, and the queue holds only the run's least (bound,
+// place) entry. Popping that entry queues the run's next least, so the
+// queue head is still the least of everything not yet popped and the
+// stream, its resume bounds and its counters are those of a queue that
+// held every place (DESIGN.md §16.3).
 type spSource struct {
 	e       *Engine
 	qv      *alpha.QueryView
@@ -160,18 +168,25 @@ type spSource struct {
 	qloc    geo.Point
 	maxDist float64
 	stats   *Stats
-	pqueue  *spHeap // from the engine's pool; close hands it back
+	f       *spFrontier // from the engine's pool; close hands it back
 }
 
 func (s *spSource) next() (candidate, bool) {
-	for s.pqueue.Len() > 0 {
-		ent := s.pqueue.pop()
+	f := s.f
+	for len(f.queue) > 0 {
+		ent := f.queue.pop()
+		isPlace := ent.node&runTag != 0
+		if isPlace {
+			// Before the termination test, so that the queue head — the
+			// resume bound fillWindow reports — covers the run's rest.
+			f.advance(ent.node &^ runTag)
+		}
 		// Termination (Algorithm 4 line 9): every remaining entry's bound
 		// is at least ent.bound.
 		if ent.bound >= s.hk.theta() {
 			return candidate{}, false
 		}
-		if ent.node == noNode {
+		if isPlace {
 			return candidate{place: ent.place, dist: ent.dist, bound: ent.bound}, true
 		}
 
@@ -183,6 +198,7 @@ func (s *spSource) next() (candidate, bool) {
 		tree, n := s.e.Tree, ent.node
 		th := s.hk.theta()
 		if tree.IsLeaf(n) {
+			lo := len(f.arena)
 			ids, locs := tree.Leaf(n)
 			for i, loc := range locs {
 				d := s.qloc.Dist(loc)
@@ -191,11 +207,12 @@ func (s *spSource) next() (candidate, bool) {
 				}
 				fb := s.e.Rank.Score(s.qv.PlaceBound(ids[i]), d)
 				if fb < th {
-					s.pqueue.push(spEntry{bound: fb, dist: d, node: noNode, place: ids[i]})
+					f.arena = append(f.arena, spEntry{bound: fb, dist: d, place: ids[i]})
 				} else {
 					s.stats.PrunedAlphaPlaces++ // Pruning Rule 3
 				}
 			}
+			f.addRun(lo)
 		} else {
 			for _, ch := range tree.Children(n) {
 				d := tree.Rect(ch).MinDist(s.qloc)
@@ -204,7 +221,7 @@ func (s *spSource) next() (candidate, bool) {
 				}
 				fb := s.e.Rank.Score(s.qv.NodeBound(ch), d)
 				if fb < th {
-					s.pqueue.push(spEntry{bound: fb, dist: d, node: ch})
+					f.queue.push(spEntry{bound: fb, dist: d, node: ch})
 				} else {
 					s.stats.PrunedAlphaNodes++ // Pruning Rule 4
 				}
@@ -214,11 +231,11 @@ func (s *spSource) next() (candidate, bool) {
 	return candidate{}, false
 }
 
-// close hands the queue back to the engine's pool.
+// close hands the frontier back to the engine's pool.
 func (s *spSource) close() {
-	if s.pqueue != nil {
-		s.e.pools.putFrontier(s.pqueue)
-		s.pqueue = nil
+	if s.f != nil {
+		s.e.pools.putFrontier(s.f)
+		s.f = nil
 	}
 }
 
@@ -236,46 +253,92 @@ func (s *spSource) fillWindow(w int, buf []windowCand) ([]windowCand, float64) {
 		}
 		buf = append(buf, windowCand{place: c.place, dist: c.dist, bound: c.bound})
 	}
-	if s.pqueue.Len() == 0 {
+	if len(s.f.queue) == 0 {
 		return buf, math.Inf(1)
 	}
-	return buf, (*s.pqueue)[0].bound
+	return buf, s.f.queue[0].bound
 }
 
-// spEntry is a queue element: an R-tree node or a place, keyed by its
-// α-bound on the ranking score.
+// spEntry is a queue element — an R-tree node, or the head of a leaf run
+// — keyed by its α-bound on the ranking score. In the arena the same
+// 24 bytes hold one place of a run, with node set to the run's end.
 type spEntry struct {
 	bound float64
 	dist  float64
-	node  uint32 // the node's ID, noNode for places
+	node  uint32 // the node's ID; runTag | arena index for a run head
 	place uint32
 }
 
-// noNode is spEntry.node of a place.
-const noNode = ^uint32(0)
+// runTag marks a queue entry that is a run head, a place, rather than an
+// R-tree node: node IDs and arena indices both stay below 2^31, since
+// neither outnumbers the places.
+const runTag = uint32(1) << 31
+
+// spFrontier is SP's per-query best-first state: the queue and the arena
+// of leaf runs it points into. The engine pools it, since a query grows
+// it to a few thousand entries.
+type spFrontier struct {
+	queue spHeap
+	arena []spEntry
+}
+
+// addRun makes the places appended to the arena since lo one run and
+// queues its least entry; an empty run queues nothing.
+func (f *spFrontier) addRun(lo int) {
+	hi := len(f.arena)
+	if lo == hi {
+		return
+	}
+	for i := lo; i < hi; i++ {
+		f.arena[i].node = uint32(hi)
+	}
+	f.queueHead(lo, hi)
+}
+
+// advance drops the run head at arena index lo, which was just popped,
+// and queues the least of the run's rest.
+func (f *spFrontier) advance(lo uint32) {
+	if hi := f.arena[lo].node; lo+1 < hi {
+		f.queueHead(int(lo)+1, int(hi))
+	}
+}
+
+// queueHead moves the least (bound, place) entry of arena[lo:hi] — the
+// order spHeap gives places — to lo and queues it. A linear scan: runs
+// are one leaf long, and only the few the stream reaches are scanned
+// more than once.
+func (f *spFrontier) queueHead(lo, hi int) {
+	run := f.arena[lo:hi]
+	m := 0
+	for i := 1; i < len(run); i++ {
+		if run[i].bound < run[m].bound || run[i].bound == run[m].bound && run[i].place < run[m].place {
+			m = i
+		}
+	}
+	run[0], run[m] = run[m], run[0]
+	f.queue.push(spEntry{bound: run[0].bound, dist: run[0].dist, node: runTag | uint32(lo), place: run[0].place})
+}
 
 // spHeap is a binary min-heap of spEntry with hand-rolled sift methods:
 // container/heap boxes every pushed element into an interface{}, which
 // made each SP enqueue an allocation — the dominant per-query cost once
 // the query view went flat. The sift logic mirrors container/heap's
-// algorithm exactly (same comparisons, same swaps), so the pop order —
-// and therefore the candidate stream — is bit-identical to the old code.
+// algorithm exactly (same comparisons, same swaps).
 type spHeap []spEntry
 
-func (h spHeap) Len() int { return len(h) }
 func (h spHeap) less(i, j int) bool {
 	if h[i].bound != h[j].bound {
 		return h[i].bound < h[j].bound
 	}
 	// Deterministic tie-break: places before nodes, then by ID.
-	ni, nj := h[i].node, h[j].node
-	if (ni == noNode) != (nj == noNode) {
-		return ni == noNode
+	pi, pj := h[i].node&runTag != 0, h[j].node&runTag != 0
+	if pi != pj {
+		return pi
 	}
-	if ni == noNode {
+	if pi {
 		return h[i].place < h[j].place
 	}
-	return ni < nj
+	return h[i].node < h[j].node
 }
 
 func (h *spHeap) push(e spEntry) {

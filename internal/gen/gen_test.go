@@ -90,14 +90,36 @@ func TestDeterministic(t *testing.T) {
 func TestDatasetContrast(t *testing.T) {
 	db := Generate(DBpediaConfig(8000, 2))
 	yg := Generate(YagoConfig(8000, 2))
-	dbAvg := invindex.AvgPostingLen(invindex.FromGraph(db))
-	ygAvg := invindex.AvgPostingLen(invindex.FromGraph(yg))
+	dbAvg := meanPostingLen(t, invindex.FromGraph(db))
+	ygAvg := meanPostingLen(t, invindex.FromGraph(yg))
 	if dbAvg < 2*ygAvg {
 		t.Errorf("DBpedia-like avg posting %.2f should far exceed Yago-like %.2f", dbAvg, ygAvg)
 	}
 	if len(db.Places())*3 > len(yg.Places()) {
 		t.Errorf("Yago-like must have many more places: %d vs %d", len(yg.Places()), len(db.Places()))
 	}
+}
+
+// meanPostingLen is the mean posting-list length over the terms with at
+// least one posting, the keyword-frequency statistic the paper reports
+// for DBpedia (56.46) and Yago (7.83).
+func meanPostingLen(t *testing.T, ix invindex.Index) float64 {
+	var postings, terms int
+	var buf []invindex.Posting
+	for term := 0; term < ix.NumTerms(); term++ {
+		var err error
+		if buf, err = ix.Postings(uint32(term), buf[:0]); err != nil {
+			t.Fatal(err)
+		}
+		if len(buf) > 0 {
+			postings += len(buf)
+			terms++
+		}
+	}
+	if terms == 0 {
+		return 0
+	}
+	return float64(postings) / float64(terms)
 }
 
 func TestQueryGenOriginal(t *testing.T) {

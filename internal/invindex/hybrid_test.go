@@ -55,9 +55,9 @@ func TestFromGraphMatchesAllListBuild(t *testing.T) {
 		want := ref.Build()
 		ix := FromGraph(g)
 
-		if ix.NumTerms() != want.NumTerms() || ix.NumPostings() != want.NumPostings() || ix.NonEmptyTerms() != want.NonEmptyTerms() {
-			t.Fatalf("n %d: terms/postings/non-empty %d/%d/%d, want %d/%d/%d", n,
-				ix.NumTerms(), ix.NumPostings(), ix.NonEmptyTerms(), want.NumTerms(), want.NumPostings(), want.NonEmptyTerms())
+		if ix.NumTerms() != want.NumTerms() || ix.NumPostings() != want.NumPostings() {
+			t.Fatalf("n %d: terms/postings %d/%d, want %d/%d", n,
+				ix.NumTerms(), ix.NumPostings(), want.NumTerms(), want.NumPostings())
 		}
 		sets := 0
 		for term := uint32(0); int(term) < want.NumTerms()+1; term++ {

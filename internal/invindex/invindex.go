@@ -36,35 +36,6 @@ type Index interface {
 	NumPostings() int64
 }
 
-// AvgPostingLen returns the average posting-list length over terms that
-// have at least one posting — the keyword-frequency statistic the paper
-// reports for DBpedia (56.46) and Yago (7.83). A MemIndex counts its
-// non-empty terms off its offset table without touching posting data;
-// any other representation is read term by term.
-func AvgPostingLen(ix Index) float64 {
-	n := ix.NumPostings()
-	if n == 0 {
-		return 0
-	}
-	var nonEmpty int64
-	if c, ok := ix.(interface{ NonEmptyTerms() int64 }); ok {
-		nonEmpty = c.NonEmptyTerms()
-	} else {
-		var buf []Posting
-		for t := 0; t < ix.NumTerms(); t++ {
-			//ksplint:ignore droppederr -- diagnostic statistic; a read failure skews the average, never a query result
-			buf, _ = ix.Postings(uint32(t), buf[:0])
-			if len(buf) > 0 {
-				nonEmpty++
-			}
-		}
-	}
-	if nonEmpty == 0 {
-		return 0
-	}
-	return float64(n) / float64(nonEmpty)
-}
-
 // Builder accumulates postings; Add may be called in any order.
 type Builder struct {
 	lists [][]Posting
@@ -207,17 +178,6 @@ func (m *MemIndex) NumTerms() int { return max(len(m.off)-1, 0) }
 
 // NumPostings implements Index.
 func (m *MemIndex) NumPostings() int64 { return m.total }
-
-// NonEmptyTerms returns the number of terms with at least one posting.
-func (m *MemIndex) NonEmptyTerms() int64 {
-	var n int64
-	for t := 1; t < len(m.off); t++ {
-		if m.off[t] != m.off[t-1] {
-			n++
-		}
-	}
-	return n
-}
 
 // MemSize returns the in-memory footprint in bytes: the offset table, the
 // two arenas and the bitsets' populations.

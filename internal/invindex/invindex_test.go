@@ -1,7 +1,6 @@
 package invindex
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -34,18 +33,6 @@ func TestBuilderSortDedup(t *testing.T) {
 	}
 	if ix.NumPostings() != 3 {
 		t.Errorf("NumPostings = %d, want 3", ix.NumPostings())
-	}
-}
-
-func TestAvgPostingLen(t *testing.T) {
-	b := NewBuilder()
-	b.Add(0, 1, 0)
-	b.Add(0, 2, 0)
-	b.Add(1, 1, 0)
-	b.Add(3, 1, 0) // term 2 empty
-	ix := b.Build()
-	if got := AvgPostingLen(ix); got != 4.0/3.0 {
-		t.Errorf("AvgPostingLen = %v, want 4/3", got)
 	}
 }
 
@@ -84,40 +71,6 @@ func TestFigure1Table1(t *testing.T) {
 		}
 		if !reflect.DeepEqual(gotIDs, wantSorted) {
 			t.Errorf("postings[%q] = %v, want %v", word, gotIDs, wantSorted)
-		}
-	}
-}
-
-func randomMem(t testing.TB, seed int64, n int) *MemIndex {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	b := NewBuilder()
-	b.Reserve(150) // leave some trailing empty terms
-	for i := 0; i < n; i++ {
-		b.Add(uint32(rng.Intn(120)), uint32(rng.Intn(50000)), uint8(rng.Intn(6)))
-	}
-	return b.Build()
-}
-
-// NonEmptyTerms must keep AvgPostingLen exact — the offset-table
-// shortcut must count precisely the terms with postings, which the same
-// index read term by term, without the shortcut, agrees on.
-func TestNonEmptyTerms(t *testing.T) {
-	for _, seed := range []int64{1, 2, 3} {
-		mem := randomMem(t, seed, 500)
-		var want int64
-		var buf []Posting
-		for term := 0; term < mem.NumTerms(); term++ {
-			buf, _ = mem.Postings(uint32(term), buf[:0])
-			if len(buf) > 0 {
-				want++
-			}
-		}
-		if got := mem.NonEmptyTerms(); got != want {
-			t.Errorf("seed %d: mem NonEmptyTerms = %d, want %d", seed, got, want)
-		}
-		if a, b := AvgPostingLen(struct{ Index }{mem}), AvgPostingLen(mem); a != b {
-			t.Errorf("seed %d: AvgPostingLen term by term %v, mem %v", seed, a, b)
 		}
 	}
 }

@@ -123,9 +123,29 @@ func (l *SlowLog) Observe(ev WideEvent) bool {
 	if l == nil {
 		return false
 	}
-	l.observed.Add(1)
-	if time.Duration(ev.DurationMicros)*time.Microsecond < l.threshold {
+	if l.Below(ev.DurationMicros) {
 		return false
+	}
+	l.Keep(ev)
+	return true
+}
+
+// Below counts one observed query of the given duration and reports
+// whether it is under the threshold, a query Observe would drop. A
+// caller that builds its WideEvent only when Below is false passes it to
+// Keep, not Observe, which would count the query twice.
+func (l *SlowLog) Below(durationMicros int64) bool {
+	if l == nil {
+		return true
+	}
+	l.observed.Add(1)
+	return time.Duration(durationMicros)*time.Microsecond < l.threshold
+}
+
+// Keep retains and logs the event of a query Below classified slow.
+func (l *SlowLog) Keep(ev WideEvent) {
+	if l == nil {
+		return
 	}
 	l.slow.Add(1)
 	l.mu.Lock()
@@ -151,7 +171,6 @@ func (l *SlowLog) Observe(ev WideEvent) bool {
 			slog.Int("shards", len(ev.Shards)),
 		)
 	}
-	return true
 }
 
 // Snapshot returns the retained slow events, newest first.

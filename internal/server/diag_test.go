@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"ksp"
 	"ksp/internal/obs"
@@ -256,5 +257,31 @@ func TestDisabledDiagnosticsZeroAlloc(t *testing.T) {
 	})
 	if n != 0 {
 		t.Fatalf("noteWide with slow log disabled allocates %v allocs/op, want 0", n)
+	}
+}
+
+// Under the slow-log threshold a query is counted as observed and its
+// wide event is never built: /stats counts every query, /debug/slow keeps
+// none, and the fast path allocates nothing.
+func TestSlowLogCountsFastQueries(t *testing.T) {
+	s := New(fixtureDS(t))
+	s.EnableSlowLog(8, time.Hour)
+	srv := httptest.NewServer(s)
+	t.Cleanup(srv.Close)
+	for i := 0; i < 3; i++ {
+		getJSON(t, srv.URL+"/search?x=0&y=0&kw=roman,history&k=2", nil)
+	}
+	getJSON(t, srv.URL+"/search?x=0&y=0&kw=nosuchword&k=2", nil)
+	var slow DebugSlowResponse
+	getJSON(t, srv.URL+"/debug/slow", &slow)
+	if slow.ObservedTotal != 4 || slow.SlowTotal != 0 || len(slow.Queries) != 0 {
+		t.Fatalf("slow log = %d observed / %d slow / %d retained, want 4/0/0",
+			slow.ObservedTotal, slow.SlowTotal, len(slow.Queries))
+	}
+	rec := obs.QueryRecord{Endpoint: "/search", Algo: "SP", K: 2, Status: 200, DurationMicros: 150}
+	if n := testing.AllocsPerRun(1000, func() {
+		s.noteWide(rec, "", 0, 0, &ksp.Stats{}, 2, "", nil)
+	}); n != 0 {
+		t.Fatalf("noteWide under the threshold allocates %v allocs/op, want 0", n)
 	}
 }

@@ -1,8 +1,8 @@
 package server
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -20,9 +20,10 @@ import (
 //
 // Cancellation is waiter-counted: the engine evaluates against the
 // flight's own cancel channel, and each participant that abandons the
-// wait (client disconnect) leaves the flight. When the last participant
-// leaves, the cancel channel closes and the engine winds down to a
-// partial answer nobody will read. A flight with live followers keeps
+// wait (client disconnect) leaves the flight — the leader through a
+// context.AfterFunc on its request context, so no goroutine watches it.
+// When the last participant leaves, the cancel channel closes and the
+// engine winds down to a partial answer nobody will read. A flight with live followers keeps
 // evaluating even after the leader's client is gone.
 
 // flightKey normalizes a /search request to its semantic identity: two
@@ -38,14 +39,29 @@ func flightKey(algo ksp.Algorithm, x, y float64, kws []string, k int, trees bool
 		}
 	}
 	sort.Strings(sorted)
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s|%.6f|%.6f|k=%d|t=%t|w=%d|d=%g",
-		algo.String(), x, y, k, trees, window, maxDist)
+	n := 64
 	for _, kw := range sorted {
-		b.WriteByte('\x00')
-		b.WriteString(kw)
+		n += 1 + len(kw)
 	}
-	return b.String()
+	b := make([]byte, 0, n)
+	b = append(b, algo.String()...)
+	b = append(b, '|')
+	b = strconv.AppendFloat(b, x, 'f', 6, 64)
+	b = append(b, '|')
+	b = strconv.AppendFloat(b, y, 'f', 6, 64)
+	b = append(b, "|k="...)
+	b = strconv.AppendInt(b, int64(k), 10)
+	b = append(b, "|t="...)
+	b = strconv.AppendBool(b, trees)
+	b = append(b, "|w="...)
+	b = strconv.AppendInt(b, int64(window), 10)
+	b = append(b, "|d="...)
+	b = strconv.AppendFloat(b, maxDist, 'g', -1, 64)
+	for _, kw := range sorted {
+		b = append(b, 0)
+		b = append(b, kw...)
+	}
+	return string(b)
 }
 
 // flight is one in-progress evaluation plus everyone waiting on it.

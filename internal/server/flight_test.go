@@ -1,9 +1,16 @@
 package server
 
 import (
+	"context"
+	"encoding/json"
+	"fmt"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -151,4 +158,194 @@ func TestSearchWindowParam(t *testing.T) {
 			t.Errorf("window=%s: status %d, want 400", bad, resp.StatusCode)
 		}
 	}
+}
+
+// flightKeyFmt is flightKey as it was written with fmt, the reference for
+// the strconv version.
+func flightKeyFmt(algo ksp.Algorithm, x, y float64, kws []string, k int, trees bool, window int, maxDist float64) string {
+	sorted := make([]string, 0, len(kws))
+	for _, kw := range kws {
+		if kw = strings.TrimSpace(kw); kw != "" {
+			sorted = append(sorted, kw)
+		}
+	}
+	sort.Strings(sorted)
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s|%.6f|%.6f|k=%d|t=%t|w=%d|d=%g",
+		algo.String(), x, y, k, trees, window, maxDist)
+	for _, kw := range sorted {
+		b.WriteByte('\x00')
+		b.WriteString(kw)
+	}
+	return b.String()
+}
+
+func TestFlightKeyMatchesFmt(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	floats := []float64{0, math.Copysign(0, -1), 1.25, -3.5, 1e-7, 4.9999995e-7, 123456.7890125, -1e21, 2.5, 1e300}
+	pick := func() float64 {
+		if rng.Intn(2) == 0 {
+			return floats[rng.Intn(len(floats))]
+		}
+		return rng.NormFloat64() * math.Pow(10, float64(rng.Intn(20)-8))
+	}
+	for i := 0; i < 5000; i++ {
+		algo := ksp.Algorithm(rng.Intn(4))
+		kws := []string{"roman", " history ", "", "abbey"}[:rng.Intn(5)]
+		x, y, maxDist := pick(), pick(), math.Abs(pick())
+		k, window, trees := rng.Intn(200), rng.Intn(2000), rng.Intn(2) == 0
+		if got, want := flightKey(algo, x, y, kws, k, trees, window, maxDist),
+			flightKeyFmt(algo, x, y, kws, k, trees, window, maxDist); got != want {
+			t.Fatalf("flightKey = %q, fmt gives %q", got, want)
+		}
+	}
+}
+
+// flightCount reports how many flights are registered.
+func flightCount(s *Server) int {
+	s.flights.mu.Lock()
+	defer s.flights.mu.Unlock()
+	return len(s.flights.m)
+}
+
+// onlyFlight returns the one registered flight and its waiter count.
+func onlyFlight(t *testing.T, s *Server) (*flight, int) {
+	t.Helper()
+	s.flights.mu.Lock()
+	defer s.flights.mu.Unlock()
+	if len(s.flights.m) != 1 {
+		t.Fatalf("%d flights registered, want 1", len(s.flights.m))
+	}
+	for _, f := range s.flights.m {
+		return f, f.waiters
+	}
+	return nil, 0
+}
+
+// waitFor polls cond until it holds, failing after two seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestFlightLifecycle pins how a leader leaves its flight now that no
+// goroutine watches its request: a leader whose client disconnects
+// mid-evaluation cancels a flight nobody else waits on, and a flight with
+// a follower keeps evaluating for it. The flight map is empty afterwards
+// on both paths, and a request in flight costs no goroutine of its own.
+func TestFlightLifecycle(t *testing.T) {
+	ds, err := ksp.Open(strings.NewReader(fixtureNT), ksp.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(ds)
+	const url = "/search?x=0&y=0&kw=roman,history&k=2"
+	base := runtime.NumGoroutine()
+
+	// serve runs one request on its own goroutine; the returned channel
+	// yields the recorder once it is answered.
+	serve := func(ctx context.Context) <-chan *httptest.ResponseRecorder {
+		done := make(chan *httptest.ResponseRecorder, 1)
+		req := httptest.NewRequest(http.MethodGet, url, nil).WithContext(ctx)
+		go func() {
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, req)
+			done <- rec
+		}()
+		return done
+	}
+	// gate holds the leader inside the engine until it is closed.
+	hold := func() chan struct{} {
+		gate := make(chan struct{})
+		faultinject.Activate(faultinject.NewPlan(45).Add(faultinject.Fault{
+			Point: core.PointPrepare, Action: faultinject.Call, Times: 1,
+			Func: func() { <-gate },
+		}))
+		return gate
+	}
+	defer faultinject.Deactivate()
+
+	t.Run("no followers", func(t *testing.T) {
+		base := runtime.NumGoroutine() // the subtest's own goroutine included
+		gate := hold()
+		ctx, cancel := context.WithCancel(context.Background())
+		done := serve(ctx)
+		waitFor(t, "the leader's flight", func() bool { return flightCount(s) == 1 })
+		f, waiters := onlyFlight(t, s)
+		if waiters != 1 {
+			t.Fatalf("leader alone holds %d waiter slots", waiters)
+		}
+		if n := runtime.NumGoroutine() - base; n > 1 {
+			t.Errorf("one request in flight runs %d goroutines", n)
+		}
+		cancel()
+		// Still inside the engine: the disconnect alone must cancel the
+		// flight and retire it.
+		waitFor(t, "the flight to cancel", func() bool {
+			select {
+			case <-f.cancel:
+				return true
+			default:
+				return false
+			}
+		})
+		if n := flightCount(s); n != 0 {
+			t.Fatalf("%d flights registered after the only client left", n)
+		}
+		close(gate)
+		<-done
+		if got := s.ring.Snapshot()[0].Status; got != 499 {
+			t.Fatalf("the disconnected leader's query logged status %d, want 499", got)
+		}
+	})
+
+	t.Run("follower keeps it", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		gate := hold()
+		ctx, cancel := context.WithCancel(context.Background())
+		leader := serve(ctx)
+		waitFor(t, "the leader's flight", func() bool { return flightCount(s) == 1 })
+		follower := serve(context.Background())
+		waitFor(t, "the follower to join", func() bool { _, w := onlyFlight(t, s); return w == 2 })
+		f, _ := onlyFlight(t, s)
+		if n := runtime.NumGoroutine() - base; n > 2 {
+			t.Errorf("two requests in flight run %d goroutines", n)
+		}
+		cancel()
+		waitFor(t, "the leader to leave", func() bool { _, w := onlyFlight(t, s); return w == 1 })
+		select {
+		case <-f.cancel:
+			t.Fatal("the flight cancelled although a follower still waits")
+		default:
+		}
+		close(gate)
+		<-leader
+		rec := <-follower
+		var resp SearchResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || rec.Code != http.StatusOK {
+			t.Fatalf("follower got status %d, %v: %s", rec.Code, err, rec.Body.Bytes())
+		}
+		if resp.Partial || len(resp.Results) == 0 {
+			t.Fatalf("follower got a partial or empty answer: %+v", resp)
+		}
+		if n := flightCount(s); n != 0 {
+			t.Fatalf("%d flights registered after both requests finished", n)
+		}
+	})
+
+	t.Run("finished", func(t *testing.T) {
+		faultinject.Deactivate()
+		rec := <-serve(context.Background())
+		if rec.Code != http.StatusOK || flightCount(s) != 0 {
+			t.Fatalf("status %d, %d flights left registered", rec.Code, flightCount(s))
+		}
+	})
+
+	waitFor(t, "the request goroutines to exit", func() bool { return runtime.NumGoroutine() <= base })
 }

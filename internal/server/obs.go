@@ -165,27 +165,6 @@ const (
 	tracePerfetto
 )
 
-// traceMode parses the ?trace= parameter; unrecognized values mean off.
-func traceMode(r *http.Request) traceOutput {
-	switch r.URL.Query().Get("trace") {
-	case "1", "true":
-		return traceTree
-	case "perfetto", "chrome":
-		return tracePerfetto
-	}
-	return traceOff
-}
-
-// wantTrace reports whether the request asked for span capture in any
-// output form.
-func wantTrace(r *http.Request) bool { return traceMode(r) != traceOff }
-
-// wantExplain reports whether the request asked for the EXPLAIN report.
-func wantExplain(r *http.Request) bool {
-	e := r.URL.Query().Get("explain")
-	return e == "1" || e == "true"
-}
-
 // handleMetrics serves the registry in Prometheus text exposition
 // format.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

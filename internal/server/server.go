@@ -3,6 +3,13 @@
 // with (cf. the paper's motivating applications: hospital finders, site
 // scouting, location-aware journalism).
 //
+// A light /search is mostly fixed cost, so the shell around the engine
+// is kept lean: the query string is parsed once, in one pass over
+// RawQuery that the trace and explain checks share, and the response is
+// appended into a pooled buffer and written once, byte for byte what
+// encoding/json would write (responses carrying traces, EXPLAIN, shard
+// statuses or trees still go through encoding/json).
+//
 // Endpoints:
 //
 //	GET /search?x=…&y=…&kw=a,b,c&k=5[&algo=SP][&trees=1][&trace=1][&explain=1]
@@ -33,6 +40,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -140,10 +148,6 @@ func New(ds *ksp.Dataset) *Server {
 	ds.EnableMetrics(s.reg)
 	obs.RegisterRuntimeMetrics(s.reg)
 	s.registerMetrics(s.reg)
-	s.mux.HandleFunc("/search", s.handleSearch)
-	s.mux.HandleFunc("/keyword", s.handleKeyword)
-	s.mux.HandleFunc("/nearest", s.handleNearest)
-	s.mux.HandleFunc("/describe", s.handleDescribe)
 	s.mux.HandleFunc("/stats", s.handleStats)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/debug/queries", s.handleDebugQueries)
@@ -174,6 +178,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		rid = obs.NewRequestID()
 	}
 	ctx := obs.ContextWithRequestID(r.Context(), rid)
+	params := parseQueryParams(r.URL.RawQuery)
 	// Span capture turns on for ?trace= requests and for requests whose
 	// traceparent header carries the sampled flag — that is how a shard
 	// joins its coordinator's trace. A valid traceparent also donates its
@@ -184,7 +189,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			joined, sampled = id, sam
 		}
 	}
-	if wantTrace(r) || sampled {
+	if params.traceMode() != traceOff || sampled {
 		t := obs.NewTrace(r.URL.Path)
 		if joined != "" {
 			t.SetID(joined)
@@ -206,11 +211,29 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		dur := time.Since(start)
 		s.sm.noteRequest(r.URL.Path, dur)
-		s.log().Debug("request",
-			"requestID", rid, "method", r.Method, "path", r.URL.Path,
-			"status", sw.status(), "durationMicros", dur.Microseconds())
+		// Guarded: the default Info level drops the record, and building
+		// it boxes every argument.
+		if lg := s.log(); lg.Enabled(ctx, slog.LevelDebug) {
+			lg.Debug("request",
+				"requestID", rid, "method", r.Method, "path", r.URL.Path,
+				"status", sw.status(), "durationMicros", dur.Microseconds())
+		}
 	}()
-	s.mux.ServeHTTP(sw, r)
+	// The endpoints that read parameters take those parsed above. They are
+	// not on the mux, which would only find them under these exact paths
+	// too.
+	switch r.URL.Path {
+	case "/search":
+		s.handleSearch(sw, r, &params)
+	case "/keyword":
+		s.handleKeyword(sw, r, &params)
+	case "/nearest":
+		s.handleNearest(sw, r, &params)
+	case "/describe":
+		s.handleDescribe(sw, r, &params)
+	default:
+		s.mux.ServeHTTP(sw, r)
+	}
 }
 
 // SetReady flips /readyz; the server flips it off while draining during
@@ -420,30 +443,25 @@ func parseCoord(s string) (float64, bool) {
 	return f, true
 }
 
-func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
+// handleSearch serves /search from the request's parameters p.
+func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request, p *queryParams) {
 	if r.Method != http.MethodGet {
 		s.fail(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	q := r.URL.Query()
-	x, okX := parseCoord(q.Get("x"))
-	y, okY := parseCoord(q.Get("y"))
+	x, okX := parseCoord(p.x)
+	y, okY := parseCoord(p.y)
 	if !okX || !okY {
 		s.fail(w, http.StatusBadRequest, "x and y must be finite numbers")
 		return
 	}
-	var kws []string
-	for _, part := range strings.Split(q.Get("kw"), ",") {
-		if p := strings.TrimSpace(part); p != "" {
-			kws = append(kws, p)
-		}
-	}
+	kws := splitKeywords(p.kw)
 	if len(kws) == 0 {
 		s.fail(w, http.StatusBadRequest, "kw is required (comma-separated keywords)")
 		return
 	}
 	k := 5
-	if ks := q.Get("k"); ks != "" {
+	if ks := p.k; ks != "" {
 		var err error
 		if k, err = strconv.Atoi(ks); err != nil || k < 1 {
 			s.fail(w, http.StatusBadRequest, "k must be a positive integer")
@@ -454,16 +472,16 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		k = s.MaxK
 	}
 	algo := ksp.AlgoSP
-	if a := q.Get("algo"); a != "" {
+	if a := p.algo; a != "" {
 		var ok bool
 		if algo, ok = ksp.ParseAlgorithm(a); !ok {
 			s.fail(w, http.StatusBadRequest, "algo must be one of BSP, SPP, SP, TA")
 			return
 		}
 	}
-	trees := q.Get("trees") == "1" || q.Get("trees") == "true"
+	trees := p.trees == "1" || p.trees == "true"
 	window := s.DefaultWindow
-	if ws := q.Get("window"); ws != "" {
+	if ws := p.window; ws != "" {
 		var err error
 		if window, err = strconv.Atoi(ws); err != nil || window < 0 {
 			s.fail(w, http.StatusBadRequest, "window must be a non-negative integer (0 = adaptive)")
@@ -472,7 +490,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	window = s.clampWindow(window)
 	var maxDist float64
-	if ms := q.Get("maxdist"); ms != "" {
+	if ms := p.maxdist; ms != "" {
 		var ok bool
 		if maxDist, ok = parseCoord(ms); !ok || maxDist <= 0 {
 			s.fail(w, http.StatusBadRequest, "maxdist must be a positive finite number")
@@ -487,7 +505,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	faultinject.Fire(PointSearchAdmitted)
 
 	if s.Shards != nil {
-		s.searchSharded(w, r, release, shard.Request{
+		s.searchSharded(w, r, p, release, shard.Request{
 			X: x, Y: y, Keywords: kws, K: k, Algo: algo,
 			Window: window, MaxDist: maxDist, CollectTrees: trees,
 		})
@@ -524,17 +542,16 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			defer release()
 			// Leave the flight when this client disconnects mid-run: with
 			// no followers left the flight cancels, otherwise the
-			// survivors keep the evaluation going.
-			go func() {
-				select {
-				case <-r.Context().Done():
-				case <-f.done:
-				}
-				s.flights.leave(f)
-			}()
+			// survivors keep the evaluation going. If the callback has
+			// not run by the end, the leader leaves itself, so it leaves
+			// exactly once either way.
+			stop := context.AfterFunc(r.Context(), func() { s.flights.leave(f) })
 			opts.Cancel = f.cancel
 			res, stats, err = s.ds.SearchWith(algo, query, opts)
 			s.flights.finish(f, res, stats, err)
+			if stop() {
+				s.flights.leave(f)
+			}
 		} else {
 			// Follower: hand the admission slot back while waiting — the
 			// shared evaluation is already paid for by the leader's grant.
@@ -604,12 +621,12 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		Stats:   queryStats(algo, window, stats.TotalTime(), stats),
 	}
 	switch {
-	case tr != nil && traceMode(r) == tracePerfetto:
+	case tr != nil && p.traceMode() == tracePerfetto:
 		resp.Perfetto = obs.PerfettoFromSpan(rec.Trace)
 	case tr != nil:
 		resp.Trace = rec.Trace
 	}
-	if wantExplain(r) {
+	if p.wantExplain() {
 		resp.Explain = s.ds.ExplainFor(algo, query, opts, stats, len(res))
 	}
 	if stats.Partial {
@@ -639,7 +656,18 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Results = append(resp.Results, sr)
 	}
-	s.writeJSON(w, resp)
+	s.writeSearch(w, &resp)
+}
+
+// splitKeywords splits a kw parameter at commas, dropping blank entries.
+func splitKeywords(kw string) []string {
+	var kws []string
+	for _, part := range strings.Split(kw, ",") {
+		if p := strings.TrimSpace(part); p != "" {
+			kws = append(kws, p)
+		}
+	}
+	return kws
 }
 
 // clampWindow bounds a requested window directive to [0, MaxWindow];
@@ -661,24 +689,18 @@ func (s *Server) clampWindow(w int) int {
 
 // handleKeyword serves location-free keyword search: the places with the
 // tightest semantic trees regardless of where the client is.
-func (s *Server) handleKeyword(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleKeyword(w http.ResponseWriter, r *http.Request, p *queryParams) {
 	if r.Method != http.MethodGet {
 		s.fail(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	q := r.URL.Query()
-	var kws []string
-	for _, part := range strings.Split(q.Get("kw"), ",") {
-		if p := strings.TrimSpace(part); p != "" {
-			kws = append(kws, p)
-		}
-	}
+	kws := splitKeywords(p.kw)
 	if len(kws) == 0 {
 		s.fail(w, http.StatusBadRequest, "kw is required")
 		return
 	}
 	k := 5
-	if ks := q.Get("k"); ks != "" {
+	if ks := p.k; ks != "" {
 		var err error
 		if k, err = strconv.Atoi(ks); err != nil || k < 1 {
 			s.fail(w, http.StatusBadRequest, "k must be a positive integer")
@@ -736,24 +758,23 @@ func (s *Server) handleKeyword(w http.ResponseWriter, r *http.Request) {
 			Exact:     item.Exact,
 		})
 	}
-	s.writeJSON(w, SearchResponse{Results: out, Stats: QueryStats{Algorithm: "keyword"}})
+	s.writeSearch(w, &SearchResponse{Results: out, Stats: QueryStats{Algorithm: "keyword"}})
 }
 
 // handleNearest serves plain nearest-place lookup.
-func (s *Server) handleNearest(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleNearest(w http.ResponseWriter, r *http.Request, p *queryParams) {
 	if r.Method != http.MethodGet {
 		s.fail(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	q := r.URL.Query()
-	x, okX := parseCoord(q.Get("x"))
-	y, okY := parseCoord(q.Get("y"))
+	x, okX := parseCoord(p.x)
+	y, okY := parseCoord(p.y)
 	if !okX || !okY {
 		s.fail(w, http.StatusBadRequest, "x and y must be finite numbers")
 		return
 	}
 	n := 5
-	if ns := q.Get("n"); ns != "" {
+	if ns := p.n; ns != "" {
 		var err error
 		if n, err = strconv.Atoi(ns); err != nil || n < 1 {
 			s.fail(w, http.StatusBadRequest, "n must be a positive integer")
@@ -775,7 +796,7 @@ func (s *Server) handleNearest(w http.ResponseWriter, r *http.Request) {
 			Exact:    true,
 		})
 	}
-	s.writeJSON(w, SearchResponse{Results: out, Stats: QueryStats{Algorithm: "nearest"}})
+	s.writeSearch(w, &SearchResponse{Results: out, Stats: QueryStats{Algorithm: "nearest"}})
 }
 
 // DescribeResponse is the /describe payload.
@@ -787,12 +808,12 @@ type DescribeResponse struct {
 	Y       float64  `json:"y,omitempty"`
 }
 
-func (s *Server) handleDescribe(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleDescribe(w http.ResponseWriter, r *http.Request, p *queryParams) {
 	if r.Method != http.MethodGet {
 		s.fail(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	uri := r.URL.Query().Get("uri")
+	uri := p.uri
 	if uri == "" {
 		s.fail(w, http.StatusBadRequest, "uri is required")
 		return

@@ -68,7 +68,7 @@ const (
 // the singleflight coalescer (per-shard breakers already bound
 // duplicated work during incidents, and the flight cache is typed to
 // single-engine results).
-func (s *Server) searchSharded(w http.ResponseWriter, r *http.Request, release func(), req shard.Request) {
+func (s *Server) searchSharded(w http.ResponseWriter, r *http.Request, p *queryParams, release func(), req shard.Request) {
 	defer release()
 	ctx := r.Context()
 	if s.Timeout > 0 {
@@ -150,12 +150,12 @@ func (s *Server) searchSharded(w http.ResponseWriter, r *http.Request, release f
 		resp.ScoreLowerBound = g.Bound
 	}
 	switch {
-	case tr != nil && traceMode(r) == tracePerfetto:
+	case tr != nil && p.traceMode() == tracePerfetto:
 		resp.Perfetto = obs.PerfettoFromSpan(rec.Trace)
 	case tr != nil:
 		resp.Trace = rec.Trace
 	}
-	if wantExplain(r) {
+	if p.wantExplain() {
 		// The plan section comes from the local engine's configuration
 		// (shards over the same dataset build share it); the dispatch
 		// table is the gather's own MinDist-ordered shard outcomes.
@@ -182,7 +182,7 @@ func (s *Server) searchSharded(w http.ResponseWriter, r *http.Request, release f
 		}
 		resp.Results = append(resp.Results, sr)
 	}
-	s.writeJSON(w, resp)
+	s.writeSearch(w, &resp)
 }
 
 // writeDegraded writes the coordinator's 503: Retry-After set to the

@@ -49,13 +49,14 @@ func (s *Server) handleDebugSlow(w http.ResponseWriter, r *http.Request) {
 }
 
 // noteWide emits one query's wide event into the slow log. It returns
-// immediately — without building the event — when the log is disabled,
-// so the happy path pays only the call. stats and statuses may be nil
+// without building the event when the log is disabled, and, after
+// counting the query as observed, when it is faster than the threshold,
+// so a fast query pays only the count. stats and statuses may be nil
 // (failed queries), degraded is the machine-readable reason ("" when the
 // gather was whole).
 func (s *Server) noteWide(rec obs.QueryRecord, traceID string, window int, maxDist float64,
 	stats *ksp.Stats, results int, degraded string, statuses []shard.Status) {
-	if !s.slow.Enabled() {
+	if !s.slow.Enabled() || s.slow.Below(rec.DurationMicros) {
 		return
 	}
 	ev := obs.WideEvent{
@@ -101,7 +102,7 @@ func (s *Server) noteWide(rec obs.QueryRecord, traceID string, window int, maxDi
 	}
 	//ksplint:ignore determinism -- wide-event wall-clock stamp; never feeds result ranking
 	ev.Time = time.Now()
-	s.slow.Observe(ev)
+	s.slow.Keep(ev)
 }
 
 // explainShards converts the gather's per-shard statuses into the

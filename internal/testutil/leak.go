@@ -19,7 +19,7 @@ import (
 //
 //	func TestMain(m *testing.M) { os.Exit(testutil.VerifyMain(m)) }
 func VerifyMain(m interface{ Run() int }, cleanups ...func()) int {
-	before := runtime.NumGoroutine()
+	before := runtime.NumGoroutine() - signalLoops()
 	code := m.Run()
 	for _, c := range cleanups {
 		c()
@@ -31,7 +31,7 @@ func VerifyMain(m interface{ Run() int }, cleanups ...func()) int {
 	// settle budget before declaring a leak.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if runtime.NumGoroutine() <= before {
+		if runtime.NumGoroutine()-signalLoops() <= before {
 			return code
 		}
 		if time.Now().After(deadline) {
@@ -46,6 +46,16 @@ func VerifyMain(m interface{ Run() int }, cleanups ...func()) int {
 	fmt.Fprintf(os.Stderr, "goroutine leak: %d before tests, %d after settling\n%s\n",
 		before, after, sanitize(buf))
 	return 1
+}
+
+// signalLoops counts the os/signal delivery goroutine: the first
+// signal.Notify anywhere in the process starts it and it never exits.
+// Under -fuzz the testing package's coordinator starts it mid-run, and it
+// is no leak of the code under test.
+func signalLoops() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	return bytes.Count(buf, []byte("\nos/signal.loop()"))
 }
 
 // sanitize drops the runtime's own goroutines from a full stack dump to
