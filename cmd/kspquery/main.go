@@ -146,13 +146,9 @@ func writePerfetto(path string, root *ksp.SpanJSON) error {
 // engine decided to do, the profile line what the decision cost.
 func printExplain(rep *ksp.ExplainReport) {
 	p, pr := rep.Plan, rep.Profile
-	win := p.WindowPolicy
-	if p.Window > 0 {
-		win = fmt.Sprintf("%s(%d)", p.WindowPolicy, p.Window)
-	}
 	fmt.Println("explain:")
-	fmt.Printf("  plan: algo=%s k=%d window=%s direction=%s ranking=%s\n",
-		p.Algo, p.K, win, p.Direction, p.Ranking)
+	fmt.Printf("  plan: algo=%s k=%d direction=%s ranking=%s\n",
+		p.Algo, p.K, p.Direction, p.Ranking)
 	fmt.Printf("  rules: r1=%v r2=%v r3=%v r4=%v (alpha=%d reachability=%v)\n",
 		p.Rule1, p.Rule2, p.Rule3, p.Rule4, p.AlphaRadius, p.Reachability)
 	if len(p.Keywords) > 0 {

@@ -49,7 +49,6 @@ func main() {
 		alphaR   = flag.Int("alpha", 3, "α radius, at most 255 (N-Triples loading only)")
 		maxK     = flag.Int("maxk", 100, "largest k a request may ask for")
 		timeout  = flag.Duration("timeout", 10*time.Second, "per-query evaluation cap")
-		window   = flag.Int("window", 0, "default candidate window per query (0 = adaptive, 1 = classic one-at-a-time loop, W>=2 fixed; requests may override with ?window=)")
 		pprof    = flag.String("pprof", "", "side listen address for net/http/pprof (empty = disabled), e.g. localhost:6060")
 
 		shards      = flag.Int("shards", 0, "partition the dataset into N spatial tiles and serve /search by scatter-gather (0 = single engine)")
@@ -121,7 +120,6 @@ func main() {
 	s.Logger = logger
 	s.MaxK = *maxK
 	s.Timeout = *timeout
-	s.DefaultWindow = *window
 	s.AdmitCapacity = *admitWidth
 	s.AdmitQueue = *admitQueue
 	s.QueueTimeout = *queueWait

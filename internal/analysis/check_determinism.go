@@ -22,9 +22,9 @@ import (
 //     call, a return) can order results and is reported.
 //
 // DESIGN.md §11 and §14 argue the top-k is bit-identical across
-// classic, windowed and sharded evaluation; that argument dies silently the
-// first time an iteration order or a clock leaks into scoring, which is
-// exactly the regression class this check catches.
+// screened, reference and sharded evaluation; that argument dies
+// silently the first time an iteration order or a clock leaks into
+// scoring, which is exactly the regression class this check catches.
 var DeterminismCheck = &Analyzer{
 	Name: "determinism",
 	Doc:  "forbid map-iteration order, math/rand, and escaping time.Now on result-producing core paths",

@@ -132,8 +132,7 @@ func (e *Engine) SP(q Query, opts Options) ([]Result, *Stats, error) {
 // distance (R-tree nearest-neighbour search). Fagin's threshold algorithm
 // combines them: each sorted access completes the other attribute on the
 // fly, and search stops when the kth candidate's score reaches
-// τ = f(L_last, S_last). TA ignores Options.Bound, like it ignores
-// Options.Window.
+// τ = f(L_last, S_last). TA ignores Options.Bound.
 func (e *Engine) TA(q Query, opts Options) ([]Result, *Stats, error) {
 	return e.Search(AlgoTA, q, opts)
 }

@@ -110,9 +110,9 @@ func TestBoundConcurrentOffers(t *testing.T) {
 
 // Two engines over disjoint halves of the places, evaluating the same
 // query concurrently under one bound, together return the full engine's
-// top-k — for every stream algorithm, windowed and classic. Each half may return fewer than its private top-k; the
-// (score, place) merge of the halves is what must match. TA ignores the
-// bound and keeps returning its private answer.
+// top-k, for every stream algorithm. Each half may return fewer than its
+// private top-k; the (score, place) merge of the halves is what must
+// match. TA ignores the bound and keeps returning its private answer.
 func TestEnginesCooperateUnderBound(t *testing.T) {
 	g := gen.Generate(gen.YagoConfig(1500, 931))
 	full := NewEngine(g, rdf.Outgoing)
@@ -133,36 +133,34 @@ func TestEnginesCooperateUnderBound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, window := range []int{0, 1} {
-				b := NewBound(q.K)
-				parts := make([][]Result, len(halves))
-				var wg sync.WaitGroup
-				for i, h := range halves {
-					wg.Add(1)
-					go func(i int, h *Engine) {
-						defer wg.Done()
-						res, _, err := a.run(h, q, Options{Window: window, Bound: b})
-						if err != nil {
-							t.Error(err)
-						}
-						parts[i] = res
-					}(i, h)
-				}
-				wg.Wait()
-				merged := append(append([]Result(nil), parts[0]...), parts[1]...)
-				slices.SortFunc(merged, func(x, y Result) int {
-					if x.Score != y.Score {
-						return cmp.Compare(x.Score, y.Score)
+			b := NewBound(q.K)
+			parts := make([][]Result, len(halves))
+			var wg sync.WaitGroup
+			for i, h := range halves {
+				wg.Add(1)
+				go func(i int, h *Engine) {
+					defer wg.Done()
+					res, _, err := a.run(h, q, Options{Bound: b})
+					if err != nil {
+						t.Error(err)
 					}
-					return cmp.Compare(x.Place, y.Place)
-				})
-				if len(merged) > q.K {
-					merged = merged[:q.K]
+					parts[i] = res
+				}(i, h)
+			}
+			wg.Wait()
+			merged := append(append([]Result(nil), parts[0]...), parts[1]...)
+			slices.SortFunc(merged, func(x, y Result) int {
+				if x.Score != y.Score {
+					return cmp.Compare(x.Score, y.Score)
 				}
-				identicalResults(t, a.name, merged, want)
-				if len(want) == q.K && b.Theta() != want[q.K-1].Score {
-					t.Fatalf("%s: shared θ ended at %v, want the kth score %v", a.name, b.Theta(), want[q.K-1].Score)
-				}
+				return cmp.Compare(x.Place, y.Place)
+			})
+			if len(merged) > q.K {
+				merged = merged[:q.K]
+			}
+			identicalResults(t, a.name, merged, want)
+			if len(want) == q.K && b.Theta() != want[q.K-1].Score {
+				t.Fatalf("%s: shared θ ended at %v, want the kth score %v", a.name, b.Theta(), want[q.K-1].Score)
 			}
 		}
 

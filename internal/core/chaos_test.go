@@ -18,7 +18,6 @@ var corePoints = []string{
 	PointPrepare,
 	PointSerialCandidate,
 	PointBFS,
-	PointWindowFill,
 }
 
 func TestChaosPointsRegistered(t *testing.T) {
@@ -253,45 +252,6 @@ func TestChaosCancelViaOptions(t *testing.T) {
 			t.Fatalf("%s: cancel fired but Stats.Cancelled false", point)
 		}
 		assertSoundPrefix(t, point, got, stats, want)
-		settleGoroutines(t, before)
-	}
-}
-
-// TestChaosCancelMidWindow closes the query's own Cancel channel from
-// inside a window fill, so cancellation lands between the bulk pop and
-// the evaluation of that window's survivors — the window scheduler must
-// still hand back a sound partial prefix and leak nothing. The last fill
-// can legitimately precede the final emission (a fully screen-killed
-// window ends the stream before any cancel poll), so the Cancelled flag
-// is not required, only soundness.
-func TestChaosCancelMidWindow(t *testing.T) {
-	g := gen.Generate(gen.YagoConfig(900, 45))
-	qg := gen.NewQueryGen(g, rdf.Outgoing, 46)
-	e := NewEngine(g, rdf.Outgoing)
-	e.EnableReach()
-	e.EnableAlpha(3)
-	loc, kws := qg.Original(3)
-	q := Query{Loc: loc, Keywords: kws, K: 5}
-	want, _, err := e.SP(q, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	before := runtime.NumGoroutine()
-	for _, win := range []int{0, 2, 64} { // adaptive, tiny, one-shot
-		cancel := make(chan struct{})
-		var once sync.Once
-		plan := faultinject.NewPlan(7).Add(faultinject.Fault{
-			Point: PointWindowFill, Action: faultinject.Call, AfterN: 1,
-			Func: func() { once.Do(func() { close(cancel) }) },
-		})
-		faultinject.Activate(plan)
-		got, stats, err := e.SP(q, Options{Window: win, Cancel: cancel})
-		faultinject.Deactivate()
-		if err != nil {
-			t.Fatalf("window=%d: %v", win, err)
-		}
-		assertSoundPrefix(t, "mid-window", got, stats, want)
 		settleGoroutines(t, before)
 	}
 }

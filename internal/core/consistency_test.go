@@ -80,7 +80,7 @@ func sameResults(t *testing.T, name string, got, want []Result) {
 }
 
 // identicalResults demands bit-identical answers — two evaluations of
-// the same query (windowed and classic, concurrent and alone, sharded
+// the same query (screened and reference, concurrent and alone, sharded
 // and whole) promise the same answer, not approximate agreement, so no
 // epsilon is allowed (contrast sameResults, which tolerates float noise
 // against the brute-force reference).

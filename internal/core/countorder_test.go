@@ -11,8 +11,10 @@ import (
 // the §6.1 workload (|q.ψ| = 5, k = 5, α = 3) over both generators:
 //   - each pruning layer only removes work: TQSP constructions obey
 //     SP ≤ SPP ≤ BSP (Rules 1–2 over BSP, Rules 3–4 over SPP);
-//   - SP's α-bounded best-first traversal touches strictly fewer R-tree
-//     nodes than SPP's distance browsing (Rule 4);
+//   - SP's α-bounded best-first traversal touches no more R-tree nodes
+//     than SPP's distance browsing on any query, and strictly fewer over
+//     each fixture's sum (Rule 4). A query can tie when both stop
+//     within the same first few nodes;
 //   - disabling Rule 1 or Rule 2 in SPP or SP never lowers the TQSP
 //     constructions or the BFS expansions.
 //
@@ -55,8 +57,8 @@ func TestAlgorithmCountOrder(t *testing.T) {
 					t.Errorf("query %d: TQSP constructions SP %d, SPP %d, BSP %d: want SP ≤ SPP ≤ BSP",
 						i, sp.TQSPComputations, spp.TQSPComputations, bsp.TQSPComputations)
 				}
-				if sp.RTreeNodeAccesses >= spp.RTreeNodeAccesses {
-					t.Errorf("query %d: R-tree node accesses SP %d, SPP %d: want SP < SPP",
+				if sp.RTreeNodeAccesses > spp.RTreeNodeAccesses {
+					t.Errorf("query %d: R-tree node accesses SP %d, SPP %d: want SP ≤ SPP",
 						i, sp.RTreeNodeAccesses, spp.RTreeNodeAccesses)
 				}
 				for j, a := range streamAlgos[1:] {
@@ -76,6 +78,9 @@ func TestAlgorithmCountOrder(t *testing.T) {
 						}
 					}
 				}
+			}
+			if sum[2].RTreeNodeAccesses >= sum[1].RTreeNodeAccesses {
+				t.Errorf("Σ R-tree node accesses SP %d, SPP %d: want SP < SPP", sum[2].RTreeNodeAccesses, sum[1].RTreeNodeAccesses)
 			}
 			t.Logf("Σ over %d queries: TQSPs BSP/SPP/SP %d/%d/%d, R-tree node accesses SPP/SP %d/%d",
 				queries, sum[0].TQSPComputations, sum[1].TQSPComputations, sum[2].TQSPComputations,

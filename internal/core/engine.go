@@ -41,10 +41,6 @@ type Engine struct {
 	// (EnableMetrics); nil keeps query evaluation free of any
 	// observability cost. Shared by WithAlpha clones.
 	metrics *engineMetrics
-	// winTotals accumulates the window scheduler's lifetime counters
-	// (WindowStats). A pointer so WithAlpha's `clone := *e` shares it and
-	// never copies the atomics.
-	winTotals *windowTotals
 }
 
 // enginePools recycles allocation-heavy per-query state.
@@ -216,13 +212,12 @@ func NewEngine(g *rdf.Graph, dir rdf.Direction) *Engine {
 // snapshot serves it.
 func NewEngineOver(g *rdf.Graph, tree *rtree.RTree, dir rdf.Direction) *Engine {
 	return &Engine{
-		G:         g,
-		Tree:      tree,
-		Doc:       invindex.FromGraph(g),
-		Dir:       dir,
-		Rank:      ProductRanking{},
-		pools:     &enginePools{},
-		winTotals: &windowTotals{},
+		G:     g,
+		Tree:  tree,
+		Doc:   invindex.FromGraph(g),
+		Dir:   dir,
+		Rank:  ProductRanking{},
+		pools: &enginePools{},
 	}
 }
 
@@ -272,7 +267,7 @@ type prepQuery struct {
 	// no qualified semantic place can exist then.
 	answerable bool
 	// qv caches the α-radius query view for terms, loaded at most once
-	// per query (SP's stream and the window screens share it). Guarded by
+	// per query (SP's stream and the screen share it). Guarded by
 	// qvLoaded, not a mutex: a query runs on one goroutine.
 	qv       *alpha.QueryView
 	qvErr    error

@@ -10,10 +10,9 @@ import (
 // assembled from configuration and the Stats the run already collected
 // — no span capture involved, so it is cheap enough to attach to any
 // response (?explain=1, kspquery -explain). The plan says what the
-// engine decided to do (algorithm, pruning rules in force, window
-// policy, Rule-1 keyword order); the profile says what that decision
-// cost (per-rule pruning counts, window work), mirroring
-// the paper's per-phase/per-rule accounting.
+// engine decided to do (algorithm, pruning rules in force, Rule-1
+// keyword order); the profile says what that decision cost (per-rule
+// pruning counts), mirroring the paper's per-phase/per-rule accounting.
 
 // ExplainKeyword is one resolved query keyword in Rule-1 evaluation
 // order (ascending document frequency — infrequent keywords are
@@ -34,13 +33,8 @@ type ExplainPlan struct {
 	Keywords []ExplainKeyword `json:"keywords,omitempty"`
 	// Answerable is false when some keyword matches no document — no
 	// qualified semantic place can exist and the query short-circuits.
-	Answerable bool `json:"answerable"`
-	// WindowPolicy is the candidate-window decision: "classic" (W=1
-	// legacy loop), "fixed" (explicit W), or "adaptive".
-	WindowPolicy string `json:"windowPolicy"`
-	// Window is the explicit window size under the "fixed" policy.
-	Window  int     `json:"window,omitempty"`
-	MaxDist float64 `json:"maxDist,omitempty"`
+	Answerable bool    `json:"answerable"`
+	MaxDist    float64 `json:"maxDist,omitempty"`
 	// Rule1–Rule4 report which pruning rules are in force for this plan
 	// (index present, not disabled, and used by the chosen algorithm).
 	Rule1 bool `json:"rule1"`
@@ -73,11 +67,6 @@ type ExplainProfile struct {
 	PrunedRule2 int64 `json:"prunedRule2"`
 	PrunedRule3 int64 `json:"prunedRule3"`
 	PrunedRule4 int64 `json:"prunedRule4"`
-
-	WindowsFilled        int64 `json:"windowsFilled"`
-	WindowCandidates     int64 `json:"windowCandidates"`
-	WindowScreenKilled   int64 `json:"windowScreenKilled"`
-	WindowDeferredKilled int64 `json:"windowDeferredKilled"`
 
 	Results    int     `json:"results"`
 	Partial    bool    `json:"partial,omitempty"`
@@ -143,15 +132,6 @@ func (e *Engine) explainPlan(a Algorithm, q Query, opts Options) ExplainPlan {
 		Reachability: e.Reach != nil,
 		Ranking:      fmt.Sprintf("%T", e.Rank),
 	}
-	switch w, adaptive := resolveWindow(opts); {
-	case adaptive:
-		p.WindowPolicy = "adaptive"
-	case w == 1:
-		p.WindowPolicy = "classic"
-	default:
-		p.WindowPolicy = "fixed"
-		p.Window = w
-	}
 	if e.Alpha != nil {
 		p.AlphaRadius = e.Alpha.Alpha
 	}
@@ -205,26 +185,22 @@ func (e *Engine) explainKeywords(q Query) (kws []ExplainKeyword, answerable bool
 
 func buildProfile(s *Stats, results int) ExplainProfile {
 	return ExplainProfile{
-		DurationMicros:       s.TotalTime().Microseconds(),
-		SemanticMicros:       s.SemanticTime.Microseconds(),
-		OtherMicros:          s.OtherTime.Microseconds(),
-		PlacesRetrieved:      s.PlacesRetrieved,
-		TQSPComputations:     s.TQSPComputations,
-		BFSVertexVisits:      s.BFSVertexVisits,
-		RTreeNodeAccesses:    s.RTreeNodeAccesses,
-		ReachQueries:         s.ReachQueries,
-		PrunedRule1:          s.PrunedUnqualified,
-		PrunedRule2:          s.PrunedDynamicBound,
-		PrunedRule3:          s.PrunedAlphaPlaces,
-		PrunedRule4:          s.PrunedAlphaNodes,
-		WindowsFilled:        s.WindowsFilled,
-		WindowCandidates:     s.WindowCandidates,
-		WindowScreenKilled:   s.WindowScreenKilled,
-		WindowDeferredKilled: s.WindowDeferredKilled,
-		Results:              results,
-		Partial:              s.Partial,
-		TimedOut:             s.TimedOut,
-		Cancelled:            s.Cancelled,
-		ScoreBound:           s.ScoreBound,
+		DurationMicros:    s.TotalTime().Microseconds(),
+		SemanticMicros:    s.SemanticTime.Microseconds(),
+		OtherMicros:       s.OtherTime.Microseconds(),
+		PlacesRetrieved:   s.PlacesRetrieved,
+		TQSPComputations:  s.TQSPComputations,
+		BFSVertexVisits:   s.BFSVertexVisits,
+		RTreeNodeAccesses: s.RTreeNodeAccesses,
+		ReachQueries:      s.ReachQueries,
+		PrunedRule1:       s.PrunedUnqualified,
+		PrunedRule2:       s.PrunedDynamicBound,
+		PrunedRule3:       s.PrunedAlphaPlaces,
+		PrunedRule4:       s.PrunedAlphaNodes,
+		Results:           results,
+		Partial:           s.Partial,
+		TimedOut:          s.TimedOut,
+		Cancelled:         s.Cancelled,
+		ScoreBound:        s.ScoreBound,
 	}
 }

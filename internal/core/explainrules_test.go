@@ -8,8 +8,8 @@ import (
 )
 
 // TestExplainRulesMatchRun holds EXPLAIN's rule flags to the run they
-// describe: for every algorithm × {default, NoRule1, NoRule2}, under the
-// classic loop and the adaptive window, on engines with and without the
+// describe: for every algorithm × {default, NoRule1, NoRule2}, on
+// engines with and without the
 // reachability index (SPP requires it), a pruning rule the plan reports
 // off must leave its counter at zero — Rule 1 its reachability probes,
 // Rule 2 its dynamic-bound aborts, Rules 3 and 4 their α prunings.
@@ -41,32 +41,28 @@ func TestExplainRulesMatchRun(t *testing.T) {
 				if a == AlgoSPP && e.Reach == nil {
 					continue
 				}
-				for _, base := range []Options{{}, {NoRule1: true}, {NoRule2: true}} {
-					for _, window := range []int{0, 1} {
-						opts := base
-						opts.Window = window
-						plan := e.Explain(a, qs[0], opts, nil, 0).Plan
-						for i, q := range qs {
-							_, st, err := e.Search(a, q, opts)
-							if err != nil {
-								t.Fatalf("n=%d %s reach=%v %+v query %d: %v", fx.n, a, e.Reach != nil, opts, i, err)
-							}
-							for r, c := range []struct {
-								on      bool
-								counter int64
-								name    string
-							}{
-								{plan.Rule1, st.ReachQueries, "ReachQueries"},
-								{plan.Rule2, st.PrunedDynamicBound, "PrunedDynamicBound"},
-								{plan.Rule3, st.PrunedAlphaPlaces, "PrunedAlphaPlaces"},
-								{plan.Rule4, st.PrunedAlphaNodes, "PrunedAlphaNodes"},
-							} {
-								if c.on {
-									fired[r] += c.counter
-								} else if c.counter != 0 {
-									t.Errorf("n=%d %s reach=%v %+v query %d: plan reports Rule %d off, but %s = %d",
-										fx.n, a, e.Reach != nil, opts, i, r+1, c.name, c.counter)
-								}
+				for _, opts := range []Options{{}, {NoRule1: true}, {NoRule2: true}} {
+					plan := e.Explain(a, qs[0], opts, nil, 0).Plan
+					for i, q := range qs {
+						_, st, err := e.Search(a, q, opts)
+						if err != nil {
+							t.Fatalf("n=%d %s reach=%v %+v query %d: %v", fx.n, a, e.Reach != nil, opts, i, err)
+						}
+						for r, c := range []struct {
+							on      bool
+							counter int64
+							name    string
+						}{
+							{plan.Rule1, st.ReachQueries, "ReachQueries"},
+							{plan.Rule2, st.PrunedDynamicBound, "PrunedDynamicBound"},
+							{plan.Rule3, st.PrunedAlphaPlaces, "PrunedAlphaPlaces"},
+							{plan.Rule4, st.PrunedAlphaNodes, "PrunedAlphaNodes"},
+						} {
+							if c.on {
+								fired[r] += c.counter
+							} else if c.counter != 0 {
+								t.Errorf("n=%d %s reach=%v %+v query %d: plan reports Rule %d off, but %s = %d",
+									fx.n, a, e.Reach != nil, opts, i, r+1, c.name, c.counter)
 							}
 						}
 					}

@@ -31,7 +31,7 @@ var allAlgos = []algo{
 }
 
 // streamAlgos are the algorithms driven by a candidate stream — the ones
-// Options.Window and Options.Bound apply to (TA ignores both).
+// Options.Bound applies to (TA ignores it).
 var streamAlgos = []algo{
 	{"BSP", (*Engine).BSP},
 	{"SPP", (*Engine).SPP},
@@ -85,13 +85,14 @@ func TestFigure1Examples5And6(t *testing.T) {
 }
 
 // Example 8: for the top-1 query at q1, SPP aborts the TQSP construction
-// of p2 via the dynamic bound (LB reaches 3 > Lw ≈ 1.03). Window is
-// pinned to 1: the example narrates the classic one-at-a-time loop, and
-// the windowed scheduler would (correctly) defer-kill p2 before its TQSP
-// even starts, changing the counters the example quotes.
+// of p2 via the dynamic bound (LB reaches 3 > Lw ≈ 1.03). The example
+// narrates the paper's loop, so it runs on refRun. The served SPP screens
+// p2 first: with the α index loaded, p2's place bound of 4 already scores
+// above p1's θ, so p2 is killed before any TQSP work.
 func TestExample8DynamicBoundPrunesP2(t *testing.T) {
 	f, e := fixtureEngine(t, 3)
-	res, stats, err := e.SPP(Query{Loc: f.Q1, Keywords: f.Keywords, K: 1}, Options{Window: 1})
+	q := Query{Loc: f.Q1, Keywords: f.Keywords, K: 1}
+	res, stats, err := refRun(e, AlgoSPP, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,6 +104,16 @@ func TestExample8DynamicBoundPrunesP2(t *testing.T) {
 	}
 	if stats.TQSPComputations != 2 {
 		t.Errorf("TQSPComputations = %d, want 2 (p1 full, p2 aborted)", stats.TQSPComputations)
+	}
+
+	served, st, err := e.SPP(q, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	identicalResults(t, "served SPP", served, res)
+	if st.TQSPComputations != 1 || st.WindowScreenKilled != 1 || st.PrunedDynamicBound != 0 {
+		t.Errorf("served SPP: TQSPs %d, screen kills %d, Rule 2 aborts %d; want 1, 1, 0 (p2 screened out)",
+			st.TQSPComputations, st.WindowScreenKilled, st.PrunedDynamicBound)
 	}
 }
 

@@ -14,8 +14,8 @@ import (
 
 // refSPSource is the reference frontier for spSource: Algorithm 4's
 // queue with every place under θ pushed at its leaf's expansion, as SP
-// ran before leaf runs. spSource must produce its stream, its resume
-// bounds and its counters exactly.
+// ran before leaf runs. spSource must produce its stream and its
+// counters exactly.
 type refSPSource struct {
 	e       *Engine
 	qv      *alpha.QueryView
@@ -76,44 +76,25 @@ func (s *refSPSource) next() (candidate, bool) {
 	return candidate{}, false
 }
 
-func (s *refSPSource) fillWindow(w int, buf []windowCand) ([]windowCand, float64) {
-	for len(buf) < w {
-		c, ok := s.next()
-		if !ok {
-			break
-		}
-		buf = append(buf, windowCand{place: c.place, dist: c.dist, bound: c.bound})
-	}
-	if len(s.pqueue) == 0 {
-		return buf, math.Inf(1)
-	}
-	return buf, s.pqueue[0].bound
-}
-
 func (s *refSPSource) close() {}
 
 // spStream is what the frontier test drives: spSource or the reference.
 type spStream interface {
 	next() (candidate, bool)
-	fillWindow(w int, buf []windowCand) ([]windowCand, float64)
 	close()
 }
 
-// spStep is one observation of a driven stream: an emitted candidate, or
-// (resume set) the resume bound that closed a window fill.
+// spStep is one candidate a driven stream emitted below θ.
 type spStep struct {
-	place        uint32
-	dist, bound  float64
-	resume       float64
-	isResumeStep bool
+	place       uint32
+	dist, bound float64
 }
 
-// driveSP evaluates q over the stream mk opens the way Engine.run does
-// with the candidate window w: one candidate at a time through next when
-// w is 1, else window fills of w whose candidates are evaluated in
-// stream order. Each fill's resume bound is a step too. Rule 1, Rule 2 and the top-k are the engine's, so θ moves
-// as it does in a real query. It returns every step and the counters.
-func driveSP(t *testing.T, e *Engine, q Query, maxDist float64, w int,
+// driveSP evaluates q over the stream mk opens the way Engine.run does:
+// one candidate at a time, put through SP's screen, then Rule 2 and the
+// top-k, so θ moves as it does in a real query. It returns every
+// candidate the stream emitted below θ and the counters.
+func driveSP(t *testing.T, e *Engine, q Query,
 	mk func(pq *prepQuery, qv *alpha.QueryView, hk *topK, st *Stats) spStream) ([]spStep, Stats, []Result) {
 	t.Helper()
 	var st Stats
@@ -132,44 +113,25 @@ func driveSP(t *testing.T, e *Engine, q Query, maxDist float64, w int,
 	}
 	src := mk(pq, qv, hk, &st)
 	defer src.close()
+	rule1, rule2 := algorithms[AlgoSP].rules(e, Options{})
+	scr := e.newScreen(pq, &st, rule1, rule2)
 	s := newSearcher(e, pq, &st, false)
 	defer s.release()
 	var steps []spStep
-	eval := func(c candidate) {
+	for {
+		c, ok := src.next()
+		if !ok || c.bound >= hk.theta() {
+			break
+		}
 		steps = append(steps, spStep{place: c.place, dist: c.dist, bound: c.bound})
-		if c.bound >= hk.theta() {
-			return
+		st.WindowCandidates++
+		if scr.kills(&c, hk.theta()) {
+			st.WindowScreenKilled++
+			continue
 		}
 		st.PlacesRetrieved++
-		e.evaluate(s, &c, hk, true, true)
+		e.evaluate(s, &c, hk, rule2)
 		e.offer(hk, &c)
-	}
-	if w == 1 {
-		for {
-			c, ok := src.next()
-			if !ok || c.bound >= hk.theta() {
-				break
-			}
-			eval(c)
-		}
-		// The queue head once the stream ended: the resume bound an empty
-		// window fill reports, which must cover the rest of a run whose
-		// head ended it.
-		_, resume := src.fillWindow(0, nil)
-		steps = append(steps, spStep{resume: resume, isResumeStep: true})
-	} else {
-		var buf []windowCand
-		for {
-			var resume float64
-			buf, resume = src.fillWindow(w, buf[:0])
-			steps = append(steps, spStep{resume: resume, isResumeStep: true})
-			for _, wc := range buf {
-				eval(candidate{place: wc.place, dist: wc.dist, bound: wc.bound})
-			}
-			if len(buf) == 0 || resume >= hk.theta() {
-				break
-			}
-		}
 	}
 	st.SemanticTime = 0
 	return steps, st, hk.sorted()
@@ -194,10 +156,9 @@ func dupCoords(t *testing.T, g *rdf.Graph) *rdf.Graph {
 // TestSPLeafRunsMatchAllPush pins leaf runs to the all-push frontier they
 // replace: on Yago-like and DBpedia-like data, and on DBpedia-like data
 // whose places share coordinates, at k = 1, 5 and 20, with and without
-// MaxDist, one candidate at a time and in windows, spSource emits the
-// reference's (place, dist, bound) sequence and resume bounds and counts
-// the same. The engine's own SP run with the same window must count the
-// same too, so the drive is the engine's loop.
+// MaxDist, spSource emits the reference's (place, dist, bound) sequence
+// and counts the same. The engine's own SP run must count the same too,
+// so the drive is the engine's loop.
 func TestSPLeafRunsMatchAllPush(t *testing.T) {
 	yago := gen.Generate(gen.YagoConfig(2500, 4501))
 	dbp := gen.Generate(gen.DBpediaConfig(2500, 4502))
@@ -226,58 +187,49 @@ func TestSPLeafRunsMatchAllPush(t *testing.T) {
 				for _, k := range []int{1, 5, 20} {
 					for _, maxDist := range []float64{0, dists[len(dists)/10]} {
 						q := Query{Loc: loc, Keywords: kws, K: k}
-						for _, w := range []int{1, 7, 64} {
-							label := fmt.Sprintf("q%d k=%d maxDist=%g w=%d", qi, k, maxDist, w)
-							var ref *refSPSource
-							wantSteps, wantStats, wantRes := driveSP(t, e, q, maxDist, w,
-								func(pq *prepQuery, qv *alpha.QueryView, hk *topK, st *Stats) spStream {
-									ref = &refSPSource{e: e, qv: qv, hk: hk, qloc: loc, maxDist: maxDist, stats: st}
-									root := e.Tree.Root()
-									d := e.Tree.Rect(root).MinDist(loc)
-									ref.pqueue.push(spEntry{bound: e.Rank.Score(qv.NodeBound(root), d), dist: d, node: root})
-									return ref
-								})
-							gotSteps, gotStats, gotRes := driveSP(t, e, q, maxDist, w,
-								func(pq *prepQuery, qv *alpha.QueryView, hk *topK, st *Stats) spStream {
-									s := &spSource{e: e, qv: qv, hk: hk, qloc: loc, maxDist: maxDist, stats: st, f: e.pools.getFrontier()}
-									root := e.Tree.Root()
-									d := e.Tree.Rect(root).MinDist(loc)
-									s.f.queue.push(spEntry{bound: e.Rank.Score(qv.NodeBound(root), d), dist: d, node: root})
-									return s
-								})
-							if len(gotSteps) != len(wantSteps) {
-								t.Fatalf("%s: %d steps, reference %d", label, len(gotSteps), len(wantSteps))
+						label := fmt.Sprintf("q%d k=%d maxDist=%g", qi, k, maxDist)
+						var ref *refSPSource
+						wantSteps, wantStats, wantRes := driveSP(t, e, q,
+							func(pq *prepQuery, qv *alpha.QueryView, hk *topK, st *Stats) spStream {
+								ref = &refSPSource{e: e, qv: qv, hk: hk, qloc: loc, maxDist: maxDist, stats: st}
+								root := e.Tree.Root()
+								d := e.Tree.Rect(root).MinDist(loc)
+								ref.pqueue.push(spEntry{bound: e.Rank.Score(qv.NodeBound(root), d), dist: d, node: root})
+								return ref
+							})
+						gotSteps, gotStats, gotRes := driveSP(t, e, q,
+							func(pq *prepQuery, qv *alpha.QueryView, hk *topK, st *Stats) spStream {
+								s := &spSource{e: e, qv: qv, hk: hk, qloc: loc, maxDist: maxDist, stats: st, f: e.pools.getFrontier()}
+								root := e.Tree.Root()
+								d := e.Tree.Rect(root).MinDist(loc)
+								s.f.queue.push(spEntry{bound: e.Rank.Score(qv.NodeBound(root), d), dist: d, node: root})
+								return s
+							})
+						if len(gotSteps) != len(wantSteps) {
+							t.Fatalf("%s: %d steps, reference %d", label, len(gotSteps), len(wantSteps))
+						}
+						for i := range wantSteps {
+							if gotSteps[i] != wantSteps[i] {
+								t.Fatalf("%s: step %d is %+v, reference %+v", label, i, gotSteps[i], wantSteps[i])
 							}
-							for i := range wantSteps {
-								if gotSteps[i] != wantSteps[i] {
-									t.Fatalf("%s: step %d is %+v, reference %+v", label, i, gotSteps[i], wantSteps[i])
-								}
-								if i > 0 && !wantSteps[i].isResumeStep && !wantSteps[i-1].isResumeStep &&
-									wantSteps[i].bound == wantSteps[i-1].bound {
-									leafTies++
-								}
-								if !wantSteps[i].isResumeStep {
-									pops++
-								}
+							if i > 0 && wantSteps[i].bound == wantSteps[i-1].bound {
+								leafTies++
 							}
-							if gotStats != wantStats {
-								t.Fatalf("%s: counters %+v, reference %+v", label, gotStats, wantStats)
-							}
-							identicalResults(t, label, gotRes, wantRes)
-							pushes += ref.pushes
+						}
+						pops += len(wantSteps)
+						if gotStats != wantStats {
+							t.Fatalf("%s: counters %+v, reference %+v", label, gotStats, wantStats)
+						}
+						identicalResults(t, label, gotRes, wantRes)
+						pushes += ref.pushes
 
-							if w != 1 {
-								continue
-							}
-							// One at a time, the engine's own loop counts as the drive.
-							_, est, err := e.SP(q, Options{MaxDist: maxDist, Window: 1})
-							if err != nil {
-								t.Fatal(err)
-							}
-							est.SemanticTime, est.OtherTime = 0, 0
-							if *est != gotStats {
-								t.Fatalf("%s: engine counts %+v, drive %+v", label, *est, gotStats)
-							}
+						_, est, err := e.SP(q, Options{MaxDist: maxDist})
+						if err != nil {
+							t.Fatal(err)
+						}
+						est.SemanticTime, est.OtherTime = 0, 0
+						if *est != gotStats {
+							t.Fatalf("%s: engine counts %+v, drive %+v", label, *est, gotStats)
 						}
 					}
 				}

@@ -34,10 +34,6 @@ type engineMetrics struct {
 	rtree       *obs.Counter    // live, via the R-tree node-access hook
 	partial     [2]*obs.Counter
 	queryErrors *obs.Counter
-
-	windowFills *obs.Counter
-	windowCands [3]*obs.Counter // evaluated, screen-killed, deferred-killed
-	windowSize  *obs.Histogram  // live, per fill
 }
 
 // EnableMetrics registers the engine's instruments in reg and starts
@@ -81,20 +77,6 @@ func (e *Engine) EnableMetrics(reg *obs.Registry) {
 		obs.Label{Key: "reason", Value: "cancelled"})
 	m.queryErrors = reg.Counter("ksp_engine_query_errors_total",
 		"Queries that failed with an error (including contained panics).")
-	m.windowFills = reg.Counter("ksp_engine_window_fills_total",
-		"Candidate windows filled by the windowed scheduler.")
-	const windowCandsHelp = "Window candidates by verdict: evaluated, killed by the " +
-		"fill-time screens, or deferred-killed by a later θ drop."
-	m.windowCands[0] = reg.Counter("ksp_engine_window_candidates_total",
-		windowCandsHelp, obs.Label{Key: "verdict", Value: "evaluated"})
-	m.windowCands[1] = reg.Counter("ksp_engine_window_candidates_total",
-		windowCandsHelp, obs.Label{Key: "verdict", Value: "screen-killed"})
-	m.windowCands[2] = reg.Counter("ksp_engine_window_candidates_total",
-		windowCandsHelp, obs.Label{Key: "verdict", Value: "deferred-killed"})
-	//ksplint:ignore metricname -- dimensionless batch-size histogram, already shipped; renaming it breaks dashboards
-	m.windowSize = reg.Histogram("ksp_engine_window_size",
-		"Batch size of each window fill (adaptive W trajectory).",
-		[]float64{1, 2, 4, 8, 16, 32, 64})
 
 	// The spatial index reports node expansions live through its hook,
 	// so accesses outside query evaluation (NearestPlaces, readiness
@@ -122,12 +104,6 @@ func (e *Engine) noteQuery(algo int, stats *Stats, dur time.Duration) {
 	m.prune[1].Add(stats.PrunedDynamicBound)
 	m.prune[2].Add(stats.PrunedAlphaPlaces)
 	m.prune[3].Add(stats.PrunedAlphaNodes)
-	m.windowFills.Add(stats.WindowsFilled)
-	if ev := stats.WindowCandidates - stats.WindowScreenKilled - stats.WindowDeferredKilled; ev > 0 {
-		m.windowCands[0].Add(ev)
-	}
-	m.windowCands[1].Add(stats.WindowScreenKilled)
-	m.windowCands[2].Add(stats.WindowDeferredKilled)
 	if stats.Partial {
 		if stats.TimedOut {
 			m.partial[0].Inc()
@@ -166,13 +142,5 @@ func (e *Engine) noteError() {
 func (e *Engine) noteRTreeAccess() {
 	if m := e.metrics; m != nil {
 		m.rtree.Inc()
-	}
-}
-
-// noteWindowFill observes one window fill's batch size — live, so the
-// adaptive-W trajectory is visible while a long query runs.
-func (e *Engine) noteWindowFill(n int) {
-	if m := e.metrics; m != nil {
-		m.windowSize.Observe(float64(n))
 	}
 }

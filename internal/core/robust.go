@@ -17,8 +17,6 @@ var (
 	PointSerialCandidate = faultinject.Register("core.serial.candidate")
 	// PointBFS fires at the start of every TQSP construction.
 	PointBFS = faultinject.Register("core.bfs")
-	// PointWindowFill fires per bulk pop of the windowed scheduler.
-	PointWindowFill = faultinject.Register("core.window.fill")
 )
 
 // PanicError reports a panic recovered during query evaluation. One

@@ -229,7 +229,7 @@ func compareWithPopTime(t *testing.T, label string, s *searcher, stats *Stats, r
 }
 
 // replaySP answers q the way Engine.SP does — the same candidate
-// source, window layer, Rule 1 and top-k — with construct standing in
+// source, screen and top-k — with construct standing in
 // for getSemanticPlace, so that one query can be evaluated over two BFS
 // kernels. construct returns the looseness (+Inf when
 // rejected) and keeps its own counters in st.
@@ -246,18 +246,19 @@ func replaySP(t *testing.T, e *Engine, q Query, st *Stats, construct func(pq *pr
 	}
 	alg := &algorithms[AlgoSP]
 	rule1, rule2 := alg.rules(e, Options{})
-	src, err := e.newStream(alg, pq, Options{}, hk, st, rule1, rule2)
+	src, err := e.newStream(alg, pq, Options{}, hk, st)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer src.close()
-	if src.win == nil {
-		t.Fatal("SP's default stream is unwindowed; the replay applies Rule 1 through the window's screens only")
-	}
+	scr := e.newScreen(pq, st, rule1, rule2)
 	for {
 		cand, ok := src.next()
 		if !ok || cand.bound >= hk.theta() {
 			break
+		}
+		if scr.kills(&cand, hk.theta()) {
+			continue
 		}
 		loose := construct(pq, cand.place, e.Rank.LoosenessThreshold(hk.theta(), cand.dist))
 		if math.IsInf(loose, 1) {
@@ -278,8 +279,8 @@ func replaySP(t *testing.T, e *Engine, q Query, st *Stats, construct func(pq *pr
 // writing the ratio is 0.26 (9 849 → 2 593 expansions per query) on the
 // 6,000-vertex fixture. The replay also logs how much the constructions
 // of one query overlap — Σ expansions over the vertices expanded at least
-// once — the figure a bit-parallel BFS over a window's survivors would
-// live on (ROADMAP item 4(a)), on the 6,000-vertex fixture and on the
+// once — the figure a bit-parallel BFS over one query's constructions
+// would live on, on the 6,000-vertex fixture and on the
 // benchmark's 12,000-vertex one.
 func TestBFSWorkGuard(t *testing.T) {
 	for _, n := range []int{6000, 12000} {

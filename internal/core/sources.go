@@ -1,36 +1,24 @@
 package core
 
 import (
-	"math"
-
 	"ksp/internal/alpha"
 	"ksp/internal/geo"
 	"ksp/internal/rtree"
 )
 
-// candStream is one query's candidate stream, in the algorithm's order:
-// R-tree distance browsing (BSP, SPP) or SP's α best-first queue,
-// batched by the window scheduler (DESIGN.md §11) unless Options.Window
-// is 1. It is one concrete type, so the evaluation loop makes no
-// interface call per candidate.
-type candStream struct {
-	placeStream
-	win *windowSource // nil when Options.Window is 1
-}
-
-// placeStream is the stream under the window: exactly one of its
-// sources is set.
+// placeStream is one query's candidate stream, in the algorithm's order:
+// R-tree distance browsing (BSP, SPP) or SP's α best-first queue.
+// Exactly one source is set. It is one concrete type, so the evaluation
+// loop makes no interface call per candidate.
 type placeStream struct {
 	dist *streamSource
 	sp   *spSource
 }
 
 // newStream opens alg's candidate stream for pq. Counters go to st and θ
-// is read from hk. rule1 and rule2 select the window's screens; a
-// windowed stream applies Rule 1 itself, so the evaluation step must not
-// apply it again.
-func (e *Engine) newStream(alg *algorithm, pq *prepQuery, opts Options, hk *topK, st *Stats, rule1, rule2 bool) (candStream, error) {
-	var s candStream
+// is read from hk.
+func (e *Engine) newStream(alg *algorithm, pq *prepQuery, opts Options, hk *topK, st *Stats) (placeStream, error) {
+	var s placeStream
 	qloc := pq.loc.Loc
 	if alg.source == alphaQueue {
 		qv, err := pq.queryView(e)
@@ -48,42 +36,11 @@ func (e *Engine) newStream(alg *algorithm, pq *prepQuery, opts Options, hk *topK
 		//ksplint:ignore allocbound -- one source per query, inside TestAllocBudget's budget
 		s.dist = &streamSource{br: e.Tree.NewBrowser(qloc), rank: e.Rank, maxDist: opts.MaxDist, stats: st}
 	}
-	if w, adaptive := resolveWindow(opts); w != 1 {
-		var qv *alpha.QueryView
-		if rule2 {
-			// Best-effort: a load failure only disables the α screen (SP,
-			// which requires the view, loaded it above and failed there).
-			//ksplint:ignore droppederr -- see above: α screen is optional, the required path re-reports
-			qv, _ = pq.queryView(e)
-		}
-		s.win = newWindowSource(e, s.placeStream, pq, qv, hk, st, w, adaptive, rule1, rule2)
-	}
 	return s, nil
 }
 
 // next returns the next candidate, false when the stream is exhausted or
 // provably beyond any possible result.
-func (s *candStream) next() (candidate, bool) {
-	if s.win != nil {
-		return s.win.next()
-	}
-	return s.placeStream.next()
-}
-
-// close flushes the stream's counters and hands its pooled state back.
-// The evaluation loop calls it once, after the last next, on every way
-// out.
-func (s *candStream) close() {
-	if s.win != nil {
-		s.win.close()
-	}
-	if s.sp != nil {
-		s.sp.close()
-	} else {
-		s.dist.close()
-	}
-}
-
 func (p placeStream) next() (candidate, bool) {
 	if p.sp != nil {
 		return p.sp.next()
@@ -91,15 +48,15 @@ func (p placeStream) next() (candidate, bool) {
 	return p.dist.next()
 }
 
-// fillWindow appends up to w candidates in stream order to buf and
-// returns the extended slice plus a resume bound: a lower bound, in
-// score space, on every candidate not yet popped (+Inf when the stream is
-// exhausted or terminated).
-func (p placeStream) fillWindow(w int, buf []windowCand) ([]windowCand, float64) {
+// close flushes the stream's counters and hands its pooled state back.
+// The evaluation loop calls it once, after the last next, on every way
+// out.
+func (p placeStream) close() {
 	if p.sp != nil {
-		return p.sp.fillWindow(w, buf)
+		p.sp.close()
+	} else {
+		p.dist.close()
 	}
-	return p.dist.fillWindow(w, buf)
 }
 
 // streamSource adapts R-tree distance browsing to the candidate stream
@@ -112,7 +69,6 @@ type streamSource struct {
 	rank    Ranking
 	maxDist float64
 	stats   *Stats
-	ibuf    []rtree.ItemDist // NextK scratch, reused across window fills
 }
 
 func (s *streamSource) next() (candidate, bool) {
@@ -128,26 +84,6 @@ func (s *streamSource) next() (candidate, bool) {
 
 func (s *streamSource) close() { s.stats.RTreeNodeAccesses += s.br.NodeAccesses }
 
-// fillWindow bulk-pops up to w places in ascending distance order. The
-// resume bound is MinScore of the browser's next (unpopped) distance:
-// the stream is distance-ordered, so it lower-bounds every candidate
-// beyond the window. +Inf means exhausted — including the case where the
-// stream crossed MaxDist, after which no in-range place remains.
-func (s *streamSource) fillWindow(w int, buf []windowCand) ([]windowCand, float64) {
-	s.ibuf = s.br.NextK(w, s.ibuf[:0])
-	for _, id := range s.ibuf {
-		if s.maxDist > 0 && id.Dist > s.maxDist {
-			return buf, math.Inf(1)
-		}
-		buf = append(buf, windowCand{place: id.Item.ID, dist: id.Dist, bound: s.rank.MinScore(id.Dist)})
-	}
-	resume := math.Inf(1)
-	if d, more := s.br.PeekDist(); more && !(s.maxDist > 0 && d > s.maxDist) {
-		resume = s.rank.MinScore(d)
-	}
-	return buf, resume
-}
-
 // spSource drives SP's best-first traversal (Algorithm 4): one priority
 // queue holds R-tree nodes and leaf runs keyed by their α-bounds on the
 // ranking score; node expansion applies Pruning Rules 3 and 4 against
@@ -159,8 +95,8 @@ func (s *streamSource) fillWindow(w int, buf []windowCand) ([]windowCand, float6
 // the frontier's arena, and the queue holds only the run's least (bound,
 // place) entry. Popping that entry queues the run's next least, so the
 // queue head is still the least of everything not yet popped and the
-// stream, its resume bounds and its counters are those of a queue that
-// held every place (DESIGN.md §16.3).
+// stream and its counters are those of a queue that held every place
+// (DESIGN.md §16.3).
 type spSource struct {
 	e       *Engine
 	qv      *alpha.QueryView
@@ -175,18 +111,16 @@ func (s *spSource) next() (candidate, bool) {
 	f := s.f
 	for len(f.queue) > 0 {
 		ent := f.queue.pop()
-		isPlace := ent.node&runTag != 0
-		if isPlace {
-			// Before the termination test, so that the queue head — the
-			// resume bound fillWindow reports — covers the run's rest.
-			f.advance(ent.node &^ runTag)
-		}
 		// Termination (Algorithm 4 line 9): every remaining entry's bound
 		// is at least ent.bound.
 		if ent.bound >= s.hk.theta() {
 			return candidate{}, false
 		}
-		if isPlace {
+		if ent.node&runTag != 0 {
+			// A run head: queue the run's next least before handing the
+			// place out, so the queue head stays the least of everything
+			// not yet popped.
+			f.advance(ent.node &^ runTag)
 			return candidate{place: ent.place, dist: ent.dist, bound: ent.bound}, true
 		}
 
@@ -237,26 +171,6 @@ func (s *spSource) close() {
 		s.e.pools.putFrontier(s.f)
 		s.f = nil
 	}
-}
-
-// fillWindow pops up to w places in ascending α-bound order. The resume
-// bound is the head of the priority queue, which lower-bounds every
-// remaining entry (places and unexpanded subtrees alike). When next
-// terminated on θ the discarded head was already >= θ, so the queue head
-// still lower-bounds the (dead) remainder and the scheduler ends the
-// stream on its own resume >= θ test.
-func (s *spSource) fillWindow(w int, buf []windowCand) ([]windowCand, float64) {
-	for len(buf) < w {
-		c, ok := s.next()
-		if !ok {
-			break
-		}
-		buf = append(buf, windowCand{place: c.place, dist: c.dist, bound: c.bound})
-	}
-	if len(s.f.queue) == 0 {
-		return buf, math.Inf(1)
-	}
-	return buf, s.f.queue[0].bound
 }
 
 // spEntry is a queue element — an R-tree node, or the head of a leaf run

@@ -8,10 +8,10 @@ import "ksp/internal/rtree"
 // owned by other shards), only the GETNEXT stream is partitioned. The
 // R-tree is rebuilt over the subset and, when the receiver has an
 // α-radius index, the subset's is restricted from it (alpha.Index.Restrict:
-// no BFS runs again); everything graph-wide —
-// document index, reachability labels, scratch pools, metrics and window
-// lifetime totals — is shared with the receiver, so per-shard queries
-// keep feeding the same observability counters.
+// no BFS runs again); everything graph-wide — document index,
+// reachability labels, scratch pools and metrics — is shared with the
+// receiver, so per-shard queries keep feeding the same observability
+// counters.
 func (e *Engine) Subset(places []uint32) *Engine {
 	clone := *e
 	clone.Tree = rtree.OfPlaces(places, e.G.Loc)

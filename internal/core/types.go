@@ -33,17 +33,6 @@ type Options struct {
 	// means nearby). All algorithms honour it and use it as an extra
 	// termination bound.
 	MaxDist float64
-	// Window sets the candidate-window size of the windowed, bound-ordered
-	// scheduler in BSP/SPP/SP (DESIGN.md §11): the spatial stream is
-	// consumed in bulk pops of W places, each window is screened with
-	// zero-BFS bounds, and survivors are evaluated best-lower-bound first
-	// so θ drops early. 1 runs the classic one-candidate-at-a-time loops
-	// (bit-for-bit legacy behavior); >= 2 fixes the window at that size;
-	// 0 (the default) or negative selects the adaptive policy (grow while
-	// the screen kill-rate is high, shrink near termination). Results are
-	// identical under every setting — only the work counters change. TA
-	// and keyword search ignore it.
-	Window int
 	// Cancel aborts evaluation early when the channel is closed (e.g. an
 	// HTTP client disconnecting: pass Request.Context().Done()). Partial
 	// statistics are reported with Stats.Cancelled set.
@@ -110,7 +99,9 @@ type Stats struct {
 	// RTreeNodeAccesses counts expanded R-tree nodes
 	// (Figures 3(c), 4(c), 7(b)).
 	RTreeNodeAccesses int64
-	// PlacesRetrieved counts places popped from the spatial source.
+	// PlacesRetrieved counts places popped from the spatial source and
+	// admitted for evaluation; under BSP, SPP and SP that excludes the
+	// screen's kills.
 	PlacesRetrieved int64
 	// ReachQueries counts reachability-index probes (Pruning Rule 1).
 	ReachQueries int64
@@ -127,15 +118,14 @@ type Stats struct {
 	// vertex) pairs its backward BFS reached). A vertex that is discovered
 	// and matched but never popped is not counted.
 	BFSVertexVisits int64
-	// WindowsFilled counts bulk pops by the windowed scheduler;
-	// WindowCandidates counts places that entered a window;
-	// WindowScreenKilled counts candidates discarded by the zero-BFS
-	// screens at fill time; WindowDeferredKilled counts screen survivors
-	// later invalidated by a θ drop before evaluation. All zero when
-	// Options.Window is 1.
-	WindowsFilled        int64
-	WindowCandidates     int64
-	WindowScreenKilled   int64
+	// WindowCandidates counts the candidates popped below θ by BSP, SPP
+	// and SP; WindowScreenKilled counts those the screen discarded with
+	// no TQSP construction (DESIGN.md §11). The rest were retrieved:
+	// WindowCandidates − WindowScreenKilled = PlacesRetrieved.
+	WindowCandidates   int64
+	WindowScreenKilled int64
+	// Deprecated: no candidate is deferred since the evaluation loop
+	// takes one candidate at a time; always zero.
 	WindowDeferredKilled int64
 	// SemanticTime is the time spent constructing TQSPs; OtherTime is the
 	// remaining runtime (spatial search, reachability queries, bounds) —
@@ -173,7 +163,6 @@ func (s *Stats) Add(o *Stats) {
 	s.PrunedAlphaPlaces += o.PrunedAlphaPlaces
 	s.PrunedAlphaNodes += o.PrunedAlphaNodes
 	s.BFSVertexVisits += o.BFSVertexVisits
-	s.WindowsFilled += o.WindowsFilled
 	s.WindowCandidates += o.WindowCandidates
 	s.WindowScreenKilled += o.WindowScreenKilled
 	s.WindowDeferredKilled += o.WindowDeferredKilled

@@ -45,7 +45,6 @@ type WideEvent struct {
 	Keywords string  `json:"keywords,omitempty"`
 	K        int     `json:"k,omitempty"`
 	Alpha    int     `json:"alpha,omitempty"`
-	Window   int     `json:"window,omitempty"`
 	MaxDist  float64 `json:"maxDist,omitempty"`
 
 	// Timings.

@@ -31,13 +31,6 @@ type nnEntry struct {
 
 const nodeRef = 1 << 31
 
-// ItemDist pairs an item with its exact Euclidean distance from the query
-// point; NextK reports batches of results in this form.
-type ItemDist struct {
-	Item Item
-	Dist float64
-}
-
 // NewBrowser starts an incremental nearest-neighbour scan from q.
 func (t *RTree) NewBrowser(q geo.Point) *Browser {
 	b := &Browser{t: t, q: q, onAccess: t.OnNodeAccess} //ksplint:ignore allocbound -- one browser per query, inside TestAllocBudget's budget
@@ -58,27 +51,6 @@ func (b *Browser) Next() (it Item, dist float64, ok bool) {
 		b.expand(e.ref &^ nodeRef)
 	}
 	return Item{}, 0, false
-}
-
-// NextK pops up to k further items in non-decreasing distance order,
-// appending them to out (which may be nil) and returning the extended
-// slice. It is the bulk form of Next used by windowed candidate
-// scheduling: one call amortizes the heap bookkeeping over the whole
-// batch and leaves PeekDist as the lower bound for every item not yet
-// popped. Fewer than k entries are appended when the tree runs out; on
-// an exhausted or empty tree out is returned unchanged, matching Next's
-// zero-value exhaustion contract.
-func (b *Browser) NextK(k int, out []ItemDist) []ItemDist {
-	for k > 0 && len(b.h) > 0 {
-		e := b.pop()
-		if e.ref&nodeRef == 0 {
-			out = append(out, ItemDist{Item: b.item(e.ref), Dist: math.Sqrt(e.distSq)})
-			k--
-			continue
-		}
-		b.expand(e.ref &^ nodeRef)
-	}
-	return out
 }
 
 // expand replaces a node entry with its children (or items) on the heap,
@@ -104,18 +76,6 @@ func (b *Browser) expand(n uint32) {
 
 // item returns the item at position i in leaf order.
 func (b *Browser) item(i uint32) Item { return Item{ID: b.t.a.IDs[i], Loc: b.t.a.Locs[i]} }
-
-// PeekDist returns the lower bound on the distance of the next item without
-// consuming it, and (0, false) when the scan is exhausted. BSP uses this
-// for its termination test on node entries (Algorithm 1 line 7 applies the
-// threshold to nodes as well as places); windowed scheduling uses it as the
-// resume bound covering everything beyond the current window.
-func (b *Browser) PeekDist() (dist float64, ok bool) {
-	if len(b.h) == 0 {
-		return 0, false
-	}
-	return math.Sqrt(b.h[0].distSq), true
-}
 
 // The sift helpers below replicate container/heap's algorithm exactly
 // (including its child-selection tie-break), so the pop order — and with

@@ -142,33 +142,6 @@ func TestBrowserOrderAndCompleteness(t *testing.T) {
 	}
 }
 
-func TestBrowserPeek(t *testing.T) {
-	ins := NewInserter(4)
-	ins.Insert(Item{ID: 1, Loc: geo.Point{X: 3, Y: 4}})
-	ins.Insert(Item{ID: 2, Loc: geo.Point{X: 6, Y: 8}})
-	b := ins.Tree().NewBrowser(geo.Point{})
-	if d, ok := b.PeekDist(); !ok || d > 5+1e-9 {
-		t.Fatalf("PeekDist = %v,%v; want lower bound <= 5", d, ok)
-	}
-	it, d, ok := b.Next()
-	if !ok || it.ID != 1 || math.Abs(d-5) > 1e-12 {
-		t.Fatalf("Next = %v,%v,%v; want item 1 at 5", it, d, ok)
-	}
-	if d, ok := b.PeekDist(); !ok || d > 10+1e-9 {
-		t.Fatalf("PeekDist after first = %v,%v", d, ok)
-	}
-	it, d, ok = b.Next()
-	if !ok || it.ID != 2 || math.Abs(d-10) > 1e-12 {
-		t.Fatalf("second Next = %v,%v,%v", it, d, ok)
-	}
-	if _, _, ok := b.Next(); ok {
-		t.Fatal("expected exhaustion")
-	}
-	if _, ok := b.PeekDist(); ok {
-		t.Fatal("PeekDist should report exhaustion")
-	}
-}
-
 func TestEmptyTree(t *testing.T) {
 	tr := NewInserter(8).Tree()
 	if got := tr.Search(geo.Rect{MinX: -1, MinY: -1, MaxX: 1, MaxY: 1}, nil); len(got) != 0 {

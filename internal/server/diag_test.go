@@ -253,7 +253,7 @@ func TestDisabledDiagnosticsZeroAlloc(t *testing.T) {
 	s := New(fixtureDS(t))
 	rec := obs.QueryRecord{Endpoint: "/search", Algo: "SP", K: 2, Status: 200}
 	n := testing.AllocsPerRun(1000, func() {
-		s.noteWide(rec, "", 0, 0, nil, 0, "", nil)
+		s.noteWide(rec, "", 0, nil, 0, "", nil)
 	})
 	if n != 0 {
 		t.Fatalf("noteWide with slow log disabled allocates %v allocs/op, want 0", n)
@@ -280,7 +280,7 @@ func TestSlowLogCountsFastQueries(t *testing.T) {
 	}
 	rec := obs.QueryRecord{Endpoint: "/search", Algo: "SP", K: 2, Status: 200, DurationMicros: 150}
 	if n := testing.AllocsPerRun(1000, func() {
-		s.noteWide(rec, "", 0, 0, &ksp.Stats{}, 2, "", nil)
+		s.noteWide(rec, "", 0, &ksp.Stats{}, 2, "", nil)
 	}); n != 0 {
 		t.Fatalf("noteWide under the threshold allocates %v allocs/op, want 0", n)
 	}

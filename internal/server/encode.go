@@ -102,16 +102,6 @@ func appendSearchResponse(b []byte, resp *SearchResponse) ([]byte, bool) {
 	b = appendInt(b, `,"micros":`, st.Micros)
 	b = appendInt(b, `,"tqspComputations":`, st.TQSPComputations)
 	b = appendInt(b, `,"rtreeNodeAccesses":`, st.RTreeNodeAccesses)
-	b = appendInt(b, `,"window":`, int64(st.Window))
-	for _, c := range [...]struct {
-		name string
-		v    int64
-	}{{`,"windowsFilled":`, st.WindowsFilled}, {`,"windowCandidates":`, st.WindowCandidates},
-		{`,"windowScreenKilled":`, st.WindowScreenKilled}, {`,"windowDeferredKilled":`, st.WindowDeferredKilled}} {
-		if c.v != 0 {
-			b = appendInt(b, c.name, c.v)
-		}
-	}
 	b = append(b, `,"timedOut":`...)
 	b = strconv.AppendBool(b, st.TimedOut)
 	if st.Cancelled {

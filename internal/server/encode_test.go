@@ -91,8 +91,8 @@ var extremeFloats = []float64{
 
 // TestSearchResponseMatchesEncodingJSON holds the appending encoder to
 // encoding/json byte for byte: a table of hand-picked responses and
-// randomized ones with hostile URIs, extreme floats, partial, cancelled
-// and window counters, at k = 0, 1 and 100. Responses the appender
+// randomized ones with hostile URIs, extreme floats, partial and
+// cancelled flags, at k = 0, 1 and 100. Responses the appender
 // leaves to encoding/json — trees, trace, explain, shards, non-finite
 // floats — must still come out as encoding/json writes them through
 // writeSearch.
@@ -130,15 +130,14 @@ func TestSearchResponseMatchesEncodingJSON(t *testing.T) {
 		resp SearchResponse
 	}{
 		{"nil results", SearchResponse{}},
-		{"empty results", SearchResponse{Results: []SearchResult{}, Stats: QueryStats{Algorithm: "SP", Window: 0}}},
+		{"empty results", SearchResponse{Results: []SearchResult{}, Stats: QueryStats{Algorithm: "SP"}}},
 		{"one result", SearchResponse{
 			Results: []SearchResult{{Place: 7, URI: "ex:Abbey", Score: 2.5, Looseness: 2, Distance: 1.25, X: 1, Y: -1, Exact: true}},
 			Stats:   QueryStats{Algorithm: "SP", Millis: 1, Micros: 1234, TQSPComputations: 3, RTreeNodeAccesses: 9},
 		}},
 		{"partial", SearchResponse{
 			Results: []SearchResult{{Place: 1, URI: "a"}}, Partial: true, ScoreLowerBound: 3.75,
-			Stats: QueryStats{Algorithm: "SPP", TimedOut: true, Cancelled: true, Window: 8,
-				WindowsFilled: 2, WindowCandidates: 16, WindowScreenKilled: 5, WindowDeferredKilled: 1},
+			Stats: QueryStats{Algorithm: "SPP", TimedOut: true, Cancelled: true},
 		}},
 		{"negative zero bound", SearchResponse{Results: []SearchResult{}, ScoreLowerBound: math.Copysign(0, -1)}},
 		{"degraded", SearchResponse{Results: []SearchResult{}, Degraded: true}},
@@ -195,9 +194,6 @@ func TestSearchResponseMatchesEncodingJSON(t *testing.T) {
 				Algorithm: []string{"SP", "SPP", "BSP", "TA", "keyword", "nearest"}[rng.Intn(6)],
 				Millis:    counter(), Micros: counter(),
 				TQSPComputations: counter(), RTreeNodeAccesses: counter(),
-				Window:        rng.Intn(1025),
-				WindowsFilled: counter(), WindowCandidates: counter(),
-				WindowScreenKilled: counter(), WindowDeferredKilled: counter(),
 				TimedOut: rng.Intn(2) == 0, Cancelled: rng.Intn(2) == 0,
 			},
 		}

@@ -31,7 +31,7 @@ import (
 // for both. Keywords sort (and de-blank) so order and spacing don't
 // split flights; coordinates round to 1e-6 — far below any meaningful
 // spatial resolution — so jittered clients still coalesce.
-func flightKey(algo ksp.Algorithm, x, y float64, kws []string, k int, trees bool, window int, maxDist float64) string {
+func flightKey(algo ksp.Algorithm, x, y float64, kws []string, k int, trees bool, maxDist float64) string {
 	sorted := make([]string, 0, len(kws))
 	for _, kw := range kws {
 		if kw = strings.TrimSpace(kw); kw != "" {
@@ -53,8 +53,6 @@ func flightKey(algo ksp.Algorithm, x, y float64, kws []string, k int, trees bool
 	b = strconv.AppendInt(b, int64(k), 10)
 	b = append(b, "|t="...)
 	b = strconv.AppendBool(b, trees)
-	b = append(b, "|w="...)
-	b = strconv.AppendInt(b, int64(window), 10)
 	b = append(b, "|d="...)
 	b = strconv.AppendFloat(b, maxDist, 'g', -1, 64)
 	for _, kw := range sorted {

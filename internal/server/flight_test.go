@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -24,10 +25,10 @@ import (
 // flightKey must be insensitive to keyword order and spacing, and
 // sensitive to every knob that changes what the engine computes.
 func TestFlightKeyNormalization(t *testing.T) {
-	base := flightKey(ksp.AlgoSP, 1.25, -3.5, []string{"roman", "history"}, 5, false, 0, 0)
+	base := flightKey(ksp.AlgoSP, 1.25, -3.5, []string{"roman", "history"}, 5, false, 0)
 	same := []string{
-		flightKey(ksp.AlgoSP, 1.25, -3.5, []string{"history", "roman"}, 5, false, 0, 0),
-		flightKey(ksp.AlgoSP, 1.25, -3.5, []string{" roman ", "", "history"}, 5, false, 0, 0),
+		flightKey(ksp.AlgoSP, 1.25, -3.5, []string{"history", "roman"}, 5, false, 0),
+		flightKey(ksp.AlgoSP, 1.25, -3.5, []string{" roman ", "", "history"}, 5, false, 0),
 	}
 	for i, k := range same {
 		if k != base {
@@ -35,13 +36,12 @@ func TestFlightKeyNormalization(t *testing.T) {
 		}
 	}
 	diff := []string{
-		flightKey(ksp.AlgoBSP, 1.25, -3.5, []string{"roman", "history"}, 5, false, 0, 0),
-		flightKey(ksp.AlgoSP, 1.26, -3.5, []string{"roman", "history"}, 5, false, 0, 0),
-		flightKey(ksp.AlgoSP, 1.25, -3.5, []string{"roman"}, 5, false, 0, 0),
-		flightKey(ksp.AlgoSP, 1.25, -3.5, []string{"roman", "history"}, 6, false, 0, 0),
-		flightKey(ksp.AlgoSP, 1.25, -3.5, []string{"roman", "history"}, 5, true, 0, 0),
-		flightKey(ksp.AlgoSP, 1.25, -3.5, []string{"roman", "history"}, 5, false, 8, 0),
-		flightKey(ksp.AlgoSP, 1.25, -3.5, []string{"roman", "history"}, 5, false, 0, 2.5),
+		flightKey(ksp.AlgoBSP, 1.25, -3.5, []string{"roman", "history"}, 5, false, 0),
+		flightKey(ksp.AlgoSP, 1.26, -3.5, []string{"roman", "history"}, 5, false, 0),
+		flightKey(ksp.AlgoSP, 1.25, -3.5, []string{"roman"}, 5, false, 0),
+		flightKey(ksp.AlgoSP, 1.25, -3.5, []string{"roman", "history"}, 6, false, 0),
+		flightKey(ksp.AlgoSP, 1.25, -3.5, []string{"roman", "history"}, 5, true, 0),
+		flightKey(ksp.AlgoSP, 1.25, -3.5, []string{"roman", "history"}, 5, false, 2.5),
 	}
 	for i, k := range diff {
 		if k == base {
@@ -105,9 +105,6 @@ func TestSingleflightCoalesces(t *testing.T) {
 	if stats.Server.SharedFlights != followers {
 		t.Errorf("/stats sharedFlights = %d, want %d", stats.Server.SharedFlights, followers)
 	}
-	if stats.Window == nil || stats.Window.Fills == 0 {
-		t.Errorf("/stats window section missing after windowed queries: %+v", stats.Window)
-	}
 }
 
 // Requests that differ after normalization must not coalesce.
@@ -131,38 +128,53 @@ func TestSingleflightDistinctQueries(t *testing.T) {
 	}
 }
 
-// The ?window= parameter: result-identical across directives, echoed in
-// the stats payload, rejected when malformed.
+// The ?window= parameter is gone: a request that still carries it is
+// served as if it did not, and neither the response nor /stats names a
+// window.
 func TestSearchWindowParam(t *testing.T) {
 	srv := testServer(t)
-	var want SearchResponse
-	getJSON(t, srv.URL+"/search?x=0&y=0&kw=roman,history&k=2", &want)
-	for _, win := range []string{"0", "1", "3", "64"} {
-		var got SearchResponse
-		resp := getJSON(t, srv.URL+"/search?x=0&y=0&kw=roman,history&k=2&window="+win, &got)
+	body := func(path string) string {
+		t.Helper()
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("window=%s: status %d", win, resp.StatusCode)
+			t.Fatalf("%s: status %d: %s", path, resp.StatusCode, b)
 		}
-		if !reflect.DeepEqual(got.Results, want.Results) {
-			t.Errorf("window=%s changed the results:\n%+v\n%+v", win, got.Results, want.Results)
+		return string(b)
+	}
+	results := func(raw string) []SearchResult {
+		t.Helper()
+		var r SearchResponse
+		if err := json.Unmarshal([]byte(raw), &r); err != nil {
+			t.Fatal(err)
+		}
+		return r.Results
+	}
+	plain := body("/search?x=0&y=0&kw=roman,history&k=2")
+	for _, win := range []string{"7", "1", "-2", "abc"} {
+		got := body("/search?x=0&y=0&kw=roman,history&k=2&window=" + win)
+		if !reflect.DeepEqual(results(got), results(plain)) {
+			t.Errorf("window=%s changed the results:\n%s\n%s", win, got, plain)
+		}
+		if strings.Contains(strings.ToLower(got), "window") {
+			t.Errorf("window=%s: the response names a window: %s", win, got)
 		}
 	}
-	var got SearchResponse
-	getJSON(t, srv.URL+"/search?x=0&y=0&kw=roman,history&k=2&window=3", &got)
-	if got.Stats.Window != 3 {
-		t.Errorf("stats.window = %d, want 3", got.Stats.Window)
-	}
-	for _, bad := range []string{"-2", "abc", "1.5"} {
-		resp := getJSON(t, srv.URL+"/search?x=0&y=0&kw=roman,history&k=2&window="+bad, nil)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("window=%s: status %d, want 400", bad, resp.StatusCode)
-		}
+	if stats := body("/stats"); strings.Contains(strings.ToLower(stats), "window") {
+		t.Errorf("/stats names a window: %s", stats)
 	}
 }
 
 // flightKeyFmt is flightKey as it was written with fmt, the reference for
 // the strconv version.
-func flightKeyFmt(algo ksp.Algorithm, x, y float64, kws []string, k int, trees bool, window int, maxDist float64) string {
+func flightKeyFmt(algo ksp.Algorithm, x, y float64, kws []string, k int, trees bool, maxDist float64) string {
 	sorted := make([]string, 0, len(kws))
 	for _, kw := range kws {
 		if kw = strings.TrimSpace(kw); kw != "" {
@@ -171,8 +183,8 @@ func flightKeyFmt(algo ksp.Algorithm, x, y float64, kws []string, k int, trees b
 	}
 	sort.Strings(sorted)
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s|%.6f|%.6f|k=%d|t=%t|w=%d|d=%g",
-		algo.String(), x, y, k, trees, window, maxDist)
+	fmt.Fprintf(&b, "%s|%.6f|%.6f|k=%d|t=%t|d=%g",
+		algo.String(), x, y, k, trees, maxDist)
 	for _, kw := range sorted {
 		b.WriteByte('\x00')
 		b.WriteString(kw)
@@ -193,9 +205,9 @@ func TestFlightKeyMatchesFmt(t *testing.T) {
 		algo := ksp.Algorithm(rng.Intn(4))
 		kws := []string{"roman", " history ", "", "abbey"}[:rng.Intn(5)]
 		x, y, maxDist := pick(), pick(), math.Abs(pick())
-		k, window, trees := rng.Intn(200), rng.Intn(2000), rng.Intn(2) == 0
-		if got, want := flightKey(algo, x, y, kws, k, trees, window, maxDist),
-			flightKeyFmt(algo, x, y, kws, k, trees, window, maxDist); got != want {
+		k, trees := rng.Intn(200), rng.Intn(2) == 0
+		if got, want := flightKey(algo, x, y, kws, k, trees, maxDist),
+			flightKeyFmt(algo, x, y, kws, k, trees, maxDist); got != want {
 			t.Fatalf("flightKey = %q, fmt gives %q", got, want)
 		}
 	}

@@ -11,8 +11,8 @@ import (
 // /keyword, /nearest and /describe, so no request builds a url.Values
 // map or parses its query string twice.
 type queryParams struct {
-	x, y, kw, k, algo, trees, window, maxdist, trace, explain string
-	n, uri                                                    string
+	x, y, kw, k, algo, trees, maxdist, trace, explain string
+	n, uri                                            string
 }
 
 // parseQueryParams returns what url.ParseQuery(raw) followed by Get
@@ -61,18 +61,16 @@ func (p *queryParams) field(key string) (*string, uint16) {
 		return &p.algo, 1 << 4
 	case "trees":
 		return &p.trees, 1 << 5
-	case "window":
-		return &p.window, 1 << 6
 	case "maxdist":
-		return &p.maxdist, 1 << 7
+		return &p.maxdist, 1 << 6
 	case "trace":
-		return &p.trace, 1 << 8
+		return &p.trace, 1 << 7
 	case "explain":
-		return &p.explain, 1 << 9
+		return &p.explain, 1 << 8
 	case "n":
-		return &p.n, 1 << 10
+		return &p.n, 1 << 9
 	case "uri":
-		return &p.uri, 1 << 11
+		return &p.uri, 1 << 10
 	}
 	return nil, 0
 }

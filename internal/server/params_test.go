@@ -17,7 +17,6 @@ var searchParamKeys = []struct {
 	{"k", func(p *queryParams) string { return p.k }},
 	{"algo", func(p *queryParams) string { return p.algo }},
 	{"trees", func(p *queryParams) string { return p.trees }},
-	{"window", func(p *queryParams) string { return p.window }},
 	{"maxdist", func(p *queryParams) string { return p.maxdist }},
 	{"trace", func(p *queryParams) string { return p.trace }},
 	{"explain", func(p *queryParams) string { return p.explain }},

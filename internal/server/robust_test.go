@@ -36,7 +36,6 @@ func TestInjectionPointRegistry(t *testing.T) {
 		core.PointPrepare,
 		core.PointSerialCandidate,
 		core.PointBFS,
-		core.PointWindowFill,
 		PointSearchAdmitted,
 		shard.PointCall,
 		shard.PointPing,

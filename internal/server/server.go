@@ -81,14 +81,6 @@ type Server struct {
 	// Deprecated: kept only because the benchmark harness
 	// (benchmark/serve.go:100) still assigns it; delete it with that line.
 	DefaultParallel int
-	// DefaultWindow is the candidate-window directive used when a request
-	// carries no ?window= parameter: 0 selects the engine's adaptive
-	// policy, 1 the classic one-place-at-a-time loop, W>=2 a fixed batch.
-	DefaultWindow int
-	// MaxWindow caps the per-request ?window= parameter (and
-	// DefaultWindow) to bound the per-query candidate buffer; it defaults
-	// to 1024.
-	MaxWindow int
 
 	// AdmitCapacity is the number of concurrent searches admitted at
 	// once. 0 selects 2×GOMAXPROCS; negative disables admission control.
@@ -379,34 +371,22 @@ type QueryStats struct {
 	Micros            int64  `json:"micros"`
 	TQSPComputations  int64  `json:"tqspComputations"`
 	RTreeNodeAccesses int64  `json:"rtreeNodeAccesses"`
-	// Window echoes the effective window directive (0 = adaptive); the
-	// counters below reconcile as evaluated = candidates − killed.
-	Window               int   `json:"window"`
-	WindowsFilled        int64 `json:"windowsFilled,omitempty"`
-	WindowCandidates     int64 `json:"windowCandidates,omitempty"`
-	WindowScreenKilled   int64 `json:"windowScreenKilled,omitempty"`
-	WindowDeferredKilled int64 `json:"windowDeferredKilled,omitempty"`
-	TimedOut             bool  `json:"timedOut"`
-	Cancelled            bool  `json:"cancelled,omitempty"`
+	TimedOut          bool   `json:"timedOut"`
+	Cancelled         bool   `json:"cancelled,omitempty"`
 }
 
 // queryStats builds the response's QueryStats from one evaluation's
 // counters. d is the latency to report: the engine's own total on the
 // local path, the gather's wall clock on the sharded one.
-func queryStats(algo ksp.Algorithm, window int, d time.Duration, st *ksp.Stats) QueryStats {
+func queryStats(algo ksp.Algorithm, d time.Duration, st *ksp.Stats) QueryStats {
 	return QueryStats{
-		Algorithm:            algo.String(),
-		Millis:               d.Milliseconds(),
-		Micros:               d.Microseconds(),
-		TQSPComputations:     st.TQSPComputations,
-		RTreeNodeAccesses:    st.RTreeNodeAccesses,
-		Window:               window,
-		WindowsFilled:        st.WindowsFilled,
-		WindowCandidates:     st.WindowCandidates,
-		WindowScreenKilled:   st.WindowScreenKilled,
-		WindowDeferredKilled: st.WindowDeferredKilled,
-		TimedOut:             st.TimedOut,
-		Cancelled:            st.Cancelled,
+		Algorithm:         algo.String(),
+		Millis:            d.Milliseconds(),
+		Micros:            d.Microseconds(),
+		TQSPComputations:  st.TQSPComputations,
+		RTreeNodeAccesses: st.RTreeNodeAccesses,
+		TimedOut:          st.TimedOut,
+		Cancelled:         st.Cancelled,
 	}
 }
 
@@ -480,15 +460,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request, p *queryPa
 		}
 	}
 	trees := p.trees == "1" || p.trees == "true"
-	window := s.DefaultWindow
-	if ws := p.window; ws != "" {
-		var err error
-		if window, err = strconv.Atoi(ws); err != nil || window < 0 {
-			s.fail(w, http.StatusBadRequest, "window must be a non-negative integer (0 = adaptive)")
-			return
-		}
-	}
-	window = s.clampWindow(window)
 	var maxDist float64
 	if ms := p.maxdist; ms != "" {
 		var ok bool
@@ -507,7 +478,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request, p *queryPa
 	if s.Shards != nil {
 		s.searchSharded(w, r, p, release, shard.Request{
 			X: x, Y: y, Keywords: kws, K: k, Algo: algo,
-			Window: window, MaxDist: maxDist, CollectTrees: trees,
+			MaxDist: maxDist, CollectTrees: trees,
 		})
 		return
 	}
@@ -518,7 +489,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request, p *queryPa
 		CollectTrees: trees,
 		Deadline:     s.Timeout,
 		MaxDist:      maxDist,
-		Window:       window,
 		Trace:        tr,
 		// A disconnected client must not keep burning the Timeout budget.
 		Cancel: r.Context().Done(),
@@ -537,7 +507,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request, p *queryPa
 	// flight; everything else coalesces with any concurrent identical
 	// query already evaluating.
 	if tr == nil && s.flights != nil {
-		f, leader := s.flights.join(flightKey(algo, x, y, kws, k, trees, window, maxDist))
+		f, leader := s.flights.join(flightKey(algo, x, y, kws, k, trees, maxDist))
 		if leader {
 			defer release()
 			// Leave the flight when this client disconnects mid-run: with
@@ -601,7 +571,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request, p *queryPa
 			s.fail(w, http.StatusUnprocessableEntity, "%v", err)
 		}
 		s.recordQuery(rec)
-		s.noteWide(rec, tr.ID(), window, maxDist, stats, 0, "", nil)
+		s.noteWide(rec, tr.ID(), maxDist, stats, 0, "", nil)
 		return
 	}
 	if stats.Cancelled && r.Context().Err() != nil {
@@ -614,11 +584,11 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request, p *queryPa
 	}
 	rec.Status = http.StatusOK
 	s.recordQuery(rec)
-	s.noteWide(rec, tr.ID(), window, maxDist, stats, len(res), "", nil)
+	s.noteWide(rec, tr.ID(), maxDist, stats, len(res), "", nil)
 	resp := SearchResponse{
 		Results: make([]SearchResult, 0, len(res)),
 		Partial: stats.Partial,
-		Stats:   queryStats(algo, window, stats.TotalTime(), stats),
+		Stats:   queryStats(algo, stats.TotalTime(), stats),
 	}
 	switch {
 	case tr != nil && p.traceMode() == tracePerfetto:
@@ -668,23 +638,6 @@ func splitKeywords(kw string) []string {
 		}
 	}
 	return kws
-}
-
-// clampWindow bounds a requested window directive to [0, MaxWindow];
-// 0 (adaptive) passes through, outsized fixed windows clamp so a client
-// cannot demand an arbitrarily large candidate buffer.
-func (s *Server) clampWindow(w int) int {
-	max := s.MaxWindow
-	if max < 1 {
-		max = 1024
-	}
-	if w > max {
-		return max
-	}
-	if w < 0 {
-		return 0
-	}
-	return w
 }
 
 // handleKeyword serves location-free keyword search: the places with the
@@ -833,14 +786,13 @@ func (s *Server) handleDescribe(w http.ResponseWriter, r *http.Request, p *query
 
 // StatsResponse is the /stats payload. Each section is its own named
 // object, populated independently of the others: the dataset summary is
-// always present, optional subsystems (window, admission) appear only
+// always present, optional subsystems (admission, slow log) appear only
 // once in use, and the metrics snapshot mirrors what /metrics exports.
 type StatsResponse struct {
 	Dataset ksp.DatasetStats `json:"dataset"`
 	// Bounds is the dataset's place MBR; peer coordinators read it to
 	// enable shard distance pruning. Absent on empty datasets.
 	Bounds    *BoundsSection    `json:"bounds,omitempty"`
-	Window    *WindowSection    `json:"window,omitempty"`
 	Admission *AdmissionSection `json:"admission,omitempty"`
 	// Slow reports the slow-query log when it is enabled.
 	Slow           *SlowSection   `json:"slow,omitempty"`
@@ -851,14 +803,6 @@ type StatsResponse struct {
 	// scatter-gather servers.
 	Shards  []shard.ShardInfo `json:"shards,omitempty"`
 	Metrics []ksp.MetricPoint `json:"metrics,omitempty"`
-}
-
-// WindowSection reports the windowed candidate scheduler in /stats; it
-// appears once the first windowed query has filled a batch. KillRate is
-// the fraction of popped candidates screened out before any TQSP work.
-type WindowSection struct {
-	ksp.WindowStats
-	KillRate float64 `json:"killRate"`
 }
 
 // FaultSection reports the fault-injection framework: whether a plan is
@@ -909,13 +853,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			PanicsRecovered: s.panics.Load(),
 			SharedFlights:   s.sharedFlights.Load(),
 		},
-	}
-	if ws := s.ds.WindowStats(); ws.Fills > 0 {
-		sec := WindowSection{WindowStats: ws}
-		if ws.Candidates > 0 {
-			sec.KillRate = float64(ws.ScreenKilled+ws.DeferredKilled) / float64(ws.Candidates)
-		}
-		resp.Window = &sec
 	}
 	if adm := s.admission(); adm != nil {
 		sec := adm.snapshot()

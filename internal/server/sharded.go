@@ -118,7 +118,7 @@ func (s *Server) searchSharded(w http.ResponseWriter, r *http.Request, p *queryP
 			if g != nil {
 				stats, statuses = &g.Stats, g.Shards
 			}
-			s.noteWide(rec, tr.ID(), req.Window, req.MaxDist, stats, 0, degraded, statuses)
+			s.noteWide(rec, tr.ID(), req.MaxDist, stats, 0, degraded, statuses)
 		}
 		return
 	}
@@ -137,14 +137,14 @@ func (s *Server) searchSharded(w http.ResponseWriter, r *http.Request, p *queryP
 	if g.Degraded {
 		degraded = DegradedShardLoss
 	}
-	s.noteWide(rec, tr.ID(), req.Window, req.MaxDist, &g.Stats, len(g.Results), degraded, g.Shards)
+	s.noteWide(rec, tr.ID(), req.MaxDist, &g.Stats, len(g.Results), degraded, g.Shards)
 
 	resp := SearchResponse{
 		Results:  make([]SearchResult, 0, len(g.Results)),
 		Partial:  g.Partial,
 		Degraded: g.Degraded,
 		Shards:   g.Shards,
-		Stats:    queryStats(req.Algo, req.Window, elapsed, &g.Stats),
+		Stats:    queryStats(req.Algo, elapsed, &g.Stats),
 	}
 	if g.Partial {
 		resp.ScoreLowerBound = g.Bound
@@ -161,7 +161,7 @@ func (s *Server) searchSharded(w http.ResponseWriter, r *http.Request, p *queryP
 		// table is the gather's own MinDist-ordered shard outcomes.
 		rep := s.ds.ExplainFor(req.Algo,
 			ksp.Query{Loc: ksp.Point{X: req.X, Y: req.Y}, Keywords: req.Keywords, K: req.K},
-			ksp.Options{CollectTrees: req.CollectTrees, MaxDist: req.MaxDist, Window: req.Window},
+			ksp.Options{CollectTrees: req.CollectTrees, MaxDist: req.MaxDist},
 			&g.Stats, len(g.Results))
 		rep.Shards = explainShards(g.Shards)
 		resp.Explain = rep

@@ -54,7 +54,7 @@ func (s *Server) handleDebugSlow(w http.ResponseWriter, r *http.Request) {
 // so a fast query pays only the count. stats and statuses may be nil
 // (failed queries), degraded is the machine-readable reason ("" when the
 // gather was whole).
-func (s *Server) noteWide(rec obs.QueryRecord, traceID string, window int, maxDist float64,
+func (s *Server) noteWide(rec obs.QueryRecord, traceID string, maxDist float64,
 	stats *ksp.Stats, results int, degraded string, statuses []shard.Status) {
 	if !s.slow.Enabled() || s.slow.Below(rec.DurationMicros) {
 		return
@@ -67,7 +67,6 @@ func (s *Server) noteWide(rec obs.QueryRecord, traceID string, window int, maxDi
 		Keywords:       rec.Keywords,
 		K:              rec.K,
 		Alpha:          s.ds.AlphaRadius(),
-		Window:         window,
 		MaxDist:        maxDist,
 		DurationMicros: rec.DurationMicros,
 		Status:         rec.Status,

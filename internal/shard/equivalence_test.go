@@ -3,7 +3,7 @@ package shard_test
 // The scatter-gather soundness property (DESIGN.md §14): when every
 // shard answers, the coordinator's merged top-k is bit-identical to the
 // single-engine answer over the whole dataset — same places, same
-// scores, same order — across shard counts and window directives. The
+// scores, same order — across shard counts. The
 // proof sketch is that each shard runs the identical engine over a
 // place-subset of the same graph (looseness is a graph property,
 // unaffected by partitioning) and discards only places that k offered
@@ -110,26 +110,24 @@ func requireIdentical(t *testing.T, label string, want []ksp.Result, g *shard.Ga
 var shardCounts = []int{1, 2, 4, 7}
 
 // sweepEquivalence checks one query, at one K and radius, against the
-// single engine over shardCount × window.
+// single engine over shardCount.
 func sweepEquivalence(t *testing.T, label string, ds *ksp.Dataset, coords map[int]*shard.Coordinator, query ksp.Query, maxDist float64) {
 	t.Helper()
-	for _, window := range []int{0, 4} {
-		want, _, err := ds.SearchWith(ksp.AlgoSP, query, ksp.Options{Window: window, MaxDist: maxDist})
+	want, _, err := ds.SearchWith(ksp.AlgoSP, query, ksp.Options{MaxDist: maxDist})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := shard.Request{
+		X: query.Loc.X, Y: query.Loc.Y, Keywords: query.Keywords, K: query.K,
+		Algo: ksp.AlgoSP, MaxDist: maxDist,
+	}
+	for _, n := range shardCounts {
+		cell := fmt.Sprintf("%s/k%d/r%g/shards%d", label, query.K, maxDist, n)
+		g, err := coords[n].Search(context.Background(), req)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", cell, err)
 		}
-		req := shard.Request{
-			X: query.Loc.X, Y: query.Loc.Y, Keywords: query.Keywords, K: query.K,
-			Algo: ksp.AlgoSP, Window: window, MaxDist: maxDist,
-		}
-		for _, n := range shardCounts {
-			cell := fmt.Sprintf("%s/k%d/r%g/w%d/shards%d", label, query.K, maxDist, window, n)
-			g, err := coords[n].Search(context.Background(), req)
-			if err != nil {
-				t.Fatalf("%s: %v", cell, err)
-			}
-			requireIdentical(t, cell, want, g)
-		}
+		requireIdentical(t, cell, want, g)
 	}
 }
 
@@ -159,7 +157,7 @@ func tieFixture() string {
 }
 
 // Multi-shard scatter-gather is bit-identical to single-shard
-// evaluation across shardCount × window, at K = 1,
+// evaluation across shard counts, at K = 1,
 // the serving default 5 and a K beyond the place count, with and
 // without a MaxDist radius — and on exact score ties straddling rank K,
 // where a tile must keep a place scoring exactly the shared θ for the

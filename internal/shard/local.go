@@ -46,7 +46,6 @@ func (l *Local) Search(ctx context.Context, req Request) (*Response, error) {
 	opts := ksp.Options{
 		CollectTrees: req.CollectTrees,
 		MaxDist:      req.MaxDist,
-		Window:       req.Window,
 		Cancel:       ctx.Done(),
 		Bound:        req.Bound,
 	}

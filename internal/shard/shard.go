@@ -72,9 +72,6 @@ type Request struct {
 	Keywords []string
 	K        int
 	Algo     ksp.Algorithm
-	// Window tunes per-shard evaluation exactly like the single-engine
-	// ?window= parameter.
-	Window int
 	// MaxDist restricts results to places within that distance (0 = no
 	// cap); the coordinator also uses it to skip unreachable shards.
 	MaxDist float64

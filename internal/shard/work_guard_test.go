@@ -12,7 +12,7 @@ import (
 
 // TestShardWorkGuard is the regression gate for the gather's shared
 // threshold and head start, a count gate like
-// TestWindowReducesConstructions: on a Yago-like graph under the paper's
+// TestScreenReducesConstructions: on a Yago-like graph under the paper's
 // §6.1 query generator, four tiles
 // together may construct at most 1.5× the TQSPs, and visit at most 1.5×
 // the BFS vertices, of the single engine answering the same queries.

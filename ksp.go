@@ -61,7 +61,7 @@ type TreeNode = core.TreeNode
 type Stats = core.Stats
 
 // Options tunes one query execution (deadline, tree materialization,
-// candidate window, cancellation).
+// radius, cancellation).
 type Options = core.Options
 
 // Bound is a top-k threshold shared by several evaluations of one query
@@ -71,10 +71,6 @@ type Bound = core.Bound
 
 // NewBound returns an empty shared threshold for a top-k query.
 func NewBound(k int) *Bound { return core.NewBound(k) }
-
-// WindowStats carries the windowed candidate scheduler's lifetime
-// totals. See Dataset.WindowStats.
-type WindowStats = core.WindowStats
 
 // Registry is a metrics registry: engines and servers record into it,
 // and it renders in Prometheus text exposition format (WriteText) or as
@@ -108,9 +104,8 @@ type PerfettoTrace = obs.PerfettoTrace
 func PerfettoFromSpan(root *SpanJSON) *PerfettoTrace { return obs.PerfettoFromSpan(root) }
 
 // ExplainReport is a query's structured plan + execution profile: the
-// algorithm and pruning rules chosen, the Rule-1 keyword order, the
-// window policy, and the per-rule/per-phase cost counters the
-// run actually incurred. See Dataset.Explain.
+// algorithm and pruning rules chosen, the Rule-1 keyword order, and the
+// per-rule/per-phase cost counters the run actually incurred. See Dataset.Explain.
 type ExplainReport = core.ExplainReport
 
 // ExplainPlan is the plan section of an ExplainReport.
@@ -444,12 +439,6 @@ func datasetFromSnapshot(snap *store.Snapshot, cfg Config) (*Dataset, error) {
 	}
 	return &Dataset{g: g, engine: e, cfg: cfg}, nil
 }
-
-// WindowStats reports the windowed candidate scheduler's lifetime
-// totals: fills, candidates popped, and how many were killed before a
-// TQSP construction. All zeros until a windowed query runs (every query
-// is windowed unless Options.Window is 1).
-func (d *Dataset) WindowStats() WindowStats { return d.engine.WindowStats() }
 
 // EnableMetrics registers the engine's instruments (query counters and
 // latency histograms per algorithm, TQSP and pruning counters, and
