@@ -96,7 +96,7 @@ func (e *Engine) noteQuery(algo int, stats *Stats, dur time.Duration) {
 	}
 	m.queries[algo].Inc()
 	m.latency[algo].Observe(dur.Seconds())
-	m.getnext.Add(stats.PlacesRetrieved)
+	m.getnext.Add(stats.PlacesRetrieved + stats.WindowScreenKilled)
 	m.tqsp.Add(stats.TQSPComputations)
 	m.bfsVisits.Add(stats.BFSVertexVisits)
 	m.reach.Add(stats.ReachQueries)

@@ -40,12 +40,17 @@ func TestEngineMetricsFlush(t *testing.T) {
 	reg := obs.NewRegistry()
 	e.EnableMetrics(reg)
 
-	q := Query{Loc: f.Q1, Keywords: f.Keywords, K: 2}
+	// Top-1 at q1: SPP screens p2 out (Example 8), so the screen's kills
+	// show in the GETNEXT series.
+	q := Query{Loc: f.Q1, Keywords: f.Keywords, K: 1}
 	var agg Stats
 	for _, a := range allAlgos {
 		_, stats, err := a.run(e, q, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", a.name, err)
+		}
+		if a.name == "SPP" && stats.WindowScreenKilled == 0 {
+			t.Errorf("SPP killed no candidate in the screen; the GETNEXT check below needs one")
 		}
 		agg.Add(stats)
 	}
@@ -65,7 +70,7 @@ func TestEngineMetricsFlush(t *testing.T) {
 		want   int64
 	}{
 		{"ksp_engine_tqsp_computations_total", nil, agg.TQSPComputations},
-		{"ksp_engine_getnext_rounds_total", nil, agg.PlacesRetrieved},
+		{"ksp_engine_getnext_rounds_total", nil, agg.PlacesRetrieved + agg.WindowScreenKilled},
 		{"ksp_engine_bfs_vertex_visits_total", nil, agg.BFSVertexVisits},
 		{"ksp_engine_reach_queries_total", nil, agg.ReachQueries},
 		{"ksp_engine_pruning_hits_total", []string{"rule", "1"}, agg.PrunedUnqualified},
