@@ -1,23 +1,16 @@
 // Command ksplint runs the repository's invariant checks (DESIGN.md
-// §12, §17) over the module: determinism on result paths, obs
-// nil-safety, lock discipline, context propagation, dropped errors,
-// metric naming, and the flow-aware lifetime suite — mmap-slice
-// borrows, pool-recycling protocols, hot-path allocation budgets, and
-// goroutine leak paths. It is the lint gate scripts/check.sh and CI
-// run on every commit.
+// §12) over the module: determinism on result paths, obs nil-safety,
+// lock discipline, context propagation, dropped errors and metric
+// naming. It also fails on any //ksplint:ignore comment that suppresses
+// nothing. It is the lint gate scripts/check.sh and CI run on every
+// commit.
 //
 // Usage:
 //
-//	ksplint [-tags faultinject] [-checks determinism,locks] [-list]
-//	        [-unused-ignores] [-hotpath-roots] [packages]
+//	ksplint [-tags faultinject] [packages]
 //
-// Packages default to ./... of the enclosing module. -unused-ignores
-// additionally audits //ksplint:ignore comments and fails on any that
-// suppress nothing (it requires all checks enabled, since an ignore
-// for a disabled check is merely unexercised). -hotpath-roots prints
-// the //ksplint:hotpath root functions and exits; CI diffs it against
-// the dynamic allocation gate's entry points. Exit status is 1 when
-// findings remain after suppression, 2 on load or usage errors.
+// Packages default to ./... of the enclosing module. Exit status is 1
+// when findings remain after suppression, 2 on load or usage errors.
 package main
 
 import (
@@ -31,25 +24,11 @@ import (
 
 func main() {
 	tags := flag.String("tags", "", "comma-separated build tags (e.g. faultinject)")
-	checks := flag.String("checks", "", "comma-separated checks to run (default: all)")
-	list := flag.Bool("list", false, "list available checks and exit")
-	unusedIgnores := flag.Bool("unused-ignores", false, "also fail on //ksplint:ignore comments that suppress nothing (requires all checks enabled)")
-	hotpathRoots := flag.Bool("hotpath-roots", false, "print the //ksplint:hotpath root functions and exit")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: ksplint [flags] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-
-	if *list {
-		for _, a := range analysis.AllChecks() {
-			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
-		}
-		return
-	}
-	if *unusedIgnores && *checks != "" {
-		fatal(fmt.Errorf("-unused-ignores requires all checks enabled; drop -checks"))
-	}
 
 	var tagList []string
 	if *tags != "" {
@@ -63,36 +42,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	cfg := analysis.DefaultConfig(loader.ModulePath)
-	if *hotpathRoots {
-		for _, desc := range analysis.HotPathRootDescs(pkgs, cfg) {
-			fmt.Println(desc)
-		}
-		return
-	}
-	if *checks != "" {
-		cfg.Checks = make(map[string]bool)
-		for _, name := range strings.Split(*checks, ",") {
-			name = strings.TrimSpace(name)
-			if analysis.CheckByName(name) == nil {
-				fatal(fmt.Errorf("unknown check %q (try -list)", name))
-			}
-			cfg.Checks[name] = true
-		}
-	}
-	var findings, unused []analysis.Finding
-	if *unusedIgnores {
-		findings, unused = analysis.RunChecksAudit(pkgs, cfg)
-	} else {
-		findings = analysis.RunChecks(pkgs, cfg)
-	}
+	findings := analysis.Run(pkgs, analysis.DefaultConfig(loader.ModulePath))
 	for _, f := range findings {
 		fmt.Println(f)
 	}
-	for _, f := range unused {
-		fmt.Println(f)
-	}
-	if n := len(findings) + len(unused); n > 0 {
+	if n := len(findings); n > 0 {
 		fmt.Fprintf(os.Stderr, "ksplint: %d finding(s)\n", n)
 		os.Exit(1)
 	}

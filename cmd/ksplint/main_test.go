@@ -8,14 +8,13 @@ import (
 )
 
 // TestExitNonzeroOnFindings re-executes this test binary as ksplint,
-// pointed at golden testdata that is known to contain findings, and
-// asserts the process exits 1 (findings reported) rather than 0 or 2
-// (load/usage error). This pins the CI contract: a finding anywhere in
+// with every check on, pointed at golden testdata that is known to
+// contain droppederr findings, and asserts the process exits 1 (findings
+// reported) rather than 0 or 2 (load/usage error). This pins the CI contract: a finding anywhere in
 // the tree fails the lint job.
 func TestExitNonzeroOnFindings(t *testing.T) {
 	if os.Getenv("KSPLINT_MAIN") == "1" {
-		os.Args = []string{"ksplint", "-checks", "droppederr",
-			"./internal/analysis/testdata/src/droppederr"}
+		os.Args = []string{"ksplint", "./internal/analysis/testdata/src/droppederr"}
 		main()
 		os.Exit(0) // main returning means zero findings
 	}

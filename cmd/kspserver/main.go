@@ -107,7 +107,6 @@ func main() {
 		// The profiling endpoints stay off the public listener: pprof's
 		// init registers on http.DefaultServeMux, which only this side
 		// server exposes.
-		//ksplint:ignore leakcheck -- diagnostics listener lives for the whole process; the OS reaps it at exit
 		go func() {
 			logger.Info("pprof listening", "addr", *pprof)
 			if err := http.ListenAndServe(*pprof, nil); err != nil {

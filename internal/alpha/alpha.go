@@ -197,9 +197,8 @@ type QueryView struct {
 func (ix *Index) LoadQuery(terms []uint32) (*QueryView, error) {
 	qv, _ := ix.qvPool.Get().(*QueryView)
 	if qv == nil {
-		qv = &QueryView{} //ksplint:ignore allocbound -- pool-miss refill; qvPool amortizes it across queries
+		qv = &QueryView{}
 	}
-	qv.owner = ix
 	if err := qv.fill(ix, terms); err != nil {
 		qv.Release()
 		return nil, err
@@ -207,10 +206,11 @@ func (ix *Index) LoadQuery(terms []uint32) (*QueryView, error) {
 	return qv, nil
 }
 
-// fill points the view at a new keyword set: a reset per file drops
-// whatever an earlier query left there, then each keyword is loaded from
-// both files.
+// fill points the view at a new keyword set and at ix, the pool it
+// returns to: a reset per file drops whatever an earlier query left
+// there, then each keyword is loaded from both files.
 func (qv *QueryView) fill(ix *Index, terms []uint32) error {
+	qv.owner = ix
 	if len(terms) > maxTerms {
 		return fmt.Errorf("alpha: %d query terms, at most %d", len(terms), maxTerms)
 	}
@@ -241,12 +241,20 @@ func (qv *QueryView) Release() {
 }
 
 // PlaceBound returns LαB(Tp) (Lemma 2): 1 + Σ dg over keywords found in
-// WN(p) + (α+1) for each keyword absent from it.
+// WN(p) + (α+1) for each keyword absent from it. It panics on a
+// released view, whose tables another query may be refilling.
 func (qv *QueryView) PlaceBound(p uint32) float64 {
+	if qv.owner == nil {
+		panic("alpha: PlaceBound on a released QueryView")
+	}
 	return qv.place.bound(p, qv.m, qv.alpha+1)
 }
 
-// NodeBound returns LαB(TN) (Lemma 4) for R-tree node nodeID.
+// NodeBound returns LαB(TN) (Lemma 4) for R-tree node nodeID. It panics
+// on a released view.
 func (qv *QueryView) NodeBound(nodeID uint32) float64 {
+	if qv.owner == nil {
+		panic("alpha: NodeBound on a released QueryView")
+	}
 	return qv.node.bound(nodeID, qv.m, qv.alpha+1)
 }

@@ -7,10 +7,11 @@ import (
 )
 
 // runGolden loads one testdata package, runs a single check over it
-// with a config aimed at that package, and compares the findings
-// against the `// want <check>` annotations in the source. Both
-// directions are errors: a missing finding and an unannounced one.
-func runGolden(t *testing.T, dir, check string, mutate func(cfg *Config, pkgPath string)) {
+// with a config aimed at that package, drops the findings its
+// //ksplint:ignore comments suppress, and compares the rest against the
+// `// want <check>` annotations in the source. Both directions are
+// errors: a missing finding and an unannounced one.
+func runGolden(t *testing.T, dir string, a *Analyzer, mutate func(cfg *Config, pkgPath string)) {
 	t.Helper()
 	pkgs, l, err := LoadModule(".", []string{"./internal/analysis/testdata/src/" + dir}, nil)
 	if err != nil {
@@ -21,11 +22,12 @@ func runGolden(t *testing.T, dir, check string, mutate func(cfg *Config, pkgPath
 	}
 	pkg := pkgs[0]
 	cfg := DefaultConfig(l.ModulePath)
-	cfg.Checks = map[string]bool{check: true}
 	if mutate != nil {
 		mutate(&cfg, pkg.Path)
 	}
-	findings := RunChecks(pkgs, cfg)
+	var findings []Finding
+	runAnalyzer(a, pkg, cfg, &findings)
+	findings, _ = filterSuppressed(findings, pkgs)
 
 	wants := map[int][]string{}
 	for _, f := range pkg.Files {
@@ -71,58 +73,31 @@ func runGolden(t *testing.T, dir, check string, mutate func(cfg *Config, pkgPath
 }
 
 func TestGoldenDeterminism(t *testing.T) {
-	runGolden(t, "determinism", "determinism", func(cfg *Config, pkgPath string) {
+	runGolden(t, "determinism", DeterminismCheck, func(cfg *Config, pkgPath string) {
 		cfg.CorePackages = []string{pkgPath}
 	})
 }
 
 func TestGoldenObsNil(t *testing.T) {
-	runGolden(t, "obsnil", "obsnil", func(cfg *Config, pkgPath string) {
+	runGolden(t, "obsnil", ObsNilCheck, func(cfg *Config, pkgPath string) {
 		cfg.GuardedTypes = []string{pkgPath + ".Counter", pkgPath + ".bundle", pkgPath + ".inner"}
 	})
 }
 
 func TestGoldenLocks(t *testing.T) {
-	runGolden(t, "locks", "locks", nil)
+	runGolden(t, "locks", LocksCheck, nil)
 }
 
 func TestGoldenCtx(t *testing.T) {
-	runGolden(t, "ctxcheck", "ctx", func(cfg *Config, pkgPath string) {
+	runGolden(t, "ctxcheck", CtxCheck, func(cfg *Config, pkgPath string) {
 		cfg.EntryPackages = []string{pkgPath}
 	})
 }
 
 func TestGoldenDroppedErr(t *testing.T) {
-	runGolden(t, "droppederr", "droppederr", nil)
+	runGolden(t, "droppederr", DroppedErrCheck, nil)
 }
 
 func TestGoldenMetricName(t *testing.T) {
-	runGolden(t, "metricname", "metricname", nil)
-}
-
-func TestGoldenMmapLife(t *testing.T) {
-	runGolden(t, "mmaplife", "mmaplife", func(cfg *Config, pkgPath string) {
-		cfg.MmapSources = []string{pkgPath + ".File.Range"}
-		cfg.MmapOwnerPackages = nil
-		cfg.MmapBoundaryPackages = []string{pkgPath}
-	})
-}
-
-func TestGoldenPoolSafe(t *testing.T) {
-	runGolden(t, "poolsafe", "poolsafe", func(cfg *Config, pkgPath string) {
-		cfg.PoolTypes = []PoolProtocol{
-			{Type: pkgPath + ".Buf", Release: "Release"},
-			{Type: pkgPath + ".View", Release: "Release", Idempotent: true},
-		}
-	})
-}
-
-func TestGoldenAllocBound(t *testing.T) {
-	runGolden(t, "allocbound", "allocbound", func(cfg *Config, pkgPath string) {
-		cfg.HotPathRoots = []string{pkgPath + ".ConfigRoot"}
-	})
-}
-
-func TestGoldenLeakCheck(t *testing.T) {
-	runGolden(t, "leakcheck", "leakcheck", nil)
+	runGolden(t, "metricname", MetricNameCheck, nil)
 }

@@ -26,42 +26,12 @@ func TestRepoClean(t *testing.T) {
 			if len(pkgs) == 0 {
 				t.Fatal("loaded no packages")
 			}
-			findings, unused := RunChecksAudit(pkgs, DefaultConfig(l.ModulePath))
-			for _, f := range findings {
-				t.Errorf("%s", f)
-			}
-			// The audit half of the gate: every //ksplint:ignore must
-			// still hold a finding. A stale suppression is a license
-			// nobody holds any more — delete it or re-justify it.
-			for _, f := range unused {
+			// Run audits as it goes: every //ksplint:ignore must still
+			// hold a finding. A stale suppression is a license nobody
+			// holds any more — delete it or re-justify it.
+			for _, f := range Run(pkgs, DefaultConfig(l.ModulePath)) {
 				t.Errorf("%s", f)
 			}
 		})
-	}
-}
-
-// TestHotPathRootsCoverAllocBudget cross-references the static
-// allocation gate against the dynamic one: the //ksplint:hotpath roots
-// that allocbound polices must be exactly the engine entry points whose
-// steady-state allocations TestAllocBudget (internal/bench) measures —
-// Engine.SP is driven directly by that test, and SPP/BSP share its
-// searcher pipeline. If a new hot entry point appears in only one of
-// the two gates, the budgets have silently diverged and this fails.
-func TestHotPathRootsCoverAllocBudget(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads and type-checks the whole module")
-	}
-	pkgs, l, err := LoadModule(".", []string{"./..."}, nil)
-	if err != nil {
-		t.Fatalf("loading module: %v", err)
-	}
-	got := HotPathRootDescs(pkgs, DefaultConfig(l.ModulePath))
-	want := []string{
-		"ksp/internal/core.Engine.BSP",
-		"ksp/internal/core.Engine.SP",
-		"ksp/internal/core.Engine.SPP",
-	}
-	if strings.Join(got, "\n") != strings.Join(want, "\n") {
-		t.Errorf("hotpath roots diverged from TestAllocBudget's entry points:\n got %v\nwant %v", got, want)
 	}
 }

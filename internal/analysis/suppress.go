@@ -65,12 +65,12 @@ func fileSuppressions(pkg *Package, f *ast.File) []suppression {
 }
 
 // filterSuppressed drops findings covered by a suppression comment in
-// their file. With audit set it also returns one "unused-ignore"
-// pseudo-finding per suppression that dropped nothing: a suppression
-// without a finding is a license nobody holds any more — the invariant
-// either got fixed or the comment drifted off its line. It likewise
-// flags suppressions naming checks that do not exist (typo insurance).
-func filterSuppressed(findings []Finding, pkgs []*Package, audit bool) (kept, unused []Finding) {
+// their file. It also returns one "unused-ignore" pseudo-finding per
+// suppression that dropped nothing: a suppression without a finding is a
+// license nobody holds any more — the invariant either got fixed or the
+// comment drifted off its line. It likewise flags suppressions naming
+// checks that do not exist (typo insurance).
+func filterSuppressed(findings []Finding, pkgs []*Package) (kept, unused []Finding) {
 	// filename -> suppressions
 	byFile := make(map[string][]*suppression)
 	var all []*suppression
@@ -99,16 +99,13 @@ func filterSuppressed(findings []Finding, pkgs []*Package, audit bool) (kept, un
 			kept = append(kept, fd)
 		}
 	}
-	if !audit {
-		return kept, nil
-	}
 	for _, s := range all {
 		for name := range s.checks {
-			if CheckByName(name) == nil {
+			if !isCheck(name) {
 				unused = append(unused, Finding{
 					Pos:   s.pos,
 					Check: "unused-ignore",
-					Msg:   fmt.Sprintf("//ksplint:ignore names unknown check %q (try ksplint -list)", name),
+					Msg:   fmt.Sprintf("//ksplint:ignore names unknown check %q", name),
 				})
 			}
 		}
@@ -125,4 +122,14 @@ func filterSuppressed(findings []Finding, pkgs []*Package, audit bool) (kept, un
 		}
 	}
 	return kept, unused
+}
+
+// isCheck reports whether name names a check.
+func isCheck(name string) bool {
+	for _, a := range checks {
+		if a.Name == name {
+			return true
+		}
+	}
+	return false
 }

@@ -43,18 +43,6 @@ func allFuncs(files []*ast.File) []funcInfo {
 	return out
 }
 
-// rangeHeadNode maps a CFG node to the part actually evaluated in the
-// block that carries it: a RangeStmt sits in its loop-head block, where
-// only X is evaluated — the body statements live in their own blocks.
-// Scanners that ast.Inspect a whole node must use this, or they apply
-// body effects (a release, a use) at the head, flow-insensitively.
-func rangeHeadNode(n ast.Node) ast.Node {
-	if rs, ok := n.(*ast.RangeStmt); ok {
-		return rs.X
-	}
-	return n
-}
-
 // parentMap records each node's syntactic parent within a file.
 type parentMap map[ast.Node]ast.Node
 

@@ -95,8 +95,6 @@ func (alg *algorithm) rules(e *Engine, opts Options) (rule1, rule2 bool) {
 // nearest-neighbour search on the R-tree, the TQSP of every retrieved
 // place is fully constructed, and search stops when the next entry's
 // minimal possible score reaches the kth candidate's score.
-//
-//ksplint:hotpath
 func (e *Engine) BSP(q Query, opts Options) ([]Result, *Stats, error) {
 	return e.Search(AlgoBSP, q, opts)
 }
@@ -106,8 +104,6 @@ func (e *Engine) BSP(q Query, opts Options) ([]Result, *Stats, error) {
 // queries before any TQSP construction) and Pruning Rule 2 (TQSP
 // construction aborts once its dynamic looseness lower bound reaches the
 // threshold Lw = f⁻¹(θ; S)). Requires EnableReach.
-//
-//ksplint:hotpath
 func (e *Engine) SPP(q Query, opts Options) ([]Result, *Stats, error) {
 	return e.Search(AlgoSPP, q, opts)
 }
@@ -119,8 +115,6 @@ func (e *Engine) SPP(q Query, opts Options) ([]Result, *Stats, error) {
 // pruned (Pruning Rules 3 and 4); surviving places still pass through
 // Pruning Rules 1 and 2. Requires EnableAlpha (and EnableReach for
 // Rule 1).
-//
-//ksplint:hotpath
 func (e *Engine) SP(q Query, opts Options) ([]Result, *Stats, error) {
 	return e.Search(AlgoSP, q, opts)
 }
@@ -142,7 +136,7 @@ func (e *Engine) TA(q Query, opts Options) ([]Result, *Stats, error) {
 // four algorithms; a's row in the algorithms table decides the rest.
 func (e *Engine) Search(a Algorithm, q Query, opts Options) (results []Result, stats *Stats, err error) {
 	start := time.Now()
-	stats = &Stats{} //ksplint:ignore allocbound -- API contract: the caller owns the returned Stats
+	stats = &Stats{}
 	if a < 0 || a >= numAlgorithms {
 		return nil, stats, fmt.Errorf("core: unknown algorithm %v", a)
 	}

@@ -75,7 +75,7 @@ func (p *enginePools) putFrontier(f *spFrontier) {
 func (p *enginePools) getMQ(n int) *denseMQ {
 	d, _ := p.mq.Get().(*denseMQ)
 	if d == nil {
-		d = &denseMQ{} //ksplint:ignore allocbound -- pool-miss refill; its scratch bitsets are amortized across queries
+		d = &denseMQ{}
 	}
 	d.reset(n)
 	return d
@@ -91,7 +91,7 @@ func (p *enginePools) putMQ(d *denseMQ) {
 func (p *enginePools) getScratch(n int) *bfsScratch {
 	s, _ := p.scratch.Get().(*bfsScratch)
 	if s == nil || len(s.visited) != n {
-		s = &bfsScratch{visited: make([]uint32, n)} //ksplint:ignore allocbound -- pool-miss (or graph-size change) refill; amortized
+		s = &bfsScratch{visited: make([]uint32, n)}
 	}
 	return s
 }
@@ -105,7 +105,7 @@ func (p *enginePools) putScratch(s *bfsScratch) {
 func getSeen(pool *sync.Pool, n int) *seenSet {
 	s, _ := pool.Get().(*seenSet)
 	if s == nil {
-		s = &seenSet{} //ksplint:ignore allocbound -- pool-miss refill; amortized across queries
+		s = &seenSet{}
 	}
 	s.reset(n)
 	return s
@@ -314,7 +314,7 @@ var errTooManyKeywords = fmt.Errorf("core: more than %d query keywords", MaxKeyw
 // vacuously covered.
 func (e *Engine) prepare(q Query) (*prepQuery, error) {
 	faultinject.Fire(PointPrepare)
-	pq := &prepQuery{loc: q, answerable: true} //ksplint:ignore allocbound -- one per query, inside TestAllocBudget's budget
+	pq := &prepQuery{loc: q, answerable: true}
 	seen := getSeen(&e.pools.termSeen, e.G.Vocab.Len())
 	for _, kw := range q.Keywords {
 		for _, tok := range e.G.Analyze(kw) {
@@ -449,7 +449,6 @@ func (h resultHeap) down(i, n int) {
 	}
 }
 
-//ksplint:ignore allocbound -- one heap per query, inside TestAllocBudget's budget
 func newTopK(k int, shared *Bound) *topK { return &topK{k: k, shared: shared} }
 
 // theta returns the ranking score of the kth candidate, +Inf while fewer

@@ -51,7 +51,6 @@ type bfsEnt struct {
 }
 
 func newSearcher(e *Engine, pq *prepQuery, stats *Stats, collect bool) *searcher {
-	//ksplint:ignore allocbound -- one searcher per query; the allocation-heavy scratch inside is pooled
 	return &searcher{
 		e:       e,
 		pq:      pq,
@@ -125,7 +124,6 @@ func (s *searcher) getSemanticPlace(p uint32, lw float64) (float64, *Tree) {
 	if mask := mq.match(p, b); mask != 0 {
 		b &^= mask
 		if s.collect {
-			//ksplint:ignore allocbound -- result materialization (s.collect only)
 			matched = append(matched, matchRec{v: p, mask: mask})
 		}
 		if b == 0 && 1 >= lw {
@@ -219,7 +217,6 @@ func (s *searcher) buildTree(root uint32, matched []matchRec) *Tree {
 		matched []int
 	}
 	parent := s.scratch.parent
-	//ksplint:ignore allocbound -- result materialization: buildTree runs only when s.collect, for the k reported trees
 	nodes := make(map[uint32]*info)
 	var addPath func(v uint32) int
 	addPath = func(v uint32) int {
@@ -227,12 +224,10 @@ func (s *searcher) buildTree(root uint32, matched []matchRec) *Tree {
 			return ni.depth
 		}
 		if v == root {
-			//ksplint:ignore allocbound -- result materialization (s.collect only)
 			nodes[v] = &info{depth: 0}
 			return 0
 		}
 		d := addPath(parent[v]) + 1
-		//ksplint:ignore allocbound -- result materialization (s.collect only)
 		nodes[v] = &info{depth: d}
 		return d
 	}
@@ -245,7 +240,7 @@ func (s *searcher) buildTree(root uint32, matched []matchRec) *Tree {
 			}
 		}
 	}
-	t := &Tree{Root: root} //ksplint:ignore allocbound -- result materialization (s.collect only)
+	t := &Tree{Root: root}
 	// Emit in BFS order: depth, then vertex ID for determinism.
 	order := make([]uint32, 0, len(nodes))
 	for v := range nodes {

@@ -25,7 +25,6 @@ func (e *Engine) newStream(alg *algorithm, pq *prepQuery, opts Options, hk *topK
 		if err != nil {
 			return s, err
 		}
-		//ksplint:ignore allocbound -- one source per query, inside TestAllocBudget's budget
 		s.sp = &spSource{e: e, qv: qv, hk: hk, qloc: qloc, maxDist: opts.MaxDist, stats: st, f: e.pools.getFrontier()}
 		if e.Tree.Len() > 0 {
 			root := e.Tree.Root()
@@ -33,7 +32,6 @@ func (e *Engine) newStream(alg *algorithm, pq *prepQuery, opts Options, hk *topK
 			s.sp.f.queue.push(spEntry{bound: e.Rank.Score(qv.NodeBound(root), d), dist: d, node: root})
 		}
 	} else {
-		//ksplint:ignore allocbound -- one source per query, inside TestAllocBudget's budget
 		s.dist = &streamSource{br: e.Tree.NewBrowser(qloc), rank: e.Rank, maxDist: opts.MaxDist, stats: st}
 	}
 	return s, nil

@@ -12,8 +12,6 @@ import (
 // taLoop is TA's evaluation (Section 6.2.6): Fagin's threshold
 // algorithm over the looseness-ordered stream and R-tree distance
 // browsing, stopping when θ reaches τ = f(L_last, S_last).
-//
-//ksplint:coldpath -- TA is the comparison baseline, outside the hot path's allocation budget
 func (e *Engine) taLoop(pq *prepQuery, opts Options, hk *topK, stats *Stats) {
 	root := opts.Trace.Root()
 	s := newSearcher(e, pq, stats, opts.CollectTrees)

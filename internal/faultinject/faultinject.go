@@ -150,8 +150,6 @@ func Fire(point string) {
 
 // fire applies the armed faults at point. It runs only when a plan is
 // active, i.e. under tests; production queries stop at Fire's nil check.
-//
-//ksplint:coldpath
 func (p *Plan) fire(point string) {
 	var stall time.Duration
 	var calls []func()

@@ -160,7 +160,7 @@ func (s *Span) Child(name string) *Span {
 		return nil
 	}
 	t := s.t
-	c := &Span{t: t, name: name, start: time.Since(t.start)} //ksplint:ignore allocbound -- allocates only when tracing is on (opt-in diagnostics); nil receiver is the hot path
+	c := &Span{t: t, name: name, start: time.Since(t.start)}
 	t.mu.Lock()
 	if t.spans >= t.limit {
 		t.dropped++

@@ -33,7 +33,7 @@ const nodeRef = 1 << 31
 
 // NewBrowser starts an incremental nearest-neighbour scan from q.
 func (t *RTree) NewBrowser(q geo.Point) *Browser {
-	b := &Browser{t: t, q: q, onAccess: t.OnNodeAccess} //ksplint:ignore allocbound -- one browser per query, inside TestAllocBudget's budget
+	b := &Browser{t: t, q: q, onAccess: t.OnNodeAccess}
 	if t.Len() > 0 {
 		b.h = append(b.h, nnEntry{distSq: t.Bounds().MinDistSq(q), ref: t.Root() | nodeRef})
 	}

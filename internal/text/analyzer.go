@@ -28,7 +28,7 @@ func (a Analyzer) Analyze(s string) []string {
 		toks = append(toks, string(t))
 		buf = t
 	}
-	seen := make(map[string]struct{}, len(toks)) //ksplint:ignore allocbound -- bounded by the query's keyword count, once per prepare
+	seen := make(map[string]struct{}, len(toks))
 	out := toks[:0]
 	for _, t := range toks {
 		if _, dup := seen[t]; dup {

@@ -21,11 +21,13 @@ go vet ./...
 # that build keeps the chaos harness compiling even when no test uses it.
 go vet -tags faultinject ./...
 echo "== ksplint =="
-# -unused-ignores runs every check AND audits the //ksplint:ignore
-# comments: a suppression that no longer suppresses anything fails the
-# gate alongside ordinary findings, under both build-tag sets.
-go run ./cmd/ksplint -unused-ignores ./...
-go run ./cmd/ksplint -tags faultinject -unused-ignores ./...
+# Determinism, obs nil-safety, locks, context propagation, dropped errors
+# and metric naming (DESIGN.md §12). ksplint also audits the
+# //ksplint:ignore comments: a suppression that no longer suppresses
+# anything fails the gate alongside ordinary findings, under both
+# build-tag sets.
+go run ./cmd/ksplint ./...
+go run ./cmd/ksplint -tags faultinject ./...
 echo "== go build =="
 go build ./...
 echo "== go test -race =="
