@@ -21,7 +21,6 @@ import (
 //     where fresh root contexts legitimately come from.
 var CtxCheck = &Analyzer{
 	Name: "ctx",
-	Doc:  "context.Context first in parameter lists, propagated rather than re-minted",
 	Run:  runCtx,
 }
 

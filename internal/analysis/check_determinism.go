@@ -27,7 +27,6 @@ import (
 // scoring, which is exactly the regression class this check catches.
 var DeterminismCheck = &Analyzer{
 	Name: "determinism",
-	Doc:  "forbid map-iteration order, math/rand, and escaping time.Now on result-producing core paths",
 	Run:  runDeterminism,
 }
 

@@ -18,7 +18,6 @@ import (
 // and fmt.Fprint* into ErrSafeWriters.
 var DroppedErrCheck = &Analyzer{
 	Name: "droppederr",
-	Doc:  "error-returning calls must not be ignored or blanked in non-test code",
 	Run:  runDroppedErr,
 }
 

@@ -24,7 +24,6 @@ import (
 // recognizable shape or suppress with a reason.
 var LocksCheck = &Analyzer{
 	Name: "locks",
-	Doc:  "Lock without Unlock on a return path; blocking operations while a mutex is held",
 	Run:  runLocks,
 }
 

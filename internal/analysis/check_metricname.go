@@ -16,7 +16,6 @@ import (
 // check makes sure new ones are born right.
 var MetricNameCheck = &Analyzer{
 	Name: "metricname",
-	Doc:  "obs registry metric names: literal, prefixed, unit-suffixed by kind",
 	Run:  runMetricName,
 }
 

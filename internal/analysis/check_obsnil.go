@@ -29,7 +29,6 @@ import (
 // and reports anything cleverer for human review.
 var ObsNilCheck = &Analyzer{
 	Name: "obsnil",
-	Doc:  "instrument methods must be nil-receiver-guarded; instrument-bundle field access needs a nil check",
 	Run:  runObsNil,
 }
 

@@ -20,7 +20,6 @@ import (
 // (and legitimately) drop errors or iterate maps.
 type Package struct {
 	Path  string
-	Dir   string
 	Fset  *token.FileSet
 	Files []*ast.File
 	Types *types.Package
@@ -35,9 +34,6 @@ type Package struct {
 type Loader struct {
 	ModulePath string
 	ModuleDir  string
-	// Tags are extra build tags (e.g. "faultinject") applied when
-	// selecting files.
-	Tags []string
 
 	fset    *token.FileSet
 	ctxt    build.Context
@@ -64,7 +60,6 @@ func NewLoader(dir string, tags []string) (*Loader, error) {
 	return &Loader{
 		ModulePath: modPath,
 		ModuleDir:  root,
-		Tags:       tags,
 		fset:       fset,
 		ctxt:       ctxt,
 		pkgs:       make(map[string]*Package),
@@ -204,7 +199,7 @@ func (l *Loader) load(path string) (*Package, error) {
 		// failures (e.g. import cycles) reported only through the return.
 		return nil, fmt.Errorf("type-checking %s: %v", path, cerr)
 	}
-	pkg := &Package{Path: path, Dir: dir, Fset: l.fset, Files: files, Types: tpkg, Info: info}
+	pkg := &Package{Path: path, Fset: l.fset, Files: files, Types: tpkg, Info: info}
 	l.pkgs[path] = pkg
 	return pkg, nil
 }
