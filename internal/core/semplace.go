@@ -18,8 +18,10 @@ import (
 type bfsScratch struct {
 	visited []uint32
 	epoch   uint32
-	queue   []bfsEnt
-	parent  []uint32
+	// queue holds the last construction's BFS queue in discovery order;
+	// its first BFSVertexVisits entries are the vertices it expanded.
+	queue  []uint32
+	parent []uint32
 }
 
 // searcher carries the per-query scratch of the TQSP constructions.
@@ -45,11 +47,6 @@ type searcher struct {
 	lastExact bool
 }
 
-type bfsEnt struct {
-	v    uint32
-	dist int32
-}
-
 func newSearcher(e *Engine, pq *prepQuery, stats *Stats, collect bool) *searcher {
 	return &searcher{
 		e:       e,
@@ -72,15 +69,24 @@ func (s *searcher) release() {
 // getSemanticPlace constructs the TQSP rooted at p (Algorithm 2) and, when
 // lw is finite, applies the dynamic-bound abort of Pruning Rule 2
 // (Algorithm 3). A vertex is tested against Mq.ψ when the BFS discovers
-// it — the root up front, every other vertex as it is stamped visited and
-// queued — not when it is popped. At the pop of a depth-d vertex every
-// vertex at distance <= d has therefore been discovered and matched, so
-// each keyword still open lies at distance >= d+1 and
+// it — the root up front, every other vertex right after the expansion
+// that queued it — not when it is popped. At the pop of a depth-d vertex
+// every vertex at distance <= d has therefore been discovered and
+// matched, so each keyword still open lies at distance >= d+1 and
 // LB(Tp) = 1 + Σfound + (d+1)·|B| is a lower bound on the looseness
-// (Lemma 1); construction stops as soon as it reaches lw, and stops with
-// the exact looseness the moment B empties. Queue order is discovery
-// order, so each keyword is matched at the same vertex, with the same
-// parent links, as a pop-time match would (DESIGN.md §5.1).
+// (Lemma 1). The bound is the same at every pop of depth d: a keyword
+// matched meanwhile lies at depth d+1, so it moves d+1 from the open term
+// into Σfound. Every term is a small integer, so the float64 sums agree
+// bit for bit too, and Rule 2 is tested once, at the first pop of each
+// level. Construction stops as soon as the bound reaches lw, and stops
+// with the exact looseness the moment B empties (DESIGN.md §5.1).
+//
+// An expansion discovers in two passes. The first writes every neighbour
+// past the queue's end and advances the end only over those not yet
+// stamped, with no branch on the stamp. The second sets the new
+// vertices' parent links and matches them in discovery order, so each
+// keyword is matched at the same vertex, under the same parent, as a
+// pop-time match would be.
 //
 // It returns the looseness (or +Inf when no qualified semantic place is
 // rooted at p, or when Rule 2 fired) and, if requested, the materialized
@@ -98,86 +104,98 @@ func (s *searcher) getSemanticPlace(p uint32, lw float64) (float64, *Tree) {
 
 	sc.epoch++
 	if sc.epoch == 0 {
-		for i := range sc.visited {
-			sc.visited[i] = 0
-		}
+		clear(sc.visited)
 		sc.epoch = 1
 	}
 
 	// Locals, so the inner loop keeps them in registers: the compiler
 	// cannot rule out that a store to visited aliases a field.
 	visited, epoch, collect := sc.visited, sc.epoch, s.collect
+	if collect && sc.parent == nil {
+		sc.parent = make([]uint32, len(visited))
+	}
+	parent := sc.parent
 
 	b := s.pq.full // undiscovered keywords
 	foundSum := 0.0
 	var matched []matchRec
 
-	q := sc.queue[:0]
-	q = append(q, bfsEnt{v: p, dist: 0})
-	sc.visited[p] = sc.epoch
-	if s.collect {
-		if sc.parent == nil {
-			sc.parent = make([]uint32, len(sc.visited))
-		}
-		sc.parent[p] = p
+	// q[:m] is discovered; the rest of q is room to write past its end.
+	q := append(sc.queue[:0], p)
+	q = q[:cap(q)]
+	m := 1
+	visited[p] = epoch
+	if collect {
+		parent[p] = p
 	}
 	if mask := mq.match(p, b); mask != 0 {
 		b &^= mask
-		if s.collect {
+		if collect {
 			matched = append(matched, matchRec{v: p, mask: mask})
 		}
 		if b == 0 && 1 >= lw {
 			// The root alone covers q.ψ, so L(Tp) = 1 exactly — and that
 			// already reaches the threshold.
-			return s.abortRule2(tq, q, 1)
+			return s.abortRule2(tq, q, 0, 1)
 		}
 	}
 
+	var visits int64
+	next := 0.0   // depth of the vertices the current level discovers
+	levelEnd := 0 // q[levelEnd:] lies deeper than the vertex popped
 bfs:
-	for head := 0; head < len(q) && b != 0; head++ {
-		cur := q[head]
-		s.stats.BFSVertexVisits++
-
-		// Pruning Rule 2 (Lemma 1): everything at distance <= d(p, cur)
-		// is already matched, so every open keyword lies one hop further
-		// at least.
-		next := cur.dist + 1
-		lb := 1 + foundSum + float64(next)*float64(popcount(b))
-		if lb >= lw {
-			return s.abortRule2(tq, q, lb)
+	for head := 0; head < m && b != 0; head++ {
+		visits++
+		if head == levelEnd {
+			// Pruning Rule 2 (Lemma 1), once per level: everything at
+			// distance <= d(p, q[head]) is already matched, so every open
+			// keyword lies one hop further at least.
+			levelEnd, next = m, next+1
+			if lb := 1 + foundSum + next*float64(popcount(b)); lb >= lw {
+				return s.abortRule2(tq, q, visits, lb)
+			}
 		}
-
-		var nbrs [2][]uint32
-		if dir != rdf.Incoming {
-			nbrs[0] = g.Out(cur.v)
+		v, n := q[head], m
+		ws, more := g.Out(v), dir == rdf.Undirected
+		if dir == rdf.Incoming {
+			ws = g.In(v)
 		}
-		if dir != rdf.Outgoing {
-			nbrs[1] = g.In(cur.v)
-		}
-		for _, ws := range nbrs {
+		for {
+			if len(q) < m+len(ws) {
+				q = slices.Grow(q[:m], len(ws))
+				q = q[:cap(q)]
+			}
 			for _, w := range ws {
-				if visited[w] == epoch {
-					continue
-				}
+				// x is 0 iff w was stamped already; (x|-x)>>31 is then 0,
+				// and 1 otherwise.
+				x := visited[w] ^ epoch
 				visited[w] = epoch
+				q[m] = w
+				m += int((x | -x) >> 31)
+			}
+			if !more {
+				break
+			}
+			ws, more = g.In(v), false
+		}
+		for _, w := range q[n:m] {
+			if collect {
+				parent[w] = v
+			}
+			if mask := mq.match(w, b); mask != 0 {
+				foundSum += float64(popcount(mask)) * next
+				b &^= mask
 				if collect {
-					sc.parent[w] = cur.v
+					matched = append(matched, matchRec{v: w, mask: mask})
 				}
-				q = append(q, bfsEnt{v: w, dist: next})
-				if mask := mq.match(w, b); mask != 0 {
-					foundSum += float64(popcount(mask)) * float64(next)
-					b &^= mask
-					if collect {
-						matched = append(matched, matchRec{v: w, mask: mask})
-					}
-					if b == 0 {
-						break bfs
-					}
+				if b == 0 {
+					break bfs
 				}
 			}
 		}
 	}
 	sc.queue = q
+	s.stats.BFSVertexVisits += visits
 
 	if b != 0 {
 		// The BFS exhausted p's reachable set without covering every
@@ -195,9 +213,10 @@ bfs:
 }
 
 // abortRule2 ends a construction whose dynamic bound lb reached the
-// looseness threshold, handing the (possibly grown) queue back to the
-// scratch.
-func (s *searcher) abortRule2(tq *obs.Span, q []bfsEnt, lb float64) (float64, *Tree) {
+// looseness threshold after visits expansions, handing the (possibly
+// grown) queue back to the scratch.
+func (s *searcher) abortRule2(tq *obs.Span, q []uint32, visits int64, lb float64) (float64, *Tree) {
+	s.stats.BFSVertexVisits += visits
 	s.stats.PrunedDynamicBound++
 	s.scratch.queue = q
 	s.lastLB, s.lastExact = lb, false

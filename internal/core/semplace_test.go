@@ -118,6 +118,123 @@ func (r *popTimeBFS) tree(root uint32, matchedAt map[uint32]uint64) *Tree {
 	return t
 }
 
+// refKernel is the TQSP kernel as it stood before discovery became
+// branch-free, kept as the reference of TestDiscoveryTimeBFSMatchesPopTime:
+// one branch per edge on the visited stamp, a keyword match per
+// discovery, the Rule 2 bound recomputed at every pop from the depth its
+// queue entry carries, and both adjacency slices gathered per vertex. It
+// runs on a searcher of its own — its own scratch, Stats, lastLB and
+// lastExact — and shares the graph, the prepared query and buildTree with
+// the kernel under test.
+type refKernel struct {
+	s     *searcher
+	queue []bfsEnt
+}
+
+type bfsEnt struct {
+	v    uint32
+	dist int32
+}
+
+func (r *refKernel) getSemanticPlace(p uint32, lw float64) (float64, *Tree) {
+	s := r.s
+	s.stats.TQSPComputations++
+	g := s.e.G
+	dir := s.e.Dir
+	sc := s.scratch
+	mq := s.pq.mq
+
+	sc.epoch++
+	if sc.epoch == 0 {
+		clear(sc.visited)
+		sc.epoch = 1
+	}
+	visited, epoch, collect := sc.visited, sc.epoch, s.collect
+
+	b := s.pq.full
+	foundSum := 0.0
+	var matched []matchRec
+
+	q := r.queue[:0]
+	q = append(q, bfsEnt{v: p, dist: 0})
+	sc.visited[p] = sc.epoch
+	if s.collect {
+		if sc.parent == nil {
+			sc.parent = make([]uint32, len(sc.visited))
+		}
+		sc.parent[p] = p
+	}
+	if mask := mq.match(p, b); mask != 0 {
+		b &^= mask
+		if s.collect {
+			matched = append(matched, matchRec{v: p, mask: mask})
+		}
+		if b == 0 && 1 >= lw {
+			return r.abortRule2(q, 1)
+		}
+	}
+
+bfs:
+	for head := 0; head < len(q) && b != 0; head++ {
+		cur := q[head]
+		s.stats.BFSVertexVisits++
+		next := cur.dist + 1
+		lb := 1 + foundSum + float64(next)*float64(popcount(b))
+		if lb >= lw {
+			return r.abortRule2(q, lb)
+		}
+
+		var nbrs [2][]uint32
+		if dir != rdf.Incoming {
+			nbrs[0] = g.Out(cur.v)
+		}
+		if dir != rdf.Outgoing {
+			nbrs[1] = g.In(cur.v)
+		}
+		for _, ws := range nbrs {
+			for _, w := range ws {
+				if visited[w] == epoch {
+					continue
+				}
+				visited[w] = epoch
+				if collect {
+					sc.parent[w] = cur.v
+				}
+				q = append(q, bfsEnt{v: w, dist: next})
+				if mask := mq.match(w, b); mask != 0 {
+					foundSum += float64(popcount(mask)) * float64(next)
+					b &^= mask
+					if collect {
+						matched = append(matched, matchRec{v: w, mask: mask})
+					}
+					if b == 0 {
+						break bfs
+					}
+				}
+			}
+		}
+	}
+	r.queue = q
+
+	if b != 0 {
+		s.lastLB, s.lastExact = math.Inf(1), true
+		return math.Inf(1), nil
+	}
+	loose := 1 + foundSum
+	s.lastLB, s.lastExact = loose, true
+	if !s.collect {
+		return loose, nil
+	}
+	return loose, s.buildTree(p, matched)
+}
+
+func (r *refKernel) abortRule2(q []bfsEnt, lb float64) (float64, *Tree) {
+	r.s.stats.PrunedDynamicBound++
+	r.queue = q
+	r.s.lastLB, r.s.lastExact = lb, false
+	return math.Inf(1), nil
+}
+
 // randomBFSGraph is a sparse random graph (cycles, multi-edges and
 // self-loops included) whose documents draw on a vocabulary small enough
 // that most keyword sets are coverable from most roots.
@@ -141,7 +258,9 @@ func randomBFSGraph(rng *rand.Rand, n int) *rdf.Graph {
 // (d+1)·|B| bound, must tell the caller exactly what the paper's
 // pop-time Algorithm 2/3 tells it — the same looseness, verdict and tree,
 // an abort precisely when the looseness cannot beat lw — and never expand
-// more vertices doing so.
+// more vertices doing so. It must also repeat the per-edge kernel it
+// replaced (refKernel) to the bit: looseness, lastLB and lastExact, tree,
+// expansions, Rule 2 aborts and the expanded prefix of the queue.
 func TestDiscoveryTimeBFSMatchesPopTime(t *testing.T) {
 	for _, dir := range []rdf.Direction{rdf.Outgoing, rdf.Incoming, rdf.Undirected} {
 		for seed := int64(1); seed <= 12; seed++ {
@@ -165,6 +284,7 @@ func TestDiscoveryTimeBFSMatchesPopTime(t *testing.T) {
 				for _, collect := range []bool{false, true} {
 					stats := &Stats{}
 					s := newSearcher(e, pq, stats, collect)
+					old := &refKernel{s: newSearcher(e, pq, &Stats{}, collect)}
 					for p := uint32(0); int(p) < g.NumVertices(); p++ {
 						label := fmt.Sprintf("dir %v seed %d kws %v collect %v root %d", dir, seed, kws, collect, p)
 						exact := ref.run(e, pq, p, math.Inf(1), collect)
@@ -173,10 +293,11 @@ func TestDiscoveryTimeBFSMatchesPopTime(t *testing.T) {
 							lws = append(lws, l-1, l, l+0.5, l+1)
 						}
 						for _, lw := range lws {
-							compareWithPopTime(t, fmt.Sprintf("%s lw %v", label, lw), s, stats, ref, exact.loose, p, lw)
+							compareWithPopTime(t, fmt.Sprintf("%s lw %v", label, lw), s, stats, ref, old, exact.loose, p, lw)
 						}
 					}
 					s.release()
+					old.s.release()
 				}
 				e.releasePrep(pq)
 			}
@@ -186,13 +307,32 @@ func TestDiscoveryTimeBFSMatchesPopTime(t *testing.T) {
 
 // compareWithPopTime runs one construction both ways and checks the
 // contract; loose is the true looseness of the TQSP rooted at p.
-func compareWithPopTime(t *testing.T, label string, s *searcher, stats *Stats, ref *popTimeBFS, loose float64, p uint32, lw float64) {
+func compareWithPopTime(t *testing.T, label string, s *searcher, stats *Stats, ref *popTimeBFS, old *refKernel, loose float64, p uint32, lw float64) {
 	t.Helper()
 	want := ref.run(s.e, s.pq, p, lw, s.collect)
 	before := *stats
 	got, tree := s.getSemanticPlace(p, lw)
 	pops := stats.BFSVertexVisits - before.BFSVertexVisits
 	aborted := stats.PrunedDynamicBound > before.PrunedDynamicBound
+
+	oldBefore := *old.s.stats
+	oldGot, oldTree := old.getSemanticPlace(p, lw)
+	oldPops := old.s.stats.BFSVertexVisits - oldBefore.BFSVertexVisits
+	oldAborted := old.s.stats.PrunedDynamicBound > oldBefore.PrunedDynamicBound
+	if math.Float64bits(got) != math.Float64bits(oldGot) || math.Float64bits(s.lastLB) != math.Float64bits(old.s.lastLB) || s.lastExact != old.s.lastExact {
+		t.Fatalf("%s: looseness %v, lastLB %v, lastExact %v; per-edge kernel %v, %v, %v", label, got, s.lastLB, s.lastExact, oldGot, old.s.lastLB, old.s.lastExact)
+	}
+	if !reflect.DeepEqual(tree, oldTree) {
+		t.Fatalf("%s: tree\n%+v\nper-edge kernel\n%+v", label, tree, oldTree)
+	}
+	if pops != oldPops || aborted != oldAborted {
+		t.Fatalf("%s: %d expansions, aborted %v; per-edge kernel %d, %v", label, pops, aborted, oldPops, oldAborted)
+	}
+	for i, ent := range old.queue[:oldPops] {
+		if s.scratch.queue[i] != ent.v {
+			t.Fatalf("%s: queue entry %d is %d, per-edge kernel %d", label, i, s.scratch.queue[i], ent.v)
+		}
+	}
 
 	if got != want.loose {
 		t.Fatalf("%s: looseness %v, pop-time %v", label, got, want.loose)
@@ -318,8 +458,8 @@ func bfsWorkGuard(t *testing.T, n int) {
 			defer s.release()
 			visits := replayed.BFSVertexVisits
 			loose, _ := s.getSemanticPlace(p, lw)
-			for _, ent := range s.scratch.queue[:replayed.BFSVertexVisits-visits] {
-				expanded[ent.v] = true
+			for _, v := range s.scratch.queue[:replayed.BFSVertexVisits-visits] {
+				expanded[v] = true
 			}
 			return loose
 		})
