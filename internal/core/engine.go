@@ -171,8 +171,8 @@ func (d *denseMQ) borrow(set []uint64) {
 	d.m++
 }
 
-// scatter makes the vertices of pl keyword m's, in scratch.
-func (d *denseMQ) scatter(pl []invindex.Posting) {
+// scatter makes the vertices in ids keyword m's, in scratch.
+func (d *denseMQ) scatter(ids []uint32) {
 	s := d.scratch[d.m]
 	if len(s) != d.nw {
 		s = make([]uint64, d.nw)
@@ -180,8 +180,8 @@ func (d *denseMQ) scatter(pl []invindex.Posting) {
 	} else {
 		clear(s)
 	}
-	for _, p := range pl {
-		s[p.ID>>6] |= 1 << (p.ID & 63)
+	for _, v := range ids {
+		s[v>>6] |= 1 << (v & 63)
 	}
 	d.borrow(s)
 }
@@ -341,7 +341,7 @@ func (e *Engine) prepare(q Query) (*prepQuery, error) {
 	// own bitset where it holds one, else as its posting list, set into a
 	// scratch bitset before prepare returns.
 	var sets [MaxKeywords][]uint64
-	var lists [MaxKeywords][]invindex.Posting
+	var lists [MaxKeywords][]uint32
 	pq.df = make([]int, len(pq.terms))
 	for i, t := range pq.terms {
 		lists[i], sets[i], pq.df[i] = e.Doc.Term(t)

@@ -188,13 +188,7 @@ func TestDenseMQRecycling(t *testing.T) {
 		}
 		return s
 	}
-	list := func(ids ...uint32) []invindex.Posting {
-		pl := make([]invindex.Posting, len(ids))
-		for i, v := range ids {
-			pl[i] = invindex.Posting{ID: v}
-		}
-		return pl
-	}
+	list := func(ids ...uint32) []uint32 { return ids }
 	expect := func(step string, d *denseMQ, want map[uint32]uint64) {
 		t.Helper()
 		for v := uint32(0); v < n; v++ {

@@ -7,9 +7,9 @@ import (
 // FromGraph builds the document inverted index of the paper's Table 1:
 // for every vertex, each term of its document is posted under weight 0. A
 // term held by more than one vertex in 64 becomes a bitset over the vertex
-// IDs, every other term a list (MemIndex). One pass counts each term's
-// document frequency, which decides its form and sizes both arenas
-// exactly; a second pass sets the bits and writes the postings in place.
+// IDs, every other term a list of vertex IDs (MemIndex). One pass counts
+// each term's document frequency, which decides its form and sizes both
+// arenas exactly; a second pass sets the bits and writes the IDs in place.
 // Vertices are visited in ascending ID order and a document lists each
 // term once, so every list comes out strictly ascending.
 func FromGraph(g *rdf.Graph) *MemIndex {
@@ -34,7 +34,7 @@ func FromGraph(g *rdf.Graph) *MemIndex {
 		}
 		m.off[t+1] = lists | sets<<listBits
 	}
-	m.posts = make([]Posting, lists)
+	m.ids = make([]uint32, lists)
 	m.words = make([]uint64, int(sets)*m.nw)
 	clear(count) // now each list-form term's fill cursor
 	for v := uint32(0); int(v) < n; v++ {
@@ -44,7 +44,7 @@ func FromGraph(g *rdf.Graph) *MemIndex {
 				m.words[k*m.nw+int(v>>6)] |= 1 << (v & 63)
 				continue
 			}
-			m.posts[a&listMask+uint64(count[t])] = Posting{ID: v}
+			m.ids[a&listMask+uint64(count[t])] = v
 			count[t]++
 		}
 	}

@@ -79,7 +79,11 @@ func TestFromGraphMatchesAllListBuild(t *testing.T) {
 					t.Fatalf("n %d term %d: bitset of %d words with df %d, want %d words, df %d", n, term, len(set), df, (n+63)/64, len(wl))
 				}
 			}
-			if set == nil && (df != len(wl) || len(wl) > 0 && !reflect.DeepEqual(list, wl)) {
+			ids := make([]uint32, len(wl))
+			for i, p := range wl {
+				ids[i] = p.ID
+			}
+			if set == nil && (df != len(wl) || len(wl) > 0 && !reflect.DeepEqual(list, ids)) {
 				t.Fatalf("n %d term %d: Term list %v (df %d), want %v", n, term, list, df, wl)
 			}
 			if _, set, _ := want.Term(term); set != nil {

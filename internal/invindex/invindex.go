@@ -93,13 +93,16 @@ func (b *Builder) Build() *MemIndex {
 		total += int64(len(b.lists[t]))
 		off[t+1] = uint64(total)
 	}
-	posts := make([]Posting, 0, total)
+	m := &MemIndex{off: off, ids: make([]uint32, 0, total), weights: make([]uint8, 0, total), total: total}
 	for _, pl := range b.lists {
-		posts = append(posts, pl...)
+		for _, p := range pl {
+			m.ids = append(m.ids, p.ID)
+			m.weights = append(m.weights, p.Weight)
+		}
 	}
 	b.lists = nil
 	b.total = 0
-	return &MemIndex{off: off, posts: posts, total: total}
+	return m
 }
 
 // strictlyAscending reports whether every posting's ID exceeds the one
@@ -114,25 +117,27 @@ func strictlyAscending(pl []Posting) bool {
 }
 
 // MemIndex is the in-memory representation. It holds each term in one of
-// two forms: a strictly ascending posting list, or a bitset of nw words
-// over the ID universe. FromGraph chooses by size alone — a bitset iff
-// 64·df > |V|, when it is smaller than the eight-byte postings it replaces
-// — and Builder.Build, which knows no universe, makes lists only. The
-// lists lie back to back in one posting arena and the bitsets in one word
-// arena, both addressed from a single offset table, so a term costs eight
-// bytes of table whatever its form.
+// two forms: a strictly ascending list of IDs, or a bitset of nw words
+// over the ID universe. FromGraph makes a bitset iff 64·df > |V|, and
+// Builder.Build, which knows no universe, makes lists only. The lists lie
+// back to back in one ID arena and the bitsets in one word arena, both
+// addressed from a single offset table, so a term costs eight bytes of
+// table whatever its form. Only a Builder's index keeps weights, one byte
+// per ID beside the arena; the document index's weight is always 0 and
+// is not stored.
 type MemIndex struct {
 	// off[t] packs two running counts at the start of term t: the
-	// postings of the list-form terms before t (the low listBits bits) and
+	// IDs of the list-form terms before t (the low listBits bits) and
 	// the number of bitset-form terms before t (the bits above). Term t is
 	// a bitset iff the second count steps from off[t] to off[t+1];
 	// len(off) is the number of terms plus one.
-	off   []uint64
-	posts []Posting
-	words []uint64 // bitset k is words[k*nw : (k+1)*nw]
-	df    []uint32 // df[k] is the population of bitset k
-	nw    int
-	total int64
+	off     []uint64
+	ids     []uint32
+	weights []uint8  // weights[i] is ids[i]'s; nil in FromGraph's index
+	words   []uint64 // bitset k is words[k*nw : (k+1)*nw]
+	df      []uint32 // df[k] is the population of bitset k
+	nw      int
+	total   int64
 }
 
 const (
@@ -144,12 +149,12 @@ const (
 	maxBitsets = 1<<(64-listBits) - 1
 )
 
-// Term returns term t as the index holds it, in place: its list (set
-// nil), or its bitset over IDs — bit v%64 of word v/64 is set iff ID v
-// holds the term — and that bitset's population (list nil). An unknown
+// Term returns term t as the index holds it, in place: its ascending IDs
+// (set nil), or its bitset over IDs — bit v%64 of word v/64 is set iff ID
+// v holds the term — and that bitset's population (list nil). An unknown
 // term is an empty list. Both are the index's own immutable memory,
 // valid as long as m.
-func (m *MemIndex) Term(t uint32) (list []Posting, set []uint64, df int) {
+func (m *MemIndex) Term(t uint32) (list []uint32, set []uint64, df int) {
 	if int(t) >= m.NumTerms() {
 		return nil, nil, 0
 	}
@@ -157,12 +162,13 @@ func (m *MemIndex) Term(t uint32) (list []Posting, set []uint64, df int) {
 	if k := int(a >> listBits); int(b>>listBits) != k {
 		return nil, m.words[k*m.nw : (k+1)*m.nw : (k+1)*m.nw], int(m.df[k])
 	}
-	list = m.posts[a&listMask : b&listMask : b&listMask]
+	list = m.ids[a&listMask : b&listMask : b&listMask]
 	return list, nil, len(list)
 }
 
-// Postings implements Index. A bitset is read back in ascending ID order,
-// with weight 0 — the document index's weight.
+// Postings implements Index. A bitset is read back in ascending ID order;
+// every posting but a Builder's carries weight 0, the document index's
+// weight.
 func (m *MemIndex) Postings(term uint32, dst []Posting) ([]Posting, error) {
 	list, set, _ := m.Term(term)
 	for w, word := range set {
@@ -170,7 +176,14 @@ func (m *MemIndex) Postings(term uint32, dst []Posting) ([]Posting, error) {
 			dst = append(dst, Posting{ID: uint32(w<<6 | bits.TrailingZeros64(word))})
 		}
 	}
-	return append(dst, list...), nil
+	for i, id := range list {
+		var w uint8
+		if m.weights != nil {
+			w = m.weights[m.off[term]&listMask+uint64(i)]
+		}
+		dst = append(dst, Posting{ID: id, Weight: w})
+	}
+	return dst, nil
 }
 
 // NumTerms implements Index.
@@ -180,7 +193,7 @@ func (m *MemIndex) NumTerms() int { return max(len(m.off)-1, 0) }
 func (m *MemIndex) NumPostings() int64 { return m.total }
 
 // MemSize returns the in-memory footprint in bytes: the offset table, the
-// two arenas and the bitsets' populations.
+// two arenas, the weights and the bitsets' populations.
 func (m *MemIndex) MemSize() int64 {
-	return 8*int64(cap(m.off)) + 8*int64(cap(m.posts)) + 8*int64(cap(m.words)) + 4*int64(cap(m.df))
+	return 8*int64(cap(m.off)) + 4*int64(cap(m.ids)) + int64(cap(m.weights)) + 8*int64(cap(m.words)) + 4*int64(cap(m.df))
 }
