@@ -79,4 +79,18 @@ func nowInline(deadline time.Time) bool {
 	return time.Now().After(deadline)
 }
 
+// tieByClock breaks a score tie on the wall clock read as an integer.
+func tieByClock(a, b float64) bool {
+	if a != b {
+		return a < b
+	}
+	return time.Now().UnixNano()%2 == 0 // want determinism
+}
+
+// clockSeed hands the clock out through a local, as an integer.
+func clockSeed() int64 {
+	start := time.Now() // want determinism
+	return start.UnixMilli()
+}
+
 func work() {}
