@@ -47,7 +47,8 @@ echo "== TQSP kernel + Mq bitsets + alpha table + alpha build guards (race-free)
 # list and bitset keywords, the hybrid document index against an all-list
 # build) ride along, as they do in CI, plain here and under -race above,
 # and so do the screen's TQSP-count guard, the per-query
-# algorithm count order and EXPLAIN's rule flags against the run.
+# algorithm count order with its pinned per-fixture work sums, and
+# EXPLAIN's rule flags against the run.
 go test -run 'TestDiscoveryTimeBFSMatchesPopTime|TestBFSWorkGuard|TestMqMatchesPostings|TestDenseMQRecycling|TestScreenReducesConstructions|TestAlgorithmCountOrder|TestExplainRulesMatchRun' ./internal/core/
 go test -run 'TestFromGraphMatchesAllListBuild' ./internal/invindex/
 go test ./internal/alpha/
