@@ -13,7 +13,9 @@ import (
 //  2. a function that has a ctx parameter must hand that ctx — not a
 //     fresh context.Background()/TODO() — to callees that accept one,
 //     or cancellation silently stops propagating (the request-context
-//     cancellation path of DESIGN.md §9 depends on this);
+//     cancellation path of DESIGN.md §9 depends on this). The function
+//     literals it contains are held to the same rule unless they take a
+//     context of their own;
 //  3. inside Config.EntryPackages, an exported function that is not
 //     itself ctx-parameterized must not mint context.Background() to
 //     call a ctx-taking callee: the entry point should accept a
@@ -37,8 +39,12 @@ func runCtx(pass *Pass) {
 			pass.Pkg.Name() != "main"
 		fi := fi
 		ast.Inspect(fi.body, func(n ast.Node) bool {
+			// A nested literal runs on the enclosing function's context
+			// (a per-tile goroutine, a callback) unless it declares one of
+			// its own, in which case it is checked as its own function.
 			if lit, ok := n.(*ast.FuncLit); ok && lit != fi.lit {
-				return false
+				_, litCtx := ctxParam(pass, lit.Type)
+				return litCtx < 0
 			}
 			call, ok := n.(*ast.CallExpr)
 			if !ok {

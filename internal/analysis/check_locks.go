@@ -14,8 +14,8 @@ import (
 //   - no blocking operation — channel send or receive, select without
 //     default, sync.WaitGroup.Wait, sync.Cond.Wait, time.Sleep — may
 //     run while a mutex is held, because a blocked holder deadlocks the
-//     admission controller, flight group, and trace paths that all take
-//     short critical sections on the hot path.
+//     admission controller and trace paths that take short critical
+//     sections on the hot path.
 //
 // The analysis is an abstract walk over the statement tree, not a real
 // CFG: branches fork the held-lock set and rejoin as a union, loop

@@ -35,3 +35,37 @@ func Entry(k int) int {
 func helper(k int) int {
 	return evaluate(context.Background(), k)
 }
+
+type coordinator struct{}
+
+func (c *coordinator) callShard(ctx context.Context, tile int) {
+	_ = evaluate(ctx, tile)
+}
+
+// Gather's per-tile goroutines run on its context: handing a worker a
+// fresh root from inside the literal drops cancellation all the same.
+func (c *coordinator) Gather(ctx context.Context, tiles []int) {
+	done := make(chan struct{}, len(tiles))
+	for _, tile := range tiles {
+		go func(tile int) {
+			defer func() { done <- struct{}{} }()
+			c.callShard(context.Background(), tile) // want ctx
+		}(tile)
+	}
+	for range tiles {
+		<-done
+	}
+}
+
+// GatherPasses hands its context to the workers.
+func (c *coordinator) GatherPasses(ctx context.Context, tiles []int) {
+	for _, tile := range tiles {
+		func() { c.callShard(ctx, tile) }()
+	}
+}
+
+// OwnCtx's literal takes a context of its own and is held to that one.
+func OwnCtx(ctx context.Context, k int) int {
+	f := func(c context.Context) int { return evaluate(context.TODO(), k) } // want ctx
+	return f(ctx)
+}

@@ -130,39 +130,39 @@ func TestSearchResponseMatchesEncodingJSON(t *testing.T) {
 		resp SearchResponse
 	}{
 		{"nil results", SearchResponse{}},
-		{"empty results", SearchResponse{Results: []SearchResult{}, Stats: QueryStats{Algorithm: "SP"}}},
+		{"empty results", SearchResponse{Results: []shard.Result{}, Stats: QueryStats{Algorithm: "SP"}}},
 		{"one result", SearchResponse{
-			Results: []SearchResult{{Place: 7, URI: "ex:Abbey", Score: 2.5, Looseness: 2, Distance: 1.25, X: 1, Y: -1, Exact: true}},
+			Results: []shard.Result{{Place: 7, URI: "ex:Abbey", Score: 2.5, Looseness: 2, Distance: 1.25, X: 1, Y: -1, Exact: true}},
 			Stats:   QueryStats{Algorithm: "SP", Millis: 1, Micros: 1234, TQSPComputations: 3, RTreeNodeAccesses: 9},
 		}},
 		{"partial", SearchResponse{
-			Results: []SearchResult{{Place: 1, URI: "a"}}, Partial: true, ScoreLowerBound: 3.75,
+			Results: []shard.Result{{Place: 1, URI: "a"}}, Partial: true, ScoreLowerBound: 3.75,
 			Stats: QueryStats{Algorithm: "SPP", TimedOut: true, Cancelled: true},
 		}},
-		{"negative zero bound", SearchResponse{Results: []SearchResult{}, ScoreLowerBound: math.Copysign(0, -1)}},
-		{"degraded", SearchResponse{Results: []SearchResult{}, Degraded: true}},
-		{"empty shards", SearchResponse{Results: []SearchResult{}, Shards: []shard.Status{}}},
-		{"empty tree", SearchResponse{Results: []SearchResult{{URI: "t", Tree: []TreeNode{}}}}},
+		{"negative zero bound", SearchResponse{Results: []shard.Result{}, ScoreLowerBound: math.Copysign(0, -1)}},
+		{"degraded", SearchResponse{Results: []shard.Result{}, Degraded: true}},
+		{"empty shards", SearchResponse{Results: []shard.Result{}, Shards: []shard.Status{}}},
+		{"empty tree", SearchResponse{Results: []shard.Result{{URI: "t", Tree: []shard.TreeNode{}}}}},
 		{"hostile algorithm", SearchResponse{Stats: QueryStats{Algorithm: "<&>\u2028\xff"}}},
 		// Left to encoding/json.
-		{"tree", SearchResponse{Results: []SearchResult{{URI: "t", Tree: []TreeNode{{URI: "t", Parent: "t", Depth: 0, Keywords: 2}}}}}},
-		{"shards", SearchResponse{Results: []SearchResult{}, Shards: []shard.Status{{Shard: "s0", State: "ok"}}}},
+		{"tree", SearchResponse{Results: []shard.Result{{URI: "t", Tree: []shard.TreeNode{{URI: "t", Parent: "t", Depth: 0, Keywords: 2}}}}}},
+		{"shards", SearchResponse{Results: []shard.Result{}, Shards: []shard.Status{{Shard: "s0", State: "ok"}}}},
 		{"trace", SearchResponse{Trace: &obs.SpanJSON{Name: "search"}}},
 		{"perfetto", SearchResponse{Perfetto: &obs.PerfettoTrace{}}},
 		{"explain", SearchResponse{Explain: &ksp.ExplainReport{}}},
-		{"NaN score", SearchResponse{Results: []SearchResult{{Score: math.NaN()}}}},
-		{"infinite y", SearchResponse{Results: []SearchResult{{Y: math.Inf(-1)}}}},
+		{"NaN score", SearchResponse{Results: []shard.Result{{Score: math.NaN()}}}},
+		{"infinite y", SearchResponse{Results: []shard.Result{{Y: math.Inf(-1)}}}},
 		{"infinite bound", SearchResponse{Partial: true, ScoreLowerBound: math.Inf(1)}},
 	}
 	for _, tc := range table {
 		check(tc.name, &tc.resp)
 	}
 	for _, s := range hostileStrings {
-		check("uri "+s, &SearchResponse{Results: []SearchResult{{URI: s}}})
+		check("uri "+s, &SearchResponse{Results: []shard.Result{{URI: s}}})
 	}
 	for _, f := range extremeFloats {
 		for _, v := range []float64{f, -f} {
-			check(fmt.Sprint("float ", v), &SearchResponse{Results: []SearchResult{{Score: v, Looseness: v, Distance: v, X: v, Y: v}}, ScoreLowerBound: v})
+			check(fmt.Sprint("float ", v), &SearchResponse{Results: []shard.Result{{Score: v, Looseness: v, Distance: v, X: v, Y: v}}, ScoreLowerBound: v})
 		}
 	}
 
@@ -187,7 +187,7 @@ func TestSearchResponseMatchesEncodingJSON(t *testing.T) {
 	for trial := 0; trial < 3000; trial++ {
 		k := []int{0, 1, 100}[trial%3]
 		resp := SearchResponse{
-			Results:  make([]SearchResult, 0, k),
+			Results:  make([]shard.Result, 0, k),
 			Partial:  rng.Intn(2) == 0,
 			Degraded: rng.Intn(8) == 0,
 			Stats: QueryStats{
@@ -207,7 +207,7 @@ func TestSearchResponseMatchesEncodingJSON(t *testing.T) {
 				rng.Read(b)
 				uri = string(b)
 			}
-			resp.Results = append(resp.Results, SearchResult{
+			resp.Results = append(resp.Results, shard.Result{
 				Place: rng.Uint32(), URI: uri,
 				Score: float(), Looseness: float(), Distance: float(), X: float(), Y: float(),
 				Exact: rng.Intn(2) == 0,

@@ -72,9 +72,6 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 	reg.CounterFunc("ksp_server_panics_recovered_total",
 		"Request handler panics contained by the server.",
 		func() float64 { return float64(s.panics.Load()) })
-	reg.CounterFunc("ksp_server_shared_flights_total",
-		"Search requests coalesced onto another request's in-flight evaluation.",
-		func() float64 { return float64(s.sharedFlights.Load()) })
 	reg.CounterFunc("ksp_trace_spans_dropped_total",
 		"Spans dropped process-wide by traces that hit their span cap.",
 		func() float64 { return float64(obs.DroppedSpansTotal()) })

@@ -14,6 +14,7 @@ import (
 	"ksp/internal/core"
 	"ksp/internal/faultinject"
 	"ksp/internal/shard"
+	"ksp/internal/store"
 	"ksp/internal/testutil"
 )
 
@@ -40,6 +41,7 @@ func TestInjectionPointRegistry(t *testing.T) {
 		shard.PointCall,
 		shard.PointPing,
 		shard.PointTruncate,
+		store.PointSaveRename,
 	}
 	sort.Strings(want)
 	got := faultinject.Points()

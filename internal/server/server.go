@@ -40,7 +40,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -103,9 +102,6 @@ type Server struct {
 	// engine; /readyz gains per-shard health with a majority quorum and
 	// /stats a per-shard section. Set it after New, before serving. The
 	// caller owns the coordinator's lifetime (Close after shutdown).
-	// Sharded searches bypass the singleflight coalescer: the flight
-	// cache is typed to single-engine evaluations, and per-shard
-	// breakers already bound duplicated work during incidents.
 	Shards *shard.Coordinator
 
 	admOnce sync.Once
@@ -113,9 +109,6 @@ type Server struct {
 	admPtr  atomic.Pointer[admission]
 	panics  atomic.Uint64
 	ready   atomic.Bool
-
-	flights       *flightGroup
-	sharedFlights atomic.Uint64
 
 	reg  *obs.Registry
 	ring *obs.QueryRing
@@ -132,7 +125,6 @@ func New(ds *ksp.Dataset) *Server {
 		mux:     http.NewServeMux(),
 		MaxK:    100,
 		Timeout: 10 * time.Second,
-		flights: newFlightGroup(),
 		reg:     obs.NewRegistry(),
 		ring:    obs.NewQueryRing(64),
 	}
@@ -314,7 +306,7 @@ func (s *Server) shed(w http.ResponseWriter, code int, wait time.Duration, forma
 // to the exact answer, and ScoreLowerBound bounds every unreported
 // place's score from below.
 type SearchResponse struct {
-	Results         []SearchResult `json:"results"`
+	Results         []shard.Result `json:"results"`
 	Partial         bool           `json:"partial,omitempty"`
 	ScoreLowerBound float64        `json:"scoreLowerBound,omitempty"`
 	// Degraded and Shards appear on scatter-gather responses: Degraded
@@ -334,32 +326,6 @@ type SearchResponse struct {
 	// the request carried ?explain=1. Unlike tracing it involves no span
 	// capture, so it is cheap enough for routine use.
 	Explain *ksp.ExplainReport `json:"explain,omitempty"`
-}
-
-// SearchResult is one semantic place.
-type SearchResult struct {
-	// Place is the root place's vertex ID — the engine's deterministic
-	// (score, place) tie-break key, which shard coordinators need to
-	// merge remote streams bit-identically.
-	Place     uint32  `json:"place"`
-	URI       string  `json:"uri"`
-	Score     float64 `json:"score"`
-	Looseness float64 `json:"looseness"`
-	Distance  float64 `json:"distance"`
-	X         float64 `json:"x"`
-	Y         float64 `json:"y"`
-	// Exact is meaningful on partial responses: true marks results
-	// guaranteed to sit at their exact rank of the exact top-k.
-	Exact bool       `json:"exact"`
-	Tree  []TreeNode `json:"tree,omitempty"`
-}
-
-// TreeNode is one vertex of a result tree.
-type TreeNode struct {
-	URI      string `json:"uri"`
-	Parent   string `json:"parent"`
-	Depth    int    `json:"depth"`
-	Keywords int    `json:"matchedKeywords"`
 }
 
 // QueryStats summarizes the evaluation cost. Micros is the precise
@@ -423,7 +389,13 @@ func parseCoord(s string) (float64, bool) {
 	return f, true
 }
 
-// handleSearch serves /search from the request's parameters p.
+// handleSearch serves /search from the request's parameters p. The two
+// serving modes differ in two steps only: the evaluation — the local
+// engine (evaluate), whose answer is a gather of one tile, or the shard
+// coordinator (gather) — and the mapping of a failed evaluation to a
+// status (evaluateFailed, gatherFailed). The query record, the 499 for a
+// vanished client, the wide event, the trace, EXPLAIN and the response
+// are the same code for both.
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request, p *queryParams) {
 	if r.Method != http.MethodGet {
 		s.fail(w, http.StatusMethodNotAllowed, "GET only")
@@ -473,26 +445,14 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request, p *queryPa
 	if !admitted {
 		return
 	}
+	defer release()
 	faultinject.Fire(PointSearchAdmitted)
 
-	if s.Shards != nil {
-		s.searchSharded(w, r, p, release, shard.Request{
-			X: x, Y: y, Keywords: kws, K: k, Algo: algo,
-			MaxDist: maxDist, CollectTrees: trees,
-		})
-		return
+	req := shard.Request{
+		X: x, Y: y, Keywords: kws, K: k, Algo: algo,
+		MaxDist: maxDist, CollectTrees: trees,
 	}
-
-	query := ksp.Query{Loc: ksp.Point{X: x, Y: y}, Keywords: kws, K: k}
 	tr := obs.TraceFromContext(r.Context())
-	opts := ksp.Options{
-		CollectTrees: trees,
-		Deadline:     s.Timeout,
-		MaxDist:      maxDist,
-		Trace:        tr,
-		// A disconnected client must not keep burning the Timeout budget.
-		Cancel: r.Context().Done(),
-	}
 	rec := obs.QueryRecord{
 		ID:       obs.RequestIDFromContext(r.Context()),
 		Endpoint: "/search",
@@ -500,95 +460,62 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request, p *queryPa
 		Keywords: strings.Join(kws, ","),
 		K:        k,
 	}
-	var res []ksp.Result
-	var stats *ksp.Stats
+	var g shard.Gather
+	var elapsed time.Duration
 	var err error
-	// Traced requests want their own span tree, so they never share a
-	// flight; everything else coalesces with any concurrent identical
-	// query already evaluating.
-	if tr == nil && s.flights != nil {
-		f, leader := s.flights.join(flightKey(algo, x, y, kws, k, trees, maxDist))
-		if leader {
-			defer release()
-			// Leave the flight when this client disconnects mid-run: with
-			// no followers left the flight cancels, otherwise the
-			// survivors keep the evaluation going. If the callback has
-			// not run by the end, the leader leaves itself, so it leaves
-			// exactly once either way.
-			stop := context.AfterFunc(r.Context(), func() { s.flights.leave(f) })
-			opts.Cancel = f.cancel
-			res, stats, err = s.ds.SearchWith(algo, query, opts)
-			s.flights.finish(f, res, stats, err)
-			if stop() {
-				s.flights.leave(f)
-			}
-		} else {
-			// Follower: hand the admission slot back while waiting — the
-			// shared evaluation is already paid for by the leader's grant.
-			release()
-			s.sharedFlights.Add(1)
-			select {
-			case <-f.done:
-				s.flights.leave(f)
-				res, stats, err = f.res, f.stats, f.err
-			case <-r.Context().Done():
-				s.flights.leave(f)
-				rec.Status = 499 // client closed request while waiting
-				s.recordQuery(rec)
-				return
-			}
-		}
+	if s.Shards != nil {
+		g, elapsed, err = s.gather(r, req)
 	} else {
-		defer release()
-		res, stats, err = s.ds.SearchWith(algo, query, opts)
+		g, elapsed, err = s.evaluate(r, req)
+	}
+	rec.DurationMicros = elapsed.Microseconds()
+	if err != nil {
+		rec.Error = err.Error()
+	} else {
+		rec.Partial = g.Partial
 	}
 	if tr != nil {
 		tr.Finish()
 		rec.Trace = tr.JSON()
 	}
-	if stats != nil {
-		rec.DurationMicros = stats.TotalTime().Microseconds()
-		rec.Partial = stats.Partial
-	}
-	if err != nil {
-		rec.Error = err.Error()
-		var pe *ksp.PanicError
-		switch {
-		case errors.As(err, &pe):
-			// The query died to an internal fault; the engine contained
-			// it, so the process (and the dataset) keep serving.
-			s.panics.Add(1)
-			s.log().Error("query panic",
-				"requestID", rec.ID, "op", pe.Op,
-				"panic", fmt.Sprint(pe.Value), "stack", string(pe.Stack))
-			rec.Status = http.StatusInternalServerError
-			s.fail(w, http.StatusInternalServerError, "internal error evaluating query")
-		case errors.Is(err, ksp.ErrBadCoordinate):
-			rec.Status = http.StatusBadRequest
-			s.fail(w, http.StatusBadRequest, "%v", err)
-		default:
-			rec.Status = http.StatusUnprocessableEntity
-			s.fail(w, http.StatusUnprocessableEntity, "%v", err)
-		}
-		s.recordQuery(rec)
-		s.noteWide(rec, tr.ID(), maxDist, stats, 0, "", nil)
-		return
-	}
-	if stats.Cancelled && r.Context().Err() != nil {
+	degraded := ""
+	switch {
+	case r.Context().Err() != nil:
 		rec.Status = 499 // client closed request; nobody reads a response
 		s.recordQuery(rec)
 		return
+	case err != nil:
+		if s.Shards != nil {
+			rec.Status, degraded = s.gatherFailed(w, err, g.Shards)
+		} else {
+			rec.Status = s.evaluateFailed(w, err)
+		}
+		s.recordQuery(rec)
+		s.noteWide(rec, tr.ID(), maxDist, &g.Stats, 0, degraded, g.Shards)
+		return
 	}
-	if stats.Partial {
+	if g.Partial {
 		s.sm.notePartial()
 	}
 	rec.Status = http.StatusOK
 	s.recordQuery(rec)
-	s.noteWide(rec, tr.ID(), maxDist, stats, len(res), "", nil)
+	if g.Degraded {
+		degraded = DegradedShardLoss
+	}
+	s.noteWide(rec, tr.ID(), maxDist, &g.Stats, len(g.Results), degraded, g.Shards)
+
 	resp := SearchResponse{
-		Results: make([]SearchResult, 0, len(res)),
-		Partial: stats.Partial,
-		Stats:   queryStats(algo, stats.TotalTime(), stats),
+		Results:  g.Results,
+		Partial:  g.Partial,
+		Degraded: g.Degraded,
+		Shards:   g.Shards,
+		Stats:    queryStats(algo, elapsed, &g.Stats),
+	}
+	if resp.Results == nil {
+		resp.Results = []shard.Result{} // an empty answer encodes as []
+	}
+	if g.Partial {
+		resp.ScoreLowerBound = g.Bound
 	}
 	switch {
 	case tr != nil && p.traceMode() == tracePerfetto:
@@ -597,36 +524,58 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request, p *queryPa
 		resp.Trace = rec.Trace
 	}
 	if p.wantExplain() {
-		resp.Explain = s.ds.ExplainFor(algo, query, opts, stats, len(res))
-	}
-	if stats.Partial {
-		resp.ScoreLowerBound = stats.ScoreBound
-	}
-	for _, item := range res {
-		loc, _ := s.ds.Location(item.Place)
-		sr := SearchResult{
-			Place:     item.Place,
-			URI:       s.ds.URI(item.Place),
-			Score:     item.Score,
-			Looseness: item.Looseness,
-			Distance:  item.Dist,
-			X:         loc.X,
-			Y:         loc.Y,
-			Exact:     item.Exact,
-		}
-		if item.Tree != nil {
-			for _, n := range item.Tree.Nodes {
-				sr.Tree = append(sr.Tree, TreeNode{
-					URI:      s.ds.URI(n.V),
-					Parent:   s.ds.URI(n.Parent),
-					Depth:    n.Depth,
-					Keywords: len(n.Matched),
-				})
-			}
-		}
-		resp.Results = append(resp.Results, sr)
+		// The plan comes from the local engine's configuration, which
+		// shards over the same dataset build share; a gather adds its
+		// MinDist-ordered dispatch table.
+		resp.Explain = s.ds.ExplainFor(algo, req.Query(),
+			ksp.Options{CollectTrees: trees, MaxDist: maxDist}, &g.Stats, len(g.Results))
+		resp.Explain.Shards = explainShards(g.Shards)
 	}
 	s.writeSearch(w, &resp)
+}
+
+// evaluate runs req on the server's own engine, cancelled when the
+// client disconnects. It returns the answer as a gather of one tile
+// (its counters set even on an error) and the engine's own total time.
+// A panic the engine contained is counted and logged here, whether or
+// not the client is still there to be told.
+func (s *Server) evaluate(r *http.Request, req shard.Request) (shard.Gather, time.Duration, error) {
+	res, stats, err := s.ds.SearchWith(req.Algo, req.Query(), ksp.Options{
+		CollectTrees: req.CollectTrees,
+		Deadline:     s.Timeout,
+		MaxDist:      req.MaxDist,
+		Trace:        obs.TraceFromContext(r.Context()),
+		// A disconnected client must not keep burning the Timeout budget.
+		Cancel: r.Context().Done(),
+	})
+	g := shard.Gather{Partial: stats.Partial, Bound: stats.ScoreBound, Stats: *stats}
+	if err == nil {
+		g.Results = shard.ResultsFrom(s.ds, res)
+	} else if pe := (*ksp.PanicError)(nil); errors.As(err, &pe) {
+		s.panics.Add(1)
+		s.log().Error("query panic",
+			"requestID", obs.RequestIDFromContext(r.Context()), "op", pe.Op,
+			"panic", fmt.Sprint(pe.Value), "stack", string(pe.Stack))
+	}
+	return g, stats.TotalTime(), err
+}
+
+// evaluateFailed writes the response for a failed local evaluation and
+// returns its status: 500 for a contained engine panic (the process and
+// the dataset keep serving), 400 for a coordinate the engine refused,
+// 422 for a query it cannot answer.
+func (s *Server) evaluateFailed(w http.ResponseWriter, err error) int {
+	var pe *ksp.PanicError
+	switch {
+	case errors.As(err, &pe):
+		s.fail(w, http.StatusInternalServerError, "internal error evaluating query")
+		return http.StatusInternalServerError
+	case errors.Is(err, ksp.ErrBadCoordinate):
+		s.fail(w, http.StatusBadRequest, "%v", err)
+		return http.StatusBadRequest
+	}
+	s.fail(w, http.StatusUnprocessableEntity, "%v", err)
+	return http.StatusUnprocessableEntity
 }
 
 // splitKeywords splits a kw parameter at commas, dropping blank entries.
@@ -699,10 +648,10 @@ func (s *Server) handleKeyword(w http.ResponseWriter, r *http.Request, p *queryP
 	}
 	rec.Status = http.StatusOK
 	s.recordQuery(rec)
-	out := make([]SearchResult, 0, len(res))
+	out := make([]shard.Result, 0, len(res))
 	for _, item := range res {
 		loc, _ := s.ds.Location(item.Place)
-		out = append(out, SearchResult{
+		out = append(out, shard.Result{
 			URI:       s.ds.URI(item.Place),
 			Score:     item.Score,
 			Looseness: item.Looseness,
@@ -738,10 +687,10 @@ func (s *Server) handleNearest(w http.ResponseWriter, r *http.Request, p *queryP
 		n = s.MaxK
 	}
 	res := s.ds.NearestPlaces(ksp.Point{X: x, Y: y}, n)
-	out := make([]SearchResult, 0, len(res))
+	out := make([]shard.Result, 0, len(res))
 	for _, item := range res {
 		loc, _ := s.ds.Location(item.Place)
-		out = append(out, SearchResult{
+		out = append(out, shard.Result{
 			URI:      s.ds.URI(item.Place),
 			Distance: item.Dist,
 			X:        loc.X,
@@ -826,9 +775,6 @@ type RuntimeSection struct {
 type ServerSection struct {
 	Ready           bool   `json:"ready"`
 	PanicsRecovered uint64 `json:"panicsRecovered"`
-	// SharedFlights counts /search requests served from another request's
-	// in-flight evaluation instead of running their own.
-	SharedFlights uint64 `json:"sharedFlights"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -851,7 +797,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Server: ServerSection{
 			Ready:           s.ready.Load(),
 			PanicsRecovered: s.panics.Load(),
-			SharedFlights:   s.sharedFlights.Load(),
 		},
 	}
 	if adm := s.admission(); adm != nil {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"ksp"
+	"ksp/internal/shard"
 )
 
 const fixtureNT = `
@@ -250,7 +251,7 @@ func TestGetOnlyEndpoints(t *testing.T) {
 // same 200 with the same results.
 func TestLegacyParallelParamIgnored(t *testing.T) {
 	srv := testServer(t)
-	var want []SearchResult
+	var want []shard.Result
 	for i, param := range []string{"", "&parallel=4", "&parallel=bogus"} {
 		var got SearchResponse
 		resp := getJSON(t, srv.URL+"/search?x=0&y=0&kw=roman,history&k=2"+param, &got)

@@ -6,19 +6,18 @@ import (
 	"math"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"ksp"
-	"ksp/internal/obs"
 	"ksp/internal/shard"
 )
 
 // Scatter-gather /search: when Server.Shards is set, admitted search
 // requests evaluate through the coordinator instead of the single local
-// engine. The response shape is the same SearchResponse — clients need
-// not know whether one engine or seven answered — extended with the
-// Degraded flag and the per-shard Status list. Failure modes:
+// engine; the rest of handleSearch is the same for both. The response
+// shape is the same SearchResponse — clients need not know whether one
+// engine or seven answered — extended with the Degraded flag and the
+// per-shard Status list. Failure modes:
 //
 //   - every shard failed → 503 with Retry-After (the breaker cooldown)
 //     and a machine-readable degradedError body naming each shard's
@@ -63,149 +62,53 @@ const (
 	DegradedShardLoss = "shard-loss"
 )
 
-// searchSharded evaluates an admitted /search request through the shard
-// coordinator. It owns the admission release. Sharded requests bypass
-// the singleflight coalescer (per-shard breakers already bound
-// duplicated work during incidents, and the flight cache is typed to
-// single-engine results).
-func (s *Server) searchSharded(w http.ResponseWriter, r *http.Request, p *queryParams, release func(), req shard.Request) {
-	defer release()
+// gather evaluates req through the shard coordinator under the
+// server's timeout and returns the merged answer (zero when the gather
+// got no further than an error) with the gather's wall clock.
+func (s *Server) gather(r *http.Request, req shard.Request) (shard.Gather, time.Duration, error) {
 	ctx := r.Context()
 	if s.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.Timeout)
 		defer cancel()
 	}
-	tr := obs.TraceFromContext(r.Context())
-	rec := obs.QueryRecord{
-		ID:       obs.RequestIDFromContext(r.Context()),
-		Endpoint: "/search",
-		Algo:     req.Algo.String(),
-		Keywords: strings.Join(req.Keywords, ","),
-		K:        req.K,
-	}
 	begin := time.Now()
 	g, err := s.Shards.Search(ctx, req)
 	elapsed := time.Since(begin)
-	rec.DurationMicros = elapsed.Microseconds()
-	if tr != nil {
-		tr.Finish()
-		rec.Trace = tr.JSON()
+	if g == nil {
+		return shard.Gather{}, elapsed, err
 	}
-	if err != nil {
-		rec.Error = err.Error()
-		degraded := ""
-		switch {
-		case r.Context().Err() != nil:
-			// Client gone; nobody reads a response.
-			rec.Status = 499
-		case errors.Is(err, shard.ErrAllShardsFailed):
-			rec.Status = http.StatusServiceUnavailable
-			degraded = DegradedAllShardsFailed
-			s.writeDegraded(w, DegradedAllShardsFailed, err, g)
-		case errors.Is(err, context.DeadlineExceeded):
-			rec.Status = http.StatusServiceUnavailable
-			degraded = DegradedGatherTimeout
-			s.writeDegraded(w, DegradedGatherTimeout, err, g)
-		default:
-			rec.Status = http.StatusInternalServerError
-			s.fail(w, http.StatusInternalServerError, "%v", err)
-		}
-		s.recordQuery(rec)
-		if rec.Status != 499 {
-			var stats *ksp.Stats
-			var statuses []shard.Status
-			if g != nil {
-				stats, statuses = &g.Stats, g.Shards
-			}
-			s.noteWide(rec, tr.ID(), req.MaxDist, stats, 0, degraded, statuses)
-		}
-		return
-	}
-	if r.Context().Err() != nil {
-		rec.Status = 499
-		s.recordQuery(rec)
-		return
-	}
-	if g.Partial {
-		s.sm.notePartial()
-	}
-	rec.Partial = g.Partial
-	rec.Status = http.StatusOK
-	s.recordQuery(rec)
-	degraded := ""
-	if g.Degraded {
-		degraded = DegradedShardLoss
-	}
-	s.noteWide(rec, tr.ID(), req.MaxDist, &g.Stats, len(g.Results), degraded, g.Shards)
-
-	resp := SearchResponse{
-		Results:  make([]SearchResult, 0, len(g.Results)),
-		Partial:  g.Partial,
-		Degraded: g.Degraded,
-		Shards:   g.Shards,
-		Stats:    queryStats(req.Algo, elapsed, &g.Stats),
-	}
-	if g.Partial {
-		resp.ScoreLowerBound = g.Bound
-	}
-	switch {
-	case tr != nil && p.traceMode() == tracePerfetto:
-		resp.Perfetto = obs.PerfettoFromSpan(rec.Trace)
-	case tr != nil:
-		resp.Trace = rec.Trace
-	}
-	if p.wantExplain() {
-		// The plan section comes from the local engine's configuration
-		// (shards over the same dataset build share it); the dispatch
-		// table is the gather's own MinDist-ordered shard outcomes.
-		rep := s.ds.ExplainFor(req.Algo,
-			ksp.Query{Loc: ksp.Point{X: req.X, Y: req.Y}, Keywords: req.Keywords, K: req.K},
-			ksp.Options{CollectTrees: req.CollectTrees, MaxDist: req.MaxDist},
-			&g.Stats, len(g.Results))
-		rep.Shards = explainShards(g.Shards)
-		resp.Explain = rep
-	}
-	for _, item := range g.Results {
-		sr := SearchResult{
-			Place:     item.Place,
-			URI:       item.URI,
-			Score:     item.Score,
-			Looseness: item.Looseness,
-			Distance:  item.Dist,
-			X:         item.X,
-			Y:         item.Y,
-			Exact:     item.Exact,
-		}
-		for _, n := range item.Tree {
-			sr.Tree = append(sr.Tree, TreeNode(n))
-		}
-		resp.Results = append(resp.Results, sr)
-	}
-	s.writeSearch(w, &resp)
+	return *g, elapsed, err
 }
 
-// writeDegraded writes the coordinator's 503: Retry-After set to the
-// breaker cooldown (rounded up to a whole second) and the
-// machine-readable degradedError body, per-shard statuses included when
-// the gather got far enough to produce them.
-func (s *Server) writeDegraded(w http.ResponseWriter, reason string, err error, g *shard.Gather) {
-	retry := int(math.Ceil(s.Shards.RetryAfter().Seconds()))
-	if retry < 1 {
-		retry = 1
+// gatherFailed writes the response for a failed gather and returns its
+// status and degraded reason: 503 when every shard failed or the gather
+// ran out of time, with Retry-After set to the breaker cooldown (rounded
+// up to a whole second) and the machine-readable degradedError body,
+// per-shard statuses included when the gather got far enough to produce
+// them; 500 otherwise.
+func (s *Server) gatherFailed(w http.ResponseWriter, err error, statuses []shard.Status) (int, string) {
+	reason := ""
+	switch {
+	case errors.Is(err, shard.ErrAllShardsFailed):
+		reason = DegradedAllShardsFailed
+	case errors.Is(err, context.DeadlineExceeded):
+		reason = DegradedGatherTimeout
+	default:
+		s.fail(w, http.StatusInternalServerError, "%v", err)
+		return http.StatusInternalServerError, ""
 	}
+	retry := max(int(math.Ceil(s.Shards.RetryAfter().Seconds())), 1)
 	w.Header().Set("Retry-After", strconv.Itoa(retry))
-	body := degradedError{
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusServiceUnavailable)
+	s.writeJSON(w, degradedError{
 		Error:             err.Error(),
 		Reason:            reason,
 		RetryAfterSeconds: retry,
-	}
-	if g != nil {
-		body.Shards = g.Shards
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusServiceUnavailable)
-	s.writeJSON(w, body)
+		Shards:            statuses,
+	})
+	return http.StatusServiceUnavailable, reason
 }
 
 // ReadyResponse is the /readyz payload on sharded servers: overall

@@ -383,7 +383,7 @@ func TestHammerShardChaos(t *testing.T) {
 		// A breaker still open from the chaos answers 503, whose body spells
 		// "degraded" as a reason string; decode only what both shapes share.
 		var got struct {
-			Results []SearchResult `json:"results"`
+			Results []shard.Result `json:"results"`
 			Partial bool           `json:"partial"`
 		}
 		resp := getJSON(t, srv.URL+"/search?x=0&y=0&kw=roman,history&k=2", &got)

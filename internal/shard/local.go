@@ -64,46 +64,18 @@ func (l *Local) Search(ctx context.Context, req Request) (*Response, error) {
 		ltr.SetID(req.TraceID)
 		opts.Trace = ltr
 	}
-	res, stats, err := l.ds.SearchWith(req.Algo, ksp.Query{
-		Loc:      ksp.Point{X: req.X, Y: req.Y},
-		Keywords: req.Keywords,
-		K:        req.K,
-	}, opts)
+	res, stats, err := l.ds.SearchWith(req.Algo, req.Query(), opts)
 	if err != nil {
 		return nil, err
 	}
 	ltr.Finish()
-	resp := &Response{
-		Results: make([]Result, 0, len(res)),
+	return &Response{
+		Results: ResultsFrom(l.ds, res),
 		Partial: stats.Partial,
 		Bound:   stats.ScoreBound,
 		Stats:   *stats,
 		Trace:   ltr.JSON(),
-	}
-	for _, item := range res {
-		loc, _ := l.ds.Location(item.Place)
-		sr := Result{
-			Place:     item.Place,
-			URI:       l.ds.URI(item.Place),
-			Score:     item.Score,
-			Looseness: item.Looseness,
-			Dist:      item.Dist,
-			X:         loc.X,
-			Y:         loc.Y,
-		}
-		if item.Tree != nil {
-			for _, n := range item.Tree.Nodes {
-				sr.Tree = append(sr.Tree, TreeNode{
-					URI:      l.ds.URI(n.V),
-					Parent:   l.ds.URI(n.Parent),
-					Depth:    n.Depth,
-					Keywords: len(n.Matched),
-				})
-			}
-		}
-		resp.Results = append(resp.Results, sr)
-	}
-	return resp, nil
+	}, nil
 }
 
 // Ping implements Shard: the readiness self-check query internal/server

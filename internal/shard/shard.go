@@ -90,31 +90,69 @@ type Request struct {
 	Bound *ksp.Bound
 }
 
-// Result is one semantic place in a shard response, in wire form: the
-// place vertex ID (shards over the same dataset build agree on vertex
-// IDs, and (score, place) is the engine's deterministic tie-break), the
-// URI and coordinates so the coordinator needs no local graph, and the
-// scores.
+// Query returns the engine query req asks.
+func (req Request) Query() ksp.Query {
+	return ksp.Query{Loc: ksp.Point{X: req.X, Y: req.Y}, Keywords: req.Keywords, K: req.K}
+}
+
+// Result is one semantic place in /search wire form — the one shape
+// the server writes and a Remote shard reads back: the place vertex ID
+// (shards over the same dataset build agree on vertex IDs, and (score,
+// place) is the engine's deterministic tie-break), the URI and
+// coordinates so the coordinator needs no local graph, and the scores.
 type Result struct {
 	Place     uint32  `json:"place"`
 	URI       string  `json:"uri"`
 	Score     float64 `json:"score"`
 	Looseness float64 `json:"looseness"`
-	Dist      float64 `json:"distance"`
+	Distance  float64 `json:"distance"`
 	X         float64 `json:"x"`
 	Y         float64 `json:"y"`
-	// Exact is set by the coordinator's global merge, not by shards.
+	// Exact is meaningful on partial answers: true marks results
+	// guaranteed to sit at their exact rank of the exact top-k. The
+	// coordinator's global merge sets it on gathered results.
 	Exact bool       `json:"exact"`
 	Tree  []TreeNode `json:"tree,omitempty"`
 }
 
-// TreeNode is one vertex of a materialized TQSP, mirroring the /search
-// wire form.
+// TreeNode is one vertex of a materialized TQSP.
 type TreeNode struct {
 	URI      string `json:"uri"`
 	Parent   string `json:"parent"`
 	Depth    int    `json:"depth"`
 	Keywords int    `json:"matchedKeywords"`
+}
+
+// ResultsFrom converts an engine answer over ds into wire results,
+// resolving each place's URI and location and each tree vertex's URI.
+// The slice is never nil, so an empty answer encodes as [].
+func ResultsFrom(ds *ksp.Dataset, res []ksp.Result) []Result {
+	out := make([]Result, 0, len(res))
+	for _, item := range res {
+		loc, _ := ds.Location(item.Place)
+		r := Result{
+			Place:     item.Place,
+			URI:       ds.URI(item.Place),
+			Score:     item.Score,
+			Looseness: item.Looseness,
+			Distance:  item.Dist,
+			X:         loc.X,
+			Y:         loc.Y,
+			Exact:     item.Exact,
+		}
+		if item.Tree != nil {
+			for _, n := range item.Tree.Nodes {
+				r.Tree = append(r.Tree, TreeNode{
+					URI:      ds.URI(n.V),
+					Parent:   ds.URI(n.Parent),
+					Depth:    n.Depth,
+					Keywords: len(n.Matched),
+				})
+			}
+		}
+		out = append(out, r)
+	}
+	return out
 }
 
 // Response is one shard's answer: its local top-k by ascending

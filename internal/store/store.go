@@ -42,8 +42,10 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 
 	"ksp/internal/alpha"
+	"ksp/internal/faultinject"
 	"ksp/internal/geo"
 	"ksp/internal/mmapfile"
 	"ksp/internal/rdf"
@@ -555,18 +557,54 @@ func (r *imageReader) end() error {
 	return nil
 }
 
-// SaveFile writes the snapshot to path.
+// PointSaveRename fires in SaveFile once the new snapshot is written
+// and synced to its temp file, before the rename puts it in place: a
+// fault there is a save that dies before it commits.
+var PointSaveRename = faultinject.Register("store.save.rename")
+
+// SaveFile writes the snapshot to path by replacing the file, never by
+// rewriting it: the image goes to a temp file in path's directory, which
+// is synced, renamed over path, and the directory synced. A dataset
+// mapped from the old file keeps its inode, and with it its bytes; a save
+// that fails at any step, or dies before the rename, leaves the old file
+// as it was and no temp file behind. The new file's mode is 0644.
 func SaveFile(path string, s *Snapshot) error {
-	f, err := os.Create(path)
+	dir := filepath.Dir(path)
+	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
+	committed := false
+	defer func() {
+		if !committed {
+			//ksplint:ignore droppederr -- error-path cleanup; the save's own error already wins
+			f.Close()
+			//ksplint:ignore droppederr -- error-path cleanup; the save's own error already wins
+			os.Remove(f.Name())
+		}
+	}()
 	if err := Write(f, s); err != nil {
-		//ksplint:ignore droppederr -- error-path cleanup; the write error already wins
-		f.Close()
 		return err
 	}
-	return f.Close()
+	if err := f.Chmod(0o644); err != nil {
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	faultinject.Fire(PointSaveRename)
+	if err := os.Rename(f.Name(), path); err != nil {
+		return err
+	}
+	committed = true
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	return errors.Join(d.Sync(), d.Close())
 }
 
 // LoadFile reads a snapshot from path onto the heap, as Read does; it

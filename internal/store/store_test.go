@@ -3,12 +3,14 @@ package store
 import (
 	"bytes"
 	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"ksp/internal/alpha"
 	"ksp/internal/core"
+	"ksp/internal/faultinject"
 	"ksp/internal/gen"
 	"ksp/internal/paperdata"
 	"ksp/internal/rdf"
@@ -249,5 +251,60 @@ func TestReadRejectsAlphaRadiusBeyondByte(t *testing.T) {
 	}
 	if _, err := Read(&buf); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Read of an α = 300 snapshot: got %v, want ErrCorrupt", err)
+	}
+}
+
+// A save that dies between writing its temp file and renaming it over
+// the target commits nothing: the previous snapshot is still there and
+// loads, and no temp file is left behind.
+func TestSaveFileDiesBeforeRename(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "snap.bin")
+	f := paperdata.Figure1()
+	if err := SaveFile(path, &Snapshot{Graph: f.G, Dir: rdf.Outgoing}); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	plan := faultinject.NewPlan(8).Add(faultinject.Fault{Point: PointSaveRename, Action: faultinject.Panic})
+	faultinject.Activate(plan)
+	func() {
+		defer func() {
+			if _, ok := recover().(*faultinject.Injected); !ok {
+				t.Error("the save did not die at its injection point")
+			}
+		}()
+		g := gen.Generate(gen.DBpediaConfig(300, 5))
+		err := SaveFile(path, &Snapshot{Graph: g, Dir: rdf.Outgoing})
+		t.Errorf("SaveFile returned %v through its injected fault", err)
+	}()
+	faultinject.Deactivate()
+	if plan.Fired(PointSaveRename) != 1 {
+		t.Fatalf("the fault fired %d times", plan.Fired(PointSaveRename))
+	}
+
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("the previous snapshot changed: %d bytes (%v), want %d", len(after), err, len(before))
+	}
+	snap, err := LoadFile(path)
+	if err != nil {
+		t.Fatalf("the previous snapshot no longer loads: %v", err)
+	}
+	if snap.Graph.NumVertices() != f.G.NumVertices() {
+		t.Errorf("the previous snapshot loads with %d vertices, want %d", snap.Graph.NumVertices(), f.G.NumVertices())
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Errorf("the directory holds %q, want the snapshot alone", names)
 	}
 }

@@ -358,14 +358,10 @@ func (d *Dataset) AlphaRadius() int {
 // the expensive α-radius index and the reachability labels — to a
 // snapshot file. LoadSnapshot restores it without re-running the
 // α-neighbourhood construction, which dominates preprocessing time (Table
-// 5 of the paper), and without rebuilding the R-tree or the labels. A
-// dataset served from a memory mapping is refused: its graph and indexes
-// are views of a snapshot file, which saving over it would truncate under
-// the mapping.
+// 5 of the paper), and without rebuilding the R-tree or the labels. The
+// file at path is replaced, never rewritten, so a dataset mapped from it
+// — this one included — keeps serving the snapshot it opened.
 func (d *Dataset) Save(path string) error {
-	if d.snap != nil && d.snap.Mapped() {
-		return fmt.Errorf("ksp: the dataset is served from a memory-mapped snapshot file; cannot snapshot it")
-	}
 	snap := &store.Snapshot{Graph: d.g, Tree: d.engine.Tree, Reach: d.engine.Reach, Dir: d.cfg.Direction}
 	if a := d.engine.Alpha; a != nil {
 		snap.AlphaRadius = a.Alpha

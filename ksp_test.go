@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -279,9 +280,8 @@ func TestSaveAndLoadSnapshot(t *testing.T) {
 	if restored.Stats() != ds.Stats() {
 		t.Fatalf("stats changed: %+v vs %+v", restored.Stats(), ds.Stats())
 	}
-	// Built or loaded onto the heap the graph and the indexes can be saved
-	// again, byte for byte; mapped, they are views of the snapshot file,
-	// and Save refuses.
+	// Built, loaded onto the heap or mapped, the graph and the indexes can
+	// be saved again, byte for byte.
 	first, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -298,20 +298,12 @@ func TestSaveAndLoadSnapshot(t *testing.T) {
 			t.Errorf("Mmap=%v: stats = %+v, want MemoryMapped %v", mmap, st, mapped)
 		}
 		again := t.TempDir() + "/again.snap"
-		err = loaded.Save(again)
-		switch {
-		case mapped && err == nil:
-			t.Errorf("Mmap=%v: Save of a memory-mapped dataset succeeded", mmap)
-		case !mapped && err != nil:
-			t.Errorf("Mmap=%v: Save of a dataset on the heap: %v", mmap, err)
-		case !mapped:
-			second, err := os.ReadFile(again)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(first, second) {
-				t.Errorf("Mmap=%v: a snapshot saved, loaded and saved again changed: %d bytes, then %d", mmap, len(first), len(second))
-			}
+		if err := loaded.Save(again); err != nil {
+			t.Errorf("Mmap=%v: Save: %v", mmap, err)
+		} else if second, err := os.ReadFile(again); err != nil {
+			t.Fatal(err)
+		} else if !bytes.Equal(first, second) {
+			t.Errorf("Mmap=%v: a snapshot saved, loaded and saved again changed: %d bytes, then %d", mmap, len(first), len(second))
 		}
 		// Describe reads each document from the snapshot's image.
 		for v := uint32(0); int(v) < ds.Stats().Vertices; v++ {
@@ -346,6 +338,77 @@ func TestSaveAndLoadSnapshot(t *testing.T) {
 	}
 	if _, err := LoadSnapshot(t.TempDir()+"/missing.snap", DefaultConfig()); err == nil {
 		t.Error("expected error for missing snapshot")
+	}
+}
+
+// Saving over a snapshot that a dataset maps replaces the file: the
+// mapped dataset keeps its answers and URIs, a fresh LoadSnapshot sees
+// the new file, and a mapped dataset may save over its own file.
+func TestSaveOverMappedSnapshot(t *testing.T) {
+	path := t.TempDir() + "/live.snap"
+	if err := openFixture(t, DefaultConfig()).Save(path); err != nil {
+		t.Fatal(err)
+	}
+	first, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Mmap = true
+	live, err := LoadSnapshot(path, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	q := Query{Loc: Point{X: 43.51, Y: 4.75}, Keywords: []string{"ancient", "roman", "catholic", "history"}, K: 2}
+	answer := func() ([]Result, []string) {
+		t.Helper()
+		res, _, err := live.SearchWith(AlgoSP, q, Options{})
+		if err != nil {
+			t.Fatalf("SP on the mapped dataset: %v", err)
+		}
+		uris := make([]string, live.Stats().Vertices)
+		for v := range uris {
+			uris[v] = live.URI(uint32(v))
+		}
+		return res, uris
+	}
+	wantRes, wantURIs := answer()
+
+	b := NewBuilder()
+	b.AddPlace("ex:Lone", Point{X: 1, Y: 2})
+	b.AddLabel("ex:Lone", "ex:label", "lone place")
+	other, err := b.Build(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := other.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	gotRes, gotURIs := answer()
+	if !reflect.DeepEqual(gotRes, wantRes) || !slices.Equal(gotURIs, wantURIs) {
+		t.Fatalf("the mapped dataset changed under a save over its file:\n%+v %q\nwant %+v %q", gotRes, gotURIs, wantRes, wantURIs)
+	}
+	fresh, err := LoadSnapshot(path, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fresh.Stats(), other.Stats(); got.Places != want.Places || got.Vertices != want.Vertices {
+		t.Errorf("a fresh load sees %+v, want the new file's %+v", got, want)
+	}
+	if err := fresh.Close(); err != nil {
+		t.Error(err)
+	}
+
+	// The mapped dataset saves itself over the file it maps.
+	if err := live.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	if again, err := os.ReadFile(path); err != nil || !bytes.Equal(again, first) {
+		t.Errorf("a mapped dataset saved over its own file: %d bytes (%v), want the %d it opened", len(again), err, len(first))
+	}
+	if gotRes, gotURIs := answer(); !reflect.DeepEqual(gotRes, wantRes) || !slices.Equal(gotURIs, wantURIs) {
+		t.Errorf("the mapped dataset changed after saving over its own file")
 	}
 }
 
